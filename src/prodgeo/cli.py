@@ -8,13 +8,14 @@ Usage:
     prodgeo verify --geometry h2r --trials 500 --seed 42
 
 Points are entered as the spatial triple "x,y,z" (homogeneous weight 1
-implied); a 4-tuple "x0,x1,x2,x3" with x0 > 0 is accepted and normalised.
+implied; "--a2=-1,0,0" for a leading minus) or a 4-tuple "x0,x1,x2,x3" with
+x0 > 0, and are validated once, by the library's public entry points.
 Output format is table (aligned, human oriented), json (schema v1) or csv.
 Float display precision defaults to 6 decimals, overridable with
 --precision or the THURSTON_PRECISION environment variable.
 
 Exit codes: 0 success, 1 check failure (table regression or verify suite),
-2 domain error (point outside the model), 3 degenerate configuration.
+2 domain or usage error, 3 degenerate configuration.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .exceptions import DegenerateError, DomainError, GeometryError
 from .geodesics import GeodesicParams, geodesic_params, geodesic_point, sample_curve
 from .sweep import ExtremumKind, SweepSpec, evaluate
 from .triangles import angle_sum, classify, coplanar_with_center, geodesic_triangle
-from .verification import SUITES, run_suite
+from .verification import run_all
 
 SCHEMA = "v1"
 TABLE_GATE = 1e-4
@@ -47,12 +48,22 @@ def _parse_point(text: str) -> np.ndarray:
     return model_point(values)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports unparsable text as "invalid int value"
+    return parse
+
+
 def _precision(args) -> int:
     if args.precision is not None:
         return args.precision
     try:
-        return int(os.environ.get("THURSTON_PRECISION", ""))
-    except ValueError:
+        return _int_at_least(0)(os.environ.get("THURSTON_PRECISION", ""))
+    except (ValueError, argparse.ArgumentTypeError):
         return 6
 
 
@@ -216,18 +227,9 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kinds = [Geometry.S2R, Geometry.H2R] if args.geometry == "both" \
-        else [Geometry.from_name(args.geometry)]
-    all_ok = True
-    reports = []
-    for kind in kinds:
-        for offset, name in enumerate(SUITES):
-            trials = args.trials
-            if name == "ode-equivalence":
-                trials = min(trials, 100)  # integration dominates runtime
-            result = run_suite(name, kind, trials, args.seed + offset)
-            reports.append(result)
-            all_ok &= result.passed
+    kinds = list(Geometry) if args.geometry == "both" else [Geometry.from_name(args.geometry)]
+    reports = [r for kind in kinds for r in run_all(kind, args.trials, args.seed)]
+    all_ok = all(r.passed for r in reports)
     if args.format == "json":
         _emit_json({
             "schema": SCHEMA,
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         if geometry:
             p.add_argument("--geometry", required=True, choices=["s2r", "h2r"])
         p.add_argument("--format", default="table", choices=["table", "json", "csv"])
-        p.add_argument("--precision", type=int, default=None,
+        p.add_argument("--precision", type=_int_at_least(0), default=None,
                        help="display decimals (default 6; env THURSTON_PRECISION)")
 
     p = sub.add_parser("triangle", help="interior angles of one geodesic triangle")
@@ -293,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded property suites")
     p.add_argument("--geometry", default="both", choices=["s2r", "h2r", "both"])
     p.add_argument("--format", default="table", choices=["table", "json"])
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -97,20 +97,31 @@ def contains(kind: Geometry, coords) -> bool:
         p = model_point(coords)
     except DomainError:
         return False
+    return _is_member(kind, p)
+
+
+def _is_member(kind: Geometry, p: np.ndarray) -> bool:
     x, y, z = p
-    if not np.all(np.isfinite(p)):
-        return False
-    if kind is Geometry.S2R:
-        return x * x + y * y + z * z > 0.0
-    return x * x - y * y - z * z > 0.0 and x > 0.0
+    return (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+            and fibre_norm_sq(kind, p) > 0.0 and (kind is Geometry.S2R or x > 0.0))
+
+
+def _not_member(kind: Geometry, p: np.ndarray) -> DomainError:
+    coords = tuple(round(float(c), 6) for c in p)
+    return DomainError(f"point {coords} is not in the {kind.value} model")
+
+
+def _guard_member(kind: Geometry, p: np.ndarray) -> None:
+    """Raise DomainError unless the normalised point ``p`` is a member."""
+    if not _is_member(kind, p):
+        raise _not_member(kind, p)
 
 
 def require_member(kind: Geometry, p: np.ndarray) -> np.ndarray:
     """Validate membership, returning the point; raise DomainError otherwise."""
     p = model_point(p)
     if not contains(kind, p):
-        coords = tuple(round(float(c), 6) for c in p)
-        raise DomainError(f"point {coords} is not in the {kind.value} model")
+        raise _not_member(kind, p)
     return p
 
 

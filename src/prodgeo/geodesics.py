@@ -32,9 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, fibre_norm_sq, require_member
+from .core import BASE_POINT, Geometry, _guard_member, fibre_norm_sq, model_point, require_member
 from .exceptions import DomainError, PrecondError
-from .isometries import apply_isometry, to_origin
+from .isometries import _to_origin, apply_isometry
 
 __all__ = [
     "GeodesicParams",
@@ -100,7 +100,13 @@ def geodesic_params(kind: Geometry, p) -> GeodesicParams:
     Raises DomainError for non-members and for the base point itself, where
     the direction is undefined.
     """
-    p = require_member(kind, p)
+    return _geodesic_params(kind, model_point(p))
+
+
+def _geodesic_params(kind: Geometry, p: np.ndarray) -> GeodesicParams:
+    """``geodesic_params`` of a normalised point, membership included: the
+    point may be an image under a normaliser that rounding left outside."""
+    _guard_member(kind, p)
     x, y, z = p
     q = fibre_norm_sq(kind, p)
     length = 0.5 * math.log(q)
@@ -144,10 +150,10 @@ def distance(kind: Geometry, p1, p2) -> float:
     """
     p1 = require_member(kind, p1)
     p2 = require_member(kind, p2)
-    image = apply_isometry(to_origin(kind, p1), p2)
+    image = apply_isometry(_to_origin(kind, p1), p2)
     if np.array_equal(image, BASE_POINT):
         return 0.0
-    return geodesic_params(kind, image).tau
+    return _geodesic_params(kind, image).tau
 
 
 def sample_curve(kind: Geometry, g, n: int) -> list[np.ndarray]:

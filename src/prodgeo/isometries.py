@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, fibre_norm_sq, require_member
+from .core import BASE_POINT, Geometry, _guard_member, fibre_norm_sq, require_member
 from .exceptions import DegenerateError, PrecondError
 from .tolerances import DEFAULT
 
@@ -54,9 +54,11 @@ def _embed(block: np.ndarray) -> np.ndarray:
 
 def fibre_translation(kind: Geometry, a) -> np.ndarray:
     """Fibre translation taking ``a`` to its zero-fibre representative."""
-    a = require_member(kind, a)
-    s = math.sqrt(fibre_norm_sq(kind, a))
-    return _embed(np.eye(3) / s)
+    return _fibre_translation(kind, require_member(kind, a))
+
+
+def _fibre_translation(kind: Geometry, a: np.ndarray) -> np.ndarray:
+    return _embed(np.eye(3) / math.sqrt(fibre_norm_sq(kind, a)))
 
 
 def rotation_x(kind: Geometry, p) -> np.ndarray:
@@ -66,7 +68,10 @@ def rotation_x(kind: Geometry, p) -> np.ndarray:
     rotation is an isometry of both geometries (it fixes the fibre axis of
     S2xR and the cone axis of H2xR).
     """
-    p = require_member(kind, p)
+    return _rotation_x(require_member(kind, p))
+
+
+def _rotation_x(p: np.ndarray) -> np.ndarray:
     _, y, z = p
     spread = math.hypot(y, z)
     if spread == 0.0:
@@ -87,7 +92,10 @@ def rotation_z(kind: Geometry, p) -> np.ndarray:
     x^2 - y^2.  When ``p`` additionally has fibre coordinate zero its image
     is exactly the base point.
     """
-    p = require_member(kind, p)
+    return _rotation_z(kind, require_member(kind, p))
+
+
+def _rotation_z(kind: Geometry, p: np.ndarray) -> np.ndarray:
     x, y, z = p
     if abs(z) > DEFAULT.plane:
         raise PrecondError(f"rotation_z needs a point in the [x, y] plane, got z={z}")
@@ -111,12 +119,19 @@ def rotation_z(kind: Geometry, p) -> np.ndarray:
 def to_origin(kind: Geometry, a) -> np.ndarray:
     """The normalising isometry T . R_x . R_z . R_x^-1 mapping ``a`` to the
     base point (identity when ``a`` already is the base point)."""
-    a = require_member(kind, a)
-    trans = fibre_translation(kind, a)
+    return _to_origin(kind, require_member(kind, a))
+
+
+def _to_origin(kind: Geometry, a: np.ndarray) -> np.ndarray:
+    """``to_origin`` of a member ``a``; deep in the H2xR cone the images of
+    ``a`` can round out of the model, raising DomainError."""
+    trans = _fibre_translation(kind, a)
     flat = apply_isometry(trans, a)
-    rot_x = rotation_x(kind, flat)
+    _guard_member(kind, flat)
+    rot_x = _rotation_x(flat)
     planar = apply_isometry(rot_x, flat)
-    rot_z = rotation_z(kind, planar)
+    _guard_member(kind, planar)
+    rot_z = _rotation_z(kind, planar)
     return trans @ rot_x @ rot_z @ rot_x.T
 
 

@@ -1,8 +1,5 @@
-"""Central numerics profile.
-
-Every tolerance used by the library lives here so that reproducibility
-studies can tighten or relax the whole stack through one knob.
-"""
+"""Named tolerance constants, read from ``DEFAULT`` across the library;
+no function accepts a ``Tolerances`` argument."""
 
 from dataclasses import dataclass
 

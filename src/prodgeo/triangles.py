@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, require_member
+from .core import BASE_POINT, Geometry, _guard_member, require_member
 from .exceptions import ConsistencyError, DegenerateError
-from .geodesics import geodesic_params, tangent_of
-from .isometries import apply_isometry, to_origin
+from .geodesics import _geodesic_params, tangent_of
+from .isometries import _to_origin, apply_isometry
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -75,8 +75,7 @@ def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
 
     Raises DegenerateError when two vertices coincide after normalisation.
     """
-    a1 = require_member(kind, a1)
-    move = to_origin(kind, a1)
+    move = _to_origin(kind, require_member(kind, a1))
     b2 = apply_isometry(move, require_member(kind, a2))
     b3 = apply_isometry(move, require_member(kind, a3))
     for p, q in ((BASE_POINT, b2), (BASE_POINT, b3), (b2, b3)):
@@ -95,22 +94,7 @@ def tangent_endpoints(tri: GeodesicTriangle) -> dict[tuple[int, int], np.ndarray
     the tangent toward the image of the base point under that vertex's
     normaliser must be antipodal.
     """
-    kind = tri.kind
-    tangents: dict[tuple[int, int], np.ndarray] = {}
-
-    def toward(key, point):
-        params = geodesic_params(kind, point)
-        tangents[key] = tangent_of(params)
-
-    toward((2, 0), tri.a2)
-    toward((3, 0), tri.a3)
-    move2 = to_origin(kind, tri.a2)
-    toward((1, 2), apply_isometry(move2, tri.a1))
-    toward((3, 2), apply_isometry(move2, tri.a3))
-    move3 = to_origin(kind, tri.a3)
-    toward((1, 3), apply_isometry(move3, tri.a1))
-    toward((2, 3), apply_isometry(move3, tri.a2))
-
+    tangents = {key: t for i in (1, 2, 3) for key, t in _vertex_tangents(tri, i).items()}
     for out, back in (((2, 0), (1, 2)), ((3, 0), (1, 3))):
         residual = float(np.abs(tangents[out] + tangents[back]).max())
         if residual > DEFAULT.isometry:
@@ -120,27 +104,27 @@ def tangent_endpoints(tri: GeodesicTriangle) -> dict[tuple[int, int], np.ndarray
     return tangents
 
 
+def _vertex_tangents(tri: GeodesicTriangle, i: int) -> dict[tuple[int, int], np.ndarray]:
+    """Tangents at vertex ``i`` toward the other two, keyed as in ``tangent_endpoints``;
+    vertices 2 and 3 are computed images, re-checked before one is moved."""
+    others = [(n, p) for n, p in enumerate(tri.vertices, start=1) if n != i]
+    if i == 1:
+        return {(n, 0): tangent_of(_geodesic_params(tri.kind, p)) for n, p in others}
+    _guard_member(tri.kind, tri.vertices[i - 1])
+    move = _to_origin(tri.kind, tri.vertices[i - 1])
+    return {(n, i): tangent_of(_geodesic_params(tri.kind, apply_isometry(move, p)))
+            for n, p in others}
+
+
 def _angle(t1: np.ndarray, t2: np.ndarray) -> float:
     return math.acos(float(np.clip(t1 @ t2, -1.0, 1.0)))
 
 
 def vertex_angle(tri: GeodesicTriangle, i: int) -> float:
     """Interior angle at vertex ``i`` (1, 2 or 3), in (0, pi)."""
-    kind = tri.kind
-    if i == 1:
-        t_a = tangent_of(geodesic_params(kind, tri.a2))
-        t_b = tangent_of(geodesic_params(kind, tri.a3))
-    elif i == 2:
-        move = to_origin(kind, tri.a2)
-        t_a = tangent_of(geodesic_params(kind, apply_isometry(move, tri.a1)))
-        t_b = tangent_of(geodesic_params(kind, apply_isometry(move, tri.a3)))
-    elif i == 3:
-        move = to_origin(kind, tri.a3)
-        t_a = tangent_of(geodesic_params(kind, apply_isometry(move, tri.a1)))
-        t_b = tangent_of(geodesic_params(kind, apply_isometry(move, tri.a2)))
-    else:
+    if i not in (1, 2, 3):
         raise ValueError(f"vertex index must be 1, 2 or 3, got {i}")
-    return _angle(t_a, t_b)
+    return _angle(*_vertex_tangents(tri, int(i)).values())
 
 
 def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:

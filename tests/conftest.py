@@ -1,31 +1,33 @@
-import math
+import sys
 
 import numpy as np
 import pytest
 
-from prodgeo import GeodesicParams, Geometry, geodesic_point
+from prodgeo import Geometry
+from prodgeo.core import require_member
+from prodgeo.verification import _random_params as random_params  # noqa: F401
+from prodgeo.verification import _random_point as random_point  # noqa: F401
 
 BOTH = pytest.mark.parametrize("kind", [Geometry.S2R, Geometry.H2R], ids=["s2r", "h2r"])
-
-
-def random_params(kind, rng, tau_max=3.0, tau_min=1e-3):
-    """Draw geodesic parameters inside the invertible / well-conditioned box."""
-    while True:
-        u = rng.uniform(-math.pi, math.pi)
-        v = rng.uniform(-math.pi / 2, math.pi / 2)
-        tau = rng.uniform(tau_min, tau_max)
-        w = tau * math.cos(v)
-        if kind is Geometry.S2R and w >= math.pi - 1e-3:
-            continue
-        if kind is Geometry.H2R and w > 7.5:
-            continue
-        return GeodesicParams(u, v, tau)
-
-
-def random_point(kind, rng, tau_max=3.0):
-    return geodesic_point(kind, random_params(kind, rng, tau_max))
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def member_checks(monkeypatch):
+    """List that records every ``require_member`` call, in whichever prodgeo
+    module namespace the call is made."""
+    calls = []
+
+    def counted(kind, p):
+        calls.append(p)
+        return require_member(kind, p)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("prodgeo")
+                and getattr(module, "require_member", None) is require_member):
+            monkeypatch.setattr(module, "require_member", counted)
+    return calls

@@ -166,6 +166,13 @@ class TestVerify:
                      "trichotomy", "antipodality"):
             assert name in out
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", trials, "--format", "json"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
     def test_single_geometry_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--geometry", "h2r", "--trials", "5",
                            "--seed", "42", "--format", "json")
@@ -189,6 +196,28 @@ class TestOutputContracts:
         assert code == 0
         assert "3.151" in out
         assert "3.1514" not in out
+
+    def test_negative_precision_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["triangle", "--geometry", "s2r", "--a2", "3,-2,1", "--a3", "2,1,0",
+                  "--precision", "-2"])
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-3", "abc"])
+    def test_bad_precision_env_falls_back_to_six(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("THURSTON_PRECISION", value)
+        code, out, _ = run(capsys, "triangle", "--geometry", "s2r",
+                           "--a2", "3,-2,1", "--a3", "2,1,0")
+        assert code == 0
+        assert "3.151352" in out
+        assert "3.1513520" not in out
+
+    def test_leading_minus_joined_to_flag(self, capsys):
+        code, out, _ = run(capsys, "triangle", "--geometry", "s2r",
+                           "--a2=-1,0.5,0", "--a3", "2,1,0")
+        assert code == 0
+        assert "equal" in out
 
     def test_precision_env(self, capsys, monkeypatch):
         monkeypatch.setenv("THURSTON_PRECISION", "2")

@@ -89,6 +89,16 @@ class TestRotationZ:
 
 
 class TestToOrigin:
+    @pytest.mark.parametrize("a", [
+        (239011734.47833204, 224043511.42754248, 83253313.48094998),
+        (1.9488705132247364, -1.2680891067860605, 1.4798805000970106),
+    ], ids=["planar-image", "fibre-image"])
+    def test_deep_cone_image_leaving_model_is_domain_error(self, a):
+        # a is a member, but an intermediate image of the composition rounds
+        # out of the cone; that must surface before the plane precondition
+        with pytest.raises(DomainError):
+            to_origin(Geometry.H2R, a)
+
     @BOTH
     def test_defining_property(self, kind, rng):
         for _ in range(1000):

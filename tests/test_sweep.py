@@ -13,6 +13,7 @@ from prodgeo import (
     limits_check,
 )
 from prodgeo.reference import SWEEP_FAMILIES
+from conftest import BOTH
 
 PI = math.pi
 
@@ -34,6 +35,15 @@ class TestSpecValidation:
     def test_zero_t_min_rejected(self):
         with pytest.raises(DomainError):
             SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), t_min=0.0)
+
+
+class TestValidateOnce:
+    @BOTH
+    def test_angle_sum_at_checks_only_the_three_vertices(self, kind, member_checks):
+        spec = family_spec(kind, samples=8)
+        member_checks.clear()
+        angle_sum_at(spec, 0.3)
+        assert 0 < len(member_checks) <= 3
 
 
 class TestExtremum:

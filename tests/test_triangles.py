@@ -6,6 +6,7 @@ import pytest
 from prodgeo import (
     BASE_POINT,
     DegenerateError,
+    DomainError,
     Geometry,
     TriangleClass,
     angle_sum,
@@ -65,6 +66,33 @@ class TestVertexAngles:
             angles = angle_sum(tri)
             for w in angles[:3]:
                 assert 0.0 < w < PI
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("kind, a2, a3", [
+        (Geometry.S2R, *TABLE1_ROW2[:2]),
+        (Geometry.H2R, *TABLE2_ROW2[:2]),
+    ], ids=["s2r", "h2r"])
+    def test_built_triangle_is_not_revalidated(self, kind, a2, a3, member_checks):
+        tri = geodesic_triangle(kind, BASE_POINT, a2, a3)
+        assert len(member_checks) == 3
+        member_checks.clear()
+        angle_sum(tri)
+        for i in (1, 2, 3):
+            vertex_angle(tri, i)
+        classify(tri)
+        assert member_checks == []
+
+    def test_vertex_image_outside_model_is_domain_error(self):
+        # deep in the H2xR cone the normalised image of a2 rounds out of
+        # the model; every angle that moves or aims at it reports that
+        tri = geodesic_triangle(Geometry.H2R, (500278259.46310556, 500278259.46279806, 0.0),
+                                (0.6341076333898924, 0.09732170038306573, 0.6265947473106492),
+                                (4702721.363152762, 428647.37680925534, 4683145.272763584))
+        for angle in (lambda: vertex_angle(tri, 2), lambda: vertex_angle(tri, 3),
+                      lambda: angle_sum(tri)):
+            with pytest.raises(DomainError):
+                angle()
 
 
 class TestConstruction:
