@@ -10,9 +10,14 @@ Usage:
 Points are entered as the spatial triple "x,y,z" (homogeneous weight 1
 implied; "--a2=-1,0,0" for a leading minus) or a 4-tuple "x0,x1,x2,x3" with
 x0 > 0, and are validated once, by the library's public entry points.
-Output format is table (aligned, human oriented), json (schema v1) or csv.
-Float display precision defaults to 6 decimals, overridable with
---precision or the THURSTON_PRECISION environment variable.
+
+Each command computes its result once, as a json payload (schema v1) and a
+display record: a grid of columns and rows plus named summary fields.
+--format json prints the payload; csv prints the grid on stdout and the
+summary on stderr as name=value lines; table (the default) prints the grid
+with aligned columns, its header marked "#", then the summary.  Float display
+precision defaults to 6 decimals, overridable with --precision or the
+THURSTON_PRECISION environment variable; verify takes no --precision.
 
 Exit codes: 0 success, 1 check failure (table regression or verify suite),
 2 domain or usage error, 3 degenerate configuration.
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -31,13 +35,14 @@ import numpy as np
 from . import reference
 from .core import BASE_POINT, Geometry, model_point
 from .exceptions import DegenerateError, DomainError, GeometryError
-from .geodesics import GeodesicParams, geodesic_params, geodesic_point, sample_curve
-from .sweep import ExtremumKind, SweepSpec, evaluate
+from .geodesics import GeodesicParams, geodesic_params, sample_curve
+from .sweep import SweepSpec, evaluate
+from .tolerances import DEFAULT
 from .triangles import angle_sum, classify, coplanar_with_center, geodesic_triangle
 from .verification import run_all
 
 SCHEMA = "v1"
-TABLE_GATE = 1e-4
+_ANGLES = ("w1", "w2", "w3", "sum")
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -75,8 +80,31 @@ def _round(x: float, prec: int) -> float:
     return round(float(x), prec)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+def _render(args, payload: dict, columns, rows, summary=()) -> None:
+    """Print one result in ``args.format``: json prints ``payload``; csv and
+    table print the display record, string ``rows`` under ``columns`` and
+    ``summary`` (name, value) string pairs, as set out in the module docstring."""
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    elif args.format == "csv":
+        for line in (columns, *rows):
+            print(",".join(line))
+        for name, value in summary:
+            print(f"{name}={value}", file=sys.stderr)
+    else:
+        grid = [columns, *rows]
+        widths = [max(map(len, cells)) for cells in zip(*grid)]
+        for lead, line in zip(["# "] + ["  "] * len(rows), grid):
+            print(lead + "  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
+        pad = max((len(name) for name, _ in summary), default=0)
+        for name, value in summary:
+            print(f"{name:<{pad}}  {value}")
+
+
+def _angle_fields(angles, prec: int) -> tuple[dict, list[str]]:
+    """Payload fields and display cells of the three angles and their sum."""
+    return ({name: _round(a, prec) for name, a in zip(_ANGLES, angles)},
+            [_fmt(a, prec) for a in angles])
 
 
 def cmd_triangle(args) -> int:
@@ -84,75 +112,35 @@ def cmd_triangle(args) -> int:
     kind = Geometry.from_name(args.geometry)
     tri = geodesic_triangle(kind, _parse_point(args.a1), _parse_point(args.a2),
                             _parse_point(args.a3))
-    angles = angle_sum(tri)
-    klass = classify(tri)
+    fields, cells = _angle_fields(angle_sum(tri), prec)
+    klass = classify(tri).value
     coplanar = coplanar_with_center(tri)
-    if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": kind.value,
-            "w1": _round(angles.w1, prec),
-            "w2": _round(angles.w2, prec),
-            "w3": _round(angles.w3, prec),
-            "sum": _round(angles.total, prec),
-            "class": klass.value,
-            "coplanar_with_center": coplanar,
-        })
-    elif args.format == "csv":
-        print("w1,w2,w3,sum,class,coplanar")
-        print(",".join([_fmt(angles.w1, prec), _fmt(angles.w2, prec),
-                        _fmt(angles.w3, prec), _fmt(angles.total, prec),
-                        klass.value, str(coplanar).lower()]))
-    else:
-        for name, val in zip(("w1", "w2", "w3", "sum"), angles):
-            print(f"{name:>9}  {_fmt(val, prec)}")
-        print(f"{'class':>9}  {klass.value}")
-        print(f"{'coplanar':>9}  {str(coplanar).lower()}")
+    _render(args, {"schema": SCHEMA, "kind": kind.value, **fields, "class": klass,
+                   "coplanar_with_center": coplanar},
+            [*_ANGLES, "class", "coplanar"], [[*cells, klass, str(coplanar).lower()]])
     return 0
 
 
 def cmd_tables(args) -> int:
     prec = _precision(args)
-    rows_out = []
+    records, rows = [], []
     worst = 0.0
     for kind in (Geometry.S2R, Geometry.H2R):
-        a2, rows = reference.TABLE_ROWS[kind]
-        for index, (a3, expected) in enumerate(rows, start=1):
-            tri = geodesic_triangle(kind, BASE_POINT, a2, a3)
-            angles = angle_sum(tri)
+        a2, table = reference.TABLE_ROWS[kind]
+        for index, (a3, expected) in enumerate(table, start=1):
+            angles = angle_sum(geodesic_triangle(kind, BASE_POINT, a2, a3))
             delta = max(abs(got - ref) for got, ref in zip(angles, expected))
             worst = max(worst, delta)
-            rows_out.append((kind.value, index, angles, expected, delta))
-    ok = worst <= TABLE_GATE
-    if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "rows": [
-                {
-                    "table": kind, "row": idx,
-                    "w1": _round(a.w1, prec), "w2": _round(a.w2, prec),
-                    "w3": _round(a.w3, prec), "sum": _round(a.total, prec),
-                    "ref_sum": ref[3], "delta": _round(d, 12),
-                }
-                for kind, idx, a, ref, d in rows_out
-            ],
-            "max_delta": _round(worst, 12),
-            "ok": ok,
-        })
-    elif args.format == "csv":
-        print("table,row,w1,w2,w3,sum,ref_sum,delta")
-        for kind, idx, a, ref, d in rows_out:
-            print(",".join([kind, str(idx), _fmt(a.w1, prec), _fmt(a.w2, prec),
-                            _fmt(a.w3, prec), _fmt(a.total, prec),
-                            _fmt(ref[3], 5), f"{d:.2e}"]))
-    else:
-        print(f"{'table':>6} {'row':>3} {'w1':>10} {'w2':>10} {'w3':>10} "
-              f"{'sum':>10} {'ref_sum':>9} {'delta':>9}")
-        for kind, idx, a, ref, d in rows_out:
-            print(f"{kind:>6} {idx:>3} {_fmt(a.w1, prec):>10} {_fmt(a.w2, prec):>10} "
-                  f"{_fmt(a.w3, prec):>10} {_fmt(a.total, prec):>10} "
-                  f"{ref[3]:>9.5f} {d:>9.2e}")
-        print(f"max |delta| = {worst:.2e} ({'ok' if ok else 'FAIL'}, gate {TABLE_GATE:g})")
+            fields, cells = _angle_fields(angles, prec)
+            records.append({"table": kind.value, "row": index, **fields,
+                            "ref_sum": expected[3], "delta": _round(delta, 12)})
+            rows.append([kind.value, str(index), *cells, _fmt(expected[3], 5),
+                         f"{delta:.2e}"])
+    ok = worst <= DEFAULT.table_gate
+    _render(args, {"schema": SCHEMA, "rows": records, "max_delta": _round(worst, 12), "ok": ok},
+            ["table", "row", *_ANGLES, "ref_sum", "delta"], rows,
+            [("max |delta|", f"{worst:.2e}"), ("gate", f"{DEFAULT.table_gate:g}"),
+             ("status", "ok" if ok else "FAIL")])
     return 0 if ok else 1
 
 
@@ -162,28 +150,19 @@ def cmd_sweep(args) -> int:
     spec = SweepSpec(kind, _parse_point(args.a2), _parse_point(args.ray),
                      t_min=args.t_min, t_max=args.t_max, samples=args.samples)
     result = evaluate(spec)
-    if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": kind.value,
-            "a2": [_round(c, 12) for c in spec.a2],
-            "ray": [_round(c, 12) for c in spec.ray],
-            "series": [[_round(t, 12), _round(s, prec)] for t, s in result.series],
-            "t0": _round(result.t_extremum, 12),
-            "s0": _round(result.s_extremum, prec),
-            "extremum_kind": result.extremum_kind.value,
-        })
-    elif args.format == "csv":
-        print("t,S_t")
-        for t, s in result.series:
-            print(f"{t:.12g},{_fmt(s, prec)}")
-        print(f"extremum: {result.extremum_kind.value} at t0={result.t_extremum:.12g} "
-              f"S={_fmt(result.s_extremum, prec)}", file=sys.stderr)
-    else:
-        print(f"samples   {len(result.series)} on [{spec.t_min:g}, {spec.t_max:g}]")
-        print(f"extremum  {result.extremum_kind.value}")
-        print(f"t0        {result.t_extremum:.12g}")
-        print(f"S(t0)     {_fmt(result.s_extremum, prec)}")
+    extremum = result.extremum_kind.value
+    _render(args, {
+        "schema": SCHEMA,
+        "kind": kind.value,
+        "a2": [_round(c, 12) for c in spec.a2],
+        "ray": [_round(c, 12) for c in spec.ray],
+        "series": [[_round(t, 12), _round(s, prec)] for t, s in result.series],
+        "t0": _round(result.t_extremum, 12),
+        "s0": _round(result.s_extremum, prec),
+        "extremum_kind": extremum,
+    }, ["t", "S_t"], [[f"{t:.12g}", _fmt(s, prec)] for t, s in result.series],
+        [("extremum", extremum), ("t0", f"{result.t_extremum:.12g}"),
+         ("S(t0)", _fmt(result.s_extremum, prec))])
     return 0
 
 
@@ -202,27 +181,13 @@ def cmd_geodesic(args) -> int:
             raise DomainError(f"cannot parse parameters {args.params!r}") from None
         params = GeodesicParams.normalized(u, v, tau)
     curve = sample_curve(kind, params, args.samples)
-    if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "kind": kind.value,
-            "u": _round(params.u, 12),
-            "v": _round(params.v, 12),
-            "tau": _round(params.tau, 12),
-            "points": [[_round(c, prec) for c in p] for p in curve],
-        })
-    elif args.format == "csv":
-        print("x,y,z")
-        for p in curve:
-            print(",".join(_fmt(c, prec) for c in p))
-        print(f"u={params.u:.12g} v={params.v:.12g} tau={params.tau:.12g}",
-              file=sys.stderr)
-    else:
-        print(f"u    {params.u:.12g}")
-        print(f"v    {params.v:.12g}")
-        print(f"tau  {params.tau:.12g}")
-        for p in curve:
-            print("  " + "  ".join(_fmt(c, prec) for c in p))
+    _render(args, {
+        "schema": SCHEMA,
+        "kind": kind.value,
+        **{name: _round(value, 12) for name, value in params._asdict().items()},
+        "points": [[_round(c, prec) for c in p] for p in curve],
+    }, ["x", "y", "z"], [[_fmt(c, prec) for c in p] for p in curve],
+        [(name, f"{value:.12g}") for name, value in params._asdict().items()])
     return 0
 
 
@@ -230,24 +195,20 @@ def cmd_verify(args) -> int:
     kinds = list(Geometry) if args.geometry == "both" else [Geometry.from_name(args.geometry)]
     reports = [r for kind in kinds for r in run_all(kind, args.trials, args.seed)]
     all_ok = all(r.passed for r in reports)
-    if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "seed": args.seed,
-            "suites": [
-                {"name": r.name, "kind": r.kind.value, "trials": r.trials,
-                 "failures": len(r.failures), "passed": r.passed}
-                for r in reports
-            ],
-            "ok": all_ok,
-        })
-    else:
-        for r in reports:
-            status = "pass" if r.passed else "FAIL"
-            print(f"{r.kind.value:>4} {r.name:<20} trials={r.trials:<5} {status}")
-            for failure in r.failures[:3]:
-                print(f"       reproduce: {failure}")
-        print("all suites passed" if all_ok else "verification FAILED")
+    _render(args, {
+        "schema": SCHEMA,
+        "seed": args.seed,
+        "suites": [
+            {"name": r.name, "kind": r.kind.value, "trials": r.trials,
+             "failures": len(r.failures), "passed": r.passed}
+            for r in reports
+        ],
+        "ok": all_ok,
+    }, ["kind", "suite", "trials", "status"],
+        [[r.kind.value, r.name, str(r.trials), "pass" if r.passed else "FAIL"] for r in reports],
+        [(f"reproduce {r.kind.value} {r.name}", failure)
+         for r in reports for failure in r.failures[:3]]
+        + [("result", "all suites passed" if all_ok else "verification FAILED")])
     return 0 if all_ok else 1
 
 
@@ -297,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="table", choices=["table", "json"])
     p.add_argument("--trials", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -307,15 +267,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateError as exc:
-        print(f"DegenerateError: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"DomainError: {exc}", file=sys.stderr)
-        return 2
     except GeometryError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, DegenerateError) else 2
 
 
 if __name__ == "__main__":

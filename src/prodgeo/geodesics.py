@@ -35,6 +35,7 @@ import numpy as np
 from .core import BASE_POINT, Geometry, _guard_member, fibre_norm_sq, model_point, require_member
 from .exceptions import DomainError, PrecondError
 from .isometries import _to_origin, apply_isometry
+from .tolerances import DEFAULT
 
 __all__ = [
     "GeodesicParams",
@@ -44,10 +45,6 @@ __all__ = [
     "distance",
     "sample_curve",
 ]
-
-# slack accepted when clamping v to the closed interval [-pi/2, pi/2];
-# wide enough for pi/2 entered with four decimals (1.5708)
-_V_CLAMP = 1e-4
 
 
 class GeodesicParams(NamedTuple):
@@ -60,10 +57,12 @@ class GeodesicParams(NamedTuple):
     @classmethod
     def normalized(cls, u: float, v: float, tau: float) -> "GeodesicParams":
         """Wrap u into (-pi, pi], clamp v's roundoff overshoot, check tau >= 0."""
+        if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(tau)):
+            raise DomainError(f"geodesic parameters must be finite, got ({u}, {v}, {tau})")
         if tau < 0.0:
             raise DomainError(f"arc length must be non-negative, got {tau}")
         if abs(v) > math.pi / 2:
-            if abs(v) - math.pi / 2 > _V_CLAMP:
+            if abs(v) - math.pi / 2 > DEFAULT.v_clamp:
                 raise DomainError(f"direction angle v={v} outside [-pi/2, pi/2]")
             v = math.copysign(math.pi / 2, v)
         u = math.remainder(u, 2.0 * math.pi)

@@ -101,19 +101,12 @@ def _rotation_z(kind: Geometry, p: np.ndarray) -> np.ndarray:
         raise PrecondError(f"rotation_z needs a point in the [x, y] plane, got z={z}")
     s = math.sqrt(fibre_norm_sq(kind, np.array([x, y, 0.0])))
     c1, c2 = x / s, y / s
-    if kind is Geometry.S2R:
-        block = np.array([
-            [c1, -c2, 0.0],
-            [c2, c1, 0.0],
-            [0.0, 0.0, 1.0],
-        ])
-    else:
-        block = np.array([
-            [c1, -c2, 0.0],
-            [-c2, c1, 0.0],
-            [0.0, 0.0, 1.0],
-        ])
-    return _embed(block)
+    # S2xR rotates the (x, y) block, H2xR boosts it: only one sign differs
+    return _embed(np.array([
+        [c1, -c2, 0.0],
+        [_sigma(kind) * c2, c1, 0.0],
+        [0.0, 0.0, 1.0],
+    ]))
 
 
 def to_origin(kind: Geometry, a) -> np.ndarray:

@@ -181,7 +181,8 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
 
     velocity = np.array([math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)])
     state0 = np.concatenate([np.array([1.0, 0.0, 0.0]), velocity])
-    sol = solve_ivp(rhs, (0.0, tau), state0, method="DOP853", rtol=1e-10, atol=1e-12)
+    sol = solve_ivp(rhs, (0.0, tau), state0, method="DOP853",
+                    rtol=DEFAULT.ode_rtol, atol=DEFAULT.ode_atol)
     if not sol.success:
         raise SingularityError(f"integration failed: {sol.message}")
     return sol.y[:3, -1]

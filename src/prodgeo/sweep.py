@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import BASE_POINT, Geometry, contains, require_member
 from .exceptions import ConsistencyError, DomainError
-from .triangles import angle_sum, geodesic_triangle
+from .tolerances import DEFAULT
+from .triangles import _geodesic_triangle, angle_sum
 
 __all__ = [
     "ExtremumKind",
@@ -29,8 +30,6 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: sums within this band of pi across the whole grid mark a flat family
-_FLAT_BAND = 1e-9
 
 
 class ExtremumKind(enum.Enum):
@@ -52,8 +51,8 @@ class SweepSpec:
         object.__setattr__(self, "a2", require_member(self.kind, self.a2))
         ray = np.asarray(self.ray, dtype=float)
         object.__setattr__(self, "ray", ray)
-        if not (0.0 < self.t_min < self.t_max):
-            raise DomainError(f"need 0 < t_min < t_max, got ({self.t_min}, {self.t_max})")
+        if not (0.0 < self.t_min < self.t_max < math.inf):
+            raise DomainError(f"need finite 0 < t_min < t_max, got ({self.t_min}, {self.t_max})")
         if self.samples < 8:
             raise DomainError(f"need at least 8 samples, got {self.samples}")
         # membership of t * ray is scale-invariant, so the direction decides
@@ -71,8 +70,10 @@ class SweepResult:
 
 
 def angle_sum_at(spec: SweepSpec, t: float) -> float:
-    """S(t): the interior angle sum of the triangle with third vertex t*ray."""
-    tri = geodesic_triangle(spec.kind, BASE_POINT, spec.a2, t * spec.ray)
+    """S(t): the interior angle sum of the triangle with third vertex t*ray;
+    only t*ray is checked, as it leaves the model if it underflows to zero."""
+    tri = _geodesic_triangle(spec.kind, BASE_POINT, spec.a2,
+                             require_member(spec.kind, t * spec.ray))
     return angle_sum(tri).total
 
 
@@ -105,7 +106,7 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     sums = np.array([angle_sum_at(spec, t) for t in grid])
     series = np.column_stack([grid, sums])
 
-    if np.abs(sums - math.pi).max() <= _FLAT_BAND:
+    if np.abs(sums - math.pi).max() <= DEFAULT.flat_band:
         t0 = math.sqrt(spec.t_min * spec.t_max)
         return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, spec)
 
@@ -130,7 +131,7 @@ def limits_check(spec: SweepSpec, t_far: float = 1e3) -> tuple[float, float]:
     far = angle_sum_at(spec, t_far)
     sign = 1.0 if spec.kind is Geometry.S2R else -1.0
     for label, value in (("near", near), ("far", far)):
-        if sign * (value - math.pi) < -_FLAT_BAND:
+        if sign * (value - math.pi) < -DEFAULT.flat_band:
             raise ConsistencyError(
                 f"{label} angle sum {value} on the wrong side of pi for {spec.kind.value}"
             )

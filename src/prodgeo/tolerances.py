@@ -6,10 +6,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: per-coordinate equality of model points
-    coord: float = 1e-10
-    #: arc-length / quadrature agreement
-    arc_length: float = 1e-7
     #: geodesic parameter roundtrip, per component
     roundtrip: float = 1e-9
     #: metric-pullback invariance of isometries
@@ -20,6 +16,21 @@ class Tolerances:
     plane: float = 1e-12
     #: angle-sum consistency with the trichotomy theorems
     angle_sum: float = 1e-7
+    #: triangle vertices this close, relative to their size, coincide
+    vertex_gap: float = 1e-12
+    #: centre-enclosure test: barycentric residual, then negative-weight slack
+    enclosure_residual: float = 1e-8
+    enclosure_weight: float = 1e-12
+    #: sums within this band of pi across the whole sweep grid mark a flat family
+    flat_band: float = 1e-9
+    #: slack of v beyond [-pi/2, pi/2] that is clamped; covers pi/2 entered as 1.5708
+    v_clamp: float = 1e-4
+    #: largest |delta| from the reference angle tables that ``prodgeo tables`` accepts
+    table_gate: float = 1e-4
+    #: verification suites: random sums on the theorem side of pi
+    suite_side: float = 1e-9
+    #: verification suites: coplanar sums equal to pi and antipodal tangent pairs
+    suite_pair: float = 1e-8
     #: ODE integrator settings
     ode_rtol: float = 1e-10
     ode_atol: float = 1e-12

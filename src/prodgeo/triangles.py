@@ -75,12 +75,17 @@ def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
 
     Raises DegenerateError when two vertices coincide after normalisation.
     """
-    move = _to_origin(kind, require_member(kind, a1))
-    b2 = apply_isometry(move, require_member(kind, a2))
-    b3 = apply_isometry(move, require_member(kind, a3))
+    return _geodesic_triangle(kind, *(require_member(kind, p) for p in (a1, a2, a3)))
+
+
+def _geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
+    """``geodesic_triangle`` of vertices already known to be model points."""
+    move = _to_origin(kind, a1)
+    b2 = apply_isometry(move, a2)
+    b3 = apply_isometry(move, a3)
     for p, q in ((BASE_POINT, b2), (BASE_POINT, b3), (b2, b3)):
         scale = max(1.0, float(np.abs(p).max()), float(np.abs(q).max()))
-        if np.abs(p - q).max() <= 1e-12 * scale:
+        if np.abs(p - q).max() <= DEFAULT.vertex_gap * scale:
             raise DegenerateError("two triangle vertices coincide")
     return GeodesicTriangle(kind, BASE_POINT.copy(), b2, b3)
 
@@ -162,9 +167,9 @@ def encloses_center(tri: GeodesicTriangle) -> bool:
     m = np.vstack([np.array([a1, a2, a3]).T, np.ones(3)])
     lam, *_ = np.linalg.lstsq(m, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)
     residual = m @ lam - np.array([0.0, 0.0, 0.0, 1.0])
-    if float(np.abs(residual).max()) > 1e-8:
+    if float(np.abs(residual).max()) > DEFAULT.enclosure_residual:
         return False
-    return bool(np.all(lam >= -1e-12))
+    return bool(np.all(lam >= -DEFAULT.enclosure_weight))
 
 
 def classify(tri: GeodesicTriangle) -> TriangleClass:

@@ -148,9 +148,9 @@ def trichotomy_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
     for _ in range(trials):
         tri = _random_triangle(kind, rng)
         total = angle_sum(tri).total
-        if kind is Geometry.S2R and total < math.pi - 1e-9:
+        if kind is Geometry.S2R and total < math.pi - DEFAULT.suite_side:
             result.failures.append(f"sum {total} < pi for vertices {tri.vertices}")
-        if kind is Geometry.H2R and total > math.pi + 1e-9:
+        if kind is Geometry.H2R and total > math.pi + DEFAULT.suite_side:
             result.failures.append(f"sum {total} > pi for vertices {tri.vertices}")
     for _ in range(max(trials // 2, 1)):
         a2, a3 = _random_coplanar_vertices(kind, rng)
@@ -162,7 +162,7 @@ def trichotomy_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
             result.failures.append(f"coplanar construction failed for {tuple(a2)}, {tuple(a3)}")
             continue
         total = angle_sum(tri).total
-        if abs(total - math.pi) > 1e-8:
+        if abs(total - math.pi) > DEFAULT.suite_pair:
             result.failures.append(
                 f"coplanar sum {total} != pi for vertices {tuple(a2)}, {tuple(a3)}"
             )
@@ -183,7 +183,7 @@ def antipodality_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
             result.failures.append(f"vertices {tri.vertices}: {exc}")
             continue
         for out, back in (((2, 0), (1, 2)), ((3, 0), (1, 3))):
-            if np.abs(frame[out] + frame[back]).max() > 1e-8:
+            if np.abs(frame[out] + frame[back]).max() > DEFAULT.suite_pair:
                 result.failures.append(f"pair {out}/{back} at vertices {tri.vertices}")
     for _ in range(max(trials // 2, 1)):
         a2, a3 = _random_coplanar_vertices(kind, rng)
@@ -192,7 +192,7 @@ def antipodality_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
             frame = tangent_endpoints(tri)
         except Exception:
             continue
-        if np.abs(frame[(3, 2)] + frame[(2, 3)]).max() > 1e-8:
+        if np.abs(frame[(3, 2)] + frame[(2, 3)]).max() > DEFAULT.suite_pair:
             result.failures.append(
                 f"coplanar pair (3,2)/(2,3) at vertices {tuple(a2)}, {tuple(a3)}"
             )

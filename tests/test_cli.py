@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -118,6 +119,16 @@ class TestSweep:
         assert len(lines) == 17
         assert "extremum" in err
 
+    @pytest.mark.parametrize("bound", [["--t-max", "inf"], ["--t-min", "nan"]])
+    def test_non_finite_range_exit_2(self, capsys, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--geometry", "s2r", "--a2", "3,-2,1",
+                                 "--ray", "2,1,0", *bound)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("DomainError: need finite")
+
     def test_ray_leaving_model_exit_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--geometry", "h2r", "--a2", "2,1.5,1",
                          "--ray", "1,5,0", "--samples", "16")
@@ -157,6 +168,14 @@ class TestGeodesic:
         code, _, _ = run(capsys, "geodesic", "--geometry", "h2r", "--to", "1,4,0")
         assert code == 2
 
+    @pytest.mark.parametrize("params", ["0,0,inf", "0,0,nan", "inf,0,1"])
+    def test_non_finite_params_exit_2(self, capsys, params):
+        code, out, err = run(capsys, "geodesic", "--geometry", "s2r",
+                             "--params", params, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("DomainError: geodesic parameters must be finite")
+
 
 class TestVerify:
     def test_minimal_run(self, capsys):
@@ -172,6 +191,28 @@ class TestVerify:
             main(["verify", "--trials", trials, "--format", "json"])
         assert exc.value.code == 2
         assert "--trials" in capsys.readouterr().err
+
+    def test_precision_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", "1", "--precision", "1"])
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
+    def test_failing_suite_prints_three_reproducers(self, capsys, monkeypatch):
+        from prodgeo import cli
+        from prodgeo.verification import SuiteResult
+
+        def run_all(kind, trials, seed):
+            return [SuiteResult("trichotomy", kind, trials,
+                                [f"case {i}" for i in range(5)])]
+
+        monkeypatch.setattr(cli, "run_all", run_all)
+        code, out, _ = run(capsys, "verify", "--geometry", "s2r", "--trials", "5")
+        assert code == 1
+        assert [l.split()[-1] for l in out.splitlines() if "reproduce" in l] == [
+            "0", "1", "2"]
+        assert "FAIL" in out
+        assert "verification FAILED" in out
 
     def test_single_geometry_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--geometry", "h2r", "--trials", "5",
@@ -226,3 +267,48 @@ class TestOutputContracts:
         assert code == 0
         assert "3.15" in out
         assert "3.151" not in out
+
+
+
+#: per command with a csv format: a command line, its display precision and
+#: the json values in the order of the csv grid
+CSV_CASES = {
+    "triangle": (["triangle", "--geometry", "h2r", "--a2", "2,1.5,1", "--a3", "3,-1,0"], 4,
+                 lambda p: [[p[k] for k in ("w1", "w2", "w3", "sum", "class",
+                                            "coplanar_with_center")]]),
+    "tables": (["tables"], 6,
+               lambda p: [[r[k] for k in ("table", "row", "w1", "w2", "w3", "sum",
+                                          "ref_sum", "delta")] for r in p["rows"]]),
+    "sweep": (["sweep", "--geometry", "s2r", "--a2", "3,-2,1", "--ray", "2,1,0",
+               "--samples", "16"], 5,
+              lambda p: p["series"]),
+    "geodesic": (["geodesic", "--geometry", "h2r", "--to", "2,1,0", "--samples", "8"], 3,
+                 lambda p: p["points"]),
+}
+
+
+def _cell_matches(cell: str, value, prec: int) -> bool:
+    """The csv cell shows the json value at display precision ``prec``."""
+    if isinstance(value, (bool, str)):
+        return cell == str(value).lower()
+    # json rounds values that are not display floats to 12 decimals
+    return abs(float(cell) - value) <= 0.5 * 10.0 ** -prec + 1e-12
+
+
+@pytest.mark.parametrize("command", list(CSV_CASES))
+def test_csv_cells_match_json_values(capsys, command):
+    argv, prec, json_grid = CSV_CASES[command]
+    argv = [*argv, "--precision", str(prec)]
+    _, out_json, _ = run(capsys, *argv, "--format", "json")
+    code, out_csv, err_csv = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    payload = json.loads(out_json)
+    rows = [line.split(",") for line in out_csv.splitlines()[1:]]
+    expected = json_grid(payload)
+    assert [len(r) for r in rows] == [len(r) for r in expected]
+    for cells, values in zip(rows, expected):
+        for cell, value in zip(cells, values):
+            assert _cell_matches(cell, value, prec), (cell, value)
+    summary = dict(line.split("=", 1) for line in err_csv.splitlines())
+    for name in summary.keys() & payload.keys():
+        assert _cell_matches(summary[name], payload[name], prec), (name, summary[name])

@@ -53,6 +53,12 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             geodesic_point(Geometry.S2R, (0, 0, -1))
 
+    @pytest.mark.parametrize("g", [(0, 0, math.inf), (0, 0, math.nan), (math.inf, 0, 1),
+                                   (0, math.nan, 1), (-math.inf, 0.2, 1)])
+    def test_non_finite_params_rejected(self, g):
+        with pytest.raises(DomainError, match="finite"):
+            GeodesicParams.normalized(*g)
+
     def test_v_clamped_at_roundoff(self):
         p = geodesic_point(Geometry.S2R, (0, 1.5708, 1.0))
         assert np.allclose(p, [E, 0, 0], atol=1e-4)

@@ -36,6 +36,12 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), t_min=0.0)
 
+    @pytest.mark.parametrize("t_min, t_max", [(1e-3, math.inf), (1e-3, math.nan),
+                                              (math.nan, 5.0), (-math.inf, 5.0)])
+    def test_non_finite_range_rejected(self, t_min, t_max):
+        with pytest.raises(DomainError, match="finite"):
+            SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), t_min=t_min, t_max=t_max)
+
 
 class TestValidateOnce:
     @BOTH
@@ -43,7 +49,13 @@ class TestValidateOnce:
         spec = family_spec(kind, samples=8)
         member_checks.clear()
         angle_sum_at(spec, 0.3)
-        assert 0 < len(member_checks) <= 3
+        assert len(member_checks) == 1
+
+    @BOTH
+    def test_underflowing_third_vertex_still_rejected(self, kind):
+        # 1e-200 * ray rounds to the excluded centre (S2xR) or cone apex (H2xR)
+        with pytest.raises(DomainError):
+            angle_sum_at(family_spec(kind, samples=8), 1e-200)
 
 
 class TestExtremum:
