@@ -117,6 +117,15 @@ def _guard_member(kind: Geometry, p: np.ndarray) -> None:
         raise _not_member(kind, p)
 
 
+def _guard_members(kind: Geometry, points: np.ndarray) -> None:
+    """``_guard_member`` of every row of an (N, 3) array, by the same rule."""
+    inside = np.isfinite(points).all(axis=1) & (fibre_norm_sq(kind, points.T) > 0.0)
+    if kind is Geometry.H2R:
+        inside &= points[:, 0] > 0.0
+    if not inside.all():
+        raise _not_member(kind, points[np.argmin(inside)])
+
+
 def require_member(kind: Geometry, p: np.ndarray) -> np.ndarray:
     """Validate membership, returning the point; raise DomainError otherwise."""
     p = model_point(p)
@@ -125,15 +134,17 @@ def require_member(kind: Geometry, p: np.ndarray) -> np.ndarray:
     return p
 
 
-def fibre_norm_sq(kind: Geometry, p: np.ndarray) -> float:
+def fibre_norm_sq(kind: Geometry, p) -> float | np.ndarray:
     """The quadratic form whose square root carries the fibre coordinate.
 
     S2xR: x^2 + y^2 + z^2.  H2xR: x^2 - y^2 - z^2.  Positive on members.
+    ``p`` is a point, or three arrays of coordinates (the columns of an
+    (N, 3) array of points), giving an array of values.
     """
     x, y, z = p
     if kind is Geometry.S2R:
-        return float(x * x + y * y + z * z)
-    return float(x * x - y * y - z * z)
+        return x * x + y * y + z * z
+    return x * x - y * y - z * z
 
 
 def metric_at(kind: Geometry, p) -> np.ndarray:

@@ -74,18 +74,29 @@ class GeodesicParams(NamedTuple):
 def geodesic_point(kind: Geometry, g) -> np.ndarray:
     """Evaluate the closed-form geodesic at arc length ``g.tau``.
 
-    Always lands inside the model: the S2xR curve has Euclidean norm
-    e^(tau sin v) > 0, so it never meets the excluded centre, and the H2xR
-    curve stays in the open cone.
+    The S2xR curve has Euclidean norm e^(tau sin v) > 0, so it never meets
+    the excluded centre, and the H2xR curve stays in the open cone.  Raises
+    DomainError where a coordinate overflows double precision or the point
+    underflows to the centre.
     """
     u, v, tau = GeodesicParams.normalized(*g)
     w = tau * math.cos(v)
-    scale = math.exp(tau * math.sin(v))
-    if kind is Geometry.S2R:
-        along, across = math.cos(w), math.sin(w)
-    else:
-        along, across = math.cosh(w), math.sinh(w)
-    return scale * np.array([along, across * math.cos(u), across * math.sin(u)])
+    try:
+        scale = math.exp(tau * math.sin(v))
+        if kind is Geometry.S2R:
+            along, across = math.cos(w), math.sin(w)
+        else:
+            along, across = math.cosh(w), math.sinh(w)
+    except OverflowError:
+        raise _out_of_range(u, v, tau) from None
+    x, y, z = scale * along, scale * (across * math.cos(u)), scale * (across * math.sin(u))
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z) and (x or y or z)):
+        raise _out_of_range(u, v, tau)
+    return np.array([x, y, z])
+
+
+def _out_of_range(u: float, v: float, tau: float) -> DomainError:
+    return DomainError(f"the geodesic point at ({u}, {v}, {tau}) is out of double range")
 
 
 def geodesic_params(kind: Geometry, p) -> GeodesicParams:

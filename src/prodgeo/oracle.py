@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import Geometry, metric_at, to_model
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
@@ -122,6 +121,8 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> list[np.ndarray]:
     Drift of the unit-speed first integral beyond tolerance triggers one
     retry at tighter settings; persistent drift raises ConsistencyError.
     """
+    from scipy.integrate import solve_ivp  # imported on first use: it takes most of import time
+
     u, v, tau = GeodesicParams.normalized(*g)
     if tau > 10.0:
         raise PrecondError(f"integration limited to tau <= 10, got {tau}")
@@ -171,6 +172,8 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
     differences), making it independent of every intrinsic-coordinate
     formula in the package.
     """
+    from scipy.integrate import solve_ivp  # imported on first use, as above
+
     u, v, tau = GeodesicParams.normalized(*g)
 
     def rhs(_tau, state):

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, contains, require_member
+from .core import BASE_POINT, Geometry, _guard_members, contains, require_member
 from .exceptions import ConsistencyError, DomainError
 from .tolerances import DEFAULT
-from .triangles import _geodesic_triangle, angle_sum
+from .triangles import _angle_sums, _coplanar, _require_distinct
 
 __all__ = [
     "ExtremumKind",
@@ -29,7 +29,10 @@ __all__ = [
     "limits_check",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: points per round of the bracket zoom: 32 cells, of which two are kept
+_ZOOM_POINTS = 33
+#: the zoom stops at this bracket width
+_ZOOM_WIDTH = 1e-7
 
 
 class ExtremumKind(enum.Enum):
@@ -72,49 +75,58 @@ class SweepResult:
 def angle_sum_at(spec: SweepSpec, t: float) -> float:
     """S(t): the interior angle sum of the triangle with third vertex t*ray;
     only t*ray is checked, as it leaves the model if it underflows to zero."""
-    tri = _geodesic_triangle(spec.kind, BASE_POINT, spec.a2,
-                             require_member(spec.kind, t * spec.ray))
-    return angle_sum(tri).total
+    return float(_sums(spec, require_member(spec.kind, t * spec.ray)))
 
 
-def _golden_section(f, lo: float, hi: float, maximise: bool, tol: float = 1e-7):
-    sign = -1.0 if maximise else 1.0
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = sign * f(c), sign * f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = sign * f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = sign * f(d)
+def _sums(spec: SweepSpec, a3: np.ndarray):
+    """S at the third vertices ``a3``, (3,) or (N, 3), all model points: the
+    base point is its own normaliser, so the vertices need no moving."""
+    _require_distinct(BASE_POINT, spec.a2, a3)
+    return _angle_sums(spec.kind, BASE_POINT, spec.a2, a3).total
+
+
+def _bracket(ts: np.ndarray, sums: np.ndarray, maximise: bool) -> tuple[float, float]:
+    """The two cells of the sampled ``ts`` around the best of ``sums``."""
+    best = int(np.argmax(sums) if maximise else np.argmin(sums))
+    return ts[max(best - 1, 0)], ts[min(best + 1, len(ts) - 1)]
+
+
+def _zoom(spec: SweepSpec, lo: float, hi: float, maximise: bool) -> tuple[float, float]:
+    """Shrink the bracket [lo, hi] around the extremum of S: each round
+    samples it at ``_ZOOM_POINTS`` points and keeps the two cells around the
+    best one, until the bracket is narrower than ``_ZOOM_WIDTH``."""
+    while hi - lo > _ZOOM_WIDTH:
+        ts = np.linspace(lo, hi, _ZOOM_POINTS)
+        lo, hi = _bracket(ts, _sums(spec, ts[:, None] * spec.ray), maximise)
     t = 0.5 * (lo + hi)
-    return t, f(t)
+    return t, float(_sums(spec, t * spec.ray))
 
 
 def evaluate(spec: SweepSpec) -> SweepResult:
     """Sample S(t) on a log-spaced grid and refine the interior extremum.
 
     The grid is logarithmic because the extremum of interest sits at small
-    t.  Refinement is derivative-free golden-section search on the grid
-    cell bracketing the best sample, to a bracket width of 1e-7.
+    t.  The whole grid is one batch of triangles; every third vertex t*ray
+    is checked for membership.  A family is flat when its ray is coplanar
+    with the base point, a2 and the centre and every grid sum lies within
+    ``flat_band`` of pi; a family off that plane has a strict extremum
+    however close to pi it stays.  Otherwise refinement is a batched
+    bracket zoom on the grid cells around the best sample (see ``_zoom``),
+    to a bracket width of 1e-7.
     """
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
-    sums = np.array([angle_sum_at(spec, t) for t in grid])
+    points = grid[:, None] * spec.ray
+    _guard_members(spec.kind, points)
+    sums = _sums(spec, points)
     series = np.column_stack([grid, sums])
 
-    if np.abs(sums - math.pi).max() <= DEFAULT.flat_band:
+    if (_coplanar(BASE_POINT, spec.a2, spec.ray)
+            and np.abs(sums - math.pi).max() <= DEFAULT.flat_band):
         t0 = math.sqrt(spec.t_min * spec.t_max)
         return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, spec)
 
     maximise = spec.kind is Geometry.S2R
-    best = int(np.argmax(sums) if maximise else np.argmin(sums))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    t0, s0 = _golden_section(lambda t: angle_sum_at(spec, t), lo, hi, maximise)
+    t0, s0 = _zoom(spec, *_bracket(grid, sums, maximise), maximise)
     kind = ExtremumKind.MAXIMUM if maximise else ExtremumKind.MINIMUM
     return SweepResult(series, t0, s0, kind, spec)
 

@@ -18,10 +18,13 @@ class Tolerances:
     angle_sum: float = 1e-7
     #: triangle vertices this close, relative to their size, coincide
     vertex_gap: float = 1e-12
+    #: S2xR sides whose surface points are antipodal to within this sine have
+    #: no unique geodesic (the cut locus)
+    cut_locus: float = 1e-12
     #: centre-enclosure test: barycentric residual, then negative-weight slack
     enclosure_residual: float = 1e-8
     enclosure_weight: float = 1e-12
-    #: sums within this band of pi across the whole sweep grid mark a flat family
+    #: sums within this band of pi across the whole sweep grid mark a coplanar family flat
     flat_band: float = 1e-9
     #: slack of v beyond [-pi/2, pi/2] that is clamped; covers pi/2 entered as 1.5708
     v_clamp: float = 1e-4

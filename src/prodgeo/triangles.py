@@ -1,16 +1,33 @@
 """Geodesic triangles: interior angles, angle sums and their trichotomy.
 
 A triangle is normalised on construction so its first vertex sits at the
-base point.  The interior angle at the base point is the Euclidean angle
-between the unit tangents of the two outgoing sides (the ambient metric is
-the identity there); the angles at the other two vertices are obtained by
-first moving that vertex to the base point with its normalising isometry.
+base point.  Its angles come from the product structure of the geometry:
+a point splits into a fibre height f and a point s on the surface factor,
+
+    S2xR :  f = log |p|,     s = p / |p|,
+    H2xR :  f = log sqrt(Q), s = p / sqrt(Q),  Q = (x - r)(x + r), r = hypot(y, z),
+
+and the unit tangent at A toward B is (f_B - f_A, d_AB xi_AB) / l_AB, with
+d_AB the surface distance, xi_AB the unit surface tangent at s_A toward s_B
+(Euclidean, respectively Minkowski, form) and l_AB = hypot(f_B - f_A, d_AB).
+The angle between two unit tangents u, v is 2 atan2(|u - v|, |u + v|), which
+keeps full precision near 0 and pi where acos loses sqrt(eps) (Kahan,
+"Miscalculating Area and Angles of a Needle-like Triangle").  ``_angle_sums``
+does this for whole arrays of triangles, with no isometry and no inverse
+problem.
+
+The paper's method is kept as the reproduced method and cross-check:
+``tangent_endpoints`` and ``vertex_angle`` move a vertex to the base point
+with its normalising isometry and read the tangents off the inverse problem,
+where the ambient metric is the identity.
 
 Angle sums obey a strict trichotomy: S2xR sums are >= pi and H2xR sums are
 <= pi, with equality exactly when the vertices are Euclid-coplanar with the
 model centre E0 = (1 : 0 : 0 : 0) *and* the triangle does not enclose E0.
 A coplanar S2xR triangle that winds around the centre lives on a flat
 cylinder leaf and its angle sum lies strictly above pi; see ``classify``.
+An S2xR side whose end points have antipodal surface points has no unique
+geodesic: such triangles are degenerate.
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, require_member
+from .core import BASE_POINT, Geometry, _guard_member, _not_member, require_member
 from .exceptions import ConsistencyError, DegenerateError
 from .geodesics import _geodesic_params, tangent_of
 from .isometries import _to_origin, apply_isometry
@@ -83,11 +100,17 @@ def _geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
     move = _to_origin(kind, a1)
     b2 = apply_isometry(move, a2)
     b3 = apply_isometry(move, a3)
-    for p, q in ((BASE_POINT, b2), (BASE_POINT, b3), (b2, b3)):
-        scale = max(1.0, float(np.abs(p).max()), float(np.abs(q).max()))
-        if np.abs(p - q).max() <= DEFAULT.vertex_gap * scale:
-            raise DegenerateError("two triangle vertices coincide")
+    _require_distinct(BASE_POINT, b2, b3)
     return GeodesicTriangle(kind, BASE_POINT.copy(), b2, b3)
+
+
+def _require_distinct(a1, a2, a3) -> None:
+    """Raise DegenerateError where two of the vertices, (3,) or (N, 3) arrays,
+    coincide to within ``vertex_gap`` of their size (at least 1)."""
+    for p, q in ((a1, a2), (a1, a3), (a2, a3)):
+        scale = np.maximum(1.0, np.maximum(np.abs(p).max(axis=-1), np.abs(q).max(axis=-1)))
+        if (np.abs(p - q).max(axis=-1) <= DEFAULT.vertex_gap * scale).any():
+            raise DegenerateError("two triangle vertices coincide")
 
 
 def tangent_endpoints(tri: GeodesicTriangle) -> dict[tuple[int, int], np.ndarray]:
@@ -121,24 +144,127 @@ def _vertex_tangents(tri: GeodesicTriangle, i: int) -> dict[tuple[int, int], np.
             for n, p in others}
 
 
-def _angle(t1: np.ndarray, t2: np.ndarray) -> float:
-    return math.acos(float(np.clip(t1 @ t2, -1.0, 1.0)))
+def _angle(t1, t2):
+    """Angle between unit vectors, in Kahan's atan2 form."""
+    return 2.0 * math.atan2(float(np.linalg.norm(t1 - t2)), float(np.linalg.norm(t1 + t2)))
+
+
+#: the frame keys of the two tangents at vertex 1, 2 and 3 (see ``tangent_endpoints``)
+_FRAME_PAIRS = (((2, 0), (3, 0)), ((1, 2), (3, 2)), ((1, 3), (2, 3)))
+
+
+def _frame_angles(frame) -> TriangleAngles:
+    """The paper's angles: the three interior angles read off the tangent frame."""
+    w1, w2, w3 = (_angle(frame[a], frame[b]) for a, b in _FRAME_PAIRS)
+    return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
 
 
 def vertex_angle(tri: GeodesicTriangle, i: int) -> float:
-    """Interior angle at vertex ``i`` (1, 2 or 3), in (0, pi)."""
+    """Interior angle at vertex ``i`` (1, 2 or 3), in (0, pi), by the paper's
+    method: the vertex is moved to the base point by its normaliser."""
     if i not in (1, 2, 3):
         raise ValueError(f"vertex index must be 1, 2 or 3, got {i}")
     return _angle(*_vertex_tangents(tri, int(i)).values())
 
 
 def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:
-    """All three interior angles and their sum."""
-    frame = tangent_endpoints(tri)
-    w1 = _angle(frame[(2, 0)], frame[(3, 0)])
-    w2 = _angle(frame[(1, 2)], frame[(3, 2)])
-    w3 = _angle(frame[(1, 3)], frame[(2, 3)])
+    """All three interior angles and their sum.
+
+    Raises DegenerateError for an S2xR side on the cut locus and DomainError
+    for a vertex that rounding left outside the model.
+    """
+    return TriangleAngles(*map(float, _angle_sums(tri.kind, *tri.vertices)))
+
+
+def _angle_sums(kind: Geometry, a1, a2, a3) -> TriangleAngles:
+    """Interior angles w1, w2, w3 and their sum for vertex arrays of shape
+    (3,) or (N, 3) that broadcast together: scalars or (N,) arrays.
+
+    Vertices must be distinct (see ``_require_distinct``); a vertex outside
+    the model raises DomainError, an S2xR side whose surface points are
+    antipodal DegenerateError.
+    """
+    f1, s1 = _split(kind, a1)
+    f2, s2 = _split(kind, a2)
+    f3, s3 = _split(kind, a3)
+    t12, t21 = _side_tangents(kind, f1, s1, f2, s2)
+    t13, t31 = _side_tangents(kind, f1, s1, f3, s3)
+    t23, t32 = _side_tangents(kind, f2, s2, f3, s3)
+    w1 = _tangent_angle(kind, s1, t12, t13)
+    w2 = _tangent_angle(kind, s2, t21, t23)
+    w3 = _tangent_angle(kind, s3, t31, t32)
     return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
+
+
+def _split(kind: Geometry, p):
+    """Fibre height and surface point (as its three components) of model points."""
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    if kind is Geometry.S2R:
+        norm = np.hypot(np.hypot(x, y), z)
+        inside = (norm > 0.0) & (norm < math.inf)
+    else:
+        r = np.hypot(y, z)
+        inside = (x > r) & (x < math.inf)
+    if not inside.all():
+        raise _not_member(kind, p if p.ndim == 1 else p[np.argmin(inside)])
+    if kind is Geometry.H2R:
+        # sqrt(Q) as sqrt(x - r) sqrt(x + r): no cancellation, no overflow
+        norm = np.sqrt(x - r) * np.sqrt(x + r)
+    return np.log(norm), (x / norm, y / norm, z / norm)
+
+
+def _tangent_sq(kind: Geometry, s, v):
+    """Squared length of the surface tangent vector ``v`` at the surface point ``s``.
+
+    On the hyperboloid the Minkowski length of v, orthogonal to s, is
+    (vy^2 + vz^2 + (sy vz - sz vy)^2) / sx^2: a sum of squares, so it cannot
+    cancel to a negative value.
+    """
+    vx, vy, vz = v
+    if kind is Geometry.S2R:
+        return vx * vx + vy * vy + vz * vz
+    sx, sy, sz = s
+    twist = sy * vz - sz * vy
+    return (vy * vy + vz * vz + twist * twist) / (sx * sx)
+
+
+#: smallest positive double: the divisor floor of a side's zero surface part
+_TINY = np.finfo(float).tiny
+
+def _side_tangents(kind: Geometry, fa, sa, fb, sb):
+    """Unit tangents (fibre, x, y, z) at A toward B and at B toward A.
+
+    The surface tangent at s_A toward s_B is s_B - <s_A, s_B> s_A, whose
+    length is sin (sinh) of the surface distance; <, > is the Euclidean
+    (Minkowski x^2 - y^2 - z^2) form.
+    """
+    sign = 1.0 if kind is Geometry.S2R else -1.0
+    cos = sa[0] * sb[0] + sign * (sa[1] * sb[1] + sa[2] * sb[2])
+    at_a = tuple(b - cos * a for a, b in zip(sa, sb))
+    at_b = tuple(a - cos * b for a, b in zip(sa, sb))
+    sin_a = np.sqrt(_tangent_sq(kind, sa, at_a))
+    sin_b = np.sqrt(_tangent_sq(kind, sb, at_b))
+    if kind is Geometry.S2R:
+        if ((cos < 0.0) & (sin_a <= DEFAULT.cut_locus)).any():
+            raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
+        dist = np.arctan2(sin_a, cos)
+    else:
+        dist = np.arcsinh(sin_a)
+    rise = fb - fa
+    length = np.hypot(rise, dist)
+    # a side along the fibre has sin = dist = 0 and no surface part; adding
+    # the smallest double changes no sine above 1e-290 and avoids 0 / 0
+    scale_a = dist / ((sin_a + _TINY) * length)
+    scale_b = dist / ((sin_b + _TINY) * length)
+    return ((rise / length, *(c * scale_a for c in at_a)),
+            (-rise / length, *(c * scale_b for c in at_b)))
+
+
+def _tangent_angle(kind: Geometry, s, u, v):
+    """Angle 2 atan2(|u - v|, |u + v|) between unit tangents at surface point ``s``."""
+    diff = _tangent_sq(kind, s, [a - b for a, b in zip(u[1:], v[1:])]) + (u[0] - v[0]) ** 2
+    both = _tangent_sq(kind, s, [a + b for a, b in zip(u[1:], v[1:])]) + (u[0] + v[0]) ** 2
+    return 2.0 * np.arctan2(np.sqrt(diff), np.sqrt(both))
 
 
 def coplanar_with_center(tri: GeodesicTriangle) -> bool:
@@ -147,7 +273,11 @@ def coplanar_with_center(tri: GeodesicTriangle) -> bool:
     E0 is the Cartesian origin, so the test is the vanishing of the triple
     product of the vertex position vectors, relative to their norms.
     """
-    a1, a2, a3 = tri.vertices
+    return _coplanar(*tri.vertices)
+
+
+def _coplanar(a1, a2, a3) -> bool:
+    """``coplanar_with_center`` of three points (scale-invariant in each)."""
     det = float(np.linalg.det(np.array([a1, a2, a3])))
     scale = float(np.linalg.norm(a1) * np.linalg.norm(a2) * np.linalg.norm(a3))
     return abs(det) <= DEFAULT.coplanar * scale

@@ -16,7 +16,13 @@ from .core import BASE_POINT, Geometry, metric_at
 from .geodesics import GeodesicParams, distance, geodesic_params, geodesic_point, tangent_of
 from .isometries import apply_isometry, to_origin
 from .oracle import integrate_geodesic, unit_speed_drift
-from .triangles import angle_sum, coplanar_with_center, geodesic_triangle, tangent_endpoints
+from .triangles import (
+    _frame_angles,
+    angle_sum,
+    coplanar_with_center,
+    geodesic_triangle,
+    tangent_endpoints,
+)
 from .tolerances import DEFAULT
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_all"]
@@ -173,7 +179,8 @@ def antipodality_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
     """The outgoing tangent toward a vertex and the tangent toward the image
     of the base point under that vertex's normaliser are antipodal; for
     coplanar triangles the two images of the opposite side are antipodal
-    as well."""
+    as well.  The angles read off this frame (the paper's method) agree
+    with the product-split angles of ``angle_sum``."""
     result = SuiteResult("antipodality", kind, trials)
     for _ in range(trials):
         tri = _random_triangle(kind, rng)
@@ -185,6 +192,11 @@ def antipodality_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
         for out, back in (((2, 0), (1, 2)), ((3, 0), (1, 3))):
             if np.abs(frame[out] + frame[back]).max() > DEFAULT.suite_pair:
                 result.failures.append(f"pair {out}/{back} at vertices {tri.vertices}")
+        gap = max(abs(a - b) for a, b in zip(_frame_angles(frame), angle_sum(tri)))
+        if gap > DEFAULT.suite_pair:
+            result.failures.append(
+                f"frame and product angles differ by {gap:.2e} at vertices {tri.vertices}"
+            )
     for _ in range(max(trials // 2, 1)):
         a2, a3 = _random_coplanar_vertices(kind, rng)
         try:

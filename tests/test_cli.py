@@ -50,6 +50,12 @@ class TestTriangle:
         assert code == 3
         assert "DegenerateError" in err
 
+    def test_cut_locus_exit_3(self, capsys):
+        code, out, err = run(capsys, "triangle", "--geometry", "s2r",
+                             "--a2=-1,0,0", "--a3=0,1,0")
+        assert (code, out) == (3, "")
+        assert err.startswith("DegenerateError:")
+
     def test_homogeneous_input_accepted(self, capsys):
         code, out, _ = run(capsys, "triangle", "--geometry", "s2r",
                            "--a2", "1,3,-2,1", "--a3", "2,4,2,0")
@@ -163,6 +169,11 @@ class TestGeodesic:
         assert code == 0
         for point in payload["points"]:
             assert contains(Geometry.H2R, point)
+
+    def test_overflowing_params_exit_2(self, capsys):
+        code, out, err = run(capsys, "geodesic", "--geometry", "s2r", "--params", "0,1,1000")
+        assert (code, out) == (2, "")
+        assert err.startswith("DomainError:")
 
     def test_domain_failure_exit_2(self, capsys):
         code, _, _ = run(capsys, "geodesic", "--geometry", "h2r", "--to", "1,4,0")

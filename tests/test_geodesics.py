@@ -49,6 +49,15 @@ class TestClosedForm:
             g = random_params(kind, rng, tau_max=6.0)
             assert contains(kind, geodesic_point(kind, g))
 
+    @pytest.mark.parametrize("kind, g", [(Geometry.H2R, (0, 0, 800)),     # cosh overflows
+                                         (Geometry.S2R, (0, 1, 1000)),    # exp overflows
+                                         (Geometry.H2R, (0, 0.5, 700)),   # their product does
+                                         (Geometry.S2R, (0, -1.5, 800))],  # underflow to E0
+                             ids=["h2r-cosh", "s2r-exp", "h2r-product", "s2r-underflow"])
+    def test_out_of_double_range_rejected(self, kind, g):
+        with pytest.raises(DomainError, match="double range"):
+            geodesic_point(kind, g)
+
     def test_negative_tau_rejected(self):
         with pytest.raises(DomainError):
             geodesic_point(Geometry.S2R, (0, 0, -1))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,17 @@ from prodgeo.oracle import _initial_state, unit_speed_drift
 from conftest import BOTH, random_params
 
 PI = math.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, prodgeo; assert 'scipy.integrate' not in sys.modules, 'loaded'"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestIntrinsicIntegration:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from prodgeo import (
+    DEFAULT,
+    DegenerateError,
     DomainError,
     ExtremumKind,
     Geometry,
@@ -57,6 +59,18 @@ class TestValidateOnce:
         with pytest.raises(DomainError):
             angle_sum_at(family_spec(kind, samples=8), 1e-200)
 
+    @BOTH
+    def test_evaluate_checks_every_grid_vertex(self, kind):
+        a2, ray, _, _ = SWEEP_FAMILIES[kind]
+        with pytest.raises(DomainError):
+            evaluate(SweepSpec(kind, a2, ray, t_min=1e-200, t_max=1.0, samples=8))
+
+    def test_evaluate_rejects_a_grid_vertex_on_a2(self):
+        a2 = np.array([3.0, -2.0, 1.0])
+        grid = np.geomspace(1e-3, 5.0, 8)
+        with pytest.raises(DegenerateError):
+            evaluate(SweepSpec(Geometry.S2R, a2, a2 / grid[3], samples=8))
+
 
 class TestExtremum:
     def test_s2r_maximum(self):
@@ -97,6 +111,34 @@ class TestExtremum:
         assert result.extremum_kind is ExtremumKind.FLAT
         assert np.abs(result.series[:, 1] - PI).max() < 1e-9
         assert result.s_extremum == PI
+
+    def test_near_axis_flat_family(self):
+        # a2 and the ray lie within 7e-7 of the fibre axis, in one plane
+        # with it: every triangle of the family is coplanar with the centre
+        spec = SweepSpec(Geometry.H2R,
+                         (0.8334162199204505, -2.9155678947315096e-07, -5.797355314690917e-07),
+                         (0.9058440885955671, -1.8685401196875375e-07, -3.715430881633201e-07))
+        result = evaluate(spec)
+        assert result.extremum_kind is ExtremumKind.FLAT
+        assert np.abs(result.series[:, 1] - PI).max() <= DEFAULT.flat_band
+
+    def test_near_pi_family_off_the_plane_is_not_flat(self):
+        # a2 is 1.5e-3 from the fibre axis and the ray 1.6e-5 (relative
+        # triple product) off the plane of the base point, a2 and the
+        # centre: every grid sum lies within 9e-10 of pi, below it
+        spec = SweepSpec(Geometry.H2R,
+                         (2.5625014134049335, -0.0014051628653388457, -0.0003990605362192628),
+                         (1.0093309399551296, -0.13544319447740702, -0.06744705404147841))
+        result = evaluate(spec)
+        assert result.extremum_kind is ExtremumKind.MINIMUM
+        assert np.all(result.series[:, 1] < PI)
+        assert result.s_extremum <= result.series[:, 1].min()
+
+    @BOTH
+    def test_series_agrees_with_angle_sum_at(self, kind):
+        spec = family_spec(kind, samples=16)
+        for t, s in evaluate(spec).series[::5]:
+            assert angle_sum_at(spec, t) == pytest.approx(s, abs=1e-14)
 
 
 class TestUnimodality:

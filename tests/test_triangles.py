@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prodgeo import (
     BASE_POINT,
+    DEFAULT,
     DegenerateError,
     DomainError,
     Geometry,
@@ -14,11 +17,14 @@ from prodgeo import (
     classify,
     coplanar_with_center,
     encloses_center,
+    geodesic_point,
     geodesic_triangle,
     tangent_endpoints,
     to_origin,
     vertex_angle,
 )
+from prodgeo.reference import TABLE_ROWS
+from prodgeo.triangles import _angle_sums
 from conftest import BOTH, random_point
 
 PI = math.pi
@@ -272,3 +278,65 @@ class TestTrichotomy:
                 continue
             count += 1
             assert abs(angle_sum(tri).total - PI) <= 1e-8
+
+
+class TestCutLocus:
+    @pytest.mark.parametrize("a2, a3", [
+        ((-1, 0, 0), (0, 1, 0)),     # a2 antipodal to the base point
+        ((0, -2, 0), (0, 3, 0)),     # a2 and a3 antipodal to each other
+        ((1, 2, 3), (-3, -6, -9)),   # the same, equal only up to rounding
+    ])
+    def test_antipodal_surface_points_are_degenerate(self, a2, a3):
+        tri = tri_s2r(a2, a3)
+        for call in (angle_sum, classify):
+            with pytest.raises(DegenerateError, match="antipodal"):
+                call(tri)
+
+    def test_near_antipodal_side_is_computed(self):
+        tri = tri_s2r((-1, 1e-9, 0), (0, 1, 0))
+        angles = angle_sum(tri)
+        assert angles.w1 == pytest.approx(vertex_angle(tri, 1), abs=1e-12)
+
+
+class TestProductKernel:
+    """The product-split kernel against the paper's normaliser method."""
+
+    @BOTH
+    def test_matches_vertex_angle(self, kind, rng):
+        tris = [geodesic_triangle(kind, BASE_POINT, random_point(kind, rng),
+                                  random_point(kind, rng)) for _ in range(200)]
+        batch = _angle_sums(kind, *(np.array(v) for v in zip(*(t.vertices for t in tris))))
+        for n, tri in enumerate(tris):
+            for i in (1, 2, 3):
+                assert abs(batch[i - 1][n] - vertex_angle(tri, i)) <= 1e-12
+
+    @BOTH
+    def test_reference_table_in_one_batch(self, kind):
+        a2, rows = TABLE_ROWS[kind]
+        a3 = np.array([row[0] for row in rows], dtype=float)
+        got = np.array(_angle_sums(kind, BASE_POINT, np.array(a2, dtype=float), a3)).T
+        assert np.abs(got - np.array([row[1] for row in rows])).max() <= DEFAULT.table_gate
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(Geometry)),
+           params=st.lists(st.tuples(*[st.tuples(st.floats(-PI, PI),
+                                                 st.floats(-PI / 2, PI / 2),
+                                                 st.floats(1e-3, 3.0))] * 3),
+                           min_size=1, max_size=6))
+    def test_batch_equals_singles_and_isometry_invariant(self, kind, params):
+        verts = [[geodesic_point(kind, g) for g in tri] for tri in params]
+        for a in verts:
+            for p, q in ((a[0], a[1]), (a[0], a[2]), (a[1], a[2])):
+                assume(np.linalg.norm(p - q) > 1e-2 * max(1.0, np.abs(p).max(), np.abs(q).max()))
+                if kind is Geometry.S2R:  # stay clear of the cut locus
+                    assume(np.linalg.norm(p / np.linalg.norm(p) + q / np.linalg.norm(q)) > 1e-2)
+        batch = np.array(_angle_sums(kind, *[np.array(v) for v in zip(*verts)]))
+        for n, a in enumerate(verts):
+            single = np.array(_angle_sums(kind, *a))
+            assert np.abs(batch[:, n] - single).max() <= 1e-14
+            # to_origin moves the triangle by an isometry: the angles stay,
+            # up to the rounding of the images (about eps cosh^2 of the
+            # surface arcs, which stay below 6 here)
+            move = to_origin(kind, a[0])
+            moved = np.array(_angle_sums(kind, *(apply_isometry(move, p) for p in a)))
+            assert np.abs(moved - single).max() <= 1e-10
