@@ -1,9 +1,9 @@
 """Independent verification: nothing here trusts the closed forms.
 
 The geodesic equations are integrated numerically, in the intrinsic charts
-and (chart-free) in Cartesian coordinates with finite-difference
-Christoffel symbols, and arc lengths are measured by quadrature of the raw
-metric.  Agreement with the closed-form spirals is the evidence that they
+and (chart-free) in Cartesian coordinates with Christoffel symbols from a
+complex-step derivative of the raw metric tensor, and arc lengths are
+measured by quadrature of the raw metric.  Agreement with the closed-form spirals is the evidence that they
 really are the unit-speed geodesics of the two ambient metrics.
 """
 
@@ -28,7 +28,7 @@ for kind in Geometry:
     print(f"--- {kind.value}, params (u, v, tau) = (0.7, 0.35, 1.8)")
     print(f"  closed form          : {np.round(closed, 10)}")
     print(f"  intrinsic-chart ODE  : {np.round(intrinsic, 10)}")
-    print(f"  cartesian FD ODE     : {np.round(cartesian, 10)}")
+    print(f"  cartesian-chart ODE  : {np.round(cartesian, 10)}")
     print(f"  max deviations       : {np.abs(intrinsic - closed).max():.2e} "
           f"/ {np.abs(cartesian - closed).max():.2e}")
 

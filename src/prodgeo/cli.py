@@ -38,7 +38,7 @@ from .exceptions import DegenerateError, DomainError, GeometryError
 from .geodesics import GeodesicParams, geodesic_params, sample_curve
 from .sweep import SweepSpec, evaluate
 from .tolerances import DEFAULT
-from .triangles import angle_sum, classify, coplanar_with_center, geodesic_triangle
+from .triangles import _classify_total, angle_sum, coplanar_with_center, geodesic_triangle
 from .verification import run_all
 
 SCHEMA = "v1"
@@ -112,8 +112,9 @@ def cmd_triangle(args) -> int:
     kind = Geometry.from_name(args.geometry)
     tri = geodesic_triangle(kind, _parse_point(args.a1), _parse_point(args.a2),
                             _parse_point(args.a3))
-    fields, cells = _angle_fields(angle_sum(tri), prec)
-    klass = classify(tri).value
+    angles = angle_sum(tri)
+    fields, cells = _angle_fields(angles, prec)
+    klass = _classify_total(tri, angles.total).value
     coplanar = coplanar_with_center(tri)
     _render(args, {"schema": SCHEMA, "kind": kind.value, **fields, "class": klass,
                    "coplanar_with_center": coplanar},
@@ -160,9 +161,10 @@ def cmd_sweep(args) -> int:
         "t0": _round(result.t_extremum, 12),
         "s0": _round(result.s_extremum, prec),
         "extremum_kind": extremum,
+        "interior": result.interior,
     }, ["t", "S_t"], [[f"{t:.12g}", _fmt(s, prec)] for t, s in result.series],
         [("extremum", extremum), ("t0", f"{result.t_extremum:.12g}"),
-         ("S(t0)", _fmt(result.s_extremum, prec))])
+         ("S(t0)", _fmt(result.s_extremum, prec)), ("interior", str(result.interior).lower())])
     return 0
 
 

@@ -153,17 +153,31 @@ def metric_at(kind: Geometry, p) -> np.ndarray:
     ds^2 = sum_ij g_ij dx^i dx^j.  Positive definite on every member point;
     raises DomainError elsewhere.
     """
-    p = require_member(kind, p)
-    x, y, z = p
+    return _metric(kind, *require_member(kind, p))
+
+
+def _metric(kind: Geometry, x, y, z) -> np.ndarray:
+    """``metric_at`` of trusted coordinate arrays, real or complex: shape
+    (..., 3, 3) for coordinates of shape (...).
+
+    Only + - * / appear, so the formula is analytic and a complex step
+    x + ih differentiates it: no abs, hypot or maximum, which have no
+    complex derivative.
+    """
     if kind is Geometry.S2R:
-        return np.eye(3) / (x * x + y * y + z * z)
-    q = x * x - y * y - z * z
-    g = np.array([
-        [x * x + y * y + z * z, -2.0 * x * y, -2.0 * x * z],
-        [-2.0 * x * y, x * x + y * y - z * z, 2.0 * y * z],
-        [-2.0 * x * z, 2.0 * y * z, x * x - y * y + z * z],
-    ])
-    return g / (q * q)
+        diag = 1.0 / (x * x + y * y + z * z)
+        off = 0.0 * diag
+        entries = [diag, off, off, off, diag, off, off, off, diag]
+    else:
+        xx, yy, zz = x * x, y * y, z * z
+        q = xx - yy - zz
+        qq = q * q
+        xy, xz, yz = -2.0 * x * y / qq, -2.0 * x * z / qq, 2.0 * y * z / qq
+        entries = [(xx + yy + zz) / qq, xy, xz,
+                   xy, (xx + yy - zz) / qq, yz,
+                   xz, yz, (xx - yy + zz) / qq]
+    g = np.stack(entries, axis=-1)
+    return g.reshape(g.shape[:-1] + (3, 3))
 
 
 def to_model(kind: Geometry, t: float, c1: float, c2: float) -> np.ndarray:

@@ -80,19 +80,33 @@ def geodesic_point(kind: Geometry, g) -> np.ndarray:
     underflows to the centre.
     """
     u, v, tau = GeodesicParams.normalized(*g)
-    w = tau * math.cos(v)
-    try:
-        scale = math.exp(tau * math.sin(v))
+    return _points(kind, u, v, np.array([tau]))[0]
+
+
+def _points(kind: Geometry, u: float, v: float, taus: np.ndarray) -> np.ndarray:
+    """The closed form at the arc lengths ``taus`` of the geodesic with
+    normalised direction (u, v), as a (len(taus), 3) array.
+
+    Raises DomainError at the first tau where a coordinate overflows double
+    precision or the point underflows to the centre.
+    """
+    w = taus * math.cos(v)
+    points = np.empty((len(taus), 3))
+    with np.errstate(all="ignore"):
+        scale = np.exp(taus * math.sin(v))
         if kind is Geometry.S2R:
-            along, across = math.cos(w), math.sin(w)
+            along, across = np.cos(w), np.sin(w)
         else:
-            along, across = math.cosh(w), math.sinh(w)
-    except OverflowError:
-        raise _out_of_range(u, v, tau) from None
-    x, y, z = scale * along, scale * (across * math.cos(u)), scale * (across * math.sin(u))
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z) and (x or y or z)):
-        raise _out_of_range(u, v, tau)
-    return np.array([x, y, z])
+            along, across = np.cosh(w), np.sinh(w)
+        points[:, 0] = scale * along
+        points[:, 1] = scale * (across * math.cos(u))
+        points[:, 2] = scale * (across * math.sin(u))
+        size = np.abs(points).max(axis=1)
+    # NaN (inf * 0) fails both comparisons
+    bad = ~((size > 0.0) & (size < math.inf))
+    if bad.any():
+        raise _out_of_range(u, v, taus[np.argmax(bad)].item())
+    return points
 
 
 def _out_of_range(u: float, v: float, tau: float) -> DomainError:
@@ -166,12 +180,14 @@ def distance(kind: Geometry, p1, p2) -> float:
     return _geodesic_params(kind, image).tau
 
 
-def sample_curve(kind: Geometry, g, n: int) -> list[np.ndarray]:
-    """``n`` points of the geodesic at equal arc-length steps in [0, tau]."""
+def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:
+    """``n`` points of the geodesic at equal arc-length steps in [0, tau],
+    as an (n, 3) array computed in one batch.
+
+    Raises DomainError, as ``geodesic_point`` does, at the first sample out
+    of double range.
+    """
     if n < 2:
         raise PrecondError(f"need at least 2 samples, got {n}")
     u, v, tau = GeodesicParams.normalized(*g)
-    return [
-        geodesic_point(kind, GeodesicParams(u, v, tau * i / (n - 1)))
-        for i in range(n)
-    ]
+    return _points(kind, u, v, tau * np.arange(n) / (n - 1))

@@ -46,9 +46,19 @@ singularity at r = 0 is guarded by a series expansion and by the fact that
 alpha' = 0 annihilates the singular product.
 
 A second, chart-free route (``integrate_geodesic_cartesian``) integrates
-x'' = -Gamma(x)(x', x') in the Cartesian chart with Christoffel symbols
-obtained by central differences of the metric tensor, using no coordinate
-tricks at all.
+x'' = -Gamma(x)(x', x') in the Cartesian chart, using no coordinate tricks
+at all.  Its Christoffel symbols come from the metric tensor by the complex
+step: for an analytic f, f'(x) = Im f(x + ih) / h + O(h^2), and since
+nothing is subtracted there is no cancellation, so h = 1e-20 gives the
+derivative to rounding (Squire & Trapp, SIAM Review 40, 1998; Martins,
+Sturdza & Alonso, ACM TOMS 29, 2003).  Central differences would carry
+rounding noise of about eps |p| / h (7e-10 at h = 1e-6), above the
+integrator's rtol of 1e-10, and its step control would then run to
+thousands of evaluations on long H2xR arcs.  The complex step needs a metric formula that is analytic in
+each coordinate, which is why ``core._metric`` uses only + - * /.
+
+The quadrature checks every segment midpoint and evaluates the metric at
+all of them in one call.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ import math
 
 import numpy as np
 
-from .core import Geometry, metric_at, to_model
+from .core import Geometry, _guard_member, _guard_members, _metric, to_model
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams
 from .tolerances import DEFAULT
@@ -146,31 +156,33 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> list[np.ndarray]:
     return [to_model(kind, *sol.y[:3, i]) for i in range(sol.y.shape[1])]
 
 
-def _christoffel_fd(kind: Geometry, p: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Christoffel symbols at ``p`` by central differences of the metric."""
-    dg = np.empty((3, 3, 3))
-    for k in range(3):
-        step = np.zeros(3)
-        step[k] = h
-        dg[k] = (metric_at(kind, p + step) - metric_at(kind, p - step)) / (2.0 * h)
-    ginv = np.linalg.inv(metric_at(kind, p))
-    gamma = np.empty((3, 3, 3))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                gamma[k, i, j] = 0.5 * sum(
-                    ginv[k, l] * (dg[i][l, j] + dg[j][l, i] - dg[l][i, j])
-                    for l in range(3)
-                )
-    return gamma
+#: imaginary step of the complex-step derivative; nothing is subtracted, so
+#: it can be far below sqrt(eps) and the derivative is exact to rounding
+_COMPLEX_STEP = 1e-20
+
+
+def _christoffel(kind: Geometry, p: np.ndarray) -> np.ndarray:
+    """Christoffel symbols Gamma[k, i, j] of the Cartesian chart at the
+    trusted point ``p``.
+
+    The metric's partial derivatives come from one complex evaluation of
+    ``core._metric`` at p + ih e_k for k = 0, 1, 2: d_k g = Im g(p + ih e_k) / h,
+    and Re g(p + ih e_k) = g(p) to rounding.
+    """
+    z = p + 1j * _COMPLEX_STEP * np.eye(3)
+    g = _metric(kind, *z.T)
+    dg = g.imag / _COMPLEX_STEP  # dg[i, l, j] = d_i g_lj
+    lowered = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)  # [l, i, j]
+    return np.linalg.solve(g[0].real, lowered.reshape(3, 9)).reshape(3, 3, 3)
 
 
 def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
     """Endpoint of the geodesic integrated in the Cartesian chart.
 
-    Uses only the ambient metric tensor (Christoffel symbols by finite
-    differences), making it independent of every intrinsic-coordinate
-    formula in the package.
+    Uses only the ambient metric tensor, differentiated by complex step
+    (see ``_christoffel``), making it independent of every
+    intrinsic-coordinate formula in the package.  Raises DomainError if the
+    integrated curve leaves the model.
     """
     from scipy.integrate import solve_ivp  # imported on first use, as above
 
@@ -178,8 +190,8 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
 
     def rhs(_tau, state):
         p, dp = state[:3], state[3:]
-        gamma = _christoffel_fd(kind, p)
-        acc = -np.einsum("kij,i,j->k", gamma, dp, dp)
+        _guard_member(kind, p)
+        acc = -np.einsum("kij,i,j->k", _christoffel(kind, p), dp, dp)
         return np.concatenate([dp, acc])
 
     velocity = np.array([math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)])
@@ -192,17 +204,20 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
 
 
 def arc_length_quadrature(kind: Geometry, curve) -> float:
-    """Composite midpoint-rule arc length of a polyline of model points.
+    """Composite midpoint-rule arc length of a polyline of model points,
+    given as any iterable of Cartesian 3-vectors (an (n, 3) array too).
 
     Second-order accurate in the number of samples.  Raises DomainError if
-    any point (or segment midpoint) leaves the model.
+    any segment midpoint leaves the model or the points do not have three
+    coordinates.
     """
-    pts = [np.asarray(p, dtype=float) for p in curve]
+    pts = np.array([np.asarray(p, dtype=float) for p in curve])
     if len(pts) < 2:
         raise DomainError("need at least two points")
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (a + b)
-        delta = b - a
-        total += math.sqrt(float(delta @ metric_at(kind, mid) @ delta))
-    return total
+    if pts.shape[1:] != (3,):
+        raise DomainError(f"expected points of 3 coordinates, got shape {pts.shape[1:]}")
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    delta = pts[1:] - pts[:-1]
+    _guard_members(kind, mids)
+    g = _metric(kind, *mids.T)
+    return float(np.sqrt(np.einsum("ni,nij,nj->n", delta, g, delta)).sum())

@@ -69,6 +69,9 @@ class SweepResult:
     t_extremum: float
     s_extremum: float
     extremum_kind: ExtremumKind
+    #: the extremum is a turning point inside (t_min, t_max), not the best
+    #: value at an end of the range; False for flat families
+    interior: bool
     spec: SweepSpec = field(repr=False)
 
 
@@ -112,7 +115,15 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     ``flat_band`` of pi; a family off that plane has a strict extremum
     however close to pi it stays.  Otherwise refinement is a batched
     bracket zoom on the grid cells around the best sample (see ``_zoom``),
-    to a bracket width of 1e-7.
+    to a bracket width of 1e-7.  The extremum is interior when S there
+    beats S at both ends of the range by more than ``sweep_resolution``.
+    When the best sample is an end of the range the zoom keeps that end in
+    its bracket, and S at the bracket's midpoint is no better than at the
+    end; where S is monotone toward the end to within rounding, noise can
+    pull the bracket off the end.  On ranges cut to one side of the
+    extremum, of random, near-axis, near-coplanar and needle families (a2
+    within 1e-7 to 1e-2 of the base point), S at the zoom's result beat the
+    best end by at most 8.9e-16, a tenth of the resolution.
     """
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
     points = grid[:, None] * spec.ray
@@ -123,12 +134,13 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     if (_coplanar(BASE_POINT, spec.a2, spec.ray)
             and np.abs(sums - math.pi).max() <= DEFAULT.flat_band):
         t0 = math.sqrt(spec.t_min * spec.t_max)
-        return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, spec)
+        return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, False, spec)
 
     maximise = spec.kind is Geometry.S2R
     t0, s0 = _zoom(spec, *_bracket(grid, sums, maximise), maximise)
+    margin = s0 - max(sums[0], sums[-1]) if maximise else min(sums[0], sums[-1]) - s0
     kind = ExtremumKind.MAXIMUM if maximise else ExtremumKind.MINIMUM
-    return SweepResult(series, t0, s0, kind, spec)
+    return SweepResult(series, t0, s0, kind, bool(margin > DEFAULT.sweep_resolution), spec)
 
 
 def limits_check(spec: SweepSpec, t_far: float = 1e3) -> tuple[float, float]:

@@ -310,7 +310,11 @@ def classify(tri: GeodesicTriangle) -> TriangleClass:
     computed sum must agree with the class, else ConsistencyError (an
     implementation bug, never suppressed).
     """
-    total = angle_sum(tri).total
+    return _classify_total(tri, angle_sum(tri).total)
+
+
+def _classify_total(tri: GeodesicTriangle, total: float) -> TriangleClass:
+    """``classify`` with the triangle's angle sum ``total`` already known."""
     tol = DEFAULT.angle_sum
     if coplanar_with_center(tri) and not encloses_center(tri):
         if abs(total - math.pi) > tol:

@@ -31,6 +31,22 @@ class TestTriangle:
         assert payload["class"] == "below"
         assert payload["coplanar_with_center"] is False
 
+    def test_angle_kernel_runs_once(self, capsys, monkeypatch):
+        from prodgeo import triangles
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        kernel = triangles._angle_sums
+        monkeypatch.setattr(triangles, "_angle_sums", counted)
+        for a3 in ("2,1,0", "1,-3,0"):
+            calls.clear()
+            code, _, _ = run(capsys, "triangle", "--geometry", "s2r", "--a2", "3,-2,1",
+                             "--a3", a3)
+            assert (code, len(calls)) == (0, 1)
+
     def test_coplanar_prints_pi_and_equal(self, capsys):
         code, out, _ = run(capsys, "triangle", "--geometry", "s2r",
                            "--a2", "2,1,0", "--a3", "1,-3,0")
@@ -109,6 +125,18 @@ class TestSweep:
         assert payload["t0"] == pytest.approx(0.36392, abs=1e-3)
         assert payload["extremum_kind"] == "minimum"
         assert len(payload["series"]) == 64
+
+    def test_interior_reported(self, capsys):
+        argv = ["sweep", "--geometry", "s2r", "--a2", "3,-2,1", "--ray", "2,1,0",
+                "--samples", "64"]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert json.loads(out)["interior"] is True
+        _, out, _ = run(capsys, *argv, "--t-min", "1", "--t-max", "5", "--format", "json")
+        assert json.loads(out)["interior"] is False
+        _, out, _ = run(capsys, *argv, "--t-min", "1", "--t-max", "5")
+        assert out.splitlines()[-1].split() == ["interior", "false"]
+        _, _, err = run(capsys, *argv, "--format", "csv")
+        assert "interior=true" in err.splitlines()
 
     def test_coplanar_family_flagged_flat(self, capsys):
         code, out, _ = run(capsys, "sweep", "--geometry", "s2r", "--a2", "2,1,0",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodgeo import DomainError, Geometry, contains, metric_at, model_point, to_model
+from prodgeo.core import _metric
 from conftest import BOTH, random_point
 
 
@@ -67,6 +68,29 @@ class TestMetric:
             eigs = np.linalg.eigvalsh(g)
             assert np.all(eigs > 0)
             assert eigs.min() / eigs.max() > 1e-12
+
+    @BOTH
+    def test_matches_the_scalar_formula_bit_for_bit(self, kind, rng):
+        """``metric_at`` runs the array kernel ``core._metric``; its values are
+        those of the scalar formula the kernel replaced."""
+        def scalar_formula(p):
+            x, y, z = p
+            if kind is Geometry.S2R:
+                return np.eye(3) / (x * x + y * y + z * z)
+            q = x * x - y * y - z * z
+            g = np.array([
+                [x * x + y * y + z * z, -2.0 * x * y, -2.0 * x * z],
+                [-2.0 * x * y, x * x + y * y - z * z, 2.0 * y * z],
+                [-2.0 * x * z, 2.0 * y * z, x * x - y * y + z * z],
+            ])
+            return g / (q * q)
+
+        points = [random_point(kind, rng, tau_max=6.0) for _ in range(500)]
+        for p in points:
+            assert np.array_equal(metric_at(kind, p), scalar_formula(p))
+        batch = _metric(kind, *np.array(points).T)
+        assert batch.shape == (500, 3, 3)
+        assert np.array_equal(batch, [scalar_formula(p) for p in points])
 
 
 class TestIntrinsicChart:

@@ -204,6 +204,35 @@ class TestSampleCurve:
         for p in sample_curve(kind, g, 101):
             assert contains(kind, p)
 
+    @BOTH
+    def test_batch_matches_scalar_closed_form(self, kind, rng):
+        """The batch agrees with the closed form evaluated one point at a
+        time with ``math`` (the module docstring's formula)."""
+        trig = (math.cos, math.sin) if kind is Geometry.S2R else (math.cosh, math.sinh)
+        for _ in range(50):
+            g = random_params(kind, rng, tau_max=6.0)
+            batch = sample_curve(kind, g, 37)
+            for i, p in enumerate(batch):
+                tau = g.tau * i / 36
+                scale, w = math.exp(tau * math.sin(g.v)), tau * math.cos(g.v)
+                ref = scale * np.array([trig[0](w), trig[1](w) * math.cos(g.u),
+                                        trig[1](w) * math.sin(g.u)])
+                assert np.abs(p - ref).max() <= 1e-15 * np.linalg.norm(ref)
+                assert np.array_equal(p, geodesic_point(kind, (g.u, g.v, tau)))
+
+    @pytest.mark.parametrize("kind, g, first_bad", [(Geometry.H2R, (0, 0, 800), 800.0),
+                                                    (Geometry.S2R, (0, 1, 1000), 875.0),
+                                                    (Geometry.H2R, (0, 0.5, 700), 525.0),
+                                                    (Geometry.S2R, (0, -1.5, 800), 800.0)],
+                             ids=["h2r-cosh", "s2r-exp", "h2r-product", "s2r-underflow"])
+    def test_out_of_double_range_names_first_sample(self, kind, g, first_bad):
+        """Of the nine samples at equal steps in [0, tau], the error names
+        the first one out of double range."""
+        with pytest.raises(DomainError) as caught:
+            sample_curve(kind, g, 9)
+        u, v, _ = GeodesicParams.normalized(*g)
+        assert str(caught.value) == f"the geodesic point at ({u}, {v}, {first_bad}) is out of double range"
+
 
 class TestGeodesicStructure:
     @BOTH

@@ -16,10 +16,13 @@ from prodgeo import (
     geodesic_point,
     integrate_geodesic,
     integrate_geodesic_cartesian,
+    metric_at,
+    oracle,
     sample_curve,
 )
-from prodgeo.oracle import _initial_state, unit_speed_drift
-from conftest import BOTH, random_params
+from prodgeo.core import _metric
+from prodgeo.oracle import _christoffel, _initial_state, unit_speed_drift
+from conftest import BOTH, random_params, random_point
 
 PI = math.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -93,8 +96,8 @@ class TestUnitSpeedDrift:
 
 
 class TestCartesianIntegration:
-    """Chart-free second route: finite-difference Christoffel symbols of the
-    raw metric tensor, no intrinsic coordinates anywhere."""
+    """Chart-free second route: complex-step Christoffel symbols of the raw
+    metric tensor, no intrinsic coordinates anywhere."""
 
     @BOTH
     def test_endpoints_match_closed_form(self, kind, rng):
@@ -102,6 +105,60 @@ class TestCartesianIntegration:
             g = random_params(kind, rng, tau_max=2.0)
             end = integrate_geodesic_cartesian(kind, g)
             assert np.abs(end - geodesic_point(kind, g)).max() < 1e-6
+
+    def test_s2r_christoffel_match_conformal_closed_form(self, rng):
+        """g = e^(2 sigma) I with sigma = -log|p|, so Gamma^k_ij =
+        delta_ki d_j sigma + delta_kj d_i sigma - delta_ij d_k sigma."""
+        eye = np.eye(3)
+        for _ in range(200):
+            p = random_point(Geometry.S2R, rng, tau_max=6.0)
+            dsigma = -p / (p @ p)
+            expected = (np.einsum("ki,j->kij", eye, dsigma) + np.einsum("kj,i->kij", eye, dsigma)
+                        - np.einsum("ij,k->kij", eye, dsigma))
+            got = _christoffel(Geometry.S2R, p)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_h2r_christoffel_match_central_differences(self, rng):
+        h = 1e-6
+        for _ in range(200):
+            p = random_point(Geometry.H2R, rng, tau_max=2.0)
+            step = h * np.eye(3)
+            dg = (_metric(Geometry.H2R, *(p + step).T)
+                  - _metric(Geometry.H2R, *(p - step).T)) / (2.0 * h)  # dg[i, l, j] = d_i g_lj
+            lowered = 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg)
+            expected = np.einsum("kl,lij->kij",
+                                 np.linalg.inv(_metric(Geometry.H2R, *p)), lowered)
+            got = _christoffel(Geometry.H2R, p)
+            assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
+
+    def test_h2r_long_surface_arcs_are_cheap_and_exact(self, monkeypatch, rng):
+        """Surface arcs w = tau cos v in [1.6, 2], where central differences
+        of the metric let the step control run to thousands of evaluations:
+        endpoints within 1e-8 in at most 300 metric evaluations."""
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(1)
+            return _metric(*args)
+
+        monkeypatch.setattr(oracle, "_metric", counted)
+        draws = [GeodesicParams(0.3, 0.0, 2.0)] + [
+            GeodesicParams(rng.uniform(-PI, PI), sign * math.acos(w / 2.0), 2.0)
+            for w, sign in zip(np.linspace(1.6, 2.0, 6), [1, -1, 1, -1, 1, -1])]
+        for g in draws:
+            evaluations.clear()
+            end = integrate_geodesic_cartesian(Geometry.H2R, g)
+            assert np.abs(end - geodesic_point(Geometry.H2R, g)).max() <= 1e-8, g
+            assert 0 < len(evaluations) <= 300, g
+
+    def test_leaving_the_model_raises_domain_error(self, monkeypatch):
+        """The state point is checked on every evaluation: a step that leaves
+        the cone is a DomainError, not a NaN carried to the endpoint."""
+        push = np.zeros((3, 3, 3))
+        push[1] = -10.0 * np.eye(3)  # y'' = 10 |p'|^2 drives y past x = 1
+        monkeypatch.setattr(oracle, "_christoffel", lambda kind, p: push)
+        with pytest.raises(DomainError, match="is not in the h2r model"):
+            integrate_geodesic_cartesian(Geometry.H2R, (0.0, 0.0, 2.0))
 
 
 class TestQuadrature:
@@ -130,6 +187,36 @@ class TestQuadrature:
         bad = [np.array([1.0, 1.0, 0.0]), np.array([1.0, 3.0, 0.0])]
         with pytest.raises(DomainError):
             arc_length_quadrature(Geometry.H2R, bad)
+
+    def test_accepts_any_iterable_of_points(self):
+        pts = sample_curve(Geometry.H2R, (0.3, 0.2, 1.5), 50)
+        expected = arc_length_quadrature(Geometry.H2R, pts)
+        assert arc_length_quadrature(Geometry.H2R, (p for p in pts)) == expected
+        assert arc_length_quadrature(Geometry.H2R, [tuple(p) for p in pts]) == expected
+
+    @pytest.mark.parametrize("curve", [[(1.0, 0.0), (2.0, 0.0)],
+                                       [(1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0)]],
+                             ids=["two", "four"])
+    def test_rejects_points_without_three_coordinates(self, curve):
+        with pytest.raises(DomainError, match="3 coordinates"):
+            arc_length_quadrature(Geometry.H2R, curve)
+
+    def test_first_midpoint_outside_is_named(self):
+        curve = [(2.0, 0.0, 0.0), (2.0, 0.5, 0.0), (1.0, 3.0, 0.0), (1.0, 4.0, 0.0)]
+        with pytest.raises(DomainError) as caught:
+            arc_length_quadrature(Geometry.H2R, curve)
+        assert str(caught.value) == "point (1.5, 1.75, 0.0) is not in the h2r model"
+
+    @BOTH
+    def test_batch_equals_sequential_sum(self, kind, rng):
+        for _ in range(20):
+            g = random_params(kind, rng, tau_max=2.0)
+            pts = sample_curve(kind, g, 200)
+            sequential = 0.0
+            for a, b in zip(pts[:-1], pts[1:]):
+                delta = b - a
+                sequential += math.sqrt(delta @ metric_at(kind, 0.5 * (a + b)) @ delta)
+            assert arc_length_quadrature(kind, pts) == pytest.approx(sequential, rel=1e-13)
 
     @BOTH
     def test_converges_to_tau(self, kind, rng):

@@ -135,6 +135,44 @@ class TestExtremum:
         assert result.s_extremum <= result.series[:, 1].min()
 
     @BOTH
+    def test_reference_extremum_is_interior(self, kind):
+        assert evaluate(family_spec(kind)).interior is True
+
+    @BOTH
+    def test_extremum_at_the_range_edge_is_not_interior(self, kind):
+        # both reference extrema lie below t = 1: on [1, 5] the best value
+        # sits at t_min
+        a2, ray, _, _ = SWEEP_FAMILIES[kind]
+        result = evaluate(SweepSpec(kind, a2, ray, t_min=1.0, t_max=5.0))
+        assert result.interior is False
+        assert result.t_extremum == pytest.approx(1.0, abs=1e-6)
+
+    def test_near_pi_family_decreasing_to_t_max_is_not_interior(self):
+        # S falls toward t_max by about one ulp per zoom sample, so rounding
+        # noise pulls the bracket off t_max; S there is no better than S(t_max)
+        spec = SweepSpec(Geometry.H2R,
+                         (2.5625014134049335, -0.0014051628653388457, -0.0003990605362192628),
+                         (1.0093309399551296, -0.13544319447740702, -0.06744705404147841))
+        result = evaluate(spec)
+        assert np.argmin(result.series[:, 1]) == spec.samples - 1
+        assert result.interior is False
+
+    @pytest.mark.parametrize("kind, ray", [(Geometry.S2R, (1.2, 0.8, -0.5)),
+                                           (Geometry.H2R, (1.5, 0.6, -0.4))],
+                             ids=["s2r", "h2r"])
+    def test_needle_family_interior_only_around_its_extremum(self, kind, ray):
+        # a2 is 1.1e-7 from the base point, so every triangle has a short
+        # side and S(t) - pi is about 1e-8: the ill-conditioned end of the
+        # kernel; the extremum sits near t = 0.7
+        a2 = (1.0, 1e-7, 5e-8)
+        assert evaluate(SweepSpec(kind, a2, ray)).interior is True
+        assert evaluate(SweepSpec(kind, a2, ray, t_max=0.2)).interior is False
+        assert evaluate(SweepSpec(kind, a2, ray, t_min=2.0)).interior is False
+
+    def test_flat_family_is_not_interior(self):
+        assert evaluate(SweepSpec(Geometry.S2R, (2, 1, 0), (5, -1, 0), samples=16)).interior is False
+
+    @BOTH
     def test_series_agrees_with_angle_sum_at(self, kind):
         spec = family_spec(kind, samples=16)
         for t, s in evaluate(spec).series[::5]:
