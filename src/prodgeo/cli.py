@@ -38,7 +38,7 @@ from .exceptions import DegenerateError, DomainError, GeometryError
 from .geodesics import GeodesicParams, geodesic_params, sample_curve
 from .sweep import SweepSpec, evaluate
 from .tolerances import DEFAULT
-from .triangles import _classify_total, angle_sum, coplanar_with_center, geodesic_triangle
+from .triangles import angle_sum, classify, coplanar_with_center, geodesic_triangle
 from .verification import run_all
 
 SCHEMA = "v1"
@@ -114,7 +114,7 @@ def cmd_triangle(args) -> int:
                             _parse_point(args.a3))
     angles = angle_sum(tri)
     fields, cells = _angle_fields(angles, prec)
-    klass = _classify_total(tri, angles.total).value
+    klass = classify(tri).value
     coplanar = coplanar_with_center(tri)
     _render(args, {"schema": SCHEMA, "kind": kind.value, **fields, "class": klass,
                    "coplanar_with_center": coplanar},

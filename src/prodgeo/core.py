@@ -126,6 +126,24 @@ def _guard_members(kind: Geometry, points: np.ndarray) -> None:
         raise _not_member(kind, points[np.argmin(inside)])
 
 
+def _split(kind: Geometry, p):
+    """Fibre height and surface point (as its three components) of model
+    points, (3,) or (N, 3), from hypot-scaled norms: no square overflows."""
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    if kind is Geometry.S2R:
+        norm = np.hypot(np.hypot(x, y), z)
+        inside = (norm > 0.0) & (norm < math.inf)
+    else:
+        r = np.hypot(y, z)
+        inside = (x > r) & (x < math.inf)
+    if not inside.all():
+        raise _not_member(kind, p if p.ndim == 1 else p[np.argmin(inside)])
+    if kind is Geometry.H2R:
+        # sqrt(Q) as sqrt(x - r) sqrt(x + r): no cancellation, no overflow
+        norm = np.sqrt(x - r) * np.sqrt(x + r)
+    return np.log(norm), (x / norm, y / norm, z / norm)
+
+
 def require_member(kind: Geometry, p: np.ndarray) -> np.ndarray:
     """Validate membership, returning the point; raise DomainError otherwise."""
     p = model_point(p)

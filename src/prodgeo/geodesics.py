@@ -32,9 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, fibre_norm_sq, model_point, require_member
+from .core import Geometry, _guard_member, _split, fibre_norm_sq, model_point, require_member
 from .exceptions import DomainError, PrecondError
-from .isometries import _to_origin, apply_isometry
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -132,12 +131,14 @@ def _geodesic_params(kind: Geometry, p: np.ndarray) -> GeodesicParams:
     point may be an image under a normaliser that rounding left outside."""
     _guard_member(kind, p)
     x, y, z = p
-    q = fibre_norm_sq(kind, p)
-    length = 0.5 * math.log(q)
     spread = math.hypot(y, z)
     if kind is Geometry.S2R:
+        # log of a hypot-scaled norm: x^2 + y^2 + z^2 overflows from 1e154
+        length = math.log(math.hypot(math.hypot(x, y), z))
         w = math.atan2(spread, x)
     else:
+        q = fibre_norm_sq(kind, p)
+        length = 0.5 * math.log(q)
         w = math.asinh(spread / math.sqrt(q))
     if w == 0.0:
         if length == 0.0:
@@ -166,18 +167,43 @@ def tangent_of(g) -> np.ndarray:
 
 
 def distance(kind: Geometry, p1, p2) -> float:
-    """Arc length of the shortest geodesic between two model points.
-
-    ``p1`` is moved to the base point by its normalising isometry, after
-    which the arc length to the image of ``p2`` is read off the inverse
-    problem.  Symmetric to well below 1e-9.
-    """
+    """Arc length of the shortest geodesic between two model points:
+    hypot(f2 - f1, d), with f the fibre heights and d the surface distance
+    (``_surface_arc``); d = pi between antipodal S2xR surface points."""
     p1 = require_member(kind, p1)
     p2 = require_member(kind, p2)
-    image = apply_isometry(_to_origin(kind, p1), p2)
-    if np.array_equal(image, BASE_POINT):
+    if np.array_equal(p1, p2):
         return 0.0
-    return _geodesic_params(kind, image).tau
+    f1, s1 = _split(kind, p1)
+    f2, s2 = _split(kind, p2)
+    return float(np.hypot(f2 - f1, _surface_arc(kind, s1, s2)[3]))
+
+
+def _tangent_sq(kind: Geometry, s, v):
+    """Squared length of the surface tangent vector ``v`` at the surface point ``s``.
+
+    On the hyperboloid the Minkowski length of v, orthogonal to s, is
+    (vy^2 + vz^2 + (sy vz - sz vy)^2) / sx^2: a sum of squares, so it cannot
+    cancel to a negative value.
+    """
+    vx, vy, vz = v
+    if kind is Geometry.S2R:
+        return vx * vx + vy * vy + vz * vz
+    sx, sy, sz = s
+    twist = sy * vz - sz * vy
+    return (vy * vy + vz * vz + twist * twist) / (sx * sx)
+
+
+def _surface_arc(kind: Geometry, sa, sb):
+    """cos (cosh) of the surface arc from s_A to s_B, its tangent at s_A,
+    s_B - <s_A, s_B> s_A, of length sin (sinh), that length and the arc
+    length; <, > is the Euclidean (Minkowski x^2 - y^2 - z^2) form."""
+    sign = 1.0 if kind is Geometry.S2R else -1.0
+    cos = sa[0] * sb[0] + sign * (sa[1] * sb[1] + sa[2] * sb[2])
+    at_a = tuple(b - cos * a for a, b in zip(sa, sb))
+    sin_a = np.sqrt(_tangent_sq(kind, sa, at_a))
+    dist = np.arctan2(sin_a, cos) if kind is Geometry.S2R else np.arcsinh(sin_a)
+    return cos, at_a, sin_a, dist
 
 
 def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:

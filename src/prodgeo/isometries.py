@@ -18,8 +18,10 @@ The normaliser of a point A is composed of four factors, applied in order:
     R_x^-1   undoing the first rotation, so that the geodesic from the
              base point to A and its image stay in one Euclidean plane.
 
-Closed-form images of the three triangle vertices under such a normaliser
-are provided as independent cross-checks of the matrix pipeline
+These matrices are the paper's method, kept as the reproduced method and
+cross-check only: triangles, angles and distances are computed without
+them.  Closed-form images of the three triangle vertices under such a
+normaliser are provided as independent cross-checks of the matrix pipeline
 (``reference_image_*``); they are hand-derived from the factorisation and
 agree with the composed matrices to machine precision.
 """

@@ -116,14 +116,14 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     however close to pi it stays.  Otherwise refinement is a batched
     bracket zoom on the grid cells around the best sample (see ``_zoom``),
     to a bracket width of 1e-7.  The extremum is interior when S there
-    beats S at both ends of the range by more than ``sweep_resolution``.
-    When the best sample is an end of the range the zoom keeps that end in
-    its bracket, and S at the bracket's midpoint is no better than at the
-    end; where S is monotone toward the end to within rounding, noise can
-    pull the bracket off the end.  On ranges cut to one side of the
-    extremum, of random, near-axis, near-coplanar and needle families (a2
-    within 1e-7 to 1e-2 of the base point), S at the zoom's result beat the
-    best end by at most 8.9e-16, a tenth of the resolution.
+    beats S at both ends of the range by more than ``sweep_resolution``;
+    otherwise the result is the better end of the range and S there.
+    Where S is monotone toward an end to within rounding, noise can pull
+    the zoom's bracket off that end, so its midpoint is not reported.  On
+    ranges cut to one side of the extremum, of random, near-axis,
+    near-coplanar and needle families (a2 within 1e-7 to 1e-2 of the base
+    point), S at the zoom's result beat the best end by at most 8.9e-16, a
+    tenth of the resolution.
     """
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
     points = grid[:, None] * spec.ray
@@ -139,8 +139,12 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     maximise = spec.kind is Geometry.S2R
     t0, s0 = _zoom(spec, *_bracket(grid, sums, maximise), maximise)
     margin = s0 - max(sums[0], sums[-1]) if maximise else min(sums[0], sums[-1]) - s0
+    interior = bool(margin > DEFAULT.sweep_resolution)
+    if not interior:
+        end = -1 if (sums[-1] > sums[0]) == maximise else 0
+        t0, s0 = float(grid[end]), float(sums[end])
     kind = ExtremumKind.MAXIMUM if maximise else ExtremumKind.MINIMUM
-    return SweepResult(series, t0, s0, kind, bool(margin > DEFAULT.sweep_resolution), spec)
+    return SweepResult(series, t0, s0, kind, interior, spec)
 
 
 def limits_check(spec: SweepSpec, t_far: float = 1e3) -> tuple[float, float]:

@@ -1,8 +1,10 @@
 """Geodesic triangles: interior angles, angle sums and their trichotomy.
 
 A triangle is normalised on construction so its first vertex sits at the
-base point.  Its angles come from the product structure of the geometry:
-a point splits into a fibre height f and a point s on the surface factor,
+base point, by the closed form of the paper's normaliser (``_normalise``),
+and computes its angles once, on first use.  The angles come from the
+product structure of the geometry: a point splits into a fibre height f and
+a point s on the surface factor,
 
     S2xR :  f = log |p|,     s = p / |p|,
     H2xR :  f = log sqrt(Q), s = p / sqrt(Q),  Q = (x - r)(x + r), r = hypot(y, z),
@@ -35,13 +37,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, _not_member, require_member
+from .core import BASE_POINT, Geometry, _guard_member, _split, require_member
 from .exceptions import ConsistencyError, DegenerateError
-from .geodesics import _geodesic_params, tangent_of
+from .geodesics import _geodesic_params, _surface_arc, _tangent_sq, tangent_of
 from .isometries import _to_origin, apply_isometry
 from .tolerances import DEFAULT
 
@@ -61,16 +64,31 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTriangle:
-    """Vertices of a geodesic triangle, with a1 at the base point."""
+    """Vertices of a geodesic triangle, with a1 at the base point: read-only
+    copies, so its angles and coplanarity, computed once, cannot go stale."""
 
     kind: Geometry
     a1: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
 
+    def __post_init__(self):
+        for name in ("a1", "a2", "a3"):
+            vertex = np.array(getattr(self, name), dtype=float)
+            vertex.flags.writeable = False
+            object.__setattr__(self, name, vertex)
+
     @property
     def vertices(self):
         return self.a1, self.a2, self.a3
+
+    @cached_property
+    def _angles(self) -> TriangleAngles:
+        return TriangleAngles(*map(float, _angle_sums(self.kind, *self.vertices)))
+
+    @cached_property
+    def _is_coplanar(self) -> bool:
+        return _coplanar(*self.vertices)
 
 
 class TriangleAngles(NamedTuple):
@@ -88,7 +106,7 @@ class TriangleClass(enum.Enum):
 
 def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
     """Build a triangle, normalising all vertices by the isometry that
-    carries ``a1`` to the base point.
+    carries ``a1`` to the base point (the closed form ``_normalise``).
 
     Raises DegenerateError when two vertices coincide after normalisation.
     """
@@ -97,11 +115,32 @@ def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
 
 def _geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
     """``geodesic_triangle`` of vertices already known to be model points."""
-    move = _to_origin(kind, a1)
-    b2 = apply_isometry(move, a2)
-    b3 = apply_isometry(move, a3)
+    b2, b3 = _normalise(kind, a1, np.array([a2, a3]))
     _require_distinct(BASE_POINT, b2, b3)
-    return GeodesicTriangle(kind, BASE_POINT.copy(), b2, b3)
+    return GeodesicTriangle(kind, BASE_POINT, b2, b3)
+
+
+def _normalise(kind: Geometry, a, points):
+    """Images of the (N, 3) ``points`` under the normaliser of ``a``, the
+    linear map of ``to_origin`` in closed form.  With n = (y, z) / r,
+    r = hypot(y, z) ((1, 0) if r = 0), and (c, s) = (x, r) / |a| (norms of
+    ``_split``), components along e_x and n go to c p_x + sigma s p_n and
+    c p_n - s p_x (sigma = +1 on S2xR, -1 on H2xR), the rest stays, and all
+    is divided by |a|: the identity at the base point, bit for bit."""
+    x, y, z = a
+    r = math.hypot(y, z)
+    ny, nz = (y / r, z / r) if r > 0.0 else (1.0, 0.0)
+    if kind is Geometry.S2R:
+        norm, sigma = math.hypot(x, r), 1.0
+    else:
+        norm, sigma = math.sqrt(x - r) * math.sqrt(x + r), -1.0
+    c, s = x / norm, r / norm
+    twist = (c - 1.0) * ny * nz
+    # row i holds the image of e_i, as points are rows
+    move = np.array([[c, -s * ny, -s * nz],
+                     [sigma * s * ny, c * ny * ny + nz * nz, twist],
+                     [sigma * s * nz, twist, c * nz * nz + ny * ny]])
+    return points @ move / norm
 
 
 def _require_distinct(a1, a2, a3) -> None:
@@ -173,7 +212,7 @@ def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:
     Raises DegenerateError for an S2xR side on the cut locus and DomainError
     for a vertex that rounding left outside the model.
     """
-    return TriangleAngles(*map(float, _angle_sums(tri.kind, *tri.vertices)))
+    return tri._angles
 
 
 def _angle_sums(kind: Geometry, a1, a2, a3) -> TriangleAngles:
@@ -196,60 +235,17 @@ def _angle_sums(kind: Geometry, a1, a2, a3) -> TriangleAngles:
     return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
 
 
-def _split(kind: Geometry, p):
-    """Fibre height and surface point (as its three components) of model points."""
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    if kind is Geometry.S2R:
-        norm = np.hypot(np.hypot(x, y), z)
-        inside = (norm > 0.0) & (norm < math.inf)
-    else:
-        r = np.hypot(y, z)
-        inside = (x > r) & (x < math.inf)
-    if not inside.all():
-        raise _not_member(kind, p if p.ndim == 1 else p[np.argmin(inside)])
-    if kind is Geometry.H2R:
-        # sqrt(Q) as sqrt(x - r) sqrt(x + r): no cancellation, no overflow
-        norm = np.sqrt(x - r) * np.sqrt(x + r)
-    return np.log(norm), (x / norm, y / norm, z / norm)
-
-
-def _tangent_sq(kind: Geometry, s, v):
-    """Squared length of the surface tangent vector ``v`` at the surface point ``s``.
-
-    On the hyperboloid the Minkowski length of v, orthogonal to s, is
-    (vy^2 + vz^2 + (sy vz - sz vy)^2) / sx^2: a sum of squares, so it cannot
-    cancel to a negative value.
-    """
-    vx, vy, vz = v
-    if kind is Geometry.S2R:
-        return vx * vx + vy * vy + vz * vz
-    sx, sy, sz = s
-    twist = sy * vz - sz * vy
-    return (vy * vy + vz * vz + twist * twist) / (sx * sx)
-
-
 #: smallest positive double: the divisor floor of a side's zero surface part
 _TINY = np.finfo(float).tiny
 
 def _side_tangents(kind: Geometry, fa, sa, fb, sb):
-    """Unit tangents (fibre, x, y, z) at A toward B and at B toward A.
-
-    The surface tangent at s_A toward s_B is s_B - <s_A, s_B> s_A, whose
-    length is sin (sinh) of the surface distance; <, > is the Euclidean
-    (Minkowski x^2 - y^2 - z^2) form.
-    """
-    sign = 1.0 if kind is Geometry.S2R else -1.0
-    cos = sa[0] * sb[0] + sign * (sa[1] * sb[1] + sa[2] * sb[2])
-    at_a = tuple(b - cos * a for a, b in zip(sa, sb))
+    """Unit tangents (fibre, x, y, z) at A toward B and at B toward A, from
+    the surface arc of ``_surface_arc`` and its mirror image at s_B."""
+    cos, at_a, sin_a, dist = _surface_arc(kind, sa, sb)
+    if kind is Geometry.S2R and ((cos < 0.0) & (sin_a <= DEFAULT.cut_locus)).any():
+        raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
     at_b = tuple(a - cos * b for a, b in zip(sa, sb))
-    sin_a = np.sqrt(_tangent_sq(kind, sa, at_a))
     sin_b = np.sqrt(_tangent_sq(kind, sb, at_b))
-    if kind is Geometry.S2R:
-        if ((cos < 0.0) & (sin_a <= DEFAULT.cut_locus)).any():
-            raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
-        dist = np.arctan2(sin_a, cos)
-    else:
-        dist = np.arcsinh(sin_a)
     rise = fb - fa
     length = np.hypot(rise, dist)
     # a side along the fibre has sin = dist = 0 and no surface part; adding
@@ -273,7 +269,7 @@ def coplanar_with_center(tri: GeodesicTriangle) -> bool:
     E0 is the Cartesian origin, so the test is the vanishing of the triple
     product of the vertex position vectors, relative to their norms.
     """
-    return _coplanar(*tri.vertices)
+    return tri._is_coplanar
 
 
 def _coplanar(a1, a2, a3) -> bool:
@@ -290,7 +286,7 @@ def encloses_center(tri: GeodesicTriangle) -> bool:
     Only possible in S2xR: H2xR vertices all have x > 0 so their hull
     misses the origin.
     """
-    if not coplanar_with_center(tri):
+    if not tri._is_coplanar:
         return False
     a1, a2, a3 = tri.vertices
     # barycentric solve of 0 = l1 a1 + l2 a2 + l3 a3, sum(l) = 1
@@ -310,13 +306,9 @@ def classify(tri: GeodesicTriangle) -> TriangleClass:
     computed sum must agree with the class, else ConsistencyError (an
     implementation bug, never suppressed).
     """
-    return _classify_total(tri, angle_sum(tri).total)
-
-
-def _classify_total(tri: GeodesicTriangle, total: float) -> TriangleClass:
-    """``classify`` with the triangle's angle sum ``total`` already known."""
+    total = angle_sum(tri).total
     tol = DEFAULT.angle_sum
-    if coplanar_with_center(tri) and not encloses_center(tri):
+    if tri._is_coplanar and not encloses_center(tri):
         if abs(total - math.pi) > tol:
             raise ConsistencyError(
                 f"coplanar triangle has angle sum {total}, expected pi"

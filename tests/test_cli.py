@@ -47,6 +47,22 @@ class TestTriangle:
                              "--a3", a3)
             assert (code, len(calls)) == (0, 1)
 
+    def test_coplanarity_tested_once(self, capsys, monkeypatch):
+        from prodgeo import triangles
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return test(*args)
+
+        test = triangles._coplanar
+        monkeypatch.setattr(triangles, "_coplanar", counted)
+        for a3 in ("2,1,0", "1,-3,0"):
+            calls.clear()
+            code, _, _ = run(capsys, "triangle", "--geometry", "s2r", "--a2", "3,-2,1",
+                             "--a3", a3, "--format", "json")
+            assert (code, len(calls)) == (0, 1)
+
     def test_coplanar_prints_pi_and_equal(self, capsys):
         code, out, _ = run(capsys, "triangle", "--geometry", "s2r",
                            "--a2", "2,1,0", "--a3", "1,-3,0")

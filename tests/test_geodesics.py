@@ -150,6 +150,15 @@ class TestTangent:
         assert abs(np.linalg.norm(tangent_of((u, v, 1.0))) - 1.0) < 1e-12
 
 
+class TestInverseScale:
+    # membership still squares the coordinates, and warns of the overflow
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_s2r_params_of_a_huge_point(self):
+        g = geodesic_params(Geometry.S2R, (1e200, 1, 0))
+        assert g.tau == pytest.approx(math.log(1e200), rel=1e-12)
+        assert g.v == pytest.approx(PI / 2, abs=1e-12)
+
+
 class TestDistance:
     def test_fibre_translation_distance(self):
         for kind in Geometry:
@@ -164,6 +173,18 @@ class TestDistance:
         for _ in range(20):
             p = random_point(kind, rng)
             assert distance(kind, p, p) < 1e-12
+
+    @BOTH
+    def test_self_distance_is_exactly_zero(self, kind, rng):
+        for _ in range(20):
+            p = random_point(kind, rng)
+            assert distance(kind, p, p.copy()) == 0.0
+
+    def test_s2r_cut_locus_distance(self):
+        # antipodal surface points: the shortest geodesic is not unique,
+        # its length is
+        d = distance(Geometry.S2R, (1, 0, 0), (-2, 0, 0))
+        assert d == pytest.approx(math.hypot(math.log(2.0), PI), rel=1e-15)
 
     @BOTH
     def test_symmetry(self, kind, rng):

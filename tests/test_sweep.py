@@ -157,6 +157,16 @@ class TestExtremum:
         assert np.argmin(result.series[:, 1]) == spec.samples - 1
         assert result.interior is False
 
+    def test_edge_extremum_is_reported_at_the_range_end(self):
+        # the near-pi family above: the best grid value is S(t_max), and the
+        # zoom's rounding noise does not move the reported extremum off it
+        spec = SweepSpec(Geometry.H2R,
+                         (2.5625014134049335, -0.0014051628653388457, -0.0003990605362192628),
+                         (1.0093309399551296, -0.13544319447740702, -0.06744705404147841))
+        result = evaluate(spec)
+        assert result.t_extremum == 5.0
+        assert result.s_extremum == result.series[-1, 1]
+
     @pytest.mark.parametrize("kind, ray", [(Geometry.S2R, (1.2, 0.8, -0.5)),
                                            (Geometry.H2R, (1.5, 0.6, -0.4))],
                              ids=["s2r", "h2r"])

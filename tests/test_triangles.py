@@ -24,7 +24,9 @@ from prodgeo import (
     vertex_angle,
 )
 from prodgeo.reference import TABLE_ROWS
-from prodgeo.triangles import _angle_sums
+from prodgeo import isometries, triangles
+from prodgeo.isometries import _to_origin
+from prodgeo.triangles import _angle_sums, _normalise
 from conftest import BOTH, random_point
 
 PI = math.pi
@@ -340,3 +342,83 @@ class TestProductKernel:
             move = to_origin(kind, a[0])
             moved = np.array(_angle_sums(kind, *(apply_isometry(move, p) for p in a)))
             assert np.abs(moved - single).max() <= 1e-10
+
+
+class TestClosedFormNormaliser:
+    """``_normalise`` against the paper's matrix normaliser."""
+
+    @BOTH
+    def test_matches_matrix_normaliser(self, kind, rng):
+        for _ in range(500):
+            a, p = random_point(kind, rng), random_point(kind, rng)
+            ref = apply_isometry(_to_origin(kind, a), p)
+            got = _normalise(kind, a, p[None])[0]
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @BOTH
+    def test_identity_at_the_base_point(self, kind, rng):
+        points = np.array([random_point(kind, rng) for _ in range(50)])
+        assert np.array_equal(_normalise(kind, BASE_POINT, points), points)
+
+    # membership still squares the coordinates, and warns of the overflow
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-150])
+    def test_s2r_angle_sum_is_scale_invariant(self, scale):
+        a1, a2, a3 = (np.array(v, dtype=float) for v in ((3, -2, 1), (2, 1, 0), (1, 1, 1)))
+        unit = angle_sum(geodesic_triangle(Geometry.S2R, a1, a2, a3)).total
+        scaled = geodesic_triangle(Geometry.S2R, scale * a1, scale * a2, scale * a3)
+        assert angle_sum(scaled).total == pytest.approx(unit, abs=1e-12)
+
+    @BOTH
+    def test_construction_uses_no_matrix(self, kind, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("matrix normaliser called")
+
+        for module in (isometries, triangles):
+            monkeypatch.setattr(module, "_to_origin", refuse)
+            monkeypatch.setattr(module, "apply_isometry", refuse)
+        for _ in range(20):
+            tri = geodesic_triangle(kind, *(random_point(kind, rng) for _ in range(3)))
+            angle_sum(tri)
+
+
+class TestComputedOnce:
+    """A triangle's angles and coplanarity are computed once, on first use."""
+
+    def test_angle_sum_then_classify_runs_the_kernel_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        kernel = triangles._angle_sums
+        monkeypatch.setattr(triangles, "_angle_sums", counted)
+        tri = tri_s2r((3, -2, 1), (2, 1, 0))
+        total = angle_sum(tri).total
+        assert classify(tri) is TriangleClass.SUM_ABOVE_PI
+        assert angle_sum(tri).total == total
+        assert len(calls) == 1
+
+    def test_classify_of_a_coplanar_triangle_tests_coplanarity_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return test(*args)
+
+        test = triangles._coplanar
+        monkeypatch.setattr(triangles, "_coplanar", counted)
+        tri = tri_s2r((2, 1, 0), (1, -3, 0))
+        assert classify(tri) is TriangleClass.SUM_EQUALS_PI
+        assert coplanar_with_center(tri) and not encloses_center(tri)
+        assert len(calls) == 1
+
+    def test_vertices_are_read_only(self):
+        a2 = np.array([3.0, -2.0, 1.0])
+        tri = tri_s2r(a2, (2, 1, 0))
+        for vertex in tri.vertices:
+            with pytest.raises(ValueError):
+                vertex[0] = 5.0
+        a2[0] = 5.0  # the caller's array stays writable and apart
+        assert tri.a2[0] != 5.0
