@@ -1,9 +1,10 @@
 """Independent verification: nothing here trusts the closed forms.
 
 The geodesic equations are integrated numerically, in the intrinsic charts
-and (chart-free) in Cartesian coordinates with Christoffel symbols from a
-complex-step derivative of the raw metric tensor, and arc lengths are
-measured by quadrature of the raw metric.  Agreement with the closed-form spirals is the evidence that they
+and (chart-free) in Cartesian coordinates, where the acceleration
+-Gamma(x', x') is contracted directly from a complex-step derivative of the
+raw metric tensor, and arc lengths are measured by quadrature of the raw
+metric.  Agreement with the closed-form spirals is the evidence that they
 really are the unit-speed geodesics of the two ambient metrics.
 """
 
@@ -23,9 +24,12 @@ g = GeodesicParams(u=0.7, v=0.35, tau=1.8)
 
 for kind in Geometry:
     closed = geodesic_point(kind, g)
-    intrinsic = integrate_geodesic(kind, g, steps=200)[-1]
+    samples = integrate_geodesic(kind, g, steps=200)  # a (200, 3) array of model points
+    intrinsic = samples[-1]
     cartesian = integrate_geodesic_cartesian(kind, g)
     print(f"--- {kind.value}, params (u, v, tau) = (0.7, 0.35, 1.8)")
+    print(f"  arc length of the {len(samples)} intrinsic samples by quadrature: "
+          f"{arc_length_quadrature(kind, samples):.6f} (tau = {g.tau})")
     print(f"  closed form          : {np.round(closed, 10)}")
     print(f"  intrinsic-chart ODE  : {np.round(intrinsic, 10)}")
     print(f"  cartesian-chart ODE  : {np.round(cartesian, 10)}")

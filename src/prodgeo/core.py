@@ -194,12 +194,12 @@ def _metric(kind: Geometry, x, y, z) -> np.ndarray:
         entries = [(xx + yy + zz) / qq, xy, xz,
                    xy, (xx + yy - zz) / qq, yz,
                    xz, yz, (xx - yy + zz) / qq]
-    g = np.stack(entries, axis=-1)
-    return g.reshape(g.shape[:-1] + (3, 3))
+    g = np.array(entries)  # (9, ...): one copy, no per-entry stacking
+    return g.reshape((3, 3) + g.shape[1:]).transpose(tuple(range(2, g.ndim + 1)) + (0, 1))
 
 
-def to_model(kind: Geometry, t: float, c1: float, c2: float) -> np.ndarray:
-    """Map intrinsic coordinates to a Cartesian model point.
+def to_model(kind: Geometry, t, c1, c2) -> np.ndarray:
+    """Map intrinsic coordinates to Cartesian model points.
 
     For S2xR the intrinsic coordinates are geographic, (t, phi, theta) with
     phi in (-pi, pi] and theta in [-pi/2, pi/2]:
@@ -211,19 +211,14 @@ def to_model(kind: Geometry, t: float, c1: float, c2: float) -> np.ndarray:
 
         (x, y, z) = e^t (cosh r, sinh r cos alpha, sinh r sin alpha)
 
-    The image always satisfies ``contains``.
+    Floats give one (3,) point; arrays of one shape (...) give points of
+    shape (..., 3).  The image always satisfies ``contains``.
     """
-    s = math.exp(t)
-    if kind is Geometry.S2R:
-        phi, theta = c1, c2
-        return s * np.array([
-            math.cos(phi) * math.cos(theta),
-            math.sin(phi) * math.cos(theta),
-            math.sin(theta),
-        ])
-    r, alpha = c1, c2
-    return s * np.array([
-        math.cosh(r),
-        math.sinh(r) * math.cos(alpha),
-        math.sinh(r) * math.sin(alpha),
-    ])
+    s = np.exp(t)
+    if kind is Geometry.S2R:  # c1, c2 = phi, theta
+        cos_theta = np.cos(c2)
+        coords = (np.cos(c1) * cos_theta, np.sin(c1) * cos_theta, np.sin(c2))
+    else:  # c1, c2 = r, alpha
+        sinh_r = np.sinh(c1)
+        coords = (np.cosh(c1), sinh_r * np.cos(c2), sinh_r * np.sin(c2))
+    return np.stack([s * c for c in coords], axis=-1)

@@ -78,33 +78,39 @@ def geodesic_point(kind: Geometry, g) -> np.ndarray:
     DomainError where a coordinate overflows double precision or the point
     underflows to the centre.
     """
-    u, v, tau = GeodesicParams.normalized(*g)
-    return _points(kind, u, v, np.array([tau]))[0]
+    return _endpoints(kind, [g])[0]
 
 
-def _points(kind: Geometry, u: float, v: float, taus: np.ndarray) -> np.ndarray:
-    """The closed form at the arc lengths ``taus`` of the geodesic with
-    normalised direction (u, v), as a (len(taus), 3) array.
+def _endpoints(kind: Geometry, params) -> np.ndarray:
+    """``geodesic_point`` of a sequence of parameter triples, as one (n, 3) array."""
+    u, v, tau = np.array([GeodesicParams.normalized(*g) for g in params]).reshape(-1, 3).T
+    return _points(kind, u, v, tau)
 
-    Raises DomainError at the first tau where a coordinate overflows double
+
+def _points(kind: Geometry, u, v, taus: np.ndarray) -> np.ndarray:
+    """The closed form at the arc lengths ``taus`` along normalised
+    directions (u, v), as a (len(taus), 3) array; u and v are floats (one
+    geodesic) or arrays like ``taus`` (one geodesic per row).
+
+    Raises DomainError at the first row where a coordinate overflows double
     precision or the point underflows to the centre.
     """
-    w = taus * math.cos(v)
+    w = taus * np.cos(v)
     points = np.empty((len(taus), 3))
     with np.errstate(all="ignore"):
-        scale = np.exp(taus * math.sin(v))
+        scale = np.exp(taus * np.sin(v))
         if kind is Geometry.S2R:
             along, across = np.cos(w), np.sin(w)
         else:
             along, across = np.cosh(w), np.sinh(w)
         points[:, 0] = scale * along
-        points[:, 1] = scale * (across * math.cos(u))
-        points[:, 2] = scale * (across * math.sin(u))
+        points[:, 1] = scale * (across * np.cos(u))
+        points[:, 2] = scale * (across * np.sin(u))
         size = np.abs(points).max(axis=1)
     # NaN (inf * 0) fails both comparisons
     bad = ~((size > 0.0) & (size < math.inf))
     if bad.any():
-        raise _out_of_range(u, v, taus[np.argmax(bad)].item())
+        raise _out_of_range(*(c[np.argmax(bad)].item() for c in np.broadcast_arrays(u, v, taus)))
     return points
 
 

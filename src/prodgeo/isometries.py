@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, fibre_norm_sq, require_member
+from .core import Geometry, _guard_member, fibre_norm_sq, require_member
 from .exceptions import DegenerateError, PrecondError
 from .tolerances import DEFAULT
 

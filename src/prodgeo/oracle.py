@@ -47,15 +47,17 @@ alpha' = 0 annihilates the singular product.
 
 A second, chart-free route (``integrate_geodesic_cartesian``) integrates
 x'' = -Gamma(x)(x', x') in the Cartesian chart, using no coordinate tricks
-at all.  Its Christoffel symbols come from the metric tensor by the complex
+at all.  The metric's derivatives come from the metric tensor by the complex
 step: for an analytic f, f'(x) = Im f(x + ih) / h + O(h^2), and since
 nothing is subtracted there is no cancellation, so h = 1e-20 gives the
 derivative to rounding (Squire & Trapp, SIAM Review 40, 1998; Martins,
 Sturdza & Alonso, ACM TOMS 29, 2003).  Central differences would carry
 rounding noise of about eps |p| / h (7e-10 at h = 1e-6), above the
 integrator's rtol of 1e-10, and its step control would then run to
-thousands of evaluations on long H2xR arcs.  The complex step needs a metric formula that is analytic in
-each coordinate, which is why ``core._metric`` uses only + - * /.
+thousands of evaluations on long H2xR arcs.  The derivatives are contracted
+with the velocity at once, so no Gamma tensor is formed: one complex metric
+evaluation and one 3x3 solve per step.  The complex step needs a metric
+formula analytic in each coordinate, hence only + - * / in ``core._metric``.
 
 The quadrature checks every segment midpoint and evaluates the metric at
 all of them in one call.
@@ -107,15 +109,15 @@ def _rhs_h2r(_tau, state):
     return [dt, dr, dalpha, 0.0, math.sinh(r) * math.cosh(r) * dalpha * dalpha, dd_alpha]
 
 
-def unit_speed_drift(kind: Geometry, state) -> float:
-    """|squared intrinsic speed - 1| of an ODE state."""
+def unit_speed_drift(kind: Geometry, state) -> float | np.ndarray:
+    """|squared intrinsic speed - 1| of an ODE state (6,), or of the columns
+    of states (6, n) as an (n,) array."""
+    _t, c1, c2, dt, dc1, dc2 = state
     if kind is Geometry.S2R:
-        _t, _phi, theta, dt, dphi, dtheta = state
-        speed2 = dt * dt + math.cos(theta) ** 2 * dphi * dphi + dtheta * dtheta
+        speed2 = dt * dt + np.cos(c2) ** 2 * dc1 * dc1 + dc2 * dc2
     else:
-        _t, r, _alpha, dt, dr, dalpha = state
-        speed2 = dt * dt + dr * dr + math.sinh(r) ** 2 * dalpha * dalpha
-    return abs(speed2 - 1.0)
+        speed2 = dt * dt + dc1 * dc1 + np.sinh(c1) ** 2 * dc2 * dc2
+    return np.abs(speed2 - 1.0)
 
 
 def _initial_state(kind: Geometry, u: float, v: float):
@@ -124,9 +126,9 @@ def _initial_state(kind: Geometry, u: float, v: float):
     return [0.0, 0.0, u, math.sin(v), math.cos(v), 0.0]
 
 
-def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> list[np.ndarray]:
+def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     """Integrate the intrinsic geodesic ODE system and return ``steps``
-    model points at equal parameter spacing on [0, tau].
+    model points at equal parameter spacing on [0, tau], a (steps, 3) array.
 
     Drift of the unit-speed first integral beyond tolerance triggers one
     retry at tighter settings; persistent drift raises ConsistencyError.
@@ -147,40 +149,38 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> list[np.ndarray]:
                         t_eval=grid, rtol=rtol, atol=atol)
         if not sol.success:
             raise SingularityError(f"integration failed: {sol.message}")
-        drift = max(unit_speed_drift(kind, sol.y[:, i]) for i in range(sol.y.shape[1]))
+        drift = unit_speed_drift(kind, sol.y).max()
         if drift <= DEFAULT.unit_speed_drift:
             break
         rtol, atol = rtol * 1e-2, atol * 1e-2
     else:
         raise ConsistencyError(f"unit-speed drift {drift:.2e} persists after tightening")
-    return [to_model(kind, *sol.y[:3, i]) for i in range(sol.y.shape[1])]
+    return to_model(kind, *sol.y[:3])
 
 
 #: imaginary step of the complex-step derivative; nothing is subtracted, so
 #: it can be far below sqrt(eps) and the derivative is exact to rounding
 _COMPLEX_STEP = 1e-20
+#: the complex offsets i h e_k of the three partial derivatives, one per row
+_OFFSETS = 1j * _COMPLEX_STEP * np.eye(3)
 
 
-def _christoffel(kind: Geometry, p: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] of the Cartesian chart at the
-    trusted point ``p``.
-
-    The metric's partial derivatives come from one complex evaluation of
-    ``core._metric`` at p + ih e_k for k = 0, 1, 2: d_k g = Im g(p + ih e_k) / h,
-    and Re g(p + ih e_k) = g(p) to rounding.
+def _acceleration(kind: Geometry, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Geodesic acceleration -Gamma(dp, dp) in the Cartesian chart at the
+    trusted point ``p``, no Gamma tensor formed: one complex ``core._metric``
+    call at p + ih e_k gives d_k g = Im g / h, Re g = g(p) to rounding, and
+    with a[k, l] = (d_k g dp)_l, Gamma_l(dp, dp) = (dp @ a - a @ dp / 2)_l.
     """
-    z = p + 1j * _COMPLEX_STEP * np.eye(3)
-    g = _metric(kind, *z.T)
-    dg = g.imag / _COMPLEX_STEP  # dg[i, l, j] = d_i g_lj
-    lowered = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)  # [l, i, j]
-    return np.linalg.solve(g[0].real, lowered.reshape(3, 9)).reshape(3, 3, 3)
+    g = _metric(kind, *(p + _OFFSETS).T)
+    a = (g.imag / _COMPLEX_STEP) @ dp
+    return -np.linalg.solve(g[0].real, dp @ a - 0.5 * (a @ dp))
 
 
 def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
     """Endpoint of the geodesic integrated in the Cartesian chart.
 
     Uses only the ambient metric tensor, differentiated by complex step
-    (see ``_christoffel``), making it independent of every
+    (see ``_acceleration``), making it independent of every
     intrinsic-coordinate formula in the package.  Raises DomainError if the
     integrated curve leaves the model.
     """
@@ -191,11 +191,12 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
     def rhs(_tau, state):
         p, dp = state[:3], state[3:]
         _guard_member(kind, p)
-        acc = -np.einsum("kij,i,j->k", _christoffel(kind, p), dp, dp)
-        return np.concatenate([dp, acc])
+        out = np.empty(6)
+        out[:3], out[3:] = dp, _acceleration(kind, p, dp)
+        return out
 
-    velocity = np.array([math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)])
-    state0 = np.concatenate([np.array([1.0, 0.0, 0.0]), velocity])
+    state0 = np.array([1.0, 0.0, 0.0,
+                       math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)])
     sol = solve_ivp(rhs, (0.0, tau), state0, method="DOP853",
                     rtol=DEFAULT.ode_rtol, atol=DEFAULT.ode_atol)
     if not sol.success:
@@ -211,7 +212,8 @@ def arc_length_quadrature(kind: Geometry, curve) -> float:
     any segment midpoint leaves the model or the points do not have three
     coordinates.
     """
-    pts = np.array([np.asarray(p, dtype=float) for p in curve])
+    pts = (curve.astype(float, copy=False) if isinstance(curve, np.ndarray)
+           else np.array([np.asarray(p, dtype=float) for p in curve]))
     if len(pts) < 2:
         raise DomainError("need at least two points")
     if pts.shape[1:] != (3,):

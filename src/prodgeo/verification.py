@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BASE_POINT, Geometry, metric_at
-from .geodesics import GeodesicParams, distance, geodesic_params, geodesic_point, tangent_of
+from .geodesics import GeodesicParams, _endpoints, distance, geodesic_params
 from .isometries import apply_isometry, to_origin
-from .oracle import integrate_geodesic, unit_speed_drift
+from .oracle import integrate_geodesic
 from .triangles import (
     _frame_angles,
     angle_sum,
@@ -62,8 +62,10 @@ def _random_params(kind: Geometry, rng, tau_max: float) -> GeodesicParams:
         return GeodesicParams(u, v, tau)
 
 
-def _random_point(kind: Geometry, rng, tau_max: float = 3.0) -> np.ndarray:
-    return geodesic_point(kind, _random_params(kind, rng, tau_max))
+def _random_points(kind: Geometry, rng, n: int, tau_max: float = 3.0) -> np.ndarray:
+    """``n`` random geodesic endpoints, (n, 3), from the stream of ``n``
+    single draws."""
+    return _endpoints(kind, [_random_params(kind, rng, tau_max) for _ in range(n)])
 
 
 def _random_coplanar_vertices(kind: Geometry, rng):
@@ -85,8 +87,7 @@ def _random_coplanar_vertices(kind: Geometry, rng):
 
 def _random_triangle(kind: Geometry, rng):
     while True:
-        a2 = _random_point(kind, rng)
-        a3 = _random_point(kind, rng)
+        a2, a3 = _random_points(kind, rng, 2)
         if np.linalg.norm(a2 - a3) > 1e-2:
             return geodesic_triangle(kind, BASE_POINT, a2, a3)
 
@@ -95,9 +96,9 @@ def roundtrip_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
     """geodesic_params inverts geodesic_point to 1e-9 per component."""
     result = SuiteResult("roundtrip", kind, trials)
     tau_max = 4.0 if kind is Geometry.S2R else 10.0
-    for _ in range(trials):
-        g = _random_params(kind, rng, tau_max)
-        h = geodesic_params(kind, geodesic_point(kind, g))
+    params = [_random_params(kind, rng, tau_max) for _ in range(trials)]
+    for g, p in zip(params, _endpoints(kind, params)):
+        h = geodesic_params(kind, p)
         du = abs(math.remainder(g.u - h.u, 2.0 * math.pi))
         err = max(du, abs(g.v - h.v), abs(g.tau - h.tau))
         if err > DEFAULT.roundtrip:
@@ -110,9 +111,7 @@ def isometry_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
     form, and leaves pairwise distances unchanged."""
     result = SuiteResult("isometry-invariance", kind, trials)
     for _ in range(trials):
-        a = _random_point(kind, rng)
-        p = _random_point(kind, rng)
-        q = _random_point(kind, rng)
+        a, p, q = _random_points(kind, rng, 3)
         move = to_origin(kind, a)
         if np.abs(apply_isometry(move, a) - BASE_POINT).max() > 1e-10:
             result.failures.append(f"normaliser of {tuple(a)} misses the base point")
@@ -138,10 +137,9 @@ def isometry_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
 def ode_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
     """ODE-integrated geodesic endpoints match the closed form to 1e-6."""
     result = SuiteResult("ode-equivalence", kind, trials)
-    for _ in range(trials):
-        g = _random_params(kind, rng, tau_max=2.0)
+    params = [_random_params(kind, rng, tau_max=2.0) for _ in range(trials)]
+    for g, closed in zip(params, _endpoints(kind, params)):
         endpoint = integrate_geodesic(kind, g, steps=100)[-1]
-        closed = geodesic_point(kind, g)
         if np.abs(endpoint - closed).max() > 1e-6:
             result.failures.append(f"endpoint mismatch at params {tuple(g)}")
     return result

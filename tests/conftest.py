@@ -6,7 +6,13 @@ import pytest
 from prodgeo import Geometry
 from prodgeo.core import require_member
 from prodgeo.verification import _random_params as random_params  # noqa: F401
-from prodgeo.verification import _random_point as random_point  # noqa: F401
+from prodgeo.verification import _random_points
+
+
+def random_point(kind, rng, tau_max=3.0):
+    """One random geodesic endpoint, as the verification suites draw it."""
+    return _random_points(kind, rng, 1, tau_max)[0]
+
 
 BOTH = pytest.mark.parametrize("kind", [Geometry.S2R, Geometry.H2R], ids=["s2r", "h2r"])
 

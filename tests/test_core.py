@@ -91,6 +91,12 @@ class TestMetric:
         batch = _metric(kind, *np.array(points).T)
         assert batch.shape == (500, 3, 3)
         assert np.array_equal(batch, [scalar_formula(p) for p in points])
+        # a grid of points, and the complex batch of the complex step
+        for grid in (np.array(points).reshape(20, 25, 3), points[0] + 1j * 1e-20 * np.eye(3)):
+            batch = _metric(kind, *np.moveaxis(grid, -1, 0))
+            assert batch.shape == grid.shape + (3,)
+            assert np.array_equal(batch.reshape(-1, 3, 3),
+                                  [scalar_formula(p) for p in grid.reshape(-1, 3)])
 
 
 class TestIntrinsicChart:
@@ -111,6 +117,20 @@ class TestIntrinsicChart:
             c2 = rng.uniform(-math.pi / 2, math.pi / 2) if kind is Geometry.S2R \
                 else rng.uniform(-math.pi, math.pi)
             assert contains(kind, to_model(kind, t, c1, c2))
+
+    @BOTH
+    def test_arrays_map_each_column_like_a_scalar_call(self, kind, rng):
+        t = rng.uniform(-2, 2, size=50)
+        c1 = rng.uniform(-math.pi, math.pi, size=50) if kind is Geometry.S2R \
+            else rng.uniform(0, 3, size=50)
+        c2 = rng.uniform(-math.pi / 2, math.pi / 2, size=50)
+        points = to_model(kind, t, c1, c2)
+        assert points.shape == (50, 3)
+        for p, coords in zip(points, zip(t, c1, c2)):
+            single = to_model(kind, *coords)
+            assert single.shape == (3,)
+            assert np.abs(p - single).max() <= 1e-15 * np.abs(single).max()
+        assert to_model(kind, t.reshape(5, 10), c1.reshape(5, 10), 0.0).shape == (5, 10, 3)
 
     @BOTH
     def test_pullback_matches_intrinsic_form(self, kind, rng):

@@ -18,6 +18,7 @@ from prodgeo import (
     sample_curve,
     tangent_of,
 )
+from prodgeo.geodesics import _points
 from prodgeo.oracle import arc_length_quadrature
 from conftest import BOTH, random_params, random_point
 
@@ -253,6 +254,25 @@ class TestSampleCurve:
             sample_curve(kind, g, 9)
         u, v, _ = GeodesicParams.normalized(*g)
         assert str(caught.value) == f"the geodesic point at ({u}, {v}, {first_bad}) is out of double range"
+
+    @BOTH
+    def test_one_geodesic_per_row(self, kind, rng):
+        """Directions given per row evaluate each row's own geodesic, bit
+        for bit as the single-point call does."""
+        params = [GeodesicParams.normalized(*random_params(kind, rng, tau_max=6.0))
+                  for _ in range(40)]
+        u, v, tau = np.array(params).T
+        rows = _points(kind, u, v, tau)
+        assert rows.shape == (40, 3)
+        for p, g in zip(rows, params):
+            assert np.array_equal(p, geodesic_point(kind, g))
+
+    def test_per_row_out_of_range_names_its_row(self):
+        u, v, tau = np.array([[0.1, 0.2, 1.0], [0.3, 0.4, 900.0], [0.5, 0.0, 2.0]]).T
+        with pytest.raises(DomainError) as caught:
+            _points(Geometry.H2R, u, v, tau)
+        assert str(caught.value) == \
+            "the geodesic point at (0.3, 0.4, 900.0) is out of double range"
 
 
 class TestGeodesicStructure:

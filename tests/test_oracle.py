@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from prodgeo import (
+    ConsistencyError,
     DomainError,
     GeodesicParams,
     Geometry,
@@ -19,9 +21,10 @@ from prodgeo import (
     metric_at,
     oracle,
     sample_curve,
+    to_model,
 )
 from prodgeo.core import _metric
-from prodgeo.oracle import _christoffel, _initial_state, unit_speed_drift
+from prodgeo.oracle import _acceleration, _initial_state, unit_speed_drift
 from conftest import BOTH, random_params, random_point
 
 PI = math.pi
@@ -69,6 +72,48 @@ class TestIntrinsicIntegration:
             g = random_params(kind, rng, tau_max=2.0)
             assert unit_speed_drift(kind, _initial_state(kind, g.u, g.v)) < 1e-15
 
+    @BOTH
+    def test_samples_are_an_array_of_the_mapped_states(self, kind, monkeypatch):
+        """The (steps, 3) result is ``to_model`` of every sampled state,
+        as per-sample scalar calls would give it."""
+        states = []
+
+        def recorded(*args):
+            states.append(args[1:])
+            return to_model(*args)
+
+        monkeypatch.setattr(oracle, "to_model", recorded)
+        pts = integrate_geodesic(kind, (0.4, 0.3, 1.5), steps=120)
+        assert isinstance(pts, np.ndarray) and pts.shape == (120, 3)
+        assert len(states) == 1
+        for p, coords in zip(pts, zip(*states[0])):
+            single = to_model(kind, *coords)
+            assert np.abs(p - single).max() <= 1e-15 * np.abs(single).max()
+
+    def test_drift_beyond_budget_retries_tighter(self, monkeypatch):
+        """rtol 1e-4 drifts by about 1e-4 on this S2xR geodesic, rtol 1e-6
+        by about 1e-7: a budget of 1e-6 fails the first attempt only."""
+        drifts = []
+
+        def recorded(kind, state):
+            drifts.append(unit_speed_drift(kind, state).max())
+            return unit_speed_drift(kind, state)
+
+        monkeypatch.setattr(oracle, "unit_speed_drift", recorded)
+        monkeypatch.setattr(oracle, "DEFAULT", dataclasses.replace(
+            oracle.DEFAULT, ode_rtol=1e-4, ode_atol=1e-6, unit_speed_drift=1e-6))
+        g = GeodesicParams(0.4, 0.3, 2.0)
+        end = integrate_geodesic(Geometry.S2R, g)[-1]
+        assert len(drifts) == 2
+        assert drifts[0] > 1e-6 >= drifts[1]
+        assert np.abs(end - geodesic_point(Geometry.S2R, g)).max() < 1e-5
+
+    def test_persistent_drift_raises_consistency_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT",
+                            dataclasses.replace(oracle.DEFAULT, unit_speed_drift=1e-30))
+        with pytest.raises(ConsistencyError, match="persists after tightening"):
+            integrate_geodesic(Geometry.S2R, (0.4, 0.3, 2.0))
+
     def test_step_minimum_enforced(self):
         with pytest.raises(PrecondError):
             integrate_geodesic(Geometry.S2R, (0, 0, 1), steps=10)
@@ -94,10 +139,19 @@ class TestUnitSpeedDrift:
             drifts = [unit_speed_drift(kind, sol.y[:, i]) for i in range(50)]
             assert max(drifts) <= 1e-8
 
+    @BOTH
+    def test_columns_of_states_give_the_scalar_drifts(self, kind, rng):
+        states = rng.uniform(-1.2, 1.2, size=(6, 40))
+        drifts = unit_speed_drift(kind, states)
+        assert drifts.shape == (40,)
+        for drift, state in zip(drifts, states.T):
+            assert abs(drift - unit_speed_drift(kind, state)) <= 1e-15
+
 
 class TestCartesianIntegration:
-    """Chart-free second route: complex-step Christoffel symbols of the raw
-    metric tensor, no intrinsic coordinates anywhere."""
+    """Chart-free second route: the geodesic acceleration -Gamma(p', p'),
+    contracted from complex-step derivatives of the raw metric tensor, no
+    intrinsic coordinates anywhere."""
 
     @BOTH
     def test_endpoints_match_closed_form(self, kind, rng):
@@ -108,17 +162,25 @@ class TestCartesianIntegration:
 
     def test_s2r_christoffel_match_conformal_closed_form(self, rng):
         """g = e^(2 sigma) I with sigma = -log|p|, so Gamma^k_ij =
-        delta_ki d_j sigma + delta_kj d_i sigma - delta_ij d_k sigma."""
+        delta_ki d_j sigma + delta_kj d_i sigma - delta_ij d_k sigma.  Six
+        random velocities per point: their products v^i v^j span the
+        symmetric forms, so every component of Gamma is seen."""
         eye = np.eye(3)
         for _ in range(200):
             p = random_point(Geometry.S2R, rng, tau_max=6.0)
             dsigma = -p / (p @ p)
-            expected = (np.einsum("ki,j->kij", eye, dsigma) + np.einsum("kj,i->kij", eye, dsigma)
-                        - np.einsum("ij,k->kij", eye, dsigma))
-            got = _christoffel(Geometry.S2R, p)
-            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+            gamma = (np.einsum("ki,j->kij", eye, dsigma) + np.einsum("kj,i->kij", eye, dsigma)
+                     - np.einsum("ij,k->kij", eye, dsigma))
+            for dp in rng.normal(size=(6, 3)):
+                expected = -np.einsum("kij,i,j->k", gamma, dp, dp)
+                got = _acceleration(Geometry.S2R, p, dp)
+                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_h2r_christoffel_match_central_differences(self, rng):
+        """Gamma from central differences of the metric, contracted with six
+        random velocities per point.  This chart's metric is a Hessian,
+        g = 1/2 d d(-log Q), so d_k g_ij is symmetric in all three indices
+        and the order of the contraction's indices shows only in S2xR."""
         h = 1e-6
         for _ in range(200):
             p = random_point(Geometry.H2R, rng, tau_max=2.0)
@@ -126,10 +188,34 @@ class TestCartesianIntegration:
             dg = (_metric(Geometry.H2R, *(p + step).T)
                   - _metric(Geometry.H2R, *(p - step).T)) / (2.0 * h)  # dg[i, l, j] = d_i g_lj
             lowered = 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg)
-            expected = np.einsum("kl,lij->kij",
-                                 np.linalg.inv(_metric(Geometry.H2R, *p)), lowered)
-            got = _christoffel(Geometry.H2R, p)
-            assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
+            gamma = np.einsum("kl,lij->kij", np.linalg.inv(_metric(Geometry.H2R, *p)), lowered)
+            for dp in rng.normal(size=(6, 3)):
+                expected = -np.einsum("kij,i,j->k", gamma, dp, dp)
+                got = _acceleration(Geometry.H2R, p, dp)
+                assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
+
+    def test_one_metric_evaluation_per_right_hand_side(self, monkeypatch):
+        """Every right-hand side checks its point once and evaluates the
+        complex metric once."""
+        guards, metrics = [], []
+        true_guard = oracle._guard_member
+
+        def guard(*args):
+            guards.append(1)
+            return true_guard(*args)
+
+        def metric(*args):
+            metrics.append(1)
+            return _metric(*args)
+
+        monkeypatch.setattr(oracle, "_guard_member", guard)
+        monkeypatch.setattr(oracle, "_metric", metric)
+        for kind in Geometry:
+            guards.clear()
+            metrics.clear()
+            integrate_geodesic_cartesian(kind, (0.4, 0.3, 1.5))
+            assert len(guards) > 0
+            assert len(metrics) == len(guards)
 
     def test_h2r_long_surface_arcs_are_cheap_and_exact(self, monkeypatch, rng):
         """Surface arcs w = tau cos v in [1.6, 2], where central differences
@@ -154,9 +240,9 @@ class TestCartesianIntegration:
     def test_leaving_the_model_raises_domain_error(self, monkeypatch):
         """The state point is checked on every evaluation: a step that leaves
         the cone is a DomainError, not a NaN carried to the endpoint."""
-        push = np.zeros((3, 3, 3))
-        push[1] = -10.0 * np.eye(3)  # y'' = 10 |p'|^2 drives y past x = 1
-        monkeypatch.setattr(oracle, "_christoffel", lambda kind, p: push)
+        # y'' = 10 |p'|^2 drives y past x = 1
+        monkeypatch.setattr(oracle, "_acceleration",
+                            lambda kind, p, dp: np.array([0.0, 10.0 * (dp @ dp), 0.0]))
         with pytest.raises(DomainError, match="is not in the h2r model"):
             integrate_geodesic_cartesian(Geometry.H2R, (0.0, 0.0, 2.0))
 
@@ -182,6 +268,8 @@ class TestQuadrature:
     def test_rejects_short_input(self):
         with pytest.raises(DomainError):
             arc_length_quadrature(Geometry.S2R, [np.array([1.0, 0, 0])])
+        with pytest.raises(DomainError, match="at least two"):
+            arc_length_quadrature(Geometry.S2R, np.array([[1.0, 0, 0]]))
 
     def test_rejects_invalid_points(self):
         bad = [np.array([1.0, 1.0, 0.0]), np.array([1.0, 3.0, 0.0])]
@@ -194,9 +282,22 @@ class TestQuadrature:
         assert arc_length_quadrature(Geometry.H2R, (p for p in pts)) == expected
         assert arc_length_quadrature(Geometry.H2R, [tuple(p) for p in pts]) == expected
 
+    def test_array_and_generator_give_the_same_length(self):
+        """An array is read as it is, whatever its dtype or memory layout;
+        a generator of its rows gives the same sum."""
+        pts = sample_curve(Geometry.S2R, (0.3, 0.2, 1.5), 60)
+        for curve in (pts, np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2]):
+            assert arc_length_quadrature(Geometry.S2R, curve) == \
+                arc_length_quadrature(Geometry.S2R, (p for p in curve))
+        lattice = np.array([[1, 0, 0], [2, 1, 0], [3, 1, 1], [3, 2, 2]])
+        assert arc_length_quadrature(Geometry.S2R, lattice) == \
+            arc_length_quadrature(Geometry.S2R, (p for p in lattice))
+
     @pytest.mark.parametrize("curve", [[(1.0, 0.0), (2.0, 0.0)],
-                                       [(1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0)]],
-                             ids=["two", "four"])
+                                       [(1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0)],
+                                       np.array([(1.0, 0.0), (2.0, 0.0)]),
+                                       np.array([1.0, 0.0, 0.0])],
+                             ids=["two", "four", "two-array", "flat-array"])
     def test_rejects_points_without_three_coordinates(self, curve):
         with pytest.raises(DomainError, match="3 coordinates"):
             arc_length_quadrature(Geometry.H2R, curve)

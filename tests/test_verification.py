@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from prodgeo import Geometry
-from prodgeo.verification import SUITES, run_all, run_suite
+from prodgeo import Geometry, geodesic_point
+from prodgeo.verification import SUITES, _random_params, _random_points, run_all, run_suite
 
 
 class TestSuites:
@@ -16,6 +16,15 @@ class TestSuites:
         b = run_suite("trichotomy", Geometry.S2R, 20, seed=5)
         assert a.failures == b.failures
         assert a.trials == b.trials
+
+    @pytest.mark.parametrize("kind", list(Geometry), ids=lambda k: k.value)
+    def test_batched_draws_keep_the_single_draw_stream(self, kind):
+        """Points drawn as one batch are those of successive single draws
+        from the same seed, so printed seeds keep replaying."""
+        batch = _random_points(kind, np.random.default_rng(11), 25)
+        rng = np.random.default_rng(11)
+        singles = [geodesic_point(kind, _random_params(kind, rng, 3.0)) for _ in range(25)]
+        assert np.array_equal(batch, singles)
 
     def test_suite_names(self):
         assert set(SUITES) == {"roundtrip", "isometry-invariance", "ode-equivalence",
