@@ -101,9 +101,7 @@ def contains(kind: Geometry, coords) -> bool:
 
 
 def _is_member(kind: Geometry, p: np.ndarray) -> bool:
-    x, y, z = p
-    return (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
-            and fibre_norm_sq(kind, p) > 0.0 and (kind is Geometry.S2R or x > 0.0))
+    return bool(_scaled_norm(kind, p)[1])
 
 
 def _not_member(kind: Geometry, p: np.ndarray) -> DomainError:
@@ -119,28 +117,33 @@ def _guard_member(kind: Geometry, p: np.ndarray) -> None:
 
 def _guard_members(kind: Geometry, points: np.ndarray) -> None:
     """``_guard_member`` of every row of an (N, 3) array, by the same rule."""
-    inside = np.isfinite(points).all(axis=1) & (fibre_norm_sq(kind, points.T) > 0.0)
-    if kind is Geometry.H2R:
-        inside &= points[:, 0] > 0.0
+    inside = _scaled_norm(kind, points)[1]
     if not inside.all():
         raise _not_member(kind, points[np.argmin(inside)])
+
+
+def _scaled_norm(kind: Geometry, p):
+    """The membership rule on points p, (3,) or (..., 3): the S2xR norm
+    |p| = hypot(hypot(x, y), z), or the H2xR spread r = hypot(y, z), and
+    the mask 0 < |p| < inf, or r < x < inf.  No coordinate is squared, so
+    nothing overflows or underflows, and a NaN fails every comparison."""
+    if kind is Geometry.S2R:
+        norm = np.hypot.reduce(p, axis=-1)  # the nested hypot, left to right
+        return norm, (norm > 0.0) & (norm < math.inf)
+    x, r = p[..., 0], np.hypot(p[..., 1], p[..., 2])
+    return r, (x > r) & (x < math.inf)
 
 
 def _split(kind: Geometry, p):
     """Fibre height and surface point (as its three components) of model
     points, (3,) or (N, 3), from hypot-scaled norms: no square overflows."""
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    if kind is Geometry.S2R:
-        norm = np.hypot(np.hypot(x, y), z)
-        inside = (norm > 0.0) & (norm < math.inf)
-    else:
-        r = np.hypot(y, z)
-        inside = (x > r) & (x < math.inf)
+    norm, inside = _scaled_norm(kind, p)
     if not inside.all():
         raise _not_member(kind, p if p.ndim == 1 else p[np.argmin(inside)])
     if kind is Geometry.H2R:
         # sqrt(Q) as sqrt(x - r) sqrt(x + r): no cancellation, no overflow
-        norm = np.sqrt(x - r) * np.sqrt(x + r)
+        norm = np.sqrt(x - norm) * np.sqrt(x + norm)
     return np.log(norm), (x / norm, y / norm, z / norm)
 
 
@@ -169,9 +172,16 @@ def metric_at(kind: Geometry, p) -> np.ndarray:
     """Symmetric 3x3 metric tensor g_ij at ``p`` in the Cartesian chart.
 
     ds^2 = sum_ij g_ij dx^i dx^j.  Positive definite on every member point;
-    raises DomainError elsewhere.
+    raises DomainError elsewhere, and where the entries, which scale as
+    1/|p|^2, leave double range (members below about 1e-154 or above 1e154).
     """
-    return _metric(kind, *require_member(kind, p))
+    p = require_member(kind, p)
+    with np.errstate(all="ignore"):
+        g = _metric(kind, *p)
+    if not (np.isfinite(g).all() and (np.diagonal(g) > 0.0).all()):
+        raise DomainError(f"the {kind.value} metric at {tuple(p.tolist())} "
+                          "is not representable in double precision")
+    return g
 
 
 def _metric(kind: Geometry, x, y, z) -> np.ndarray:
@@ -212,13 +222,23 @@ def to_model(kind: Geometry, t, c1, c2) -> np.ndarray:
         (x, y, z) = e^t (cosh r, sinh r cos alpha, sinh r sin alpha)
 
     Floats give one (3,) point; arrays of one shape (...) give points of
-    shape (..., 3).  The image always satisfies ``contains``.
+    shape (..., 3).  The image always satisfies ``contains``: DomainError
+    names the first intrinsic triple whose point overflows, underflows to
+    the centre or rounds onto the H2xR cone.
     """
-    s = np.exp(t)
-    if kind is Geometry.S2R:  # c1, c2 = phi, theta
-        cos_theta = np.cos(c2)
-        coords = (np.cos(c1) * cos_theta, np.sin(c1) * cos_theta, np.sin(c2))
-    else:  # c1, c2 = r, alpha
-        sinh_r = np.sinh(c1)
-        coords = (np.cosh(c1), sinh_r * np.cos(c2), sinh_r * np.sin(c2))
-    return np.stack([s * c for c in coords], axis=-1)
+    with np.errstate(all="ignore"):
+        s = np.exp(t)
+        if kind is Geometry.S2R:  # c1, c2 = phi, theta
+            cos_theta = np.cos(c2)
+            coords = (np.cos(c1) * cos_theta, np.sin(c1) * cos_theta, np.sin(c2))
+        else:  # c1, c2 = r, alpha
+            sinh_r = np.sinh(c1)
+            coords = (np.cosh(c1), sinh_r * np.cos(c2), sinh_r * np.sin(c2))
+        points = np.stack([s * c for c in coords], axis=-1)
+    inside = _scaled_norm(kind, points)[1]
+    if not inside.all():
+        first = np.unravel_index(np.argmin(inside), inside.shape)
+        at = tuple(np.broadcast_to(c, inside.shape)[first].item() for c in (t, c1, c2))
+        raise DomainError(f"the {kind.value} model point at intrinsic coordinates {at} "
+                          "is not representable in double precision")
+    return points

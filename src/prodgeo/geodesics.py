@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Geometry, _guard_member, _split, fibre_norm_sq, model_point, require_member
+from .core import Geometry, _guard_member, _scaled_norm, _split, model_point, require_member
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
 
@@ -143,9 +143,12 @@ def _geodesic_params(kind: Geometry, p: np.ndarray) -> GeodesicParams:
         length = math.log(math.hypot(math.hypot(x, y), z))
         w = math.atan2(spread, x)
     else:
-        q = fibre_norm_sq(kind, p)
-        length = 0.5 * math.log(q)
-        w = math.asinh(spread / math.sqrt(q))
+        # sqrt(Q) as sqrt(x - r) sqrt(x + r), with the spread r of the
+        # membership rule: x > r, so nothing cancels to zero or underflows
+        r = float(_scaled_norm(kind, p)[0])
+        norm = math.sqrt(x - r) * math.sqrt(x + r)
+        length = math.log(norm)
+        w = math.asinh(r / norm)
     if w == 0.0:
         if length == 0.0:
             raise DomainError("the base point has no defined geodesic direction")

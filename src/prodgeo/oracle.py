@@ -59,6 +59,14 @@ with the velocity at once, so no Gamma tensor is formed: one complex metric
 evaluation and one 3x3 solve per step.  The complex step needs a metric
 formula analytic in each coordinate, hence only + - * / in ``core._metric``.
 
+Both routes integrate with ``_dop853``, the in-package explicit
+Runge-Kutta method of order 8 of Dormand and Prince with its 5th- and
+3rd-order error estimators and 7th-order dense output (Dormand & Prince,
+J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
+sections II.4, II.5 and II.10), at ``DEFAULT.ode_rtol`` and ``ode_atol``.
+Its step control is SciPy's, which the tests keep as the independent
+reference; the package itself needs numpy only.
+
 The quadrature checks every segment midpoint and evaluates the metric at
 all of them in one call.
 """
@@ -69,6 +77,7 @@ import math
 
 import numpy as np
 
+from . import _dop853
 from .core import Geometry, _guard_member, _guard_members, _metric, to_model
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams
@@ -132,9 +141,9 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
 
     Drift of the unit-speed first integral beyond tolerance triggers one
     retry at tighter settings; persistent drift raises ConsistencyError.
+    The samples come from the integrator's dense output.  A step size that
+    underflows, or a sphere-chart pole, raises SingularityError.
     """
-    from scipy.integrate import solve_ivp  # imported on first use: it takes most of import time
-
     u, v, tau = GeodesicParams.normalized(*g)
     if tau > 10.0:
         raise PrecondError(f"integration limited to tau <= 10, got {tau}")
@@ -145,17 +154,14 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     grid = np.linspace(0.0, tau, steps)
     rtol, atol = DEFAULT.ode_rtol, DEFAULT.ode_atol
     for _attempt in range(2):
-        sol = solve_ivp(rhs, (0.0, tau), state0, method="DOP853",
-                        t_eval=grid, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise SingularityError(f"integration failed: {sol.message}")
-        drift = unit_speed_drift(kind, sol.y).max()
+        states = _dop853.solve(rhs, state0, grid, rtol, atol)
+        drift = unit_speed_drift(kind, states).max()
         if drift <= DEFAULT.unit_speed_drift:
             break
         rtol, atol = rtol * 1e-2, atol * 1e-2
     else:
         raise ConsistencyError(f"unit-speed drift {drift:.2e} persists after tightening")
-    return to_model(kind, *sol.y[:3])
+    return to_model(kind, *states[:3])
 
 
 #: imaginary step of the complex-step derivative; nothing is subtracted, so
@@ -182,10 +188,9 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
     Uses only the ambient metric tensor, differentiated by complex step
     (see ``_acceleration``), making it independent of every
     intrinsic-coordinate formula in the package.  Raises DomainError if the
-    integrated curve leaves the model.
+    integrated curve leaves the model, and SingularityError if the step
+    size underflows.
     """
-    from scipy.integrate import solve_ivp  # imported on first use, as above
-
     u, v, tau = GeodesicParams.normalized(*g)
 
     def rhs(_tau, state):
@@ -197,11 +202,7 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
 
     state0 = np.array([1.0, 0.0, 0.0,
                        math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)])
-    sol = solve_ivp(rhs, (0.0, tau), state0, method="DOP853",
-                    rtol=DEFAULT.ode_rtol, atol=DEFAULT.ode_atol)
-    if not sol.success:
-        raise SingularityError(f"integration failed: {sol.message}")
-    return sol.y[:3, -1]
+    return _dop853.solve(rhs, state0, (0.0, tau), DEFAULT.ode_rtol, DEFAULT.ode_atol)[:3, -1]
 
 
 def arc_length_quadrature(kind: Geometry, curve) -> float:

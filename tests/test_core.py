@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodgeo import DomainError, Geometry, contains, metric_at, model_point, to_model
-from prodgeo.core import _metric
+from prodgeo.core import BASE_POINT, _guard_members, _metric, require_member
 from conftest import BOTH, random_point
 
 
@@ -40,8 +41,52 @@ class TestMembership:
 
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
     def test_h2r_membership_iff_cone_inequalities(self, x, y, z):
-        expected = (x * x - y * y - z * z > 0) and x > 0
+        # in exact rationals: x^2 - y^2 - z^2 in floats underflows below 1e-154
+        fx, fy, fz = Fraction(x), Fraction(y), Fraction(z)
+        expected = (fx * fx - fy * fy - fz * fz > 0) and x > 0
         assert contains(Geometry.H2R, (x, y, z)) == expected
+
+
+class TestMembershipScale:
+    """Membership squares no coordinate: hypot-scaled norms decide it, as in
+    ``core._split``, with no overflow warning and no underflow to zero."""
+
+    @pytest.mark.parametrize("kind, p", [
+        (Geometry.S2R, (1e200, 1.0, 0.0)), (Geometry.S2R, (1e-170, 1e-170, 0.0)),
+        (Geometry.S2R, (-1e-300, 0.0, 5e-324)), (Geometry.H2R, (1e200, 1e199, -1e199)),
+        (Geometry.H2R, (2e-170, 1e-170, 0.0)), (Geometry.H2R, (1e-300, 0.0, 0.0))])
+    def test_extreme_scales_are_members(self, kind, p):
+        assert contains(kind, p)
+        require_member(kind, p)
+        _guard_members(kind, np.array([BASE_POINT, p]))
+
+    @pytest.mark.parametrize("kind, p", [
+        (Geometry.S2R, (0.0, 0.0, 0.0)), (Geometry.S2R, (np.inf, 1.0, 0.0)),
+        (Geometry.S2R, (np.nan, 1.0, 0.0)), (Geometry.S2R, (1.0, np.nan, 0.0)),
+        (Geometry.H2R, (0.0, 0.0, 0.0)), (Geometry.H2R, (np.inf, 1.0, 0.0)),
+        (Geometry.H2R, (1.0, np.nan, 0.0)), (Geometry.H2R, (1e200, 1e200, 0.0)),
+        (Geometry.H2R, (-1e-170, 0.0, 0.0))])
+    def test_non_members_at_every_scale(self, kind, p):
+        assert not contains(kind, p)
+        with pytest.raises(DomainError, match="is not in the"):
+            require_member(kind, p)
+        with pytest.raises(DomainError, match="is not in the"):
+            _guard_members(kind, np.array([BASE_POINT, p]))
+
+    @BOTH
+    def test_rows_decided_like_single_points(self, kind, rng):
+        """``_guard_members`` and ``contains`` apply one rule: every row of a
+        batch spanning 600 orders of magnitude, near the cone too, is
+        decided as the single point is."""
+        points = rng.normal(size=(400, 3)) * 10.0 ** rng.uniform(-300, 300, size=(400, 1))
+        points[::4, 0] = np.hypot(points[::4, 1], points[::4, 2]) * (1 + 1e-15)
+        for p in points:
+            inside = contains(kind, p)
+            if inside:
+                _guard_members(kind, p[None])
+            else:
+                with pytest.raises(DomainError):
+                    _guard_members(kind, p[None])
 
 
 class TestMetric:
@@ -58,6 +103,15 @@ class TestMetric:
     def test_rejects_non_member(self):
         with pytest.raises(DomainError):
             metric_at(Geometry.H2R, (1, 1, 2, 0))
+
+    @pytest.mark.parametrize("kind, p", [
+        (Geometry.S2R, (1e-170, 1e-170, 0.0)), (Geometry.S2R, (1e200, 1.0, 0.0)),
+        (Geometry.H2R, (2e-170, 1e-170, 0.0)), (Geometry.H2R, (1e200, 1e199, 0.0))])
+    def test_members_whose_metric_leaves_double_range(self, kind, p):
+        """The entries scale as 1/|p|^2: beyond about 1e+-154 they overflow
+        or vanish, where a member's metric is positive definite."""
+        with pytest.raises(DomainError, match="not representable in double precision"):
+            metric_at(kind, p)
 
     @BOTH
     def test_symmetric_positive_definite(self, kind, rng):
@@ -131,6 +185,21 @@ class TestIntrinsicChart:
             assert single.shape == (3,)
             assert np.abs(p - single).max() <= 1e-15 * np.abs(single).max()
         assert to_model(kind, t.reshape(5, 10), c1.reshape(5, 10), 0.0).shape == (5, 10, 3)
+
+    @pytest.mark.parametrize("kind, coords", [
+        (Geometry.S2R, (800.0, 0.0, 0.0)),      # e^t overflows: [inf, nan, nan]
+        (Geometry.S2R, (-800.0, 0.3, 0.2)),     # e^t underflows to the centre
+        (Geometry.H2R, (0.0, 800.0, 0.3)),      # cosh and sinh overflow
+        (Geometry.H2R, (0.0, 40.0, 0.0))])      # cosh r and sinh r round equal: the cone
+    def test_unrepresentable_images_are_domain_errors(self, kind, coords):
+        with pytest.raises(DomainError, match="not representable in double precision"):
+            to_model(kind, *coords)
+
+    @BOTH
+    def test_first_unrepresentable_column_is_named(self, kind):
+        t = np.array([0.0, 0.5, 900.0, 1000.0])
+        with pytest.raises(DomainError, match=r"\(900.0, 0.2, 0.1\)"):
+            to_model(kind, t, np.full(4, 0.2), np.full(4, 0.1))
 
     @BOTH
     def test_pullback_matches_intrinsic_form(self, kind, rng):

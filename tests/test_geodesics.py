@@ -152,12 +152,27 @@ class TestTangent:
 
 
 class TestInverseScale:
-    # membership still squares the coordinates, and warns of the overflow
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_s2r_params_of_a_huge_point(self):
         g = geodesic_params(Geometry.S2R, (1e200, 1, 0))
         assert g.tau == pytest.approx(math.log(1e200), rel=1e-12)
         assert g.v == pytest.approx(PI / 2, abs=1e-12)
+
+    def test_h2r_params_of_a_tiny_point(self):
+        """1e-170 (2, 1, 0) is a member; x^2 - y^2 would underflow to 0."""
+        g = geodesic_params(Geometry.H2R, (2e-170, 1e-170, 0))
+        height, w = math.log(math.sqrt(3.0) * 1e-170), math.asinh(1.0 / math.sqrt(3.0))
+        assert g.tau == pytest.approx(math.hypot(height, w), rel=1e-14)
+        assert g.v == pytest.approx(math.atan2(height, w), rel=1e-14)
+        assert g.u == 0.0
+
+    def test_h2r_params_one_ulp_inside_the_cone(self):
+        """x is the float after hypot(y, z) while x^2 - y^2 - z^2 rounds to
+        a negative number: the fibre split takes no square, so the inverse
+        problem is solved, as deep in the cone as double precision allows."""
+        p = (5.929952372230324, 0.9984551516293068, 5.845290621269822)
+        assert p[0] * p[0] - p[1] * p[1] - p[2] * p[2] <= 0.0
+        g = geodesic_params(Geometry.H2R, p)
+        assert all(map(math.isfinite, g)) and 20.0 < g.tau < 30.0
 
 
 class TestDistance:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from prodgeo import (
     GeodesicParams,
     Geometry,
     PrecondError,
+    SingularityError,
     arc_length_quadrature,
     geodesic_point,
     integrate_geodesic,
@@ -21,24 +23,51 @@ from prodgeo import (
     metric_at,
     oracle,
     sample_curve,
+    tangent_of,
     to_model,
 )
+from prodgeo import _dop853
 from prodgeo.core import _metric
-from prodgeo.oracle import _acceleration, _initial_state, unit_speed_drift
+from prodgeo.oracle import _acceleration, _initial_state, _rhs_h2r, _rhs_s2r, unit_speed_drift
 from conftest import BOTH, random_params, random_point
 
 PI = math.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def _run_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, prodgeo; assert 'scipy.integrate' not in sys.modules, 'loaded'"],
-        env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    done = _run_python(
+        "import sys, prodgeo; assert 'scipy.integrate' not in sys.modules, 'loaded'")
     assert done.returncode == 0, done.stderr
+
+
+_SCIPY_BLOCKED = """
+import json, runpy, sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
+import numpy as np
+from prodgeo import Geometry, geodesic_point, integrate_geodesic, integrate_geodesic_cartesian
+for kind in Geometry:
+    closed = geodesic_point(kind, (0.4, 0.3, 1.5))
+    assert np.abs(integrate_geodesic(kind, (0.4, 0.3, 1.5))[-1] - closed).max() < 1e-6
+    assert np.abs(integrate_geodesic_cartesian(kind, (0.4, 0.3, 1.5)) - closed).max() < 1e-6
+sys.argv = ["prodgeo", "verify", "--trials", "3", "--format", "json"]
+runpy.run_module("prodgeo.cli", run_name="__main__")
+"""
+
+
+def test_runtime_needs_no_scipy():
+    """numpy is the only runtime dependency: both integrators and a full
+    ``verify`` run with scipy unimportable."""
+    done = _run_python(_SCIPY_BLOCKED)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ok"] is True
 
 
 class TestIntrinsicIntegration:
@@ -114,6 +143,13 @@ class TestIntrinsicIntegration:
         with pytest.raises(ConsistencyError, match="persists after tightening"):
             integrate_geodesic(Geometry.S2R, (0.4, 0.3, 2.0))
 
+    def test_zero_length_geodesic_stays_at_the_base_point(self):
+        for kind in Geometry:
+            assert np.array_equal(integrate_geodesic(kind, (0.3, 0.2, 0.0), steps=100),
+                                  np.tile([1.0, 0.0, 0.0], (100, 1)))
+            assert np.array_equal(integrate_geodesic_cartesian(kind, (0.3, 0.2, 0.0)),
+                                  [1.0, 0.0, 0.0])
+
     def test_step_minimum_enforced(self):
         with pytest.raises(PrecondError):
             integrate_geodesic(Geometry.S2R, (0, 0, 1), steps=10)
@@ -129,7 +165,6 @@ class TestUnitSpeedDrift:
         """Integrate once more and inspect the raw states: the unit-speed
         first integral must persist to 1e-8 over tau <= 2."""
         from scipy.integrate import solve_ivp
-        from prodgeo.oracle import _rhs_h2r, _rhs_s2r
         rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
         for _ in range(25):
             g = random_params(kind, rng, tau_max=2.0)
@@ -245,6 +280,89 @@ class TestCartesianIntegration:
                             lambda kind, p, dp: np.array([0.0, 10.0 * (dp @ dp), 0.0]))
         with pytest.raises(DomainError, match="is not in the h2r model"):
             integrate_geodesic_cartesian(Geometry.H2R, (0.0, 0.0, 2.0))
+
+
+class TestDop853:
+    """The in-repo DOP853 against scipy's, which stays the independent
+    reference: the same coefficients and step control, so the same steps."""
+
+    @BOTH
+    def test_intrinsic_samples_match_scipy(self, kind, rng):
+        from scipy.integrate import solve_ivp
+        rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
+        rtol, atol = oracle.DEFAULT.ode_rtol, oracle.DEFAULT.ode_atol
+        for _ in range(50):
+            g = random_params(kind, rng, tau_max=2.0)
+            grid = np.linspace(0.0, g.tau, 200)
+            state0 = _initial_state(kind, g.u, g.v)
+            calls = []
+
+            def counted(t, y):
+                calls.append(t)
+                return rhs(t, y)
+
+            states = _dop853.solve(counted, state0, grid, rtol, atol)
+            ref = solve_ivp(rhs, (0.0, g.tau), state0, method="DOP853",
+                            t_eval=grid, rtol=rtol, atol=atol)
+            assert np.abs(states - ref.y).max() <= 1e-13, g
+            assert abs(len(calls) - ref.nfev) <= 12, g  # one rejected step
+
+    @BOTH
+    def test_cartesian_endpoints_match_scipy(self, kind, rng, monkeypatch):
+        from scipy.integrate import solve_ivp
+
+        def rhs(_t, state):
+            p, dp = state[:3], state[3:]
+            return np.concatenate([dp, _acceleration(kind, p, dp)])
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _acceleration(*args)
+
+        monkeypatch.setattr(oracle, "_acceleration", counted)
+        for _ in range(50):
+            g = random_params(kind, rng, tau_max=2.0)
+            calls.clear()
+            end = integrate_geodesic_cartesian(kind, g)
+            state0 = np.concatenate([[1.0, 0.0, 0.0], tangent_of(g)])
+            ref = solve_ivp(rhs, (0.0, g.tau), state0, method="DOP853",
+                            rtol=oracle.DEFAULT.ode_rtol, atol=oracle.DEFAULT.ode_atol)
+            assert np.abs(end - ref.y[:3, -1]).max() <= 1e-10, g
+            assert abs(len(calls) - ref.nfev) <= 12, g
+
+    def test_dense_output_of_the_harmonic_oscillator(self):
+        """y'' = -y over one period: samples strictly inside the steps come
+        from the 7th-order interpolant, and match sin to 1e-9."""
+        calls = []
+
+        def oscillator(_t, y):
+            calls.append(1)
+            return np.array([y[1], -y[0]])
+
+        times = np.linspace(0.0, 2.0 * PI, 1001)
+        states = _dop853.solve(oscillator, [0.0, 1.0], times, 1e-10, 1e-12)
+        assert states.shape == (2, 1001)
+        assert states[0, 0] == 0.0 and states[1, 0] == 1.0
+        assert np.abs(states[0] - np.sin(times)).max() <= 1e-9
+        assert np.abs(states[1] - np.cos(times)).max() <= 1e-9
+        assert len(calls) < 1001 // 2  # far fewer evaluations than samples
+
+    def test_blow_up_is_a_singularity_error(self):
+        """y' = y^2, y(0) = 1, blows up at t = 1: the steps shrink until they
+        underflow, well inside a budget of evaluations that stands in for a
+        hang."""
+        calls = []
+
+        def blowing_up(_t, y):
+            calls.append(1)
+            if len(calls) > 100_000:
+                raise AssertionError("integration did not stop")
+            return y * y
+
+        with pytest.raises(SingularityError, match="step size underflow at t = 1.0"):
+            _dop853.solve(blowing_up, [1.0], np.linspace(0.0, 2.0, 5), 1e-10, 1e-12)
 
 
 class TestQuadrature:

@@ -54,16 +54,24 @@ class TestValidateOnce:
         assert len(member_checks) == 1
 
     @BOTH
-    def test_underflowing_third_vertex_still_rejected(self, kind):
-        # 1e-200 * ray rounds to the excluded centre (S2xR) or cone apex (H2xR)
-        with pytest.raises(DomainError):
-            angle_sum_at(family_spec(kind, samples=8), 1e-200)
+    def test_overflowing_third_vertex_still_rejected(self, kind):
+        # 1e308 * ray overflows to x = inf, outside both models
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="is not in the"):
+            angle_sum_at(family_spec(kind, samples=8), 1e308)
+
+    @BOTH
+    def test_tiny_third_vertex_is_a_member(self, kind):
+        """1e-200 * ray is finite and nonzero, so a member of both models:
+        membership squares no coordinate, so nothing underflows to zero."""
+        total = angle_sum_at(family_spec(kind, samples=8), 1e-200)
+        assert (total > math.pi) if kind is Geometry.S2R else (total < math.pi)
 
     @BOTH
     def test_evaluate_checks_every_grid_vertex(self, kind):
+        # the last grid vertex, 1e308 * ray, overflows out of the model
         a2, ray, _, _ = SWEEP_FAMILIES[kind]
-        with pytest.raises(DomainError):
-            evaluate(SweepSpec(kind, a2, ray, t_min=1e-200, t_max=1.0, samples=8))
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="is not in the"):
+            evaluate(SweepSpec(kind, a2, ray, t_min=1.0, t_max=1e308, samples=8))
 
     def test_evaluate_rejects_a_grid_vertex_on_a2(self):
         a2 = np.array([3.0, -2.0, 1.0])

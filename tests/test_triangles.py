@@ -360,8 +360,6 @@ class TestClosedFormNormaliser:
         points = np.array([random_point(kind, rng) for _ in range(50)])
         assert np.array_equal(_normalise(kind, BASE_POINT, points), points)
 
-    # membership still squares the coordinates, and warns of the overflow
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-150])
     def test_s2r_angle_sum_is_scale_invariant(self, scale):
         a1, a2, a3 = (np.array(v, dtype=float) for v in ((3, -2, 1), (2, 1, 0), (1, 1, 1)))
