@@ -23,6 +23,11 @@ The arc-length element in this chart is
                      + (x^2-y^2+z^2) dz^2 ] / (x^2 - y^2 - z^2)^2
 
 and ``metric_at`` returns the corresponding symmetric 3x3 matrix.
+
+A point splits into a fibre height log sqrt(Q) and a surface point
+p / sqrt(Q).  ``_guard_member`` (one point or an (N, 3) array) and
+``_fibre_norm`` (sqrt(Q) from hypot-scaled norms) carry that split for the
+whole package; neither squares a coordinate.
 """
 
 from __future__ import annotations
@@ -97,10 +102,6 @@ def contains(kind: Geometry, coords) -> bool:
         p = model_point(coords)
     except DomainError:
         return False
-    return _is_member(kind, p)
-
-
-def _is_member(kind: Geometry, p: np.ndarray) -> bool:
     return bool(_scaled_norm(kind, p)[1])
 
 
@@ -109,17 +110,16 @@ def _not_member(kind: Geometry, p: np.ndarray) -> DomainError:
     return DomainError(f"point {coords} is not in the {kind.value} model")
 
 
-def _guard_member(kind: Geometry, p: np.ndarray) -> None:
-    """Raise DomainError unless the normalised point ``p`` is a member."""
-    if not _is_member(kind, p):
-        raise _not_member(kind, p)
-
-
-def _guard_members(kind: Geometry, points: np.ndarray) -> None:
-    """``_guard_member`` of every row of an (N, 3) array, by the same rule."""
-    inside = _scaled_norm(kind, points)[1]
-    if not inside.all():
-        raise _not_member(kind, points[np.argmin(inside)])
+def _guard_member(kind: Geometry, p: np.ndarray):
+    """Raise DomainError naming the first of the normalised points ``p``,
+    (3,) or (N, 3), that is not a member; return their ``_scaled_norm``."""
+    norm, inside = _scaled_norm(kind, p)
+    if p.ndim == 1:
+        if not inside:  # a 0-d mask: ``.all()`` would cost far more than the test
+            raise _not_member(kind, p)
+    elif not inside.all():
+        raise _not_member(kind, p[np.argmin(inside)])
+    return norm
 
 
 def _scaled_norm(kind: Geometry, p):
@@ -134,17 +134,22 @@ def _scaled_norm(kind: Geometry, p):
     return r, (x > r) & (x < math.inf)
 
 
+def _fibre_norm(kind: Geometry, p):
+    """sqrt(Q) of the points ``p``, (3,) or (N, 3), after ``_guard_member``:
+    the S2xR nested hypot, and sqrt(x - r) sqrt(x + r) on H2xR, which
+    neither cancels (x > r) nor overflows.  The fibre height is its log."""
+    norm = _guard_member(kind, p)
+    if kind is Geometry.H2R:
+        x = p[..., 0]
+        norm = np.sqrt(x - norm) * np.sqrt(x + norm)
+    return norm
+
+
 def _split(kind: Geometry, p):
     """Fibre height and surface point (as its three components) of model
-    points, (3,) or (N, 3), from hypot-scaled norms: no square overflows."""
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    norm, inside = _scaled_norm(kind, p)
-    if not inside.all():
-        raise _not_member(kind, p if p.ndim == 1 else p[np.argmin(inside)])
-    if kind is Geometry.H2R:
-        # sqrt(Q) as sqrt(x - r) sqrt(x + r): no cancellation, no overflow
-        norm = np.sqrt(x - norm) * np.sqrt(x + norm)
-    return np.log(norm), (x / norm, y / norm, z / norm)
+    points, (3,) or (N, 3), from ``_fibre_norm``."""
+    norm = _fibre_norm(kind, p)
+    return np.log(norm), (p[..., 0] / norm, p[..., 1] / norm, p[..., 2] / norm)
 
 
 def require_member(kind: Geometry, p: np.ndarray) -> np.ndarray:

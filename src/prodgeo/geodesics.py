@@ -14,12 +14,14 @@ product of a constant-speed circle (respectively hyperbolic line) in the
 surface factor with a constant-speed fibre translation.
 
 The inverse problem, point -> (u, v, tau), splits the fibre part
-L = log sqrt(Q) (Q the fibre quadratic form) from the surface arc
+L = log sqrt(Q) (Q the fibre quadratic form, sqrt(Q) from ``core._fibre_norm``)
+from the surface arc
 
     S2xR :  w = atan2(sqrt(y^2 + z^2), x)      (principal arc, w in [0, pi])
     H2xR :  w = asinh(sqrt(y^2 + z^2) / sqrt(Q))
 
-after which v = atan2(L, w), tau = hypot(L, w) and u = atan2(z, y).
+after which v = atan2(L, w), tau = hypot(L, w) and u = atan2(z, y); on the
+fibre axis (w = 0) this is v = +-pi/2, tau = |L|, with u = 0.
 For S2xR the principal arc makes the returned geodesic the shortest one;
 geodesics that wind further around the sphere factor reach the same point
 with larger tau.
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Geometry, _guard_member, _scaled_norm, _split, model_point, require_member
+from .core import Geometry, _fibre_norm, _split, model_point, require_member
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
 
@@ -135,28 +137,17 @@ def geodesic_params(kind: Geometry, p) -> GeodesicParams:
 def _geodesic_params(kind: Geometry, p: np.ndarray) -> GeodesicParams:
     """``geodesic_params`` of a normalised point, membership included: the
     point may be an image under a normaliser that rounding left outside."""
-    _guard_member(kind, p)
+    norm = float(_fibre_norm(kind, p))
     x, y, z = p
     spread = math.hypot(y, z)
-    if kind is Geometry.S2R:
-        # log of a hypot-scaled norm: x^2 + y^2 + z^2 overflows from 1e154
-        length = math.log(math.hypot(math.hypot(x, y), z))
-        w = math.atan2(spread, x)
-    else:
-        # sqrt(Q) as sqrt(x - r) sqrt(x + r), with the spread r of the
-        # membership rule: x > r, so nothing cancels to zero or underflows
-        r = float(_scaled_norm(kind, p)[0])
-        norm = math.sqrt(x - r) * math.sqrt(x + r)
-        length = math.log(norm)
-        w = math.asinh(r / norm)
-    if w == 0.0:
-        if length == 0.0:
-            raise DomainError("the base point has no defined geodesic direction")
-        # on the fibre axis: pure fibre translation
-        return GeodesicParams(0.0, math.copysign(math.pi / 2, length), abs(length))
-    # u degenerates on the S2xR antipodal axis (y = z = 0, x < 0); any value
-    # parametrises a geodesic through that point, take 0
-    u = math.atan2(z, y) if spread > 0.0 else 0.0
+    length = math.log(norm)
+    w = math.atan2(spread, x) if kind is Geometry.S2R else math.asinh(spread / norm)
+    if w == 0.0 and length == 0.0:
+        raise DomainError("the base point has no defined geodesic direction")
+    # u degenerates on the fibre axis (w = 0: v = +-pi/2, tau = |L|) and on
+    # the S2xR antipodal axis (y = z = 0, x < 0); any value parametrises a
+    # geodesic through such a point, take 0
+    u = math.atan2(z, y) if spread > 0.0 and w > 0.0 else 0.0
     return GeodesicParams(u, math.atan2(length, w), math.hypot(length, w))
 
 

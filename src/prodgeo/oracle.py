@@ -78,7 +78,7 @@ import math
 import numpy as np
 
 from . import _dop853
-from .core import Geometry, _guard_member, _guard_members, _metric, to_model
+from .core import Geometry, _guard_member, _metric, to_model
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams
 from .tolerances import DEFAULT
@@ -221,6 +221,6 @@ def arc_length_quadrature(kind: Geometry, curve) -> float:
         raise DomainError(f"expected points of 3 coordinates, got shape {pts.shape[1:]}")
     mids = 0.5 * (pts[:-1] + pts[1:])
     delta = pts[1:] - pts[:-1]
-    _guard_members(kind, mids)
+    _guard_member(kind, mids)
     g = _metric(kind, *mids.T)
     return float(np.sqrt(np.einsum("ni,nij,nj->n", delta, g, delta)).sum())

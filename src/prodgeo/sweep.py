@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_members, contains, require_member
+from .core import BASE_POINT, Geometry, _guard_member, contains, require_member
 from .exceptions import ConsistencyError, DomainError
 from .tolerances import DEFAULT
 from .triangles import _angle_sums, _coplanar, _require_distinct
@@ -77,8 +77,11 @@ class SweepResult:
 
 def angle_sum_at(spec: SweepSpec, t: float) -> float:
     """S(t): the interior angle sum of the triangle with third vertex t*ray;
-    only t*ray is checked, as it leaves the model if it underflows to zero."""
-    return float(_sums(spec, require_member(spec.kind, t * spec.ray)))
+    only t*ray is checked, as it leaves the model if it underflows to zero
+    or overflows to inf."""
+    with np.errstate(over="ignore"):
+        a3 = t * spec.ray
+    return float(_sums(spec, require_member(spec.kind, a3)))
 
 
 def _sums(spec: SweepSpec, a3: np.ndarray):
@@ -126,8 +129,9 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     tenth of the resolution.
     """
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
-    points = grid[:, None] * spec.ray
-    _guard_members(spec.kind, points)
+    with np.errstate(over="ignore"):  # an overflowing vertex fails the guard
+        points = grid[:, None] * spec.ray
+    _guard_member(spec.kind, points)
     sums = _sums(spec, points)
     series = np.column_stack([grid, sums])
 

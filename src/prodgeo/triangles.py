@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, _split, require_member
+from .core import BASE_POINT, Geometry, _fibre_norm, _guard_member, _split, require_member
 from .exceptions import ConsistencyError, DegenerateError
 from .geodesics import _geodesic_params, _surface_arc, _tangent_sq, tangent_of
 from .isometries import _to_origin, apply_isometry
@@ -123,17 +123,15 @@ def _geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
 def _normalise(kind: Geometry, a, points):
     """Images of the (N, 3) ``points`` under the normaliser of ``a``, the
     linear map of ``to_origin`` in closed form.  With n = (y, z) / r,
-    r = hypot(y, z) ((1, 0) if r = 0), and (c, s) = (x, r) / |a| (norms of
-    ``_split``), components along e_x and n go to c p_x + sigma s p_n and
+    r = hypot(y, z) ((1, 0) if r = 0), and (c, s) = (x, r) / |a| (|a| from
+    ``_fibre_norm``), components along e_x and n go to c p_x + sigma s p_n and
     c p_n - s p_x (sigma = +1 on S2xR, -1 on H2xR), the rest stays, and all
     is divided by |a|: the identity at the base point, bit for bit."""
+    norm = float(_fibre_norm(kind, a))
     x, y, z = a
-    r = math.hypot(y, z)
+    r = float(np.hypot(y, z))  # the H2xR spread of ``_fibre_norm``, so c^2 - s^2 = 1
     ny, nz = (y / r, z / r) if r > 0.0 else (1.0, 0.0)
-    if kind is Geometry.S2R:
-        norm, sigma = math.hypot(x, r), 1.0
-    else:
-        norm, sigma = math.sqrt(x - r) * math.sqrt(x + r), -1.0
+    sigma = 1.0 if kind is Geometry.S2R else -1.0
     c, s = x / norm, r / norm
     twist = (c - 1.0) * ny * nz
     # row i holds the image of e_i, as points are rows

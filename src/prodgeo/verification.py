@@ -183,13 +183,10 @@ def antipodality_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
     for _ in range(trials):
         tri = _random_triangle(kind, rng)
         try:
-            frame = tangent_endpoints(tri)  # raises on pair failures
+            frame = tangent_endpoints(tri)  # raises on pair residuals above DEFAULT.isometry
         except Exception as exc:
             result.failures.append(f"vertices {tri.vertices}: {exc}")
             continue
-        for out, back in (((2, 0), (1, 2)), ((3, 0), (1, 3))):
-            if np.abs(frame[out] + frame[back]).max() > DEFAULT.suite_pair:
-                result.failures.append(f"pair {out}/{back} at vertices {tri.vertices}")
         gap = max(abs(a - b) for a, b in zip(_frame_angles(frame), angle_sum(tri)))
         if gap > DEFAULT.suite_pair:
             result.failures.append(

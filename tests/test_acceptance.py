@@ -178,9 +178,12 @@ class TestCriterion6Roundtrip:
                       f"worst strict {worst_strict:.2e}")
 
     @pytest.mark.xfail(strict=True, reason=(
-        "unattainable in float64: coordinates of points with surface arc "
-        "w = tau cos v near 10 carry the fibre split only to ~eps*cosh(2w), "
-        "about 3e-8, regardless of algorithm"))
+        "unattainable in float64: against a 50-digit mpmath oracle "
+        "(tests/mp_oracle.py, fitted on surface arcs w = tau cos v in [0, 10]), "
+        "the exactly rounded point carries the fibre split only to "
+        "0.6*eps*cosh(2w) for w >= 2, and the algorithm adds at most "
+        "eps*(0.4*cosh(2w) + 2*max(1, tau) + 1/tau); near w = 10 these are "
+        "3e-8 and 2e-8, whatever the algorithm"))
     def test_h2r_strict_as_stated(self):
         rng = np.random.default_rng(6)
         worst = 0.0

@@ -179,6 +179,17 @@ class TestSweep:
         assert out == ""
         assert err.startswith("DomainError: need finite")
 
+    def test_overflowing_grid_vertex_exit_2(self, capsys):
+        """t * ray overflows at t_max = 1e308: one DomainError line, no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--geometry", "s2r", "--a2", "3,-2,1",
+                                 "--ray", "2,1,0", "--t-min", "1", "--t-max", "1e308",
+                                 "--samples", "8")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("DomainError:")
+
     def test_ray_leaving_model_exit_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--geometry", "h2r", "--a2", "2,1.5,1",
                          "--ray", "1,5,0", "--samples", "16")

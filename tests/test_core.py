@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodgeo import DomainError, Geometry, contains, metric_at, model_point, to_model
-from prodgeo.core import BASE_POINT, _guard_members, _metric, require_member
+from prodgeo.core import BASE_POINT, _guard_member, _metric, require_member
 from conftest import BOTH, random_point
 
 
@@ -58,7 +58,7 @@ class TestMembershipScale:
     def test_extreme_scales_are_members(self, kind, p):
         assert contains(kind, p)
         require_member(kind, p)
-        _guard_members(kind, np.array([BASE_POINT, p]))
+        _guard_member(kind, np.array([BASE_POINT, p]))
 
     @pytest.mark.parametrize("kind, p", [
         (Geometry.S2R, (0.0, 0.0, 0.0)), (Geometry.S2R, (np.inf, 1.0, 0.0)),
@@ -71,11 +71,11 @@ class TestMembershipScale:
         with pytest.raises(DomainError, match="is not in the"):
             require_member(kind, p)
         with pytest.raises(DomainError, match="is not in the"):
-            _guard_members(kind, np.array([BASE_POINT, p]))
+            _guard_member(kind, np.array([BASE_POINT, p]))
 
     @BOTH
     def test_rows_decided_like_single_points(self, kind, rng):
-        """``_guard_members`` and ``contains`` apply one rule: every row of a
+        """``_guard_member`` and ``contains`` apply one rule: every row of a
         batch spanning 600 orders of magnitude, near the cone too, is
         decided as the single point is."""
         points = rng.normal(size=(400, 3)) * 10.0 ** rng.uniform(-300, 300, size=(400, 1))
@@ -83,10 +83,10 @@ class TestMembershipScale:
         for p in points:
             inside = contains(kind, p)
             if inside:
-                _guard_members(kind, p[None])
+                _guard_member(kind, p[None])
             else:
                 with pytest.raises(DomainError):
-                    _guard_members(kind, p[None])
+                    _guard_member(kind, p[None])
 
 
 class TestMetric:

@@ -21,9 +21,11 @@ from prodgeo import (
 from prodgeo.geodesics import _points
 from prodgeo.oracle import arc_length_quadrature
 from conftest import BOTH, random_params, random_point
+from mp_oracle import closed_form_point, inverse, param_error
 
 E = math.e
 PI = math.pi
+EPS = np.finfo(float).eps
 
 
 class TestClosedForm:
@@ -78,6 +80,12 @@ class TestInverse:
     def test_s2r_fibre_point(self):
         g = geodesic_params(Geometry.S2R, (1, E, 0, 0))
         assert g == pytest.approx((0.0, PI / 2, 1.0))
+        # on the fibre axis of either model, at any height: a pure fibre
+        # translation with u = 0
+        for kind in Geometry:
+            assert geodesic_params(kind, (1, E, 0, 0)) == pytest.approx((0.0, PI / 2, 1.0))
+            g = geodesic_params(kind, (1e200, 0, 0))
+            assert g == pytest.approx((0.0, PI / 2, math.log(1e200)), rel=1e-15)
 
     def test_h2r_base_plane_point(self):
         g = geodesic_params(Geometry.H2R, (1, math.cosh(2), 0, math.sinh(2)))
@@ -93,6 +101,10 @@ class TestInverse:
     def test_descending_fibre(self):
         g = geodesic_params(Geometry.S2R, (1, 1 / E, 0, 0))
         assert g == pytest.approx((0.0, -PI / 2, 1.0))
+        for kind in Geometry:
+            assert geodesic_params(kind, (1, 1 / E, 0, 0)) == pytest.approx((0.0, -PI / 2, 1.0))
+            g = geodesic_params(kind, (1e-200, 0, 0))
+            assert g == pytest.approx((0.0, -PI / 2, -math.log(1e-200)), rel=1e-15)
 
     def test_quadrant_of_u(self):
         # y < 0, z > 0 must land u in the second quadrant
@@ -100,14 +112,25 @@ class TestInverse:
         assert PI / 2 < g.u < PI
 
     def test_base_point_rejected(self):
+        # homogeneous coordinates at any scale name the same point
         for kind in Geometry:
-            with pytest.raises(DomainError):
-                geodesic_params(kind, (1, 1, 0, 0))
+            for scale in (1.0, 1e200, 1e-200):
+                with pytest.raises(DomainError, match="base point"):
+                    geodesic_params(kind, (scale, scale, 0, 0))
 
     def test_s2r_antipodal_axis(self):
         g = geodesic_params(Geometry.S2R, (1, -1, 0, 0))
         assert g.v == pytest.approx(0.0, abs=1e-15)
         assert g.tau == pytest.approx(PI)
+        # off the unit sphere: the surface arc is still pi, u still 0
+        for scale in (1e200, 1e-200):
+            height = math.log(scale)
+            g = geodesic_params(Geometry.S2R, (-scale, 0, 0))
+            assert g == pytest.approx((0.0, math.atan2(height, PI), math.hypot(height, PI)),
+                                      rel=1e-15)
+        # the H2xR model has no antipodal axis: (-1, 0, 0) is outside the cone
+        with pytest.raises(DomainError, match="is not in the"):
+            geodesic_params(Geometry.H2R, (-1, 0, 0))
 
     def test_non_member_rejected(self):
         with pytest.raises(DomainError):
@@ -164,6 +187,21 @@ class TestInverseScale:
         assert g.tau == pytest.approx(math.hypot(height, w), rel=1e-14)
         assert g.v == pytest.approx(math.atan2(height, w), rel=1e-14)
         assert g.u == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(list(Geometry)), u=st.floats(-PI, PI),
+           height=st.floats(250.0, 300.0), sign=st.sampled_from([-1.0, 1.0]),
+           w=st.floats(1e-3, 3.0))
+    def test_roundtrip_far_along_the_fibre(self, kind, u, height, sign, w):
+        """Points e^(+-(250 to 300)) from the unit leaf: the fibre norm takes
+        no square, so the inverse recovers the geodesic to a few ulps (the
+        worst of 20,000 seeded draws: 4.3e-16 relative in tau, 2.2e-16 in
+        u and v)."""
+        g = GeodesicParams.normalized(u, math.atan2(sign * height, w), math.hypot(height, w))
+        h = geodesic_params(kind, geodesic_point(kind, g))
+        assert abs(h.tau - g.tau) <= 2e-15 * g.tau
+        assert abs(h.v - g.v) <= 2e-15
+        assert abs(math.remainder(h.u - g.u, 2 * PI)) <= 2e-15
 
     def test_h2r_params_one_ulp_inside_the_cone(self):
         """x is the float after hypot(y, z) while x^2 - y^2 - z^2 rounds to
@@ -309,3 +347,29 @@ class TestGeodesicStructure:
             normal = np.array([0.0, -math.sin(g.u), math.cos(g.u)])
             for p in sample_curve(kind, g, 40):
                 assert abs(normal @ p) <= 1e-10 * max(1.0, np.linalg.norm(p))
+
+
+class TestPrecisionFloor:
+    """The inverse problem against the 50-digit oracle of ``mp_oracle``, on
+    exactly rounded closed-form points, so that only the algorithm's own
+    error remains.  Fitted on 20,000 points per geometry with w in [0, 10]
+    and tau in [1e-3, 10], its envelope is
+
+        eps (0.4 cosh(2w) + 2 max(1, tau) + 1 / tau),
+
+    with no cosh term on S2xR.  The cosh term is the H2xR fibre norm
+    sqrt(x - r) sqrt(x + r) of a point whose Q is eps cosh(2w)-conditioned;
+    1 / tau is the log of a norm near 1, whose absolute eps moves v by
+    eps / tau; 2 max(1, tau) is the rounding of tau.  The worst point
+    reached 0.86 of it."""
+
+    @BOTH
+    def test_error_within_fitted_envelope(self, kind):
+        rng = np.random.default_rng(9)
+        cosh_term = 0.4 if kind is Geometry.H2R else 0.0
+        for _ in range(200):
+            g = (rng.uniform(-PI, PI), rng.uniform(-PI / 2, PI / 2), rng.uniform(1e-3, 10.0))
+            p = closed_form_point(kind, *g)
+            u, v, tau, w = inverse(kind, p)
+            envelope = EPS * (cosh_term * math.cosh(2.0 * w) + 2.0 * max(1.0, tau) + 1.0 / tau)
+            assert param_error(geodesic_params(kind, p), (u, v, tau)) <= 2.0 * envelope

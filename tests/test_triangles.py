@@ -367,6 +367,22 @@ class TestClosedFormNormaliser:
         scaled = geodesic_triangle(Geometry.S2R, scale * a1, scale * a2, scale * a3)
         assert angle_sum(scaled).total == pytest.approx(unit, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(params=st.tuples(*[st.tuples(st.floats(-PI, PI), st.floats(-PI / 2, PI / 2),
+                                        st.floats(0.1, 3.0))] * 3),
+           log_scale=st.sampled_from([-300.0, 300.0]))
+    def test_s2r_angle_sum_invariant_under_far_scaling(self, params, log_scale):
+        """p -> e^(+-300) p is a fibre translation of S2xR, so the angle sum
+        stays; a1 is off the base point, so ``_normalise`` moves every vertex."""
+        verts = [geodesic_point(Geometry.S2R, g) for g in params]
+        for p, q in ((verts[0], verts[1]), (verts[0], verts[2]), (verts[1], verts[2])):
+            assume(np.linalg.norm(p - q) > 1e-2 * max(1.0, np.abs(p).max(), np.abs(q).max()))
+            assume(np.linalg.norm(p / np.linalg.norm(p) + q / np.linalg.norm(q)) > 1e-2)
+        unit = angle_sum(geodesic_triangle(Geometry.S2R, *verts)).total
+        scale = math.exp(log_scale)
+        scaled = geodesic_triangle(Geometry.S2R, *(scale * p for p in verts))
+        assert abs(angle_sum(scaled).total - unit) <= 1e-12
+
     @BOTH
     def test_construction_uses_no_matrix(self, kind, rng, monkeypatch):
         def refuse(*args):
