@@ -182,8 +182,8 @@ class TestCriterion6Roundtrip:
         "(tests/mp_oracle.py, fitted on surface arcs w = tau cos v in [0, 10]), "
         "the exactly rounded point carries the fibre split only to "
         "0.6*eps*cosh(2w) for w >= 2, and the algorithm adds at most "
-        "eps*(0.4*cosh(2w) + 2*max(1, tau) + 1/tau); near w = 10 these are "
-        "3e-8 and 2e-8, whatever the algorithm"))
+        "eps*(0.4*cosh(2w) + 2*max(1, tau) + 1/tau); near w = 10 the first "
+        "alone is 3e-8, which no algorithm can undo, and the second 2e-8"))
     def test_h2r_strict_as_stated(self):
         rng = np.random.default_rng(6)
         worst = 0.0
