@@ -115,23 +115,49 @@ def _guard_member(kind: Geometry, p: np.ndarray):
     (3,) or (N, 3), that is not a member; return their ``_scaled_norm``."""
     norm, inside = _scaled_norm(kind, p)
     if p.ndim == 1:
-        if not inside:  # a 0-d mask: ``.all()`` would cost far more than the test
+        if not inside:  # a bool for one point
             raise _not_member(kind, p)
     elif not inside.all():
         raise _not_member(kind, p[np.argmin(inside)])
     return norm
 
 
+def _hypot(a: float, b: float) -> float:
+    """C's hypot of two floats, inf where it leaves double range.  The abs
+    of a Python complex calls it, as numpy's hypot does, so the bits are
+    numpy's; an overflow raises OverflowError here, not numpy's warning."""
+    try:
+        return abs(complex(a, b))
+    except OverflowError:
+        return math.inf
+
+
 def _scaled_norm(kind: Geometry, p):
     """The membership rule on points p, (3,) or (..., 3): the S2xR norm
     |p| = hypot(hypot(x, y), z), or the H2xR spread r = hypot(y, z), and
     the mask 0 < |p| < inf, or r < x < inf.  No coordinate is squared, so
-    nothing overflows or underflows, and a NaN fails every comparison."""
-    if kind is Geometry.S2R:
-        norm = np.hypot.reduce(p, axis=-1)  # the nested hypot, left to right
-        return norm, (norm > 0.0) & (norm < math.inf)
-    x, r = p[..., 0], np.hypot(p[..., 1], p[..., 2])
-    return r, (x > r) & (x < math.inf)
+    nothing underflows, a norm beyond double range is inf, and a NaN fails
+    every comparison.
+
+    One point is read as floats, with the C hypot of ``_hypot``: numpy's
+    per-call cost on a (3,) array is most of a guard, and its overflow
+    warning could only be silenced by ``np.errstate``, which costs more
+    again.  Arrays are decided by numpy with the same hypot, under
+    ``np.errstate``, paid once per array.
+    """
+    if p.ndim == 1:
+        x, y, z = p.tolist()
+        if kind is Geometry.S2R:
+            norm = _hypot(_hypot(x, y), z)
+            return norm, 0.0 < norm < math.inf
+        r = _hypot(y, z)
+        return r, r < x < math.inf
+    with np.errstate(over="ignore"):
+        if kind is Geometry.S2R:
+            norm = np.hypot.reduce(p, axis=-1)  # the nested hypot, left to right
+            return norm, (norm > 0.0) & (norm < math.inf)
+        x, r = p[..., 0], np.hypot(p[..., 1], p[..., 2])
+        return r, (x > r) & (x < math.inf)
 
 
 def _fibre_norm(kind: Geometry, p):
@@ -189,9 +215,9 @@ def metric_at(kind: Geometry, p) -> np.ndarray:
     return g
 
 
-def _metric(kind: Geometry, x, y, z) -> np.ndarray:
-    """``metric_at`` of trusted coordinate arrays, real or complex: shape
-    (..., 3, 3) for coordinates of shape (...).
+def _metric_entries(kind: Geometry, x, y, z) -> tuple:
+    """The nine entries of ``metric_at``, row by row, of trusted coordinates:
+    floats, Python complex numbers or arrays of one shape.
 
     Only + - * / appear, so the formula is analytic and a complex step
     x + ih differentiates it: no abs, hypot or maximum, which have no
@@ -200,16 +226,21 @@ def _metric(kind: Geometry, x, y, z) -> np.ndarray:
     if kind is Geometry.S2R:
         diag = 1.0 / (x * x + y * y + z * z)
         off = 0.0 * diag
-        entries = [diag, off, off, off, diag, off, off, off, diag]
-    else:
-        xx, yy, zz = x * x, y * y, z * z
-        q = xx - yy - zz
-        qq = q * q
-        xy, xz, yz = -2.0 * x * y / qq, -2.0 * x * z / qq, 2.0 * y * z / qq
-        entries = [(xx + yy + zz) / qq, xy, xz,
-                   xy, (xx + yy - zz) / qq, yz,
-                   xz, yz, (xx - yy + zz) / qq]
-    g = np.array(entries)  # (9, ...): one copy, no per-entry stacking
+        return diag, off, off, off, diag, off, off, off, diag
+    xx, yy, zz = x * x, y * y, z * z
+    q = xx - yy - zz
+    qq = q * q
+    xy, xz, yz = -2.0 * x * y / qq, -2.0 * x * z / qq, 2.0 * y * z / qq
+    return ((xx + yy + zz) / qq, xy, xz,
+            xy, (xx + yy - zz) / qq, yz,
+            xz, yz, (xx - yy + zz) / qq)
+
+
+def _metric(kind: Geometry, x, y, z) -> np.ndarray:
+    """``metric_at`` of trusted coordinate arrays, real or complex: the
+    ``_metric_entries`` assembled with shape (..., 3, 3) for coordinates of
+    shape (...)."""
+    g = np.array(_metric_entries(kind, x, y, z))  # (9, ...): one copy, no per-entry stacking
     return g.reshape((3, 3) + g.shape[1:]).transpose(tuple(range(2, g.ndim + 1)) + (0, 1))
 
 
@@ -240,7 +271,7 @@ def to_model(kind: Geometry, t, c1, c2) -> np.ndarray:
             sinh_r = np.sinh(c1)
             coords = (np.cosh(c1), sinh_r * np.cos(c2), sinh_r * np.sin(c2))
         points = np.stack([s * c for c in coords], axis=-1)
-    inside = _scaled_norm(kind, points)[1]
+    inside = np.asarray(_scaled_norm(kind, points)[1])
     if not inside.all():
         first = np.unravel_index(np.argmin(inside), inside.shape)
         at = tuple(np.broadcast_to(c, inside.shape)[first].item() for c in (t, c1, c2))

@@ -55,9 +55,14 @@ Sturdza & Alonso, ACM TOMS 29, 2003).  Central differences would carry
 rounding noise of about eps |p| / h (7e-10 at h = 1e-6), above the
 integrator's rtol of 1e-10, and its step control would then run to
 thousands of evaluations on long H2xR arcs.  The derivatives are contracted
-with the velocity at once, so no Gamma tensor is formed: one complex metric
-evaluation and one 3x3 solve per step.  The complex step needs a metric
-formula analytic in each coordinate, hence only + - * / in ``core._metric``.
+with the velocity at once, so no Gamma tensor is formed.  A right-hand side
+is one computation in Python floats: three evaluations of
+``core._metric_entries`` in Python complex, one per coordinate step, and an
+unrolled 3x3 Cholesky solve; numpy's per-call cost on (3,) arrays was most
+of its time.  The complex step needs a metric formula analytic in each
+coordinate, hence only + - * / in ``core._metric_entries``.  On H2xR the
+metric's conditioning grows as e^(2w) with the surface arc w, so the
+Cartesian route is limited to w <= 3.5.
 
 Both routes integrate with ``_dop853``, the in-package explicit
 Runge-Kutta method of order 8 of Dormand and Prince with its 5th- and
@@ -78,7 +83,7 @@ import math
 import numpy as np
 
 from . import _dop853
-from .core import Geometry, _guard_member, _metric, to_model
+from .core import Geometry, _guard_member, _metric, _metric_entries, to_model
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams
 from .tolerances import DEFAULT
@@ -167,19 +172,74 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
 #: imaginary step of the complex-step derivative; nothing is subtracted, so
 #: it can be far below sqrt(eps) and the derivative is exact to rounding
 _COMPLEX_STEP = 1e-20
-#: the complex offsets i h e_k of the three partial derivatives, one per row
-_OFFSETS = 1j * _COMPLEX_STEP * np.eye(3)
+#: longest H2xR surface arc tau |cos v| of the Cartesian route.  The
+#: metric's conditioning grows as e^(2w) along the arc, and the step control
+#: then fights rounding noise in the acceleration: w = 3.9 took 2.5 s and
+#: 4.0 took 5.3 s, and w = 5 does not finish in a minute.  Every arc tried
+#: up to 3.5 (w in [0.5, 3.5], 11 directions v per w with tau <= 10, three
+#: seeds) ended within 8e-8 relative of the closed form in under 0.2 s on a
+#: 2-core machine.
+_H2R_SURFACE_ARC = 3.5
 
 
-def _acceleration(kind: Geometry, p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+def _not_positive_definite(kind: Geometry, point) -> SingularityError:
+    return SingularityError(f"the {kind.value} metric at {point} is not positive "
+                            "definite in double precision")
+
+
+def _acceleration(kind: Geometry, p, dp) -> list:
     """Geodesic acceleration -Gamma(dp, dp) in the Cartesian chart at the
-    trusted point ``p``, no Gamma tensor formed: one complex ``core._metric``
-    call at p + ih e_k gives d_k g = Im g / h, Re g = g(p) to rounding, and
-    with a[k, l] = (d_k g dp)_l, Gamma_l(dp, dp) = (dp @ a - a @ dp / 2)_l.
+    trusted point ``p``, in floats: (3,) arrays in, a list of three out.
+
+    No Gamma tensor is formed.  Three ``core._metric_entries`` calls at
+    p + ih e_k, in Python complex, give h d_k g = Im g, and Re g = g(p) to
+    rounding.  With h a[k][l] = (Im g_k dp)_l, Gamma_l(dp, dp) is
+    (dp a - a dp / 2)_l, and g x = Gamma(dp, dp) is solved by the Cholesky
+    factorisation of Re g, which is positive definite on members and
+    backward stable there (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 10).  A pivot that is not positive, a zero metric
+    denominator or an acceleration that is not finite raises
+    SingularityError.
     """
-    g = _metric(kind, *(p + _OFFSETS).T)
-    a = (g.imag / _COMPLEX_STEP) @ dp
-    return -np.linalg.solve(g[0].real, dp @ a - 0.5 * (a @ dp))
+    x, y, z = p.tolist()
+    u, v, w = dp.tolist()
+    step = 1j * _COMPLEX_STEP
+    try:
+        g = _metric_entries(kind, x + step, y, z)
+        rows = (g, _metric_entries(kind, x, y + step, z), _metric_entries(kind, x, y, z + step))
+    except ZeroDivisionError:  # Python complex raises where numpy gave inf
+        raise SingularityError(f"the {kind.value} metric is singular at {(x, y, z)}") from None
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = [
+        (e0.imag * u + e1.imag * v + e2.imag * w, e3.imag * u + e4.imag * v + e5.imag * w,
+         e6.imag * u + e7.imag * v + e8.imag * w)
+        for e0, e1, e2, e3, e4, e5, e6, e7, e8 in rows]
+    b0 = u * a00 + v * a10 + w * a20 - 0.5 * (a00 * u + a01 * v + a02 * w)
+    b1 = u * a01 + v * a11 + w * a21 - 0.5 * (a10 * u + a11 * v + a12 * w)
+    b2 = u * a02 + v * a12 + w * a22 - 0.5 * (a20 * u + a21 * v + a22 * w)
+    # Re g = L L^T with L lower triangular, then L y = b and L^T s = y
+    g00, g01, g02, g11, g12, g22 = g[0].real, g[1].real, g[2].real, g[4].real, g[5].real, g[8].real
+    if not g00 > 0.0:  # a NaN fails every test too
+        raise _not_positive_definite(kind, (x, y, z))
+    l00 = math.sqrt(g00)
+    l10, l20 = g01 / l00, g02 / l00
+    d11 = g11 - l10 * l10
+    if not d11 > 0.0:
+        raise _not_positive_definite(kind, (x, y, z))
+    l11 = math.sqrt(d11)
+    l21 = (g12 - l20 * l10) / l11
+    d22 = g22 - l20 * l20 - l21 * l21
+    if not d22 > 0.0:
+        raise _not_positive_definite(kind, (x, y, z))
+    l22 = math.sqrt(d22)
+    y0 = b0 / l00
+    y1 = (b1 - l10 * y0) / l11
+    s2 = (b2 - l20 * y0 - l21 * y1) / l22 / l22
+    s1 = (y1 - l21 * s2) / l11
+    s0 = (y0 - l10 * s1 - l20 * s2) / l00
+    acc = [-s0 / _COMPLEX_STEP, -s1 / _COMPLEX_STEP, -s2 / _COMPLEX_STEP]
+    if not (math.isfinite(acc[0]) and math.isfinite(acc[1]) and math.isfinite(acc[2])):
+        raise SingularityError(f"the geodesic acceleration at {(x, y, z)} is not finite")
+    return acc
 
 
 def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
@@ -187,18 +247,23 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
 
     Uses only the ambient metric tensor, differentiated by complex step
     (see ``_acceleration``), making it independent of every
-    intrinsic-coordinate formula in the package.  Raises DomainError if the
-    integrated curve leaves the model, and SingularityError if the step
-    size underflows.
+    intrinsic-coordinate formula in the package.  On H2xR the surface arc
+    tau |cos v| is limited to 3.5, as ``integrate_geodesic`` limits tau to
+    10: beyond it the metric's conditioning makes the integration slow and
+    inexact, and PrecondError is raised before any step.  Raises
+    DomainError if the integrated curve leaves the model, and
+    SingularityError if the step size underflows or the metric is singular
+    in double precision.
     """
     u, v, tau = GeodesicParams.normalized(*g)
+    if kind is Geometry.H2R and tau * abs(math.cos(v)) > _H2R_SURFACE_ARC:
+        raise PrecondError(f"h2r Cartesian integration limited to surface arcs tau |cos v| "
+                           f"<= {_H2R_SURFACE_ARC}, got {tau * abs(math.cos(v))}")
 
     def rhs(_tau, state):
         p, dp = state[:3], state[3:]
         _guard_member(kind, p)
-        out = np.empty(6)
-        out[:3], out[3:] = dp, _acceleration(kind, p, dp)
-        return out
+        return [*dp.tolist(), *_acceleration(kind, p, dp)]
 
     state0 = np.array([1.0, 0.0, 0.0,
                        math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)])

@@ -5,6 +5,8 @@ and rounds each coordinate once, to the nearest double: the exactly rounded
 point.  ``inverse`` solves the inverse problem of a double point in 50
 digits, so the difference between it and ``geodesic_params`` is the
 algorithm's own error on that point, apart from its representation.
+``acceleration`` is the geodesic acceleration of the Cartesian chart at a
+double point, from the metric's derivatives written out by hand.
 """
 
 import math
@@ -52,3 +54,40 @@ def param_error(g, h):
     """Largest absolute difference of two (u, v, tau) triples, u modulo 2 pi."""
     return max(abs(math.remainder(g[0] - h[0], 2.0 * math.pi)),
                abs(g[1] - h[1]), abs(g[2] - h[2]))
+
+
+def _metric_and_derivatives(kind, p):
+    """g_ij and d_k g_ij (as dg[k][i][j]) of the Cartesian metric at the
+    mpf point ``p``.  S2xR: g = I / s with s = |p|^2.  H2xR: the Hessian
+    g = -eta / Q + 2 m m^T / Q^2 of -log(Q) / 2, with eta = diag(1, -1, -1),
+    m = eta p and Q = p . m."""
+    r3 = range(3)
+    if kind is Geometry.S2R:
+        s = sum(c * c for c in p)
+        g = [[(1 / s if i == j else mpmath.mpf(0)) for j in r3] for i in r3]
+        dg = [[[(-2 * p[k] / s ** 2 if i == j else mpmath.mpf(0)) for j in r3] for i in r3]
+              for k in r3]
+        return g, dg
+    eta = [1, -1, -1]
+    m = [eta[i] * p[i] for i in r3]
+    q = sum(p[i] * m[i] for i in r3)
+    g = [[(-eta[i] if i == j else 0) / q + 2 * m[i] * m[j] / q ** 2 for j in r3] for i in r3]
+    dg = [[[(eta[i] if i == j else 0) * 2 * m[k] / q ** 2
+            + 2 * ((eta[i] if i == k else 0) * m[j] + m[i] * (eta[j] if j == k else 0)) / q ** 2
+            - 8 * m[i] * m[j] * m[k] / q ** 3 for j in r3] for i in r3] for k in r3]
+    return g, dg
+
+
+def acceleration(kind, p, dp):
+    """-Gamma(dp, dp) at the double point ``p`` for the double velocity
+    ``dp``, in 50 digits and rounded to doubles:
+    g a = -(d_i g_lj - d_l g_ij / 2) dp_i dp_j."""
+    with mpmath.workdps(DIGITS):
+        p = [mpmath.mpf(float(c)) for c in p]
+        dp = [mpmath.mpf(float(c)) for c in dp]
+        g, dg = _metric_and_derivatives(kind, p)
+        r3 = range(3)
+        lowered = [sum((dg[i][l][j] - dg[l][i][j] / 2) * dp[i] * dp[j] for i in r3 for j in r3)
+                   for l in r3]
+        acc = mpmath.lu_solve(mpmath.matrix(g), mpmath.matrix([-c for c in lowered]))
+        return [float(c) for c in acc]

@@ -30,3 +30,40 @@ def _modules_naming(name: str) -> set[str]:
 ])
 def test_name_used_only_by(name, owners):
     assert _modules_naming(name) == owners
+
+
+def _tree(module: str) -> ast.AST:
+    path = SOURCES / module
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _squares_of_names(node: ast.AST) -> int:
+    """How many terms of a chain of + and - are ``a * a`` for one name a."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return _squares_of_names(node.left) + _squares_of_names(node.right)
+    return int(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+               and isinstance(node.left, ast.Name) and isinstance(node.right, ast.Name)
+               and node.left.id == node.right.id)
+
+
+def test_metric_entries_defined_only_in_core():
+    """One metric formula: ``core._metric_entries``, which ``_metric`` and
+    the oracle's acceleration both call."""
+    defining = {path.name for path in SOURCES.glob("*.py")
+                for node in ast.walk(_tree(path.name))
+                if isinstance(node, ast.FunctionDef) and node.name == "_metric_entries"}
+    assert defining == {"core.py"}
+    assert "oracle.py" in _modules_naming("_metric_entries")
+
+
+def test_oracle_writes_no_metric_and_solves_without_numpy_linalg():
+    """Both metrics' entries are built on |p|^2 or Q = x^2 - y^2 - z^2, sums
+    of three squares that only ``core`` writes; the acceleration solves its
+    3x3 system by its own Cholesky factorisation."""
+    tree = _tree("oracle.py")
+    assert not any(_squares_of_names(node) >= 3 for node in ast.walk(tree))
+    assert _squares_of_names(ast.parse("x * x - y * y - z * z").body[0].value) == 3
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "linalg"
+                   for node in ast.walk(tree))
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
+                   and "linalg" in ast.unparse(node) for node in ast.walk(tree))

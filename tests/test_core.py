@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodgeo import DomainError, Geometry, contains, metric_at, model_point, to_model
-from prodgeo.core import BASE_POINT, _guard_member, _metric, require_member
+from prodgeo.core import BASE_POINT, _guard_member, _metric, _scaled_norm, require_member
 from conftest import BOTH, random_point
 
 
@@ -54,7 +54,8 @@ class TestMembershipScale:
     @pytest.mark.parametrize("kind, p", [
         (Geometry.S2R, (1e200, 1.0, 0.0)), (Geometry.S2R, (1e-170, 1e-170, 0.0)),
         (Geometry.S2R, (-1e-300, 0.0, 5e-324)), (Geometry.H2R, (1e200, 1e199, -1e199)),
-        (Geometry.H2R, (2e-170, 1e-170, 0.0)), (Geometry.H2R, (1e-300, 0.0, 0.0))])
+        (Geometry.H2R, (2e-170, 1e-170, 0.0)), (Geometry.H2R, (1e-300, 0.0, 0.0)),
+        (Geometry.S2R, (1.5e308, 5e307, 0.0)), (Geometry.H2R, (1.5e308, 1e308, 1e308))])
     def test_extreme_scales_are_members(self, kind, p):
         assert contains(kind, p)
         require_member(kind, p)
@@ -65,13 +66,30 @@ class TestMembershipScale:
         (Geometry.S2R, (np.nan, 1.0, 0.0)), (Geometry.S2R, (1.0, np.nan, 0.0)),
         (Geometry.H2R, (0.0, 0.0, 0.0)), (Geometry.H2R, (np.inf, 1.0, 0.0)),
         (Geometry.H2R, (1.0, np.nan, 0.0)), (Geometry.H2R, (1e200, 1e200, 0.0)),
-        (Geometry.H2R, (-1e-170, 0.0, 0.0))])
+        (Geometry.H2R, (-1e-170, 0.0, 0.0)),
+        # finite points whose hypot overflows: inf, with no overflow warning
+        (Geometry.S2R, (1.5e308, 1.5e308, 0.0)), (Geometry.H2R, (1.5e308, 1.5e308, 0.0)),
+        (Geometry.H2R, (1.5e308, 1.5e308, 1.5e308))])
     def test_non_members_at_every_scale(self, kind, p):
         assert not contains(kind, p)
         with pytest.raises(DomainError, match="is not in the"):
             require_member(kind, p)
         with pytest.raises(DomainError, match="is not in the"):
             _guard_member(kind, np.array([BASE_POINT, p]))
+
+    @BOTH
+    def test_one_point_norm_is_the_array_norm_bit_for_bit(self, kind, rng):
+        """One point is decided in floats with C's hypot, arrays by numpy's:
+        the same function, so the same norm, NaN and inf included."""
+        with np.errstate(over="ignore"):  # some coordinates overflow to inf
+            points = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-320, 308.3, size=(2000, 3))
+            points[::5, 0] = np.hypot(points[::5, 1], points[::5, 2]) * (1 + 1e-15)
+        points[1::7, 1], points[2::11, 2] = np.nan, np.inf
+        norms, inside = _scaled_norm(kind, points)
+        for p, norm, member in zip(points, norms, inside):
+            one_norm, one_inside = _scaled_norm(kind, p)
+            assert one_norm == norm or (math.isnan(one_norm) and math.isnan(norm))
+            assert one_inside == member
 
     @BOTH
     def test_rows_decided_like_single_points(self, kind, rng):

@@ -27,9 +27,11 @@ from prodgeo import (
     to_model,
 )
 from prodgeo import _dop853
-from prodgeo.core import _metric
+from prodgeo.core import _metric, _metric_entries
 from prodgeo.oracle import _acceleration, _initial_state, _rhs_h2r, _rhs_s2r, unit_speed_drift
 from conftest import BOTH, random_params, random_point
+from mp_oracle import acceleration as mp_acceleration
+from mp_oracle import closed_form_point
 
 PI = math.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -231,38 +233,39 @@ class TestCartesianIntegration:
 
     def test_one_metric_evaluation_per_right_hand_side(self, monkeypatch):
         """Every right-hand side checks its point once and evaluates the
-        complex metric once."""
-        guards, metrics = [], []
+        metric entries three times, once per complex step p + ih e_k."""
+        guards, entries = [], []
         true_guard = oracle._guard_member
 
         def guard(*args):
             guards.append(1)
             return true_guard(*args)
 
-        def metric(*args):
-            metrics.append(1)
-            return _metric(*args)
+        def counted(*args):
+            entries.append(1)
+            return _metric_entries(*args)
 
         monkeypatch.setattr(oracle, "_guard_member", guard)
-        monkeypatch.setattr(oracle, "_metric", metric)
+        monkeypatch.setattr(oracle, "_metric_entries", counted)
         for kind in Geometry:
             guards.clear()
-            metrics.clear()
+            entries.clear()
             integrate_geodesic_cartesian(kind, (0.4, 0.3, 1.5))
             assert len(guards) > 0
-            assert len(metrics) == len(guards)
+            assert len(entries) == 3 * len(guards)
 
     def test_h2r_long_surface_arcs_are_cheap_and_exact(self, monkeypatch, rng):
         """Surface arcs w = tau cos v in [1.6, 2], where central differences
         of the metric let the step control run to thousands of evaluations:
-        endpoints within 1e-8 in at most 300 metric evaluations."""
+        endpoints within 1e-8 in at most 300 right-hand sides, which are
+        900 evaluations of the metric entries."""
         evaluations = []
 
         def counted(*args):
             evaluations.append(1)
-            return _metric(*args)
+            return _metric_entries(*args)
 
-        monkeypatch.setattr(oracle, "_metric", counted)
+        monkeypatch.setattr(oracle, "_metric_entries", counted)
         draws = [GeodesicParams(0.3, 0.0, 2.0)] + [
             GeodesicParams(rng.uniform(-PI, PI), sign * math.acos(w / 2.0), 2.0)
             for w, sign in zip(np.linspace(1.6, 2.0, 6), [1, -1, 1, -1, 1, -1])]
@@ -270,7 +273,72 @@ class TestCartesianIntegration:
             evaluations.clear()
             end = integrate_geodesic_cartesian(Geometry.H2R, g)
             assert np.abs(end - geodesic_point(Geometry.H2R, g)).max() <= 1e-8, g
-            assert 0 < len(evaluations) <= 300, g
+            assert 0 < len(evaluations) <= 3 * 300, g
+
+    @pytest.mark.parametrize("kind, bound", [(Geometry.S2R, 1e-14), (Geometry.H2R, 1e-11)],
+                             ids=["s2r", "h2r"])
+    def test_acceleration_against_a_50_digit_oracle(self, kind, bound):
+        """On exactly rounded points with surface arc w <= 2 and fibre height
+        in [-2, 2], and random velocities: the float kernel against the
+        acceleration that ``mp_oracle`` computes in 50 digits from the
+        metric's derivatives written out by hand, relative to its largest
+        component.  The H2xR floor is the rounding of Q = x^2 - y^2 - z^2,
+        eps cosh(2w)-conditioned, in the metric formula: over 3,000 points
+        the worst was 5.1e-12 here and 2.8e-12 with the LU solve it
+        replaced, the same in distribution; S2xR stays within 1e-15."""
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            t, w, u = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2.0), rng.uniform(-PI, PI)
+            p = np.array(closed_form_point(kind, u, math.atan2(t, w), math.hypot(t, w)))
+            dp = rng.normal(size=3)
+            exact = np.array(mp_acceleration(kind, p, dp))
+            got = np.array(_acceleration(kind, p, dp))
+            assert np.abs(got - exact).max() <= bound * np.abs(exact).max(), (p, dp)
+
+    @pytest.mark.parametrize("kind, p, dp, message", [
+        # cosh 10 and sinh 10 agree to 9 digits: Re g has a negative pivot
+        (Geometry.H2R, (math.cosh(10.0), math.sinh(10.0), 0.0), (0.3, -0.2, 0.9),
+         "not positive definite"),
+        # (0 + ih)^2 + (1e-20)^2 is exactly 0: Python complex divides by zero
+        (Geometry.S2R, (0.0, 1e-20, 0.0), (1.0, 0.0, 0.0), "is singular"),
+        (Geometry.H2R, (1.0, 0.2, 0.0), (1e160, 0.0, 0.0), "is not finite")],
+        ids=["pivot", "denominator", "overflow"])
+    def test_singular_metric_is_a_singularity_error(self, kind, p, dp, message):
+        with pytest.raises(SingularityError, match=message):
+            _acceleration(kind, np.array(p), np.array(dp))
+
+    def test_h2r_far_from_the_axis_is_finite_or_a_singularity_error(self):
+        """Members at surface arcs w in [8, 10], where the metric's
+        conditioning reaches e^20: every acceleration is finite or a
+        SingularityError, never a bare math or linear-algebra error."""
+        rng = np.random.default_rng(11)
+        singular = 0
+        for _ in range(300):
+            w, u = rng.uniform(8.0, 10.0), rng.uniform(-PI, PI)
+            p = math.exp(rng.uniform(-2.0, 2.0)) * np.array(
+                [math.cosh(w), math.sinh(w) * math.cos(u), math.sinh(w) * math.sin(u)])
+            try:
+                assert np.isfinite(_acceleration(Geometry.H2R, p, rng.normal(size=3))).all()
+            except SingularityError:
+                singular += 1
+        assert singular > 0
+
+    def test_h2r_surface_arc_limit(self):
+        """H2xR surface arcs tau |cos v| above 3.5 are a PrecondError before
+        any step: w = 4 took seconds and w = 5 did not finish.  Up to the
+        limit, endpoints are within 1e-6 relative; S2xR has no limit."""
+        limit = 3.5
+        for g in [(0.3, 0.0, 4.0), (0.3, 0.0, 5.0), (-1.0, 0.7, limit / math.cos(0.7) * 1.001)]:
+            with pytest.raises(PrecondError, match="surface arcs"):
+                integrate_geodesic_cartesian(Geometry.H2R, g)
+        below = limit * (1.0 - 1e-12)
+        for g in [(0.3, 0.0, limit), (-1.0, 0.7, below / math.cos(0.7)),
+                  (2.0, -1.2, below / math.cos(1.2))]:
+            end = integrate_geodesic_cartesian(Geometry.H2R, g)
+            closed = geodesic_point(Geometry.H2R, g)
+            assert np.abs(end - closed).max() <= 1e-6 * np.abs(closed).max(), g
+        end = integrate_geodesic_cartesian(Geometry.S2R, (0.3, 0.0, 5.0))
+        assert np.abs(end - geodesic_point(Geometry.S2R, (0.3, 0.0, 5.0))).max() <= 1e-6
 
     def test_leaving_the_model_raises_domain_error(self, monkeypatch):
         """The state point is checked on every evaluation: a step that leaves
