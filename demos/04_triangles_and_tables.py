@@ -1,7 +1,8 @@
 """Interior angles of geodesic triangles and the reference tables.
 
-The angle at the base vertex is Euclidean; the other two vertices are
-normalised there first.  Angle sums sit above pi in S2xR, below pi in
+Angles are measured on the vertices as given, from the split of each into
+a fibre height and a surface point; the paper's method, which moves each
+vertex to the base point by its normaliser, gives the same angles.  Angle sums sit above pi in S2xR, below pi in
 H2xR, and equal pi exactly for triangles coplanar with the centre (that
 do not wind around it).
 """

@@ -39,7 +39,9 @@ from .isometries import (
     reference_images_plane_mover,
     rotation_x,
     rotation_z,
+    tangent_endpoints,
     to_origin,
+    vertex_angle,
 )
 from .oracle import (
     arc_length_quadrature,
@@ -58,8 +60,6 @@ from .triangles import (
     coplanar_with_center,
     encloses_center,
     geodesic_triangle,
-    tangent_endpoints,
-    vertex_angle,
 )
 
 __version__ = "0.1.0"

@@ -163,11 +163,14 @@ def _scaled_norm(kind: Geometry, p):
 def _fibre_norm(kind: Geometry, p):
     """sqrt(Q) of the points ``p``, (3,) or (N, 3), after ``_guard_member``:
     the S2xR nested hypot, and sqrt(x - r) sqrt(x + r) on H2xR, which
-    neither cancels (x > r) nor overflows.  The fibre height is its log."""
+    neither cancels (x > r) nor overflows: x + r, finite for x up to 2^1022,
+    is taken in quarters beyond, which are exact, so the bits are those of
+    sqrt(x + r) wherever it is finite.  The fibre height is its log."""
     norm = _guard_member(kind, p)
     if kind is Geometry.H2R:
-        x = p[..., 0]
-        norm = np.sqrt(x - norm) * np.sqrt(x + norm)
+        x = p.item(0) if p.ndim == 1 else p[..., 0]  # one point in floats
+        quarter = 0.25 ** (x > 2.0 ** 1022)
+        norm = np.sqrt(x - norm) * (np.sqrt(quarter * x + quarter * norm) / np.sqrt(quarter))
     return norm
 
 

@@ -1,4 +1,5 @@
-"""Isometries that move an arbitrary point to the base point.
+"""The paper's method: isometries that move a point to the base point, and
+the tangent frame of a triangle read off them.
 
 All matrices are 4x4, act on homogeneous row vectors (1, x, y, z) by right
 multiplication, and are normalised so the (0, 0) entry is 1 (the transforms
@@ -18,10 +19,13 @@ The normaliser of a point A is composed of four factors, applied in order:
     R_x^-1   undoing the first rotation, so that the geodesic from the
              base point to A and its image stay in one Euclidean plane.
 
-These matrices are the paper's method, kept as the reproduced method and
-cross-check only: triangles, angles and distances are computed without
-them.  Closed-form images of the three triangle vertices under such a
-normaliser are provided as independent cross-checks of the matrix pipeline
+This is the only code that moves a point, kept as the reproduced method and
+cross-check: triangles, angles and distances are computed without it.
+``tangent_endpoints`` and ``vertex_angle`` move a triangle so a1 is the
+base point, then each vertex there by its own normaliser, and read the
+tangents off the inverse problem, where the ambient metric is the identity.
+Closed-form images of the three triangle vertices under such a normaliser
+are provided as independent cross-checks of the matrix pipeline
 (``reference_image_*``); they are hand-derived from the factorisation and
 agree with the composed matrices to machine precision.
 """
@@ -32,9 +36,11 @@ import math
 
 import numpy as np
 
-from .core import Geometry, _guard_member, fibre_norm_sq, require_member
-from .exceptions import DegenerateError, PrecondError
+from .core import BASE_POINT, Geometry, _guard_member, fibre_norm_sq, require_member
+from .exceptions import ConsistencyError, DegenerateError, PrecondError
+from .geodesics import _geodesic_params, tangent_of
 from .tolerances import DEFAULT
+from .triangles import GeodesicTriangle, TriangleAngles
 
 __all__ = [
     "fibre_translation",
@@ -42,6 +48,8 @@ __all__ = [
     "rotation_z",
     "to_origin",
     "apply_isometry",
+    "tangent_endpoints",
+    "vertex_angle",
     "reference_image_base",
     "reference_image_third",
     "reference_images_plane_mover",
@@ -137,6 +145,70 @@ def apply_isometry(m: np.ndarray, p) -> np.ndarray:
     if row[0] <= 0.0:
         raise DegenerateError(f"image has non-positive homogeneous weight {row[0]}")
     return row[1:] / row[0]
+
+
+def _paper_vertices(tri: GeodesicTriangle) -> tuple:
+    """The vertices moved by the normaliser of a1, so a1 is the base point
+    (the paper's position; the identity, bit for bit, when it is there)."""
+    move = _to_origin(tri.kind, tri.a1)
+    return BASE_POINT, apply_isometry(move, tri.a2), apply_isometry(move, tri.a3)
+
+
+def tangent_endpoints(tri: GeodesicTriangle) -> dict[tuple[int, int], np.ndarray]:
+    """The six unit tangents t_i^j at the base point, of the vertices in
+    the paper's position (``_paper_vertices``).
+
+    Key (i, j) is the tangent toward vertex i's image under the normaliser
+    of vertex j; j = 0 means no further move (sides leaving a1).  The frame
+    must be consistent: the tangent toward a vertex and the tangent toward
+    the image of a1 under that vertex's normaliser are antipodal.
+    """
+    vertices = _paper_vertices(tri)
+    tangents = {key: t for i in (1, 2, 3)
+                for key, t in _vertex_tangents(tri.kind, vertices, i).items()}
+    for out, back in (((2, 0), (1, 2)), ((3, 0), (1, 3))):
+        residual = float(np.abs(tangents[out] + tangents[back]).max())
+        if residual > DEFAULT.isometry:
+            raise ConsistencyError(
+                f"tangents {out} and {back} are not antipodal (residual {residual:.2e})"
+            )
+    return tangents
+
+
+def _vertex_tangents(kind: Geometry, vertices, i: int) -> dict[tuple[int, int], np.ndarray]:
+    """Tangents at vertex ``i`` of ``vertices`` in the paper's position toward
+    the other two, keyed as in ``tangent_endpoints``; vertices 2 and 3 are
+    computed images, re-checked before one is moved."""
+    others = [(n, p) for n, p in enumerate(vertices, start=1) if n != i]
+    if i == 1:
+        return {(n, 0): tangent_of(_geodesic_params(kind, p)) for n, p in others}
+    _guard_member(kind, vertices[i - 1])
+    move = _to_origin(kind, vertices[i - 1])
+    return {(n, i): tangent_of(_geodesic_params(kind, apply_isometry(move, p)))
+            for n, p in others}
+
+
+def _angle(t1, t2):
+    """Angle between unit vectors, in Kahan's atan2 form."""
+    return 2.0 * math.atan2(float(np.linalg.norm(t1 - t2)), float(np.linalg.norm(t1 + t2)))
+
+
+#: the frame keys of the two tangents at vertex 1, 2 and 3 (see ``tangent_endpoints``)
+_FRAME_PAIRS = (((2, 0), (3, 0)), ((1, 2), (3, 2)), ((1, 3), (2, 3)))
+
+
+def _frame_angles(frame) -> TriangleAngles:
+    """The paper's angles: the three interior angles read off the tangent frame."""
+    w1, w2, w3 = (_angle(frame[a], frame[b]) for a, b in _FRAME_PAIRS)
+    return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
+
+
+def vertex_angle(tri: GeodesicTriangle, i: int) -> float:
+    """Interior angle at vertex ``i`` (1, 2 or 3), in (0, pi), by the paper's
+    method: the vertex is moved to the base point by its normaliser."""
+    if i not in (1, 2, 3):
+        raise ValueError(f"vertex index must be 1, 2 or 3, got {i}")
+    return _angle(*_vertex_tangents(tri.kind, _paper_vertices(tri), int(i)).values())
 
 
 # --- closed-form vertex images -------------------------------------------

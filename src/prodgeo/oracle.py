@@ -97,6 +97,9 @@ __all__ = [
 
 _POLE_GUARD = 1e-12
 _COTH_SERIES_BELOW = 1e-6
+#: longest geodesic of either route: the absolute ``ode_atol`` loses longer
+#: fibre descents, whose point shrinks below it, with no error
+_TAU_LIMIT = 10.0
 
 
 def _rhs_s2r(_tau, state):
@@ -140,18 +143,25 @@ def _initial_state(kind: Geometry, u: float, v: float):
     return [0.0, 0.0, u, math.sin(v), math.cos(v), 0.0]
 
 
+def _checked_params(g) -> GeodesicParams:
+    """The normalized parameters of ``g``; PrecondError above ``_TAU_LIMIT``."""
+    params = GeodesicParams.normalized(*g)
+    if params.tau > _TAU_LIMIT:
+        raise PrecondError(f"integration limited to tau <= {_TAU_LIMIT:g}, got {params.tau}")
+    return params
+
+
 def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     """Integrate the intrinsic geodesic ODE system and return ``steps``
-    model points at equal parameter spacing on [0, tau], a (steps, 3) array.
+    model points at equal parameter spacing on [0, tau], a (steps, 3) array;
+    tau above 10 raises PrecondError.
 
     Drift of the unit-speed first integral beyond tolerance triggers one
     retry at tighter settings; persistent drift raises ConsistencyError.
     The samples come from the integrator's dense output.  A step size that
     underflows, or a sphere-chart pole, raises SingularityError.
     """
-    u, v, tau = GeodesicParams.normalized(*g)
-    if tau > 10.0:
-        raise PrecondError(f"integration limited to tau <= 10, got {tau}")
+    u, v, tau = _checked_params(g)
     if steps < 100:
         raise PrecondError(f"need at least 100 steps, got {steps}")
     rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
@@ -247,15 +257,15 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
 
     Uses only the ambient metric tensor, differentiated by complex step
     (see ``_acceleration``), making it independent of every
-    intrinsic-coordinate formula in the package.  On H2xR the surface arc
-    tau |cos v| is limited to 3.5, as ``integrate_geodesic`` limits tau to
-    10: beyond it the metric's conditioning makes the integration slow and
-    inexact, and PrecondError is raised before any step.  Raises
+    intrinsic-coordinate formula in the package.  tau is limited to 10, as
+    in ``integrate_geodesic``, and on H2xR the surface arc tau |cos v| to
+    3.5: beyond it the metric's conditioning makes the integration slow and
+    inexact.  Either limit raises PrecondError before any step.  Raises
     DomainError if the integrated curve leaves the model, and
     SingularityError if the step size underflows or the metric is singular
     in double precision.
     """
-    u, v, tau = GeodesicParams.normalized(*g)
+    u, v, tau = _checked_params(g)
     if kind is Geometry.H2R and tau * abs(math.cos(v)) > _H2R_SURFACE_ARC:
         raise PrecondError(f"h2r Cartesian integration limited to surface arcs tau |cos v| "
                            f"<= {_H2R_SURFACE_ARC}, got {tau * abs(math.cos(v))}")

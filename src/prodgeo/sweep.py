@@ -85,8 +85,7 @@ def angle_sum_at(spec: SweepSpec, t: float) -> float:
 
 
 def _sums(spec: SweepSpec, a3: np.ndarray):
-    """S at the third vertices ``a3``, (3,) or (N, 3), all model points: the
-    base point is its own normaliser, so the vertices need no moving."""
+    """S at the third vertices ``a3``, (3,) or (N, 3), all model points."""
     _require_distinct(BASE_POINT, spec.a2, a3)
     return _angle_sums(spec.kind, BASE_POINT, spec.a2, a3).total
 

@@ -1,10 +1,9 @@
 """Geodesic triangles: interior angles, angle sums and their trichotomy.
 
-A triangle is normalised on construction so its first vertex sits at the
-base point, by the closed form of the paper's normaliser (``_normalise``),
-and computes its angles once, on first use.  The angles come from the
-product structure of the geometry: a point splits into a fibre height f and
-a point s on the surface factor,
+A triangle keeps the vertices its caller gave, read-only, and computes its
+angles once, on first use.  The angles come from the product structure of
+the geometry: a point splits into a fibre height f and a point s on the
+surface factor,
 
     S2xR :  f = log |p|,     s = p / |p|,
     H2xR :  f = log sqrt(Q), s = p / sqrt(Q),  Q = (x - r)(x + r), r = hypot(y, z),
@@ -16,20 +15,18 @@ The angle between two unit tangents u, v is 2 atan2(|u - v|, |u + v|), which
 keeps full precision near 0 and pi where acos loses sqrt(eps) (Kahan,
 "Miscalculating Area and Angles of a Needle-like Triangle").  ``_angle_sums``
 does this for whole arrays of triangles, with no isometry and no inverse
-problem.
-
-The paper's method is kept as the reproduced method and cross-check:
-``tangent_endpoints`` and ``vertex_angle`` move a vertex to the base point
-with its normalising isometry and read the tangents off the inverse problem,
-where the ambient metric is the identity.
+problem: angles are isometry-invariant, so no vertex is moved (the paper's
+method, which moves them, is ``isometries``).
 
 Angle sums obey a strict trichotomy: S2xR sums are >= pi and H2xR sums are
 <= pi, with equality exactly when the vertices are Euclid-coplanar with the
 model centre E0 = (1 : 0 : 0 : 0) *and* the triangle does not enclose E0.
 A coplanar S2xR triangle that winds around the centre lives on a flat
 cylinder leaf and its angle sum lies strictly above pi; see ``classify``.
-An S2xR side whose end points have antipodal surface points has no unique
-geodesic: such triangles are degenerate.
+Both conditions hold for the vertices scaled to unit size, as a normaliser
+(linear, weight 1) keeps them too.  An S2xR side whose end points have
+antipodal surface points has no unique geodesic: such triangles are
+degenerate.
 """
 
 from __future__ import annotations
@@ -42,10 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _fibre_norm, _guard_member, _split, require_member
+from .core import Geometry, _split, require_member
 from .exceptions import ConsistencyError, DegenerateError
-from .geodesics import _geodesic_params, _surface_arc, _tangent_sq, tangent_of
-from .isometries import _to_origin, apply_isometry
+from .geodesics import _surface_arc, _tangent_sq
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -53,8 +49,6 @@ __all__ = [
     "TriangleAngles",
     "TriangleClass",
     "geodesic_triangle",
-    "tangent_endpoints",
-    "vertex_angle",
     "angle_sum",
     "coplanar_with_center",
     "encloses_center",
@@ -64,7 +58,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTriangle:
-    """Vertices of a geodesic triangle, with a1 at the base point: read-only
+    """Vertices of a geodesic triangle as the caller gave them: read-only
     copies, so its angles and coplanarity, computed once, cannot go stale."""
 
     kind: Geometry
@@ -105,110 +99,33 @@ class TriangleClass(enum.Enum):
 
 
 def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
-    """Build a triangle, normalising all vertices by the isometry that
-    carries ``a1`` to the base point (the closed form ``_normalise``).
+    """Build a triangle of three model points, kept as given.
 
-    Raises DegenerateError when two vertices coincide after normalisation.
+    Raises DomainError for a point outside the model and DegenerateError
+    when two vertices coincide (see ``_require_distinct``).
     """
-    return _geodesic_triangle(kind, *(require_member(kind, p) for p in (a1, a2, a3)))
-
-
-def _geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
-    """``geodesic_triangle`` of vertices already known to be model points."""
-    b2, b3 = _normalise(kind, a1, np.array([a2, a3]))
-    _require_distinct(BASE_POINT, b2, b3)
-    return GeodesicTriangle(kind, BASE_POINT, b2, b3)
-
-
-def _normalise(kind: Geometry, a, points):
-    """Images of the (N, 3) ``points`` under the normaliser of ``a``, the
-    linear map of ``to_origin`` in closed form.  With n = (y, z) / r,
-    r = hypot(y, z) ((1, 0) if r = 0), and (c, s) = (x, r) / |a| (|a| from
-    ``_fibre_norm``), components along e_x and n go to c p_x + sigma s p_n and
-    c p_n - s p_x (sigma = +1 on S2xR, -1 on H2xR), the rest stays, and all
-    is divided by |a|: the identity at the base point, bit for bit."""
-    norm = float(_fibre_norm(kind, a))
-    x, y, z = a
-    r = float(np.hypot(y, z))  # the H2xR spread of ``_fibre_norm``, so c^2 - s^2 = 1
-    ny, nz = (y / r, z / r) if r > 0.0 else (1.0, 0.0)
-    sigma = 1.0 if kind is Geometry.S2R else -1.0
-    c, s = x / norm, r / norm
-    twist = (c - 1.0) * ny * nz
-    # row i holds the image of e_i, as points are rows
-    move = np.array([[c, -s * ny, -s * nz],
-                     [sigma * s * ny, c * ny * ny + nz * nz, twist],
-                     [sigma * s * nz, twist, c * nz * nz + ny * ny]])
-    return points @ move / norm
+    a1, a2, a3 = (require_member(kind, p) for p in (a1, a2, a3))
+    _require_distinct(a1, a2, a3)
+    return GeodesicTriangle(kind, a1, a2, a3)
 
 
 def _require_distinct(a1, a2, a3) -> None:
     """Raise DegenerateError where two of the vertices, (3,) or (N, 3) arrays,
-    coincide to within ``vertex_gap`` of their size (at least 1)."""
-    for p, q in ((a1, a2), (a1, a3), (a2, a3)):
-        scale = np.maximum(1.0, np.maximum(np.abs(p).max(axis=-1), np.abs(q).max(axis=-1)))
-        if (np.abs(p - q).max(axis=-1) <= DEFAULT.vertex_gap * scale).any():
+    differ by at most ``vertex_gap`` max(|a1|, |p|, |q|) in each coordinate
+    (max norms): scale-invariant, and max(1, |p|, |q|) with a1 the base point."""
+    vertices = (a1, a2, a3)
+    sizes = [np.abs(a).max(axis=-1) for a in vertices]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        scale = np.maximum(sizes[0], np.maximum(sizes[i], sizes[j]))
+        if (np.abs(vertices[i] - vertices[j]).max(axis=-1) <= DEFAULT.vertex_gap * scale).any():
             raise DegenerateError("two triangle vertices coincide")
 
 
-def tangent_endpoints(tri: GeodesicTriangle) -> dict[tuple[int, int], np.ndarray]:
-    """The six unit tangents t_i^j at the base point.
-
-    Key (i, j) is the tangent toward vertex i's image under the normaliser
-    of vertex j; j = 0 means no transform (sides leaving the base vertex).
-    Consistency of the frame is enforced: the tangent toward a vertex and
-    the tangent toward the image of the base point under that vertex's
-    normaliser must be antipodal.
-    """
-    tangents = {key: t for i in (1, 2, 3) for key, t in _vertex_tangents(tri, i).items()}
-    for out, back in (((2, 0), (1, 2)), ((3, 0), (1, 3))):
-        residual = float(np.abs(tangents[out] + tangents[back]).max())
-        if residual > DEFAULT.isometry:
-            raise ConsistencyError(
-                f"tangents {out} and {back} are not antipodal (residual {residual:.2e})"
-            )
-    return tangents
-
-
-def _vertex_tangents(tri: GeodesicTriangle, i: int) -> dict[tuple[int, int], np.ndarray]:
-    """Tangents at vertex ``i`` toward the other two, keyed as in ``tangent_endpoints``;
-    vertices 2 and 3 are computed images, re-checked before one is moved."""
-    others = [(n, p) for n, p in enumerate(tri.vertices, start=1) if n != i]
-    if i == 1:
-        return {(n, 0): tangent_of(_geodesic_params(tri.kind, p)) for n, p in others}
-    _guard_member(tri.kind, tri.vertices[i - 1])
-    move = _to_origin(tri.kind, tri.vertices[i - 1])
-    return {(n, i): tangent_of(_geodesic_params(tri.kind, apply_isometry(move, p)))
-            for n, p in others}
-
-
-def _angle(t1, t2):
-    """Angle between unit vectors, in Kahan's atan2 form."""
-    return 2.0 * math.atan2(float(np.linalg.norm(t1 - t2)), float(np.linalg.norm(t1 + t2)))
-
-
-#: the frame keys of the two tangents at vertex 1, 2 and 3 (see ``tangent_endpoints``)
-_FRAME_PAIRS = (((2, 0), (3, 0)), ((1, 2), (3, 2)), ((1, 3), (2, 3)))
-
-
-def _frame_angles(frame) -> TriangleAngles:
-    """The paper's angles: the three interior angles read off the tangent frame."""
-    w1, w2, w3 = (_angle(frame[a], frame[b]) for a, b in _FRAME_PAIRS)
-    return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
-
-
-def vertex_angle(tri: GeodesicTriangle, i: int) -> float:
-    """Interior angle at vertex ``i`` (1, 2 or 3), in (0, pi), by the paper's
-    method: the vertex is moved to the base point by its normaliser."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"vertex index must be 1, 2 or 3, got {i}")
-    return _angle(*_vertex_tangents(tri, int(i)).values())
-
-
 def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:
-    """All three interior angles and their sum.
+    """All three interior angles and their sum, from the triangle's own
+    vertices.
 
-    Raises DegenerateError for an S2xR side on the cut locus and DomainError
-    for a vertex that rounding left outside the model.
+    Raises DegenerateError for an S2xR side on the cut locus.
     """
     return tri._angles
 
@@ -270,11 +187,17 @@ def coplanar_with_center(tri: GeodesicTriangle) -> bool:
     return tri._is_coplanar
 
 
+def _unit_rows(a1, a2, a3) -> np.ndarray:
+    """The points as rows over their largest |coordinate|: no product overflows."""
+    rows = np.array([a1, a2, a3])
+    return rows / np.abs(rows).max(axis=1, keepdims=True)
+
+
 def _coplanar(a1, a2, a3) -> bool:
     """``coplanar_with_center`` of three points (scale-invariant in each)."""
-    det = float(np.linalg.det(np.array([a1, a2, a3])))
-    scale = float(np.linalg.norm(a1) * np.linalg.norm(a2) * np.linalg.norm(a3))
-    return abs(det) <= DEFAULT.coplanar * scale
+    rows = _unit_rows(a1, a2, a3)
+    det = float(np.linalg.det(rows))
+    return abs(det) <= DEFAULT.coplanar * float(np.linalg.norm(rows, axis=1).prod())
 
 
 def encloses_center(tri: GeodesicTriangle) -> bool:
@@ -286,9 +209,8 @@ def encloses_center(tri: GeodesicTriangle) -> bool:
     """
     if not tri._is_coplanar:
         return False
-    a1, a2, a3 = tri.vertices
     # barycentric solve of 0 = l1 a1 + l2 a2 + l3 a3, sum(l) = 1
-    m = np.vstack([np.array([a1, a2, a3]).T, np.ones(3)])
+    m = np.vstack([_unit_rows(*tri.vertices).T, np.ones(3)])
     lam, *_ = np.linalg.lstsq(m, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)
     residual = m @ lam - np.array([0.0, 0.0, 0.0, 1.0])
     if float(np.abs(residual).max()) > DEFAULT.enclosure_residual:

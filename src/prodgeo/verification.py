@@ -14,15 +14,9 @@ import numpy as np
 
 from .core import BASE_POINT, Geometry, metric_at
 from .geodesics import GeodesicParams, _endpoints, distance, geodesic_params
-from .isometries import apply_isometry, to_origin
+from .isometries import _frame_angles, apply_isometry, tangent_endpoints, to_origin
 from .oracle import integrate_geodesic
-from .triangles import (
-    _frame_angles,
-    angle_sum,
-    coplanar_with_center,
-    geodesic_triangle,
-    tangent_endpoints,
-)
+from .triangles import angle_sum, coplanar_with_center, geodesic_triangle
 from .tolerances import DEFAULT
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_all"]

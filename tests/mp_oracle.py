@@ -1,4 +1,5 @@
-"""A 50-digit oracle of the closed-form geodesics and their inverse problem.
+"""A 50-digit oracle of the closed-form geodesics, their inverse problem and
+triangle angle sums.
 
 ``closed_form_point`` evaluates the geodesic from the base point in mpmath
 and rounds each coordinate once, to the nearest double: the exactly rounded
@@ -7,6 +8,7 @@ digits, so the difference between it and ``geodesic_params`` is the
 algorithm's own error on that point, apart from its representation.
 ``acceleration`` is the geodesic acceleration of the Cartesian chart at a
 double point, from the metric's derivatives written out by hand.
+``angle_sum`` is the product-split angle sum of three double vertices.
 """
 
 import math
@@ -91,3 +93,50 @@ def acceleration(kind, p, dp):
                    for l in r3]
         acc = mpmath.lu_solve(mpmath.matrix(g), mpmath.matrix([-c for c in lowered]))
         return [float(c) for c in acc]
+
+
+def _split(kind, p):
+    """Fibre height and surface point of the mpf point ``p``."""
+    x, y, z = p
+    q = x * x + y * y + z * z if kind is Geometry.S2R else x * x - y * y - z * z
+    norm = mpmath.sqrt(q)
+    return mpmath.log(norm), [c / norm for c in p]
+
+
+def _surface_dot(kind, a, b):
+    """The surface factor's form: Euclidean on S2, Minkowski on H2 (so that
+    <s, s> = 1 on the unit hyperboloid, and tangent vectors have <v, v> < 0)."""
+    if kind is Geometry.S2R:
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2]
+
+
+def _unit_tangent(kind, fa, sa, fb, sb):
+    """(fibre, surface) parts of the unit tangent at A toward B."""
+    c = _surface_dot(kind, sa, sb)
+    if kind is Geometry.S2R:
+        dist, sine = mpmath.acos(c), mpmath.sqrt(1 - c * c)
+    else:
+        dist, sine = mpmath.acosh(c), mpmath.sqrt(c * c - 1)
+    # the unit surface tangent at s_A toward s_B times the surface distance
+    xi = [(b - c * a) * dist / sine if sine else mpmath.mpf(0) for a, b in zip(sa, sb)]
+    length = mpmath.hypot(fb - fa, dist)
+    return (fb - fa) / length, [v / length for v in xi]
+
+
+def angle_sum(kind, a1, a2, a3):
+    """Sum of the interior angles of the triangle with the double vertices
+    ``a1``, ``a2``, ``a3``, from the product split in 50 digits and rounded
+    to a double: the angle at A between the unit tangents (f_B - f_A, d xi)
+    normalised, with the surface's own inner product (minus the Minkowski
+    form on H2)."""
+    sign = 1 if kind is Geometry.S2R else -1
+    with mpmath.workdps(DIGITS):
+        split = [_split(kind, [mpmath.mpf(float(c)) for c in p]) for p in (a1, a2, a3)]
+        total = mpmath.mpf(0)
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            rise_b, xi_b = _unit_tangent(kind, *split[i], *split[j])
+            rise_c, xi_c = _unit_tangent(kind, *split[i], *split[k])
+            cos = rise_b * rise_c + sign * _surface_dot(kind, xi_b, xi_c)
+            total += mpmath.acos(max(-1, min(1, cos)))
+        return float(total)

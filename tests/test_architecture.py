@@ -37,6 +37,35 @@ def _tree(module: str) -> ast.AST:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _defining(name: str) -> set[str]:
+    """Modules of the package that define a function ``name``."""
+    return {path.name for path in SOURCES.glob("*.py")
+            for node in ast.walk(_tree(path.name))
+            if isinstance(node, ast.FunctionDef) and node.name == name}
+
+
+@pytest.mark.parametrize("name", ["_to_origin", "apply_isometry"])
+def test_only_the_paper_method_and_its_suite_move_points(name):
+    """One normaliser: the paper's matrices, used by ``isometries`` and by
+    the isometry-invariance suite (the package namespace re-exports the
+    public ``apply_isometry``)."""
+    assert "isometries.py" in _modules_naming(name)
+    assert _modules_naming(name) - {"__init__.py"} <= {"isometries.py", "verification.py"}
+
+
+@pytest.mark.parametrize("name", ["tangent_endpoints", "vertex_angle"])
+def test_paper_frame_defined_only_in_isometries(name):
+    assert _defining(name) == {"isometries.py"}
+
+
+def test_triangles_import_nothing_from_isometries():
+    """Triangles measure the caller's vertices and move none of them."""
+    for node in ast.walk(_tree("triangles.py")):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "isometries" not in ast.unparse(node)
+    assert _modules_naming("_normalise") == set()
+
+
 def _squares_of_names(node: ast.AST) -> int:
     """How many terms of a chain of + and - are ``a * a`` for one name a."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
@@ -49,10 +78,7 @@ def _squares_of_names(node: ast.AST) -> int:
 def test_metric_entries_defined_only_in_core():
     """One metric formula: ``core._metric_entries``, which ``_metric`` and
     the oracle's acceleration both call."""
-    defining = {path.name for path in SOURCES.glob("*.py")
-                for node in ast.walk(_tree(path.name))
-                if isinstance(node, ast.FunctionDef) and node.name == "_metric_entries"}
-    assert defining == {"core.py"}
+    assert _defining("_metric_entries") == {"core.py"}
     assert "oracle.py" in _modules_naming("_metric_entries")
 
 

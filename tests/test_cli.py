@@ -95,7 +95,7 @@ class TestTriangle:
         assert "3.151352" in out
 
     def test_custom_first_vertex_normalised(self, capsys):
-        # the triangle is normalised so angles only depend on the geometry
+        # a1 off the base point: the vertices are measured as given
         code, out, _ = run(capsys, "triangle", "--geometry", "s2r", "--a1", "2,0,0",
                            "--a2", "3,-2,1", "--a3", "2,1,0", "--format", "json")
         assert code == 0

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodgeo import DomainError, Geometry, contains, metric_at, model_point, to_model
-from prodgeo.core import BASE_POINT, _guard_member, _metric, _scaled_norm, require_member
+from prodgeo.core import (
+    BASE_POINT,
+    _fibre_norm,
+    _guard_member,
+    _metric,
+    _scaled_norm,
+    require_member,
+)
 from conftest import BOTH, random_point
 
 
@@ -105,6 +112,35 @@ class TestMembershipScale:
             else:
                 with pytest.raises(DomainError):
                     _guard_member(kind, p[None])
+
+
+class TestFibreNorm:
+    """sqrt(Q) on H2xR is sqrt(x - r) sqrt(x + r), with x + r taken in
+    quarters where it could overflow, so nothing leaves double range."""
+
+    def test_h2r_bits_of_the_plain_product_wherever_it_is_finite(self, rng):
+        x = 10.0 ** rng.uniform(-323, 308, size=4000)
+        x[::50] = rng.uniform(0, 1.79e308, size=80)  # near the largest double
+        r = x * rng.uniform(0, 1, size=4000) ** rng.choice([1, 100], size=4000)
+        phi = rng.uniform(-math.pi, math.pi, size=4000)
+        points = np.column_stack([x, r * np.cos(phi), r * np.sin(phi)])
+        points = points[_scaled_norm(Geometry.H2R, points)[1]]
+        spread = np.hypot(points[:, 1], points[:, 2])
+        with np.errstate(over="ignore"):
+            plain = np.sqrt(points[:, 0] - spread) * np.sqrt(points[:, 0] + spread)
+        finite = np.isfinite(plain)
+        assert 0 < (~finite).sum() and finite.sum() > 3000
+        batch = _fibre_norm(Geometry.H2R, points)
+        assert np.array_equal(batch[finite], plain[finite])
+        assert np.isfinite(batch).all() and (batch > 0).all()
+        for p, norm in zip(points, batch):
+            assert _fibre_norm(Geometry.H2R, p) == norm
+
+    def test_h2r_member_near_the_largest_double(self):
+        """x + r = 2.5e308 overflows; Q = 1.25e616 has the finite root
+        1.118e308, fibre height 709.3 (50 digits: tau 709.308236899768)."""
+        norm = _fibre_norm(Geometry.H2R, np.array([1.5e308, 1e308, 0.0]))
+        assert norm == pytest.approx(math.sqrt(1.25) * 1e308, rel=1e-15)
 
 
 class TestMetric:

@@ -189,6 +189,14 @@ class TestInverseScale:
         assert g.v == pytest.approx(math.atan2(height, w), rel=1e-14)
         assert g.u == 0.0
 
+    def test_h2r_params_near_the_largest_double(self):
+        """x + r = 2.5e308 would overflow: the fibre norm takes it in
+        quarters, so the inverse matches the 50-digit one."""
+        p = (1.5e308, 1e308, 0.0)
+        g = geodesic_params(Geometry.H2R, p)
+        assert param_error(g, inverse(Geometry.H2R, p)[:3]) <= 1e-15 * g.tau
+        assert g.tau == pytest.approx(709.308, abs=1e-3)
+
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(list(Geometry)), u=st.floats(-PI, PI),
            height=st.floats(250.0, 300.0), sign=st.sampled_from([-1.0, 1.0]),

@@ -340,6 +340,22 @@ class TestCartesianIntegration:
         end = integrate_geodesic_cartesian(Geometry.S2R, (0.3, 0.0, 5.0))
         assert np.abs(end - geodesic_point(Geometry.S2R, (0.3, 0.0, 5.0))).max() <= 1e-6
 
+    @BOTH
+    def test_tau_limit_shared_with_the_intrinsic_route(self, kind):
+        """Both routes stop at tau = 10.  Beyond it the absolute tolerance
+        lost fibre descents with no error: S2xR (0.3, -1.5, 30) ended 1.1e-3
+        off, (0.3, -1.5, 40) 88 times off, and H2xR (0.3, -1.5, 40) left the
+        model.  At the limit the descent ends within 1e-6 relative (measured
+        1.5e-9 on S2xR and 8.8e-10 on H2xR)."""
+        for tau in (10.0 * (1.0 + 1e-12), 30.0, 40.0):
+            for integrate in (integrate_geodesic, integrate_geodesic_cartesian):
+                with pytest.raises(PrecondError, match="tau <= 10"):
+                    integrate(kind, (0.3, -1.5, tau))
+        g = (0.3, -1.5, 10.0)
+        closed = geodesic_point(kind, g)
+        end = integrate_geodesic_cartesian(kind, g)
+        assert np.abs(end - closed).max() <= 1e-6 * np.abs(closed).max()
+
     def test_leaving_the_model_raises_domain_error(self, monkeypatch):
         """The state point is checked on every evaluation: a step that leaves
         the cone is a DomainError, not a NaN carried to the endpoint."""

@@ -25,9 +25,10 @@ from prodgeo import (
 )
 from prodgeo.reference import TABLE_ROWS
 from prodgeo import isometries, triangles
-from prodgeo.isometries import _to_origin
-from prodgeo.triangles import _angle_sums, _normalise
+from prodgeo.isometries import _frame_angles
+from prodgeo.triangles import _angle_sums
 from conftest import BOTH, random_point
+import mp_oracle
 
 PI = math.pi
 
@@ -92,21 +93,27 @@ class TestValidateOnce:
         assert member_checks == []
 
     def test_vertex_image_outside_model_is_domain_error(self):
-        # deep in the H2xR cone the normalised image of a2 rounds out of
-        # the model; every angle that moves or aims at it reports that
-        tri = geodesic_triangle(Geometry.H2R, (500278259.46310556, 500278259.46279806, 0.0),
-                                (0.6341076333898924, 0.09732170038306573, 0.6265947473106492),
-                                (4702721.363152762, 428647.37680925534, 4683145.272763584))
-        for angle in (lambda: vertex_angle(tri, 2), lambda: vertex_angle(tri, 3),
-                      lambda: angle_sum(tri)):
+        # deep in the H2xR cone the image of a2 under the normaliser of a1
+        # rounds out of the model, so the paper's angles at a2 and a3, which
+        # move it, report that; the product-split kernel moves no vertex and
+        # is within 1e-6 of the 50-digit sum (measured 3.5e-7; one ulp of
+        # a1's y moves the exact sum by 7.8e-6)
+        vertices = ((500278259.46310556, 500278259.46279806, 0.0),
+                    (0.6341076333898924, 0.09732170038306573, 0.6265947473106492),
+                    (4702721.363152762, 428647.37680925534, 4683145.272763584))
+        tri = geodesic_triangle(Geometry.H2R, *vertices)
+        for i in (2, 3):
             with pytest.raises(DomainError):
-                angle()
+                vertex_angle(tri, i)
+        exact = mp_oracle.angle_sum(Geometry.H2R, *vertices)
+        assert abs(angle_sum(tri).total - exact) <= 1e-6
 
 
 class TestConstruction:
-    def test_normalises_first_vertex(self):
-        tri = geodesic_triangle(Geometry.S2R, (1, 3, -2, 1), (1, 2, 1, 0), (1, 1, 1, 1))
-        assert np.array_equal(tri.a1, BASE_POINT)
+    def test_keeps_the_callers_vertices(self):
+        tri = geodesic_triangle(Geometry.S2R, (2, 6, -4, 2), (1, 2, 1, 0), (1, 1, 1, 1))
+        for vertex, given in zip(tri.vertices, ((3, -2, 1), (2, 1, 0), (1, 1, 1))):
+            assert np.array_equal(vertex, given)
 
     def test_coincident_vertices_rejected(self):
         with pytest.raises(DegenerateError):
@@ -161,6 +168,16 @@ class TestAntipodality:
             frame = tangent_endpoints(tri)
             assert np.abs(frame[(2, 0)] + frame[(1, 2)]).max() < 1e-8
             assert np.abs(frame[(3, 0)] + frame[(1, 3)]).max() < 1e-8
+
+    @BOTH
+    def test_frame_of_a_triangle_off_the_base_point(self, kind, rng):
+        """The frame first moves a1 to the base point: its pairs stay
+        antipodal and its angles are the product-split angles."""
+        for _ in range(50):
+            tri = geodesic_triangle(kind, *(random_point(kind, rng) for _ in range(3)))
+            frame = tangent_endpoints(tri)
+            assert np.abs(frame[(2, 0)] + frame[(1, 2)]).max() < 1e-8
+            assert np.abs(np.array(_frame_angles(frame)) - angle_sum(tri)).max() < 1e-8
 
     def test_cross_pair_on_coplanar_triangle(self):
         for tri in (tri_s2r((3, -2, 0), (2, 1, 0)), tri_h2r((2, 1.5, 0), (3, -1, 0))):
@@ -344,21 +361,38 @@ class TestProductKernel:
             assert np.abs(moved - single).max() <= 1e-10
 
 
+class TestAgainstFiftyDigits:
+    """Angle sums of the caller's vertices against the 50-digit product split."""
+
+    def test_h2r_first_vertex_near_the_cone(self):
+        """400 seeded triangles whose a1 is 1e-12 to 1e-11 (relative) inside
+        the cone, with spread up to 100.  The kernel's error is the rounding
+        of Q = (x - r)(x + r), which cancels there: at most 4.8e-7 measured.
+        Measured after moving a1 to the base point, the same sums are off by
+        up to 3.3e-3."""
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(400):
+            spread, phi = rng.uniform(0.5, 100.0), rng.uniform(-PI, PI)
+            gap = rng.uniform(1e-12, 1e-11)
+            a1 = np.array([spread * (1.0 + gap), spread * math.cos(phi), spread * math.sin(phi)])
+            vertices = (a1, random_point(Geometry.H2R, rng), random_point(Geometry.H2R, rng))
+            total = angle_sum(geodesic_triangle(Geometry.H2R, *vertices)).total
+            worst = max(worst, abs(total - mp_oracle.angle_sum(Geometry.H2R, *vertices)))
+        assert worst <= 1e-6
+
+    def test_h2r_vertex_near_the_largest_double(self):
+        """a3 = (1.5e308, 1e308, 0) is a member whose x + r overflows; its
+        angles are finite and the sum is the 50-digit one."""
+        vertices = ((2, 1.5, 1), (3, -1, 0), (1.5e308, 1e308, 0))
+        total = angle_sum(geodesic_triangle(Geometry.H2R, *vertices)).total
+        assert abs(total - mp_oracle.angle_sum(Geometry.H2R, *vertices)) <= 1e-15
+        assert total == pytest.approx(3.14123710575091, abs=1e-14)
+
+
 class TestClosedFormNormaliser:
-    """``_normalise`` against the paper's matrix normaliser."""
-
-    @BOTH
-    def test_matches_matrix_normaliser(self, kind, rng):
-        for _ in range(500):
-            a, p = random_point(kind, rng), random_point(kind, rng)
-            ref = apply_isometry(_to_origin(kind, a), p)
-            got = _normalise(kind, a, p[None])[0]
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    @BOTH
-    def test_identity_at_the_base_point(self, kind, rng):
-        points = np.array([random_point(kind, rng) for _ in range(50)])
-        assert np.array_equal(_normalise(kind, BASE_POINT, points), points)
+    """Construction moves no vertex: scale invariance of the raw vertices,
+    and no matrix of the paper's method."""
 
     @pytest.mark.parametrize("scale", [1e200, 1e-150])
     def test_s2r_angle_sum_is_scale_invariant(self, scale):
@@ -367,13 +401,29 @@ class TestClosedFormNormaliser:
         scaled = geodesic_triangle(Geometry.S2R, scale * a1, scale * a2, scale * a3)
         assert angle_sum(scaled).total == pytest.approx(unit, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-150])
+    @pytest.mark.parametrize("a2, a3", [
+        ((3, -2, 1), (2, 1, 0)),      # off the plane of E0
+        ((-1, 1, 0), (-1, -1, 0)),    # coplanar, winding around E0
+        ((2, 1, 0), (5, -1, 0)),      # coplanar, not enclosing E0
+    ], ids=["generic", "enclosing", "coplanar"])
+    def test_s2r_classification_is_scale_invariant(self, scale, a2, a3):
+        """Coplanarity with E0 and enclosure of E0 are read off the vertices
+        as given, and stay decided at sizes whose products leave double
+        range."""
+        unit = geodesic_triangle(Geometry.S2R, BASE_POINT, a2, a3)
+        scaled = geodesic_triangle(Geometry.S2R, *(scale * np.array(v, dtype=float)
+                                                   for v in (BASE_POINT, a2, a3)))
+        for predicate in (coplanar_with_center, encloses_center, classify):
+            assert predicate(scaled) == predicate(unit)
+
     @settings(max_examples=100, deadline=None)
     @given(params=st.tuples(*[st.tuples(st.floats(-PI, PI), st.floats(-PI / 2, PI / 2),
                                         st.floats(0.1, 3.0))] * 3),
            log_scale=st.sampled_from([-300.0, 300.0]))
     def test_s2r_angle_sum_invariant_under_far_scaling(self, params, log_scale):
         """p -> e^(+-300) p is a fibre translation of S2xR, so the angle sum
-        stays; a1 is off the base point, so ``_normalise`` moves every vertex."""
+        stays, with a1 off the base point and the vertices measured as given."""
         verts = [geodesic_point(Geometry.S2R, g) for g in params]
         for p, q in ((verts[0], verts[1]), (verts[0], verts[2]), (verts[1], verts[2])):
             assume(np.linalg.norm(p - q) > 1e-2 * max(1.0, np.abs(p).max(), np.abs(q).max()))
@@ -388,9 +438,8 @@ class TestClosedFormNormaliser:
         def refuse(*args):
             raise AssertionError("matrix normaliser called")
 
-        for module in (isometries, triangles):
-            monkeypatch.setattr(module, "_to_origin", refuse)
-            monkeypatch.setattr(module, "apply_isometry", refuse)
+        monkeypatch.setattr(isometries, "_to_origin", refuse)
+        monkeypatch.setattr(isometries, "apply_isometry", refuse)
         for _ in range(20):
             tri = geodesic_triangle(kind, *(random_point(kind, rng) for _ in range(3)))
             angle_sum(tri)
