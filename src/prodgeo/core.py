@@ -154,7 +154,7 @@ def _scaled_norm(kind: Geometry, p):
         return r, r < x < math.inf
     with np.errstate(over="ignore"):
         if kind is Geometry.S2R:
-            norm = np.hypot.reduce(p, axis=-1)  # the nested hypot, left to right
+            norm = np.hypot(np.hypot(p[..., 0], p[..., 1]), p[..., 2])
             return norm, (norm > 0.0) & (norm < math.inf)
         x, r = p[..., 0], np.hypot(p[..., 1], p[..., 2])
         return r, (x > r) & (x < math.inf)
@@ -175,10 +175,10 @@ def _fibre_norm(kind: Geometry, p):
 
 
 def _split(kind: Geometry, p):
-    """Fibre height and surface point (as its three components) of model
-    points, (3,) or (N, 3), from ``_fibre_norm``."""
+    """Fibre height and surface point of model points, (3,) or (N, 3), from
+    ``_fibre_norm``; surface points stacked by component, (3,) or (3, N)."""
     norm = _fibre_norm(kind, p)
-    return np.log(norm), (p[..., 0] / norm, p[..., 1] / norm, p[..., 2] / norm)
+    return np.log(norm), np.divide(p.T, norm, order="C")
 
 
 def require_member(kind: Geometry, p: np.ndarray) -> np.ndarray:

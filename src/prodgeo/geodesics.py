@@ -174,8 +174,7 @@ def distance(kind: Geometry, p1, p2) -> float:
     p2 = require_member(kind, p2)
     if np.array_equal(p1, p2):
         return 0.0
-    f1, s1 = _split(kind, p1)
-    f2, s2 = _split(kind, p2)
+    (f1, s1), (f2, s2) = _split(kind, p1), _split(kind, p2)
     return float(np.hypot(f2 - f1, _surface_arc(kind, s1, s2)[3]))
 
 
@@ -186,12 +185,11 @@ def _tangent_sq(kind: Geometry, s, v):
     (vy^2 + vz^2 + (sy vz - sz vy)^2) / sx^2: a sum of squares, so it cannot
     cancel to a negative value.
     """
-    vx, vy, vz = v
     if kind is Geometry.S2R:
-        return vx * vx + vy * vy + vz * vz
-    sx, sy, sz = s
-    twist = sy * vz - sz * vy
-    return (vy * vy + vz * vz + twist * twist) / (sx * sx)
+        sq = v * v
+        return sq[0] + sq[1] + sq[2]
+    twist = s[1] * v[2] - s[2] * v[1]
+    return (v[1] * v[1] + v[2] * v[2] + twist * twist) / (s[0] * s[0])
 
 
 def _surface_arc(kind: Geometry, sa, sb):
@@ -200,7 +198,7 @@ def _surface_arc(kind: Geometry, sa, sb):
     length; <, > is the Euclidean (Minkowski x^2 - y^2 - z^2) form."""
     sign = 1.0 if kind is Geometry.S2R else -1.0
     cos = sa[0] * sb[0] + sign * (sa[1] * sb[1] + sa[2] * sb[2])
-    at_a = tuple(b - cos * a for a, b in zip(sa, sb))
+    at_a = sb - cos * sa
     sin_a = np.sqrt(_tangent_sq(kind, sa, at_a))
     dist = np.arctan2(sin_a, cos) if kind is Geometry.S2R else np.arcsinh(sin_a)
     return cos, at_a, sin_a, dist

@@ -12,13 +12,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, contains, require_member
+from .core import BASE_POINT, Geometry, _split, contains, require_member
 from .exceptions import ConsistencyError, DomainError
 from .tolerances import DEFAULT
-from .triangles import _angle_sums, _coplanar, _require_distinct
+from .triangles import _coplanar, _fixed_side, _require_distinct, _third_vertex
 
 __all__ = [
     "ExtremumKind",
@@ -62,6 +63,12 @@ class SweepSpec:
         if not contains(self.kind, ray):
             raise DomainError(f"ray direction {tuple(ray)} leaves the {self.kind.value} model")
 
+    @cached_property
+    def _fixed(self) -> tuple:
+        """The kernel's fixed part: side 1-2 of every triangle of the family."""
+        _require_distinct((BASE_POINT, self.a2))
+        return _fixed_side(self.kind, BASE_POINT, self.a2)
+
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
@@ -85,9 +92,10 @@ def angle_sum_at(spec: SweepSpec, t: float) -> float:
 
 
 def _sums(spec: SweepSpec, a3: np.ndarray):
-    """S at the third vertices ``a3``, (3,) or (N, 3), all model points."""
-    _require_distinct(BASE_POINT, spec.a2, a3)
-    return _angle_sums(spec.kind, BASE_POINT, spec.a2, a3).total
+    """S at the third vertices ``a3``, (3,) or (N, 3), guarded by their split."""
+    f3, s3 = _split(spec.kind, a3)
+    _require_distinct((BASE_POINT, spec.a2, a3), new=2)
+    return _third_vertex(spec.kind, spec._fixed, f3, s3).total
 
 
 def _bracket(ts: np.ndarray, sums: np.ndarray, maximise: bool) -> tuple[float, float]:
@@ -111,9 +119,10 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     """Sample S(t) on a log-spaced grid and refine the interior extremum.
 
     The grid is logarithmic because the extremum of interest sits at small
-    t.  The whole grid is one batch of triangles; every third vertex t*ray
-    is checked for membership.  A family is flat when its ray is coplanar
-    with the base point, a2 and the centre and every grid sum lies within
+    t.  The whole grid is one batch of triangles against the family's fixed
+    side; every third vertex t*ray is checked for membership once, when the
+    kernel splits it.  A family is flat when its ray is coplanar with the
+    base point, a2 and the centre and every grid sum lies within
     ``flat_band`` of pi; a family off that plane has a strict extremum
     however close to pi it stays.  Otherwise refinement is a batched
     bracket zoom on the grid cells around the best sample (see ``_zoom``),
@@ -130,7 +139,6 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
     with np.errstate(over="ignore"):  # an overflowing vertex fails the guard
         points = grid[:, None] * spec.ray
-    _guard_member(spec.kind, points)
     sums = _sums(spec, points)
     series = np.column_stack([grid, sums])
 

@@ -16,7 +16,9 @@ keeps full precision near 0 and pi where acos loses sqrt(eps) (Kahan,
 "Miscalculating Area and Angles of a Needle-like Triangle").  ``_angle_sums``
 does this for whole arrays of triangles, with no isometry and no inverse
 problem: angles are isometry-invariant, so no vertex is moved (the paper's
-method, which moves them, is ``isometries``).
+method, which moves them, is ``isometries``).  Its fixed part (a1, a2) is
+built once per S(t) sweep, its moving part (a3) per batch; surface points
+are stacked by component, (3, N), so a vector operation is one ufunc call.
 
 Angle sums obey a strict trichotomy: S2xR sums are >= pi and H2xR sums are
 <= pi, with equality exactly when the vertices are Euclid-coplanar with the
@@ -104,21 +106,26 @@ def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
     Raises DomainError for a point outside the model and DegenerateError
     when two vertices coincide (see ``_require_distinct``).
     """
-    a1, a2, a3 = (require_member(kind, p) for p in (a1, a2, a3))
-    _require_distinct(a1, a2, a3)
-    return GeodesicTriangle(kind, a1, a2, a3)
+    vertices = [require_member(kind, p) for p in (a1, a2, a3)]
+    _require_distinct(vertices)
+    return GeodesicTriangle(kind, *vertices)
 
 
-def _require_distinct(a1, a2, a3) -> None:
-    """Raise DegenerateError where two of the vertices, (3,) or (N, 3) arrays,
-    differ by at most ``vertex_gap`` max(|a1|, |p|, |q|) in each coordinate
-    (max norms): scale-invariant, and max(1, |p|, |q|) with a1 the base point."""
-    vertices = (a1, a2, a3)
-    sizes = [np.abs(a).max(axis=-1) for a in vertices]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        scale = np.maximum(sizes[0], np.maximum(sizes[i], sizes[j]))
-        if (np.abs(vertices[i] - vertices[j]).max(axis=-1) <= DEFAULT.vertex_gap * scale).any():
-            raise DegenerateError("two triangle vertices coincide")
+def _require_distinct(vertices, new: int = 1) -> None:
+    """Raise DegenerateError where two ``vertices``, (3,) or (N, 3) arrays,
+    differ by at most ``vertex_gap`` max(|p|, |q|) in each coordinate (the
+    pair's own max norms: scale-invariant); the first ``new`` are known apart."""
+    floors = [DEFAULT.vertex_gap * _max_abs(a) for a in vertices]
+    for j in range(new, len(vertices)):
+        for i in range(j):
+            if (_max_abs(vertices[i] - vertices[j]) <= np.maximum(floors[i], floors[j])).any():
+                raise DegenerateError("two triangle vertices coincide")
+
+
+def _max_abs(a):
+    """max |coordinate| of points by columns: numpy reduces an axis of 3 slowly."""
+    a = np.abs(a)
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
 
 
 def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:
@@ -131,21 +138,31 @@ def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:
 
 
 def _angle_sums(kind: Geometry, a1, a2, a3) -> TriangleAngles:
-    """Interior angles w1, w2, w3 and their sum for vertex arrays of shape
-    (3,) or (N, 3) that broadcast together: scalars or (N,) arrays.
+    """Interior angles w1, w2, w3 and their sum, scalars or (N,) arrays, for
+    a1 and a2 of one shape, (3,) or (N, 3), and a3 of that shape or (N, 3).
 
     Vertices must be distinct (see ``_require_distinct``); a vertex outside
     the model raises DomainError, an S2xR side whose surface points are
     antipodal DegenerateError.
     """
-    f1, s1 = _split(kind, a1)
-    f2, s2 = _split(kind, a2)
-    f3, s3 = _split(kind, a3)
-    t12, t21 = _side_tangents(kind, f1, s1, f2, s2)
+    return _third_vertex(kind, _fixed_side(kind, a1, a2), *_split(kind, a3))
+
+
+def _fixed_side(kind: Geometry, a1, a2) -> tuple:
+    """The fixed part: the splits of a1 and a2 and the tangents of side 1-2."""
+    (f1, s1), (f2, s2) = _split(kind, a1), _split(kind, a2)
+    return f1, s1, f2, s2, *_side_tangents(kind, f1, s1, f2, s2)
+
+
+def _third_vertex(kind: Geometry, side: tuple, f3, s3) -> TriangleAngles:
+    """The moving part, for split third vertices: sides 1-3, 2-3 and the angles."""
+    f1, s1, f2, s2, (r12, u12), (r21, u21) = side
+    if s1.ndim < s3.ndim:  # one side 1-2 against a batch of third vertices
+        s1, s2, u12, u21 = (v[:, None] for v in (s1, s2, u12, u21))
     t13, t31 = _side_tangents(kind, f1, s1, f3, s3)
     t23, t32 = _side_tangents(kind, f2, s2, f3, s3)
-    w1 = _tangent_angle(kind, s1, t12, t13)
-    w2 = _tangent_angle(kind, s2, t21, t23)
+    w1 = _tangent_angle(kind, s1, (r12, u12), t13)
+    w2 = _tangent_angle(kind, s2, (r21, u21), t23)
     w3 = _tangent_angle(kind, s3, t31, t32)
     return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
 
@@ -154,12 +171,12 @@ def _angle_sums(kind: Geometry, a1, a2, a3) -> TriangleAngles:
 _TINY = np.finfo(float).tiny
 
 def _side_tangents(kind: Geometry, fa, sa, fb, sb):
-    """Unit tangents (fibre, x, y, z) at A toward B and at B toward A, from
+    """Unit tangents (fibre, surface) at A toward B and at B toward A, from
     the surface arc of ``_surface_arc`` and its mirror image at s_B."""
     cos, at_a, sin_a, dist = _surface_arc(kind, sa, sb)
     if kind is Geometry.S2R and ((cos < 0.0) & (sin_a <= DEFAULT.cut_locus)).any():
         raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
-    at_b = tuple(a - cos * b for a, b in zip(sa, sb))
+    at_b = sa - cos * sb
     sin_b = np.sqrt(_tangent_sq(kind, sb, at_b))
     rise = fb - fa
     length = np.hypot(rise, dist)
@@ -167,14 +184,13 @@ def _side_tangents(kind: Geometry, fa, sa, fb, sb):
     # the smallest double changes no sine above 1e-290 and avoids 0 / 0
     scale_a = dist / ((sin_a + _TINY) * length)
     scale_b = dist / ((sin_b + _TINY) * length)
-    return ((rise / length, *(c * scale_a for c in at_a)),
-            (-rise / length, *(c * scale_b for c in at_b)))
+    return (rise / length, at_a * scale_a), (-rise / length, at_b * scale_b)
 
 
 def _tangent_angle(kind: Geometry, s, u, v):
     """Angle 2 atan2(|u - v|, |u + v|) between unit tangents at surface point ``s``."""
-    diff = _tangent_sq(kind, s, [a - b for a, b in zip(u[1:], v[1:])]) + (u[0] - v[0]) ** 2
-    both = _tangent_sq(kind, s, [a + b for a, b in zip(u[1:], v[1:])]) + (u[0] + v[0]) ** 2
+    diff = _tangent_sq(kind, s, u[1] - v[1]) + (u[0] - v[0]) ** 2
+    both = _tangent_sq(kind, s, u[1] + v[1]) + (u[0] + v[0]) ** 2
     return 2.0 * np.arctan2(np.sqrt(diff), np.sqrt(both))
 
 

@@ -66,6 +66,33 @@ def test_triangles_import_nothing_from_isometries():
     assert _modules_naming("_normalise") == set()
 
 
+def test_sweeps_run_the_moving_part_of_the_kernel():
+    """A family builds its side 1-2 once (``_fixed_side``) and each batch of
+    third vertices runs ``_third_vertex``, never the whole kernel."""
+    assert "sweep.py" not in _modules_naming("_angle_sums")
+    assert "sweep.py" in _modules_naming("_fixed_side") & _modules_naming("_third_vertex")
+
+
+#: the kernel's helpers, which work on surface points stacked by component
+KERNEL_HELPERS = {
+    "geodesics.py": {"_tangent_sq", "_surface_arc"},
+    "triangles.py": {"_angle_sums", "_fixed_side", "_third_vertex", "_side_tangents",
+                     "_tangent_angle"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(KERNEL_HELPERS))
+def test_kernel_helpers_zip_no_components(module):
+    """A vector operation is one ufunc call on the stacked components, not
+    a loop that zips them one by one."""
+    helpers = {node.name: node for node in ast.walk(_tree(module))
+               if isinstance(node, ast.FunctionDef) and node.name in KERNEL_HELPERS[module]}
+    assert set(helpers) == KERNEL_HELPERS[module]
+    for node in helpers.values():
+        assert not any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id == "zip" for call in ast.walk(node)), node.name
+
+
 def _squares_of_names(node: ast.AST) -> int:
     """How many terms of a chain of + and - are ``a * a`` for one name a."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):

@@ -14,7 +14,11 @@ from prodgeo import (
     evaluate,
     limits_check,
 )
+from prodgeo import core
+from prodgeo import sweep as sweep_mod
+from prodgeo.core import BASE_POINT
 from prodgeo.reference import SWEEP_FAMILIES
+from prodgeo.triangles import _angle_sums
 from conftest import BOTH
 
 PI = math.pi
@@ -78,6 +82,73 @@ class TestValidateOnce:
         grid = np.geomspace(1e-3, 5.0, 8)
         with pytest.raises(DegenerateError):
             evaluate(SweepSpec(Geometry.S2R, a2, a2 / grid[3], samples=8))
+
+
+class TestFixedSide:
+    """A family keeps a1 and a2, so the side between them is built once and
+    every kernel batch computes only the moving third vertex."""
+
+    @staticmethod
+    def _same(r, q):
+        return (np.array_equal(r.series, q.series) and r.t_extremum == q.t_extremum
+                and r.s_extremum == q.s_extremum and r.extremum_kind is q.extremum_kind
+                and r.interior == q.interior)
+
+    @BOTH
+    def test_one_fixed_side_and_one_guard_per_batch(self, kind, monkeypatch):
+        """One evaluate: one fixed side (whose two splits guard a1 and a2),
+        one membership guard per batch (so the grid is guarded once), and
+        batches of the grid, one per zoom round and the final midpoint."""
+        fixed, batches, guards, brackets = [], [], [], []
+        true_fixed, true_third = sweep_mod._fixed_side, sweep_mod._third_vertex
+        true_guard, true_bracket = core._guard_member, sweep_mod._bracket
+
+        def build(*args):
+            fixed.append(1)
+            return true_fixed(*args)
+
+        def third(kind, side, f3, s3):
+            batches.append(s3.shape)
+            return true_third(kind, side, f3, s3)
+
+        def guard(*args):
+            guards.append(1)
+            return true_guard(*args)
+
+        def bracket(*args):
+            brackets.append(1)
+            return true_bracket(*args)
+
+        monkeypatch.setattr(sweep_mod, "_fixed_side", build)
+        monkeypatch.setattr(sweep_mod, "_third_vertex", third)
+        monkeypatch.setattr(sweep_mod, "_bracket", bracket)
+        for module in (core, sweep_mod):
+            monkeypatch.setattr(module, "_guard_member", guard, raising=False)
+        spec = family_spec(kind)
+        evaluate(spec)
+        rounds = len(brackets) - 1
+        assert len(fixed) == 1
+        assert rounds > 0
+        assert batches == [(3, spec.samples)] + [(3, sweep_mod._ZOOM_POINTS)] * rounds + [(3,)]
+        assert len(guards) == len(batches) + 2
+
+    @BOTH
+    def test_results_do_not_depend_on_the_cache(self, kind):
+        """A second evaluate of one spec, and a spec that differs only in
+        a2, give the bits of a fresh spec, and the grid sums are those of
+        the one-shot kernel on the whole triangles."""
+        a2, ray, _, _ = SWEEP_FAMILIES[kind]
+        other = np.array(a2, dtype=float) * 1.5 + np.array([0.2, 0.0, 0.0])
+        spec = family_spec(kind)
+        first = evaluate(spec)
+        assert self._same(evaluate(spec), first)
+        moved = evaluate(SweepSpec(kind, other, ray))
+        assert self._same(moved, evaluate(SweepSpec(kind, other, ray)))
+        assert self._same(evaluate(spec), first)
+        for result, vertex in ((first, a2), (moved, other)):
+            points = result.series[:, :1] * np.asarray(ray, dtype=float)
+            kernel = _angle_sums(kind, BASE_POINT, np.array(vertex, dtype=float), points)
+            assert np.array_equal(result.series[:, 1], kernel.total)
 
 
 class TestExtremum:

@@ -123,6 +123,17 @@ class TestConstruction:
         with pytest.raises(DegenerateError):
             tri_s2r((1, 0, 0), (2, 1, 0))
 
+    def test_each_pair_judged_by_its_own_size(self):
+        """a2 and a3 lie 3 apart, distinct however large a1 is: the sum
+        beside a1 of size 1e20 is the 50-digit one, and two vertices 1e-13
+        apart are still refused beside it."""
+        vertices = ((1e20, 0, 0), (3, -2, 1), (2, 1, 0))
+        tri = geodesic_triangle(Geometry.S2R, *vertices)
+        exact = mp_oracle.angle_sum(Geometry.S2R, *vertices)
+        assert abs(angle_sum(tri).total - exact) <= 1e-9
+        with pytest.raises(DegenerateError):
+            geodesic_triangle(Geometry.S2R, (1e20, 0, 0), (3, -2, 1), (3, -2, 1 + 1e-13))
+
     @BOTH
     def test_relabeling_permutes_angles(self, kind, rng):
         """Moving a different vertex into first position permutes the
