@@ -84,11 +84,11 @@ class SweepResult:
 
 def angle_sum_at(spec: SweepSpec, t: float) -> float:
     """S(t): the interior angle sum of the triangle with third vertex t*ray;
-    only t*ray is checked, as it leaves the model if it underflows to zero
-    or overflows to inf."""
+    only t*ray is checked, by the guard of its split, as it leaves the model
+    if it underflows to zero or overflows to inf."""
     with np.errstate(over="ignore"):
         a3 = t * spec.ray
-    return float(_sums(spec, require_member(spec.kind, a3)))
+    return float(_sums(spec, a3))
 
 
 def _sums(spec: SweepSpec, a3: np.ndarray):

@@ -114,12 +114,31 @@ def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
 def _require_distinct(vertices, new: int = 1) -> None:
     """Raise DegenerateError where two ``vertices``, (3,) or (N, 3) arrays,
     differ by at most ``vertex_gap`` max(|p|, |q|) in each coordinate (the
-    pair's own max norms: scale-invariant); the first ``new`` are known apart."""
-    floors = [DEFAULT.vertex_gap * _max_abs(a) for a in vertices]
-    for j in range(new, len(vertices)):
-        for i in range(j):
-            if (_max_abs(vertices[i] - vertices[j]) <= np.maximum(floors[i], floors[j])).any():
-                raise DegenerateError("two triangle vertices coincide")
+    pair's own max norms: scale-invariant); the first ``new`` are known apart.
+
+    One triangle is compared in Python floats, as ``core._scaled_norm``
+    reads one point: numpy's per-call cost on (3,) arrays would be most of
+    building a triangle.  A batch stays in numpy; there a gap that
+    overflows is inf, which is apart.
+    """
+    if all(a.ndim == 1 for a in vertices):
+        points = [a.tolist() for a in vertices]
+        close = any(_close(points[i], points[j]) for j in range(new, len(points)) for i in range(j))
+    else:
+        floors = [DEFAULT.vertex_gap * _max_abs(a) for a in vertices]
+        with np.errstate(over="ignore"):
+            close = any((_max_abs(vertices[i] - vertices[j]) <= np.maximum(floors[i], floors[j])).any()
+                        for j in range(new, len(vertices)) for i in range(j))
+    if close:
+        raise DegenerateError("two triangle vertices coincide")
+
+
+def _close(p, q) -> bool:
+    """``_require_distinct`` of two points given as float triples: rounding
+    is monotone, so vertex_gap times the larger size is the larger floor."""
+    (x, y, z), (u, v, w) = p, q
+    return (max(abs(x - u), abs(y - v), abs(z - w))
+            <= DEFAULT.vertex_gap * max(abs(x), abs(y), abs(z), abs(u), abs(v), abs(w)))
 
 
 def _max_abs(a):
@@ -203,17 +222,21 @@ def coplanar_with_center(tri: GeodesicTriangle) -> bool:
     return tri._is_coplanar
 
 
-def _unit_rows(a1, a2, a3) -> np.ndarray:
-    """The points as rows over their largest |coordinate|: no product overflows."""
-    rows = np.array([a1, a2, a3])
-    return rows / np.abs(rows).max(axis=1, keepdims=True)
-
-
 def _coplanar(a1, a2, a3) -> bool:
-    """``coplanar_with_center`` of three points (scale-invariant in each)."""
-    rows = _unit_rows(a1, a2, a3)
-    det = float(np.linalg.det(rows))
-    return abs(det) <= DEFAULT.coplanar * float(np.linalg.norm(rows, axis=1).prod())
+    """``coplanar_with_center`` of three points (scale-invariant in each): the
+    triple product of the points over their largest |coordinate|, in floats,
+    against the product of those rows' norms."""
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = map(_unit_row, (a1, a2, a3))
+    det = x1 * (y2 * z3 - z2 * y3) - y1 * (x2 * z3 - z2 * x3) + z1 * (x2 * y3 - y2 * x3)
+    norms = math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2) * math.hypot(x3, y3, z3)
+    return abs(det) <= DEFAULT.coplanar * norms
+
+
+def _unit_row(a) -> tuple:
+    """One point over its largest |coordinate|, as floats: no product overflows."""
+    x, y, z = a.tolist()
+    big = max(abs(x), abs(y), abs(z))
+    return x / big, y / big, z / big
 
 
 def encloses_center(tri: GeodesicTriangle) -> bool:
@@ -226,7 +249,7 @@ def encloses_center(tri: GeodesicTriangle) -> bool:
     if not tri._is_coplanar:
         return False
     # barycentric solve of 0 = l1 a1 + l2 a2 + l3 a3, sum(l) = 1
-    m = np.vstack([_unit_rows(*tri.vertices).T, np.ones(3)])
+    m = np.array([*zip(*map(_unit_row, tri.vertices)), (1.0, 1.0, 1.0)])
     lam, *_ = np.linalg.lstsq(m, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)
     residual = m @ lam - np.array([0.0, 0.0, 0.0, 1.0])
     if float(np.abs(residual).max()) > DEFAULT.enclosure_residual:

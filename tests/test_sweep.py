@@ -51,11 +51,25 @@ class TestSpecValidation:
 
 class TestValidateOnce:
     @BOTH
-    def test_angle_sum_at_checks_only_the_three_vertices(self, kind, member_checks):
+    def test_angle_sum_at_checks_only_the_three_vertices(self, kind, member_checks,
+                                                          monkeypatch):
+        """a1 and a2 are guarded once, by the family's fixed side; each S(t)
+        then guards only t*ray, once, when the kernel splits it."""
         spec = family_spec(kind, samples=8)
+        angle_sum_at(spec, 0.2)  # builds the fixed side
+        guards = []
+        true_guard = core._guard_member
+
+        def guard(*args):
+            guards.append(1)
+            return true_guard(*args)
+
+        monkeypatch.setattr(core, "_guard_member", guard)
         member_checks.clear()
         angle_sum_at(spec, 0.3)
-        assert len(member_checks) == 1
+        angle_sum_at(spec, 0.7)
+        assert len(guards) == 2
+        assert member_checks == []
 
     @BOTH
     def test_overflowing_third_vertex_still_rejected(self, kind):
@@ -76,6 +90,17 @@ class TestValidateOnce:
         a2, ray, _, _ = SWEEP_FAMILIES[kind]
         with pytest.raises(DomainError, match="is not in the"):
             evaluate(SweepSpec(kind, a2, ray, t_min=1.0, t_max=1e308, samples=8))
+
+    @pytest.mark.filterwarnings("error")
+    def test_vertices_near_the_largest_double_raise_without_warning(self):
+        """a2 and the ray near +-1e308 differ by more than the largest
+        double: the gap overflows to inf, which is apart, and the antipodal
+        side ends the sum."""
+        spec = SweepSpec(Geometry.S2R, (-1e308, 1, 0), (1e308, 0, 1), t_max=1.5)
+        with pytest.raises(DegenerateError, match="antipodal"):
+            evaluate(spec)
+        with pytest.raises(DegenerateError, match="antipodal"):
+            angle_sum_at(spec, 1.0)
 
     def test_evaluate_rejects_a_grid_vertex_on_a2(self):
         a2 = np.array([3.0, -2.0, 1.0])

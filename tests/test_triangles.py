@@ -496,3 +496,91 @@ class TestComputedOnce:
                 vertex[0] = 5.0
         a2[0] = 5.0  # the caller's array stays writable and apart
         assert tri.a2[0] != 5.0
+
+
+def _det_coplanar(a1, a2, a3):
+    """The numpy rule that ``triangles._coplanar`` replaced: the determinant
+    of the rows over their largest |coordinate|, against their norms."""
+    rows = np.array([a1, a2, a3])
+    rows = rows / np.abs(rows).max(axis=1, keepdims=True)
+    det = float(np.linalg.det(rows))
+    return abs(det) <= DEFAULT.coplanar * float(np.linalg.norm(rows, axis=1).prod())
+
+
+def _coincide(vertices, new=1):
+    try:
+        triangles._require_distinct(vertices, new)
+    except DegenerateError:
+        return True
+    return False
+
+
+class TestFloatDecisions:
+    """One triangle's coplanarity and distinctness are decided in Python
+    floats; the decisions are those of the numpy rules."""
+
+    DRAWS = 2000  # per group: six groups
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
+    @pytest.mark.parametrize("group", ["random", "coplanar", "near-plane"])
+    def test_coplanar_decides_as_the_determinant(self, group, scaled):
+        rng = np.random.default_rng({"random": 1, "coplanar": 2, "near-plane": 3}[group])
+        decisions = []
+        for _ in range(self.DRAWS):
+            a1, a2 = rng.normal(size=(2, 3))
+            if group == "random":
+                a3 = rng.normal(size=3)
+            else:
+                a3 = rng.normal() * a1 + rng.normal() * a2
+                if group == "near-plane":
+                    normal = np.cross(a1, a2)
+                    off = 10.0 ** rng.uniform(-13, -7) * rng.choice([-1.0, 1.0])
+                    a3 = a3 + off * np.linalg.norm(a3) * normal / np.linalg.norm(normal)
+            rows = [a1, a2, a3]
+            if scaled:
+                rows = [r * 10.0 ** (200 * rng.choice([-1, 1])) for r in rows]
+            decision = triangles._coplanar(*rows)
+            assert decision == _det_coplanar(*rows), rows
+            decisions.append(decision)
+        expected = {"random": {False}, "coplanar": {True}, "near-plane": {False, True}}
+        assert set(decisions) == expected[group]
+
+    @pytest.mark.parametrize("a1, scale", [((0.0, 0.0, 3.0), 1.0), ((1e20, 0.0, 0.0), 3.0)],
+                             ids=["unit", "mixed-scale"])
+    def test_gap_at_the_threshold_and_one_ulp_either_side(self, a1, scale):
+        """a2 and a3 differ in y by exactly ``vertex_gap`` of their size,
+        which coincides, or by one ulp more (apart) or less (coincides)."""
+        gap = DEFAULT.vertex_gap * scale
+        for step, coincides in ((gap, True), (np.nextafter(gap, 1.0), False),
+                                (np.nextafter(gap, 0.0), True)):
+            a2 = np.array([scale, 0.0, 0.0])
+            a3 = np.array([scale, step, 0.0])
+            assert a3[1] - a2[1] == step
+            one = [np.array(a1), a2, a3]
+            assert _coincide(one) is coincides
+            assert _coincide([v[None, :] for v in one]) is coincides
+            assert _coincide(one, new=2) is coincides
+            assert _coincide([one[0], one[1], one[2][None, :]], new=2) is coincides
+
+    def test_one_triangle_decides_as_a_batch_of_one(self):
+        rng = np.random.default_rng(4)
+        decisions = set()
+        for _ in range(2000):
+            a1, a2 = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-20, 20, size=(2, 1))
+            a3 = a2 * (1.0 + DEFAULT.vertex_gap * rng.uniform(0.0, 2.0, size=3))
+            one = [a1, a2, a3]
+            decision = _coincide(one)
+            assert decision == _coincide([v[None, :] for v in one])
+            decisions.add(decision)
+        assert decisions == {False, True}
+
+    @pytest.mark.filterwarnings("error")
+    def test_vertices_near_the_largest_double_raise_without_warning(self):
+        """a1 and a2 near +-1e308 differ by more than the largest double:
+        the gap is inf, which is apart, and the antipodal side ends the sum;
+        a batch of one decides the same with no warning."""
+        vertices = ((1e308, 0, 0), (-1e308, 1, 0), (1, 1, 1))
+        tri = geodesic_triangle(Geometry.S2R, *vertices)
+        with pytest.raises(DegenerateError, match="antipodal"):
+            angle_sum(tri)
+        assert not _coincide([np.array([v], dtype=float) for v in vertices])
