@@ -17,7 +17,7 @@ from prodgeo import (
     rotation_x,
     to_origin,
 )
-from prodgeo.reference import transcribed_normalizer_s2r
+from prodgeo.isometries import transcribed_normalizer_s2r
 
 a = np.array([3.0, -2.0, 1.0])
 kind = Geometry.S2R

@@ -10,7 +10,6 @@ from .core import (
     BASE_POINT,
     Geometry,
     contains,
-    homogeneous,
     metric_at,
     model_point,
     to_model,
@@ -68,7 +67,6 @@ __all__ = [
     "BASE_POINT",
     "Geometry",
     "contains",
-    "homogeneous",
     "metric_at",
     "model_point",
     "to_model",

@@ -43,7 +43,6 @@ __all__ = [
     "Geometry",
     "BASE_POINT",
     "model_point",
-    "homogeneous",
     "contains",
     "fibre_norm_sq",
     "metric_at",
@@ -83,12 +82,6 @@ def model_point(coords) -> np.ndarray:
     if a.shape == (3,):
         return a.copy()
     raise DomainError(f"expected 3 or 4 coordinates, got shape {a.shape}")
-
-
-def homogeneous(p) -> np.ndarray:
-    """Return the normalised homogeneous row (1, x, y, z) of a point."""
-    p = np.asarray(p, dtype=float)
-    return np.concatenate(([1.0], p))
 
 
 def contains(kind: Geometry, coords) -> bool:

@@ -19,8 +19,15 @@ The normaliser of a point A is composed of four factors, applied in order:
     R_x^-1   undoing the first rotation, so that the geodesic from the
              base point to A and its image stay in one Euclidean plane.
 
-This is the only code that moves a point, kept as the reproduced method and
-cross-check: triangles, angles and distances are computed without it.
+Each factor is built from A alone, with sqrt(Q) from ``core._fibre_norm``
+(no coordinate squared).  The one check is the defining property: the
+image of A must be within ``DEFAULT.isometry`` of the base point, else
+DomainError; deep in the H2xR cone, where Q is not resolved in double
+precision, no double matrix is the normaliser.
+
+This is the only code that moves a point or builds a 4x4 matrix, kept as
+the reproduced method and cross-check: triangles, angles and distances are
+computed without it.
 ``tangent_endpoints`` and ``vertex_angle`` move a triangle so a1 is the
 base point, then each vertex there by its own normaliser, and read the
 tangents off the inverse problem, where the ambient metric is the identity.
@@ -36,8 +43,8 @@ import math
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, fibre_norm_sq, require_member
-from .exceptions import ConsistencyError, DegenerateError, PrecondError
+from .core import BASE_POINT, Geometry, _fibre_norm, fibre_norm_sq, require_member
+from .exceptions import ConsistencyError, DegenerateError, DomainError, PrecondError
 from .geodesics import _geodesic_params, tangent_of
 from .tolerances import DEFAULT
 from .triangles import GeodesicTriangle, TriangleAngles
@@ -53,6 +60,7 @@ __all__ = [
     "reference_image_base",
     "reference_image_third",
     "reference_images_plane_mover",
+    "transcribed_normalizer_s2r",
 ]
 
 
@@ -64,11 +72,7 @@ def _embed(block: np.ndarray) -> np.ndarray:
 
 def fibre_translation(kind: Geometry, a) -> np.ndarray:
     """Fibre translation taking ``a`` to its zero-fibre representative."""
-    return _fibre_translation(kind, require_member(kind, a))
-
-
-def _fibre_translation(kind: Geometry, a: np.ndarray) -> np.ndarray:
-    return _embed(np.eye(3) / math.sqrt(fibre_norm_sq(kind, a)))
+    return _embed(np.eye(3) / _fibre_norm(kind, require_member(kind, a)))
 
 
 def rotation_x(kind: Geometry, p) -> np.ndarray:
@@ -102,16 +106,16 @@ def rotation_z(kind: Geometry, p) -> np.ndarray:
     x^2 - y^2.  When ``p`` additionally has fibre coordinate zero its image
     is exactly the base point.
     """
-    return _rotation_z(kind, require_member(kind, p))
-
-
-def _rotation_z(kind: Geometry, p: np.ndarray) -> np.ndarray:
-    x, y, z = p
+    x, y, z = require_member(kind, p)
     if abs(z) > DEFAULT.plane:
         raise PrecondError(f"rotation_z needs a point in the [x, y] plane, got z={z}")
-    s = math.sqrt(fibre_norm_sq(kind, np.array([x, y, 0.0])))
-    c1, c2 = x / s, y / s
-    # S2xR rotates the (x, y) block, H2xR boosts it: only one sign differs
+    norm = _fibre_norm(kind, np.array([x, y, 0.0]))
+    return _rotation_z(kind, x / norm, y / norm)
+
+
+def _rotation_z(kind: Geometry, c1: float, c2: float) -> np.ndarray:
+    # moves the surface point (c1, c2, 0) to the base point: S2xR rotates
+    # the (x, y) block, H2xR boosts it; only one sign differs
     return _embed(np.array([
         [c1, -c2, 0.0],
         [_sigma(kind) * c2, c1, 0.0],
@@ -126,16 +130,18 @@ def to_origin(kind: Geometry, a) -> np.ndarray:
 
 
 def _to_origin(kind: Geometry, a: np.ndarray) -> np.ndarray:
-    """``to_origin`` of a member ``a``; deep in the H2xR cone the images of
-    ``a`` can round out of the model, raising DomainError."""
-    trans = _fibre_translation(kind, a)
-    flat = apply_isometry(trans, a)
-    _guard_member(kind, flat)
-    rot_x = _rotation_x(flat)
-    planar = apply_isometry(rot_x, flat)
-    _guard_member(kind, planar)
-    rot_z = _rotation_z(kind, planar)
-    return trans @ rot_x @ rot_z @ rot_x.T
+    """``to_origin`` of ``a``: R_z from (x, hypot(y, z)) / sqrt(Q), the image
+    of ``a`` under T and R_x; DomainError where the result misses."""
+    norm = _fibre_norm(kind, a)
+    rot_x = _rotation_x(a)
+    with np.errstate(all="ignore"):
+        move = (_embed(np.eye(3) / norm) @ rot_x
+                @ _rotation_z(kind, a[0] / norm, math.hypot(a[1], a[2]) / norm) @ rot_x.T)
+        miss = float(np.abs(apply_isometry(move, a) - BASE_POINT).max())
+    if not miss <= DEFAULT.isometry:
+        raise DomainError(f"the {kind.value} normaliser of {tuple(a.tolist())} is not "
+                          f"representable in double precision ({miss:.1e} off the base point)")
+    return move
 
 
 def apply_isometry(m: np.ndarray, p) -> np.ndarray:
@@ -178,11 +184,10 @@ def tangent_endpoints(tri: GeodesicTriangle) -> dict[tuple[int, int], np.ndarray
 def _vertex_tangents(kind: Geometry, vertices, i: int) -> dict[tuple[int, int], np.ndarray]:
     """Tangents at vertex ``i`` of ``vertices`` in the paper's position toward
     the other two, keyed as in ``tangent_endpoints``; vertices 2 and 3 are
-    computed images, re-checked before one is moved."""
+    computed images, which ``_to_origin`` checks before one is moved."""
     others = [(n, p) for n, p in enumerate(vertices, start=1) if n != i]
     if i == 1:
         return {(n, 0): tangent_of(_geodesic_params(kind, p)) for n, p in others}
-    _guard_member(kind, vertices[i - 1])
     move = _to_origin(kind, vertices[i - 1])
     return {(n, i): tangent_of(_geodesic_params(kind, apply_isometry(move, p)))
             for n, p in others}
@@ -274,3 +279,18 @@ def reference_images_plane_mover(kind: Geometry, mover, other):
         z2 / math.sqrt(q),
     ])
     return base_image, other_image
+
+
+def transcribed_normalizer_s2r(a2) -> np.ndarray:
+    """The hand-derived closed form of the S2xR normaliser of ``a2``,
+    transcribed entry by entry, kept verbatim with its (3, 2) sign slip."""
+    x, y, z = np.asarray(a2, dtype=float)
+    q = x * x + y * y + z * z
+    s = math.sqrt(q)
+    w = y * y + z * z
+    return np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, x / q, -y / q, -z / q],
+        [0.0, y / q, (y * y * x + z * z * s) / (q * w), -y * z * (-x + s) / (q * w)],
+        [0.0, z / q, y * z * (-x + s) / (q * w), (z * z * x + y * y * s) / (q * w)],
+    ])

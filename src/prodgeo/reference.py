@@ -2,25 +2,18 @@
 
 The interior-angle rows and extremum locations below are frozen reference
 values for two fixed triangle families; reproducing them to 1e-4 absolute
-is the package's primary regression gate.  The transcribed
-normaliser matrix is a hand-derived closed form of the S2xR normalising
-isometry kept verbatim for comparison: its (3, 2) entry carries a sign
-slip (the true composite is symmetric in the (2, 3) / (3, 2) pair), which
-the comparison in the acceptance suite reports rather than patches.
+is the package's primary regression gate.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import Geometry
 
 __all__ = [
     "TABLE_ROWS",
     "SWEEP_FAMILIES",
-    "transcribed_normalizer_s2r",
 ]
 
 _S5 = math.sqrt(5.0)
@@ -55,18 +48,3 @@ SWEEP_FAMILIES = {
     Geometry.S2R: ((3.0, -2.0, 1.0), (2.0, 1.0, 0.0), 0.19316, 3.17450),
     Geometry.H2R: ((2.0, 1.5, 1.0), (3.0, -1.0, 0.0), 0.36392, 3.03236),
 }
-
-
-def transcribed_normalizer_s2r(a2) -> np.ndarray:
-    """The hand-derived closed form of the S2xR normaliser of ``a2``,
-    transcribed entry by entry (including the (3, 2) sign slip)."""
-    x, y, z = np.asarray(a2, dtype=float)
-    q = x * x + y * y + z * z
-    s = math.sqrt(q)
-    w = y * y + z * z
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, x / q, -y / q, -z / q],
-        [0.0, y / q, (y * y * x + z * z * s) / (q * w), -y * z * (-x + s) / (q * w)],
-        [0.0, z / q, y * z * (-x + s) / (q * w), (z * z * x + y * y * s) / (q * w)],
-    ])

@@ -8,11 +8,13 @@ from dataclasses import dataclass
 class Tolerances:
     #: geodesic parameter roundtrip, per component
     roundtrip: float = 1e-9
-    #: metric-pullback invariance of isometries
+    #: a normaliser's image of its anchor is the base point to this (max norm),
+    #: else DomainError; also metric-pullback invariance of isometries and
+    #: antipodality of the paper's tangent pairs
     isometry: float = 1e-8
     #: coplanarity of a triangle with the model centre (relative determinant)
     coplanar: float = 1e-10
-    #: residual z after the axis rotation, precondition of the final factor
+    #: residual z accepted as the [x, y] plane by ``rotation_z`` and the closed forms
     plane: float = 1e-12
     #: angle-sum consistency with the trichotomy theorems
     angle_sum: float = 1e-7

@@ -9,6 +9,7 @@ algorithm's own error on that point, apart from its representation.
 ``acceleration`` is the geodesic acceleration of the Cartesian chart at a
 double point, from the metric's derivatives written out by hand.
 ``angle_sum`` is the product-split angle sum of three double vertices.
+``normaliser`` is the paper's 4x4 normalising isometry of a double point.
 """
 
 import math
@@ -140,3 +141,22 @@ def angle_sum(kind, a1, a2, a3):
             cos = rise_b * rise_c + sign * _surface_dot(kind, xi_b, xi_c)
             total += mpmath.acos(max(-1, min(1, cos)))
         return float(total)
+
+
+def normaliser(kind, a):
+    """The normaliser T . R_x . R_z . R_x^-1 of the double point ``a`` (see
+    ``prodgeo.isometries``), composed in 50 digits and rounded entrywise to
+    doubles, as a list of four rows."""
+    sign = 1 if kind is Geometry.S2R else -1
+    with mpmath.workdps(DIGITS):
+        x, y, z = (mpmath.mpf(float(c)) for c in a)
+        norm = mpmath.sqrt(x * x + sign * (y * y + z * z))
+        spread = mpmath.hypot(y, z)
+        cy, cz = (y / spread, z / spread) if spread else (1, 0)
+        c1, c2 = x / norm, spread / norm
+        trans = mpmath.diag([1, 1 / norm, 1 / norm, 1 / norm])
+        rot_x = mpmath.matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, cy, -cz], [0, 0, cz, cy]])
+        rot_z = mpmath.matrix([[1, 0, 0, 0], [0, c1, -c2, 0], [0, sign * c2, c1, 0],
+                               [0, 0, 0, 1]])
+        move = trans * rot_x * rot_z * rot_x.T
+        return [[float(move[i, j]) for j in range(4)] for i in range(4)]

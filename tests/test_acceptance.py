@@ -34,8 +34,9 @@ from prodgeo import (
     reference_images_plane_mover,
     to_origin,
 )
+from prodgeo.isometries import transcribed_normalizer_s2r
 from prodgeo.oracle import _initial_state, _rhs_h2r, _rhs_s2r, unit_speed_drift
-from prodgeo.reference import SWEEP_FAMILIES, TABLE_ROWS, transcribed_normalizer_s2r
+from prodgeo.reference import SWEEP_FAMILIES, TABLE_ROWS
 from conftest import random_params, random_point
 
 PI = math.pi

@@ -25,7 +25,8 @@ def _modules_naming(name: str) -> set[str]:
 @pytest.mark.parametrize("name, owners", [
     # the membership rule and the fibre norm live in core alone
     ("_scaled_norm", {"core.py"}),
-    # the squared form remains only in the paper's matrices
+    # the squared form remains only in the hand-derived reference_image_*
+    # closed forms; the paper's matrices take sqrt(Q) from core._fibre_norm
     ("fibre_norm_sq", {"core.py", "isometries.py"}),
 ])
 def test_name_used_only_by(name, owners):
@@ -51,6 +52,23 @@ def test_only_the_paper_method_and_its_suite_move_points(name):
     public ``apply_isometry``)."""
     assert "isometries.py" in _modules_naming(name)
     assert _modules_naming(name) - {"__init__.py"} <= {"isometries.py", "verification.py"}
+
+
+def _builds_identity_4(node: ast.AST) -> bool:
+    """Whether ``node`` is a call ``np.eye(4)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "eye" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == 4)
+
+
+def test_only_isometries_builds_4x4_matrices():
+    """The paper's matrices are built in ``isometries`` alone: its factors
+    (``_embed`` of a 3x3 block into ``np.eye(4)``) and the transcribed
+    normaliser; ``reference`` holds frozen data only."""
+    assert _modules_naming("_embed") == {"isometries.py"}
+    assert _modules_naming("transcribed_normalizer_s2r") == {"isometries.py"}
+    assert {path.name for path in SOURCES.glob("*.py")
+            if any(map(_builds_identity_4, ast.walk(_tree(path.name))))} == {"isometries.py"}
 
 
 @pytest.mark.parametrize("name", ["tangent_endpoints", "vertex_angle"])

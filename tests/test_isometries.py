@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import mp_oracle
 from prodgeo import (
     BASE_POINT,
     DegenerateError,
     DomainError,
     Geometry,
+    GeometryError,
     PrecondError,
     apply_isometry,
     distance,
@@ -18,9 +21,11 @@ from prodgeo import (
     reference_images_plane_mover,
     rotation_x,
     rotation_z,
+    to_model,
     to_origin,
 )
-from prodgeo.reference import transcribed_normalizer_s2r
+from prodgeo.isometries import transcribed_normalizer_s2r
+from prodgeo.tolerances import DEFAULT
 from conftest import BOTH, random_point
 
 S14 = math.sqrt(14.0)
@@ -87,6 +92,38 @@ class TestRotationZ:
         with pytest.raises(PrecondError):
             rotation_z(Geometry.S2R, (1, 1, 0, 0.5))
 
+    def test_plane_image_at_the_centre_is_typed(self):
+        # z is within the plane tolerance, but (x, y, 0) is the centre E0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError):
+                rotation_z(Geometry.S2R, (0, 0, 1e-13))
+
+
+@pytest.mark.parametrize("a", [(1e-170, 1e-170, 0.0), (1e200, 1.0, 0.0)], ids=["tiny", "huge"])
+class TestFactorsAtScale:
+    """S2xR members far from unit size: no factor squares a coordinate, so
+    none overflows or underflows, and each still does its job."""
+
+    @staticmethod
+    def _quietly(factor, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return factor(Geometry.S2R, a)
+
+    def test_to_origin(self, a):
+        img = apply_isometry(self._quietly(to_origin, a), a)
+        assert np.abs(img - BASE_POINT).max() < 1e-15
+
+    def test_fibre_translation(self, a):
+        img = apply_isometry(self._quietly(fibre_translation, a), a)
+        assert np.allclose(img, np.array(a) / np.hypot(a[0], a[1]), rtol=1e-15, atol=0)
+
+    def test_rotation_z(self, a):
+        img = apply_isometry(self._quietly(rotation_z, a), a)
+        assert img[0] == pytest.approx(np.hypot(a[0], a[1]), rel=1e-15)
+        assert abs(img[1]) <= 1e-15 * img[0] and img[2] == 0.0
+
 
 class TestToOrigin:
     @pytest.mark.parametrize("a", [
@@ -94,10 +131,42 @@ class TestToOrigin:
         (1.9488705132247364, -1.2680891067860605, 1.4798805000970106),
     ], ids=["planar-image", "fibre-image"])
     def test_deep_cone_image_leaving_model_is_domain_error(self, a):
-        # a is a member, but an intermediate image of the composition rounds
-        # out of the cone; that must surface before the plane precondition
+        # a is a member, but Q is not resolved in double precision this deep
+        # in the cone (the composition's intermediate images, which the ids
+        # name, would round out of it): the normaliser misses the base point
         with pytest.raises(DomainError):
             to_origin(Geometry.H2R, a)
+
+    def test_overflowing_factor_is_domain_error_without_warning(self):
+        # a member of size 1e-300 one ulp inside the cone: 1/sqrt(Q) times
+        # the boost overflows, so no double matrix is its normaliser
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not representable"):
+                to_origin(Geometry.H2R, (1e-300, 1e-300 * (1 - 2 ** -52), 0.0))
+
+    @pytest.mark.parametrize("w", [1, 5, 9, 10, 11, 12, 14, 16])
+    def test_contract_deep_in_the_h2r_cone(self, w):
+        """Seeded H2xR anchors at surface arc w: ``to_origin`` returns a
+        normaliser within 1e-7 of the 50-digit one, whose image of the anchor
+        is the base point to ``DEFAULT.isometry``, or raises DomainError; no
+        other error, and no warning."""
+        rng = np.random.default_rng(1000 + w)
+        returned = 0
+        for _ in range(40):
+            a = to_model(Geometry.H2R, rng.uniform(-3.0, 3.0), w, rng.uniform(-math.pi, math.pi))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    m = to_origin(Geometry.H2R, a)
+                except DomainError:
+                    continue
+            returned += 1
+            assert np.abs(apply_isometry(m, a) - BASE_POINT).max() <= DEFAULT.isometry
+            exact = np.array(mp_oracle.normaliser(Geometry.H2R, a))
+            assert np.abs(m - exact).max() <= 1e-7 * np.abs(exact).max()
+        if w <= 5:  # far from the cone every normaliser is representable
+            assert returned == 40
 
     @BOTH
     def test_defining_property(self, kind, rng):
