@@ -51,10 +51,17 @@ __all__ = [
 
 
 class Geometry(enum.Enum):
-    """Which of the two product geometries an operation runs in."""
+    """Which of the two product geometries an operation runs in; its
+    ``curvature``, +1.0 on S2 and -1.0 on H2, is the sign of y^2 + z^2 in Q,
+    the signature of the surface form and the sign of an angle sum - pi."""
 
-    S2R = "s2r"
-    H2R = "h2r"
+    S2R = "s2r", 1.0
+    H2R = "h2r", -1.0
+
+    def __new__(cls, value: str, curvature: float):
+        member = object.__new__(cls)
+        member._value_, member.curvature = value, curvature
+        return member
 
     @classmethod
     def from_name(cls, name: str) -> "Geometry":
@@ -190,9 +197,7 @@ def fibre_norm_sq(kind: Geometry, p) -> float | np.ndarray:
     (N, 3) array of points), giving an array of values.
     """
     x, y, z = p
-    if kind is Geometry.S2R:
-        return x * x + y * y + z * z
-    return x * x - y * y - z * z
+    return x * x + kind.curvature * (y * y + z * z)
 
 
 def metric_at(kind: Geometry, p) -> np.ndarray:

@@ -196,8 +196,7 @@ def _surface_arc(kind: Geometry, sa, sb):
     """cos (cosh) of the surface arc from s_A to s_B, its tangent at s_A,
     s_B - <s_A, s_B> s_A, of length sin (sinh), that length and the arc
     length; <, > is the Euclidean (Minkowski x^2 - y^2 - z^2) form."""
-    sign = 1.0 if kind is Geometry.S2R else -1.0
-    cos = sa[0] * sb[0] + sign * (sa[1] * sb[1] + sa[2] * sb[2])
+    cos = sa[0] * sb[0] + kind.curvature * (sa[1] * sb[1] + sa[2] * sb[2])
     at_a = sb - cos * sa
     sin_a = np.sqrt(_tangent_sq(kind, sa, at_a))
     dist = np.arctan2(sin_a, cos) if kind is Geometry.S2R else np.arcsinh(sin_a)

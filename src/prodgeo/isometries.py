@@ -71,8 +71,15 @@ def _embed(block: np.ndarray) -> np.ndarray:
 
 
 def fibre_translation(kind: Geometry, a) -> np.ndarray:
-    """Fibre translation taking ``a`` to its zero-fibre representative."""
-    return _embed(np.eye(3) / _fibre_norm(kind, require_member(kind, a)))
+    """Fibre translation taking ``a`` to its zero-fibre representative;
+    DomainError where 1/sqrt(Q) overflows (S2xR members below about 5.6e-309)."""
+    a = require_member(kind, a)
+    with np.errstate(over="ignore"):
+        scale = 1.0 / _fibre_norm(kind, a)
+    if not scale < math.inf:
+        raise DomainError(f"the {kind.value} fibre translation of {tuple(a.tolist())} "
+                          "is not representable in double precision")
+    return _embed(np.eye(3) * scale)
 
 
 def rotation_x(kind: Geometry, p) -> np.ndarray:
@@ -118,7 +125,7 @@ def _rotation_z(kind: Geometry, c1: float, c2: float) -> np.ndarray:
     # the (x, y) block, H2xR boosts it; only one sign differs
     return _embed(np.array([
         [c1, -c2, 0.0],
-        [_sigma(kind) * c2, c1, 0.0],
+        [kind.curvature * c2, c1, 0.0],
         [0.0, 0.0, 1.0],
     ]))
 
@@ -222,19 +229,28 @@ def vertex_angle(tri: GeodesicTriangle, i: int) -> float:
 # vertices under the normaliser of A2 (and, when A3 lies in the [x, y]
 # plane, under the normaliser of A3) admit explicit rational-radical
 # expressions.  They are independent transcriptions used to cross-check
-# ``to_origin``; sigma below is +1 for S2xR and -1 for H2xR.
+# ``to_origin``; sigma below is the curvature, +1 for S2xR and -1 for H2xR.
 
 
-def _sigma(kind: Geometry) -> float:
-    return 1.0 if kind is Geometry.S2R else -1.0
+def _require_in_range(kind: Geometry, point: np.ndarray, forms, *images) -> None:
+    """DomainError unless each squared form of ``point`` is a normal double
+    (one that left double range is inf, or a subnormal or zero, and no
+    quotient by it is meaningful) and each closed-form image is finite."""
+    if not (all(np.finfo(float).tiny <= form < math.inf for form in forms)
+            and all(np.isfinite(image).all() for image in images)):
+        raise DomainError(f"the {kind.value} closed-form images for {tuple(point.tolist())} "
+                          "are not representable in double precision")
 
 
 def reference_image_base(kind: Geometry, mover) -> np.ndarray:
     """Image of the base point under ``to_origin(kind, mover)``:
     (x/Q, -y/Q, -z/Q) with Q the fibre quadratic form of ``mover``."""
-    x, y, z = require_member(kind, mover)
-    q = fibre_norm_sq(kind, (x, y, z))
-    return np.array([x, -y, -z]) / q
+    x, y, z = mover = require_member(kind, mover)
+    with np.errstate(all="ignore"):
+        q = fibre_norm_sq(kind, (x, y, z))
+        image = np.array([x, -y, -z]) / q
+    _require_in_range(kind, mover, (q,), image)
+    return image
 
 
 def reference_image_third(kind: Geometry, mover, other) -> np.ndarray:
@@ -243,21 +259,25 @@ def reference_image_third(kind: Geometry, mover, other) -> np.ndarray:
     Valid for ``other`` in the [x, y] plane (z = 0) and ``mover`` off the
     x axis; this is the configuration the closed form was derived for.
     """
-    x2, y2, z2 = require_member(kind, mover)
+    x2, y2, z2 = mover = require_member(kind, mover)
     x3, y3, z3 = require_member(kind, other)
     if abs(z3) > DEFAULT.plane:
         raise PrecondError("closed form requires the moved vertex to have z = 0")
-    w = y2 * y2 + z2 * z2
-    if w == 0.0:
+    if y2 == 0.0 and z2 == 0.0:
         raise PrecondError("closed form requires the mover off the x axis")
-    sg = _sigma(kind)
-    q = fibre_norm_sq(kind, (x2, y2, z2))
-    s = math.sqrt(q)
-    return np.array([
-        (x2 * x3 + sg * y2 * y3) / q,
-        (y3 * z2 * z2 * s + x2 * y2 * y2 * y3 - x3 * y2 ** 3 - x3 * y2 * z2 * z2) / (w * q),
-        -(z2 * (y3 * y2 * (s - x2) + x3 * y2 * y2 + x3 * z2 * z2)) / (w * q),
-    ])
+    sg = kind.curvature
+    with np.errstate(all="ignore"):
+        w = y2 * y2 + z2 * z2
+        q = fibre_norm_sq(kind, (x2, y2, z2))
+        s = np.sqrt(q)
+        image = np.array([
+            (x2 * x3 + sg * y2 * y3) / q,
+            (y3 * z2 * z2 * s + x2 * y2 * y2 * y3 - x3 * y2 ** 3 - x3 * y2 * z2 * z2) / (w * q),
+            -(z2 * (y3 * y2 * (s - x2) + x3 * y2 * y2 + x3 * z2 * z2)) / (w * q),
+        ])
+        forms = (q, w, w * q)
+    _require_in_range(kind, mover, forms, image)
+    return image
 
 
 def reference_images_plane_mover(kind: Geometry, mover, other):
@@ -266,18 +286,20 @@ def reference_images_plane_mover(kind: Geometry, mover, other):
 
     Returns (base_image, other_image).  ``other`` may be a general member.
     """
-    x3, y3, z3 = require_member(kind, mover)
+    x3, y3, z3 = mover = require_member(kind, mover)
     if abs(z3) > DEFAULT.plane:
         raise PrecondError("closed form requires the mover to have z = 0")
     x2, y2, z2 = require_member(kind, other)
-    sg = _sigma(kind)
-    q = x3 * x3 + sg * y3 * y3
-    base_image = np.array([x3 / q, -y3 / q, 0.0])
-    other_image = np.array([
-        (x2 * x3 + sg * y2 * y3) / q,
-        (x3 * y2 - x2 * y3) / q,
-        z2 / math.sqrt(q),
-    ])
+    sg = kind.curvature
+    with np.errstate(all="ignore"):
+        q = x3 * x3 + sg * y3 * y3
+        base_image = np.array([x3 / q, -y3 / q, 0.0])
+        other_image = np.array([
+            (x2 * x3 + sg * y2 * y3) / q,
+            (x3 * y2 - x2 * y3) / q,
+            z2 / np.sqrt(q),
+        ])
+    _require_in_range(kind, mover, (q,), base_image, other_image)
     return base_image, other_image
 
 

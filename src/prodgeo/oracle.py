@@ -36,14 +36,14 @@ giving
     alpha'' = -2 coth(r) alpha' r' .
 
 Initial data.  A unit-speed geodesic from the base point in direction
-(u, v) has Cartesian velocity (sin v, cos v cos u, cos v sin u).  For S2xR
-the chart is regular at the base point and the same triple serves as
-(t', phi', theta')(0).  For H2xR the cylindrical chart is polar-degenerate
-at r = 0: the Cartesian direction (u) is the *angular position*, so the
-regular equivalent data are alpha(0) = u, r'(0) = cos v, alpha'(0) = 0
-(the base-point geodesics are radial in the surface factor).  The coth
-singularity at r = 0 is guarded by a series expansion and by the fact that
-alpha' = 0 annihilates the singular product.
+(u, v) has Cartesian velocity (sin v, cos v cos u, cos v sin u), which is
+``tangent_of``.  For S2xR the chart is regular at the base point and the
+same triple serves as (t', phi', theta')(0).  For H2xR the cylindrical
+chart is polar-degenerate at r = 0: the Cartesian direction (u) is the
+*angular position*, so the regular equivalent data are alpha(0) = u,
+r'(0) = cos v, alpha'(0) = 0 (the base-point geodesics are radial in the
+surface factor).  The coth singularity at r = 0 is guarded by a series
+expansion and by the fact that alpha' = 0 annihilates the singular product.
 
 A second, chart-free route (``integrate_geodesic_cartesian``) integrates
 x'' = -Gamma(x)(x', x') in the Cartesian chart, using no coordinate tricks
@@ -83,9 +83,9 @@ import math
 import numpy as np
 
 from . import _dop853
-from .core import Geometry, _guard_member, _metric, _metric_entries, to_model
+from .core import BASE_POINT, Geometry, _guard_member, _metric, _metric_entries, to_model
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
-from .geodesics import GeodesicParams
+from .geodesics import GeodesicParams, tangent_of
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -137,10 +137,10 @@ def unit_speed_drift(kind: Geometry, state) -> float | np.ndarray:
     return np.abs(speed2 - 1.0)
 
 
-def _initial_state(kind: Geometry, u: float, v: float):
+def _initial_state(kind: Geometry, g: GeodesicParams):
     if kind is Geometry.S2R:
-        return [0.0, 0.0, 0.0, math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)]
-    return [0.0, 0.0, u, math.sin(v), math.cos(v), 0.0]
+        return [0.0, 0.0, 0.0, *tangent_of(g)]
+    return [0.0, 0.0, g.u, math.sin(g.v), math.cos(g.v), 0.0]
 
 
 def _checked_params(g) -> GeodesicParams:
@@ -161,12 +161,12 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     The samples come from the integrator's dense output.  A step size that
     underflows, or a sphere-chart pole, raises SingularityError.
     """
-    u, v, tau = _checked_params(g)
+    params = _checked_params(g)
     if steps < 100:
         raise PrecondError(f"need at least 100 steps, got {steps}")
     rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
-    state0 = _initial_state(kind, u, v)
-    grid = np.linspace(0.0, tau, steps)
+    state0 = _initial_state(kind, params)
+    grid = np.linspace(0.0, params.tau, steps)
     rtol, atol = DEFAULT.ode_rtol, DEFAULT.ode_atol
     for _attempt in range(2):
         states = _dop853.solve(rhs, state0, grid, rtol, atol)
@@ -265,7 +265,8 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
     SingularityError if the step size underflows or the metric is singular
     in double precision.
     """
-    u, v, tau = _checked_params(g)
+    params = _checked_params(g)
+    _u, v, tau = params
     if kind is Geometry.H2R and tau * abs(math.cos(v)) > _H2R_SURFACE_ARC:
         raise PrecondError(f"h2r Cartesian integration limited to surface arcs tau |cos v| "
                            f"<= {_H2R_SURFACE_ARC}, got {tau * abs(math.cos(v))}")
@@ -275,8 +276,7 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
         _guard_member(kind, p)
         return [*dp.tolist(), *_acceleration(kind, p, dp)]
 
-    state0 = np.array([1.0, 0.0, 0.0,
-                       math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)])
+    state0 = np.concatenate((BASE_POINT, tangent_of(params)))
     return _dop853.solve(rhs, state0, (0.0, tau), DEFAULT.ode_rtol, DEFAULT.ode_atol)[:3, -1]
 
 

@@ -98,19 +98,19 @@ def _sums(spec: SweepSpec, a3: np.ndarray):
     return _third_vertex(spec.kind, spec._fixed, f3, s3).total
 
 
-def _bracket(ts: np.ndarray, sums: np.ndarray, maximise: bool) -> tuple[float, float]:
-    """The two cells of the sampled ``ts`` around the best of ``sums``."""
-    best = int(np.argmax(sums) if maximise else np.argmin(sums))
+def _bracket(ts: np.ndarray, sums: np.ndarray, sign: float) -> tuple[float, float]:
+    """The two cells of the sampled ``ts`` around the largest of ``sign * sums``."""
+    best = int(np.argmax(sign * sums))
     return ts[max(best - 1, 0)], ts[min(best + 1, len(ts) - 1)]
 
 
-def _zoom(spec: SweepSpec, lo: float, hi: float, maximise: bool) -> tuple[float, float]:
+def _zoom(spec: SweepSpec, lo: float, hi: float, sign: float) -> tuple[float, float]:
     """Shrink the bracket [lo, hi] around the extremum of S: each round
     samples it at ``_ZOOM_POINTS`` points and keeps the two cells around the
     best one, until the bracket is narrower than ``_ZOOM_WIDTH``."""
     while hi - lo > _ZOOM_WIDTH:
         ts = np.linspace(lo, hi, _ZOOM_POINTS)
-        lo, hi = _bracket(ts, _sums(spec, ts[:, None] * spec.ray), maximise)
+        lo, hi = _bracket(ts, _sums(spec, ts[:, None] * spec.ray), sign)
     t = 0.5 * (lo + hi)
     return t, float(_sums(spec, t * spec.ray))
 
@@ -147,14 +147,13 @@ def evaluate(spec: SweepSpec) -> SweepResult:
         t0 = math.sqrt(spec.t_min * spec.t_max)
         return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, False, spec)
 
-    maximise = spec.kind is Geometry.S2R
-    t0, s0 = _zoom(spec, *_bracket(grid, sums, maximise), maximise)
-    margin = s0 - max(sums[0], sums[-1]) if maximise else min(sums[0], sums[-1]) - s0
-    interior = bool(margin > DEFAULT.sweep_resolution)
+    sign = spec.kind.curvature
+    t0, s0 = _zoom(spec, *_bracket(grid, sums, sign), sign)
+    interior = bool(sign * s0 - max(sign * sums[0], sign * sums[-1]) > DEFAULT.sweep_resolution)
     if not interior:
-        end = -1 if (sums[-1] > sums[0]) == maximise else 0
+        end = -1 if (sums[-1] > sums[0]) == (sign > 0.0) else 0
         t0, s0 = float(grid[end]), float(sums[end])
-    kind = ExtremumKind.MAXIMUM if maximise else ExtremumKind.MINIMUM
+    kind = ExtremumKind.MAXIMUM if sign > 0.0 else ExtremumKind.MINIMUM
     return SweepResult(series, t0, s0, kind, interior, spec)
 
 
@@ -168,9 +167,8 @@ def limits_check(spec: SweepSpec, t_far: float = 1e3) -> tuple[float, float]:
     """
     near = angle_sum_at(spec, spec.t_min)
     far = angle_sum_at(spec, t_far)
-    sign = 1.0 if spec.kind is Geometry.S2R else -1.0
     for label, value in (("near", near), ("far", far)):
-        if sign * (value - math.pi) < -DEFAULT.flat_band:
+        if spec.kind.curvature * (value - math.pi) < -DEFAULT.flat_band:
             raise ConsistencyError(
                 f"{label} angle sum {value} on the wrong side of pi for {spec.kind.value}"
             )

@@ -23,8 +23,8 @@ class Tolerances:
     #: S2xR sides whose surface points are antipodal to within this sine have
     #: no unique geodesic (the cut locus)
     cut_locus: float = 1e-12
-    #: centre-enclosure test: barycentric residual, then negative-weight slack
-    enclosure_residual: float = 1e-8
+    #: centre-enclosure test: a barycentric weight of E0 this far below zero,
+    #: relative to the weights' sum, still counts as inside (``triangles._encloses``)
     enclosure_weight: float = 1e-12
     #: sums within this band of pi across the whole sweep grid mark a coplanar family flat
     flat_band: float = 1e-9

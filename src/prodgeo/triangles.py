@@ -20,13 +20,15 @@ method, which moves them, is ``isometries``).  Its fixed part (a1, a2) is
 built once per S(t) sweep, its moving part (a3) per batch; surface points
 are stacked by component, (3, N), so a vector operation is one ufunc call.
 
-Angle sums obey a strict trichotomy: S2xR sums are >= pi and H2xR sums are
-<= pi, with equality exactly when the vertices are Euclid-coplanar with the
-model centre E0 = (1 : 0 : 0 : 0) *and* the triangle does not enclose E0.
+Angle sums obey a strict trichotomy: sum - pi has the sign of the surface
+curvature, ``Geometry.curvature`` (S2xR sums are >= pi, H2xR sums <= pi),
+and is zero exactly when the vertices are Euclid-coplanar with the model
+centre E0 = (1 : 0 : 0 : 0) *and* the triangle does not enclose E0.
 A coplanar S2xR triangle that winds around the centre lives on a flat
 cylinder leaf and its angle sum lies strictly above pi; see ``classify``.
 Both conditions hold for the vertices scaled to unit size, as a normaliser
-(linear, weight 1) keeps them too.  An S2xR side whose end points have
+(linear, weight 1) keeps them too, and both are sign tests in floats on
+those unit rows, with no linear solve.  An S2xR side whose end points have
 antipodal surface points has no unique geodesic: such triangles are
 degenerate.
 """
@@ -244,26 +246,31 @@ def encloses_center(tri: GeodesicTriangle) -> bool:
     triangle they span contains E0.
 
     Only possible in S2xR: H2xR vertices all have x > 0 so their hull
-    misses the origin.
+    misses the origin.  A sign test in floats (``_encloses``), no solve.
     """
-    if not tri._is_coplanar:
-        return False
-    # barycentric solve of 0 = l1 a1 + l2 a2 + l3 a3, sum(l) = 1
-    m = np.array([*zip(*map(_unit_row, tri.vertices)), (1.0, 1.0, 1.0)])
-    lam, *_ = np.linalg.lstsq(m, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)
-    residual = m @ lam - np.array([0.0, 0.0, 0.0, 1.0])
-    if float(np.abs(residual).max()) > DEFAULT.enclosure_residual:
-        return False
-    return bool(np.all(lam >= -DEFAULT.enclosure_weight))
+    return tri._is_coplanar and _encloses(*map(_unit_row, tri.vertices))
+
+
+def _encloses(r1, r2, r3) -> bool:
+    """Whether E0 lies in the triangle of the coplanar unit rows: with c_i
+    the cross product of the rows other than row i and n the largest c_i
+    (their sum cancels where the rows lie on one line), the barycentric
+    weights of E0 are the c_i . n over their sum."""
+    crosses = [(p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+               for p, q in ((r2, r3), (r3, r1), (r1, r2))]
+    nx, ny, nz = max(crosses, key=lambda c: c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+    weights = [cx * nx + cy * ny + cz * nz for cx, cy, cz in crosses]
+    total = weights[0] + weights[1] + weights[2]
+    return total > 0.0 and min(weights) >= -DEFAULT.enclosure_weight * total
 
 
 def classify(tri: GeodesicTriangle) -> TriangleClass:
     """Classify a triangle by the trichotomy of its angle sum.
 
     Coplanar-with-E0 triangles not enclosing the centre have sum pi;
-    otherwise the sum is above pi in S2xR and below pi in H2xR.  The
-    computed sum must agree with the class, else ConsistencyError (an
-    implementation bug, never suppressed).
+    otherwise sum - pi has the sign of the curvature.  The computed sum
+    must agree with the class, else ConsistencyError (an implementation
+    bug, never suppressed).
     """
     total = angle_sum(tri).total
     tol = DEFAULT.angle_sum
@@ -273,10 +280,7 @@ def classify(tri: GeodesicTriangle) -> TriangleClass:
                 f"coplanar triangle has angle sum {total}, expected pi"
             )
         return TriangleClass.SUM_EQUALS_PI
-    if tri.kind is Geometry.S2R:
-        if total < math.pi - tol:
-            raise ConsistencyError(f"S2xR angle sum {total} below pi")
-        return TriangleClass.SUM_ABOVE_PI
-    if total > math.pi + tol:
-        raise ConsistencyError(f"H2xR angle sum {total} above pi")
-    return TriangleClass.SUM_BELOW_PI
+    sign = tri.kind.curvature
+    if sign * (total - math.pi) < -tol:
+        raise ConsistencyError(f"{tri.kind.value} angle sum {total} on the wrong side of pi")
+    return TriangleClass.SUM_ABOVE_PI if sign > 0.0 else TriangleClass.SUM_BELOW_PI

@@ -140,16 +140,14 @@ def ode_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
 
 
 def trichotomy_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
-    """Angle sums respect the geometry's side of pi; coplanar families
+    """Angle sums lie on the curvature's side of pi; coplanar families
     (not enclosing the centre) give exactly pi."""
     result = SuiteResult("trichotomy", kind, trials)
     for _ in range(trials):
         tri = _random_triangle(kind, rng)
         total = angle_sum(tri).total
-        if kind is Geometry.S2R and total < math.pi - DEFAULT.suite_side:
-            result.failures.append(f"sum {total} < pi for vertices {tri.vertices}")
-        if kind is Geometry.H2R and total > math.pi + DEFAULT.suite_side:
-            result.failures.append(f"sum {total} > pi for vertices {tri.vertices}")
+        if kind.curvature * (total - math.pi) < -DEFAULT.suite_side:
+            result.failures.append(f"sum {total} on the wrong side of pi at {tri.vertices}")
     for _ in range(max(trials // 2, 1)):
         a2, a3 = _random_coplanar_vertices(kind, rng)
         try:

@@ -211,7 +211,7 @@ class TestCriterion7OracleEquivalence:
                 end = integrate_geodesic(kind, g, steps=100)[-1]
                 worst_end = max(worst_end,
                                 float(np.abs(end - geodesic_point(kind, g)).max()))
-                sol = solve_ivp(rhs, (0, g.tau), _initial_state(kind, g.u, g.v),
+                sol = solve_ivp(rhs, (0, g.tau), _initial_state(kind, g),
                                 method="DOP853", rtol=1e-10, atol=1e-12,
                                 t_eval=np.linspace(0, g.tau, 25))
                 worst_drift = max(worst_drift,

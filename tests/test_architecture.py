@@ -84,6 +84,33 @@ def test_triangles_import_nothing_from_isometries():
     assert _modules_naming("_normalise") == set()
 
 
+def test_triangles_solve_no_linear_system():
+    """Coplanarity with the centre and enclosure of it are sign tests in
+    floats: ``triangles`` names nothing of ``numpy.linalg``."""
+    assert "triangles.py" not in _modules_naming("linalg")
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node)
+                   for node in ast.walk(_tree("triangles.py")))
+
+
+def _signed_constant(node: ast.AST):
+    """The value of a numeric literal, negated ones included; else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _signed_constant(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def test_every_sign_of_the_geometry_is_its_curvature():
+    """The +-1 that tells S2xR from H2xR is ``Geometry.curvature``: no
+    module defines ``_sigma`` or chooses between 1 and -1 by a condition."""
+    assert _defining("_sigma") == set()
+    for path in SOURCES.glob("*.py"):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, ast.IfExp):
+                branches = {_signed_constant(node.body), _signed_constant(node.orelse)}
+                assert branches != {1, -1}, f"{path.name}:{node.lineno}"
+
+
 def test_sweeps_run_the_moving_part_of_the_kernel():
     """A family builds its side 1-2 once (``_fixed_side``) and each batch of
     third vertices runs ``_third_vertex``, never the whole kernel."""

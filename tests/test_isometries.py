@@ -47,6 +47,12 @@ class TestFibreTranslation:
         img = apply_isometry(m, (2, 1.5, 1))
         assert np.allclose(img, np.array([2, 1.5, 1]) / math.sqrt(0.75))
 
+    @pytest.mark.filterwarnings("error")
+    def test_member_below_the_double_range_is_domain_error(self):
+        # |p| = 5e-324 is a member, but 1/|p| overflows
+        with pytest.raises(DomainError, match="not representable in double precision"):
+            fibre_translation(Geometry.S2R, (5e-324, 0.0, 0.0))
+
     @BOTH
     def test_zeroes_the_fibre(self, kind, rng):
         from prodgeo.core import fibre_norm_sq
@@ -145,7 +151,7 @@ class TestToOrigin:
             with pytest.raises(DomainError, match="not representable"):
                 to_origin(Geometry.H2R, (1e-300, 1e-300 * (1 - 2 ** -52), 0.0))
 
-    @pytest.mark.parametrize("w", [1, 5, 9, 10, 11, 12, 14, 16])
+    @pytest.mark.parametrize("w", [1, 5, 9, 10, 11, 12, 13, 14, 15, 16])
     def test_contract_deep_in_the_h2r_cone(self, w):
         """Seeded H2xR anchors at surface arc w: ``to_origin`` returns a
         normaliser within 1e-7 of the 50-digit one, whose image of the anchor
@@ -277,6 +283,24 @@ class TestClosedFormImages:
             assert np.abs(apply_isometry(move, BASE_POINT) - base_closed).max() < 1e-9
             scale = max(1.0, np.abs(other_closed).max())
             assert np.abs(apply_isometry(move, other) - other_closed).max() < 1e-9 * scale
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("image, args", [
+        (reference_image_base, ((1e200, 1.0, 0.0),)),
+        (reference_image_third, ((1e200, 1.0, 0.0), (2.0, 1.0, 0.0))),
+        (reference_image_third, ((1e150, 1e149, 5e148), (2.0, 1.0, 0.0))),
+        (reference_images_plane_mover, ((1e200, 1.0, 0.0), (2.0, 1.0, 3.0))),
+        (reference_image_base, ((1e-200, 1e-201, 0.0),)),
+        (reference_image_third, ((1e-200, 1e-201, 0.0), (2.0, 1.0, 0.0))),
+        (reference_images_plane_mover, ((1e-200, 1e-201, 0.0), (2.0, 1.0, 3.0))),
+    ], ids=["base-over", "third-over", "third-cubed-over", "plane-mover-over",
+            "base-under", "third-under", "plane-mover-under"])
+    def test_squared_forms_out_of_range_are_domain_errors(self, image, args):
+        """S2xR members whose squared forms overflow or underflow: the closed
+        forms, which square coordinates, raise rather than warn or return
+        zeros."""
+        with pytest.raises(DomainError, match="not representable in double precision"):
+            image(Geometry.S2R, *args)
 
     def test_reference_image_third_requires_plane(self):
         with pytest.raises(PrecondError):

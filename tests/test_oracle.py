@@ -101,7 +101,7 @@ class TestIntrinsicIntegration:
     def test_unit_speed_initial_data(self, kind, rng):
         for _ in range(100):
             g = random_params(kind, rng, tau_max=2.0)
-            assert unit_speed_drift(kind, _initial_state(kind, g.u, g.v)) < 1e-15
+            assert unit_speed_drift(kind, _initial_state(kind, g)) < 1e-15
 
     @BOTH
     def test_samples_are_an_array_of_the_mapped_states(self, kind, monkeypatch):
@@ -170,7 +170,7 @@ class TestUnitSpeedDrift:
         rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
         for _ in range(25):
             g = random_params(kind, rng, tau_max=2.0)
-            sol = solve_ivp(rhs, (0, g.tau), _initial_state(kind, g.u, g.v),
+            sol = solve_ivp(rhs, (0, g.tau), _initial_state(kind, g),
                             method="DOP853", rtol=1e-10, atol=1e-12,
                             t_eval=np.linspace(0, g.tau, 50))
             drifts = [unit_speed_drift(kind, sol.y[:, i]) for i in range(50)]
@@ -378,7 +378,7 @@ class TestDop853:
         for _ in range(50):
             g = random_params(kind, rng, tau_max=2.0)
             grid = np.linspace(0.0, g.tau, 200)
-            state0 = _initial_state(kind, g.u, g.v)
+            state0 = _initial_state(kind, g)
             calls = []
 
             def counted(t, y):

@@ -515,9 +515,61 @@ def _coincide(vertices, new=1):
     return False
 
 
+def _lstsq_encloses(a1, a2, a3):
+    """The numpy rule that ``triangles._encloses`` replaced: the least-squares
+    barycentric solve of 0 = l1 r1 + l2 r2 + l3 r3, l1 + l2 + l3 = 1, for the
+    rows r over their largest |coordinate|, with a residual of at most 1e-8
+    and no weight below -``enclosure_weight``."""
+    m = np.array([*zip(*map(triangles._unit_row, (a1, a2, a3))), (1.0, 1.0, 1.0)])
+    rhs = np.array([0.0, 0.0, 0.0, 1.0])
+    lam, *_ = np.linalg.lstsq(m, rhs, rcond=None)
+    if float(np.abs(m @ lam - rhs).max()) > 1e-8:
+        return False
+    return bool(np.all(lam >= -DEFAULT.enclosure_weight))
+
+
+def _sum_normal_encloses(a1, a2, a3):
+    """``triangles._encloses`` with the normal taken as the sum of the cross
+    products c_i, not the largest: the sum cancels when the rows lie on one
+    line."""
+    rows = np.array([triangles._unit_row(np.asarray(a)) for a in (a1, a2, a3)])
+    crosses = np.cross(np.roll(rows, -1, axis=0), np.roll(rows, -2, axis=0))
+    weights = crosses @ crosses.sum(axis=0)
+    total = weights.sum()
+    return bool(total > 0.0 and weights.min() >= -DEFAULT.enclosure_weight * total)
+
+
+def _coplanar_draw(rng, group):
+    """Three S2xR vertices in a plane through E0, of sizes 1e-3 to 1e3.
+
+    ``random``: any plane and directions.  ``near-edge``: the third vertex
+    within 1e-14 to 1e-2 rad of the first one's antipode, so E0 is that near
+    side 1-3.  ``near-collinear``: a plane through the x axis, |x| dominant
+    at every vertex, two vertices within 1e-10 to 1e-2 rad of one ray and
+    the third on their side or near their antipode; the rows over their
+    largest |coordinate| then lie on x = +-1, all three on one line when
+    the vertices share the sign of x.
+    """
+    if group == "near-collinear":
+        psi = rng.uniform(-PI, PI)
+        e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, math.cos(psi), math.sin(psi)])
+        t1 = rng.uniform(-0.7, 0.7)
+        gap = 10.0 ** rng.uniform(-10, -2) * rng.choice([-1.0, 1.0])
+        t3 = rng.uniform(-0.7, 0.7) if rng.integers(2) else t1 + PI + gap * rng.uniform(-1.0, 2.0)
+        angles = rng.permutation([t1, t1 + gap, t3])
+    else:
+        e1, e2 = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+        angles = rng.uniform(-PI, PI, size=3)
+        if group == "near-edge":
+            angles[2] = angles[0] + PI + 10.0 ** rng.uniform(-14, -2) * rng.choice([-1.0, 1.0])
+    sizes = 10.0 ** rng.uniform(-3, 3, size=3)
+    return [r * (math.cos(t) * e1 + math.sin(t) * e2) for r, t in zip(sizes, angles)]
+
+
 class TestFloatDecisions:
-    """One triangle's coplanarity and distinctness are decided in Python
-    floats; the decisions are those of the numpy rules."""
+    """One triangle's coplanarity, enclosure of the centre and distinctness
+    are decided in Python floats; the decisions are those of the numpy
+    rules."""
 
     DRAWS = 2000  # per group: six groups
 
@@ -544,6 +596,31 @@ class TestFloatDecisions:
             decisions.append(decision)
         expected = {"random": {False}, "coplanar": {True}, "near-plane": {False, True}}
         assert set(decisions) == expected[group]
+
+    @pytest.mark.parametrize("group", ["random", "near-edge", "near-collinear"])
+    def test_encloses_decides_as_the_barycentric_solve(self, group):
+        """4,000 coplanar draws per group, each also with every vertex
+        scaled by 1e200 or 1e-200 (enclosure is scale-invariant per
+        vertex): ``encloses_center`` decides as the least-squares rule, and
+        on the random group ``classify`` follows it.  The sum of the cross
+        products as the normal misses on the near-collinear group."""
+        rng = np.random.default_rng({"random": 5, "near-edge": 6, "near-collinear": 7}[group])
+        decisions, sum_misses = set(), 0
+        for _ in range(4000):
+            rows = _coplanar_draw(rng, group)
+            for vertices in (rows, [r * 10.0 ** (200 * rng.choice([-1, 1])) for r in rows]):
+                tri = geodesic_triangle(Geometry.S2R, *vertices)
+                assert coplanar_with_center(tri), vertices
+                expected = _lstsq_encloses(*vertices)
+                assert encloses_center(tri) is expected, vertices
+                if group == "random":
+                    assert classify(tri) is (TriangleClass.SUM_ABOVE_PI if expected
+                                             else TriangleClass.SUM_EQUALS_PI), vertices
+                if group == "near-collinear":
+                    sum_misses += _sum_normal_encloses(*vertices) is not expected
+                decisions.add(expected)
+        assert decisions == {False, True}
+        assert (sum_misses > 0) is (group == "near-collinear")
 
     @pytest.mark.parametrize("a1, scale", [((0.0, 0.0, 3.0), 1.0), ((1e20, 0.0, 0.0), 3.0)],
                              ids=["unit", "mixed-scale"])
