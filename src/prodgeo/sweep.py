@@ -5,21 +5,29 @@ from the model centre.  S(t) tends to pi at both ends (t -> 0 and
 t -> infinity) and has a single interior extremum: a maximum above pi in
 S2xR, a minimum below pi in H2xR.  Families whose ray is coplanar with the
 base point, the second vertex and the centre are flat: S(t) = pi identically.
+
+Along the ray only the third vertex's fibre height u + f3(ray), u = log t,
+moves: its surface point ray / sqrt(Q(ray)) is fixed, as Q is homogeneous
+of degree two.  So the surface arcs of sides 1-3 and 2-3 and the surface
+angles at the three vertices are constants of the family, each interior
+angle is a closed form in u, and so is dS/du: the extremum is its root.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _split, contains, require_member
+from .core import BASE_POINT, Geometry, _split, model_point, require_member
 from .exceptions import ConsistencyError, DomainError
+from .geodesics import _tangent_sq
 from .tolerances import DEFAULT
-from .triangles import _coplanar, _fixed_side, _require_distinct, _third_vertex
+from .triangles import _TINY, _coplanar, _fixed_side, _require_distinct, _third_vertex
 
 __all__ = [
     "ExtremumKind",
@@ -30,10 +38,9 @@ __all__ = [
     "limits_check",
 ]
 
-#: points per round of the bracket zoom: 32 cells, of which two are kept
-_ZOOM_POINTS = 33
-#: the zoom stops at this bracket width
-_ZOOM_WIDTH = 1e-7
+#: the spacing of doubles at 1; ``_zero`` resolves u = log t to twice it,
+#: relative to |u| above 1
+_EPS = float(np.finfo(float).eps)
 
 
 class ExtremumKind(enum.Enum):
@@ -53,21 +60,74 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "a2", require_member(self.kind, self.a2))
-        ray = np.asarray(self.ray, dtype=float)
+        ray = model_point(self.ray)
         object.__setattr__(self, "ray", ray)
         if not (0.0 < self.t_min < self.t_max < math.inf):
             raise DomainError(f"need finite 0 < t_min < t_max, got ({self.t_min}, {self.t_max})")
-        if self.samples < 8:
-            raise DomainError(f"need at least 8 samples, got {self.samples}")
-        # membership of t * ray is scale-invariant, so the direction decides
-        if not contains(self.kind, ray):
-            raise DomainError(f"ray direction {tuple(ray)} leaves the {self.kind.value} model")
+        try:
+            samples = operator.index(self.samples)
+        except TypeError:
+            samples = None
+        if samples is None or samples < 8:
+            raise DomainError(f"need an integer number of samples >= 8, got {self.samples!r}")
+        object.__setattr__(self, "samples", samples)
+        # membership of t * ray is scale-invariant, so the direction decides:
+        # its split is the check, and the ray part (``_ray``) is built on it
+        try:
+            object.__setattr__(self, "_ray_split", _split(self.kind, ray))
+        except DomainError:
+            raise DomainError(f"ray direction {tuple(ray)} leaves the "
+                              f"{self.kind.value} model") from None
 
     @cached_property
     def _fixed(self) -> tuple:
         """The kernel's fixed part: side 1-2 of every triangle of the family."""
         _require_distinct((BASE_POINT, self.a2))
         return _fixed_side(self.kind, BASE_POINT, self.a2)
+
+    @cached_property
+    def _ray(self) -> tuple:
+        """The ray part, in floats: the fibre offsets f3(ray) - f1 and
+        f3(ray) - f2 of the rises r13(u), r23(u), the surface arcs d13 and
+        d23, the fibre angles of side 1-2 at a1 and a2, and at each vertex
+        sin^2 and cos^2 of half the surface angle between its two sides."""
+        f1, s1, f2, s2 = self._fixed[:4]
+        f3, s3 = self._ray_split
+        s1, s2, s3 = s1.tolist(), s2.tolist(), s3.tolist()
+        d13, at1_3, at3_1 = _arc(self.kind, s1, s3)
+        d23, at2_3, at3_2 = _arc(self.kind, s2, s3)
+        d12, at1_2, at2_1 = _arc(self.kind, s1, s2)
+        halves = [_half_angle(self.kind, *ends)
+                  for ends in ((s1, at1_2, at1_3), (s2, at2_1, at2_3), (s3, at3_1, at3_2))]
+        return (float(f3 - f1), float(f3 - f2), d13, d23,
+                math.atan2(d12, f2 - f1), math.atan2(d12, f1 - f2), *halves)
+
+
+def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list, list]:
+    """``geodesics._surface_arc`` of two surface points as float lists, and
+    its mirror image: the arc length and the unit surface directions at p
+    toward q and at q toward p (zero where the points coincide)."""
+    cos = p[0] * q[0] + kind.curvature * (p[1] * q[1] + p[2] * q[2])
+    at_p = [b - cos * a for a, b in zip(p, q)]
+    at_q = [a - cos * b for a, b in zip(p, q)]
+    sin_p, sin_q = math.sqrt(_length_sq(kind, p, at_p)), math.sqrt(_length_sq(kind, q, at_q))
+    dist = math.atan2(sin_p, cos) if kind is Geometry.S2R else math.asinh(sin_p)
+    return dist, [c / (sin_p + _TINY) for c in at_p], [c / (sin_q + _TINY) for c in at_q]
+
+
+def _half_angle(kind: Geometry, s: list, one: list, two: list) -> tuple[float, float]:
+    """sin^2 and cos^2 of half the angle between unit surface directions at
+    ``s``: a quarter of the squared lengths of their difference and sum."""
+    return (0.25 * _length_sq(kind, s, [a - b for a, b in zip(one, two)]),
+            0.25 * _length_sq(kind, s, [a + b for a, b in zip(one, two)]))
+
+
+def _length_sq(kind: Geometry, s: list, v: list) -> float:
+    """``geodesics._tangent_sq`` of float lists, whose product is no
+    elementwise one."""
+    if kind is Geometry.S2R:
+        return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    return _tangent_sq(kind, s, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +143,12 @@ class SweepResult:
 
 
 def angle_sum_at(spec: SweepSpec, t: float) -> float:
-    """S(t): the interior angle sum of the triangle with third vertex t*ray;
-    only t*ray is checked, by the guard of its split, as it leaves the model
-    if it underflows to zero or overflows to inf."""
+    """S(t): the interior angle sum of the triangle with third vertex t*ray,
+    for a finite t > 0 (DomainError otherwise); only t*ray is checked, by
+    the guard of its split, as it leaves the model if it underflows to zero
+    or overflows to inf."""
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"need a finite parameter t > 0, got {t}")
     with np.errstate(over="ignore"):
         a3 = t * spec.ray
     return float(_sums(spec, a3))
@@ -98,21 +161,104 @@ def _sums(spec: SweepSpec, a3: np.ndarray):
     return _third_vertex(spec.kind, spec._fixed, f3, s3).total
 
 
+def _angle(a: float, b: float, half_sin: float, half_cos: float) -> tuple[float, float, float]:
+    """The angle between unit tangents with fibre angles a and b whose
+    surface parts meet at an angle g, with sin^2(g/2) and cos^2(g/2) given,
+    and its partial derivatives in a and b.
+
+    It is the kernel's w = 2 atan2(h, k), with h = |u - v| / 2 and
+    k = |u + v| / 2 from sums of terms >= 0:
+    h^2 = sin^2((a - b) / 2) + sin a sin b sin^2(g / 2) and
+    k^2 = cos^2((a + b) / 2) + sin a sin b cos^2(g / 2).  From
+    cos w = cos a cos b + sin a sin b cos g, its derivative in b is
+    (sin(b - a) + 2 sin a cos b sin^2(g / 2)) / sin w, sin w = 2 h k."""
+    sin_a, sin_b = math.sin(a), math.sin(b)
+    cross = sin_a * sin_b
+    h = math.sqrt(math.sin(0.5 * (a - b)) ** 2 + cross * half_sin)
+    k = math.sqrt(math.cos(0.5 * (a + b)) ** 2 + cross * half_cos)
+    by_sin = 0.5 / (h * k + _TINY)  # 1 / sin w, as h^2 + k^2 = 1; no 0 / 0
+    return (2.0 * math.atan2(h, k),
+            (math.sin(a - b) + 2.0 * sin_b * math.cos(a) * half_sin) * by_sin,
+            (math.sin(b - a) + 2.0 * sin_a * math.cos(b) * half_sin) * by_sin)
+
+
+def _sum_and_slope(ray_part: tuple, u: float) -> tuple[float, float]:
+    """S and dS/du at u = log t, from the family's ray part (``SweepSpec._ray``).
+
+    The sides toward a3 leave a1 and a2 at the fibre angles b = atan2(d, r)
+    of their rises r13 = u + f3(ray) - f1 and r23 = u + f3(ray) - f2, with
+    db/du = -d / (r^2 + d^2).  They reach a3 at the supplements pi - b13
+    and pi - b23, which meet at the angle between b13 and b23."""
+    off13, off23, d13, d23, at1, at2, (sin1, cos1), (sin2, cos2), (sin3, cos3) = ray_part
+    r13, r23 = u + off13, u + off23
+    b13, b23 = math.atan2(d13, r13), math.atan2(d23, r23)
+    w1, _, w1_b13 = _angle(at1, b13, sin1, cos1)
+    w2, _, w2_b23 = _angle(at2, b23, sin2, cos2)
+    w3, w3_b13, w3_b23 = _angle(b13, b23, sin3, cos3)
+    slope = (-(w1_b13 + w3_b13) * d13 / (r13 * r13 + d13 * d13)
+             - (w2_b23 + w3_b23) * d23 / (r23 * r23 + d23 * d23))
+    return w1 + w2 + w3, slope
+
+
 def _bracket(ts: np.ndarray, sums: np.ndarray, sign: float) -> tuple[float, float]:
     """The two cells of the sampled ``ts`` around the largest of ``sign * sums``."""
     best = int(np.argmax(sign * sums))
     return ts[max(best - 1, 0)], ts[min(best + 1, len(ts) - 1)]
 
 
-def _zoom(spec: SweepSpec, lo: float, hi: float, sign: float) -> tuple[float, float]:
-    """Shrink the bracket [lo, hi] around the extremum of S: each round
-    samples it at ``_ZOOM_POINTS`` points and keeps the two cells around the
-    best one, until the bracket is narrower than ``_ZOOM_WIDTH``."""
-    while hi - lo > _ZOOM_WIDTH:
-        ts = np.linspace(lo, hi, _ZOOM_POINTS)
-        lo, hi = _bracket(ts, _sums(spec, ts[:, None] * spec.ray), sign)
-    t = 0.5 * (lo + hi)
-    return t, float(_sums(spec, t * spec.ray))
+def _turning_point(spec: SweepSpec, lo: float, hi: float, sign: float):
+    """(t, S(t)) where sign * dS/du falls through zero in [lo, hi], or None
+    when it has no sign change there."""
+    part = spec._ray
+
+    def slope(u):
+        return sign * _sum_and_slope(part, u)[1]
+
+    a, b = math.log(lo), math.log(hi)
+    fa, fb = slope(a), slope(b)
+    if not fa > 0.0 > fb:
+        return None
+    u = _zero(slope, a, fa, b, fb)
+    return math.exp(u), _sum_and_slope(part, u)[0]
+
+
+def _zero(f, a: float, fa: float, b: float, fb: float) -> float:
+    """A zero of ``f`` between a and b, where fa and fb have opposite signs,
+    to twice the spacing of doubles there (4.4e-16 below 1): Brent's
+    method (*Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+    Secant and inverse quadratic steps stay inside a bracket [b, c] that
+    keeps the sign change; a step that does not shrink it fast enough is a
+    bisection."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 * _EPS * max(abs(b), 1.0)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                d, e = p / q, d
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
 
 
 def evaluate(spec: SweepSpec) -> SweepResult:
@@ -124,17 +270,12 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     kernel splits it.  A family is flat when its ray is coplanar with the
     base point, a2 and the centre and every grid sum lies within
     ``flat_band`` of pi; a family off that plane has a strict extremum
-    however close to pi it stays.  Otherwise refinement is a batched
-    bracket zoom on the grid cells around the best sample (see ``_zoom``),
-    to a bracket width of 1e-7.  The extremum is interior when S there
-    beats S at both ends of the range by more than ``sweep_resolution``;
-    otherwise the result is the better end of the range and S there.
-    Where S is monotone toward an end to within rounding, noise can pull
-    the zoom's bracket off that end, so its midpoint is not reported.  On
-    ranges cut to one side of the extremum, of random, near-axis,
-    near-coplanar and needle families (a2 within 1e-7 to 1e-2 of the base
-    point), S at the zoom's result beat the best end by at most 8.9e-16, a
-    tenth of the resolution.
+    however close to pi it stays.  Otherwise the extremum is refined from
+    the closed form of the family's ray part (``_sum_and_slope``), with no
+    further kernel batch: it is interior when dS/du changes sign across
+    the grid cells around the best sample, and then the root of dS/du
+    there (``_zero``) and S at it; otherwise the result is the better end
+    of the range and S there.
     """
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
     with np.errstate(over="ignore"):  # an overflowing vertex fails the guard
@@ -148,13 +289,12 @@ def evaluate(spec: SweepSpec) -> SweepResult:
         return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, False, spec)
 
     sign = spec.kind.curvature
-    t0, s0 = _zoom(spec, *_bracket(grid, sums, sign), sign)
-    interior = bool(sign * s0 - max(sign * sums[0], sign * sums[-1]) > DEFAULT.sweep_resolution)
-    if not interior:
-        end = -1 if (sums[-1] > sums[0]) == (sign > 0.0) else 0
-        t0, s0 = float(grid[end]), float(sums[end])
     kind = ExtremumKind.MAXIMUM if sign > 0.0 else ExtremumKind.MINIMUM
-    return SweepResult(series, t0, s0, kind, interior, spec)
+    turn = _turning_point(spec, *_bracket(grid, sums, sign), sign)
+    if turn is None:
+        end = -1 if (sums[-1] > sums[0]) == (sign > 0.0) else 0
+        return SweepResult(series, float(grid[end]), float(sums[end]), kind, False, spec)
+    return SweepResult(series, *turn, kind, True, spec)
 
 
 def limits_check(spec: SweepSpec, t_far: float = 1e3) -> tuple[float, float]:

@@ -28,9 +28,6 @@ class Tolerances:
     enclosure_weight: float = 1e-12
     #: sums within this band of pi across the whole sweep grid mark a coplanar family flat
     flat_band: float = 1e-9
-    #: an S(t) extremum is interior only if it beats S at both range ends by
-    #: more than this: nearer, the difference is rounding noise
-    sweep_resolution: float = 1e-14
     #: slack of v beyond [-pi/2, pi/2] that is clamped; covers pi/2 entered as 1.5708
     v_clamp: float = 1e-4
     #: largest |delta| from the reference angle tables that ``prodgeo tables`` accepts

@@ -8,7 +8,8 @@ digits, so the difference between it and ``geodesic_params`` is the
 algorithm's own error on that point, apart from its representation.
 ``acceleration`` is the geodesic acceleration of the Cartesian chart at a
 double point, from the metric's derivatives written out by hand.
-``angle_sum`` is the product-split angle sum of three double vertices.
+``angle_sum`` is the product-split angle sum of three double vertices, and
+``sweep_extremum`` the turning point of that sum along a ray.
 ``normaliser`` is the paper's 4x4 normalising isometry of a double point.
 """
 
@@ -131,16 +132,38 @@ def angle_sum(kind, a1, a2, a3):
     to a double: the angle at A between the unit tangents (f_B - f_A, d xi)
     normalised, with the surface's own inner product (minus the Minkowski
     form on H2)."""
-    sign = 1 if kind is Geometry.S2R else -1
     with mpmath.workdps(DIGITS):
-        split = [_split(kind, [mpmath.mpf(float(c)) for c in p]) for p in (a1, a2, a3)]
-        total = mpmath.mpf(0)
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            rise_b, xi_b = _unit_tangent(kind, *split[i], *split[j])
-            rise_c, xi_c = _unit_tangent(kind, *split[i], *split[k])
-            cos = rise_b * rise_c + sign * _surface_dot(kind, xi_b, xi_c)
-            total += mpmath.acos(max(-1, min(1, cos)))
-        return float(total)
+        return float(_angle_sum(kind, [[mpmath.mpf(float(c)) for c in p] for p in (a1, a2, a3)]))
+
+
+def _angle_sum(kind, points):
+    """``angle_sum`` of three mpf vertices, as an mpf at the working precision."""
+    sign = 1 if kind is Geometry.S2R else -1
+    split = [_split(kind, p) for p in points]
+    total = mpmath.mpf(0)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        rise_b, xi_b = _unit_tangent(kind, *split[i], *split[j])
+        rise_c, xi_c = _unit_tangent(kind, *split[i], *split[k])
+        cos = rise_b * rise_c + sign * _surface_dot(kind, xi_b, xi_c)
+        total += mpmath.acos(max(-1, min(1, cos)))
+    return total
+
+
+def sweep_extremum(kind, a2, ray, t_start):
+    """The turning point (t0, S(t0)) of the family S(t) of triangles with
+    vertices the base point, the double point ``a2`` and t times the double
+    direction ``ray``, rounded to doubles: the root of dS/du, u = log t,
+    found by ``mpmath.findroot`` from log ``t_start`` on ``mpmath.diff`` of
+    ``_angle_sum`` in 50 digits."""
+    with mpmath.workdps(DIGITS):
+        a1, a2 = [mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)], [mpmath.mpf(float(c)) for c in a2]
+        ray = [mpmath.mpf(float(c)) for c in ray]
+
+        def total(u):
+            return _angle_sum(kind, [a1, a2, [mpmath.exp(u) * c for c in ray]])
+
+        u0 = mpmath.findroot(lambda u: mpmath.diff(total, u), mpmath.log(t_start))
+        return float(mpmath.exp(u0)), float(total(u0))
 
 
 def normaliser(kind, a):

@@ -118,6 +118,14 @@ def test_sweeps_run_the_moving_part_of_the_kernel():
     assert "sweep.py" in _modules_naming("_fixed_side") & _modules_naming("_third_vertex")
 
 
+def test_sweeps_refine_without_a_zoom():
+    """The extremum is the root of the closed-form dS/du: ``sweep`` keeps
+    no bracket zoom, its constants or a linear sample of a bracket."""
+    for name in ("_zoom", "_ZOOM_POINTS", "_ZOOM_WIDTH", "linspace"):
+        assert "sweep.py" not in _modules_naming(name), name
+    assert "np.linspace" not in (SOURCES / "sweep.py").read_text()
+
+
 #: the kernel's helpers, which work on surface points stacked by component
 KERNEL_HELPERS = {
     "geodesics.py": {"_tangent_sq", "_surface_arc"},

@@ -19,7 +19,8 @@ from prodgeo import sweep as sweep_mod
 from prodgeo.core import BASE_POINT
 from prodgeo.reference import SWEEP_FAMILIES
 from prodgeo.triangles import _angle_sums
-from conftest import BOTH
+import mp_oracle
+from conftest import BOTH, random_point
 
 PI = math.pi
 
@@ -47,6 +48,48 @@ class TestSpecValidation:
     def test_non_finite_range_rejected(self, t_min, t_max):
         with pytest.raises(DomainError, match="finite"):
             SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), t_min=t_min, t_max=t_max)
+
+
+    @pytest.mark.parametrize("samples", [8.5, 512.0, "512", None])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(DomainError, match="integer number of samples"):
+            SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), samples=samples)
+
+    @pytest.mark.parametrize("samples", [7, 0, -1, True])
+    def test_too_few_samples_rejected(self, samples):
+        with pytest.raises(DomainError, match="samples >= 8"):
+            SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), samples=samples)
+
+    def test_integer_like_samples_are_read_as_int(self):
+        spec = SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), samples=np.int64(16))
+        assert type(spec.samples) is int
+        assert evaluate(spec).series.shape == (16, 2)
+
+    def test_homogeneous_ray_is_normalised(self):
+        """A ray given as (x0 : x1 : x2 : x3), like a2, is read as its
+        Cartesian point, so the family is the same."""
+        spec = SweepSpec(Geometry.S2R, (3, -2, 1), (2.0, 4.0, 2.0, 0.0), samples=16)
+        assert np.array_equal(spec.ray, [2.0, 1.0, 0.0])
+        same = evaluate(SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), samples=16))
+        assert np.array_equal(evaluate(spec).series, same.series)
+
+    @pytest.mark.parametrize("ray", [(1.0, 2.0), (0.0, 2.0, 1.0, 0.0)])
+    def test_malformed_ray_rejected(self, ray):
+        with pytest.raises(DomainError):
+            SweepSpec(Geometry.S2R, (3, -2, 1), ray)
+
+
+class TestParameter:
+    """S(t) is defined for finite t > 0: u = log t is the family's fibre
+    height, and t*ray for t <= 0 is off the family's half line."""
+
+    @BOTH
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0, -math.inf],
+                             ids=["inf", "nan", "zero", "negative", "-inf"])
+    def test_parameter_outside_the_half_line_is_domain_error(self, kind, t):
+        with pytest.raises(DomainError, match="finite parameter t > 0"):
+            angle_sum_at(family_spec(kind, samples=8), t)
 
 
 class TestValidateOnce:
@@ -121,9 +164,10 @@ class TestFixedSide:
 
     @BOTH
     def test_one_fixed_side_and_one_guard_per_batch(self, kind, monkeypatch):
-        """One evaluate: one fixed side (whose two splits guard a1 and a2),
-        one membership guard per batch (so the grid is guarded once), and
-        batches of the grid, one per zoom round and the final midpoint."""
+        """A spec splits its ray once, as its membership check.  One
+        evaluate: one fixed side (whose two splits guard a1 and a2) and one
+        batch, the grid, with its one membership guard; the refinement runs
+        on the family's closed form and makes neither a batch nor a guard."""
         fixed, batches, guards, brackets = [], [], [], []
         true_fixed, true_third = sweep_mod._fixed_side, sweep_mod._third_vertex
         true_guard, true_bracket = core._guard_member, sweep_mod._bracket
@@ -150,12 +194,14 @@ class TestFixedSide:
         for module in (core, sweep_mod):
             monkeypatch.setattr(module, "_guard_member", guard, raising=False)
         spec = family_spec(kind)
-        evaluate(spec)
-        rounds = len(brackets) - 1
+        assert len(guards) == 1
+        guards.clear()
+        result = evaluate(spec)
+        assert result.interior
         assert len(fixed) == 1
-        assert rounds > 0
-        assert batches == [(3, spec.samples)] + [(3, sweep_mod._ZOOM_POINTS)] * rounds + [(3,)]
-        assert len(guards) == len(batches) + 2
+        assert len(brackets) == 1
+        assert batches == [(3, spec.samples)]
+        assert len(guards) == 1 + 2
 
     @BOTH
     def test_results_do_not_depend_on_the_cache(self, kind):
@@ -291,6 +337,71 @@ class TestExtremum:
         spec = family_spec(kind, samples=16)
         for t, s in evaluate(spec).series[::5]:
             assert angle_sum_at(spec, t) == pytest.approx(s, abs=1e-14)
+
+
+class TestClosedForm:
+    """The refinement's S and dS/du at u = log t, in floats from the
+    family's ray part (``SweepSpec._ray``), on both reference families and
+    seeded random ones."""
+
+    @staticmethod
+    def _specs(kind, rng, count=20):
+        families = [SWEEP_FAMILIES[kind][:2]]
+        families += [(random_point(kind, rng), random_point(kind, rng)) for _ in range(count)]
+        return [SweepSpec(kind, a2, ray) for a2, ray in families]
+
+    @staticmethod
+    def _sum(spec, u):
+        return sweep_mod._sum_and_slope(spec._ray, u)[0]
+
+    @BOTH
+    def test_sum_matches_the_kernel_on_the_grid(self, kind, rng):
+        """Measured worst: 2.7e-15 (s2r) and 4.0e-15 (h2r)."""
+        worst = 0.0
+        for spec in self._specs(kind, rng):
+            series = evaluate(spec).series
+            closed = [self._sum(spec, u) for u in np.log(series[:, 0]).tolist()]
+            worst = max(worst, float(np.abs(np.array(closed) - series[:, 1]).max()))
+        assert worst <= 1e-14
+
+    @BOTH
+    def test_slope_matches_central_differences(self, kind, rng):
+        """Fourth-order central differences with step 1e-4 agree to 9.3e-9
+        (s2r) and 1.3e-8 (h2r) relative, against |dS/du| or 1e-3 where it
+        is smaller: their own truncation error, which falls as the step to
+        the fourth power."""
+        step, worst = 1e-4, 0.0
+        for spec in self._specs(kind, rng):
+            for u in np.linspace(math.log(spec.t_min), math.log(spec.t_max), 33).tolist():
+                near = [self._sum(spec, u + k * step) for k in (-2, -1, 1, 2)]
+                central = (near[0] - 8.0 * near[1] + 8.0 * near[2] - near[3]) / (12.0 * step)
+                slope = sweep_mod._sum_and_slope(spec._ray, u)[1]
+                worst = max(worst, abs(central - slope) / max(abs(slope), 1e-3))
+        assert worst <= 3e-8
+
+    @BOTH
+    def test_reference_extremum_against_fifty_digits(self, kind):
+        """t0 is the root of dS/du to 2.0e-15 relative (s2r) and 1.5e-16
+        (h2r), and S there the 50-digit value to an ulp."""
+        a2, ray, t_ref, _ = SWEEP_FAMILIES[kind]
+        result = evaluate(family_spec(kind))
+        t_exact, s_exact = mp_oracle.sweep_extremum(kind, a2, ray, t_ref)
+        assert result.interior
+        assert abs(result.t_extremum - t_exact) <= 1e-14 * t_exact
+        assert abs(result.s_extremum - s_exact) <= 1e-15
+
+    @pytest.mark.parametrize("kind, ray", [(Geometry.S2R, (1.2, 0.8, -0.5)),
+                                           (Geometry.H2R, (1.5, 0.6, -0.4))],
+                             ids=["s2r", "h2r"])
+    def test_needle_extremum_against_fifty_digits(self, kind, ray):
+        """The needle families of ``TestExtremum``: the ray part's surface
+        arcs from a2, 1.1e-7 from the base point, cancel as the kernel's
+        do, and t0 is the root of dS/du to 2.3e-9 (s2r) and 1.7e-9 (h2r)."""
+        a2 = (1.0, 1e-7, 5e-8)
+        result = evaluate(SweepSpec(kind, a2, ray))
+        t_exact, s_exact = mp_oracle.sweep_extremum(kind, a2, ray, result.t_extremum)
+        assert abs(result.t_extremum - t_exact) <= 1e-8 * t_exact
+        assert abs(result.s_extremum - s_exact) <= 1e-15
 
 
 class TestUnimodality:
