@@ -10,21 +10,24 @@ Along the ray only the third vertex's fibre height u + f3(ray), u = log t,
 moves: its surface point ray / sqrt(Q(ray)) is fixed, as Q is homogeneous
 of degree two.  So the surface arcs of sides 1-3 and 2-3 and the surface
 angles at the three vertices are constants of the family, each interior
-angle is a closed form in u, and so is dS/du: the extremum is its root.
+angle is a closed form in u, and so is dS/du.  The sampled grid is that
+closed form over an array of u, and the extremum is the root of dS/du; the
+triangle kernel computes S at one t (``angle_sum_at``), independently.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _split, model_point, require_member
-from .exceptions import ConsistencyError, DomainError
+from .core import BASE_POINT, Geometry, _guard_member, _split, model_point, require_member
+from .exceptions import ConsistencyError, DegenerateError, DomainError
 from .geodesics import _tangent_sq
 from .tolerances import DEFAULT
 from .triangles import _TINY, _coplanar, _fixed_side, _require_distinct, _third_vertex
@@ -62,6 +65,11 @@ class SweepSpec:
         object.__setattr__(self, "a2", require_member(self.kind, self.a2))
         ray = model_point(self.ray)
         object.__setattr__(self, "ray", ray)
+        for name in ("t_min", "t_max"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):  # float() would also read text
+                raise DomainError(f"need a number for {name}, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (0.0 < self.t_min < self.t_max < math.inf):
             raise DomainError(f"need finite 0 < t_min < t_max, got ({self.t_min}, {self.t_max})")
         try:
@@ -90,7 +98,10 @@ class SweepSpec:
         """The ray part, in floats: the fibre offsets f3(ray) - f1 and
         f3(ray) - f2 of the rises r13(u), r23(u), the surface arcs d13 and
         d23, the fibre angles of side 1-2 at a1 and a2, and at each vertex
-        sin^2 and cos^2 of half the surface angle between its two sides."""
+        sin^2 and cos^2 of half the surface angle between its two sides.
+
+        Raises DegenerateError, as the kernel does for every t, where the
+        S2xR surface point of the ray is antipodal to that of a1 or a2."""
         f1, s1, f2, s2 = self._fixed[:4]
         f3, s3 = self._ray_split
         s1, s2, s3 = s1.tolist(), s2.tolist(), s3.tolist()
@@ -106,11 +117,14 @@ class SweepSpec:
 def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list, list]:
     """``geodesics._surface_arc`` of two surface points as float lists, and
     its mirror image: the arc length and the unit surface directions at p
-    toward q and at q toward p (zero where the points coincide)."""
+    toward q and at q toward p (zero where the points coincide).  An S2xR
+    arc on the cut locus raises DegenerateError, by the kernel's test."""
     cos = p[0] * q[0] + kind.curvature * (p[1] * q[1] + p[2] * q[2])
     at_p = [b - cos * a for a, b in zip(p, q)]
     at_q = [a - cos * b for a, b in zip(p, q)]
     sin_p, sin_q = math.sqrt(_length_sq(kind, p, at_p)), math.sqrt(_length_sq(kind, q, at_q))
+    if kind is Geometry.S2R and cos < 0.0 and sin_p <= DEFAULT.cut_locus:
+        raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
     dist = math.atan2(sin_p, cos) if kind is Geometry.S2R else math.asinh(sin_p)
     return dist, [c / (sin_p + _TINY) for c in at_p], [c / (sin_q + _TINY) for c in at_q]
 
@@ -151,14 +165,9 @@ def angle_sum_at(spec: SweepSpec, t: float) -> float:
         raise DomainError(f"need a finite parameter t > 0, got {t}")
     with np.errstate(over="ignore"):
         a3 = t * spec.ray
-    return float(_sums(spec, a3))
-
-
-def _sums(spec: SweepSpec, a3: np.ndarray):
-    """S at the third vertices ``a3``, (3,) or (N, 3), guarded by their split."""
     f3, s3 = _split(spec.kind, a3)
     _require_distinct((BASE_POINT, spec.a2, a3), new=2)
-    return _third_vertex(spec.kind, spec._fixed, f3, s3).total
+    return float(_third_vertex(spec.kind, spec._fixed, f3, s3).total)
 
 
 def _angle(a: float, b: float, half_sin: float, half_cos: float) -> tuple[float, float, float]:
@@ -180,6 +189,25 @@ def _angle(a: float, b: float, half_sin: float, half_cos: float) -> tuple[float,
     return (2.0 * math.atan2(h, k),
             (math.sin(a - b) + 2.0 * sin_b * math.cos(a) * half_sin) * by_sin,
             (math.sin(b - a) + 2.0 * sin_a * math.cos(b) * half_sin) * by_sin)
+
+
+def _angles(a, b, cross, half_sin: float, half_cos: float) -> np.ndarray:
+    """``_angle``'s w = 2 atan2(h, k) where a or b is an array of fibre
+    angles, with cross = sin a sin b."""
+    h = np.sqrt(np.sin(0.5 * (a - b)) ** 2 + cross * half_sin)
+    k = np.sqrt(np.cos(0.5 * (a + b)) ** 2 + cross * half_cos)
+    return 2.0 * np.arctan2(h, k)
+
+
+def _sums_along(ray_part: tuple, u: np.ndarray) -> np.ndarray:
+    """S at the array ``u`` of log t: the S half of ``_sum_and_slope``, in
+    numpy, with the angles summed in the same order."""
+    off13, off23, d13, d23, at1, at2, (sin1, cos1), (sin2, cos2), (sin3, cos3) = ray_part
+    b13, b23 = np.arctan2(d13, u + off13), np.arctan2(d23, u + off23)
+    sin13, sin23 = np.sin(b13), np.sin(b23)
+    return (_angles(at1, b13, math.sin(at1) * sin13, sin1, cos1)
+            + _angles(at2, b23, math.sin(at2) * sin23, sin2, cos2)
+            + _angles(b13, b23, sin13 * sin23, sin3, cos3))
 
 
 def _sum_and_slope(ray_part: tuple, u: float) -> tuple[float, float]:
@@ -265,22 +293,25 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     """Sample S(t) on a log-spaced grid and refine the interior extremum.
 
     The grid is logarithmic because the extremum of interest sits at small
-    t.  The whole grid is one batch of triangles against the family's fixed
-    side; every third vertex t*ray is checked for membership once, when the
-    kernel splits it.  A family is flat when its ray is coplanar with the
-    base point, a2 and the centre and every grid sum lies within
-    ``flat_band`` of pi; a family off that plane has a strict extremum
-    however close to pi it stays.  Otherwise the extremum is refined from
-    the closed form of the family's ray part (``_sum_and_slope``), with no
-    further kernel batch: it is interior when dS/du changes sign across
-    the grid cells around the best sample, and then the root of dS/du
-    there (``_zero``) and S at it; otherwise the result is the better end
-    of the range and S there.
+    t.  Every grid vertex t*ray is checked for membership (DomainError) and
+    for distinctness from a1 and a2 (DegenerateError); the family's ray
+    part then raises DegenerateError for an S2xR side on the cut locus.
+    The grid sums are the closed form of that ray part over u = log t
+    (``_sums_along``), with no triangle kernel batch.  A family is flat
+    when its ray is coplanar with the base point, a2 and the centre and
+    every grid sum lies within ``flat_band`` of pi; a family off that plane
+    has a strict extremum however close to pi it stays.  Otherwise the
+    extremum is refined on the same closed form (``_sum_and_slope``): it is
+    interior when dS/du changes sign across the grid cells around the best
+    sample, and then the root of dS/du there (``_zero``) and S at it;
+    otherwise the result is the better end of the range and S there.
     """
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
     with np.errstate(over="ignore"):  # an overflowing vertex fails the guard
         points = grid[:, None] * spec.ray
-    sums = _sums(spec, points)
+    _guard_member(spec.kind, points)
+    _require_distinct((BASE_POINT, spec.a2, points), new=2)
+    sums = _sums_along(spec._ray, np.log(grid))
     series = np.column_stack([grid, sums])
 
     if (_coplanar(BASE_POINT, spec.a2, spec.ray)

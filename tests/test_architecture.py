@@ -126,6 +126,16 @@ def test_sweeps_refine_without_a_zoom():
     assert "np.linspace" not in (SOURCES / "sweep.py").read_text()
 
 
+def test_sweep_grid_runs_no_kernel_batch():
+    """``evaluate`` samples S(t) from the family's closed form: its body
+    names neither the kernel's moving part nor a batch of it."""
+    evaluate = next(node for node in ast.walk(_tree("sweep.py"))
+                    if isinstance(node, ast.FunctionDef) and node.name == "evaluate")
+    names = {node.id for node in ast.walk(evaluate) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(evaluate) if isinstance(node, ast.Attribute)}
+    assert not names & {"_sums", "_third_vertex"}
+
+
 #: the kernel's helpers, which work on surface points stacked by component
 KERNEL_HELPERS = {
     "geodesics.py": {"_tangent_sq", "_surface_arc"},

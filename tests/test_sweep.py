@@ -50,6 +50,18 @@ class TestSpecValidation:
             SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), t_min=t_min, t_max=t_max)
 
 
+    @pytest.mark.parametrize("bounds", [{"t_min": "0.1"}, {"t_max": None},
+                                        {"t_min": np.array([1e-3, 1e-2])}],
+                             ids=["text", "none", "array"])
+    def test_non_number_range_rejected(self, bounds):
+        with pytest.raises(DomainError, match="need a number for t_m"):
+            SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), **bounds)
+
+    def test_range_is_read_as_float(self):
+        spec = SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), t_min=np.float32(0.5), t_max=2)
+        assert (spec.t_min, spec.t_max) == (0.5, 2.0)
+        assert type(spec.t_min) is float and type(spec.t_max) is float
+
     @pytest.mark.parametrize("samples", [8.5, 512.0, "512", None])
     def test_non_integer_samples_rejected(self, samples):
         with pytest.raises(DomainError, match="integer number of samples"):
@@ -152,9 +164,33 @@ class TestValidateOnce:
             evaluate(SweepSpec(Geometry.S2R, a2, a2 / grid[3], samples=8))
 
 
+class TestCutLocus:
+    """An S2xR ray whose surface point is antipodal to that of a1 or a2
+    leaves side 1-3 or 2-3 without a unique geodesic at every t: the
+    family's ray part raises for ``evaluate`` and the kernel for S(t)."""
+
+    #: the unit surface point of a2 = (3, -2, 1) and a unit normal to it
+    A2 = np.array([3.0, -2.0, 1.0]) / math.sqrt(14.0)
+    NORMAL = np.array([1.0, 2.0, 1.0]) / math.sqrt(6.0)
+
+    @pytest.mark.parametrize("ray", [
+        (-1.0, 0.0, 0.0),
+        (-3.0, 2.0, -1.0),
+        (-math.cos(1e-13), math.sin(1e-13), 0.0),
+        tuple(-math.cos(1e-13) * A2 + math.sin(1e-13) * NORMAL),
+    ], ids=["antipodal-a1", "antipodal-a2", "1e-13-from-antipodal-a1",
+            "1e-13-from-antipodal-a2"])
+    def test_ray_on_the_cut_locus_is_degenerate(self, ray):
+        spec = SweepSpec(Geometry.S2R, (3, -2, 1), ray)
+        with pytest.raises(DegenerateError, match="antipodal"):
+            evaluate(spec)
+        with pytest.raises(DegenerateError, match="antipodal"):
+            angle_sum_at(spec, 0.5)
+
+
 class TestFixedSide:
-    """A family keeps a1 and a2, so the side between them is built once and
-    every kernel batch computes only the moving third vertex."""
+    """A family keeps a1 and a2, so the side between them is built once;
+    the grid is sampled from the family's closed form, with no kernel batch."""
 
     @staticmethod
     def _same(r, q):
@@ -166,8 +202,9 @@ class TestFixedSide:
     def test_one_fixed_side_and_one_guard_per_batch(self, kind, monkeypatch):
         """A spec splits its ray once, as its membership check.  One
         evaluate: one fixed side (whose two splits guard a1 and a2) and one
-        batch, the grid, with its one membership guard; the refinement runs
-        on the family's closed form and makes neither a batch nor a guard."""
+        membership guard on the grid's batch of third vertices; the grid
+        sums and the refinement run on the family's closed form and make
+        no kernel batch and no further guard."""
         fixed, batches, guards, brackets = [], [], [], []
         true_fixed, true_third = sweep_mod._fixed_side, sweep_mod._third_vertex
         true_guard, true_bracket = core._guard_member, sweep_mod._bracket
@@ -200,14 +237,15 @@ class TestFixedSide:
         assert result.interior
         assert len(fixed) == 1
         assert len(brackets) == 1
-        assert batches == [(3, spec.samples)]
+        assert batches == []
         assert len(guards) == 1 + 2
 
     @BOTH
     def test_results_do_not_depend_on_the_cache(self, kind):
         """A second evaluate of one spec, and a spec that differs only in
         a2, give the bits of a fresh spec, and the grid sums are those of
-        the one-shot kernel on the whole triangles."""
+        the one-shot kernel on the whole triangles to 1e-14, the gate of
+        ``TestClosedForm`` (measured worst 8.9e-16 s2r, 1.3e-15 h2r)."""
         a2, ray, _, _ = SWEEP_FAMILIES[kind]
         other = np.array(a2, dtype=float) * 1.5 + np.array([0.2, 0.0, 0.0])
         spec = family_spec(kind)
@@ -219,7 +257,7 @@ class TestFixedSide:
         for result, vertex in ((first, a2), (moved, other)):
             points = result.series[:, :1] * np.asarray(ray, dtype=float)
             kernel = _angle_sums(kind, BASE_POINT, np.array(vertex, dtype=float), points)
-            assert np.array_equal(result.series[:, 1], kernel.total)
+            assert np.abs(result.series[:, 1] - kernel.total).max() <= 1e-14
 
 
 class TestExtremum:
@@ -298,8 +336,8 @@ class TestExtremum:
         assert result.t_extremum == pytest.approx(1.0, abs=1e-6)
 
     def test_near_pi_family_decreasing_to_t_max_is_not_interior(self):
-        # S falls toward t_max by about one ulp per zoom sample, so rounding
-        # noise pulls the bracket off t_max; S there is no better than S(t_max)
+        # S falls all the way to t_max, by about 6e-14 per grid cell, and
+        # dS/du (about -3.5e-12 there) keeps its sign across the last cells
         spec = SweepSpec(Geometry.H2R,
                          (2.5625014134049335, -0.0014051628653388457, -0.0003990605362192628),
                          (1.0093309399551296, -0.13544319447740702, -0.06744705404147841))
@@ -308,8 +346,8 @@ class TestExtremum:
         assert result.interior is False
 
     def test_edge_extremum_is_reported_at_the_range_end(self):
-        # the near-pi family above: the best grid value is S(t_max), and the
-        # zoom's rounding noise does not move the reported extremum off it
+        # the near-pi family above: the best grid value is S(t_max), and
+        # with no sign change of dS/du the reported extremum is that sample
         spec = SweepSpec(Geometry.H2R,
                          (2.5625014134049335, -0.0014051628653388457, -0.0003990605362192628),
                          (1.0093309399551296, -0.13544319447740702, -0.06744705404147841))
@@ -340,9 +378,9 @@ class TestExtremum:
 
 
 class TestClosedForm:
-    """The refinement's S and dS/du at u = log t, in floats from the
-    family's ray part (``SweepSpec._ray``), on both reference families and
-    seeded random ones."""
+    """The grid sums and the refinement's S and dS/du at u = log t, from
+    the family's ray part (``SweepSpec._ray``), on both reference families
+    and seeded random ones."""
 
     @staticmethod
     def _specs(kind, rng, count=20):
@@ -359,10 +397,23 @@ class TestClosedForm:
         """Measured worst: 2.7e-15 (s2r) and 4.0e-15 (h2r)."""
         worst = 0.0
         for spec in self._specs(kind, rng):
-            series = evaluate(spec).series
-            closed = [self._sum(spec, u) for u in np.log(series[:, 0]).tolist()]
-            worst = max(worst, float(np.abs(np.array(closed) - series[:, 1]).max()))
+            ts = evaluate(spec).series[:, 0]
+            kernel = _angle_sums(kind, BASE_POINT, spec.a2, ts[:, None] * spec.ray).total
+            closed = [self._sum(spec, u) for u in np.log(ts).tolist()]
+            worst = max(worst, float(np.abs(np.array(closed) - kernel).max()))
         assert worst <= 1e-14
+
+    @BOTH
+    def test_grid_sums_against_fifty_digits(self, kind, rng):
+        """Every 8th grid sum against the 50-digit sum of its triangle
+        (``mp_oracle.angle_sum``): measured worst 1.8e-15 on both
+        geometries, as is the kernel's own (0.9e-15 s2r, 1.3e-15 h2r)."""
+        worst = 0.0
+        for spec in self._specs(kind, rng):
+            for t, s in evaluate(spec).series[::8].tolist():
+                worst = max(worst, abs(s - mp_oracle.angle_sum(kind, BASE_POINT, spec.a2,
+                                                                 t * spec.ray)))
+        assert worst <= 4e-15
 
     @BOTH
     def test_slope_matches_central_differences(self, kind, rng):
