@@ -71,6 +71,13 @@ class Geometry(enum.Enum):
             raise DomainError(f"unknown geometry {name!r}; expected 's2r' or 'h2r'") from None
 
 
+def _require_geometry(kind) -> None:
+    """DomainError unless ``kind`` is a ``Geometry``, where a branch is chosen:
+    a name such as 's2r' would take one silently."""
+    if not isinstance(kind, Geometry):
+        raise DomainError(f"unknown geometry {kind!r}; expected Geometry.S2R or Geometry.H2R")
+
+
 #: The common start point of all geodesic parametrisations, (1 : 1 : 0 : 0).
 BASE_POINT = np.array([1.0, 0.0, 0.0])
 
@@ -145,6 +152,7 @@ def _scaled_norm(kind: Geometry, p):
     again.  Arrays are decided by numpy with the same hypot, under
     ``np.errstate``, paid once per array.
     """
+    _require_geometry(kind)
     if p.ndim == 1:
         x, y, z = p.tolist()
         if kind is Geometry.S2R:
@@ -196,6 +204,7 @@ def fibre_norm_sq(kind: Geometry, p) -> float | np.ndarray:
     ``p`` is a point, or three arrays of coordinates (the columns of an
     (N, 3) array of points), giving an array of values.
     """
+    _require_geometry(kind)
     x, y, z = p
     return x * x + kind.curvature * (y * y + z * z)
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Geometry, _fibre_norm, _split, model_point, require_member
+from .core import Geometry, _fibre_norm, _require_geometry, _split, model_point, require_member
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
 
@@ -97,6 +97,7 @@ def _points(kind: Geometry, u, v, taus: np.ndarray) -> np.ndarray:
     Raises DomainError at the first row where a coordinate overflows double
     precision or the point underflows to the centre.
     """
+    _require_geometry(kind)
     w = taus * np.cos(v)
     points = np.empty((len(taus), 3))
     with np.errstate(all="ignore"):
@@ -112,12 +113,9 @@ def _points(kind: Geometry, u, v, taus: np.ndarray) -> np.ndarray:
     # NaN (inf * 0) fails both comparisons
     bad = ~((size > 0.0) & (size < math.inf))
     if bad.any():
-        raise _out_of_range(*(c[np.argmax(bad)].item() for c in np.broadcast_arrays(u, v, taus)))
+        u, v, tau = (c[np.argmax(bad)].item() for c in np.broadcast_arrays(u, v, taus))
+        raise DomainError(f"the geodesic point at ({u}, {v}, {tau}) is out of double range")
     return points
-
-
-def _out_of_range(u: float, v: float, tau: float) -> DomainError:
-    return DomainError(f"the geodesic point at ({u}, {v}, {tau}) is out of double range")
 
 
 def geodesic_params(kind: Geometry, p) -> GeodesicParams:
@@ -179,15 +177,14 @@ def distance(kind: Geometry, p1, p2) -> float:
 
 
 def _tangent_sq(kind: Geometry, s, v):
-    """Squared length of the surface tangent vector ``v`` at the surface point ``s``.
+    """Squared length of the surface tangent ``v`` at ``s``: stacked arrays or float lists.
 
     On the hyperboloid the Minkowski length of v, orthogonal to s, is
     (vy^2 + vz^2 + (sy vz - sz vy)^2) / sx^2: a sum of squares, so it cannot
     cancel to a negative value.
     """
     if kind is Geometry.S2R:
-        sq = v * v
-        return sq[0] + sq[1] + sq[2]
+        return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     twist = s[1] * v[2] - s[2] * v[1]
     return (v[1] * v[1] + v[2] * v[2] + twist * twist) / (s[0] * s[0])
 

@@ -216,10 +216,10 @@ def _frame_angles(frame) -> TriangleAngles:
 
 
 def vertex_angle(tri: GeodesicTriangle, i: int) -> float:
-    """Interior angle at vertex ``i`` (1, 2 or 3), in (0, pi), by the paper's
-    method: the vertex is moved to the base point by its normaliser."""
+    """Interior angle at vertex ``i`` (1, 2 or 3, else PrecondError), in (0, pi),
+    by the paper's method: the vertex is moved to the base point by its normaliser."""
     if i not in (1, 2, 3):
-        raise ValueError(f"vertex index must be 1, 2 or 3, got {i}")
+        raise PrecondError(f"vertex index must be 1, 2 or 3, got {i}")
     return _angle(*_vertex_tangents(tri.kind, _paper_vertices(tri), int(i)).values())
 
 

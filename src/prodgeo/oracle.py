@@ -83,7 +83,8 @@ import math
 import numpy as np
 
 from . import _dop853
-from .core import BASE_POINT, Geometry, _guard_member, _metric, _metric_entries, to_model
+from .core import (BASE_POINT, Geometry, _guard_member, _metric, _metric_entries,
+                   _require_geometry, to_model)
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams, tangent_of
 from .tolerances import DEFAULT
@@ -129,6 +130,7 @@ def _rhs_h2r(_tau, state):
 def unit_speed_drift(kind: Geometry, state) -> float | np.ndarray:
     """|squared intrinsic speed - 1| of an ODE state (6,), or of the columns
     of states (6, n) as an (n,) array."""
+    _require_geometry(kind)
     _t, c1, c2, dt, dc1, dc2 = state
     if kind is Geometry.S2R:
         speed2 = dt * dt + np.cos(c2) ** 2 * dc1 * dc1 + dc2 * dc2
@@ -164,6 +166,7 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     params = _checked_params(g)
     if steps < 100:
         raise PrecondError(f"need at least 100 steps, got {steps}")
+    _require_geometry(kind)
     rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
     state0 = _initial_state(kind, params)
     grid = np.linspace(0.0, params.tau, steps)

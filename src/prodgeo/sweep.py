@@ -11,8 +11,9 @@ moves: its surface point ray / sqrt(Q(ray)) is fixed, as Q is homogeneous
 of degree two.  So the surface arcs of sides 1-3 and 2-3 and the surface
 angles at the three vertices are constants of the family, each interior
 angle is a closed form in u, and so is dS/du.  The sampled grid is that
-closed form over an array of u, and the extremum is the root of dS/du; the
-triangle kernel computes S at one t (``angle_sum_at``), independently.
+closed form over an array of u, S at one t (``angle_sum_at``) is it at one
+u, and the extremum is the root of dS/du; the triangle kernel is the
+reference the tests compare them with.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core import BASE_POINT, Geometry, _guard_member, _split, model_point, requ
 from .exceptions import ConsistencyError, DegenerateError, DomainError
 from .geodesics import _tangent_sq
 from .tolerances import DEFAULT
-from .triangles import _TINY, _coplanar, _fixed_side, _require_distinct, _third_vertex
+from .triangles import _TINY, _coplanar, _require_distinct
 
 __all__ = [
     "ExtremumKind",
@@ -54,6 +55,11 @@ class ExtremumKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
+    """The triangles (base point, a2, t * ray), t in [t_min, t_max].  DomainError
+    for a kind not a ``Geometry``, an a2 or a ray direction outside the model,
+    t_min and t_max not numbers with finite 0 < t_min < t_max, or samples not an
+    integer >= 8; DegenerateError from the ray part (``_ray``) on first use."""
+
     kind: Geometry
     a2: np.ndarray
     ray: np.ndarray
@@ -88,21 +94,16 @@ class SweepSpec:
                               f"{self.kind.value} model") from None
 
     @cached_property
-    def _fixed(self) -> tuple:
-        """The kernel's fixed part: side 1-2 of every triangle of the family."""
-        _require_distinct((BASE_POINT, self.a2))
-        return _fixed_side(self.kind, BASE_POINT, self.a2)
-
-    @cached_property
     def _ray(self) -> tuple:
         """The ray part, in floats: the fibre offsets f3(ray) - f1 and
         f3(ray) - f2 of the rises r13(u), r23(u), the surface arcs d13 and
         d23, the fibre angles of side 1-2 at a1 and a2, and at each vertex
         sin^2 and cos^2 of half the surface angle between its two sides.
 
-        Raises DegenerateError, as the kernel does for every t, where the
-        S2xR surface point of the ray is antipodal to that of a1 or a2."""
-        f1, s1, f2, s2 = self._fixed[:4]
+        Raises DegenerateError where a2 is a1 and, as the kernel does for every
+        t, where two S2xR surface points of a1, a2 and the ray are antipodal."""
+        _require_distinct((BASE_POINT, self.a2))
+        (f1, s1), (f2, s2) = _split(self.kind, BASE_POINT), _split(self.kind, self.a2)
         f3, s3 = self._ray_split
         s1, s2, s3 = s1.tolist(), s2.tolist(), s3.tolist()
         d13, at1_3, at3_1 = _arc(self.kind, s1, s3)
@@ -122,7 +123,7 @@ def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list, list]:
     cos = p[0] * q[0] + kind.curvature * (p[1] * q[1] + p[2] * q[2])
     at_p = [b - cos * a for a, b in zip(p, q)]
     at_q = [a - cos * b for a, b in zip(p, q)]
-    sin_p, sin_q = math.sqrt(_length_sq(kind, p, at_p)), math.sqrt(_length_sq(kind, q, at_q))
+    sin_p, sin_q = math.sqrt(_tangent_sq(kind, p, at_p)), math.sqrt(_tangent_sq(kind, q, at_q))
     if kind is Geometry.S2R and cos < 0.0 and sin_p <= DEFAULT.cut_locus:
         raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
     dist = math.atan2(sin_p, cos) if kind is Geometry.S2R else math.asinh(sin_p)
@@ -132,16 +133,8 @@ def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list, list]:
 def _half_angle(kind: Geometry, s: list, one: list, two: list) -> tuple[float, float]:
     """sin^2 and cos^2 of half the angle between unit surface directions at
     ``s``: a quarter of the squared lengths of their difference and sum."""
-    return (0.25 * _length_sq(kind, s, [a - b for a, b in zip(one, two)]),
-            0.25 * _length_sq(kind, s, [a + b for a, b in zip(one, two)]))
-
-
-def _length_sq(kind: Geometry, s: list, v: list) -> float:
-    """``geodesics._tangent_sq`` of float lists, whose product is no
-    elementwise one."""
-    if kind is Geometry.S2R:
-        return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    return _tangent_sq(kind, s, v)
+    return (0.25 * _tangent_sq(kind, s, [a - b for a, b in zip(one, two)]),
+            0.25 * _tangent_sq(kind, s, [a + b for a, b in zip(one, two)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,16 +151,16 @@ class SweepResult:
 
 def angle_sum_at(spec: SweepSpec, t: float) -> float:
     """S(t): the interior angle sum of the triangle with third vertex t*ray,
-    for a finite t > 0 (DomainError otherwise); only t*ray is checked, by
-    the guard of its split, as it leaves the model if it underflows to zero
-    or overflows to inf."""
+    for a finite t > 0 (DomainError otherwise): the closed form at u = log t.
+    Only t*ray is checked, for membership (it leaves the model if it
+    underflows to zero or overflows to inf) and distinctness from a1, a2."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"need a finite parameter t > 0, got {t}")
     with np.errstate(over="ignore"):
         a3 = t * spec.ray
-    f3, s3 = _split(spec.kind, a3)
+    _guard_member(spec.kind, a3)
     _require_distinct((BASE_POINT, spec.a2, a3), new=2)
-    return float(_third_vertex(spec.kind, spec._fixed, f3, s3).total)
+    return _sum_and_slope(spec._ray, math.log(t))[0]
 
 
 def _angle(a: float, b: float, half_sin: float, half_cos: float) -> tuple[float, float, float]:

@@ -16,9 +16,9 @@ keeps full precision near 0 and pi where acos loses sqrt(eps) (Kahan,
 "Miscalculating Area and Angles of a Needle-like Triangle").  ``_angle_sums``
 does this for whole arrays of triangles, with no isometry and no inverse
 problem: angles are isometry-invariant, so no vertex is moved (the paper's
-method, which moves them, is ``isometries``).  Its fixed part (a1, a2) is
-built once per S(t) sweep, its moving part (a3) per batch; surface points
-are stacked by component, (3, N), so a vector operation is one ufunc call.
+method, which moves them, is ``isometries``), and it is the reference the
+closed-form S(t) of ``sweep`` is tested against.  Surface points are
+stacked by component, (3, N), so a vector operation is one ufunc call.
 
 Angle sums obey a strict trichotomy: sum - pi has the sign of the surface
 curvature, ``Geometry.curvature`` (S2xR sums are >= pi, H2xR sums <= pi),
@@ -166,18 +166,9 @@ def _angle_sums(kind: Geometry, a1, a2, a3) -> TriangleAngles:
     the model raises DomainError, an S2xR side whose surface points are
     antipodal DegenerateError.
     """
-    return _third_vertex(kind, _fixed_side(kind, a1, a2), *_split(kind, a3))
-
-
-def _fixed_side(kind: Geometry, a1, a2) -> tuple:
-    """The fixed part: the splits of a1 and a2 and the tangents of side 1-2."""
     (f1, s1), (f2, s2) = _split(kind, a1), _split(kind, a2)
-    return f1, s1, f2, s2, *_side_tangents(kind, f1, s1, f2, s2)
-
-
-def _third_vertex(kind: Geometry, side: tuple, f3, s3) -> TriangleAngles:
-    """The moving part, for split third vertices: sides 1-3, 2-3 and the angles."""
-    f1, s1, f2, s2, (r12, u12), (r21, u21) = side
+    (r12, u12), (r21, u21) = _side_tangents(kind, f1, s1, f2, s2)
+    f3, s3 = _split(kind, a3)
     if s1.ndim < s3.ndim:  # one side 1-2 against a batch of third vertices
         s1, s2, u12, u21 = (v[:, None] for v in (s1, s2, u12, u21))
     t13, t31 = _side_tangents(kind, f1, s1, f3, s3)

@@ -111,11 +111,14 @@ def test_every_sign_of_the_geometry_is_its_curvature():
                 assert branches != {1, -1}, f"{path.name}:{node.lineno}"
 
 
-def test_sweeps_run_the_moving_part_of_the_kernel():
-    """A family builds its side 1-2 once (``_fixed_side``) and each batch of
-    third vertices runs ``_third_vertex``, never the whole kernel."""
-    assert "sweep.py" not in _modules_naming("_angle_sums")
-    assert "sweep.py" in _modules_naming("_fixed_side") & _modules_naming("_third_vertex")
+def test_sweeps_name_no_kernel_function():
+    """A family has one S(t), its closed form: ``sweep`` names no function
+    of the triangle kernel, which stays whole, with no fixed and moving
+    part split off for sweeps."""
+    for name in ("_angle_sums", "_side_tangents", "_tangent_angle", "_fixed_side",
+                 "_third_vertex"):
+        assert "sweep.py" not in _modules_naming(name), name
+    assert not _defining("_fixed_side") | _defining("_third_vertex")
 
 
 def test_sweeps_refine_without_a_zoom():
@@ -139,8 +142,7 @@ def test_sweep_grid_runs_no_kernel_batch():
 #: the kernel's helpers, which work on surface points stacked by component
 KERNEL_HELPERS = {
     "geodesics.py": {"_tangent_sq", "_surface_arc"},
-    "triangles.py": {"_angle_sums", "_fixed_side", "_third_vertex", "_side_tangents",
-                     "_tangent_angle"},
+    "triangles.py": {"_angle_sums", "_side_tangents", "_tangent_angle"},
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodgeo
 from prodgeo import DomainError, Geometry, contains, metric_at, model_point, to_model
 from prodgeo.core import (
     BASE_POINT,
@@ -13,9 +14,57 @@ from prodgeo.core import (
     _guard_member,
     _metric,
     _scaled_norm,
+    fibre_norm_sq,
     require_member,
 )
 from conftest import BOTH, random_point
+
+
+#: every public entry point that takes a geometry, with other arguments
+#: valid in both, so only the geometry can fail
+TAKES_A_GEOMETRY = {
+    "contains": lambda kind: contains(kind, (2.0, 1.0, 0.0)),
+    "fibre_norm_sq": lambda kind: fibre_norm_sq(kind, (2.0, 1.0, 0.0)),
+    "metric_at": lambda kind: metric_at(kind, (2.0, 1.0, 0.0)),
+    "to_model": lambda kind: to_model(kind, 0.5, 0.3, 0.2),
+    "geodesic_point": lambda kind: prodgeo.geodesic_point(kind, (0.3, 0.2, 1.0)),
+    "geodesic_params": lambda kind: prodgeo.geodesic_params(kind, (2.0, 1.0, 0.0)),
+    "distance": lambda kind: prodgeo.distance(kind, (2.0, 1.0, 0.0), (3.0, -1.0, 0.0)),
+    "sample_curve": lambda kind: prodgeo.sample_curve(kind, (0.3, 0.2, 1.0), 4),
+    "fibre_translation": lambda kind: prodgeo.fibre_translation(kind, (2.0, 1.0, 0.5)),
+    "rotation_x": lambda kind: prodgeo.rotation_x(kind, (2.0, 1.0, 0.5)),
+    "rotation_z": lambda kind: prodgeo.rotation_z(kind, (2.0, 1.0, 0.0)),
+    "to_origin": lambda kind: prodgeo.to_origin(kind, (2.0, 1.0, 0.5)),
+    "reference_image_base": lambda kind: prodgeo.reference_image_base(kind, (2.0, 1.0, 0.5)),
+    "reference_image_third": lambda kind: prodgeo.reference_image_third(
+        kind, (2.0, 1.0, 0.5), (3.0, -1.0, 0.0)),
+    "reference_images_plane_mover": lambda kind: prodgeo.reference_images_plane_mover(
+        kind, (3.0, -1.0, 0.0), (2.0, 1.0, 0.5)),
+    "geodesic_triangle": lambda kind: prodgeo.geodesic_triangle(
+        kind, BASE_POINT, (2.0, 1.0, 0.0), (3.0, -1.0, 0.0)),
+    "GeodesicTriangle": lambda kind: prodgeo.angle_sum(prodgeo.GeodesicTriangle(
+        kind, BASE_POINT, (2.0, 1.0, 0.0), (3.0, -1.0, 0.0))),
+    "SweepSpec": lambda kind: prodgeo.SweepSpec(kind, (2.0, 1.5, 1.0), (3.0, -1.0, 0.0)),
+    "integrate_geodesic": lambda kind: prodgeo.integrate_geodesic(kind, (0.3, 0.2, 1.0)),
+    "integrate_geodesic_cartesian": lambda kind: prodgeo.integrate_geodesic_cartesian(
+        kind, (0.3, 0.2, 1.0)),
+    "unit_speed_drift": lambda kind: prodgeo.unit_speed_drift(
+        kind, np.array([0.0, 0.1, 0.2, 0.6, 0.8, 0.0])),
+    "arc_length_quadrature": lambda kind: prodgeo.arc_length_quadrature(
+        kind, [(2.0, 1.0, 0.0), (3.0, -1.0, 0.0)]),
+}
+
+
+class TestGeometryTag:
+    """An operation chooses its branch by ``Geometry`` member; anything else,
+    a name such as 's2r' included, is DomainError before any branch runs."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["s2r", None], ids=["name", "none"])
+    @pytest.mark.parametrize("entry", sorted(TAKES_A_GEOMETRY))
+    def test_not_a_geometry_is_domain_error(self, entry, kind):
+        with pytest.raises(DomainError, match="unknown geometry"):
+            TAKES_A_GEOMETRY[entry](kind)
 
 
 class TestMembership:

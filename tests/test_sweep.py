@@ -108,10 +108,10 @@ class TestValidateOnce:
     @BOTH
     def test_angle_sum_at_checks_only_the_three_vertices(self, kind, member_checks,
                                                           monkeypatch):
-        """a1 and a2 are guarded once, by the family's fixed side; each S(t)
-        then guards only t*ray, once, when the kernel splits it."""
+        """a1 and a2 are guarded once, by the family's ray part; each S(t)
+        then guards only t*ray, once, before its closed form is read."""
         spec = family_spec(kind, samples=8)
-        angle_sum_at(spec, 0.2)  # builds the fixed side
+        angle_sum_at(spec, 0.2)  # builds the ray part
         guards = []
         true_guard = core._guard_member
 
@@ -119,7 +119,8 @@ class TestValidateOnce:
             guards.append(1)
             return true_guard(*args)
 
-        monkeypatch.setattr(core, "_guard_member", guard)
+        for module in (core, sweep_mod):
+            monkeypatch.setattr(module, "_guard_member", guard)
         member_checks.clear()
         angle_sum_at(spec, 0.3)
         angle_sum_at(spec, 0.7)
@@ -167,7 +168,7 @@ class TestValidateOnce:
 class TestCutLocus:
     """An S2xR ray whose surface point is antipodal to that of a1 or a2
     leaves side 1-3 or 2-3 without a unique geodesic at every t: the
-    family's ray part raises for ``evaluate`` and the kernel for S(t)."""
+    family's ray part raises, for ``evaluate`` and S(t) alike."""
 
     #: the unit surface point of a2 = (3, -2, 1) and a unit normal to it
     A2 = np.array([3.0, -2.0, 1.0]) / math.sqrt(14.0)
@@ -189,8 +190,9 @@ class TestCutLocus:
 
 
 class TestFixedSide:
-    """A family keeps a1 and a2, so the side between them is built once;
-    the grid is sampled from the family's closed form, with no kernel batch."""
+    """A family keeps a1 and a2, so the side between them is built once, in
+    its ray part; S(t) is read from the family's closed form, with no kernel
+    batch."""
 
     @staticmethod
     def _same(r, q):
@@ -201,21 +203,17 @@ class TestFixedSide:
     @BOTH
     def test_one_fixed_side_and_one_guard_per_batch(self, kind, monkeypatch):
         """A spec splits its ray once, as its membership check.  One
-        evaluate: one fixed side (whose two splits guard a1 and a2) and one
-        membership guard on the grid's batch of third vertices; the grid
-        sums and the refinement run on the family's closed form and make
-        no kernel batch and no further guard."""
-        fixed, batches, guards, brackets = [], [], [], []
-        true_fixed, true_third = sweep_mod._fixed_side, sweep_mod._third_vertex
-        true_guard, true_bracket = core._guard_member, sweep_mod._bracket
+        evaluate: one ray part, whose three surface arcs include side 1-2
+        and whose splits of a1 and a2 guard them, and one membership guard
+        on the grid's batch of third vertices; the grid sums and the
+        refinement run on the family's closed form and make no further
+        guard."""
+        arcs, guards, brackets = [], [], []
+        true_arc, true_guard, true_bracket = sweep_mod._arc, core._guard_member, sweep_mod._bracket
 
-        def build(*args):
-            fixed.append(1)
-            return true_fixed(*args)
-
-        def third(kind, side, f3, s3):
-            batches.append(s3.shape)
-            return true_third(kind, side, f3, s3)
+        def arc(*args):
+            arcs.append(1)
+            return true_arc(*args)
 
         def guard(*args):
             guards.append(1)
@@ -225,19 +223,17 @@ class TestFixedSide:
             brackets.append(1)
             return true_bracket(*args)
 
-        monkeypatch.setattr(sweep_mod, "_fixed_side", build)
-        monkeypatch.setattr(sweep_mod, "_third_vertex", third)
+        monkeypatch.setattr(sweep_mod, "_arc", arc)
         monkeypatch.setattr(sweep_mod, "_bracket", bracket)
         for module in (core, sweep_mod):
-            monkeypatch.setattr(module, "_guard_member", guard, raising=False)
+            monkeypatch.setattr(module, "_guard_member", guard)
         spec = family_spec(kind)
         assert len(guards) == 1
         guards.clear()
         result = evaluate(spec)
         assert result.interior
-        assert len(fixed) == 1
+        assert len(arcs) == 3  # sides 1-3, 2-3 and 1-2 of one ray part
         assert len(brackets) == 1
-        assert batches == []
         assert len(guards) == 1 + 2
 
     @BOTH
@@ -413,6 +409,21 @@ class TestClosedForm:
             for t, s in evaluate(spec).series[::8].tolist():
                 worst = max(worst, abs(s - mp_oracle.angle_sum(kind, BASE_POINT, spec.a2,
                                                                  t * spec.ray)))
+        assert worst <= 4e-15
+
+    @BOTH
+    def test_angle_sum_at_against_fifty_digits_off_the_grid(self, kind, rng):
+        """``angle_sum_at`` is the closed form at any finite t > 0, far
+        outside the grid's [1e-3, 5] too: against the 50-digit sum of the
+        triangle with third vertex t*ray, measured worst 4.4e-16 (s2r) and
+        8.9e-16 (h2r) on the reference family and 10 random ones, and
+        within 1e-14 of the kernel (``_angle_sums``) on each triangle."""
+        worst = 0.0
+        for spec in self._specs(kind, rng, count=10):
+            for t in (1e-200, 1e-30, 1e-8, 1e-3, 1e3, 1e8, 1e30, 1e200):
+                total, a3 = angle_sum_at(spec, t), t * spec.ray
+                assert abs(total - _angle_sums(kind, BASE_POINT, spec.a2, a3).total) <= 1e-14
+                worst = max(worst, abs(total - mp_oracle.angle_sum(kind, BASE_POINT, spec.a2, a3)))
         assert worst <= 4e-15
 
     @BOTH

@@ -11,6 +11,7 @@ from prodgeo import (
     DegenerateError,
     DomainError,
     Geometry,
+    PrecondError,
     TriangleClass,
     angle_sum,
     apply_isometry,
@@ -64,7 +65,7 @@ class TestVertexAngles:
 
     def test_bad_vertex_index(self):
         tri = tri_s2r((2, 1, 0), (3, -2, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(PrecondError, match="vertex index"):
             vertex_angle(tri, 4)
 
     @BOTH
