@@ -65,9 +65,11 @@ class Geometry(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Geometry":
+        """The geometry named 's2r' or 'h2r', in any case; DomainError for
+        any other value, a non-string included."""
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise DomainError(f"unknown geometry {name!r}; expected 's2r' or 'h2r'") from None
 
 

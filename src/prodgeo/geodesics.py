@@ -37,6 +37,7 @@ import numpy as np
 from .core import Geometry, _fibre_norm, _require_geometry, _split, model_point, require_member
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
+from .triangles import _arc
 
 __all__ = [
     "GeodesicParams",
@@ -167,37 +168,13 @@ def tangent_of(g) -> np.ndarray:
 def distance(kind: Geometry, p1, p2) -> float:
     """Arc length of the shortest geodesic between two model points:
     hypot(f2 - f1, d), with f the fibre heights and d the surface distance
-    (``_surface_arc``); d = pi between antipodal S2xR surface points."""
+    (``triangles._arc``); d = pi between antipodal S2xR surface points."""
     p1 = require_member(kind, p1)
     p2 = require_member(kind, p2)
     if np.array_equal(p1, p2):
         return 0.0
     (f1, s1), (f2, s2) = _split(kind, p1), _split(kind, p2)
-    return float(np.hypot(f2 - f1, _surface_arc(kind, s1, s2)[3]))
-
-
-def _tangent_sq(kind: Geometry, s, v):
-    """Squared length of the surface tangent ``v`` at ``s``: stacked arrays or float lists.
-
-    On the hyperboloid the Minkowski length of v, orthogonal to s, is
-    (vy^2 + vz^2 + (sy vz - sz vy)^2) / sx^2: a sum of squares, so it cannot
-    cancel to a negative value.
-    """
-    if kind is Geometry.S2R:
-        return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    twist = s[1] * v[2] - s[2] * v[1]
-    return (v[1] * v[1] + v[2] * v[2] + twist * twist) / (s[0] * s[0])
-
-
-def _surface_arc(kind: Geometry, sa, sb):
-    """cos (cosh) of the surface arc from s_A to s_B, its tangent at s_A,
-    s_B - <s_A, s_B> s_A, of length sin (sinh), that length and the arc
-    length; <, > is the Euclidean (Minkowski x^2 - y^2 - z^2) form."""
-    cos = sa[0] * sb[0] + kind.curvature * (sa[1] * sb[1] + sa[2] * sb[2])
-    at_a = sb - cos * sa
-    sin_a = np.sqrt(_tangent_sq(kind, sa, at_a))
-    dist = np.arctan2(sin_a, cos) if kind is Geometry.S2R else np.arcsinh(sin_a)
-    return cos, at_a, sin_a, dist
+    return float(np.hypot(f2 - f1, _arc(kind, s1.tolist(), s2.tolist())[0]))
 
 
 def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:

@@ -200,7 +200,7 @@ def _vertex_tangents(kind: Geometry, vertices, i: int) -> dict[tuple[int, int], 
             for n, p in others}
 
 
-def _angle(t1, t2):
+def _between(t1, t2):
     """Angle between unit vectors, in Kahan's atan2 form."""
     return 2.0 * math.atan2(float(np.linalg.norm(t1 - t2)), float(np.linalg.norm(t1 + t2)))
 
@@ -211,16 +211,16 @@ _FRAME_PAIRS = (((2, 0), (3, 0)), ((1, 2), (3, 2)), ((1, 3), (2, 3)))
 
 def _frame_angles(frame) -> TriangleAngles:
     """The paper's angles: the three interior angles read off the tangent frame."""
-    w1, w2, w3 = (_angle(frame[a], frame[b]) for a, b in _FRAME_PAIRS)
+    w1, w2, w3 = (_between(frame[a], frame[b]) for a, b in _FRAME_PAIRS)
     return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
 
 
 def vertex_angle(tri: GeodesicTriangle, i: int) -> float:
     """Interior angle at vertex ``i`` (1, 2 or 3, else PrecondError), in (0, pi),
     by the paper's method: the vertex is moved to the base point by its normaliser."""
-    if i not in (1, 2, 3):
+    if isinstance(i, bool) or i not in (1, 2, 3):
         raise PrecondError(f"vertex index must be 1, 2 or 3, got {i}")
-    return _angle(*_vertex_tangents(tri.kind, _paper_vertices(tri), int(i)).values())
+    return _between(*_vertex_tangents(tri.kind, _paper_vertices(tri), int(i)).values())
 
 
 # --- closed-form vertex images -------------------------------------------

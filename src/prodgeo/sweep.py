@@ -9,11 +9,12 @@ base point, the second vertex and the centre are flat: S(t) = pi identically.
 Along the ray only the third vertex's fibre height u + f3(ray), u = log t,
 moves: its surface point ray / sqrt(Q(ray)) is fixed, as Q is homogeneous
 of degree two.  So the surface arcs of sides 1-3 and 2-3 and the surface
-angles at the three vertices are constants of the family, each interior
-angle is a closed form in u, and so is dS/du.  The sampled grid is that
-closed form over an array of u, S at one t (``angle_sum_at``) is it at one
-u, and the extremum is the root of dS/du; the triangle kernel is the
-reference the tests compare them with.
+angles at the three vertices are constants of the family: its ray part,
+the triangles' own closed form (``triangles._closed_form``) of the
+triangle (base point, a2, ray), in which u shifts the two rises.  Each
+interior angle is the triangles' ``_angle`` in u, and so is dS/du.  The
+sampled grid is that closed form over an array of u, S at one t
+(``angle_sum_at``) is it at one u, and the extremum is the root of dS/du.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from functools import cached_property
 import numpy as np
 
 from .core import BASE_POINT, Geometry, _guard_member, _split, model_point, require_member
-from .exceptions import ConsistencyError, DegenerateError, DomainError
-from .geodesics import _tangent_sq
+from .exceptions import ConsistencyError, DomainError
 from .tolerances import DEFAULT
-from .triangles import _TINY, _coplanar, _require_distinct
+from .triangles import _angle, _closed_form, _coplanar, _require_distinct
 
 __all__ = [
     "ExtremumKind",
@@ -95,46 +95,16 @@ class SweepSpec:
 
     @cached_property
     def _ray(self) -> tuple:
-        """The ray part, in floats: the fibre offsets f3(ray) - f1 and
-        f3(ray) - f2 of the rises r13(u), r23(u), the surface arcs d13 and
-        d23, the fibre angles of side 1-2 at a1 and a2, and at each vertex
-        sin^2 and cos^2 of half the surface angle between its two sides.
+        """The ray part: ``triangles._closed_form`` of the triangle (base
+        point, a2, ray), whose fibre offsets u = log t shifts to those of
+        t * ray.
 
-        Raises DegenerateError where a2 is a1 and, as the kernel does for every
-        t, where two S2xR surface points of a1, a2 and the ray are antipodal."""
+        Raises DegenerateError where a2 is a1 and, as a triangle of the
+        family would at every t, where two S2xR surface points of a1, a2
+        and the ray are antipodal."""
         _require_distinct((BASE_POINT, self.a2))
-        (f1, s1), (f2, s2) = _split(self.kind, BASE_POINT), _split(self.kind, self.a2)
-        f3, s3 = self._ray_split
-        s1, s2, s3 = s1.tolist(), s2.tolist(), s3.tolist()
-        d13, at1_3, at3_1 = _arc(self.kind, s1, s3)
-        d23, at2_3, at3_2 = _arc(self.kind, s2, s3)
-        d12, at1_2, at2_1 = _arc(self.kind, s1, s2)
-        halves = [_half_angle(self.kind, *ends)
-                  for ends in ((s1, at1_2, at1_3), (s2, at2_1, at2_3), (s3, at3_1, at3_2))]
-        return (float(f3 - f1), float(f3 - f2), d13, d23,
-                math.atan2(d12, f2 - f1), math.atan2(d12, f1 - f2), *halves)
-
-
-def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list, list]:
-    """``geodesics._surface_arc`` of two surface points as float lists, and
-    its mirror image: the arc length and the unit surface directions at p
-    toward q and at q toward p (zero where the points coincide).  An S2xR
-    arc on the cut locus raises DegenerateError, by the kernel's test."""
-    cos = p[0] * q[0] + kind.curvature * (p[1] * q[1] + p[2] * q[2])
-    at_p = [b - cos * a for a, b in zip(p, q)]
-    at_q = [a - cos * b for a, b in zip(p, q)]
-    sin_p, sin_q = math.sqrt(_tangent_sq(kind, p, at_p)), math.sqrt(_tangent_sq(kind, q, at_q))
-    if kind is Geometry.S2R and cos < 0.0 and sin_p <= DEFAULT.cut_locus:
-        raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
-    dist = math.atan2(sin_p, cos) if kind is Geometry.S2R else math.asinh(sin_p)
-    return dist, [c / (sin_p + _TINY) for c in at_p], [c / (sin_q + _TINY) for c in at_q]
-
-
-def _half_angle(kind: Geometry, s: list, one: list, two: list) -> tuple[float, float]:
-    """sin^2 and cos^2 of half the angle between unit surface directions at
-    ``s``: a quarter of the squared lengths of their difference and sum."""
-    return (0.25 * _tangent_sq(kind, s, [a - b for a, b in zip(one, two)]),
-            0.25 * _tangent_sq(kind, s, [a + b for a, b in zip(one, two)]))
+        return _closed_form(self.kind, _split(self.kind, BASE_POINT),
+                            _split(self.kind, self.a2), self._ray_split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,27 +131,6 @@ def angle_sum_at(spec: SweepSpec, t: float) -> float:
     _guard_member(spec.kind, a3)
     _require_distinct((BASE_POINT, spec.a2, a3), new=2)
     return _sum_and_slope(spec._ray, math.log(t))[0]
-
-
-def _angle(a: float, b: float, half_sin: float, half_cos: float) -> tuple[float, float, float]:
-    """The angle between unit tangents with fibre angles a and b whose
-    surface parts meet at an angle g, with sin^2(g/2) and cos^2(g/2) given,
-    and its partial derivatives in a and b.
-
-    It is the kernel's w = 2 atan2(h, k), with h = |u - v| / 2 and
-    k = |u + v| / 2 from sums of terms >= 0:
-    h^2 = sin^2((a - b) / 2) + sin a sin b sin^2(g / 2) and
-    k^2 = cos^2((a + b) / 2) + sin a sin b cos^2(g / 2).  From
-    cos w = cos a cos b + sin a sin b cos g, its derivative in b is
-    (sin(b - a) + 2 sin a cos b sin^2(g / 2)) / sin w, sin w = 2 h k."""
-    sin_a, sin_b = math.sin(a), math.sin(b)
-    cross = sin_a * sin_b
-    h = math.sqrt(math.sin(0.5 * (a - b)) ** 2 + cross * half_sin)
-    k = math.sqrt(math.cos(0.5 * (a + b)) ** 2 + cross * half_cos)
-    by_sin = 0.5 / (h * k + _TINY)  # 1 / sin w, as h^2 + k^2 = 1; no 0 / 0
-    return (2.0 * math.atan2(h, k),
-            (math.sin(a - b) + 2.0 * sin_b * math.cos(a) * half_sin) * by_sin,
-            (math.sin(b - a) + 2.0 * sin_a * math.cos(b) * half_sin) * by_sin)
 
 
 def _angles(a, b, cross, half_sin: float, half_cos: float) -> np.ndarray:
@@ -290,7 +239,7 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     for distinctness from a1 and a2 (DegenerateError); the family's ray
     part then raises DegenerateError for an S2xR side on the cut locus.
     The grid sums are the closed form of that ray part over u = log t
-    (``_sums_along``), with no triangle kernel batch.  A family is flat
+    (``_sums_along``), with no triangle built.  A family is flat
     when its ray is coplanar with the base point, a2 and the centre and
     every grid sum lies within ``flat_band`` of pi; a family off that plane
     has a strict extremum however close to pi it stays.  Otherwise the

@@ -20,8 +20,8 @@ class Tolerances:
     angle_sum: float = 1e-7
     #: triangle vertices this close, relative to their size, coincide
     vertex_gap: float = 1e-12
-    #: S2xR sides whose surface points are antipodal to within this sine have
-    #: no unique geodesic (the cut locus)
+    #: S2xR sides whose surface arc is within this of pi (their surface points
+    #: antipodal to within this sine) have no unique geodesic (the cut locus)
     cut_locus: float = 1e-12
     #: centre-enclosure test: a barycentric weight of E0 this far below zero,
     #: relative to the weights' sum, still counts as inside (``triangles._encloses``)

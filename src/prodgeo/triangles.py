@@ -8,17 +8,18 @@ surface factor,
     S2xR :  f = log |p|,     s = p / |p|,
     H2xR :  f = log sqrt(Q), s = p / sqrt(Q),  Q = (x - r)(x + r), r = hypot(y, z),
 
-and the unit tangent at A toward B is (f_B - f_A, d_AB xi_AB) / l_AB, with
-d_AB the surface distance, xi_AB the unit surface tangent at s_A toward s_B
-(Euclidean, respectively Minkowski, form) and l_AB = hypot(f_B - f_A, d_AB).
-The angle between two unit tangents u, v is 2 atan2(|u - v|, |u + v|), which
-keeps full precision near 0 and pi where acos loses sqrt(eps) (Kahan,
-"Miscalculating Area and Angles of a Needle-like Triangle").  ``_angle_sums``
-does this for whole arrays of triangles, with no isometry and no inverse
-problem: angles are isometry-invariant, so no vertex is moved (the paper's
-method, which moves them, is ``isometries``), and it is the reference the
-closed-form S(t) of ``sweep`` is tested against.  Surface points are
-stacked by component, (3, N), so a vector operation is one ufunc call.
+and the side from A to B leaves A at the fibre angle atan2(d_AB, f_B - f_A),
+d_AB the surface distance, along the unit surface tangent at s_A toward
+s_B (Euclidean, respectively Minkowski, form).  Each interior angle is a
+closed form in the fibre angles of its two sides and the surface angle
+between them, 2 atan2(h, k) with h and k half the lengths of the
+difference and the sum of the unit tangents, which keeps full precision
+near 0 and pi where acos loses sqrt(eps) (Kahan, "Miscalculating Area and
+Angles of a Needle-like Triangle").  It runs in Python floats
+(``_closed_form``, ``_angle``), with no isometry and no inverse problem:
+angles are isometry-invariant, so no vertex is moved (the paper's method,
+which moves them, is ``isometries``).  ``sweep`` builds its S(t) on the
+same closed form, with the third vertex's fibre height free.
 
 Angle sums obey a strict trichotomy: sum - pi has the sign of the surface
 curvature, ``Geometry.curvature`` (S2xR sums are >= pi, H2xR sums <= pi),
@@ -45,7 +46,6 @@ import numpy as np
 
 from .core import Geometry, _split, require_member
 from .exceptions import ConsistencyError, DegenerateError
-from .geodesics import _surface_arc, _tangent_sq
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -82,7 +82,13 @@ class GeodesicTriangle:
 
     @cached_property
     def _angles(self) -> TriangleAngles:
-        return TriangleAngles(*map(float, _angle_sums(self.kind, *self.vertices)))
+        """The closed form at u = 0, summed as ``sweep._sum_and_slope`` sums it."""
+        off13, off23, d13, d23, at1, at2, half1, half2, half3 = _closed_form(
+            self.kind, *(_split(self.kind, a) for a in self.vertices))
+        b13, b23 = math.atan2(d13, off13), math.atan2(d23, off23)
+        w1, w2, w3 = (_angle(at1, b13, *half1)[0], _angle(at2, b23, *half2)[0],
+                      _angle(b13, b23, *half3)[0])
+        return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
 
     @cached_property
     def _is_coplanar(self) -> bool:
@@ -158,52 +164,89 @@ def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:
     return tri._angles
 
 
-def _angle_sums(kind: Geometry, a1, a2, a3) -> TriangleAngles:
-    """Interior angles w1, w2, w3 and their sum, scalars or (N,) arrays, for
-    a1 and a2 of one shape, (3,) or (N, 3), and a3 of that shape or (N, 3).
+#: smallest positive double: the divisor floor of a zero surface arc or angle
+_TINY = float(np.finfo(float).tiny)
 
-    Vertices must be distinct (see ``_require_distinct``); a vertex outside
-    the model raises DomainError, an S2xR side whose surface points are
-    antipodal DegenerateError.
+
+def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) -> tuple:
+    """The constants of a triangle's angles, in floats, from the splits
+    (fibre height, surface point) of its vertices: the fibre offsets
+    f3 - f1 and f3 - f2 of the rises of sides 1-3 and 2-3, their surface
+    arcs d13 and d23, the fibre angles of side 1-2 at a1 and at a2, and at
+    each vertex sin^2 and cos^2 of half the surface angle between its two
+    sides.  Vertex 3 may move along its fibre: that changes the two rises
+    only (``sweep``).
+
+    Raises DegenerateError where two S2xR surface points are antipodal to
+    within ``DEFAULT.cut_locus``: that side is not unique.
     """
-    (f1, s1), (f2, s2) = _split(kind, a1), _split(kind, a2)
-    (r12, u12), (r21, u21) = _side_tangents(kind, f1, s1, f2, s2)
-    f3, s3 = _split(kind, a3)
-    if s1.ndim < s3.ndim:  # one side 1-2 against a batch of third vertices
-        s1, s2, u12, u21 = (v[:, None] for v in (s1, s2, u12, u21))
-    t13, t31 = _side_tangents(kind, f1, s1, f3, s3)
-    t23, t32 = _side_tangents(kind, f2, s2, f3, s3)
-    w1 = _tangent_angle(kind, s1, (r12, u12), t13)
-    w2 = _tangent_angle(kind, s2, (r21, u21), t23)
-    w3 = _tangent_angle(kind, s3, t31, t32)
-    return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
-
-
-#: smallest positive double: the divisor floor of a side's zero surface part
-_TINY = np.finfo(float).tiny
-
-def _side_tangents(kind: Geometry, fa, sa, fb, sb):
-    """Unit tangents (fibre, surface) at A toward B and at B toward A, from
-    the surface arc of ``_surface_arc`` and its mirror image at s_B."""
-    cos, at_a, sin_a, dist = _surface_arc(kind, sa, sb)
-    if kind is Geometry.S2R and ((cos < 0.0) & (sin_a <= DEFAULT.cut_locus)).any():
+    (f1, s1), (f2, s2), (f3, s3) = split1, split2, split3
+    s1, s2, s3 = s1.tolist(), s2.tolist(), s3.tolist()
+    d13, at1_3, at3_1 = _arc(kind, s1, s3)
+    d23, at2_3, at3_2 = _arc(kind, s2, s3)
+    d12, at1_2, at2_1 = _arc(kind, s1, s2)
+    if kind is Geometry.S2R and max(d12, d13, d23) >= math.pi - DEFAULT.cut_locus:
         raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
-    at_b = sa - cos * sb
-    sin_b = np.sqrt(_tangent_sq(kind, sb, at_b))
-    rise = fb - fa
-    length = np.hypot(rise, dist)
-    # a side along the fibre has sin = dist = 0 and no surface part; adding
-    # the smallest double changes no sine above 1e-290 and avoids 0 / 0
-    scale_a = dist / ((sin_a + _TINY) * length)
-    scale_b = dist / ((sin_b + _TINY) * length)
-    return (rise / length, at_a * scale_a), (-rise / length, at_b * scale_b)
+    halves = [_half_angle(kind, *ends)
+              for ends in ((s1, at1_2, at1_3), (s2, at2_1, at2_3), (s3, at3_1, at3_2))]
+    return (float(f3 - f1), float(f3 - f2), d13, d23,
+            math.atan2(d12, f2 - f1), math.atan2(d12, f1 - f2), *halves)
 
 
-def _tangent_angle(kind: Geometry, s, u, v):
-    """Angle 2 atan2(|u - v|, |u + v|) between unit tangents at surface point ``s``."""
-    diff = _tangent_sq(kind, s, u[1] - v[1]) + (u[0] - v[0]) ** 2
-    both = _tangent_sq(kind, s, u[1] + v[1]) + (u[0] + v[0]) ** 2
-    return 2.0 * np.arctan2(np.sqrt(diff), np.sqrt(both))
+def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list, list]:
+    """The surface arc between two surface points as float lists: its
+    length and the unit surface directions at p toward q and at q toward p
+    (zero where the points coincide).  With cos (cosh) = <p, q>, <, > the
+    Euclidean (Minkowski x^2 - y^2 - z^2) form, the direction at p is
+    q - cos p over its length sin (sinh); S2xR points antipodal to
+    rounding have length pi."""
+    cos = p[0] * q[0] + kind.curvature * (p[1] * q[1] + p[2] * q[2])
+    at_p = [b - cos * a for a, b in zip(p, q)]
+    at_q = [a - cos * b for a, b in zip(p, q)]
+    sin_p, sin_q = math.sqrt(_tangent_sq(kind, p, at_p)), math.sqrt(_tangent_sq(kind, q, at_q))
+    dist = math.atan2(sin_p, cos) if kind is Geometry.S2R else math.asinh(sin_p)
+    return dist, [c / (sin_p + _TINY) for c in at_p], [c / (sin_q + _TINY) for c in at_q]
+
+
+def _tangent_sq(kind: Geometry, s: list, v: list) -> float:
+    """Squared length of the surface tangent ``v`` at ``s``, both float lists.
+
+    On the hyperboloid the Minkowski length of v, orthogonal to s, is
+    (vy^2 + vz^2 + (sy vz - sz vy)^2) / sx^2: a sum of squares, so it cannot
+    cancel to a negative value.
+    """
+    if kind is Geometry.S2R:
+        return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    twist = s[1] * v[2] - s[2] * v[1]
+    return (v[1] * v[1] + v[2] * v[2] + twist * twist) / (s[0] * s[0])
+
+
+def _half_angle(kind: Geometry, s: list, one: list, two: list) -> tuple[float, float]:
+    """sin^2 and cos^2 of half the angle between unit surface directions at
+    ``s``: a quarter of the squared lengths of their difference and sum."""
+    return (0.25 * _tangent_sq(kind, s, [a - b for a, b in zip(one, two)]),
+            0.25 * _tangent_sq(kind, s, [a + b for a, b in zip(one, two)]))
+
+
+def _angle(a: float, b: float, half_sin: float, half_cos: float) -> tuple[float, float, float]:
+    """The angle between unit tangents with fibre angles a and b whose
+    surface parts meet at an angle g, with sin^2(g/2) and cos^2(g/2) given,
+    and its partial derivatives in a and b.
+
+    It is w = 2 atan2(h, k), with h = |u - v| / 2 and k = |u + v| / 2 of
+    the unit tangents u, v, from sums of terms >= 0:
+    h^2 = sin^2((a - b) / 2) + sin a sin b sin^2(g / 2) and
+    k^2 = cos^2((a + b) / 2) + sin a sin b cos^2(g / 2).  From
+    cos w = cos a cos b + sin a sin b cos g, its derivative in b is
+    (sin(b - a) + 2 sin a cos b sin^2(g / 2)) / sin w, sin w = 2 h k."""
+    sin_a, sin_b = math.sin(a), math.sin(b)
+    cross = sin_a * sin_b
+    h = math.sqrt(math.sin(0.5 * (a - b)) ** 2 + cross * half_sin)
+    k = math.sqrt(math.cos(0.5 * (a + b)) ** 2 + cross * half_cos)
+    by_sin = 0.5 / (h * k + _TINY)  # 1 / sin w, as h^2 + k^2 = 1; no 0 / 0
+    return (2.0 * math.atan2(h, k),
+            (math.sin(a - b) + 2.0 * sin_b * math.cos(a) * half_sin) * by_sin,
+            (math.sin(b - a) + 2.0 * sin_a * math.cos(b) * half_sin) * by_sin)
 
 
 def coplanar_with_center(tri: GeodesicTriangle) -> bool:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BASE_POINT, Geometry, metric_at
+from .exceptions import DegenerateError
 from .geodesics import GeodesicParams, _endpoints, distance, geodesic_params
 from .isometries import _frame_angles, apply_isometry, tangent_endpoints, to_origin
 from .oracle import integrate_geodesic
@@ -77,6 +78,20 @@ def _random_coplanar_vertices(kind: Geometry, rng):
                 return p
 
     return draw(), draw()
+
+
+def _coplanar_triangle(kind: Geometry, rng, result: SuiteResult):
+    """A triangle of ``_random_coplanar_vertices``, or None: for a draw whose
+    vertices coincide, skipped, and for any other error, a failure of
+    ``result`` with its vertices."""
+    a2, a3 = _random_coplanar_vertices(kind, rng)
+    try:
+        return geodesic_triangle(kind, BASE_POINT, a2, a3)
+    except DegenerateError:  # the draw's vertices are members, so they coincide
+        return None
+    except Exception as exc:
+        result.failures.append(f"vertices {tuple(a2)}, {tuple(a3)}: {exc}")
+        return None
 
 
 def _random_triangle(kind: Geometry, rng):
@@ -149,11 +164,10 @@ def trichotomy_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
         if kind.curvature * (total - math.pi) < -DEFAULT.suite_side:
             result.failures.append(f"sum {total} on the wrong side of pi at {tri.vertices}")
     for _ in range(max(trials // 2, 1)):
-        a2, a3 = _random_coplanar_vertices(kind, rng)
-        try:
-            tri = geodesic_triangle(kind, BASE_POINT, a2, a3)
-        except Exception:
+        tri = _coplanar_triangle(kind, rng, result)
+        if tri is None:
             continue
+        _, a2, a3 = tri.vertices
         if not coplanar_with_center(tri):
             result.failures.append(f"coplanar construction failed for {tuple(a2)}, {tuple(a3)}")
             continue
@@ -185,15 +199,17 @@ def antipodality_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
                 f"frame and product angles differ by {gap:.2e} at vertices {tri.vertices}"
             )
     for _ in range(max(trials // 2, 1)):
-        a2, a3 = _random_coplanar_vertices(kind, rng)
+        tri = _coplanar_triangle(kind, rng, result)
+        if tri is None:
+            continue
         try:
-            tri = geodesic_triangle(kind, BASE_POINT, a2, a3)
             frame = tangent_endpoints(tri)
-        except Exception:
+        except Exception as exc:
+            result.failures.append(f"vertices {tri.vertices}: {exc}")
             continue
         if np.abs(frame[(3, 2)] + frame[(2, 3)]).max() > DEFAULT.suite_pair:
             result.failures.append(
-                f"coplanar pair (3,2)/(2,3) at vertices {tuple(a2)}, {tuple(a3)}"
+                f"coplanar pair (3,2)/(2,3) at vertices {tuple(tri.a2)}, {tuple(tri.a3)}"
             )
     return result
 

@@ -111,14 +111,15 @@ def test_every_sign_of_the_geometry_is_its_curvature():
                 assert branches != {1, -1}, f"{path.name}:{node.lineno}"
 
 
-def test_sweeps_name_no_kernel_function():
-    """A family has one S(t), its closed form: ``sweep`` names no function
-    of the triangle kernel, which stays whole, with no fixed and moving
-    part split off for sweeps."""
-    for name in ("_angle_sums", "_side_tangents", "_tangent_angle", "_fixed_side",
-                 "_third_vertex"):
-        assert "sweep.py" not in _modules_naming(name), name
-    assert not _defining("_fixed_side") | _defining("_third_vertex")
+def test_one_angle_formula():
+    """One surface arc and one angle formula, in ``triangles``, which
+    triangles, sweeps and ``distance`` share: no module keeps the numpy
+    tangent kernel or a fixed and moving part of it split off for sweeps."""
+    for name in ("_arc", "_half_angle", "_angle"):
+        assert _defining(name) == {"triangles.py"}, name
+    for name in ("_angle_sums", "_side_tangents", "_tangent_angle", "_surface_arc",
+                 "_fixed_side", "_third_vertex"):
+        assert _defining(name) == set(), name
 
 
 def test_sweeps_refine_without_a_zoom():
@@ -137,25 +138,6 @@ def test_sweep_grid_runs_no_kernel_batch():
     names = {node.id for node in ast.walk(evaluate) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(evaluate) if isinstance(node, ast.Attribute)}
     assert not names & {"_sums", "_third_vertex"}
-
-
-#: the kernel's helpers, which work on surface points stacked by component
-KERNEL_HELPERS = {
-    "geodesics.py": {"_tangent_sq", "_surface_arc"},
-    "triangles.py": {"_angle_sums", "_side_tangents", "_tangent_angle"},
-}
-
-
-@pytest.mark.parametrize("module", sorted(KERNEL_HELPERS))
-def test_kernel_helpers_zip_no_components(module):
-    """A vector operation is one ufunc call on the stacked components, not
-    a loop that zips them one by one."""
-    helpers = {node.name: node for node in ast.walk(_tree(module))
-               if isinstance(node, ast.FunctionDef) and node.name in KERNEL_HELPERS[module]}
-    assert set(helpers) == KERNEL_HELPERS[module]
-    for node in helpers.values():
-        assert not any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                       and call.func.id == "zip" for call in ast.walk(node)), node.name
 
 
 def _squares_of_names(node: ast.AST) -> int:

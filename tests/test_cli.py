@@ -39,8 +39,8 @@ class TestTriangle:
             calls.append(args)
             return kernel(*args)
 
-        kernel = triangles._angle_sums
-        monkeypatch.setattr(triangles, "_angle_sums", counted)
+        kernel = triangles._closed_form
+        monkeypatch.setattr(triangles, "_closed_form", counted)
         for a3 in ("2,1,0", "1,-3,0"):
             calls.clear()
             code, _, _ = run(capsys, "triangle", "--geometry", "s2r", "--a2", "3,-2,1",

@@ -66,6 +66,16 @@ class TestGeometryTag:
         with pytest.raises(DomainError, match="unknown geometry"):
             TAKES_A_GEOMETRY[entry](kind)
 
+    @pytest.mark.parametrize("name", ["S2R", "h2r"])
+    def test_from_name_reads_either_case(self, name):
+        assert Geometry.from_name(name).value == name.lower()
+
+    @pytest.mark.parametrize("name", [None, 3, "s3r", "", b"s2r", Geometry.S2R],
+                             ids=["none", "int", "unknown", "empty", "bytes", "member"])
+    def test_from_name_of_anything_else_is_domain_error(self, name):
+        with pytest.raises(DomainError, match="unknown geometry"):
+            Geometry.from_name(name)
+
 
 class TestMembership:
     def test_h2r_cone_axis(self):

@@ -18,11 +18,18 @@ from prodgeo import core
 from prodgeo import sweep as sweep_mod
 from prodgeo.core import BASE_POINT
 from prodgeo.reference import SWEEP_FAMILIES
-from prodgeo.triangles import _angle_sums
+from prodgeo import triangles
+from prodgeo.triangles import angle_sum, geodesic_triangle
 import mp_oracle
 from conftest import BOTH, random_point
 
 PI = math.pi
+
+
+def _triangle_sum(kind, a2, a3):
+    """The angle sum of the triangle (base point, a2, a3) itself: its own
+    closed form at u = 0, with a3's fibre height in the offsets."""
+    return angle_sum(geodesic_triangle(kind, BASE_POINT, a2, a3)).total
 
 
 def family_spec(kind, samples=512):
@@ -191,8 +198,8 @@ class TestCutLocus:
 
 class TestFixedSide:
     """A family keeps a1 and a2, so the side between them is built once, in
-    its ray part; S(t) is read from the family's closed form, with no kernel
-    batch."""
+    its ray part; S(t) is read from the family's closed form, with no
+    triangle built."""
 
     @staticmethod
     def _same(r, q):
@@ -209,7 +216,7 @@ class TestFixedSide:
         refinement run on the family's closed form and make no further
         guard."""
         arcs, guards, brackets = [], [], []
-        true_arc, true_guard, true_bracket = sweep_mod._arc, core._guard_member, sweep_mod._bracket
+        true_arc, true_guard, true_bracket = triangles._arc, core._guard_member, sweep_mod._bracket
 
         def arc(*args):
             arcs.append(1)
@@ -223,7 +230,7 @@ class TestFixedSide:
             brackets.append(1)
             return true_bracket(*args)
 
-        monkeypatch.setattr(sweep_mod, "_arc", arc)
+        monkeypatch.setattr(triangles, "_arc", arc)
         monkeypatch.setattr(sweep_mod, "_bracket", bracket)
         for module in (core, sweep_mod):
             monkeypatch.setattr(module, "_guard_member", guard)
@@ -239,9 +246,11 @@ class TestFixedSide:
     @BOTH
     def test_results_do_not_depend_on_the_cache(self, kind):
         """A second evaluate of one spec, and a spec that differs only in
-        a2, give the bits of a fresh spec, and the grid sums are those of
-        the one-shot kernel on the whole triangles to 1e-14, the gate of
-        ``TestClosedForm`` (measured worst 8.9e-16 s2r, 1.3e-15 h2r)."""
+        a2, give the bits of a fresh spec, and the grid sums are the angle
+        sums of the triangles themselves to 1e-14, the gate of
+        ``TestClosedForm`` (measured worst 8.9e-16 on both): the family's
+        closed form at u = log t against each triangle's at u = 0 checks
+        the shift of the fibre offsets."""
         a2, ray, _, _ = SWEEP_FAMILIES[kind]
         other = np.array(a2, dtype=float) * 1.5 + np.array([0.2, 0.0, 0.0])
         spec = family_spec(kind)
@@ -251,9 +260,9 @@ class TestFixedSide:
         assert self._same(moved, evaluate(SweepSpec(kind, other, ray)))
         assert self._same(evaluate(spec), first)
         for result, vertex in ((first, a2), (moved, other)):
-            points = result.series[:, :1] * np.asarray(ray, dtype=float)
-            kernel = _angle_sums(kind, BASE_POINT, np.array(vertex, dtype=float), points)
-            assert np.abs(result.series[:, 1] - kernel.total).max() <= 1e-14
+            for t, total in result.series.tolist():
+                a3 = t * np.asarray(ray, dtype=float)
+                assert abs(total - _triangle_sum(kind, vertex, a3)) <= 1e-14
 
 
 class TestExtremum:
@@ -357,7 +366,7 @@ class TestExtremum:
     def test_needle_family_interior_only_around_its_extremum(self, kind, ray):
         # a2 is 1.1e-7 from the base point, so every triangle has a short
         # side and S(t) - pi is about 1e-8: the ill-conditioned end of the
-        # kernel; the extremum sits near t = 0.7
+        # closed form; the extremum sits near t = 0.7
         a2 = (1.0, 1e-7, 5e-8)
         assert evaluate(SweepSpec(kind, a2, ray)).interior is True
         assert evaluate(SweepSpec(kind, a2, ray, t_max=0.2)).interior is False
@@ -394,7 +403,7 @@ class TestClosedForm:
         worst = 0.0
         for spec in self._specs(kind, rng):
             ts = evaluate(spec).series[:, 0]
-            kernel = _angle_sums(kind, BASE_POINT, spec.a2, ts[:, None] * spec.ray).total
+            kernel = [_triangle_sum(kind, spec.a2, t * spec.ray) for t in ts.tolist()]
             closed = [self._sum(spec, u) for u in np.log(ts).tolist()]
             worst = max(worst, float(np.abs(np.array(closed) - kernel).max()))
         assert worst <= 1e-14
@@ -403,7 +412,7 @@ class TestClosedForm:
     def test_grid_sums_against_fifty_digits(self, kind, rng):
         """Every 8th grid sum against the 50-digit sum of its triangle
         (``mp_oracle.angle_sum``): measured worst 1.8e-15 on both
-        geometries, as is the kernel's own (0.9e-15 s2r, 1.3e-15 h2r)."""
+        geometries."""
         worst = 0.0
         for spec in self._specs(kind, rng):
             for t, s in evaluate(spec).series[::8].tolist():
@@ -417,12 +426,12 @@ class TestClosedForm:
         outside the grid's [1e-3, 5] too: against the 50-digit sum of the
         triangle with third vertex t*ray, measured worst 4.4e-16 (s2r) and
         8.9e-16 (h2r) on the reference family and 10 random ones, and
-        within 1e-14 of the kernel (``_angle_sums``) on each triangle."""
+        within 1e-14 of ``angle_sum`` of each triangle."""
         worst = 0.0
         for spec in self._specs(kind, rng, count=10):
             for t in (1e-200, 1e-30, 1e-8, 1e-3, 1e3, 1e8, 1e30, 1e200):
                 total, a3 = angle_sum_at(spec, t), t * spec.ray
-                assert abs(total - _angle_sums(kind, BASE_POINT, spec.a2, a3).total) <= 1e-14
+                assert abs(total - _triangle_sum(kind, spec.a2, a3)) <= 1e-14
                 worst = max(worst, abs(total - mp_oracle.angle_sum(kind, BASE_POINT, spec.a2, a3)))
         assert worst <= 4e-15
 
@@ -457,8 +466,8 @@ class TestClosedForm:
                              ids=["s2r", "h2r"])
     def test_needle_extremum_against_fifty_digits(self, kind, ray):
         """The needle families of ``TestExtremum``: the ray part's surface
-        arcs from a2, 1.1e-7 from the base point, cancel as the kernel's
-        do, and t0 is the root of dS/du to 2.3e-9 (s2r) and 1.7e-9 (h2r)."""
+        arcs from a2, 1.1e-7 from the base point, cancel as a needle
+        triangle's do, and t0 is the root of dS/du to 2.3e-9 (s2r) and 1.7e-9 (h2r)."""
         a2 = (1.0, 1e-7, 5e-8)
         result = evaluate(SweepSpec(kind, a2, ray))
         t_exact, s_exact = mp_oracle.sweep_extremum(kind, a2, ray, result.t_extremum)

@@ -24,10 +24,8 @@ from prodgeo import (
     to_origin,
     vertex_angle,
 )
-from prodgeo.reference import TABLE_ROWS
 from prodgeo import isometries, triangles
 from prodgeo.isometries import _frame_angles
-from prodgeo.triangles import _angle_sums
 from conftest import BOTH, random_point
 import mp_oracle
 
@@ -65,8 +63,9 @@ class TestVertexAngles:
 
     def test_bad_vertex_index(self):
         tri = tri_s2r((2, 1, 0), (3, -2, 1))
-        with pytest.raises(PrecondError, match="vertex index"):
-            vertex_angle(tri, 4)
+        for index in (4, 0, True, False):  # a bool is not an index, though True == 1
+            with pytest.raises(PrecondError, match="vertex index"):
+                vertex_angle(tri, index)
 
     @BOTH
     def test_angles_in_open_interval(self, kind, rng):
@@ -330,55 +329,58 @@ class TestCutLocus:
 
 
 class TestProductKernel:
-    """The product-split kernel against the paper's normaliser method."""
+    """The product-split closed form against the paper's normaliser method."""
 
     @BOTH
     def test_matches_vertex_angle(self, kind, rng):
-        tris = [geodesic_triangle(kind, BASE_POINT, random_point(kind, rng),
-                                  random_point(kind, rng)) for _ in range(200)]
-        batch = _angle_sums(kind, *(np.array(v) for v in zip(*(t.vertices for t in tris))))
-        for n, tri in enumerate(tris):
+        for _ in range(200):
+            tri = geodesic_triangle(kind, BASE_POINT, random_point(kind, rng),
+                                    random_point(kind, rng))
+            angles = angle_sum(tri)
             for i in (1, 2, 3):
-                assert abs(batch[i - 1][n] - vertex_angle(tri, i)) <= 1e-12
-
-    @BOTH
-    def test_reference_table_in_one_batch(self, kind):
-        a2, rows = TABLE_ROWS[kind]
-        a3 = np.array([row[0] for row in rows], dtype=float)
-        got = np.array(_angle_sums(kind, BASE_POINT, np.array(a2, dtype=float), a3)).T
-        assert np.abs(got - np.array([row[1] for row in rows])).max() <= DEFAULT.table_gate
+                assert abs(angles[i - 1] - vertex_angle(tri, i)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(list(Geometry)),
-           params=st.lists(st.tuples(*[st.tuples(st.floats(-PI, PI),
-                                                 st.floats(-PI / 2, PI / 2),
-                                                 st.floats(1e-3, 3.0))] * 3),
-                           min_size=1, max_size=6))
-    def test_batch_equals_singles_and_isometry_invariant(self, kind, params):
-        verts = [[geodesic_point(kind, g) for g in tri] for tri in params]
-        for a in verts:
-            for p, q in ((a[0], a[1]), (a[0], a[2]), (a[1], a[2])):
-                assume(np.linalg.norm(p - q) > 1e-2 * max(1.0, np.abs(p).max(), np.abs(q).max()))
-                if kind is Geometry.S2R:  # stay clear of the cut locus
-                    assume(np.linalg.norm(p / np.linalg.norm(p) + q / np.linalg.norm(q)) > 1e-2)
-        batch = np.array(_angle_sums(kind, *[np.array(v) for v in zip(*verts)]))
-        for n, a in enumerate(verts):
-            single = np.array(_angle_sums(kind, *a))
-            assert np.abs(batch[:, n] - single).max() <= 1e-14
-            # to_origin moves the triangle by an isometry: the angles stay,
-            # up to the rounding of the images (about eps cosh^2 of the
-            # surface arcs, which stay below 6 here)
-            move = to_origin(kind, a[0])
-            moved = np.array(_angle_sums(kind, *(apply_isometry(move, p) for p in a)))
-            assert np.abs(moved - single).max() <= 1e-10
+           params=st.tuples(*[st.tuples(st.floats(-PI, PI), st.floats(-PI / 2, PI / 2),
+                                        st.floats(1e-3, 3.0))] * 3))
+    def test_isometry_invariant(self, kind, params):
+        a = [geodesic_point(kind, g) for g in params]
+        for p, q in ((a[0], a[1]), (a[0], a[2]), (a[1], a[2])):
+            assume(np.linalg.norm(p - q) > 1e-2 * max(1.0, np.abs(p).max(), np.abs(q).max()))
+            if kind is Geometry.S2R:  # stay clear of the cut locus
+                assume(np.linalg.norm(p / np.linalg.norm(p) + q / np.linalg.norm(q)) > 1e-2)
+        single = np.array(angle_sum(geodesic_triangle(kind, *a)))
+        # to_origin moves the triangle by an isometry: the angles stay, up
+        # to the rounding of the images (about eps cosh^2 of the surface
+        # arcs, which stay below 6 here)
+        move = to_origin(kind, a[0])
+        moved = geodesic_triangle(kind, *(apply_isometry(move, p) for p in a))
+        assert np.abs(np.array(angle_sum(moved)) - single).max() <= 1e-10
 
 
 class TestAgainstFiftyDigits:
     """Angle sums of the caller's vertices against the 50-digit product split."""
 
+    @pytest.mark.parametrize("kind, gate", [(Geometry.S2R, 1e-14), (Geometry.H2R, 4e-14)],
+                             ids=["s2r", "h2r"])
+    def test_random_triangles(self, kind, gate):
+        """300 seeded triangles with vertices drawn as ``verify`` draws them
+        (tau <= 3), a1 the base point in every other one and drawn too in
+        the rest.  Measured worst on this seed: 8.9e-16 (s2r) and 5.3e-15
+        (h2r); over seeds 0 to 39, 2.2e-15 and 1.2e-14."""
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for n in range(300):
+            a1 = BASE_POINT if n % 2 == 0 else random_point(kind, rng)
+            vertices = (a1, random_point(kind, rng), random_point(kind, rng))
+            total = angle_sum(geodesic_triangle(kind, *vertices)).total
+            worst = max(worst, abs(total - mp_oracle.angle_sum(kind, *vertices)))
+        assert worst <= gate
+
     def test_h2r_first_vertex_near_the_cone(self):
         """400 seeded triangles whose a1 is 1e-12 to 1e-11 (relative) inside
-        the cone, with spread up to 100.  The kernel's error is the rounding
+        the cone, with spread up to 100.  The error is the rounding
         of Q = (x - r)(x + r), which cancels there: at most 4.8e-7 measured.
         Measured after moving a1 to the base point, the same sums are off by
         up to 3.3e-3."""
@@ -467,8 +469,8 @@ class TestComputedOnce:
             calls.append(args)
             return kernel(*args)
 
-        kernel = triangles._angle_sums
-        monkeypatch.setattr(triangles, "_angle_sums", counted)
+        kernel = triangles._closed_form
+        monkeypatch.setattr(triangles, "_closed_form", counted)
         tri = tri_s2r((3, -2, 1), (2, 1, 0))
         total = angle_sum(tri).total
         assert classify(tri) is TriangleClass.SUM_ABOVE_PI

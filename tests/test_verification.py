@@ -60,3 +60,28 @@ class TestFailureDetection:
         monkeypatch.setattr(verification, "to_origin", skewed)
         result = run_suite("isometry-invariance", Geometry.H2R, 20, seed=1)
         assert not result.passed
+
+    @pytest.mark.parametrize("kind", list(Geometry), ids=lambda k: k.value)
+    def test_frame_error_on_a_coplanar_triangle_is_a_failure(self, kind, monkeypatch):
+        """Only a coincident draw is skipped: a ``tangent_endpoints`` that
+        raises on the coplanar triangles shows as failures naming them."""
+        import prodgeo.verification as verification
+        from prodgeo import ConsistencyError, coplanar_with_center
+        true_frame = verification.tangent_endpoints
+
+        def broken(tri):
+            if coplanar_with_center(tri):
+                raise ConsistencyError("tangents (2, 0) and (1, 2) are not antipodal")
+            return true_frame(tri)
+
+        monkeypatch.setattr(verification, "tangent_endpoints", broken)
+        result = run_suite("antipodality", kind, 20, seed=1)
+        assert len(result.failures) == 10
+        assert all(f.startswith("vertices ") and "not antipodal" in f for f in result.failures)
+
+    def test_coincident_coplanar_draw_is_skipped(self, monkeypatch):
+        import prodgeo.verification as verification
+        monkeypatch.setattr(verification, "_random_coplanar_vertices",
+                            lambda kind, rng: (np.array([2.0, 0.5, 0.0]),) * 2)
+        for name in ("trichotomy", "antipodality"):
+            assert run_suite(name, Geometry.S2R, 10, seed=1).passed
