@@ -26,8 +26,8 @@ and ``metric_at`` returns the corresponding symmetric 3x3 matrix.
 
 A point splits into a fibre height log sqrt(Q) and a surface point
 p / sqrt(Q).  ``_guard_member`` (one point or an (N, 3) array) and
-``_fibre_norm`` (sqrt(Q) from hypot-scaled norms) carry that split for the
-whole package; neither squares a coordinate.
+``_fibre_norm`` (sqrt(Q) of one point, in floats, from hypot-scaled norms)
+carry that split for the whole package; neither squares a coordinate.
 """
 
 from __future__ import annotations
@@ -170,25 +170,25 @@ def _scaled_norm(kind: Geometry, p):
         return r, (x > r) & (x < math.inf)
 
 
-def _fibre_norm(kind: Geometry, p):
-    """sqrt(Q) of the points ``p``, (3,) or (N, 3), after ``_guard_member``:
-    the S2xR nested hypot, and sqrt(x - r) sqrt(x + r) on H2xR, which
-    neither cancels (x > r) nor overflows: x + r, finite for x up to 2^1022,
-    is taken in quarters beyond, which are exact, so the bits are those of
+def _fibre_norm(kind: Geometry, p: np.ndarray) -> float:
+    """sqrt(Q) of one point ``p`` after ``_guard_member``, as a float: the
+    S2xR nested hypot, and sqrt(x - r) sqrt(x + r) on H2xR, which neither
+    cancels (x > r) nor overflows: x + r, finite for x up to 2^1022, is
+    taken in quarters beyond, which are exact, so the bits are those of
     sqrt(x + r) wherever it is finite.  The fibre height is its log."""
     norm = _guard_member(kind, p)
-    if kind is Geometry.H2R:
-        x = p.item(0) if p.ndim == 1 else p[..., 0]  # one point in floats
-        quarter = 0.25 ** (x > 2.0 ** 1022)
-        norm = np.sqrt(x - norm) * (np.sqrt(quarter * x + quarter * norm) / np.sqrt(quarter))
-    return norm
+    if kind is Geometry.S2R:
+        return norm
+    x = p.item(0)
+    wide = math.sqrt(x + norm) if x <= 2.0 ** 1022 else 2.0 * math.sqrt(0.25 * x + 0.25 * norm)
+    return math.sqrt(x - norm) * wide
 
 
-def _split(kind: Geometry, p):
-    """Fibre height and surface point of model points, (3,) or (N, 3), from
-    ``_fibre_norm``; surface points stacked by component, (3,) or (3, N)."""
+def _split(kind: Geometry, p: np.ndarray) -> tuple[float, list]:
+    """Fibre height and surface point of one model point, in floats, from
+    ``_fibre_norm``: (f, [sx, sy, sz])."""
     norm = _fibre_norm(kind, p)
-    return np.log(norm), np.divide(p.T, norm, order="C")
+    return math.log(norm), [c / norm for c in p.tolist()]
 
 
 def require_member(kind: Geometry, p: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ with larger tau.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -136,7 +137,7 @@ def geodesic_params(kind: Geometry, p) -> GeodesicParams:
 def _geodesic_params(kind: Geometry, p: np.ndarray) -> GeodesicParams:
     """``geodesic_params`` of a normalised point, membership included: the
     point may be an image under a normaliser that rounding left outside."""
-    norm = float(_fibre_norm(kind, p))
+    norm = _fibre_norm(kind, p)
     x, y, z = p
     spread = math.hypot(y, z)
     length = math.log(norm)
@@ -174,17 +175,28 @@ def distance(kind: Geometry, p1, p2) -> float:
     if np.array_equal(p1, p2):
         return 0.0
     (f1, s1), (f2, s2) = _split(kind, p1), _split(kind, p2)
-    return float(np.hypot(f2 - f1, _arc(kind, s1.tolist(), s2.tolist())[0]))
+    return math.hypot(f2 - f1, _arc(kind, s1, s2)[0])
 
 
 def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:
     """``n`` points of the geodesic at equal arc-length steps in [0, tau],
     as an (n, 3) array computed in one batch.
 
-    Raises DomainError, as ``geodesic_point`` does, at the first sample out
-    of double range.
+    Raises PrecondError unless ``n`` is an integer >= 2, and DomainError,
+    as ``geodesic_point`` does, at the first sample out of double range.
     """
-    if n < 2:
-        raise PrecondError(f"need at least 2 samples, got {n}")
+    n = _count(n, 2, "samples")
     u, v, tau = GeodesicParams.normalized(*g)
     return _points(kind, u, v, tau * np.arange(n) / (n - 1))
+
+
+def _count(value, least: int, what: str) -> int:
+    """``value`` as an integer >= ``least`` by ``operator.index``, as
+    ``SweepSpec`` reads samples; PrecondError otherwise, 2.5 and "3" included."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise PrecondError(f"need an integer number of {what}, got {value!r}") from None
+    if count < least:
+        raise PrecondError(f"need at least {least} {what}, got {count}")
+    return count

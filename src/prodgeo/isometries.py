@@ -74,8 +74,7 @@ def fibre_translation(kind: Geometry, a) -> np.ndarray:
     """Fibre translation taking ``a`` to its zero-fibre representative;
     DomainError where 1/sqrt(Q) overflows (S2xR members below about 5.6e-309)."""
     a = require_member(kind, a)
-    with np.errstate(over="ignore"):
-        scale = 1.0 / _fibre_norm(kind, a)
+    scale = 1.0 / _fibre_norm(kind, a)
     if not scale < math.inf:
         raise DomainError(f"the {kind.value} fibre translation of {tuple(a.tolist())} "
                           "is not representable in double precision")

@@ -86,7 +86,7 @@ from . import _dop853
 from .core import (BASE_POINT, Geometry, _guard_member, _metric, _metric_entries,
                    _require_geometry, to_model)
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
-from .geodesics import GeodesicParams, tangent_of
+from .geodesics import GeodesicParams, _count, tangent_of
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -156,7 +156,7 @@ def _checked_params(g) -> GeodesicParams:
 def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     """Integrate the intrinsic geodesic ODE system and return ``steps``
     model points at equal parameter spacing on [0, tau], a (steps, 3) array;
-    tau above 10 raises PrecondError.
+    tau above 10, or steps not an integer >= 100, raises PrecondError.
 
     Drift of the unit-speed first integral beyond tolerance triggers one
     retry at tighter settings; persistent drift raises ConsistencyError.
@@ -164,8 +164,7 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     underflows, or a sphere-chart pole, raises SingularityError.
     """
     params = _checked_params(g)
-    if steps < 100:
-        raise PrecondError(f"need at least 100 steps, got {steps}")
+    steps = _count(steps, 100, "steps")
     _require_geometry(kind)
     rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
     state0 = _initial_state(kind, params)

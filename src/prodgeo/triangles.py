@@ -63,7 +63,11 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class GeodesicTriangle:
     """Vertices of a geodesic triangle as the caller gave them: read-only
-    copies, so its angles and coplanarity, computed once, cannot go stale."""
+    copies, so its angles and coplanarity, computed once, cannot go stale.
+
+    Raises DomainError naming the first vertex outside the model and
+    DegenerateError when two vertices coincide (see ``_require_distinct``).
+    """
 
     kind: Geometry
     a1: np.ndarray
@@ -72,9 +76,10 @@ class GeodesicTriangle:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3"):
-            vertex = np.array(getattr(self, name), dtype=float)
+            vertex = require_member(self.kind, getattr(self, name))
             vertex.flags.writeable = False
             object.__setattr__(self, name, vertex)
+        _require_distinct(self.vertices)
 
     @property
     def vertices(self):
@@ -109,14 +114,9 @@ class TriangleClass(enum.Enum):
 
 
 def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
-    """Build a triangle of three model points, kept as given.
-
-    Raises DomainError for a point outside the model and DegenerateError
-    when two vertices coincide (see ``_require_distinct``).
-    """
-    vertices = [require_member(kind, p) for p in (a1, a2, a3)]
-    _require_distinct(vertices)
-    return GeodesicTriangle(kind, *vertices)
+    """Build a triangle of three model points, kept as given: the
+    ``GeodesicTriangle``, which checks them."""
+    return GeodesicTriangle(kind, a1, a2, a3)
 
 
 def _require_distinct(vertices, new: int = 1) -> None:
@@ -181,7 +181,6 @@ def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) ->
     within ``DEFAULT.cut_locus``: that side is not unique.
     """
     (f1, s1), (f2, s2), (f3, s3) = split1, split2, split3
-    s1, s2, s3 = s1.tolist(), s2.tolist(), s3.tolist()
     d13, at1_3, at3_1 = _arc(kind, s1, s3)
     d23, at2_3, at3_2 = _arc(kind, s2, s3)
     d12, at1_2, at2_1 = _arc(kind, s1, s2)
@@ -189,7 +188,7 @@ def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) ->
         raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
     halves = [_half_angle(kind, *ends)
               for ends in ((s1, at1_2, at1_3), (s2, at2_1, at2_3), (s3, at3_1, at3_2))]
-    return (float(f3 - f1), float(f3 - f2), d13, d23,
+    return (f3 - f1, f3 - f2, d13, d23,
             math.atan2(d12, f2 - f1), math.atan2(d12, f1 - f2), *halves)
 
 
@@ -203,7 +202,7 @@ def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list, list]:
     cos = p[0] * q[0] + kind.curvature * (p[1] * q[1] + p[2] * q[2])
     at_p = [b - cos * a for a, b in zip(p, q)]
     at_q = [a - cos * b for a, b in zip(p, q)]
-    sin_p, sin_q = math.sqrt(_tangent_sq(kind, p, at_p)), math.sqrt(_tangent_sq(kind, q, at_q))
+    sin_p, sin_q = _tangent_len(kind, p, at_p), _tangent_len(kind, q, at_q)
     dist = math.atan2(sin_p, cos) if kind is Geometry.S2R else math.asinh(sin_p)
     return dist, [c / (sin_p + _TINY) for c in at_p], [c / (sin_q + _TINY) for c in at_q]
 
@@ -219,6 +218,14 @@ def _tangent_sq(kind: Geometry, s: list, v: list) -> float:
         return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     twist = s[1] * v[2] - s[2] * v[1]
     return (v[1] * v[1] + v[2] * v[2] + twist * twist) / (s[0] * s[0])
+
+
+def _tangent_len(kind: Geometry, s: list, v: list) -> float:
+    """The root of ``_tangent_sq`` by hypot, which squares nothing: a
+    tangent below about 1e-162 keeps its length, not 0."""
+    if kind is Geometry.S2R:
+        return math.hypot(v[0], v[1], v[2])
+    return math.hypot(v[1], v[2], s[1] * v[2] - s[2] * v[1]) / abs(s[0])
 
 
 def _half_angle(kind: Geometry, s: list, one: list, two: list) -> tuple[float, float]:

@@ -122,6 +122,29 @@ def test_one_angle_formula():
         assert _defining(name) == set(), name
 
 
+def _body_names(module: str, function: str) -> set[str]:
+    """Every variable and attribute name in the body of ``function``."""
+    node = next(node for node in ast.walk(_tree(module))
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_a_triangle_validates_itself():
+    """``geodesic_triangle`` is the ``GeodesicTriangle`` constructor, which
+    checks membership and distinctness: the function checks nothing."""
+    assert not _body_names("triangles.py", "geodesic_triangle") & {"require_member",
+                                                                   "_require_distinct"}
+    assert {"require_member", "_require_distinct"} <= _body_names("triangles.py",
+                                                                  "__post_init__")
+
+
+@pytest.mark.parametrize("name", ["_split", "_fibre_norm"])
+def test_the_split_takes_one_point(name):
+    """The product split has no array branch: one point, in floats."""
+    assert "ndim" not in _body_names("core.py", name)
+
+
 def test_sweeps_refine_without_a_zoom():
     """The extremum is the root of the closed-form dS/du: ``sweep`` keeps
     no bracket zoom, its constants or a linear sample of a bracket."""

@@ -14,6 +14,7 @@ from prodgeo.core import (
     _guard_member,
     _metric,
     _scaled_norm,
+    _split,
     fibre_norm_sq,
     require_member,
 )
@@ -189,11 +190,23 @@ class TestFibreNorm:
             plain = np.sqrt(points[:, 0] - spread) * np.sqrt(points[:, 0] + spread)
         finite = np.isfinite(plain)
         assert 0 < (~finite).sum() and finite.sum() > 3000
-        batch = _fibre_norm(Geometry.H2R, points)
-        assert np.array_equal(batch[finite], plain[finite])
-        assert np.isfinite(batch).all() and (batch > 0).all()
-        for p, norm in zip(points, batch):
-            assert _fibre_norm(Geometry.H2R, p) == norm
+        for p, plain_norm, plain_finite in zip(points, plain.tolist(), finite):
+            norm = _fibre_norm(Geometry.H2R, p)
+            assert 0.0 < norm < math.inf
+            if plain_finite:
+                assert norm == plain_norm
+
+    @BOTH
+    def test_split_is_one_point_in_floats(self, kind):
+        """(f, [sx, sy, sz]): the fibre height log sqrt(Q) and p / sqrt(Q),
+        from sqrt(Q) as a float."""
+        p = np.array([2.0, 1.5, 1.0])
+        f, s = _split(kind, p)
+        assert type(_fibre_norm(kind, p)) is float and type(f) is float
+        assert type(s) is list and [type(c) for c in s] == [float] * 3
+        norm = math.sqrt(fibre_norm_sq(kind, p))
+        assert f == pytest.approx(math.log(norm), rel=1e-15)
+        assert s == pytest.approx((p / norm).tolist(), rel=1e-15)
 
     def test_h2r_member_near_the_largest_double(self):
         """x + r = 2.5e308 overflows; Q = 1.25e616 has the finite root

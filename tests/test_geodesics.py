@@ -250,6 +250,14 @@ class TestDistance:
         assert d == pytest.approx(math.hypot(math.log(2.0), PI), rel=1e-15)
 
     @BOTH
+    @pytest.mark.parametrize("offset", [1e-160, 1e-170, 1e-250, 1e-310, 5e-324])
+    def test_tiny_surface_arc_is_its_length(self, kind, offset):
+        """A surface arc below 1e-162 keeps its length: its tangent length
+        is taken by hypot, whose square would underflow to 0."""
+        p = (1.0, offset, 0.0)
+        assert distance(kind, BASE_POINT, p) == geodesic_params(kind, p).tau == offset
+
+    @BOTH
     def test_symmetry(self, kind, rng):
         for _ in range(200):
             p, q = random_point(kind, rng), random_point(kind, rng)
@@ -281,6 +289,16 @@ class TestSampleCurve:
     def test_min_count(self):
         with pytest.raises(PrecondError):
             sample_curve(Geometry.S2R, (0, 0, 1), 1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_count_that_is_not_an_integer(self, n):
+        """2.5 would give 3 samples ending past tau; "3" would fail on <."""
+        with pytest.raises(PrecondError, match="integer number of samples"):
+            sample_curve(Geometry.S2R, (0, 0, 1), n)
+
+    def test_integer_like_count(self):
+        pts = sample_curve(Geometry.S2R, (0, 0, 1), np.int64(3))
+        assert np.allclose(pts[-1], [math.cos(1.0), math.sin(1.0), 0.0], rtol=0, atol=1e-15)
 
     @BOTH
     def test_all_samples_are_members(self, kind, rng):

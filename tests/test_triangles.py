@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from prodgeo import (
     DEFAULT,
     DegenerateError,
     DomainError,
+    GeodesicTriangle,
     Geometry,
     PrecondError,
     TriangleClass,
@@ -152,6 +154,58 @@ class TestConstruction:
             assert w231.w3 == pytest.approx(w123.w1, abs=1e-8)
 
 
+class TestDirectConstruction:
+    """``GeodesicTriangle`` checks its own vertices, and ``geodesic_triangle``
+    is that constructor: both raise the same errors, in the same order."""
+
+    BUILDERS = pytest.mark.parametrize("build", [GeodesicTriangle, geodesic_triangle],
+                                       ids=["class", "function"])
+
+    @BUILDERS
+    @BOTH
+    def test_coincident_vertices(self, build, kind):
+        with pytest.raises(DegenerateError, match="coincide"):
+            build(kind, (1, 0, 0), (1, 0, 0), (2, 1, 0))
+        with pytest.raises(DegenerateError, match="coincide"):
+            build(kind, (2, 1.5, 1), (3, -1, 0), (3, -1, 1e-14))
+
+    @BUILDERS
+    @pytest.mark.parametrize("kind, outside", [(Geometry.S2R, (0.0, 0.0, 0.0)),
+                                               (Geometry.H2R, (0.5, 2.0, 0.0))],
+                             ids=["s2r", "h2r"])
+    def test_first_non_member_is_named(self, build, kind, outside):
+        """Membership of a1, a2, a3 in order, then distinctness: a point
+        outside the model is named before two coincident vertices."""
+        named = f"point {outside} is not in the {kind.value} model"
+        with pytest.raises(DomainError, match=re.escape(named)):
+            build(kind, (2, 1, 0), outside, (-3, -1, 0, 0))
+        with pytest.raises(DomainError, match=re.escape(named)):
+            build(kind, (2, 1, 0), (2, 1, 0), outside)
+        with pytest.raises(DomainError, match="homogeneous coordinate x0"):
+            build(kind, (-1, 2, 1, 0), outside, (3, -1, 0))
+
+    @BOTH
+    def test_homogeneous_vertices(self, kind):
+        tri = GeodesicTriangle(kind, (1, 1, 0, 0), (2, 4, 3, 2), (0.5, 1.5, -0.5, 0))
+        for vertex, given in zip(tri.vertices, ((1, 0, 0), (2, 1.5, 1), (3, -1, 0))):
+            assert np.array_equal(vertex, given)
+        assert angle_sum(tri) == angle_sum(geodesic_triangle(kind, BASE_POINT, (2, 1.5, 1),
+                                                             (3, -1, 0)))
+
+    @BOTH
+    def test_vertices_read_only_and_apart_from_the_callers(self, kind):
+        given = [np.array([1.0, 0.0, 0.0]), np.array([2.0, 1.5, 1.0]), np.array([3.0, -1.0, 0.0])]
+        tri = GeodesicTriangle(kind, *given)
+        total = angle_sum(tri).total
+        for vertex, mine in zip(tri.vertices, given):
+            assert vertex is not mine
+            with pytest.raises(ValueError):
+                vertex[0] = 5.0
+            mine[1] = 0.25
+        assert [v.tolist() for v in tri.vertices] == [[1, 0, 0], [2, 1.5, 1], [3, -1, 0]]
+        assert angle_sum(tri).total == total
+
+
 class TestAngleSum:
     def test_s2r_table_row4(self):
         tri = tri_s2r((3, -2, 1), (12, 6, 0))
@@ -160,6 +214,16 @@ class TestAngleSum:
     def test_h2r_table_row5(self):
         tri = tri_h2r((2, 1.5, 1), (3000, -1000, 0))
         assert angle_sum(tri).total == pytest.approx(3.13922, abs=1e-4)
+
+    @BOTH
+    @pytest.mark.parametrize("offset", [1e-160, 2e-170, 1e-250, 1e-310, 5e-324])
+    def test_tiny_surface_arc_in_a_coplanar_triangle(self, kind, offset):
+        """A side whose surface arc is below 1e-162 keeps unit directions:
+        at 2e-170 the sum was 3.94 (s2r) and 4.07 (h2r), a ConsistencyError
+        in ``classify``, when the arc's length was the root of its square."""
+        tri = geodesic_triangle(kind, (1, 0, 0), (2, offset, 0), (1, 0.5, 0.3))
+        assert classify(tri) is TriangleClass.SUM_EQUALS_PI
+        assert abs(angle_sum(tri).total - PI) <= 4.5e-16
 
     def test_coplanar_gives_pi(self):
         tri = tri_s2r((2, 1, 0), (1, -3, 0))
