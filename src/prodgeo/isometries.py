@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _fibre_norm, fibre_norm_sq, require_member
+from .core import BASE_POINT, Geometry, _fibre_norm, fibre_norm_sq, model_point, require_member
 from .exceptions import ConsistencyError, DegenerateError, DomainError, PrecondError
 from .geodesics import _geodesic_params, tangent_of
 from .tolerances import DEFAULT
@@ -72,8 +72,9 @@ def _embed(block: np.ndarray) -> np.ndarray:
 
 def fibre_translation(kind: Geometry, a) -> np.ndarray:
     """Fibre translation taking ``a`` to its zero-fibre representative;
-    DomainError where 1/sqrt(Q) overflows (S2xR members below about 5.6e-309)."""
-    a = require_member(kind, a)
+    DomainError where ``_fibre_norm`` finds a non-member or 1/sqrt(Q)
+    overflows (S2xR members below about 5.6e-309)."""
+    a = model_point(a)
     scale = 1.0 / _fibre_norm(kind, a)
     if not scale < math.inf:
         raise DomainError(f"the {kind.value} fibre translation of {tuple(a.tolist())} "
@@ -132,7 +133,7 @@ def _rotation_z(kind: Geometry, c1: float, c2: float) -> np.ndarray:
 def to_origin(kind: Geometry, a) -> np.ndarray:
     """The normalising isometry T . R_x . R_z . R_x^-1 mapping ``a`` to the
     base point (identity when ``a`` already is the base point)."""
-    return _to_origin(kind, require_member(kind, a))
+    return _to_origin(kind, model_point(a))
 
 
 def _to_origin(kind: Geometry, a: np.ndarray) -> np.ndarray:

@@ -42,8 +42,13 @@ same triple serves as (t', phi', theta')(0).  For H2xR the cylindrical
 chart is polar-degenerate at r = 0: the Cartesian direction (u) is the
 *angular position*, so the regular equivalent data are alpha(0) = u,
 r'(0) = cos v, alpha'(0) = 0 (the base-point geodesics are radial in the
-surface factor).  The coth singularity at r = 0 is guarded by a series
-expansion and by the fact that alpha' = 0 annihilates the singular product.
+surface factor).  alpha'' is proportional to alpha', so alpha' stays
+exactly 0.0 at every stage, and then t'' = r'' = 0: in this chart every
+H2xR geodesic from the base point is a straight line in (t, r), and the
+intrinsic route checks little of the H2xR metric.  For H2xR the Cartesian
+route below is the independent ODE evidence.  The coth term, reached only
+by a state with alpha' != 0, is 1 / tanh(r), accurate to rounding down to
+the smallest r; at r = 0 it raises SingularityError.
 
 A second, chart-free route (``integrate_geodesic_cartesian``) integrates
 x'' = -Gamma(x)(x', x') in the Cartesian chart, using no coordinate tricks
@@ -97,7 +102,6 @@ __all__ = [
 ]
 
 _POLE_GUARD = 1e-12
-_COTH_SERIES_BELOW = 1e-6
 #: longest geodesic of either route: the absolute ``ode_atol`` loses longer
 #: fibre descents, whose point shrinks below it, with no error
 _TAU_LIMIT = 10.0
@@ -116,14 +120,10 @@ def _rhs_h2r(_tau, state):
     _t, r, _alpha, dt, dr, dalpha = state
     if dalpha == 0.0:
         dd_alpha = 0.0
+    elif r == 0.0:
+        raise SingularityError("coth singularity hit at r = 0 with nonzero alpha'")
     else:
-        if abs(r) < _COTH_SERIES_BELOW:
-            if r == 0.0:
-                raise SingularityError("coth singularity hit at r = 0 with nonzero alpha'")
-            coth = 1.0 / r + r / 3.0
-        else:
-            coth = math.cosh(r) / math.sinh(r)
-        dd_alpha = -2.0 * coth * dr * dalpha
+        dd_alpha = -2.0 * (1.0 / math.tanh(r)) * dr * dalpha
     return [dt, dr, dalpha, 0.0, math.sinh(r) * math.cosh(r) * dalpha * dalpha, dd_alpha]
 
 

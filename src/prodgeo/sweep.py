@@ -11,10 +11,10 @@ moves: its surface point ray / sqrt(Q(ray)) is fixed, as Q is homogeneous
 of degree two.  So the surface arcs of sides 1-3 and 2-3 and the surface
 angles at the three vertices are constants of the family: its ray part,
 the triangles' own closed form (``triangles._closed_form``) of the
-triangle (base point, a2, ray), in which u shifts the two rises.  Each
-interior angle is the triangles' ``_angle`` in u, and so is dS/du.  The
-sampled grid is that closed form over an array of u, S at one t
-(``angle_sum_at``) is it at one u, and the extremum is the root of dS/du.
+triangle (base point, a2, ray), built as the ``SweepSpec`` is.  u shifts
+its two rises: S at one t (``angle_sum_at``) and dS/du are
+``triangles._angles_at`` at u, the grid is ``triangles._sums_at`` over an
+array of u, and the extremum is the root of dS/du.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, _split, model_point, require_member
+from .core import BASE_POINT, Geometry, _guard_member, _split, model_point
 from .exceptions import ConsistencyError, DomainError
 from .tolerances import DEFAULT
-from .triangles import _angle, _closed_form, _coplanar, _require_distinct
+from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _sums_at
 
 __all__ = [
     "ExtremumKind",
@@ -55,10 +54,14 @@ class ExtremumKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """The triangles (base point, a2, t * ray), t in [t_min, t_max].  DomainError
-    for a kind not a ``Geometry``, an a2 or a ray direction outside the model,
-    t_min and t_max not numbers with finite 0 < t_min < t_max, or samples not an
-    integer >= 8; DegenerateError from the ray part (``_ray``) on first use."""
+    """The triangles (base point, a2, t * ray), t in [t_min, t_max], checked
+    once, here, as a ``GeodesicTriangle`` is.  DomainError for a kind not a
+    ``Geometry``, an a2 or a ray direction outside the model, t_min and
+    t_max not numbers with finite 0 < t_min < t_max, or samples not an
+    integer >= 8; then DegenerateError where a2 is a1 and, as at every t,
+    where two S2xR surface points of a1, a2 and the ray are antipodal.
+    ``_ray`` is the family's ray part, ``triangles._closed_form`` of (base
+    point, a2, ray)."""
 
     kind: Geometry
     a2: np.ndarray
@@ -68,8 +71,11 @@ class SweepSpec:
     samples: int = 512
 
     def __post_init__(self):
-        object.__setattr__(self, "a2", require_member(self.kind, self.a2))
+        # each split is its point's membership check
+        a2 = model_point(self.a2)
+        a2_split = _split(self.kind, a2)
         ray = model_point(self.ray)
+        object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "ray", ray)
         for name in ("t_min", "t_max"):
             value = getattr(self, name)
@@ -85,26 +91,15 @@ class SweepSpec:
         if samples is None or samples < 8:
             raise DomainError(f"need an integer number of samples >= 8, got {self.samples!r}")
         object.__setattr__(self, "samples", samples)
-        # membership of t * ray is scale-invariant, so the direction decides:
-        # its split is the check, and the ray part (``_ray``) is built on it
+        # membership of t * ray is scale-invariant, so the direction decides
         try:
-            object.__setattr__(self, "_ray_split", _split(self.kind, ray))
+            ray_split = _split(self.kind, ray)
         except DomainError:
             raise DomainError(f"ray direction {tuple(ray)} leaves the "
                               f"{self.kind.value} model") from None
-
-    @cached_property
-    def _ray(self) -> tuple:
-        """The ray part: ``triangles._closed_form`` of the triangle (base
-        point, a2, ray), whose fibre offsets u = log t shifts to those of
-        t * ray.
-
-        Raises DegenerateError where a2 is a1 and, as a triangle of the
-        family would at every t, where two S2xR surface points of a1, a2
-        and the ray are antipodal."""
-        _require_distinct((BASE_POINT, self.a2))
-        return _closed_form(self.kind, _split(self.kind, BASE_POINT),
-                            _split(self.kind, self.a2), self._ray_split)
+        _require_distinct((BASE_POINT, a2))
+        object.__setattr__(self, "_ray", _closed_form(self.kind, _split(self.kind, BASE_POINT),
+                                                      a2_split, ray_split))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,55 +114,24 @@ class SweepResult:
     spec: SweepSpec = field(repr=False)
 
 
+def _check_third_vertices(spec: SweepSpec, t) -> None:
+    """Check t * ray for a float t or an array of them: DomainError naming
+    the first outside the model (t * ray leaves it if it underflows to zero
+    or overflows to inf), then DegenerateError where one is on a1 or a2."""
+    with np.errstate(over="ignore"):  # an overflowing vertex fails the guard
+        a3 = np.multiply.outer(t, spec.ray)
+    _guard_member(spec.kind, a3)
+    _require_distinct((BASE_POINT, spec.a2, a3), new=2)
+
+
 def angle_sum_at(spec: SweepSpec, t: float) -> float:
     """S(t): the interior angle sum of the triangle with third vertex t*ray,
     for a finite t > 0 (DomainError otherwise): the closed form at u = log t.
-    Only t*ray is checked, for membership (it leaves the model if it
-    underflows to zero or overflows to inf) and distinctness from a1, a2."""
+    Only t*ray is checked (``_check_third_vertices``)."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"need a finite parameter t > 0, got {t}")
-    with np.errstate(over="ignore"):
-        a3 = t * spec.ray
-    _guard_member(spec.kind, a3)
-    _require_distinct((BASE_POINT, spec.a2, a3), new=2)
-    return _sum_and_slope(spec._ray, math.log(t))[0]
-
-
-def _angles(a, b, cross, half_sin: float, half_cos: float) -> np.ndarray:
-    """``_angle``'s w = 2 atan2(h, k) where a or b is an array of fibre
-    angles, with cross = sin a sin b."""
-    h = np.sqrt(np.sin(0.5 * (a - b)) ** 2 + cross * half_sin)
-    k = np.sqrt(np.cos(0.5 * (a + b)) ** 2 + cross * half_cos)
-    return 2.0 * np.arctan2(h, k)
-
-
-def _sums_along(ray_part: tuple, u: np.ndarray) -> np.ndarray:
-    """S at the array ``u`` of log t: the S half of ``_sum_and_slope``, in
-    numpy, with the angles summed in the same order."""
-    off13, off23, d13, d23, at1, at2, (sin1, cos1), (sin2, cos2), (sin3, cos3) = ray_part
-    b13, b23 = np.arctan2(d13, u + off13), np.arctan2(d23, u + off23)
-    sin13, sin23 = np.sin(b13), np.sin(b23)
-    return (_angles(at1, b13, math.sin(at1) * sin13, sin1, cos1)
-            + _angles(at2, b23, math.sin(at2) * sin23, sin2, cos2)
-            + _angles(b13, b23, sin13 * sin23, sin3, cos3))
-
-
-def _sum_and_slope(ray_part: tuple, u: float) -> tuple[float, float]:
-    """S and dS/du at u = log t, from the family's ray part (``SweepSpec._ray``).
-
-    The sides toward a3 leave a1 and a2 at the fibre angles b = atan2(d, r)
-    of their rises r13 = u + f3(ray) - f1 and r23 = u + f3(ray) - f2, with
-    db/du = -d / (r^2 + d^2).  They reach a3 at the supplements pi - b13
-    and pi - b23, which meet at the angle between b13 and b23."""
-    off13, off23, d13, d23, at1, at2, (sin1, cos1), (sin2, cos2), (sin3, cos3) = ray_part
-    r13, r23 = u + off13, u + off23
-    b13, b23 = math.atan2(d13, r13), math.atan2(d23, r23)
-    w1, _, w1_b13 = _angle(at1, b13, sin1, cos1)
-    w2, _, w2_b23 = _angle(at2, b23, sin2, cos2)
-    w3, w3_b13, w3_b23 = _angle(b13, b23, sin3, cos3)
-    slope = (-(w1_b13 + w3_b13) * d13 / (r13 * r13 + d13 * d13)
-             - (w2_b23 + w3_b23) * d23 / (r23 * r23 + d23 * d23))
-    return w1 + w2 + w3, slope
+    _check_third_vertices(spec, t)
+    return _angles_at(spec._ray, math.log(t))[0].total
 
 
 def _bracket(ts: np.ndarray, sums: np.ndarray, sign: float) -> tuple[float, float]:
@@ -182,14 +146,14 @@ def _turning_point(spec: SweepSpec, lo: float, hi: float, sign: float):
     part = spec._ray
 
     def slope(u):
-        return sign * _sum_and_slope(part, u)[1]
+        return sign * _angles_at(part, u)[1]
 
     a, b = math.log(lo), math.log(hi)
     fa, fb = slope(a), slope(b)
     if not fa > 0.0 > fb:
         return None
     u = _zero(slope, a, fa, b, fb)
-    return math.exp(u), _sum_and_slope(part, u)[0]
+    return math.exp(u), _angles_at(part, u)[0].total
 
 
 def _zero(f, a: float, fa: float, b: float, fb: float) -> float:
@@ -236,24 +200,20 @@ def evaluate(spec: SweepSpec) -> SweepResult:
 
     The grid is logarithmic because the extremum of interest sits at small
     t.  Every grid vertex t*ray is checked for membership (DomainError) and
-    for distinctness from a1 and a2 (DegenerateError); the family's ray
-    part then raises DegenerateError for an S2xR side on the cut locus.
-    The grid sums are the closed form of that ray part over u = log t
-    (``_sums_along``), with no triangle built.  A family is flat
-    when its ray is coplanar with the base point, a2 and the centre and
-    every grid sum lies within ``flat_band`` of pi; a family off that plane
-    has a strict extremum however close to pi it stays.  Otherwise the
-    extremum is refined on the same closed form (``_sum_and_slope``): it is
-    interior when dS/du changes sign across the grid cells around the best
-    sample, and then the root of dS/du there (``_zero``) and S at it;
+    for distinctness from a1 and a2 (DegenerateError) by one guard
+    (``_check_third_vertices``).  The grid sums are the family's closed form
+    over u = log t (``triangles._sums_at``), with no triangle built.  A
+    family is flat when its ray is coplanar with the base point, a2 and the
+    centre and every grid sum lies within ``flat_band`` of pi; a family off
+    that plane has a strict extremum however close to pi it stays.  Otherwise the
+    extremum is refined on the same closed form (``triangles._angles_at``):
+    it is interior when dS/du changes sign across the grid cells around the
+    best sample, and then the root of dS/du there (``_zero``) and S at it;
     otherwise the result is the better end of the range and S there.
     """
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
-    with np.errstate(over="ignore"):  # an overflowing vertex fails the guard
-        points = grid[:, None] * spec.ray
-    _guard_member(spec.kind, points)
-    _require_distinct((BASE_POINT, spec.a2, points), new=2)
-    sums = _sums_along(spec._ray, np.log(grid))
+    _check_third_vertices(spec, grid)
+    sums = _sums_at(spec._ray, np.log(grid))
     series = np.column_stack([grid, sums])
 
     if (_coplanar(BASE_POINT, spec.a2, spec.ray)

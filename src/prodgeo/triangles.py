@@ -18,8 +18,8 @@ near 0 and pi where acos loses sqrt(eps) (Kahan, "Miscalculating Area and
 Angles of a Needle-like Triangle").  It runs in Python floats
 (``_closed_form``, ``_angle``), with no isometry and no inverse problem:
 angles are isometry-invariant, so no vertex is moved (the paper's method,
-which moves them, is ``isometries``).  ``sweep`` builds its S(t) on the
-same closed form, with the third vertex's fibre height free.
+which moves them, is ``isometries``).  ``_angles_at`` evaluates it with
+vertex 3 moved u along its fibre: triangles at u = 0, sweeps at log t.
 
 Angle sums obey a strict trichotomy: sum - pi has the sign of the surface
 curvature, ``Geometry.curvature`` (S2xR sums are >= pi, H2xR sums <= pi),
@@ -87,13 +87,9 @@ class GeodesicTriangle:
 
     @cached_property
     def _angles(self) -> TriangleAngles:
-        """The closed form at u = 0, summed as ``sweep._sum_and_slope`` sums it."""
-        off13, off23, d13, d23, at1, at2, half1, half2, half3 = _closed_form(
-            self.kind, *(_split(self.kind, a) for a in self.vertices))
-        b13, b23 = math.atan2(d13, off13), math.atan2(d23, off23)
-        w1, w2, w3 = (_angle(at1, b13, *half1)[0], _angle(at2, b23, *half2)[0],
-                      _angle(b13, b23, *half3)[0])
-        return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
+        """The closed form with vertex 3 where it is: ``_angles_at`` at u = 0."""
+        splits = (_split(self.kind, a) for a in self.vertices)
+        return _angles_at(_closed_form(self.kind, *splits), 0.0)[0]
 
     @cached_property
     def _is_coplanar(self) -> bool:
@@ -175,7 +171,7 @@ def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) ->
     arcs d13 and d23, the fibre angles of side 1-2 at a1 and at a2, and at
     each vertex sin^2 and cos^2 of half the surface angle between its two
     sides.  Vertex 3 may move along its fibre: that changes the two rises
-    only (``sweep``).
+    only (``_angles_at``, ``_sums_at``, the only readers of this tuple).
 
     Raises DegenerateError where two S2xR surface points are antipodal to
     within ``DEFAULT.cut_locus``: that side is not unique.
@@ -254,6 +250,38 @@ def _angle(a: float, b: float, half_sin: float, half_cos: float) -> tuple[float,
     return (2.0 * math.atan2(h, k),
             (math.sin(a - b) + 2.0 * sin_b * math.cos(a) * half_sin) * by_sin,
             (math.sin(b - a) + 2.0 * sin_a * math.cos(b) * half_sin) * by_sin)
+
+
+def _angles_at(part: tuple, u: float) -> tuple[TriangleAngles, float]:
+    """The angles and dS/du of the closed form ``part`` with vertex 3 moved
+    u along its fibre.  The sides toward a3 leave a1 and a2 at the fibre
+    angles b = atan2(d, r) of their rises r = u + f3 - f1 and u + f3 - f2,
+    db/du = -d / (r^2 + d^2), and reach a3 at the supplements pi - b13 and
+    pi - b23, which meet at the angle between b13 and b23."""
+    off13, off23, d13, d23, at1, at2, (sin1, cos1), (sin2, cos2), (sin3, cos3) = part
+    r13, r23 = u + off13, u + off23
+    b13, b23 = math.atan2(d13, r13), math.atan2(d23, r23)
+    w1, _, w1_b13 = _angle(at1, b13, sin1, cos1)
+    w2, _, w2_b23 = _angle(at2, b23, sin2, cos2)
+    w3, w3_b13, w3_b23 = _angle(b13, b23, sin3, cos3)
+    slope = (-(w1_b13 + w3_b13) * d13 / (r13 * r13 + d13 * d13)
+             - (w2_b23 + w3_b23) * d23 / (r23 * r23 + d23 * d23))
+    return TriangleAngles(w1, w2, w3, w1 + w2 + w3), slope
+
+
+def _sums_at(part: tuple, u: np.ndarray) -> np.ndarray:
+    """The sums of ``_angles_at`` at an array ``u``, in numpy, with each
+    ``_angle`` as 2 atan2(h, k) and the angles summed in the same order."""
+    off13, off23, d13, d23, at1, at2, half1, half2, half3 = part
+    b13, b23 = np.arctan2(d13, u + off13), np.arctan2(d23, u + off23)
+    sin13, sin23 = np.sin(b13), np.sin(b23)
+    w1, w2, w3 = (2.0 * np.arctan2(np.sqrt(np.sin(0.5 * (a - b)) ** 2 + cross * half_sin),
+                                   np.sqrt(np.cos(0.5 * (a + b)) ** 2 + cross * half_cos))
+                  for a, b, cross, (half_sin, half_cos) in (
+                      (at1, b13, math.sin(at1) * sin13, half1),
+                      (at2, b23, math.sin(at2) * sin23, half2),
+                      (b13, b23, sin13 * sin23, half3)))
+    return w1 + w2 + w3
 
 
 def coplanar_with_center(tri: GeodesicTriangle) -> bool:

@@ -139,6 +139,45 @@ def test_a_triangle_validates_itself():
                                                                   "__post_init__")
 
 
+def test_a_sweep_spec_validates_itself():
+    """A ``SweepSpec`` builds its ray part as it is constructed, on the
+    splits that check a2 and the ray: no membership check beside the split,
+    and no ray part built on first use."""
+    assert {"_split", "_require_distinct", "_closed_form"} <= _body_names("sweep.py",
+                                                                        "__post_init__")
+    for name in ("require_member", "cached_property", "_ray_split"):
+        assert "sweep.py" not in _modules_naming(name), name
+
+
+def test_one_closed_form_evaluation():
+    """Triangles and sweeps evaluate the closed form by ``triangles._angles_at``
+    (floats) and ``_sums_at`` (an array of u), the only code that unpacks
+    its tuple; ``sweep`` keeps no copy of either."""
+    for name in ("_angles_at", "_sums_at"):
+        assert _defining(name) == {"triangles.py"}, name
+    for name in ("_sum_and_slope", "_sums_along", "_angles"):
+        assert not _defining(name) & {"sweep.py"}, name
+    assert "_angles_at" in _body_names("triangles.py", "_angles")
+    unpacking = {(path.name, function.name) for path in SOURCES.glob("*.py")
+                 for function in ast.walk(_tree(path.name))
+                 if isinstance(function, ast.FunctionDef)
+                 for node in ast.walk(function)
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+                 and len(node.targets[0].elts) == 9}
+    assert unpacking == {("triangles.py", "_angles_at"), ("triangles.py", "_sums_at")}
+
+
+def test_one_third_vertex_check():
+    """``angle_sum_at`` and ``evaluate`` check t * ray by one helper, the
+    only sweep code that guards membership."""
+    callers = {function.name for function in ast.walk(_tree("sweep.py"))
+               if isinstance(function, ast.FunctionDef)
+               and "_guard_member" in _body_names("sweep.py", function.name)}
+    assert callers == {"_check_third_vertices"}
+    for name in ("angle_sum_at", "evaluate"):
+        assert "_check_third_vertices" in _body_names("sweep.py", name)
+
+
 @pytest.mark.parametrize("name", ["_split", "_fibre_norm"])
 def test_the_split_takes_one_point(name):
     """The product split has no array branch: one point, in floats."""

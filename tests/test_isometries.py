@@ -1,5 +1,6 @@
 import math
 import warnings
+from re import escape as re_escape
 
 import numpy as np
 import pytest
@@ -129,6 +130,56 @@ class TestFactorsAtScale:
         img = apply_isometry(self._quietly(rotation_z, a), a)
         assert img[0] == pytest.approx(np.hypot(a[0], a[1]), rel=1e-15)
         assert abs(img[1]) <= 1e-15 * img[0] and img[2] == 0.0
+
+
+class TestValidateOnce:
+    """``distance``, ``to_origin`` and ``fibre_translation`` check a point
+    by the guard of its split or fibre norm alone: one guard per point and
+    no ``require_member``, with that guard's errors, messages and order."""
+
+    OUTSIDE = {Geometry.S2R: (0.0, 0.0, 0.0), Geometry.H2R: (1.0, 5.0, 0.0)}
+
+    @BOTH
+    def test_one_guard_per_point(self, kind, member_checks, monkeypatch):
+        from prodgeo import core
+        guards = []
+        true_guard = core._guard_member
+
+        def guard(*args):
+            guards.append(1)
+            return true_guard(*args)
+
+        monkeypatch.setattr(core, "_guard_member", guard)
+        p, q = (2.0, 1.0, 0.5), (3.0, -1.0, 0.2)
+        for call, count in ((lambda: distance(kind, p, q), 2), (lambda: distance(kind, p, p), 1),
+                            (lambda: to_origin(kind, p), 1),
+                            (lambda: fibre_translation(kind, p), 1)):
+            guards.clear()
+            call()
+            assert len(guards) == count
+        assert member_checks == []
+
+    @BOTH
+    def test_errors_keep_their_type_message_and_order(self, kind):
+        outside = self.OUTSIDE[kind]
+        named = re_escape(f"point {outside} is not in the {kind.value} model")
+        for call in (lambda: to_origin(kind, outside), lambda: fibre_translation(kind, outside),
+                     lambda: distance(kind, outside, (1.0, 2.0)),  # p1 before p2 is read
+                     lambda: distance(kind, BASE_POINT, outside)):
+            with pytest.raises(DomainError, match=f"^{named}$"):
+                call()
+        with pytest.raises(DomainError, match="expected 3 or 4 coordinates"):
+            distance(kind, BASE_POINT, (1.0, 2.0))
+        for call in (lambda: to_origin(kind, (0.0, 1.0, 0.0, 0.0)),
+                     lambda: fibre_translation(kind, (-1.0, 1.0, 0.0, 0.0)),
+                     lambda: distance(kind, (0.0, 1.0, 0.0, 0.0), outside)):
+            with pytest.raises(DomainError, match="x0 must be positive"):
+                call()
+        for call in (lambda: to_origin(kind.value, BASE_POINT),
+                     lambda: fibre_translation(kind.value, BASE_POINT),
+                     lambda: distance(kind.value, BASE_POINT, (1.0, 2.0))):
+            with pytest.raises(DomainError, match="unknown geometry"):
+                call()
 
 
 class TestToOrigin:

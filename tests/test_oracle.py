@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -164,6 +165,45 @@ class TestIntrinsicIntegration:
     def test_tau_cap_enforced(self):
         with pytest.raises(PrecondError):
             integrate_geodesic(Geometry.H2R, (0, 0, 11.0))
+
+
+class TestH2rCoth:
+    """The coth term of the H2xR intrinsic ODE, 1 / tanh(r): only a state
+    with alpha' != 0 reaches it, and no geodesic from the base point does,
+    as alpha'' is proportional to alpha' and alpha'(0) = 0."""
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-7, 1e-6, 1e-3, 1.0])
+    def test_coth_to_a_few_ulps(self, r):
+        """With r' = 1 and alpha' = 1/2, alpha'' is -coth(r) exactly: within
+        2 ulps of 1/r + r/3 up to r = 1e-6 (the next term, r^3/45, is below
+        an ulp there), of cosh/sinh above, and of the 50-digit coth.
+        Measured: 1 ulp at most against each."""
+        coth = -_rhs_h2r(0.0, [0.0, r, 0.0, 0.3, 1.0, 0.5])[5]
+        ref = 1.0 / r + r / 3.0 if r <= 1e-6 else math.cosh(r) / math.sinh(r)
+        assert abs(coth - ref) <= 2.0 * math.ulp(ref)
+        with mpmath.workdps(50):
+            exact = float(mpmath.coth(mpmath.mpf(r)))
+        assert abs(coth - exact) <= 2.0 * math.ulp(ref)
+
+    def test_r_zero_with_angular_speed_raises(self):
+        with pytest.raises(SingularityError, match="r = 0"):
+            _rhs_h2r(0.0, [0.0, 0.0, 0.0, 0.3, 1.0, 0.5])
+        assert _rhs_h2r(0.0, [0.0, 0.0, 0.0, 0.3, 1.0, 0.0])[5] == 0.0
+
+    def test_base_point_geodesics_keep_alpha_prime_zero(self, rng, monkeypatch):
+        """alpha' is 0.0 at every right-hand side call of seeded runs, so
+        r'' = t'' = 0: the geodesics are straight lines in (t, r)."""
+        speeds = []
+
+        def recorded(tau, state):
+            speeds.append(state[5])
+            return _rhs_h2r(tau, state)
+
+        monkeypatch.setattr(oracle, "_rhs_h2r", recorded)
+        for _ in range(20):
+            integrate_geodesic(Geometry.H2R, random_params(Geometry.H2R, rng, tau_max=3.0),
+                               steps=100)
+        assert len(speeds) > 20 and all(s == 0.0 for s in speeds)
 
 
 class TestUnitSpeedDrift:

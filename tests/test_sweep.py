@@ -19,6 +19,7 @@ from prodgeo import sweep as sweep_mod
 from prodgeo.core import BASE_POINT
 from prodgeo.reference import SWEEP_FAMILIES
 from prodgeo import triangles
+from prodgeo.cli import main
 from prodgeo.triangles import angle_sum, geodesic_triangle
 import mp_oracle
 from conftest import BOTH, random_point
@@ -115,10 +116,10 @@ class TestValidateOnce:
     @BOTH
     def test_angle_sum_at_checks_only_the_three_vertices(self, kind, member_checks,
                                                           monkeypatch):
-        """a1 and a2 are guarded once, by the family's ray part; each S(t)
-        then guards only t*ray, once, before its closed form is read."""
+        """a1 and a2 are guarded once, when the spec builds its ray part;
+        each S(t) then guards only t*ray, once, before its closed form is
+        read."""
         spec = family_spec(kind, samples=8)
-        angle_sum_at(spec, 0.2)  # builds the ray part
         guards = []
         true_guard = core._guard_member
 
@@ -156,14 +157,21 @@ class TestValidateOnce:
 
     @pytest.mark.filterwarnings("error")
     def test_vertices_near_the_largest_double_raise_without_warning(self):
-        """a2 and the ray near +-1e308 differ by more than the largest
-        double: the gap overflows to inf, which is apart, and the antipodal
-        side ends the sum."""
-        spec = SweepSpec(Geometry.S2R, (-1e308, 1, 0), (1e308, 0, 1), t_max=1.5)
+        """a2 and the ray near +-1e308 have antipodal surface points: the
+        spec's ray part raises as it is built, with no overflow warning."""
         with pytest.raises(DegenerateError, match="antipodal"):
-            evaluate(spec)
-        with pytest.raises(DegenerateError, match="antipodal"):
-            angle_sum_at(spec, 1.0)
+            SweepSpec(Geometry.S2R, (-1e308, 1, 0), (1e308, 0, 1), t_max=1.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_vertex_gaps_beyond_the_largest_double_are_apart(self):
+        """a2 and the ray near +-1e308, off the cut locus: from t = 0.8 on,
+        the gap between a2 and t*ray overflows to inf, which is apart, in
+        the grid's batch and at one t alike."""
+        spec = SweepSpec(Geometry.S2R, (-1e308, 1e307, 0), (1e308, 0, 1e307), t_max=1.5)
+        series = evaluate(spec).series
+        assert series[-1, 0] == 1.5
+        assert series[-1, 1] > math.pi
+        assert abs(angle_sum_at(spec, 1.5) - series[-1, 1]) <= 1e-14
 
     def test_evaluate_rejects_a_grid_vertex_on_a2(self):
         a2 = np.array([3.0, -2.0, 1.0])
@@ -172,10 +180,27 @@ class TestValidateOnce:
             evaluate(SweepSpec(Geometry.S2R, a2, a2 / grid[3], samples=8))
 
 
+class TestNearTheCone:
+    #: an H2xR ray one ulp inside the cone
+    RAY = (0.891338772597356, 0.345584192064786, 0.8216181435011584)
+
+    @pytest.mark.xfail(strict=True, raises=DomainError, reason=(
+        "FOUND (CHANGES.md): t * ray rounds onto the H2xR cone at interior grid "
+        "points of a valid near-cone family, and evaluate's grid guard rejects it"))
+    def test_near_cone_family_evaluates(self):
+        """The ray is a member, and so is t * ray at both ends of the grid,
+        where S(t) answers; 68 interior t * ray round onto the cone, whose
+        points the grid sums never read."""
+        spec = SweepSpec(Geometry.H2R, (2, 1.5, 1), self.RAY)
+        assert angle_sum_at(spec, spec.t_min) < math.pi
+        assert angle_sum_at(spec, spec.t_max) < math.pi
+        assert evaluate(spec).extremum_kind is ExtremumKind.MINIMUM
+
+
 class TestCutLocus:
     """An S2xR ray whose surface point is antipodal to that of a1 or a2
     leaves side 1-3 or 2-3 without a unique geodesic at every t: the
-    family's ray part raises, for ``evaluate`` and S(t) alike."""
+    family's ray part raises as the spec is built, and the CLI exits 3."""
 
     #: the unit surface point of a2 = (3, -2, 1) and a unit normal to it
     A2 = np.array([3.0, -2.0, 1.0]) / math.sqrt(14.0)
@@ -188,12 +213,22 @@ class TestCutLocus:
         tuple(-math.cos(1e-13) * A2 + math.sin(1e-13) * NORMAL),
     ], ids=["antipodal-a1", "antipodal-a2", "1e-13-from-antipodal-a1",
             "1e-13-from-antipodal-a2"])
-    def test_ray_on_the_cut_locus_is_degenerate(self, ray):
-        spec = SweepSpec(Geometry.S2R, (3, -2, 1), ray)
+    def test_ray_on_the_cut_locus_is_degenerate(self, ray, capsys):
         with pytest.raises(DegenerateError, match="antipodal"):
-            evaluate(spec)
-        with pytest.raises(DegenerateError, match="antipodal"):
-            angle_sum_at(spec, 0.5)
+            SweepSpec(Geometry.S2R, (3, -2, 1), ray)
+        code = main(["sweep", "--geometry", "s2r", "--a2", "3,-2,1",
+                     "--ray=" + ",".join(repr(float(c)) for c in ray)])
+        assert (code, capsys.readouterr().out) == (3, "")
+
+    @BOTH
+    def test_a2_on_a1_is_degenerate(self, kind, capsys):
+        """a2 = a1, as given or within ``vertex_gap``: DegenerateError as the
+        spec is built, before any t, and exit 3 from the CLI."""
+        for a2 in ((1.0, 0.0, 0.0), (2.0, 2.0, 0.0, 0.0), (1.0, 1e-13, 0.0)):
+            with pytest.raises(DegenerateError, match="coincide"):
+                SweepSpec(kind, a2, (2.0, 1.0, 0.0))
+        code = main(["sweep", "--geometry", kind.value, "--a2", "1,0,0", "--ray", "2,1,0"])
+        assert (code, capsys.readouterr().out) == (3, "")
 
 
 class TestFixedSide:
@@ -209,10 +244,10 @@ class TestFixedSide:
 
     @BOTH
     def test_one_fixed_side_and_one_guard_per_batch(self, kind, monkeypatch):
-        """A spec splits its ray once, as its membership check.  One
-        evaluate: one ray part, whose three surface arcs include side 1-2
-        and whose splits of a1 and a2 guard them, and one membership guard
-        on the grid's batch of third vertices; the grid sums and the
+        """A spec splits a2, its ray and a1 once each, as their membership
+        checks, and builds its one ray part on them, whose three surface
+        arcs include side 1-2.  One evaluate: one membership guard on the
+        grid's batch of third vertices and no arc; the grid sums and the
         refinement run on the family's closed form and make no further
         guard."""
         arcs, guards, brackets = [], [], []
@@ -235,13 +270,15 @@ class TestFixedSide:
         for module in (core, sweep_mod):
             monkeypatch.setattr(module, "_guard_member", guard)
         spec = family_spec(kind)
-        assert len(guards) == 1
+        assert len(guards) == 3  # the splits of a2, the ray and a1
+        assert len(arcs) == 3  # sides 1-3, 2-3 and 1-2 of one ray part
         guards.clear()
+        arcs.clear()
         result = evaluate(spec)
         assert result.interior
-        assert len(arcs) == 3  # sides 1-3, 2-3 and 1-2 of one ray part
+        assert len(arcs) == 0
         assert len(brackets) == 1
-        assert len(guards) == 1 + 2
+        assert len(guards) == 1
 
     @BOTH
     def test_results_do_not_depend_on_the_cache(self, kind):
@@ -395,7 +432,7 @@ class TestClosedForm:
 
     @staticmethod
     def _sum(spec, u):
-        return sweep_mod._sum_and_slope(spec._ray, u)[0]
+        return triangles._angles_at(spec._ray, u)[0].total
 
     @BOTH
     def test_sum_matches_the_kernel_on_the_grid(self, kind, rng):
@@ -446,7 +483,7 @@ class TestClosedForm:
             for u in np.linspace(math.log(spec.t_min), math.log(spec.t_max), 33).tolist():
                 near = [self._sum(spec, u + k * step) for k in (-2, -1, 1, 2)]
                 central = (near[0] - 8.0 * near[1] + 8.0 * near[2] - near[3]) / (12.0 * step)
-                slope = sweep_mod._sum_and_slope(spec._ray, u)[1]
+                slope = triangles._angles_at(spec._ray, u)[1]
                 worst = max(worst, abs(central - slope) / max(abs(slope), 1e-3))
         assert worst <= 3e-8
 
