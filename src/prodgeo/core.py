@@ -3,8 +3,8 @@
 Both geometries are realised inside the affine chart of projective space:
 a point carries homogeneous coordinates (x0 : x1 : x2 : x3) with x0 > 0,
 normalised to x0 = 1, so that (x, y, z) = (x1, x2, x3) are ordinary
-Cartesian coordinates.  The library represents a normalised point as a
-length-3 float array holding (x, y, z).
+Cartesian coordinates.  A point is read once, into a tuple of three
+Python floats (x, y, z) (``_point``, or ``model_point`` as an array).
 
 Model sets
 ----------
@@ -90,14 +90,35 @@ def model_point(coords) -> np.ndarray:
     A 4-tuple (x0, x1, x2, x3) requires x0 > 0 and is divided through by
     x0; a 3-tuple is taken as Cartesian coordinates directly.
     """
-    a = np.asarray(coords, dtype=float)
-    if a.shape == (4,):
-        if a[0] <= 0.0:
-            raise DomainError(f"homogeneous coordinate x0 must be positive, got {a[0]}")
-        return a[1:] / a[0]
-    if a.shape == (3,):
-        return a.copy()
-    raise DomainError(f"expected 3 or 4 coordinates, got shape {a.shape}")
+    return np.array(_point(coords))
+
+
+def _point(coords) -> tuple[float, float, float]:
+    """``model_point`` as a tuple of three Python floats: 3 or 4 floats in a
+    tuple or list are read with no numpy, a 1-D array by ``tolist``, other
+    numbers as ``np.asarray`` reads them.  DomainError for coordinates that
+    are not real numbers, another count and x0 not > 0, NaN included."""
+    if type(coords) is tuple or type(coords) is list:
+        values = coords
+    else:
+        values = coords.tolist() if type(coords) is np.ndarray and coords.ndim == 1 else ()
+    if len(values) == 3:
+        x, y, z = values
+        if type(x) is type(y) is type(z) is float:
+            return x, y, z
+    elif len(values) == 4:
+        x0, x1, x2, x3 = values
+        if type(x0) is type(x1) is type(x2) is type(x3) is float:
+            if not x0 > 0.0:
+                raise DomainError(f"homogeneous coordinate x0 must be positive, got {x0}")
+            return x1 / x0, x2 / x0, x3 / x0
+    try:  # numbers of other types, or another count
+        a = np.asarray(coords, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"coordinates must be real numbers, got {coords!r}") from None
+    if a.shape not in ((3,), (4,)):
+        raise DomainError(f"expected 3 or 4 coordinates, got shape {a.shape}")
+    return _point(a.tolist())
 
 
 def contains(kind: Geometry, coords) -> bool:
@@ -108,23 +129,23 @@ def contains(kind: Geometry, coords) -> bool:
     (the cone surface, the centre E0) are excluded: the model sets are open.
     """
     try:
-        p = model_point(coords)
+        p = _point(coords)
     except DomainError:
         return False
-    return bool(_scaled_norm(kind, p)[1])
+    return _scaled_norm(kind, p)[1]
 
 
-def _not_member(kind: Geometry, p: np.ndarray) -> DomainError:
+def _not_member(kind: Geometry, p) -> DomainError:
     coords = tuple(round(float(c), 6) for c in p)
     return DomainError(f"point {coords} is not in the {kind.value} model")
 
 
-def _guard_member(kind: Geometry, p: np.ndarray):
-    """Raise DomainError naming the first of the normalised points ``p``,
-    (3,) or (N, 3), that is not a member; return their ``_scaled_norm``."""
+def _guard_member(kind: Geometry, p):
+    """Raise DomainError naming the first of the normalised points ``p``, a
+    triple, (3,) or (N, 3), that is not a member; return their ``_scaled_norm``."""
     norm, inside = _scaled_norm(kind, p)
-    if p.ndim == 1:
-        if not inside:  # a bool for one point
+    if type(inside) is bool:  # one point
+        if not inside:
             raise _not_member(kind, p)
     elif not inside.all():
         raise _not_member(kind, p[np.argmin(inside)])
@@ -142,8 +163,8 @@ def _hypot(a: float, b: float) -> float:
 
 
 def _scaled_norm(kind: Geometry, p):
-    """The membership rule on points p, (3,) or (..., 3): the S2xR norm
-    |p| = hypot(hypot(x, y), z), or the H2xR spread r = hypot(y, z), and
+    """The membership rule on points p, a triple, (3,) or (..., 3): the S2xR
+    norm |p| = hypot(hypot(x, y), z), or the H2xR spread r = hypot(y, z), and
     the mask 0 < |p| < inf, or r < x < inf.  No coordinate is squared, so
     nothing underflows, a norm beyond double range is inf, and a NaN fails
     every comparison.
@@ -155,8 +176,8 @@ def _scaled_norm(kind: Geometry, p):
     ``np.errstate``, paid once per array.
     """
     _require_geometry(kind)
-    if p.ndim == 1:
-        x, y, z = p.tolist()
+    if type(p) is tuple or p.ndim == 1:
+        x, y, z = p if type(p) is tuple else p.tolist()
         if kind is Geometry.S2R:
             norm = _hypot(_hypot(x, y), z)
             return norm, 0.0 < norm < math.inf
@@ -170,30 +191,30 @@ def _scaled_norm(kind: Geometry, p):
         return r, (x > r) & (x < math.inf)
 
 
-def _fibre_norm(kind: Geometry, p: np.ndarray) -> float:
-    """sqrt(Q) of one point ``p`` after ``_guard_member``, as a float: the
-    S2xR nested hypot, and sqrt(x - r) sqrt(x + r) on H2xR, which neither
-    cancels (x > r) nor overflows: x + r, finite for x up to 2^1022, is
-    taken in quarters beyond, which are exact, so the bits are those of
-    sqrt(x + r) wherever it is finite.  The fibre height is its log."""
+def _fibre_norm(kind: Geometry, p) -> float:
+    """sqrt(Q) of one point ``p`` (a triple or (3,)) after ``_guard_member``,
+    as a float: the S2xR nested hypot, and sqrt(x - r) sqrt(x + r) on H2xR,
+    which neither cancels (x > r) nor overflows: x + r, finite for x up to
+    2^1022, is taken in quarters beyond, which are exact, so the bits are
+    those of sqrt(x + r) wherever it is finite.  The fibre height is its log."""
     norm = _guard_member(kind, p)
     if kind is Geometry.S2R:
         return norm
-    x = p.item(0)
+    x = float(p[0])
     wide = math.sqrt(x + norm) if x <= 2.0 ** 1022 else 2.0 * math.sqrt(0.25 * x + 0.25 * norm)
     return math.sqrt(x - norm) * wide
 
 
-def _split(kind: Geometry, p: np.ndarray) -> tuple[float, list]:
-    """Fibre height and surface point of one model point, in floats, from
-    ``_fibre_norm``: (f, [sx, sy, sz])."""
+def _split(kind: Geometry, p: tuple) -> tuple[float, list]:
+    """Fibre height and surface point of one model point, a float triple,
+    from ``_fibre_norm``: (f, [sx, sy, sz])."""
     norm = _fibre_norm(kind, p)
-    return math.log(norm), [c / norm for c in p.tolist()]
+    return math.log(norm), [c / norm for c in p]
 
 
-def require_member(kind: Geometry, p: np.ndarray) -> np.ndarray:
-    """Validate membership, returning the point; raise DomainError otherwise."""
-    p = model_point(p)
+def require_member(kind: Geometry, p) -> tuple[float, float, float]:
+    """Validate membership, returning the ``_point``; DomainError otherwise."""
+    p = _point(p)
     if not contains(kind, p):
         raise _not_member(kind, p)
     return p
@@ -218,7 +239,7 @@ def metric_at(kind: Geometry, p) -> np.ndarray:
     raises DomainError elsewhere, and where the entries, which scale as
     1/|p|^2, leave double range (members below about 1e-154 or above 1e154).
     """
-    p = require_member(kind, p)
+    p = np.array(require_member(kind, p))
     with np.errstate(all="ignore"):
         g = _metric(kind, *p)
     if not (np.isfinite(g).all() and (np.diagonal(g) > 0.0).all()):

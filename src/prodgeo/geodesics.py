@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Geometry, _fibre_norm, _require_geometry, _split, model_point
+from .core import Geometry, _fibre_norm, _point, _require_geometry, _split, model_point
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
 from .triangles import _arc
@@ -171,10 +171,10 @@ def distance(kind: Geometry, p1, p2) -> float:
     hypot(f2 - f1, d), with f the fibre heights and d the surface distance
     (``triangles._arc``); d = pi between antipodal S2xR surface points.
     Each split checks its point, p1's before p2 is read."""
-    p1 = model_point(p1)
+    p1 = _point(p1)
     f1, s1 = _split(kind, p1)
-    p2 = model_point(p2)
-    if np.array_equal(p1, p2):
+    p2 = _point(p2)
+    if p1 == p2:
         return 0.0
     f2, s2 = _split(kind, p2)
     return math.hypot(f2 - f1, _arc(kind, s1, s2)[0])

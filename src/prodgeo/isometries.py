@@ -116,7 +116,7 @@ def rotation_z(kind: Geometry, p) -> np.ndarray:
     x, y, z = require_member(kind, p)
     if abs(z) > DEFAULT.plane:
         raise PrecondError(f"rotation_z needs a point in the [x, y] plane, got z={z}")
-    norm = _fibre_norm(kind, np.array([x, y, 0.0]))
+    norm = _fibre_norm(kind, (x, y, 0.0))
     return _rotation_z(kind, x / norm, y / norm)
 
 
@@ -163,7 +163,7 @@ def apply_isometry(m: np.ndarray, p) -> np.ndarray:
 def _paper_vertices(tri: GeodesicTriangle) -> tuple:
     """The vertices moved by the normaliser of a1, so a1 is the base point
     (the paper's position; the identity, bit for bit, when it is there)."""
-    move = _to_origin(tri.kind, tri.a1)
+    move = _to_origin(tri.kind, np.array(tri.a1))
     return BASE_POINT, apply_isometry(move, tri.a2), apply_isometry(move, tri.a3)
 
 
@@ -245,7 +245,7 @@ def _require_in_range(kind: Geometry, point: np.ndarray, forms, *images) -> None
 def reference_image_base(kind: Geometry, mover) -> np.ndarray:
     """Image of the base point under ``to_origin(kind, mover)``:
     (x/Q, -y/Q, -z/Q) with Q the fibre quadratic form of ``mover``."""
-    x, y, z = mover = require_member(kind, mover)
+    x, y, z = mover = np.array(require_member(kind, mover))
     with np.errstate(all="ignore"):
         q = fibre_norm_sq(kind, (x, y, z))
         image = np.array([x, -y, -z]) / q
@@ -259,8 +259,8 @@ def reference_image_third(kind: Geometry, mover, other) -> np.ndarray:
     Valid for ``other`` in the [x, y] plane (z = 0) and ``mover`` off the
     x axis; this is the configuration the closed form was derived for.
     """
-    x2, y2, z2 = mover = require_member(kind, mover)
-    x3, y3, z3 = require_member(kind, other)
+    x2, y2, z2 = mover = np.array(require_member(kind, mover))
+    x3, y3, z3 = np.array(require_member(kind, other))
     if abs(z3) > DEFAULT.plane:
         raise PrecondError("closed form requires the moved vertex to have z = 0")
     if y2 == 0.0 and z2 == 0.0:
@@ -286,10 +286,10 @@ def reference_images_plane_mover(kind: Geometry, mover, other):
 
     Returns (base_image, other_image).  ``other`` may be a general member.
     """
-    x3, y3, z3 = mover = require_member(kind, mover)
+    x3, y3, z3 = mover = np.array(require_member(kind, mover))
     if abs(z3) > DEFAULT.plane:
         raise PrecondError("closed form requires the mover to have z = 0")
-    x2, y2, z2 = require_member(kind, other)
+    x2, y2, z2 = np.array(require_member(kind, other))
     sg = kind.curvature
     with np.errstate(all="ignore"):
         q = x3 * x3 + sg * y3 * y3

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, _split, model_point
+from .core import BASE_POINT, Geometry, _guard_member, _point, _split
 from .exceptions import ConsistencyError, DomainError
 from .tolerances import DEFAULT
 from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _sums_at
@@ -72,11 +72,11 @@ class SweepSpec:
 
     def __post_init__(self):
         # each split is its point's membership check
-        a2 = model_point(self.a2)
+        a1, a2 = _point(BASE_POINT), _point(self.a2)
         a2_split = _split(self.kind, a2)
-        ray = model_point(self.ray)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "ray", ray)
+        ray = _point(self.ray)
+        object.__setattr__(self, "a2", np.array(a2))
+        object.__setattr__(self, "ray", np.array(ray))
         for name in ("t_min", "t_max"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):  # float() would also read text
@@ -95,10 +95,10 @@ class SweepSpec:
         try:
             ray_split = _split(self.kind, ray)
         except DomainError:
-            raise DomainError(f"ray direction {tuple(ray)} leaves the "
+            raise DomainError(f"ray direction {tuple(self.ray)} leaves the "
                               f"{self.kind.value} model") from None
-        _require_distinct((BASE_POINT, a2))
-        object.__setattr__(self, "_ray", _closed_form(self.kind, _split(self.kind, BASE_POINT),
+        _require_distinct((a1, a2))
+        object.__setattr__(self, "_ray", _closed_form(self.kind, _split(self.kind, a1),
                                                       a2_split, ray_split))
 
 
@@ -216,7 +216,7 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     sums = _sums_at(spec._ray, np.log(grid))
     series = np.column_stack([grid, sums])
 
-    if (_coplanar(BASE_POINT, spec.a2, spec.ray)
+    if (_coplanar(*(a.tolist() for a in (BASE_POINT, spec.a2, spec.ray)))
             and np.abs(sums - math.pi).max() <= DEFAULT.flat_band):
         t0 = math.sqrt(spec.t_min * spec.t_max)
         return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, False, spec)

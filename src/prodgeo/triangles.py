@@ -1,8 +1,8 @@
 """Geodesic triangles: interior angles, angle sums and their trichotomy.
 
-A triangle keeps the vertices its caller gave, read-only, and computes its
-angles once, on first use.  The angles come from the product structure of
-the geometry: a point splits into a fibre height f and a point s on the
+A triangle keeps the vertices its caller gave, as float triples, and
+computes its angles once, on first use.  The angles come from the product
+structure of the geometry: a point splits into a fibre height f and a point s on the
 surface factor,
 
     S2xR :  f = log |p|,     s = p / |p|,
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -62,23 +63,22 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTriangle:
-    """Vertices of a geodesic triangle as the caller gave them: read-only
-    copies, so its angles and coplanarity, computed once, cannot go stale.
+    """Vertices of a geodesic triangle as the caller gave them, read once
+    into immutable float triples, so its angles and coplanarity, computed
+    once, cannot go stale.
 
     Raises DomainError naming the first vertex outside the model and
     DegenerateError when two vertices coincide (see ``_require_distinct``).
     """
 
     kind: Geometry
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
+    a1: tuple[float, float, float]
+    a2: tuple[float, float, float]
+    a3: tuple[float, float, float]
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3"):
-            vertex = require_member(self.kind, getattr(self, name))
-            vertex.flags.writeable = False
-            object.__setattr__(self, name, vertex)
+            object.__setattr__(self, name, require_member(self.kind, getattr(self, name)))
         _require_distinct(self.vertices)
 
     @property
@@ -116,18 +116,18 @@ def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
 
 
 def _require_distinct(vertices, new: int = 1) -> None:
-    """Raise DegenerateError where two ``vertices``, (3,) or (N, 3) arrays,
-    differ by at most ``vertex_gap`` max(|p|, |q|) in each coordinate (the
-    pair's own max norms: scale-invariant); the first ``new`` are known apart.
+    """Raise DegenerateError where two ``vertices``, float triples or (3,)
+    or (N, 3) arrays, differ by at most ``vertex_gap`` max(|p|, |q|) in each
+    coordinate (the pair's own max norms: scale-invariant); the first
+    ``new`` are known apart.
 
-    One triangle is compared in Python floats, as ``core._scaled_norm``
-    reads one point: numpy's per-call cost on (3,) arrays would be most of
-    building a triangle.  A batch stays in numpy; there a gap that
-    overflows is inf, which is apart.
+    One triangle's triples are compared in Python floats: numpy's per-call
+    cost on (3,) arrays would be most of building a triangle.  Arrays stay
+    in numpy; there a gap that overflows is inf, which is apart.
     """
-    if all(a.ndim == 1 for a in vertices):
-        points = [a.tolist() for a in vertices]
-        close = any(_close(points[i], points[j]) for j in range(new, len(points)) for i in range(j))
+    if all(type(a) is tuple for a in vertices):
+        close = any(_close(vertices[i], vertices[j])
+                    for j in range(new, len(vertices)) for i in range(j))
     else:
         floors = [DEFAULT.vertex_gap * _max_abs(a) for a in vertices]
         with np.errstate(over="ignore"):
@@ -160,8 +160,8 @@ def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:
     return tri._angles
 
 
-#: smallest positive double: the divisor floor of a zero surface arc or angle
-_TINY = float(np.finfo(float).tiny)
+#: smallest positive normal double: the divisor floor of a zero surface arc or angle
+_TINY = sys.float_info.min
 
 
 def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) -> tuple:
@@ -304,8 +304,8 @@ def _coplanar(a1, a2, a3) -> bool:
 
 
 def _unit_row(a) -> tuple:
-    """One point over its largest |coordinate|, as floats: no product overflows."""
-    x, y, z = a.tolist()
+    """One point's floats over its largest |coordinate|: no product overflows."""
+    x, y, z = a
     big = max(abs(x), abs(y), abs(z))
     return x / big, y / big, z / big
 

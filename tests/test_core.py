@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,40 @@ class TestMembership:
         with pytest.raises(DomainError):
             model_point((0, 1, 0, 0))
 
+    @pytest.mark.parametrize("coords", [[1j, 0, 0], {1, 2, 3}, [1, 2, "x"]],
+                             ids=["complex", "set", "text"])
+    def test_non_numeric_coordinates_are_domain_error(self, coords):
+        message = re.escape(f"coordinates must be real numbers, got {coords!r}")
+        with pytest.raises(DomainError, match=message):
+            model_point(coords)
+        for build in (prodgeo.geodesic_triangle, prodgeo.GeodesicTriangle):
+            with pytest.raises(DomainError, match=message):
+                build(Geometry.S2R, BASE_POINT, coords, (3.0, -1.0, 0.0))
+        assert not contains(Geometry.S2R, coords)
+
+    @pytest.mark.parametrize("coords", [[math.nan, 1, 0, 0], (math.nan, 1.0, 0.0, 0.0),
+                                        np.array([math.nan, 1.0, 0.0, 0.0])],
+                             ids=["list", "floats", "array"])
+    def test_nan_weight_is_domain_error(self, coords):
+        with pytest.raises(DomainError, match="x0 must be positive, got nan"):
+            model_point(coords)
+        with pytest.raises(DomainError, match="x0 must be positive, got nan"):
+            prodgeo.geodesic_triangle(Geometry.H2R, BASE_POINT, coords, (3.0, -1.0, 0.0))
+        assert not contains(Geometry.H2R, coords)
+
+    @pytest.mark.parametrize("coords, message", [
+        ((0, 1, 0, 0), "homogeneous coordinate x0 must be positive, got 0.0"),
+        ((-1.0, 1.0, 0.0, 0.0), "homogeneous coordinate x0 must be positive, got -1.0"),
+        ((1.0, 2.0), "expected 3 or 4 coordinates, got shape (2,)"),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], "expected 3 or 4 coordinates, got shape (5,)"),
+        (np.ones((1, 3)), "expected 3 or 4 coordinates, got shape (1, 3)"),
+        (2.0, "expected 3 or 4 coordinates, got shape ()")])
+    def test_rejected_alike_whatever_the_type(self, coords, message):
+        """Floats, ints, lists and arrays of one bad point give one message."""
+        for form in (coords, np.asarray(coords), np.asarray(coords).tolist()):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                model_point(form)
+
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
     def test_h2r_membership_iff_cone_inequalities(self, x, y, z):
         # in exact rationals: x^2 - y^2 - z^2 in floats underflows below 1e-154
@@ -198,15 +233,15 @@ class TestFibreNorm:
 
     @BOTH
     def test_split_is_one_point_in_floats(self, kind):
-        """(f, [sx, sy, sz]): the fibre height log sqrt(Q) and p / sqrt(Q),
-        from sqrt(Q) as a float."""
-        p = np.array([2.0, 1.5, 1.0])
+        """(f, [sx, sy, sz]) of a float triple: the fibre height log sqrt(Q)
+        and p / sqrt(Q), from sqrt(Q) as a float."""
+        p = (2.0, 1.5, 1.0)
         f, s = _split(kind, p)
         assert type(_fibre_norm(kind, p)) is float and type(f) is float
         assert type(s) is list and [type(c) for c in s] == [float] * 3
         norm = math.sqrt(fibre_norm_sq(kind, p))
         assert f == pytest.approx(math.log(norm), rel=1e-15)
-        assert s == pytest.approx((p / norm).tolist(), rel=1e-15)
+        assert s == pytest.approx([c / norm for c in p], rel=1e-15)
 
     def test_h2r_member_near_the_largest_double(self):
         """x + r = 2.5e308 overflows; Q = 1.25e616 has the finite root

@@ -26,7 +26,7 @@ from prodgeo import (
     to_origin,
     vertex_angle,
 )
-from prodgeo import isometries, triangles
+from prodgeo import core, isometries, triangles
 from prodgeo.isometries import _frame_angles
 from conftest import BOTH, random_point
 import mp_oracle
@@ -199,11 +199,73 @@ class TestDirectConstruction:
         total = angle_sum(tri).total
         for vertex, mine in zip(tri.vertices, given):
             assert vertex is not mine
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 vertex[0] = 5.0
             mine[1] = 0.25
-        assert [v.tolist() for v in tri.vertices] == [[1, 0, 0], [2, 1.5, 1], [3, -1, 0]]
+        assert tri.vertices == ((1, 0, 0), (2, 1.5, 1), (3, -1, 0))
         assert angle_sum(tri).total == total
+
+
+class _NoNumpy:
+    """Stands in for numpy in a module: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used on the scalar triangle path")
+
+
+class TestFloatTriples:
+    """A triangle reads each vertex once into a tuple of three floats and
+    computes everything from those: no numpy, whatever the input type."""
+
+    #: float 3- and 4-tuples: generic, coplanar and enclosing (S2xR) triangles
+    CASES = [
+        (Geometry.S2R, (1.0, 0.0, 0.0), (3.0, -2.0, 1.0), (2.0, 4.0, 2.0, 0.0)),
+        (Geometry.S2R, (2.0, 2.0, 0.0, 0.0), (2.0, 1.0, 0.0), (5.0, -1.0, 0.0)),
+        (Geometry.S2R, (1.0, 0.0, 0.0), (0.5, -0.5, 0.5, 0.0), (-1.0, -1.0, 0.0)),
+        (Geometry.H2R, (1.0, 0.0, 0.0), (2.0, 1.5, 1.0), (2.0, 6.0, -2.0, 0.0)),
+        (Geometry.H2R, (4.0, 4.0, 0.0, 0.0), (2.0, 1.5, 0.0), (3.0, -1.0, 0.0)),
+    ]
+
+    @staticmethod
+    def _measure(kind, *vertices):
+        tri = geodesic_triangle(kind, *vertices)
+        return (tri.vertices, angle_sum(tri), classify(tri), coplanar_with_center(tri),
+                encloses_center(tri))
+
+    def test_scalar_path_needs_no_numpy(self, monkeypatch):
+        expected = [self._measure(*case) for case in self.CASES]
+        assert [m[2:] for m in expected] == [
+            (TriangleClass.SUM_ABOVE_PI, False, False), (TriangleClass.SUM_EQUALS_PI, True, False),
+            (TriangleClass.SUM_ABOVE_PI, True, True), (TriangleClass.SUM_BELOW_PI, False, False),
+            (TriangleClass.SUM_EQUALS_PI, True, False)]
+        for module in (core, triangles):
+            monkeypatch.setattr(module, "np", _NoNumpy())
+        assert [self._measure(*case) for case in self.CASES] == expected
+
+    @BOTH
+    def test_the_input_type_does_not_matter(self, kind):
+        """One triangle given as arrays of floats, ints and float32, lists,
+        tuples, ints, numpy scalars and homogeneous 4-tuples: the same float
+        tuples, the same angles to the bit and the same class."""
+        floats = ((1.0, 0.0, 0.0), (4.0, 3.0, 2.0), (3.0, -1.0, 0.0))
+        given = [
+            floats,
+            [np.array(v) for v in floats],
+            [np.array(v, dtype=np.int64) for v in floats],
+            [np.array(v, dtype=np.float32) for v in floats],
+            [list(v) for v in floats],
+            [[np.float64(c) for c in v] for v in floats],
+            ((1, 0, 0), (4, 3, 2), (3, -1, 0)),
+            ((2.0, 2.0, 0.0, 0.0), (0.5, 2.0, 1.5, 1.0), (2, 6, -2, 0)),
+        ]
+        expected = self._measure(kind, *floats)
+        for vertices in given:
+            measured = self._measure(kind, *vertices)
+            assert measured == expected, vertices
+            assert all(type(v) is tuple and list(map(type, v)) == [float] * 3 for v in measured[0])
+
+    def test_tiny_is_the_smallest_normal_double(self):
+        assert triangles._TINY == np.finfo(float).tiny
 
 
 class TestAngleSum:
@@ -559,7 +621,7 @@ class TestComputedOnce:
         a2 = np.array([3.0, -2.0, 1.0])
         tri = tri_s2r(a2, (2, 1, 0))
         for vertex in tri.vertices:
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 vertex[0] = 5.0
         a2[0] = 5.0  # the caller's array stays writable and apart
         assert tri.a2[0] != 5.0
