@@ -26,8 +26,9 @@ and ``metric_at`` returns the corresponding symmetric 3x3 matrix.
 
 A point splits into a fibre height log sqrt(Q) and a surface point
 p / sqrt(Q).  ``_guard_member`` (one point or an (N, 3) array) and
-``_fibre_norm`` (sqrt(Q) of one point, in floats, from hypot-scaled norms)
-carry that split for the whole package; neither squares a coordinate.
+``_fibre_norm`` (sqrt(Q) of one point, in floats, from hypot-scaled norms,
+or from exact squares near the H2xR cone) carry that split for the whole
+package; neither squares a coordinate in floats.
 """
 
 from __future__ import annotations
@@ -112,8 +113,11 @@ def _point(coords) -> tuple[float, float, float]:
             if not x0 > 0.0:
                 raise DomainError(f"homogeneous coordinate x0 must be positive, got {x0}")
             return x1 / x0, x2 / x0, x3 / x0
-    try:  # numbers of other types, or another count
-        a = np.asarray(coords, dtype=float)
+    try:  # numbers of other types, or another count; a complex part is not dropped
+        a = np.asarray(coords)
+        if a.dtype.kind == "c":
+            raise TypeError
+        a = a.astype(float)
     except (TypeError, ValueError):
         raise DomainError(f"coordinates must be real numbers, got {coords!r}") from None
     if a.shape not in ((3,), (4,)):
@@ -152,6 +156,14 @@ def _guard_member(kind: Geometry, p):
     return norm
 
 
+def _guard_in_range(kind: Geometry, p: tuple) -> None:
+    """Guard a float triple p that is a positive multiple of a member, so a
+    member wherever it is representable (the model sets are cones): the
+    ``_not_member`` DomainError where 0 < |p| < inf (S2xR) or 0 < x < inf (H2xR) fails."""
+    if not (_scaled_norm(kind, p)[1] if kind is Geometry.S2R else 0.0 < p[0] < math.inf):
+        raise _not_member(kind, p)
+
+
 def _hypot(a: float, b: float) -> float:
     """C's hypot of two floats, inf where it leaves double range.  The abs
     of a Python complex calls it, as numpy's hypot does, so the bits are
@@ -167,14 +179,10 @@ def _scaled_norm(kind: Geometry, p):
     norm |p| = hypot(hypot(x, y), z), or the H2xR spread r = hypot(y, z), and
     the mask 0 < |p| < inf, or r < x < inf.  No coordinate is squared, so
     nothing underflows, a norm beyond double range is inf, and a NaN fails
-    every comparison.
-
-    One point is read as floats, with the C hypot of ``_hypot``: numpy's
-    per-call cost on a (3,) array is most of a guard, and its overflow
-    warning could only be silenced by ``np.errstate``, which costs more
-    again.  Arrays are decided by numpy with the same hypot, under
-    ``np.errstate``, paid once per array.
-    """
+    every comparison.  One point is read as floats, by ``_hypot``: numpy's
+    per-call cost on a (3,) array, and the ``np.errstate`` its overflow
+    warning needs, would be most of a guard.  Arrays are decided by numpy
+    with the same hypot, under ``np.errstate``, paid once per array."""
     _require_geometry(kind)
     if type(p) is tuple or p.ndim == 1:
         x, y, z = p if type(p) is tuple else p.tolist()
@@ -193,14 +201,23 @@ def _scaled_norm(kind: Geometry, p):
 
 def _fibre_norm(kind: Geometry, p) -> float:
     """sqrt(Q) of one point ``p`` (a triple or (3,)) after ``_guard_member``,
-    as a float: the S2xR nested hypot, and sqrt(x - r) sqrt(x + r) on H2xR,
-    which neither cancels (x > r) nor overflows: x + r, finite for x up to
-    2^1022, is taken in quarters beyond, which are exact, so the bits are
-    those of sqrt(x + r) wherever it is finite.  The fibre height is its log."""
+    as a float, whose log is the fibre height: the S2xR nested hypot; on
+    H2xR sqrt(x - r) sqrt(x + r), with x + r beyond 2^1022 in exact quarters
+    (the bits of sqrt(x + r) wherever it is finite), and within 2^-20 of the
+    cone, where r's rounding is most of x - r, Q rounded once by ``fsum``
+    from exact parts: each coordinate, scaled by 2^-e (x = m 2^e), is split
+    into 26-bit halves (Veltkamp), whose products are exact."""
     norm = _guard_member(kind, p)
     if kind is Geometry.S2R:
         return norm
     x = float(p[0])
+    if x - norm < 2.0 ** -20 * x:
+        e, parts = math.frexp(x)[1], []
+        for c, w in zip(p, (1.0, -1.0, -1.0)):
+            c = math.ldexp(float(c), -e)
+            hi = c * 134217729.0 - (c * 134217729.0 - c)
+            parts += [w * hi * hi, w * 2.0 * hi * (c - hi), w * (c - hi) * (c - hi)]
+        return math.ldexp(math.sqrt(math.fsum(parts)), e)
     wide = math.sqrt(x + norm) if x <= 2.0 ** 1022 else 2.0 * math.sqrt(0.25 * x + 0.25 * norm)
     return math.sqrt(x - norm) * wide
 

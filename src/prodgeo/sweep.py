@@ -8,17 +8,19 @@ base point, the second vertex and the centre are flat: S(t) = pi identically.
 
 Along the ray only the third vertex's fibre height u + f3(ray), u = log t,
 moves: its surface point ray / sqrt(Q(ray)) is fixed, as Q is homogeneous
-of degree two.  So the surface arcs of sides 1-3 and 2-3 and the surface
-angles at the three vertices are constants of the family: its ray part,
-the triangles' own closed form (``triangles._closed_form``) of the
-triangle (base point, a2, ray), built as the ``SweepSpec`` is.  u shifts
-its two rises: S at one t (``angle_sum_at``) and dS/du are
-``triangles._angles_at`` at u, the grid is ``triangles._sums_at`` over an
-array of u, and the extremum is the root of dS/du.
+of degree two.  So the surface arcs and angles are constants of the
+family: its ray part, the triangles' closed form (``triangles._closed_form``)
+of (base point, a2, ray), built with the ``SweepSpec``.  S at one t and
+dS/du are ``triangles._angles_at`` at u, the grid ``triangles._sums_at``,
+and the extremum the root of dS/du.  As both model sets are cones, t * ray
+is a member wherever it is representable: it is checked from the ray, in
+floats, for its range and for a1 and a2 (``_check_third_vertices``).
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import enum
 import math
 import numbers
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BASE_POINT, Geometry, _guard_member, _point, _split
-from .exceptions import ConsistencyError, DomainError
+from .core import BASE_POINT, Geometry, _guard_in_range, _point, _split
+from .exceptions import ConsistencyError, DegenerateError, DomainError
 from .tolerances import DEFAULT
 from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _sums_at
 
@@ -61,7 +63,7 @@ class SweepSpec:
     integer >= 8; then DegenerateError where a2 is a1 and, as at every t,
     where two S2xR surface points of a1, a2 and the ray are antipodal.
     ``_ray`` is the family's ray part, ``triangles._closed_form`` of (base
-    point, a2, ray)."""
+    point, a2, ray), and ``_triples`` are a1, a2 and the ray as float triples."""
 
     kind: Geometry
     a2: np.ndarray
@@ -95,9 +97,9 @@ class SweepSpec:
         try:
             ray_split = _split(self.kind, ray)
         except DomainError:
-            raise DomainError(f"ray direction {tuple(self.ray)} leaves the "
-                              f"{self.kind.value} model") from None
+            raise DomainError(f"ray direction {ray} leaves the {self.kind.value} model") from None
         _require_distinct((a1, a2))
+        object.__setattr__(self, "_triples", (a1, a2, ray))
         object.__setattr__(self, "_ray", _closed_form(self.kind, _split(self.kind, a1),
                                                       a2_split, ray_split))
 
@@ -114,14 +116,25 @@ class SweepResult:
     spec: SweepSpec = field(repr=False)
 
 
-def _check_third_vertices(spec: SweepSpec, t) -> None:
-    """Check t * ray for a float t or an array of them: DomainError naming
-    the first outside the model (t * ray leaves it if it underflows to zero
-    or overflows to inf), then DegenerateError where one is on a1 or a2."""
-    with np.errstate(over="ignore"):  # an overflowing vertex fails the guard
-        a3 = np.multiply.outer(t, spec.ray)
-    _guard_member(spec.kind, a3)
-    _require_distinct((BASE_POINT, spec.a2, a3), new=2)
+def _check_third_vertices(spec: SweepSpec, t: float) -> None:
+    """Check t * ray for one float t, in floats: DomainError where it has left
+    double range (``core._guard_in_range``), then DegenerateError on a1 or a2."""
+    a1, a2, (x, y, z) = spec._triples
+    a3 = (t * x, t * y, t * z)
+    _guard_in_range(spec.kind, a3)
+    _require_distinct((a1, a2, a3))
+
+
+def _near_a1_a2(spec: SweepSpec, ts: list):
+    """Yield the grid t (``ts``, increasing) where t * ray can be on p = a1 or
+    a2: within 4 ``vertex_gap`` (relative; a coincidence is within about 1) of
+    p_k / ray_k, k the index of the ray's largest |coordinate|, and subnormal rounding."""
+    a1, a2, ray = spec._triples
+    k = max(range(3), key=lambda i: abs(ray[i]))
+    for p in (a1, a2):
+        rho = min(p[k] / ray[k], math.nextafter(math.inf, 0.0))  # an inf quotient: t near the top
+        width = 4.0 * DEFAULT.vertex_gap * abs(rho) + 2.0 ** -1070 + 2.0 ** -1070 / abs(ray[k])
+        yield from ts[bisect.bisect_left(ts, rho - width):bisect.bisect_right(ts, rho + width)]
 
 
 def angle_sum_at(spec: SweepSpec, t: float) -> float:
@@ -130,7 +143,7 @@ def angle_sum_at(spec: SweepSpec, t: float) -> float:
     Only t*ray is checked (``_check_third_vertices``)."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"need a finite parameter t > 0, got {t}")
-    _check_third_vertices(spec, t)
+    _check_third_vertices(spec, float(t))
     return _angles_at(spec._ray, math.log(t))[0].total
 
 
@@ -199,25 +212,32 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     """Sample S(t) on a log-spaced grid and refine the interior extremum.
 
     The grid is logarithmic because the extremum of interest sits at small
-    t.  Every grid vertex t*ray is checked for membership (DomainError) and
-    for distinctness from a1 and a2 (DegenerateError) by one guard
-    (``_check_third_vertices``).  The grid sums are the family's closed form
-    over u = log t (``triangles._sums_at``), with no triangle built.  A
-    family is flat when its ray is coplanar with the base point, a2 and the
-    centre and every grid sum lies within ``flat_band`` of pi; a family off
-    that plane has a strict extremum however close to pi it stays.  Otherwise the
+    t.  Its vertices t*ray are checked (``_check_third_vertices``) at both
+    ends and near a1 and a2 (``_near_a1_a2``), where alone a check can fail,
+    and at every t once one fails.  The grid sums are the closed form over
+    u = log t (``triangles._sums_at``), with no triangle built.  A family is
+    flat when its ray is coplanar with the base point, a2 and the centre and
+    every grid sum lies within ``flat_band`` of pi; a family off that plane
+    has a strict extremum however close to pi it stays.  Otherwise the
     extremum is refined on the same closed form (``triangles._angles_at``):
     it is interior when dS/du changes sign across the grid cells around the
     best sample, and then the root of dS/du there (``_zero``) and S at it;
     otherwise the result is the better end of the range and S there.
     """
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
-    _check_third_vertices(spec, grid)
+    ts = grid.tolist()
+    try:  # |t * ray| grows with t: if both ends are in double range, all t are
+        for t in (ts[0], ts[-1], *_near_a1_a2(spec, ts)):
+            _check_third_vertices(spec, t)
+    except (DomainError, DegenerateError):
+        for t in ts:  # the first vertex out of range is named before any on a1 or a2
+            with contextlib.suppress(DegenerateError):
+                _check_third_vertices(spec, t)
+        raise
     sums = _sums_at(spec._ray, np.log(grid))
     series = np.column_stack([grid, sums])
 
-    if (_coplanar(*(a.tolist() for a in (BASE_POINT, spec.a2, spec.ray)))
-            and np.abs(sums - math.pi).max() <= DEFAULT.flat_band):
+    if _coplanar(*spec._triples) and np.abs(sums - math.pi).max() <= DEFAULT.flat_band:
         t0 = math.sqrt(spec.t_min * spec.t_max)
         return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, False, spec)
 
@@ -235,8 +255,7 @@ def limits_check(spec: SweepSpec, t_far: float = 1e3) -> tuple[float, float]:
 
     Both values must sit on the theorem side of pi (>= pi for S2xR,
     <= pi for H2xR), else ConsistencyError; DomainError propagates if the
-    far vertex leaves the model.  Monotone approach of the tails toward pi
-    holds for unimodal families and is exercised by the test suites.
+    far vertex leaves double range.
     """
     near = angle_sum_at(spec, spec.t_min)
     far = angle_sum_at(spec, t_far)

@@ -115,40 +115,15 @@ def geodesic_triangle(kind: Geometry, a1, a2, a3) -> GeodesicTriangle:
     return GeodesicTriangle(kind, a1, a2, a3)
 
 
-def _require_distinct(vertices, new: int = 1) -> None:
-    """Raise DegenerateError where two ``vertices``, float triples or (3,)
-    or (N, 3) arrays, differ by at most ``vertex_gap`` max(|p|, |q|) in each
-    coordinate (the pair's own max norms: scale-invariant); the first
-    ``new`` are known apart.
-
-    One triangle's triples are compared in Python floats: numpy's per-call
-    cost on (3,) arrays would be most of building a triangle.  Arrays stay
-    in numpy; there a gap that overflows is inf, which is apart.
-    """
-    if all(type(a) is tuple for a in vertices):
-        close = any(_close(vertices[i], vertices[j])
-                    for j in range(new, len(vertices)) for i in range(j))
-    else:
-        floors = [DEFAULT.vertex_gap * _max_abs(a) for a in vertices]
-        with np.errstate(over="ignore"):
-            close = any((_max_abs(vertices[i] - vertices[j]) <= np.maximum(floors[i], floors[j])).any()
-                        for j in range(new, len(vertices)) for i in range(j))
-    if close:
-        raise DegenerateError("two triangle vertices coincide")
-
-
-def _close(p, q) -> bool:
-    """``_require_distinct`` of two points given as float triples: rounding
-    is monotone, so vertex_gap times the larger size is the larger floor."""
-    (x, y, z), (u, v, w) = p, q
-    return (max(abs(x - u), abs(y - v), abs(z - w))
-            <= DEFAULT.vertex_gap * max(abs(x), abs(y), abs(z), abs(u), abs(v), abs(w)))
-
-
-def _max_abs(a):
-    """max |coordinate| of points by columns: numpy reduces an axis of 3 slowly."""
-    a = np.abs(a)
-    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
+def _require_distinct(vertices) -> None:
+    """Raise DegenerateError where two ``vertices``, float triples, differ
+    by at most ``vertex_gap`` max(|p|, |q|) in each coordinate (the pair's
+    own max norms: scale-invariant); a gap that overflows is inf, and apart."""
+    for j, (u, v, w) in enumerate(vertices):
+        for x, y, z in vertices[:j]:
+            if (max(abs(x - u), abs(y - v), abs(z - w))
+                    <= DEFAULT.vertex_gap * max(abs(x), abs(y), abs(z), abs(u), abs(v), abs(w))):
+                raise DegenerateError("two triangle vertices coincide")
 
 
 def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:

@@ -183,3 +183,13 @@ def normaliser(kind, a):
                                [0, 0, 0, 1]])
         move = trans * rot_x * rot_z * rot_x.T
         return [[float(move[i, j]) for j in range(4)] for i in range(4)]
+
+
+def sweep_sum(kind, a2, ray, t):
+    """S(t) of the family of ``sweep_extremum``, with t times the double
+    direction ``ray`` formed in 50 digits, so never rounded onto the H2xR
+    cone, rounded to a double."""
+    with mpmath.workdps(DIGITS):
+        a1, a2 = [mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)], [mpmath.mpf(float(c)) for c in a2]
+        a3 = [mpmath.mpf(float(t)) * mpmath.mpf(float(c)) for c in ray]
+        return float(_angle_sum(kind, [a1, a2, a3]))

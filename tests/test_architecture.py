@@ -168,14 +168,24 @@ def test_one_closed_form_evaluation():
 
 
 def test_one_third_vertex_check():
-    """``angle_sum_at`` and ``evaluate`` check t * ray by one helper, the
-    only sweep code that guards membership."""
+    """``angle_sum_at`` and ``evaluate`` check t * ray by one helper, in
+    floats, the only sweep code that guards it: its range by core's
+    ``_guard_in_range``, with no membership guard and no numpy."""
     callers = {function.name for function in ast.walk(_tree("sweep.py"))
                if isinstance(function, ast.FunctionDef)
-               and "_guard_member" in _body_names("sweep.py", function.name)}
+               and "_guard_in_range" in _body_names("sweep.py", function.name)}
     assert callers == {"_check_third_vertices"}
+    assert not _body_names("sweep.py", "_check_third_vertices") & {"np", "_guard_member"}
+    assert "sweep.py" not in _modules_naming("_guard_member")
     for name in ("angle_sum_at", "evaluate"):
         assert "_check_third_vertices" in _body_names("sweep.py", name)
+
+
+def test_one_distinctness_rule():
+    """Vertices are told apart by one rule, in floats: ``_require_distinct``
+    names no numpy, and no module keeps its batch branch's ``_max_abs``."""
+    assert "np" not in _body_names("triangles.py", "_require_distinct")
+    assert _defining("_max_abs") == set()
 
 
 @pytest.mark.parametrize("name", ["_split", "_fibre_norm"])

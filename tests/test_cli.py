@@ -191,9 +191,10 @@ class TestSweep:
         assert len(err.splitlines()) == 1 and err.startswith("DomainError:")
 
     def test_ray_leaving_model_exit_2(self, capsys):
-        code, _, _ = run(capsys, "sweep", "--geometry", "h2r", "--a2", "2,1.5,1",
-                         "--ray", "1,5,0", "--samples", "16")
-        assert code == 2
+        code, out, err = run(capsys, "sweep", "--geometry", "h2r", "--a2", "2,1.5,1",
+                             "--ray", "1,5,0", "--samples", "16")
+        assert (code, out) == (2, "")
+        assert err == "DomainError: ray direction (1.0, 5.0, 0.0) leaves the h2r model\n"
 
 
 class TestGeodesic:

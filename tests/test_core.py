@@ -13,6 +13,7 @@ from prodgeo.core import (
     BASE_POINT,
     _fibre_norm,
     _guard_member,
+    _hypot,
     _metric,
     _scaled_norm,
     _split,
@@ -107,8 +108,9 @@ class TestMembership:
         with pytest.raises(DomainError):
             model_point((0, 1, 0, 0))
 
-    @pytest.mark.parametrize("coords", [[1j, 0, 0], {1, 2, 3}, [1, 2, "x"]],
-                             ids=["complex", "set", "text"])
+    @pytest.mark.parametrize("coords", [[1j, 0, 0], np.array([2 + 5j, 1, 0]),
+                                        [np.complex128(2 + 5j), 1, 0], {1, 2, 3}, [1, 2, "x"]],
+                             ids=["complex", "complex-array", "complex-scalar", "set", "text"])
     def test_non_numeric_coordinates_are_domain_error(self, coords):
         message = re.escape(f"coordinates must be real numbers, got {coords!r}")
         with pytest.raises(DomainError, match=message):
@@ -211,7 +213,9 @@ class TestMembershipScale:
 
 class TestFibreNorm:
     """sqrt(Q) on H2xR is sqrt(x - r) sqrt(x + r), with x + r taken in
-    quarters where it could overflow, so nothing leaves double range."""
+    quarters where it could overflow, so nothing leaves double range, and
+    within 2^-20 (relative) of the cone Q rounded once from exact squares;
+    none of the random draws below lies there."""
 
     def test_h2r_bits_of_the_plain_product_wherever_it_is_finite(self, rng):
         x = 10.0 ** rng.uniform(-323, 308, size=4000)
@@ -242,6 +246,27 @@ class TestFibreNorm:
         norm = math.sqrt(fibre_norm_sq(kind, p))
         assert f == pytest.approx(math.log(norm), rel=1e-15)
         assert s == pytest.approx([c / norm for c in p], rel=1e-15)
+
+    def test_h2r_near_the_cone_against_fifty_digits(self):
+        """2,000 seeded points 1 to 5 ulps inside the cone, by the model's
+        own spread r (``_hypot``), of sizes 1e-300 to 1e300: sqrt(Q)
+        within 1.6e-16 (relative) of its 50-digit value, measured, where
+        the float product, whose x - r is mostly the rounding of r, is off
+        by up to 43%."""
+        import mpmath
+
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(2000):
+            phi, spread = rng.uniform(-math.pi, math.pi), 10.0 ** rng.uniform(-300, 300)
+            y, z = spread * math.cos(phi), spread * math.sin(phi)
+            x = _hypot(y, z)
+            for _ in range(int(rng.integers(1, 6))):
+                x = math.nextafter(x, math.inf)
+            with mpmath.workdps(50):
+                exact = mpmath.sqrt(mpmath.mpf(x) ** 2 - mpmath.mpf(y) ** 2 - mpmath.mpf(z) ** 2)
+                worst = max(worst, float(abs(_fibre_norm(Geometry.H2R, (x, y, z)) - exact) / exact))
+        assert worst <= 2.5e-16
 
     def test_h2r_member_near_the_largest_double(self):
         """x + r = 2.5e308 overflows; Q = 1.25e616 has the finite root

@@ -117,22 +117,27 @@ class TestValidateOnce:
     def test_angle_sum_at_checks_only_the_three_vertices(self, kind, member_checks,
                                                           monkeypatch):
         """a1 and a2 are guarded once, when the spec builds its ray part;
-        each S(t) then guards only t*ray, once, before its closed form is
-        read."""
+        each S(t) then checks only t*ray, once, before its closed form is
+        read: its double range, as t*ray is a member wherever it is
+        representable, with no membership guard."""
         spec = family_spec(kind, samples=8)
-        guards = []
-        true_guard = core._guard_member
+        guards, ranges = [], []
+        true_guard, true_range = core._guard_member, sweep_mod._guard_in_range
 
         def guard(*args):
             guards.append(1)
             return true_guard(*args)
 
-        for module in (core, sweep_mod):
-            monkeypatch.setattr(module, "_guard_member", guard)
+        def in_range(*args):
+            ranges.append(1)
+            return true_range(*args)
+
+        monkeypatch.setattr(core, "_guard_member", guard)
+        monkeypatch.setattr(sweep_mod, "_guard_in_range", in_range)
         member_checks.clear()
         angle_sum_at(spec, 0.3)
         angle_sum_at(spec, 0.7)
-        assert len(guards) == 2
+        assert (len(ranges), len(guards)) == (2, 0)
         assert member_checks == []
 
     @BOTH
@@ -166,7 +171,7 @@ class TestValidateOnce:
     def test_vertex_gaps_beyond_the_largest_double_are_apart(self):
         """a2 and the ray near +-1e308, off the cut locus: from t = 0.8 on,
         the gap between a2 and t*ray overflows to inf, which is apart, in
-        the grid's batch and at one t alike."""
+        the grid and at one t alike."""
         spec = SweepSpec(Geometry.S2R, (-1e308, 1e307, 0), (1e308, 0, 1e307), t_max=1.5)
         series = evaluate(spec).series
         assert series[-1, 0] == 1.5
@@ -181,20 +186,142 @@ class TestValidateOnce:
 
 
 class TestNearTheCone:
+    """H2xR rays a few ulps inside the cone: t * ray is a member wherever it
+    is representable, as the model set is a cone, though it may round onto
+    the cone, and the family evaluates."""
+
     #: an H2xR ray one ulp inside the cone
     RAY = (0.891338772597356, 0.345584192064786, 0.8216181435011584)
 
-    @pytest.mark.xfail(strict=True, raises=DomainError, reason=(
-        "FOUND (CHANGES.md): t * ray rounds onto the H2xR cone at interior grid "
-        "points of a valid near-cone family, and evaluate's grid guard rejects it"))
     def test_near_cone_family_evaluates(self):
         """The ray is a member, and so is t * ray at both ends of the grid,
-        where S(t) answers; 68 interior t * ray round onto the cone, whose
-        points the grid sums never read."""
+        where S(t) answers below pi; 68 interior t * ray round onto the cone,
+        and S(t) there is the grid sum.  S at t0 (here the end t_max) is the
+        50-digit sum of the family's triangle within the near-cone gate of
+        ``test_triangles.py::test_h2r_first_vertex_near_the_cone``, 1e-6:
+        measured 4.0e-15, as sqrt(Q) of the ray is taken from exact squares there."""
         spec = SweepSpec(Geometry.H2R, (2, 1.5, 1), self.RAY)
         assert angle_sum_at(spec, spec.t_min) < math.pi
         assert angle_sum_at(spec, spec.t_max) < math.pi
-        assert evaluate(spec).extremum_kind is ExtremumKind.MINIMUM
+        result = evaluate(spec)
+        assert result.extremum_kind is ExtremumKind.MINIMUM
+        on_cone = [(t, total) for t, total in result.series.tolist()
+                   if not core.contains(Geometry.H2R, tuple(t * c for c in self.RAY))]
+        assert len(on_cone) == 68
+        for t, total in on_cone:
+            assert abs(angle_sum_at(spec, t) - total) <= 1e-14
+        exact = mp_oracle.sweep_sum(Geometry.H2R, (2, 1.5, 1), self.RAY, result.t_extremum)
+        assert abs(result.s_extremum - exact) <= 1e-6
+
+    def test_rays_a_few_ulps_inside_the_cone_evaluate(self):
+        """2,000 seeded rays 1 to 5 ulps inside the cone, by the model's own
+        spread r (``core._hypot``), with a2 = (2, 1.5, 1): every family
+        evaluates, where a membership guard on every grid vertex rejected
+        554 of them, at interior t * ray rounded onto the cone."""
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            phi, spread = rng.uniform(-PI, PI), rng.uniform(0.1, 2.0)
+            y, z = spread * math.cos(phi), spread * math.sin(phi)
+            x = core._hypot(y, z)
+            for _ in range(int(rng.integers(1, 6))):
+                x = math.nextafter(x, math.inf)
+            assert evaluate(SweepSpec(Geometry.H2R, (2, 1.5, 1), (x, y, z))).series.shape == (512, 2)
+
+
+def _max_abs(a):
+    """max |coordinate| of points by columns, as ``_batch_coincide`` reads it."""
+    a = np.abs(a)
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
+
+
+def _batch_coincide(vertices, new=1) -> bool:
+    """The numpy rule that ``triangles._require_distinct`` had for S(t)
+    batches: whether two of ``vertices``, (3,) or (N, 3) arrays, the first
+    ``new`` known apart, differ by at most ``vertex_gap`` max(|p|, |q|) in
+    each coordinate, where a gap that overflows is inf and so apart."""
+    floors = [DEFAULT.vertex_gap * _max_abs(a) for a in vertices]
+    with np.errstate(over="ignore"):
+        return any((_max_abs(vertices[i] - vertices[j]) <= np.maximum(floors[i], floors[j])).any()
+                   for j in range(new, len(vertices)) for i in range(j))
+
+
+def _batch_check(spec, ts):
+    """The numpy check that ``sweep._check_third_vertices`` replaced, on an
+    array of parameters ``ts``: every t * ray guarded as a model point,
+    naming the first outside, then DegenerateError where one is on a1 or a2
+    (``_batch_coincide``)."""
+    with np.errstate(over="ignore"):
+        a3 = np.multiply.outer(ts, spec.ray)
+    core._guard_member(spec.kind, a3)
+    if _batch_coincide((BASE_POINT, spec.a2, a3), new=2):
+        raise DegenerateError("two triangle vertices coincide")
+
+
+def _outcome(check, *args):
+    """The type and message of the check's DomainError or DegenerateError, or None."""
+    try:
+        check(*args)
+    except (DomainError, DegenerateError) as error:
+        return type(error).__name__, str(error)
+    return None
+
+
+class TestThirdVertexCheck:
+    """The third vertex t * ray is checked in floats: at one t by
+    ``angle_sum_at``, and by ``evaluate`` at the grid's two ends and at the
+    t near p_k / ray_k, p = a1 or a2 and k the index of the ray's largest
+    |coordinate|.  Its decisions and messages are those of the numpy rule
+    on every grid vertex (``_batch_check``), on families whose ray is a1 or
+    a2 over a grid t, each coordinate moved by up to twice ``vertex_gap``."""
+
+    #: log10 of a2's largest |coordinate|; "tiny" grids underflow to zero
+    #: at t_min and "huge" ones overflow at t_max
+    SIZES = {"a1": (-300, 300), "a2": (-300, 300), "fine": (-300, 300),
+             "subnormal": (-319, -309), "tiny": (-322, -316), "huge": (303, 307)}
+
+    @classmethod
+    def _family(cls, kind, group, rng):
+        """A spec whose ray is a1 (group "a1") or a2 over a grid t, nearly;
+        on "fine" grids t_max / t_min - 1 is at most 3 ``vertex_gap``.  A
+        family the spec itself rejects is drawn again."""
+        while True:
+            q = random_point(kind, rng)
+            a2 = q / np.abs(q).max() * 10.0 ** rng.uniform(*cls.SIZES[group])
+            t_min = 10.0 ** (rng.uniform(-6, -4) if group == "tiny" else rng.uniform(0, 2))
+            t_max = t_min * (1.0 + DEFAULT.vertex_gap * rng.uniform(0.01, 3.0) if group == "fine"
+                             else 10.0 ** rng.uniform(0.1, 4.0))
+            samples = int(rng.integers(8, 64))
+            grid = np.geomspace(t_min, t_max, samples)
+            p = BASE_POINT if group == "a1" else a2
+            ray = p / grid[rng.integers(samples)]
+            ray = ray * (1.0 + DEFAULT.vertex_gap * rng.uniform(-2.0, 2.0, size=3))
+            try:
+                return SweepSpec(kind, a2, ray, t_min=t_min, t_max=t_max, samples=samples), grid
+            except (DomainError, DegenerateError):
+                continue
+
+    @pytest.mark.parametrize("kind, group", [
+        *((kind, group) for kind in Geometry for group in ("a1", "a2", "fine", "subnormal", "huge")),
+        (Geometry.S2R, "tiny"),
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_decides_as_the_batch_rule(self, kind, group):
+        """300 seeded families per case, with a2 of size 1e-300 to 1e300,
+        subnormal, or near the largest double, and grids finer than
+        ``vertex_gap``: ``evaluate`` on the grid, and ``angle_sum_at`` at
+        one grid t, raise what the batch rule raises, with its message.
+        H2xR "tiny" grids are left out: there the batch rule also rejects
+        subnormal t * ray that round onto the cone."""
+        rng = np.random.default_rng([23, list(Geometry).index(kind), list(self.SIZES).index(group)])
+        outcomes = set()
+        for _ in range(300):
+            spec, grid = self._family(kind, group, rng)
+            expected = _outcome(_batch_check, spec, grid)
+            assert _outcome(evaluate, spec) == expected, (spec, expected)
+            t = grid[rng.integers(len(grid))]
+            assert _outcome(angle_sum_at, spec, t) == _outcome(_batch_check, spec, np.array([t]))
+            outcomes.add(expected and expected[0])
+        assert "DegenerateError" in outcomes and (None in outcomes or group == "tiny")
+        assert ("DomainError" in outcomes) is (group in ("tiny", "huge"))
 
 
 class TestCutLocus:
@@ -246,12 +373,13 @@ class TestFixedSide:
     def test_one_fixed_side_and_one_guard_per_batch(self, kind, monkeypatch):
         """A spec splits a2, its ray and a1 once each, as their membership
         checks, and builds its one ray part on them, whose three surface
-        arcs include side 1-2.  One evaluate: one membership guard on the
-        grid's batch of third vertices and no arc; the grid sums and the
-        refinement run on the family's closed form and make no further
-        guard."""
-        arcs, guards, brackets = [], [], []
+        arcs include side 1-2.  One evaluate: a range check of the third
+        vertex at the grid's two ends, none at the t of a reference family,
+        which lie nowhere near a1 or a2, and no membership guard or arc; the
+        grid sums and the refinement run on the family's closed form."""
+        arcs, guards, brackets, ranges = [], [], [], []
         true_arc, true_guard, true_bracket = triangles._arc, core._guard_member, sweep_mod._bracket
+        true_range = sweep_mod._guard_in_range
 
         def arc(*args):
             arcs.append(1)
@@ -265,10 +393,14 @@ class TestFixedSide:
             brackets.append(1)
             return true_bracket(*args)
 
+        def in_range(*args):
+            ranges.append(1)
+            return true_range(*args)
+
         monkeypatch.setattr(triangles, "_arc", arc)
         monkeypatch.setattr(sweep_mod, "_bracket", bracket)
-        for module in (core, sweep_mod):
-            monkeypatch.setattr(module, "_guard_member", guard)
+        monkeypatch.setattr(core, "_guard_member", guard)
+        monkeypatch.setattr(sweep_mod, "_guard_in_range", in_range)
         spec = family_spec(kind)
         assert len(guards) == 3  # the splits of a2, the ray and a1
         assert len(arcs) == 3  # sides 1-3, 2-3 and 1-2 of one ray part
@@ -278,7 +410,7 @@ class TestFixedSide:
         assert result.interior
         assert len(arcs) == 0
         assert len(brackets) == 1
-        assert len(guards) == 1
+        assert (len(guards), len(ranges)) == (0, 2)  # the grid's two ends
 
     @BOTH
     def test_results_do_not_depend_on_the_cache(self, kind):

@@ -30,6 +30,7 @@ from prodgeo import core, isometries, triangles
 from prodgeo.isometries import _frame_angles
 from conftest import BOTH, random_point
 import mp_oracle
+from test_sweep import _batch_coincide
 
 PI = math.pi
 
@@ -506,10 +507,11 @@ class TestAgainstFiftyDigits:
 
     def test_h2r_first_vertex_near_the_cone(self):
         """400 seeded triangles whose a1 is 1e-12 to 1e-11 (relative) inside
-        the cone, with spread up to 100.  The error is the rounding
-        of Q = (x - r)(x + r), which cancels there: at most 4.8e-7 measured.
-        Measured after moving a1 to the base point, the same sums are off by
-        up to 3.3e-3."""
+        the cone, with spread up to 100: at most 2.3e-13 measured, as sqrt(Q)
+        is taken from exact squares there (``core._fibre_norm``; 4.8e-7 from the
+        float product (x - r)(x + r), whose x - r is mostly the rounding of
+        r).  Measured after moving a1 to the base point, with that product,
+        the same sums were off by up to 3.3e-3."""
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(400):
@@ -636,9 +638,10 @@ def _det_coplanar(a1, a2, a3):
     return abs(det) <= DEFAULT.coplanar * float(np.linalg.norm(rows, axis=1).prod())
 
 
-def _coincide(vertices, new=1):
+def _coincide(vertices):
+    """``triangles._require_distinct`` of the vertices read as float triples."""
     try:
-        triangles._require_distinct(vertices, new)
+        triangles._require_distinct([tuple(map(float, v)) for v in vertices])
     except DegenerateError:
         return True
     return False
@@ -764,9 +767,8 @@ class TestFloatDecisions:
             assert a3[1] - a2[1] == step
             one = [np.array(a1), a2, a3]
             assert _coincide(one) is coincides
-            assert _coincide([v[None, :] for v in one]) is coincides
-            assert _coincide(one, new=2) is coincides
-            assert _coincide([one[0], one[1], one[2][None, :]], new=2) is coincides
+            assert _batch_coincide([v[None, :] for v in one]) is coincides
+            assert _batch_coincide([one[0], one[1], one[2][None, :]], new=2) is coincides
 
     def test_one_triangle_decides_as_a_batch_of_one(self):
         rng = np.random.default_rng(4)
@@ -776,7 +778,7 @@ class TestFloatDecisions:
             a3 = a2 * (1.0 + DEFAULT.vertex_gap * rng.uniform(0.0, 2.0, size=3))
             one = [a1, a2, a3]
             decision = _coincide(one)
-            assert decision == _coincide([v[None, :] for v in one])
+            assert decision == _batch_coincide([v[None, :] for v in one])
             decisions.add(decision)
         assert decisions == {False, True}
 
@@ -789,4 +791,5 @@ class TestFloatDecisions:
         tri = geodesic_triangle(Geometry.S2R, *vertices)
         with pytest.raises(DegenerateError, match="antipodal"):
             angle_sum(tri)
-        assert not _coincide([np.array([v], dtype=float) for v in vertices])
+        assert not _coincide(vertices)
+        assert not _batch_coincide([np.array([v], dtype=float) for v in vertices])
