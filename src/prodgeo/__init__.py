@@ -7,7 +7,6 @@ projective (affine-chart) model of the two geometries.
 """
 
 from .core import (
-    BASE_POINT,
     Geometry,
     contains,
     metric_at,
@@ -62,6 +61,14 @@ from .triangles import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "BASE_POINT":  # core builds it on first access, and so numpy loads only then
+        global BASE_POINT
+        from .core import BASE_POINT
+        return BASE_POINT
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BASE_POINT",

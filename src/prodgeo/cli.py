@@ -30,10 +30,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import reference
-from .core import BASE_POINT, Geometry, model_point
+from .core import _BASE, Geometry, _point
 from .exceptions import DegenerateError, DomainError, GeometryError
 from .geodesics import GeodesicParams, geodesic_params, sample_curve
 from .sweep import SweepSpec, evaluate
@@ -45,12 +43,12 @@ SCHEMA = "v1"
 _ANGLES = ("w1", "w2", "w3", "sum")
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_point(text: str) -> tuple[float, float, float]:
     try:
         values = [float(part) for part in text.split(",")]
     except ValueError:
         raise DomainError(f"cannot parse point {text!r}") from None
-    return model_point(values)
+    return _point(values)
 
 
 def _int_at_least(low: int):
@@ -129,7 +127,7 @@ def cmd_tables(args) -> int:
     for kind in (Geometry.S2R, Geometry.H2R):
         a2, table = reference.TABLE_ROWS[kind]
         for index, (a3, expected) in enumerate(table, start=1):
-            angles = angle_sum(geodesic_triangle(kind, BASE_POINT, a2, a3))
+            angles = angle_sum(geodesic_triangle(kind, _BASE, a2, a3))
             delta = max(abs(got - ref) for got, ref in zip(angles, expected))
             worst = max(worst, delta)
             fields, cells = _angle_fields(angles, prec)

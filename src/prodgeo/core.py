@@ -24,6 +24,9 @@ The arc-length element in this chart is
 
 and ``metric_at`` returns the corresponding symmetric 3x3 matrix.
 
+``np``, the package's numpy handle, imports numpy on first use, so a process
+on float triples alone (``prodgeo triangle``, ``tables``) never loads it.
+
 A point splits into a fibre height log sqrt(Q) and a surface point
 p / sqrt(Q).  ``_guard_member`` (one point or an (N, 3) array) and
 ``_fibre_norm`` (sqrt(Q) of one point, in floats, from hypot-scaled norms,
@@ -34,9 +37,9 @@ package; neither squares a coordinate in floats.
 from __future__ import annotations
 
 import enum
+import importlib.util
 import math
-
-import numpy as np
+import sys
 
 from .exceptions import DomainError
 
@@ -49,6 +52,21 @@ __all__ = [
     "metric_at",
     "to_model",
 ]
+
+
+def _lazy_module(name: str):
+    """``sys.modules[name]``, or a module registered there that runs its
+    import on first attribute access (``importlib.util.LazyLoader``)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_module("numpy")
 
 
 class Geometry(enum.Enum):
@@ -81,8 +99,17 @@ def _require_geometry(kind) -> None:
         raise DomainError(f"unknown geometry {kind!r}; expected Geometry.S2R or Geometry.H2R")
 
 
-#: The common start point of all geodesic parametrisations, (1 : 1 : 0 : 0).
-BASE_POINT = np.array([1.0, 0.0, 0.0])
+#: The common start point of all geodesic parametrisations, (1 : 1 : 0 : 0),
+#: as a float triple; the public array ``BASE_POINT`` is built on first access.
+_BASE = (1.0, 0.0, 0.0)
+
+
+def __getattr__(name: str):
+    if name == "BASE_POINT":
+        global BASE_POINT  # bound once: later reads skip this hook
+        BASE_POINT = np.array(_BASE)
+        return BASE_POINT
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def model_point(coords) -> np.ndarray:
@@ -114,8 +141,8 @@ def _point(coords) -> tuple[float, float, float]:
                 raise DomainError(f"homogeneous coordinate x0 must be positive, got {x0}")
             return x1 / x0, x2 / x0, x3 / x0
     try:  # numbers of other types, or another count; a complex part is not dropped
-        a = np.asarray(coords)
-        if a.dtype.kind == "c":
+        a = np.asarray(coords)  # nor is text, which astype would read, a number
+        if a.dtype.kind == "c" or any(isinstance(c, (str, bytes)) for c in a.ravel().tolist()):
             raise TypeError
         a = a.astype(float)
     except (TypeError, ValueError):

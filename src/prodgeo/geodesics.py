@@ -33,9 +33,7 @@ import math
 import operator
 from typing import NamedTuple
 
-import numpy as np
-
-from .core import Geometry, _fibre_norm, _point, _require_geometry, _split, model_point
+from .core import Geometry, _fibre_norm, _point, _require_geometry, _split, model_point, np
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
 from .triangles import _arc

@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import BASE_POINT, Geometry, _fibre_norm, fibre_norm_sq, model_point, require_member
+from .core import (_BASE, Geometry, _fibre_norm, fibre_norm_sq, model_point, np,
+                   require_member)
 from .exceptions import ConsistencyError, DegenerateError, DomainError, PrecondError
 from .geodesics import _geodesic_params, tangent_of
 from .tolerances import DEFAULT
@@ -144,7 +143,7 @@ def _to_origin(kind: Geometry, a: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         move = (_embed(np.eye(3) / norm) @ rot_x
                 @ _rotation_z(kind, a[0] / norm, math.hypot(a[1], a[2]) / norm) @ rot_x.T)
-        miss = float(np.abs(apply_isometry(move, a) - BASE_POINT).max())
+        miss = float(np.abs(apply_isometry(move, a) - _BASE).max())
     if not miss <= DEFAULT.isometry:
         raise DomainError(f"the {kind.value} normaliser of {tuple(a.tolist())} is not "
                           f"representable in double precision ({miss:.1e} off the base point)")
@@ -164,7 +163,7 @@ def _paper_vertices(tri: GeodesicTriangle) -> tuple:
     """The vertices moved by the normaliser of a1, so a1 is the base point
     (the paper's position; the identity, bit for bit, when it is there)."""
     move = _to_origin(tri.kind, np.array(tri.a1))
-    return BASE_POINT, apply_isometry(move, tri.a2), apply_isometry(move, tri.a3)
+    return np.array(_BASE), apply_isometry(move, tri.a2), apply_isometry(move, tri.a3)
 
 
 def tangent_endpoints(tri: GeodesicTriangle) -> dict[tuple[int, int], np.ndarray]:

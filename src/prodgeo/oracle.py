@@ -85,11 +85,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import _dop853
-from .core import (BASE_POINT, Geometry, _guard_member, _metric, _metric_entries,
-                   _require_geometry, to_model)
+from .core import (_BASE, Geometry, _guard_member, _metric, _metric_entries,
+                   _require_geometry, np, to_model)
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams, _count, tangent_of
 from .tolerances import DEFAULT
@@ -278,7 +276,7 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
         _guard_member(kind, p)
         return [*dp.tolist(), *_acceleration(kind, p, dp)]
 
-    state0 = np.concatenate((BASE_POINT, tangent_of(params)))
+    state0 = np.concatenate((_BASE, tangent_of(params)))
     return _dop853.solve(rhs, state0, (0.0, tau), DEFAULT.ode_rtol, DEFAULT.ode_atol)[:3, -1]
 
 

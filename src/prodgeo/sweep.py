@@ -25,11 +25,10 @@ import enum
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import BASE_POINT, Geometry, _guard_in_range, _point, _split
+from .core import _BASE, Geometry, _guard_in_range, _point, _split, np
 from .exceptions import ConsistencyError, DegenerateError, DomainError
 from .tolerances import DEFAULT
 from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _sums_at
@@ -45,7 +44,7 @@ __all__ = [
 
 #: the spacing of doubles at 1; ``_zero`` resolves u = log t to twice it,
 #: relative to |u| above 1
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 class ExtremumKind(enum.Enum):
@@ -74,7 +73,7 @@ class SweepSpec:
 
     def __post_init__(self):
         # each split is its point's membership check
-        a1, a2 = _point(BASE_POINT), _point(self.a2)
+        a1, a2 = _BASE, _point(self.a2)
         a2_split = _split(self.kind, a2)
         ray = _point(self.ray)
         object.__setattr__(self, "a2", np.array(a2))

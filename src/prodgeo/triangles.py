@@ -43,9 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
-from .core import Geometry, _split, require_member
+from .core import Geometry, _split, np, require_member
 from .exceptions import ConsistencyError, DegenerateError
 from .tolerances import DEFAULT
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import BASE_POINT, Geometry, metric_at
+from .core import _BASE, Geometry, metric_at, np
 from .exceptions import DegenerateError
 from .geodesics import GeodesicParams, _endpoints, distance, geodesic_params
 from .isometries import _frame_angles, apply_isometry, tangent_endpoints, to_origin
@@ -67,14 +65,14 @@ def _random_coplanar_vertices(kind: Geometry, rng):
     """Two extra vertices coplanar with the base point and E0, chosen in
     the half-plane x > 0 so the triangle cannot enclose the centre."""
     psi = rng.uniform(-math.pi, math.pi)
-    side = np.array([0.0, math.cos(psi), math.sin(psi)])
+    base, side = np.array(_BASE), np.array([0.0, math.cos(psi), math.sin(psi)])
 
     def draw():
         while True:
             c1 = rng.uniform(0.1, 2.0)
             c2 = rng.uniform(-0.95, 0.95) * (c1 if kind is Geometry.H2R else 2.0)
-            p = c1 * BASE_POINT + c2 * side
-            if np.linalg.norm(p - BASE_POINT) > 1e-2:
+            p = c1 * base + c2 * side
+            if np.linalg.norm(p - _BASE) > 1e-2:
                 return p
 
     return draw(), draw()
@@ -86,7 +84,7 @@ def _coplanar_triangle(kind: Geometry, rng, result: SuiteResult):
     ``result`` with its vertices."""
     a2, a3 = _random_coplanar_vertices(kind, rng)
     try:
-        return geodesic_triangle(kind, BASE_POINT, a2, a3)
+        return geodesic_triangle(kind, _BASE, a2, a3)
     except DegenerateError:  # the draw's vertices are members, so they coincide
         return None
     except Exception as exc:
@@ -98,7 +96,7 @@ def _random_triangle(kind: Geometry, rng):
     while True:
         a2, a3 = _random_points(kind, rng, 2)
         if np.linalg.norm(a2 - a3) > 1e-2:
-            return geodesic_triangle(kind, BASE_POINT, a2, a3)
+            return geodesic_triangle(kind, _BASE, a2, a3)
 
 
 def roundtrip_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
@@ -122,7 +120,7 @@ def isometry_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
     for _ in range(trials):
         a, p, q = _random_points(kind, rng, 3)
         move = to_origin(kind, a)
-        if np.abs(apply_isometry(move, a) - BASE_POINT).max() > 1e-10:
+        if np.abs(apply_isometry(move, a) - _BASE).max() > 1e-10:
             result.failures.append(f"normaliser of {tuple(a)} misses the base point")
             continue
         h = rng.normal(size=3)

@@ -239,3 +239,43 @@ def test_oracle_writes_no_metric_and_solves_without_numpy_linalg():
                    for node in ast.walk(tree))
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
                    and "linalg" in ast.unparse(node) for node in ast.walk(tree))
+
+
+def _imports_numpy(node: ast.AST) -> bool:
+    """Whether ``node`` is an ``import numpy...`` or ``from numpy... import``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "numpy")
+
+
+def _run_at_import(stmt: ast.stmt) -> list[ast.AST]:
+    """The parts of a module-level statement that run on import: all of it,
+    but of a function its decorators and defaults, of a class its
+    decorators, bases and these parts of its body, and of an annotated
+    name its value (annotations are strings in every module that names np)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [*stmt.decorator_list, *stmt.args.defaults, *filter(None, stmt.args.kw_defaults)]
+    if isinstance(stmt, ast.ClassDef):
+        return [*stmt.decorator_list, *stmt.bases, *stmt.keywords,
+                *(part for inner in stmt.body for part in _run_at_import(inner))]
+    if isinstance(stmt, ast.AnnAssign):
+        return [stmt.value] if stmt.value else []
+    return [stmt]
+
+
+def test_numpy_loads_on_first_use():
+    """``core.np`` is the one numpy handle, which imports numpy on its first
+    attribute access; an ``import numpy`` elsewhere (which reads the
+    module's ``__spec__`` on 3.11) or a module-level ``np.`` would load it
+    on import."""
+    sources = {path.name: _tree(path.name) for path in SOURCES.glob("*.py")}
+    assert {name for name, tree in sources.items()
+            if any(map(_imports_numpy, ast.walk(tree)))} <= {"core.py"}
+    for name, tree in sources.items():
+        if "np" in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}:
+            assert "from __future__ import annotations" in ast.unparse(tree), name
+        reads = [ast.unparse(node) for stmt in tree.body for part in _run_at_import(stmt)
+                 for node in ast.walk(part) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "np"]
+        assert reads == [], name

@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,8 +113,11 @@ class TestMembership:
             model_point((0, 1, 0, 0))
 
     @pytest.mark.parametrize("coords", [[1j, 0, 0], np.array([2 + 5j, 1, 0]),
-                                        [np.complex128(2 + 5j), 1, 0], {1, 2, 3}, [1, 2, "x"]],
-                             ids=["complex", "complex-array", "complex-scalar", "set", "text"])
+                                        [np.complex128(2 + 5j), 1, 0], {1, 2, 3}, [1, 2, "x"],
+                                        [1, 2, "3"], np.array(["1", "2", "3"]), [b"1", 2, 3],
+                                        [Fraction(1), 2, "3"]],
+                             ids=["complex", "complex-array", "complex-scalar", "set", "text",
+                                  "numeric-text", "text-array", "bytes", "text-among-objects"])
     def test_non_numeric_coordinates_are_domain_error(self, coords):
         message = re.escape(f"coordinates must be real numbers, got {coords!r}")
         with pytest.raises(DomainError, match=message):
@@ -119,6 +126,13 @@ class TestMembership:
             with pytest.raises(DomainError, match=message):
                 build(Geometry.S2R, BASE_POINT, coords, (3.0, -1.0, 0.0))
         assert not contains(Geometry.S2R, coords)
+
+    @pytest.mark.parametrize("coords", [[Fraction(1, 2), 1, 0],
+                                        np.array([Fraction(1, 2), 1, 0], dtype=object)],
+                             ids=["list", "object-array"])
+    def test_object_arrays_of_real_numbers_are_read(self, coords):
+        assert model_point(coords).tolist() == [0.5, 1.0, 0.0]
+        assert contains(Geometry.S2R, coords)
 
     @pytest.mark.parametrize("coords", [[math.nan, 1, 0, 0], (math.nan, 1.0, 0.0, 0.0),
                                         np.array([math.nan, 1.0, 0.0, 0.0])],
@@ -412,3 +426,59 @@ class TestIntrinsicChart:
             g = metric_at(kind, to_model(kind, *coords))
             pulled = jac.T @ g @ jac
             assert np.abs(pulled - expected).max() < 1e-6
+
+
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter on this source tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestNumpyOnFirstUse:
+    """``core.np`` is the package's numpy handle; numpy loads on first array use."""
+
+    def test_triangle_and_tables_never_load_numpy(self):
+        out = _fresh("""
+import contextlib, io, sys
+from prodgeo.cli import main
+runs = [["triangle", "--geometry", "s2r", "--a2", "3,-2,1", "--a3", "2,1,0"],
+        ["triangle", "--geometry", "h2r", "--a1", "2,2,0,0", "--a2", "2,1.5,1", "--a3", "3,-1,0"],
+        ["tables", "--format", "json"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, "numpy._core" in sys.modules, [m for m in sys.modules if m.startswith("numpy.")])
+""")
+        assert out == "[0, 0, 0] False []"
+
+    def test_a_loaded_numpy_is_the_handle(self):
+        assert _fresh("import numpy, prodgeo.core; print(prodgeo.core.np is numpy)") == "True"
+
+    def test_the_first_array_use_loads_numpy(self):
+        out = _fresh("""
+import contextlib, io, sys
+from prodgeo import core
+from prodgeo.cli import main
+def loaded():
+    return any(m.startswith("numpy.") for m in sys.modules)
+before = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as shown:
+    code = main(["geodesic", "--geometry", "h2r", "--to", "2,1,0", "--format", "json"])
+import numpy
+print(before, code, loaded(), core.np is numpy, len(shown.getvalue().splitlines()))
+""")
+        assert out == "False 0 True True 1"
+
+    def test_base_point_is_built_once_on_first_access(self):
+        out = _fresh("""
+import numpy, prodgeo
+from prodgeo import core
+before = "BASE_POINT" in vars(prodgeo) or "BASE_POINT" in vars(core)
+base = prodgeo.BASE_POINT
+print(before, type(base) is numpy.ndarray, base.tolist(), base is core.BASE_POINT,
+      vars(prodgeo)["BASE_POINT"] is vars(core)["BASE_POINT"] is base)
+""")
+        assert out == "False True [1.0, 0.0, 0.0] True True"
