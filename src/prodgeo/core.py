@@ -99,6 +99,24 @@ def _require_geometry(kind) -> None:
         raise DomainError(f"unknown geometry {kind!r}; expected Geometry.S2R or Geometry.H2R")
 
 
+class _Record:
+    """A read-only record, equal only to itself: ``__init__`` binds its attributes
+    by ``vars(self)``, as a ``cached_property`` does; to assign or delete one is
+    an AttributeError.  The repr names the attributes in ``_fields``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
 #: The common start point of all geodesic parametrisations, (1 : 1 : 0 : 0),
 #: as a float triple; the public array ``BASE_POINT`` is built on first access.
 _BASE = (1.0, 0.0, 0.0)
@@ -122,10 +140,11 @@ def model_point(coords) -> np.ndarray:
 
 
 def _point(coords) -> tuple[float, float, float]:
-    """``model_point`` as a tuple of three Python floats: 3 or 4 floats in a
-    tuple or list are read with no numpy, a 1-D array by ``tolist``, other
-    numbers as ``np.asarray`` reads them.  DomainError for coordinates that
-    are not real numbers, another count and x0 not > 0, NaN included."""
+    """``model_point`` as a tuple of three Python floats: 3 or 4 floats or ints
+    in a tuple or list are read with no numpy (an int by ``float``, as numpy
+    reads it), a 1-D array by ``tolist``, other numbers as ``np.asarray`` reads
+    them.  DomainError for coordinates that are not real numbers or beyond
+    double range, another count and x0 not > 0, NaN included."""
     if type(coords) is tuple or type(coords) is list:
         values = coords
     else:
@@ -140,13 +159,18 @@ def _point(coords) -> tuple[float, float, float]:
             if not x0 > 0.0:
                 raise DomainError(f"homogeneous coordinate x0 must be positive, got {x0}")
             return x1 / x0, x2 / x0, x3 / x0
-    try:  # numbers of other types, or another count; a complex part is not dropped
+    try:
+        if len(values) in (3, 4) and all(type(c) is int or type(c) is float for c in values):
+            return _point([float(c) for c in values])
+        # numbers of other types, or another count; a complex part is not dropped
         a = np.asarray(coords)  # nor is text, which astype would read, a number
         if a.dtype.kind == "c" or any(isinstance(c, (str, bytes)) for c in a.ravel().tolist()):
             raise TypeError
         a = a.astype(float)
     except (TypeError, ValueError):
         raise DomainError(f"coordinates must be real numbers, got {coords!r}") from None
+    except OverflowError:  # an int or a fraction beyond the largest double
+        raise DomainError("coordinates must be within double range") from None
     if a.shape not in ((3,), (4,)):
         raise DomainError(f"expected 3 or 4 coordinates, got shape {a.shape}")
     return _point(a.tolist())

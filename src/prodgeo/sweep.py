@@ -26,9 +26,8 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field
 
-from .core import _BASE, Geometry, _guard_in_range, _point, _split, np
+from .core import _BASE, Geometry, _guard_in_range, _point, _Record, _split, np
 from .exceptions import ConsistencyError, DegenerateError, DomainError
 from .tolerances import DEFAULT
 from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _sums_at
@@ -53,66 +52,60 @@ class ExtremumKind(enum.Enum):
     FLAT = "degenerate-flat"
 
 
-@dataclass(frozen=True, eq=False)
-class SweepSpec:
+class SweepSpec(_Record):
     """The triangles (base point, a2, t * ray), t in [t_min, t_max], checked
     once, here, as a ``GeodesicTriangle`` is.  DomainError for a kind not a
     ``Geometry``, an a2 or a ray direction outside the model, t_min and
     t_max not numbers with finite 0 < t_min < t_max, or samples not an
     integer >= 8; then DegenerateError where a2 is a1 and, as at every t,
     where two S2xR surface points of a1, a2 and the ray are antipodal.
-    ``_ray`` is the family's ray part, ``triangles._closed_form`` of (base
-    point, a2, ray), and ``_triples`` are a1, a2 and the ray as float triples."""
+    ``a2`` and ``ray`` are arrays; ``_triples`` are a1, a2 and the ray as float
+    triples, ``_ray`` the family's ray part (``triangles._closed_form``)."""
 
-    kind: Geometry
-    a2: np.ndarray
-    ray: np.ndarray
-    t_min: float = 1e-3
-    t_max: float = 5.0
-    samples: int = 512
+    _fields = ("kind", "a2", "ray", "t_min", "t_max", "samples")
 
-    def __post_init__(self):
+    def __init__(self, kind: Geometry, a2, ray, t_min: float = 1e-3, t_max: float = 5.0,
+                 samples: int = 512):
         # each split is its point's membership check
-        a1, a2 = _BASE, _point(self.a2)
-        a2_split = _split(self.kind, a2)
-        ray = _point(self.ray)
-        object.__setattr__(self, "a2", np.array(a2))
-        object.__setattr__(self, "ray", np.array(ray))
-        for name in ("t_min", "t_max"):
-            value = getattr(self, name)
+        a1, a2 = _BASE, _point(a2)
+        a2_split = _split(kind, a2)
+        ray = _point(ray)
+        t_range = []
+        for name, value in (("t_min", t_min), ("t_max", t_max)):
             if not isinstance(value, numbers.Real):  # float() would also read text
                 raise DomainError(f"need a number for {name}, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if not (0.0 < self.t_min < self.t_max < math.inf):
-            raise DomainError(f"need finite 0 < t_min < t_max, got ({self.t_min}, {self.t_max})")
+            t_range.append(float(value))
+        t_min, t_max = t_range
+        if not (0.0 < t_min < t_max < math.inf):
+            raise DomainError(f"need finite 0 < t_min < t_max, got ({t_min}, {t_max})")
         try:
-            samples = operator.index(self.samples)
+            count = operator.index(samples)
         except TypeError:
-            samples = None
-        if samples is None or samples < 8:
-            raise DomainError(f"need an integer number of samples >= 8, got {self.samples!r}")
-        object.__setattr__(self, "samples", samples)
+            count = None
+        if count is None or count < 8:
+            raise DomainError(f"need an integer number of samples >= 8, got {samples!r}")
         # membership of t * ray is scale-invariant, so the direction decides
         try:
-            ray_split = _split(self.kind, ray)
+            ray_split = _split(kind, ray)
         except DomainError:
-            raise DomainError(f"ray direction {ray} leaves the {self.kind.value} model") from None
+            raise DomainError(f"ray direction {ray} leaves the {kind.value} model") from None
         _require_distinct((a1, a2))
-        object.__setattr__(self, "_triples", (a1, a2, ray))
-        object.__setattr__(self, "_ray", _closed_form(self.kind, _split(self.kind, a1),
-                                                      a2_split, ray_split))
+        vars(self).update(kind=kind, a2=np.array(a2), ray=np.array(ray), t_min=t_min,
+                          t_max=t_max, samples=count, _triples=(a1, a2, ray),
+                          _ray=_closed_form(kind, _split(kind, a1), a2_split, ray_split))
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    series: np.ndarray  # shape (samples, 2): columns t, S(t)
-    t_extremum: float
-    s_extremum: float
-    extremum_kind: ExtremumKind
-    #: the extremum is a turning point inside (t_min, t_max), not the best
-    #: value at an end of the range; False for flat families
-    interior: bool
-    spec: SweepSpec = field(repr=False)
+class SweepResult(_Record):
+    """What ``evaluate`` found for ``spec`` (left out of the repr): the ``series``,
+    columns t and S(t), and the extremum, ``interior`` when a turning point inside
+    (t_min, t_max), not the better end of the range; never for a flat family."""
+
+    _fields = ("series", "t_extremum", "s_extremum", "extremum_kind", "interior")
+
+    def __init__(self, series: np.ndarray, t_extremum: float, s_extremum: float,
+                 extremum_kind: ExtremumKind, interior: bool, spec: SweepSpec):
+        vars(self).update(series=series, t_extremum=t_extremum, s_extremum=s_extremum,
+                          extremum_kind=extremum_kind, interior=interior, spec=spec)
 
 
 def _check_third_vertices(spec: SweepSpec, t: float) -> None:

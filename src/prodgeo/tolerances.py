@@ -1,11 +1,10 @@
-"""Named tolerance constants, read from ``DEFAULT`` across the library;
-no function accepts a ``Tolerances`` argument."""
+"""Named tolerance constants: ``DEFAULT``, a read-only ``Tolerances`` named tuple,
+read across the library; no function accepts a ``Tolerances`` argument."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     #: geodesic parameter roundtrip, per component
     roundtrip: float = 1e-9
     #: a normaliser's image of its anchor is the base point to this (max norm),

@@ -39,11 +39,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import Geometry, _split, np, require_member
+from .core import Geometry, _Record, _split, np, require_member
 from .exceptions import ConsistencyError, DegenerateError
 from .tolerances import DEFAULT
 
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class GeodesicTriangle:
+class GeodesicTriangle(_Record):
     """Vertices of a geodesic triangle as the caller gave them, read once
     into immutable float triples, so its angles and coplanarity, computed
     once, cannot go stale.
@@ -69,15 +67,12 @@ class GeodesicTriangle:
     DegenerateError when two vertices coincide (see ``_require_distinct``).
     """
 
-    kind: Geometry
-    a1: tuple[float, float, float]
-    a2: tuple[float, float, float]
-    a3: tuple[float, float, float]
+    _fields = ("kind", "a1", "a2", "a3")
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3"):
-            object.__setattr__(self, name, require_member(self.kind, getattr(self, name)))
-        _require_distinct(self.vertices)
+    def __init__(self, kind: Geometry, a1, a2, a3):
+        a1, a2, a3 = (require_member(kind, a) for a in (a1, a2, a3))
+        _require_distinct((a1, a2, a3))
+        vars(self).update(kind=kind, a1=a1, a2=a2, a3=a3)
 
     @property
     def vertices(self):

@@ -8,9 +8,8 @@ a run can be replayed from the printed seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .core import _BASE, Geometry, metric_at, np
+from .core import _BASE, Geometry, _Record, metric_at, np
 from .exceptions import DegenerateError
 from .geodesics import GeodesicParams, _endpoints, distance, geodesic_params
 from .isometries import _frame_angles, apply_isometry, tangent_endpoints, to_origin
@@ -30,12 +29,19 @@ _H2R_COND_BOUND = 7.5
 _ODE_TRIAL_CAP = 100  #: trials of the ODE suite in ``run_all``; integration is slow
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    kind: Geometry
-    trials: int
-    failures: list[str] = field(default_factory=list)
+    """One suite's run, equal to another field by field; its ``failures``,
+    a new list unless given, are appended to as the suite runs."""
+
+    _fields = ("name", "kind", "trials", "failures")
+    __repr__ = _Record.__repr__
+
+    def __init__(self, name: str, kind: Geometry, trials: int, failures: list[str] | None = None):
+        self.name, self.kind, self.trials = name, kind, trials
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is SuiteResult else NotImplemented
 
     @property
     def passed(self) -> bool:

@@ -135,16 +135,14 @@ def test_a_triangle_validates_itself():
     checks membership and distinctness: the function checks nothing."""
     assert not _body_names("triangles.py", "geodesic_triangle") & {"require_member",
                                                                    "_require_distinct"}
-    assert {"require_member", "_require_distinct"} <= _body_names("triangles.py",
-                                                                  "__post_init__")
+    assert {"require_member", "_require_distinct"} <= _body_names("triangles.py", "__init__")
 
 
 def test_a_sweep_spec_validates_itself():
     """A ``SweepSpec`` builds its ray part as it is constructed, on the
     splits that check a2 and the ray: no membership check beside the split,
     and no ray part built on first use."""
-    assert {"_split", "_require_distinct", "_closed_form"} <= _body_names("sweep.py",
-                                                                        "__post_init__")
+    assert {"_split", "_require_distinct", "_closed_form"} <= _body_names("sweep.py", "__init__")
     for name in ("require_member", "cached_property", "_ray_split"):
         assert "sweep.py" not in _modules_naming(name), name
 
@@ -241,12 +239,27 @@ def test_oracle_writes_no_metric_and_solves_without_numpy_linalg():
                    and "linalg" in ast.unparse(node) for node in ast.walk(tree))
 
 
+def _imported(node: ast.AST) -> set[str]:
+    """The top-level packages an absolute import statement ``node`` names."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    """The records are plain classes on ``core._Record`` and a named tuple:
+    ``dataclasses``, with the ``inspect`` it imports, would be about a third
+    of the package's import time."""
+    for path in SOURCES.glob("*.py"):
+        for node in ast.walk(_tree(path.name)):
+            assert not _imported(node) & {"dataclasses", "inspect"}, path.name
+
+
 def _imports_numpy(node: ast.AST) -> bool:
     """Whether ``node`` is an ``import numpy...`` or ``from numpy... import``."""
-    if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
-    return (isinstance(node, ast.ImportFrom) and node.level == 0
-            and node.module.split(".")[0] == "numpy")
+    return "numpy" in _imported(node)
 
 
 def _run_at_import(stmt: ast.stmt) -> list[ast.AST]:

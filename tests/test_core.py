@@ -1,5 +1,7 @@
+import inspect
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,11 +21,13 @@ from prodgeo.core import (
     _guard_member,
     _hypot,
     _metric,
+    _point,
     _scaled_norm,
     _split,
     fibre_norm_sq,
     require_member,
 )
+from prodgeo.verification import SuiteResult
 from conftest import BOTH, random_point
 
 
@@ -150,12 +154,45 @@ class TestMembership:
         ((1.0, 2.0), "expected 3 or 4 coordinates, got shape (2,)"),
         ([1.0, 2.0, 3.0, 4.0, 5.0], "expected 3 or 4 coordinates, got shape (5,)"),
         (np.ones((1, 3)), "expected 3 or 4 coordinates, got shape (1, 3)"),
-        (2.0, "expected 3 or 4 coordinates, got shape ()")])
+        (2.0, "expected 3 or 4 coordinates, got shape ()"),
+        ((10**400, 0, 0), "coordinates must be within double range")])
     def test_rejected_alike_whatever_the_type(self, coords, message):
         """Floats, ints, lists and arrays of one bad point give one message."""
         for form in (coords, np.asarray(coords), np.asarray(coords).tolist()):
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 model_point(form)
+
+    @pytest.mark.parametrize("coords", [(10**400, 0, 0), (1.0, -10**400, 0.0), (2, 10**400, 0, 0),
+                                        (2**1024 - 2**970, 0, 0), [Fraction(10**400), 1, 0]],
+                             ids=["int", "among-floats", "homogeneous", "rounds-up", "fraction"])
+    def test_numbers_beyond_double_range_are_domain_error(self, coords):
+        """An int or a fraction that no double holds is a DomainError, not
+        the OverflowError of its conversion, and not a member."""
+        with pytest.raises(DomainError, match="^coordinates must be within double range$"):
+            model_point(coords)
+        with pytest.raises(DomainError, match="^coordinates must be within double range$"):
+            prodgeo.geodesic_triangle(Geometry.S2R, (1.0, 0.0, 0.0), coords, (0.0, 1.0, 0.0))
+        assert not contains(Geometry.S2R, coords)
+
+    def test_ints_are_read_as_numpy_reads_them(self):
+        """Ints, alone or among floats, in 3- and 4-tuples, are read with no
+        numpy into the doubles that ``np.asarray(...).astype(float)`` gives,
+        to the bit (numpy's int64 and object arrays, and float arrays of ints
+        among floats), or rejected alike (x0 not > 0)."""
+        def read(coords):
+            try:
+                return [c.hex() for c in _point(coords)]
+            except DomainError as error:
+                return str(error)
+
+        rng = random.Random(25)
+        whole = [0, 1, -7, 2**53 + 1, 2**53 + 3, 2**63 - 1, 2**63, -(2**63), 2**64 - 1, 2**64 + 1,
+                 3**45, -(10**30) - 1, 2**1023 + 2**970]
+        for _ in range(400):
+            coords = tuple(rng.choice([rng.choice(whole), rng.getrandbits(80) - 2**79,
+                                       rng.randint(-10**6, 10**6), rng.uniform(-1e3, 1e3)])
+                           for _ in range(rng.choice((3, 4))))
+            assert read(coords) == read(np.asarray(coords).astype(float).tolist()), coords
 
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
     def test_h2r_membership_iff_cone_inequalities(self, x, y, z):
@@ -482,3 +519,97 @@ print(before, type(base) is numpy.ndarray, base.tolist(), base is core.BASE_POIN
       vars(prodgeo)["BASE_POINT"] is vars(core)["BASE_POINT"] is base)
 """)
         assert out == "False True [1.0, 0.0, 0.0] True True"
+
+
+class TestNoDataclassesAtStartUp:
+    """The package's records are plain classes and a named tuple, so a
+    process loads neither ``dataclasses`` nor the ``inspect`` it imports."""
+
+    def test_triangle_and_tables_load_neither(self):
+        out = _fresh("""
+import contextlib, io, sys
+from prodgeo.cli import main
+runs = [["triangle", "--geometry", "s2r", "--a2", "3,-2,1", "--a3", "2,1,0"],
+        ["triangle", "--geometry", "h2r", "--a1", "2,2,0,0", "--a2", "2,1.5,1", "--a3", "3,-1,0"],
+        ["tables", "--format", "json"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, [name for name in ("dataclasses", "inspect") if name in sys.modules])
+""")
+        assert out == "[0, 0, 0] []"
+
+
+class TestRecords:
+    """``GeodesicTriangle``, ``SweepSpec`` and ``SweepResult`` are read-only
+    and equal only to themselves, ``Tolerances`` a named tuple and a
+    ``SuiteResult`` a mutable record equal field by field."""
+
+    @staticmethod
+    def _records():
+        tri = prodgeo.geodesic_triangle(Geometry.S2R, (1.0, 0.0, 0.0), (2.0, 1.0, 0.0),
+                                        (3.0, -1.0, 0.5))
+        spec = prodgeo.SweepSpec(Geometry.H2R, (2.0, 1.5, 1.0), (3.0, -1.0, 0.0), samples=16)
+        return tri, spec, prodgeo.evaluate(spec)
+
+    def test_assigning_or_deleting_an_attribute_is_attribute_error(self):
+        tri, spec, result = self._records()
+        total = prodgeo.angle_sum(tri).total  # a cached_property still caches
+        assert "_angles" in vars(tri)
+        for record, name in ((prodgeo.DEFAULT, "angle_sum"), (tri, "a1"), (tri, "_angles"),
+                             (spec, "t_min"), (spec, "_ray"), (result, "t_extremum")):
+            before = getattr(record, name)
+            for attempt in (lambda: setattr(record, name, 0.0), lambda: delattr(record, name),
+                            lambda: setattr(record, "extra", 0.0)):
+                with pytest.raises(AttributeError):
+                    attempt()
+            assert getattr(record, name) is before
+            assert not hasattr(record, "extra")
+        assert prodgeo.angle_sum(tri).total == total
+
+    def test_triangles_sweeps_and_results_compare_by_identity(self):
+        first, second = self._records(), self._records()
+        for one, other in zip(first, second):
+            assert one == one and one != other
+            assert hash(one) == object.__hash__(one)
+
+    def test_tolerances_are_a_named_tuple(self):
+        assert prodgeo.Tolerances() == prodgeo.DEFAULT
+        varied = prodgeo.Tolerances(angle_sum=1e-6, ode_atol=1e-10)
+        assert (varied.angle_sum, varied.ode_atol, varied.roundtrip) == (1e-6, 1e-10, 1e-9)
+        assert prodgeo.DEFAULT._replace(angle_sum=1e-6, ode_atol=1e-10) == varied != prodgeo.DEFAULT
+        assert prodgeo.Tolerances(*prodgeo.DEFAULT) == prodgeo.DEFAULT
+
+    def test_suite_results_compare_field_by_field(self):
+        one, other = (SuiteResult("roundtrip", Geometry.S2R, 3) for _ in range(2))
+        assert one == other and one.failures == [] and one.passed
+        one.failures.append("seed 1: off by 1e-3")
+        assert other.failures == [] and one != other and not one.passed
+        assert SuiteResult("roundtrip", Geometry.S2R, 3, ["seed 1: off by 1e-3"]) == one
+        assert one != SuiteResult("roundtrip", Geometry.H2R, 3, one.failures)
+        assert one != ("roundtrip", Geometry.S2R, 3, one.failures)
+        with pytest.raises(TypeError):
+            hash(one)
+
+    def test_repr_names_the_fields(self):
+        tri, spec, result = self._records()
+        assert repr(tri) == ("GeodesicTriangle(kind=<Geometry.S2R: 's2r'>, a1=(1.0, 0.0, 0.0), "
+                             "a2=(2.0, 1.0, 0.0), a3=(3.0, -1.0, 0.5))")
+        assert repr(spec) == ("SweepSpec(kind=<Geometry.H2R: 'h2r'>, a2=array([2. , 1.5, 1. ]), "
+                              "ray=array([ 3., -1.,  0.]), t_min=0.001, t_max=5.0, samples=16)")
+        assert repr(result).startswith("SweepResult(series=array(")
+        assert "interior=True)" in repr(result) and "spec" not in repr(result)
+        assert repr(SuiteResult("trichotomy", Geometry.H2R, 5)) == (
+            "SuiteResult(name='trichotomy', kind=<Geometry.H2R: 'h2r'>, trials=5, failures=[])")
+
+    @pytest.mark.parametrize("record, parameters", [
+        (prodgeo.GeodesicTriangle, [("kind", None), ("a1", None), ("a2", None), ("a3", None)]),
+        (prodgeo.SweepSpec, [("kind", None), ("a2", None), ("ray", None), ("t_min", 1e-3),
+                             ("t_max", 5.0), ("samples", 512)]),
+        (prodgeo.SweepResult, [("series", None), ("t_extremum", None), ("s_extremum", None),
+                               ("extremum_kind", None), ("interior", None), ("spec", None)]),
+        (SuiteResult, [("name", None), ("kind", None), ("trials", None), ("failures", None)])])
+    def test_constructor_parameters(self, record, parameters):
+        signature = inspect.signature(record).parameters.values()
+        assert [(p.name, None if p.default is p.empty else p.default)
+                for p in signature] == parameters
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in signature)

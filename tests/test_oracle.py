@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -132,8 +131,8 @@ class TestIntrinsicIntegration:
             return unit_speed_drift(kind, state)
 
         monkeypatch.setattr(oracle, "unit_speed_drift", recorded)
-        monkeypatch.setattr(oracle, "DEFAULT", dataclasses.replace(
-            oracle.DEFAULT, ode_rtol=1e-4, ode_atol=1e-6, unit_speed_drift=1e-6))
+        monkeypatch.setattr(oracle, "DEFAULT", oracle.DEFAULT._replace(
+            ode_rtol=1e-4, ode_atol=1e-6, unit_speed_drift=1e-6))
         g = GeodesicParams(0.4, 0.3, 2.0)
         end = integrate_geodesic(Geometry.S2R, g)[-1]
         assert len(drifts) == 2
@@ -142,7 +141,7 @@ class TestIntrinsicIntegration:
 
     def test_persistent_drift_raises_consistency_error(self, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT",
-                            dataclasses.replace(oracle.DEFAULT, unit_speed_drift=1e-30))
+                            oracle.DEFAULT._replace(unit_speed_drift=1e-30))
         with pytest.raises(ConsistencyError, match="persists after tightening"):
             integrate_geodesic(Geometry.S2R, (0.4, 0.3, 2.0))
 

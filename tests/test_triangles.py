@@ -226,6 +226,10 @@ class TestFloatTriples:
         (Geometry.H2R, (1.0, 0.0, 0.0), (2.0, 1.5, 1.0), (2.0, 6.0, -2.0, 0.0)),
         (Geometry.H2R, (4.0, 4.0, 0.0, 0.0), (2.0, 1.5, 0.0), (3.0, -1.0, 0.0)),
     ]
+    #: the same triangles with each whole coordinate an int: int tuples, and
+    #: ints among floats where a coordinate is not whole
+    INT_CASES = [(kind, *(tuple(int(c) if c.is_integer() else c for c in v) for v in vertices))
+                 for kind, *vertices in CASES]
 
     @staticmethod
     def _measure(kind, *vertices):
@@ -242,6 +246,8 @@ class TestFloatTriples:
         for module in (core, triangles):
             monkeypatch.setattr(module, "np", _NoNumpy())
         assert [self._measure(*case) for case in self.CASES] == expected
+        assert {type(c) for case in self.INT_CASES for v in case[1:] for c in v} == {int, float}
+        assert [self._measure(*case) for case in self.INT_CASES] == expected
 
     @BOTH
     def test_the_input_type_does_not_matter(self, kind):
