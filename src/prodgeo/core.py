@@ -36,9 +36,11 @@ package; neither squares a coordinate in floats.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import importlib.util
 import math
+import operator
 import sys
 
 from .exceptions import DomainError
@@ -174,6 +176,27 @@ def _point(coords) -> tuple[float, float, float]:
     if a.shape not in ((3,), (4,)):
         raise DomainError(f"expected 3 or 4 coordinates, got shape {a.shape}")
     return _point(a.tolist())
+
+
+def _real(value, what: str) -> float:
+    """A number argument ``what`` as ``float`` reads it: an int (a bool too) or a float,
+    with no numpy call, or a numpy real scalar or 0-d array.  DomainError for any
+    other value, text and complex included, and for an int beyond double range."""
+    if not isinstance(value, (int, float)) and not (
+            getattr(value, "shape", None) == () and value.dtype.kind in "biuf"):
+        raise DomainError(f"need a number for {what}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the largest double
+        raise DomainError(f"{what} must be within double range") from None
+
+
+def _count(value, least: int, what: str, error: type) -> int:
+    """Integer ``what`` >= ``least`` by ``operator.index`` (not 2.5 or "3"), else ``error``."""
+    with contextlib.suppress(TypeError):
+        if (count := operator.index(value)) >= least:
+            return count
+    raise error(f"need an integer number of {what} >= {least}, got {value!r}")
 
 
 def contains(kind: Geometry, coords) -> bool:

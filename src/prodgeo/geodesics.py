@@ -30,10 +30,10 @@ with larger tau.
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple
 
-from .core import Geometry, _fibre_norm, _point, _require_geometry, _split, model_point, np
+from .core import (Geometry, _count, _fibre_norm, _point, _real, _require_geometry, _split,
+                   model_point, np)
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
 from .triangles import _arc
@@ -57,7 +57,8 @@ class GeodesicParams(NamedTuple):
 
     @classmethod
     def normalized(cls, u: float, v: float, tau: float) -> "GeodesicParams":
-        """Wrap u into (-pi, pi], clamp v's roundoff overshoot, check tau >= 0."""
+        """Read (``core._real``), wrap u into (-pi, pi], clamp v's overshoot, check tau >= 0."""
+        u, v, tau = _real(u, "u"), _real(v, "v"), _real(tau, "tau")
         if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(tau)):
             raise DomainError(f"geodesic parameters must be finite, got ({u}, {v}, {tau})")
         if tau < 0.0:
@@ -70,6 +71,15 @@ class GeodesicParams(NamedTuple):
         if u <= -math.pi:
             u = math.pi
         return cls(u, v, tau)
+
+
+def _triple(g) -> tuple:
+    """(u, v, tau) of ``g``, as given; DomainError naming it unless a sequence of three."""
+    try:
+        u, v, tau = g
+    except (TypeError, ValueError):
+        raise DomainError(f"need geodesic parameters (u, v, tau), got {g!r}") from None
+    return u, v, tau
 
 
 def geodesic_point(kind: Geometry, g) -> np.ndarray:
@@ -85,7 +95,8 @@ def geodesic_point(kind: Geometry, g) -> np.ndarray:
 
 def _endpoints(kind: Geometry, params) -> np.ndarray:
     """``geodesic_point`` of a sequence of parameter triples, as one (n, 3) array."""
-    u, v, tau = np.array([GeodesicParams.normalized(*g) for g in params]).reshape(-1, 3).T
+    rows = [GeodesicParams.normalized(*_triple(g)) for g in params]
+    u, v, tau = np.array(rows).reshape(-1, 3).T
     return _points(kind, u, v, tau)
 
 
@@ -152,11 +163,14 @@ def _geodesic_params(kind: Geometry, p: np.ndarray) -> GeodesicParams:
 def tangent_of(g) -> np.ndarray:
     """Unit tangent at the base point, (sin v, cos v cos u, cos v sin u).
 
-    These are the Cartesian components of the geodesic's initial velocity;
-    the ambient metric at the base point is the identity, so Euclidean
-    angles between such tangents are the geometric ones.
+    These are the Cartesian components of the geodesic's initial velocity; the ambient
+    metric at the base point is the identity, so Euclidean angles between such tangents
+    are the geometric ones.  u and v are read as given; DomainError unless both are finite.
     """
-    u, v, _ = g
+    u, v, _ = _triple(g)
+    u, v = _real(u, "u"), _real(v, "v")
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise DomainError(f"direction angles must be finite, got ({u}, {v})")
     return np.array([
         math.sin(v),
         math.cos(v) * math.cos(u),
@@ -185,18 +199,7 @@ def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:
     Raises PrecondError unless ``n`` is an integer >= 2, and DomainError,
     as ``geodesic_point`` does, at the first sample out of double range.
     """
-    n = _count(n, 2, "samples")
-    u, v, tau = GeodesicParams.normalized(*g)
+    n = _count(n, 2, "samples", PrecondError)
+    u, v, tau = GeodesicParams.normalized(*_triple(g))
     return _points(kind, u, v, tau * np.arange(n) / (n - 1))
 
-
-def _count(value, least: int, what: str) -> int:
-    """``value`` as an integer >= ``least`` by ``operator.index``, as
-    ``SweepSpec`` reads samples; PrecondError otherwise, 2.5 and "3" included."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise PrecondError(f"need an integer number of {what}, got {value!r}") from None
-    if count < least:
-        raise PrecondError(f"need at least {least} {what}, got {count}")
-    return count

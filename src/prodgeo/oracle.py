@@ -86,10 +86,10 @@ from __future__ import annotations
 import math
 
 from . import _dop853
-from .core import (_BASE, Geometry, _guard_member, _metric, _metric_entries,
+from .core import (_BASE, Geometry, _count, _guard_member, _metric, _metric_entries,
                    _require_geometry, np, to_model)
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
-from .geodesics import GeodesicParams, _count, tangent_of
+from .geodesics import GeodesicParams, _triple, tangent_of
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -145,7 +145,7 @@ def _initial_state(kind: Geometry, g: GeodesicParams):
 
 def _checked_params(g) -> GeodesicParams:
     """The normalized parameters of ``g``; PrecondError above ``_TAU_LIMIT``."""
-    params = GeodesicParams.normalized(*g)
+    params = GeodesicParams.normalized(*_triple(g))
     if params.tau > _TAU_LIMIT:
         raise PrecondError(f"integration limited to tau <= {_TAU_LIMIT:g}, got {params.tau}")
     return params
@@ -162,7 +162,7 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     underflows, or a sphere-chart pole, raises SingularityError.
     """
     params = _checked_params(g)
-    steps = _count(steps, 100, "steps")
+    steps = _count(steps, 100, "steps", PrecondError)
     _require_geometry(kind)
     rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
     state0 = _initial_state(kind, params)

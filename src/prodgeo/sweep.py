@@ -23,11 +23,9 @@ import bisect
 import contextlib
 import enum
 import math
-import numbers
-import operator
 import sys
 
-from .core import _BASE, Geometry, _guard_in_range, _point, _Record, _split, np
+from .core import _BASE, Geometry, _count, _guard_in_range, _point, _real, _Record, _split, np
 from .exceptions import ConsistencyError, DegenerateError, DomainError
 from .tolerances import DEFAULT
 from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _sums_at
@@ -70,20 +68,10 @@ class SweepSpec(_Record):
         a1, a2 = _BASE, _point(a2)
         a2_split = _split(kind, a2)
         ray = _point(ray)
-        t_range = []
-        for name, value in (("t_min", t_min), ("t_max", t_max)):
-            if not isinstance(value, numbers.Real):  # float() would also read text
-                raise DomainError(f"need a number for {name}, got {value!r}")
-            t_range.append(float(value))
-        t_min, t_max = t_range
+        t_min, t_max = _real(t_min, "t_min"), _real(t_max, "t_max")
         if not (0.0 < t_min < t_max < math.inf):
             raise DomainError(f"need finite 0 < t_min < t_max, got ({t_min}, {t_max})")
-        try:
-            count = operator.index(samples)
-        except TypeError:
-            count = None
-        if count is None or count < 8:
-            raise DomainError(f"need an integer number of samples >= 8, got {samples!r}")
+        count = _count(samples, 8, "samples", DomainError)
         # membership of t * ray is scale-invariant, so the direction decides
         try:
             ray_split = _split(kind, ray)
@@ -133,9 +121,10 @@ def angle_sum_at(spec: SweepSpec, t: float) -> float:
     """S(t): the interior angle sum of the triangle with third vertex t*ray,
     for a finite t > 0 (DomainError otherwise): the closed form at u = log t.
     Only t*ray is checked (``_check_third_vertices``)."""
+    t = _real(t, "t")
     if not 0.0 < t < math.inf:
         raise DomainError(f"need a finite parameter t > 0, got {t}")
-    _check_third_vertices(spec, float(t))
+    _check_third_vertices(spec, t)
     return _angles_at(spec._ray, math.log(t))[0].total
 
 

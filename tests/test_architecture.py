@@ -292,3 +292,17 @@ def test_numpy_loads_on_first_use():
                  for node in ast.walk(part) if isinstance(node, ast.Attribute)
                  and isinstance(node.value, ast.Name) and node.value.id == "np"]
         assert reads == [], name
+
+
+@pytest.mark.parametrize("name", ["_real", "_count"])
+def test_one_number_reader(name):
+    """A number or count argument is read by ``core._real`` or ``core._count``."""
+    assert _defining(name) == {"core.py"}
+
+
+@pytest.mark.parametrize("module", ["sweep.py", "geodesics.py", "oracle.py"])
+def test_no_scalar_reader_of_their_own(module):
+    """``numbers.Real`` and ``operator.index`` were the ad-hoc scalar readers."""
+    assert not {node.id for node in ast.walk(_tree(module))
+                if isinstance(node, ast.Name)} & {"numbers", "operator"}
+    assert not any(_imported(node) & {"numbers", "operator"} for node in ast.walk(_tree(module)))

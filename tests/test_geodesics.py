@@ -71,6 +71,40 @@ class TestClosedForm:
         with pytest.raises(DomainError, match="finite"):
             GeodesicParams.normalized(*g)
 
+    @pytest.mark.parametrize("g, message", [
+        ((0.0, 0.5, "1"), "need a number for tau"), ((0.0, "a", 1.0), "need a number for v"),
+        ((1j, 0.5, 1.0), "need a number for u"), ((0.0, None, 1.0), "need a number for v"),
+        ((0.0, 0.5, np.array([1.0, 2.0])), "need a number for tau"),
+        ((0.0, 0.5, 10**400), "tau must be within double range"),
+        ((0.0, 0.5), r"need geodesic parameters \(u, v, tau\)"),
+        (None, r"need geodesic parameters \(u, v, tau\)"),
+        (1.0, r"need geodesic parameters \(u, v, tau\)")],
+        ids=["text-tau", "text-v", "complex-u", "none-v", "array-tau", "huge-tau", "two",
+             "none", "scalar"])
+    def test_params_that_are_not_three_doubles(self, g, message):
+        """A raw TypeError, ValueError or OverflowError once escaped each call."""
+        with pytest.raises(DomainError, match=message):
+            geodesic_point(Geometry.S2R, g)
+        with pytest.raises(DomainError, match=message):
+            sample_curve(Geometry.S2R, g, 3)
+        if isinstance(g, tuple) and len(g) == 3:
+            with pytest.raises(DomainError, match=message):
+                GeodesicParams.normalized(*g)
+
+    @pytest.mark.parametrize("g", [(0.0, "a", 1.0), (None, 0.0, 1.0), (0.0, 0.5),
+                                   (math.inf, 0.0, 1.0), (0.0, -math.inf, 1.0),
+                                   (math.nan, 0.0, 1.0)])
+    def test_tangent_of_needs_finite_angles(self, g):
+        """math.sin of an infinity raised a raw ValueError; NaN gave a NaN tangent."""
+        with pytest.raises(DomainError):
+            tangent_of(g)
+
+    def test_tangent_of_reads_angles_as_given(self):
+        """u and v are not wrapped or clamped, so the bits are the plain formula's."""
+        u, v = -math.pi, 0.3
+        assert tangent_of((np.float64(u), v, "tau is not read")).tolist() == [
+            math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)]
+
     def test_v_clamped_at_roundoff(self):
         p = geodesic_point(Geometry.S2R, (0, 1.5708, 1.0))
         assert np.allclose(p, [E, 0, 0], atol=1e-4)

@@ -161,6 +161,13 @@ class TestIntrinsicIntegration:
         with pytest.raises(PrecondError, match="integer number of steps"):
             integrate_geodesic(Geometry.S2R, (0, 0, 1), steps=steps)
 
+    @pytest.mark.parametrize("g", [(0.0, 0.5, 10**400), (0.0, "a", 1.0), (0.0, 0.5), None])
+    def test_params_that_are_not_three_doubles(self, g):
+        """A raw OverflowError, TypeError or ValueError once escaped both routes."""
+        for integrate in (integrate_geodesic, integrate_geodesic_cartesian):
+            with pytest.raises(DomainError):
+                integrate(Geometry.S2R, g)
+
     def test_tau_cap_enforced(self):
         with pytest.raises(PrecondError):
             integrate_geodesic(Geometry.H2R, (0, 0, 11.0))

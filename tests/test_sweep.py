@@ -59,10 +59,18 @@ class TestSpecValidation:
 
 
     @pytest.mark.parametrize("bounds", [{"t_min": "0.1"}, {"t_max": None},
-                                        {"t_min": np.array([1e-3, 1e-2])}],
-                             ids=["text", "none", "array"])
+                                        {"t_min": np.array([1e-3, 1e-2])}, {"t_max": 5j},
+                                        {"t_max": np.complex128(5.0)}, {"t_min": b"0.1"}],
+                             ids=["text", "none", "array", "complex", "np-complex", "bytes"])
     def test_non_number_range_rejected(self, bounds):
         with pytest.raises(DomainError, match="need a number for t_m"):
+            SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), **bounds)
+
+    @pytest.mark.parametrize("bounds", [{"t_min": 10**400}, {"t_max": 10**400},
+                                        {"t_min": -10**400}])
+    def test_range_beyond_double_range_rejected(self, bounds):
+        """float() of such an int raised a raw OverflowError."""
+        with pytest.raises(DomainError, match="t_m.. must be within double range"):
             SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), **bounds)
 
     def test_range_is_read_as_float(self):
@@ -110,6 +118,26 @@ class TestParameter:
     def test_parameter_outside_the_half_line_is_domain_error(self, kind, t):
         with pytest.raises(DomainError, match="finite parameter t > 0"):
             angle_sum_at(family_spec(kind, samples=8), t)
+
+    @BOTH
+    @pytest.mark.parametrize("t, message", [
+        ("1", "need a number for t"), (1j, "need a number for t"),
+        (None, "need a number for t"), (np.array([1.0, 2.0]), "need a number for t"),
+        (10**400, "t must be within double range")],
+        ids=["text", "complex", "none", "array", "huge-int"])
+    def test_parameter_that_is_not_a_double_is_domain_error(self, kind, t, message):
+        """Raw TypeError, ValueError and OverflowError once escaped here."""
+        spec = family_spec(kind, samples=8)
+        with pytest.raises(DomainError, match=message):
+            angle_sum_at(spec, t)
+        with pytest.raises(DomainError, match=message):
+            limits_check(spec, t)
+
+    @pytest.mark.parametrize("t", [np.float32(0.5), np.array(0.5), np.int64(2), True],
+                             ids=["float32", "0-d", "int64", "bool"])
+    def test_numpy_scalars_read_as_float(self, t):
+        spec = family_spec(Geometry.S2R, samples=8)
+        assert angle_sum_at(spec, t) == angle_sum_at(spec, float(t))
 
 
 class TestValidateOnce:

@@ -1,0 +1,204 @@
+"""Every number argument has a typed outcome: a result that meets its
+invariants, or a GeometryError.
+
+Seeded (``derandomize=True``) properties over the entry points that read
+numbers through ``core._real`` and ``core._count``, and over ``cli.main`` on
+fuzzed ``sweep`` and ``geodesic`` arguments.  Any other exception, numpy's
+RuntimeWarning included (an error in this suite), fails a property.
+"""
+
+import contextlib
+import io
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prodgeo import (
+    DEFAULT,
+    GeodesicParams,
+    Geometry,
+    GeometryError,
+    SweepSpec,
+    angle_sum_at,
+    geodesic_point,
+    integrate_geodesic,
+    integrate_geodesic_cartesian,
+    limits_check,
+    sample_curve,
+    tangent_of,
+)
+from prodgeo.cli import main
+from prodgeo.reference import SWEEP_FAMILIES
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1e308, -1e308,
+         math.inf, -math.inf, math.nan]
+
+#: what a caller might pass for one number
+NUMBERS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(),  # subnormals, huge values, infinities and NaN
+    st.sampled_from(EDGES),
+    st.integers(-10**400, 10**400),
+    st.booleans(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.complex_numbers(max_magnitude=4.0),
+    st.none(),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(np.array),
+    st.complex_numbers(max_magnitude=4.0).map(np.complex128),
+    st.lists(st.floats(-4.0, 4.0), max_size=3).map(np.array),
+)
+
+#: what a caller might pass for a count.  Integers stay below 1000: a count
+#: is a job size, and one numpy cannot index (10**400 samples for
+#: ``sample_curve``, 2**63 steps for ``integrate_geodesic``) ends in numpy's
+#: ValueError or IndexError, not a GeometryError.
+COUNTS = st.one_of(
+    st.integers(8, 999),
+    st.integers(-3, 999).map(np.int64),
+    st.integers(-3, 7),
+    st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none()),
+)
+
+#: a number, half the time a valid parameter t (0 < t < inf)
+T_VALUES = st.one_of(st.floats(1e-4, 10.0), NUMBERS)
+
+#: three numbers, half the time valid parameters (u, v, tau)
+TRIPLES = st.one_of(st.tuples(st.floats(-4.0, 4.0), st.floats(-1.6, 1.6), st.floats(0.0, 4.0)),
+                    st.tuples(NUMBERS, NUMBERS, NUMBERS))
+
+#: a parameter argument g: also another count of numbers, or one number
+PARAMS = st.one_of(TRIPLES, st.lists(st.floats(-4.0, 4.0), max_size=4), NUMBERS)
+KINDS = st.sampled_from(list(Geometry))
+
+
+def _outcome(call, *args, **kwargs):
+    """``call``'s result, or None where it raised a GeometryError."""
+    try:
+        return call(*args, **kwargs)
+    except GeometryError:
+        return None
+
+
+def _spec(kind: Geometry) -> SweepSpec:
+    a2, ray, _, _ = SWEEP_FAMILIES[kind]
+    return SweepSpec(kind, a2, ray, samples=8)
+
+
+@SEEDED
+@given(TRIPLES)
+def test_normalized(g):
+    params = _outcome(GeodesicParams.normalized, *g)
+    if params is not None:
+        assert all(type(c) is float and math.isfinite(c) for c in params)
+        assert -math.pi < params.u <= math.pi and abs(params.v) <= math.pi / 2
+        assert params.tau >= 0.0
+
+
+@SEEDED
+@given(KINDS, PARAMS)
+def test_geodesic_point(kind, g):
+    """Finite where it answers.  Membership is not asserted: deep in the H2xR
+    cone (tau cos v above about 19) the point rounds onto the cone."""
+    p = _outcome(geodesic_point, kind, g)
+    if p is not None:
+        assert p.shape == (3,) and np.isfinite(p).all()
+
+
+@SEEDED
+@given(KINDS, PARAMS, COUNTS)
+def test_sample_curve(kind, g, n):
+    curve = _outcome(sample_curve, kind, g, n)
+    if curve is not None:
+        assert curve.shape == (int(n), 3) and np.isfinite(curve).all()
+        assert np.array_equal(curve[0], [1.0, 0.0, 0.0])
+
+
+@SEEDED
+@given(PARAMS)
+def test_tangent_of(g):
+    t = _outcome(tangent_of, g)
+    if t is not None:
+        assert t.shape == (3,) and abs(math.hypot(*t) - 1.0) < 4e-16
+
+
+@SEEDED
+@given(st.one_of(st.tuples(st.floats(1e-4, 1.0), st.floats(1.5, 10.0)),
+                st.tuples(T_VALUES, T_VALUES)), COUNTS)
+def test_sweep_spec(t_range, samples):
+    spec = _outcome(SweepSpec, Geometry.S2R, (3, -2, 1), (2, 1, 0), *t_range, samples)
+    if spec is not None:
+        assert type(spec.t_min) is float and type(spec.t_max) is float
+        assert 0.0 < spec.t_min < spec.t_max < math.inf
+        assert type(spec.samples) is int and spec.samples >= 8
+
+
+@SEEDED
+@given(KINDS, T_VALUES)
+def test_angle_sum_at_and_limits_check(kind, t):
+    """S(t) lies in (0, 3 pi) and on the theorem side of pi."""
+    spec = _spec(kind)
+    s = _outcome(angle_sum_at, spec, t)
+    if s is not None:
+        assert type(s) is float and 0.0 < s < 3.0 * math.pi
+        assert kind.curvature * (s - math.pi) >= -DEFAULT.flat_band
+    ends = _outcome(limits_check, spec, t)
+    if ends is not None:
+        assert ends[1] == s
+
+
+@settings(SEEDED, max_examples=40)
+@given(KINDS, st.one_of(TRIPLES, PARAMS), st.one_of(st.integers(100, 300), COUNTS))
+def test_integrations(kind, g, steps):
+    curve = _outcome(integrate_geodesic, kind, g, steps)
+    if curve is not None:
+        assert curve.shape == (int(steps), 3) and np.isfinite(curve).all()
+    end = _outcome(integrate_geodesic_cartesian, kind, g)
+    if end is not None:
+        assert end.shape == (3,) and np.isfinite(end).all()
+
+
+#: number arguments as a shell passes them
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(EDGES).map(repr),
+    st.integers(-10**400, 10**400).map(str),
+    st.text(alphabet="0123456789.e+-naif_", max_size=6),
+)
+
+
+def _exit_code(argv) -> int:
+    """``cli.main``'s return code, or the code of argparse's exit."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return 2
+
+
+@settings(SEEDED, max_examples=60)
+@given(KINDS, NUMBER_TEXT, NUMBER_TEXT,
+       st.one_of(st.integers(-3, 40).map(str), st.text(alphabet="0123456789.e+-_", max_size=4)))
+def test_cli_sweep(kind, t_min, t_max, samples):
+    """Sample counts stay below 10**4, for the reason ``COUNTS`` gives."""
+    a2, ray, _, _ = SWEEP_FAMILIES[kind]
+    argv = ["sweep", "--geometry", kind.value, "--a2", ",".join(map(repr, a2)),
+            "--ray", ",".join(map(repr, ray)), f"--t-min={t_min}", f"--t-max={t_max}",
+            f"--samples={samples}", "--format", "json"]
+    assert _exit_code(argv) in (0, 1, 2, 3)
+
+
+@SEEDED
+@given(KINDS, st.one_of(st.lists(NUMBER_TEXT, max_size=4).map(",".join), st.text(max_size=8)))
+def test_cli_geodesic(kind, params):
+    argv = ["geodesic", "--geometry", kind.value, f"--params={params}", "--samples", "8",
+            "--format", "json"]
+    assert _exit_code(argv) in (0, 1, 2, 3)
+
