@@ -31,7 +31,8 @@ A point splits into a fibre height log sqrt(Q) and a surface point
 p / sqrt(Q).  ``_guard_member`` (one point or an (N, 3) array) and
 ``_fibre_norm`` (sqrt(Q) of one point, in floats, from hypot-scaled norms,
 or from exact squares near the H2xR cone) carry that split for the whole
-package; neither squares a coordinate in floats.
+package; neither squares a coordinate in floats.  One chart (``_product_points``)
+maps a fibre height and surface arc back to points, which ``_guard_chart`` checks.
 """
 
 from __future__ import annotations
@@ -192,9 +193,9 @@ def _real(value, what: str) -> float:
 
 
 def _count(value, least: int, what: str, error: type) -> int:
-    """Integer ``what`` >= ``least`` by ``operator.index`` (not 2.5 or "3"), else ``error``."""
+    """Integer ``what`` in [least, sys.maxsize] by ``operator.index`` (not 2.5), else ``error``."""
     with contextlib.suppress(TypeError):
-        if (count := operator.index(value)) >= least:
+        if least <= (count := operator.index(value)) <= sys.maxsize:
             return count
     raise error(f"need an integer number of {what} >= {least}, got {value!r}")
 
@@ -368,37 +369,60 @@ def _metric(kind: Geometry, x, y, z) -> np.ndarray:
     return g.reshape((3, 3) + g.shape[1:]).transpose(tuple(range(2, g.ndim + 1)) + (0, 1))
 
 
+def _product_points(kind: Geometry, f, w, u) -> np.ndarray:
+    """The product chart e^f (along w, across w cos u, across w sin u), cos / sin on
+    S2xR and cosh / sinh on H2xR: fibre height f, surface arc w in direction u.
+    Floats or arrays of one shape (...) give points (..., 3), unchecked (``_guard_chart``)."""
+    with np.errstate(all="ignore"):
+        along, across = (np.cos(w), np.sin(w)) if kind is Geometry.S2R else (np.cosh(w), np.sinh(w))
+        s = np.exp(f)
+        return np.stack([s * along, s * (across * np.cos(u)), s * (across * np.sin(u))], axis=-1)
+
+
+def _guard_chart(kind: Geometry, points, inputs: tuple, what: str) -> np.ndarray:
+    """``points`` (..., 3), a chart's images of ``inputs`` (floats or arrays broadcasting to (...)),
+    if all are members; else DomainError naming ``what`` of the first, by its ``inputs``."""
+    inside = np.asarray(_scaled_norm(kind, points)[1])
+    if not inside.all():
+        first = np.unravel_index(np.argmin(inside), inside.shape)
+        at = tuple(np.broadcast_to(c, inside.shape)[first].item() for c in inputs)
+        raise DomainError(f"the {kind.value} model point at {what} {at} "
+                          "is not representable in double precision")
+    return points
+
+
 def to_model(kind: Geometry, t, c1, c2) -> np.ndarray:
     """Map intrinsic coordinates to Cartesian model points.
 
     For S2xR the intrinsic coordinates are geographic, (t, phi, theta) with
-    phi in (-pi, pi] and theta in [-pi/2, pi/2]:
+    phi in (-pi, pi] and theta in [-pi/2, pi/2] (the intrinsic ODE's chart):
 
         (x, y, z) = e^t (cos phi cos theta, sin phi cos theta, sin theta)
 
     For H2xR they are cylindrical, (t, r, alpha) with r >= 0 and alpha in
-    (-pi, pi]:
+    (-pi, pi], which is the product chart ``_product_points``:
 
         (x, y, z) = e^t (cosh r, sinh r cos alpha, sinh r sin alpha)
 
-    Floats give one (3,) point; arrays of one shape (...) give points of
-    shape (..., 3).  The image always satisfies ``contains``: DomainError
-    names the first intrinsic triple whose point overflows, underflows to
-    the centre or rounds onto the H2xR cone.
+    Real numbers give one (3,) point, real arrays of one broadcast shape (...)
+    points (..., 3), and other coordinates a DomainError.  Every image satisfies
+    ``contains`` (``_guard_chart``): DomainError names the first intrinsic triple
+    whose point overflows, underflows to the centre or rounds onto the cone.
     """
-    with np.errstate(all="ignore"):
-        s = np.exp(t)
-        if kind is Geometry.S2R:  # c1, c2 = phi, theta
-            cos_theta = np.cos(c2)
-            coords = (np.cos(c1) * cos_theta, np.sin(c1) * cos_theta, np.sin(c2))
-        else:  # c1, c2 = r, alpha
-            sinh_r = np.sinh(c1)
-            coords = (np.cosh(c1), sinh_r * np.cos(c2), sinh_r * np.sin(c2))
-        points = np.stack([s * c for c in coords], axis=-1)
-    inside = np.asarray(_scaled_norm(kind, points)[1])
-    if not inside.all():
-        first = np.unravel_index(np.argmin(inside), inside.shape)
-        at = tuple(np.broadcast_to(c, inside.shape)[first].item() for c in (t, c1, c2))
-        raise DomainError(f"the {kind.value} model point at intrinsic coordinates {at} "
-                          "is not representable in double precision")
-    return points
+    try:  # a number by _real, an array of real numbers as it is (float64 is not copied)
+        coords = [np.asarray(_real(c, "an intrinsic coordinate") if np.ndim(c) == 0 else c)
+                  for c in (t, c1, c2)]
+        if any(c.dtype.kind not in "biuf" for c in coords):
+            raise ValueError
+        t, c1, c2 = np.broadcast_arrays(*(c.astype(float, copy=False) for c in coords))
+    except ValueError:  # text or objects in an array, a ragged list, shapes that do not broadcast
+        raise DomainError("intrinsic coordinates must be real numbers of one broadcast shape, "
+                          f"got {t!r}, {c1!r}, {c2!r}") from None
+    if kind is Geometry.S2R:  # c1, c2 = phi, theta
+        with np.errstate(all="ignore"):
+            s, cos_theta = np.exp(t), np.cos(c2)
+            points = np.stack([s * (np.cos(c1) * cos_theta), s * (np.sin(c1) * cos_theta),
+                               s * np.sin(c2)], axis=-1)
+    else:  # c1, c2 = r, alpha
+        points = _product_points(kind, t, c1, c2)
+    return _guard_chart(kind, points, (t, c1, c2), "intrinsic coordinates")

@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import (Geometry, _count, _fibre_norm, _point, _real, _require_geometry, _split,
-                   model_point, np)
+from .core import (Geometry, _count, _fibre_norm, _guard_chart, _point, _product_points, _real,
+                   _split, model_point, np)
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
 from .triangles import _arc
@@ -85,10 +85,10 @@ def _triple(g) -> tuple:
 def geodesic_point(kind: Geometry, g) -> np.ndarray:
     """Evaluate the closed-form geodesic at arc length ``g.tau``.
 
-    The S2xR curve has Euclidean norm e^(tau sin v) > 0, so it never meets
-    the excluded centre, and the H2xR curve stays in the open cone.  Raises
-    DomainError where a coordinate overflows double precision or the point
-    underflows to the centre.
+    The S2xR curve has norm e^(tau sin v) > 0 and the H2xR curve stays in the
+    open cone, but a point that overflows, underflows to the centre or, deep in
+    the H2xR cone (tau cos v above about 19), rounds onto it raises DomainError:
+    every point returned satisfies ``contains``.
     """
     return _endpoints(kind, [g])[0]
 
@@ -101,32 +101,13 @@ def _endpoints(kind: Geometry, params) -> np.ndarray:
 
 
 def _points(kind: Geometry, u, v, taus: np.ndarray) -> np.ndarray:
-    """The closed form at the arc lengths ``taus`` along normalised
-    directions (u, v), as a (len(taus), 3) array; u and v are floats (one
-    geodesic) or arrays like ``taus`` (one geodesic per row).
-
-    Raises DomainError at the first row where a coordinate overflows double
-    precision or the point underflows to the centre.
-    """
-    _require_geometry(kind)
-    w = taus * np.cos(v)
-    points = np.empty((len(taus), 3))
-    with np.errstate(all="ignore"):
-        scale = np.exp(taus * np.sin(v))
-        if kind is Geometry.S2R:
-            along, across = np.cos(w), np.sin(w)
-        else:
-            along, across = np.cosh(w), np.sinh(w)
-        points[:, 0] = scale * along
-        points[:, 1] = scale * (across * np.cos(u))
-        points[:, 2] = scale * (across * np.sin(u))
-        size = np.abs(points).max(axis=1)
-    # NaN (inf * 0) fails both comparisons
-    bad = ~((size > 0.0) & (size < math.inf))
-    if bad.any():
-        u, v, tau = (c[np.argmax(bad)].item() for c in np.broadcast_arrays(u, v, taus))
-        raise DomainError(f"the geodesic point at ({u}, {v}, {tau}) is out of double range")
-    return points
+    """The closed form, core's product chart at fibre height tau sin v and
+    surface arc tau cos v, at the arc lengths ``taus`` along normalised
+    directions (u, v): a (len(taus), 3) array; u and v are floats (one
+    geodesic) or arrays like ``taus`` (one geodesic per row).  DomainError
+    (``core._guard_chart``) names the (u, v, tau) of the first non-member."""
+    points = _product_points(kind, taus * np.sin(v), taus * np.cos(v), u)
+    return _guard_chart(kind, points, (u, v, taus), "geodesic parameters")
 
 
 def geodesic_params(kind: Geometry, p) -> GeodesicParams:
@@ -196,8 +177,8 @@ def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:
     """``n`` points of the geodesic at equal arc-length steps in [0, tau],
     as an (n, 3) array computed in one batch.
 
-    Raises PrecondError unless ``n`` is an integer >= 2, and DomainError,
-    as ``geodesic_point`` does, at the first sample out of double range.
+    Raises PrecondError unless ``n`` is an integer in [2, sys.maxsize], and
+    DomainError, as ``geodesic_point`` does, naming the first bad sample.
     """
     n = _count(n, 2, "samples", PrecondError)
     u, v, tau = GeodesicParams.normalized(*_triple(g))

@@ -306,3 +306,15 @@ def test_no_scalar_reader_of_their_own(module):
     assert not {node.id for node in ast.walk(_tree(module))
                 if isinstance(node, ast.Name)} & {"numbers", "operator"}
     assert not any(_imported(node) & {"numbers", "operator"} for node in ast.walk(_tree(module)))
+
+
+def test_one_product_chart():
+    """Closed-form points come from one chart and pass one guard, both in
+    ``core``: ``geodesics._points`` and ``to_model`` call them, and
+    ``geodesics`` evaluates no exponential or hyperbolic function itself."""
+    for name in ("_product_points", "_guard_chart"):
+        assert _defining(name) == {"core.py"}, name
+        assert name in _body_names("geodesics.py", "_points"), name
+        assert name in _body_names("core.py", "to_model"), name
+    for name in ("cosh", "sinh", "exp"):
+        assert "geodesics.py" not in _modules_naming(name), name

@@ -190,6 +190,12 @@ class TestSweep:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("DomainError:")
 
+    def test_sample_count_beyond_an_index_exit_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--geometry", "s2r", "--a2", "3,-2,1",
+                             "--ray", "2,1,0", "--samples", "1" + "0" * 400)
+        assert (code, out) == (2, "")
+        assert err.startswith("DomainError: need an integer number of samples >= 8")
+
     def test_ray_leaving_model_exit_2(self, capsys):
         code, out, err = run(capsys, "sweep", "--geometry", "h2r", "--a2", "2,1.5,1",
                              "--ray", "1,5,0", "--samples", "16")
@@ -230,6 +236,13 @@ class TestGeodesic:
         code, out, err = run(capsys, "geodesic", "--geometry", "s2r", "--params", "0,1,1000")
         assert (code, out) == (2, "")
         assert err.startswith("DomainError:")
+
+    def test_params_rounding_onto_the_cone_exit_2(self, capsys):
+        """Of the 64 samples, the first whose cosh w and sinh w round equal is named."""
+        code, out, err = run(capsys, "geodesic", "--geometry", "h2r", "--params", "0,0,40")
+        assert (code, out) == (2, "")
+        assert err == ("DomainError: the h2r model point at geodesic parameters "
+                       "(0.0, 0.0, 19.047619047619047) is not representable in double precision\n")
 
     def test_domain_failure_exit_2(self, capsys):
         code, _, _ = run(capsys, "geodesic", "--geometry", "h2r", "--to", "1,4,0")

@@ -439,6 +439,42 @@ class TestIntrinsicChart:
             to_model(kind, t, np.full(4, 0.2), np.full(4, 0.1))
 
     @BOTH
+    @pytest.mark.parametrize("coords, message", [
+        ((1j, 0.0, 0.0), "need a number for an intrinsic coordinate, got 1j"),
+        ((0.0, "0.5", 0.0), "need a number for an intrinsic coordinate, got '0.5'"),
+        ((0.0, 0.5, None), "need a number for an intrinsic coordinate, got None"),
+        ((10**400, 0.0, 0.0), "an intrinsic coordinate must be within double range"),
+        ((np.zeros(2), np.zeros(3), 0.0), "of one broadcast shape"),
+        ((np.array([1j]), 0.0, 0.0), "of one broadcast shape"),
+        ((np.array(["1"]), 0.0, 0.0), "of one broadcast shape"),
+        (([[0.0, 1.0], [2.0]], 0.0, 0.0), "of one broadcast shape")])
+    def test_coordinates_are_read_at_the_boundary(self, kind, coords, message):
+        """A complex number was once mapped to a complex point, and text,
+        None, 10**400 and shapes that do not broadcast raised raw errors."""
+        with pytest.raises(DomainError, match=re.escape(message)):
+            to_model(kind, *coords)
+
+    @BOTH
+    def test_coordinates_broadcast_and_read_as_floats(self, kind):
+        """A number beside arrays broadcasts (an H2xR number r once failed to
+        stack); ints and bools read as floats do, and 2**70 is a real number."""
+        alpha = np.array([0.0, 0.5, 1.0, 2.0])
+        points = to_model(kind, 0.25, 0.5, alpha)
+        assert points.shape == (4, 3)
+        for p, a in zip(points, alpha):
+            assert np.array_equal(p, to_model(kind, 0.25, 0.5, float(a)))
+        assert np.array_equal(to_model(kind, True, np.int8(1), [0]), to_model(kind, 1.0, 1.0, [0.0]))
+        assert to_model(kind, 0.0, 0.5, 2**70).dtype == np.float64
+
+    def test_float_arrays_are_not_copied(self, monkeypatch):
+        """``integrate_geodesic`` passes its float64 state rows: they are read as they are."""
+        seen, broadcast = [], np.broadcast_arrays
+        monkeypatch.setattr(np, "broadcast_arrays", lambda *a: seen.extend(a) or broadcast(*a))
+        coords = tuple(np.linspace(0.1, 0.5, 12).reshape(3, 4))
+        to_model(Geometry.H2R, *coords)
+        assert len(seen) == 3 and all(a is b for a, b in zip(seen, coords))
+
+    @BOTH
     def test_pullback_matches_intrinsic_form(self, kind, rng):
         """J^T g J along the intrinsic chart equals the product form:
         diag(1, cos^2 theta, 1) for S2xR, diag(1, 1, sinh^2 r) for H2xR."""

@@ -58,8 +58,18 @@ class TestClosedForm:
                                          (Geometry.S2R, (0, -1.5, 800))],  # underflow to E0
                              ids=["h2r-cosh", "s2r-exp", "h2r-product", "s2r-underflow"])
     def test_out_of_double_range_rejected(self, kind, g):
-        with pytest.raises(DomainError, match="double range"):
+        with pytest.raises(DomainError, match="not representable in double precision"):
             geodesic_point(kind, g)
+
+    @pytest.mark.parametrize("g", [(0.0, 0.0, 40.0), (1.0, 0.3, 25.0), (0.0, 0.0, 19.5)])
+    def test_point_rounded_onto_the_cone_rejected(self, g):
+        """Deep in the H2xR cone cosh w and sinh w round to one double, so the
+        closed form lands on the cone: a DomainError, as ``to_model`` gives."""
+        with pytest.raises(DomainError) as caught:
+            geodesic_point(Geometry.H2R, g)
+        u, v, tau = GeodesicParams.normalized(*g)
+        assert str(caught.value) == (f"the h2r model point at geodesic parameters ({u}, {v}, {tau})"
+                                     " is not representable in double precision")
 
     def test_negative_tau_rejected(self):
         with pytest.raises(DomainError):
@@ -324,9 +334,10 @@ class TestSampleCurve:
         with pytest.raises(PrecondError):
             sample_curve(Geometry.S2R, (0, 0, 1), 1)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None, 2**63, 10**400])
     def test_count_that_is_not_an_integer(self, n):
-        """2.5 would give 3 samples ending past tau; "3" would fail on <."""
+        """2.5 would give 3 samples ending past tau; "3" would fail on <; a count
+        beyond the largest index gave a (0, 3) array (2**63) or numpy's ValueError."""
         with pytest.raises(PrecondError, match="integer number of samples"):
             sample_curve(Geometry.S2R, (0, 0, 1), n)
 
@@ -356,18 +367,21 @@ class TestSampleCurve:
                 assert np.abs(p - ref).max() <= 1e-15 * np.linalg.norm(ref)
                 assert np.array_equal(p, geodesic_point(kind, (g.u, g.v, tau)))
 
-    @pytest.mark.parametrize("kind, g, first_bad", [(Geometry.H2R, (0, 0, 800), 800.0),
+    @pytest.mark.parametrize("kind, g, first_bad", [(Geometry.H2R, (0, 0, 800), 100.0),
                                                     (Geometry.S2R, (0, 1, 1000), 875.0),
-                                                    (Geometry.H2R, (0, 0.5, 700), 525.0),
+                                                    (Geometry.H2R, (0, 0.5, 700), 87.5),
                                                     (Geometry.S2R, (0, -1.5, 800), 800.0)],
                              ids=["h2r-cosh", "s2r-exp", "h2r-product", "s2r-underflow"])
     def test_out_of_double_range_names_first_sample(self, kind, g, first_bad):
         """Of the nine samples at equal steps in [0, tau], the error names
-        the first one out of double range."""
+        the first one that is not a member: on H2xR the first that rounds
+        onto the cone, long before cosh overflows."""
         with pytest.raises(DomainError) as caught:
             sample_curve(kind, g, 9)
         u, v, _ = GeodesicParams.normalized(*g)
-        assert str(caught.value) == f"the geodesic point at ({u}, {v}, {first_bad}) is out of double range"
+        assert str(caught.value) == (f"the {kind.value} model point at geodesic parameters "
+                                     f"({u}, {v}, {first_bad}) is not representable in double "
+                                     "precision")
 
     @BOTH
     def test_one_geodesic_per_row(self, kind, rng):
@@ -385,8 +399,8 @@ class TestSampleCurve:
         u, v, tau = np.array([[0.1, 0.2, 1.0], [0.3, 0.4, 900.0], [0.5, 0.0, 2.0]]).T
         with pytest.raises(DomainError) as caught:
             _points(Geometry.H2R, u, v, tau)
-        assert str(caught.value) == \
-            "the geodesic point at (0.3, 0.4, 900.0) is out of double range"
+        assert str(caught.value) == ("the h2r model point at geodesic parameters (0.3, 0.4, 900.0) "
+                                     "is not representable in double precision")
 
 
 class TestGeodesicStructure:

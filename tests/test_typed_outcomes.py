@@ -2,8 +2,9 @@
 invariants, or a GeometryError.
 
 Seeded (``derandomize=True``) properties over the entry points that read
-numbers through ``core._real`` and ``core._count``, and over ``cli.main`` on
-fuzzed ``sweep`` and ``geodesic`` arguments.  Any other exception, numpy's
+numbers through ``core._real`` and ``core._count``, over ``to_model``, and
+over ``cli.main`` on fuzzed ``sweep`` and ``geodesic`` arguments.  Every
+point returned is a member (``contains``).  Any other exception, numpy's
 RuntimeWarning included (an error in this suite), fails a property.
 """
 
@@ -22,12 +23,14 @@ from prodgeo import (
     GeometryError,
     SweepSpec,
     angle_sum_at,
+    contains,
     geodesic_point,
     integrate_geodesic,
     integrate_geodesic_cartesian,
     limits_check,
     sample_curve,
     tangent_of,
+    to_model,
 )
 from prodgeo.cli import main
 from prodgeo.reference import SWEEP_FAMILIES
@@ -55,12 +58,13 @@ NUMBERS = st.one_of(
     st.lists(st.floats(-4.0, 4.0), max_size=3).map(np.array),
 )
 
-#: what a caller might pass for a count.  Integers stay below 1000: a count
-#: is a job size, and one numpy cannot index (10**400 samples for
-#: ``sample_curve``, 2**63 steps for ``integrate_geodesic``) ends in numpy's
-#: ValueError or IndexError, not a GeometryError.
+#: what a caller might pass for a count.  Integers stay below 1000 or beyond
+#: the largest index, sys.maxsize, which ``core._count`` rejects: a count is a
+#: job size, and one that is an index but too big to hold (2**62 samples)
+#: ends in numpy's ValueError, not a GeometryError.
 COUNTS = st.one_of(
     st.integers(8, 999),
+    st.integers(2**63, 10**400),
     st.integers(-3, 999).map(np.int64),
     st.integers(-3, 7),
     st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none()),
@@ -69,13 +73,20 @@ COUNTS = st.one_of(
 #: a number, half the time a valid parameter t (0 < t < inf)
 T_VALUES = st.one_of(st.floats(1e-4, 10.0), NUMBERS)
 
-#: three numbers, half the time valid parameters (u, v, tau)
-TRIPLES = st.one_of(st.tuples(st.floats(-4.0, 4.0), st.floats(-1.6, 1.6), st.floats(0.0, 4.0)),
+#: three numbers, half the time valid parameters (u, v, tau), tau up to 60:
+#: deep in the H2xR cone (tau cos v above about 19) the point is not representable
+TRIPLES = st.one_of(st.tuples(st.floats(-4.0, 4.0), st.floats(-1.6, 1.6),
+                              st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 60.0))),
                     st.tuples(NUMBERS, NUMBERS, NUMBERS))
 
 #: a parameter argument g: also another count of numbers, or one number
 PARAMS = st.one_of(TRIPLES, st.lists(st.floats(-4.0, 4.0), max_size=4), NUMBERS)
 KINDS = st.sampled_from(list(Geometry))
+
+
+def _members(kind: Geometry, points) -> bool:
+    """Whether every point of ``points``, (..., 3), satisfies ``contains``."""
+    return all(contains(kind, p) for p in np.reshape(points, (-1, 3)))
 
 
 def _outcome(call, *args, **kwargs):
@@ -104,11 +115,9 @@ def test_normalized(g):
 @SEEDED
 @given(KINDS, PARAMS)
 def test_geodesic_point(kind, g):
-    """Finite where it answers.  Membership is not asserted: deep in the H2xR
-    cone (tau cos v above about 19) the point rounds onto the cone."""
     p = _outcome(geodesic_point, kind, g)
     if p is not None:
-        assert p.shape == (3,) and np.isfinite(p).all()
+        assert p.shape == (3,) and _members(kind, p)
 
 
 @SEEDED
@@ -116,8 +125,21 @@ def test_geodesic_point(kind, g):
 def test_sample_curve(kind, g, n):
     curve = _outcome(sample_curve, kind, g, n)
     if curve is not None:
-        assert curve.shape == (int(n), 3) and np.isfinite(curve).all()
+        assert curve.shape == (int(n), 3) and _members(kind, curve)
         assert np.array_equal(curve[0], [1.0, 0.0, 0.0])
+
+
+#: an intrinsic coordinate: a number, or a small array of any floats
+COORDINATES = st.one_of(NUMBERS, st.lists(st.floats(), min_size=1, max_size=3).map(np.array))
+
+
+@SEEDED
+@given(KINDS, COORDINATES, COORDINATES, COORDINATES)
+def test_to_model(kind, t, c1, c2):
+    points = _outcome(to_model, kind, t, c1, c2)
+    if points is not None:
+        assert points.dtype == np.float64 and _members(kind, points)
+        assert points.shape == np.broadcast_shapes(*map(np.shape, (t, c1, c2))) + (3,)
 
 
 @SEEDED
@@ -158,10 +180,10 @@ def test_angle_sum_at_and_limits_check(kind, t):
 def test_integrations(kind, g, steps):
     curve = _outcome(integrate_geodesic, kind, g, steps)
     if curve is not None:
-        assert curve.shape == (int(steps), 3) and np.isfinite(curve).all()
+        assert curve.shape == (int(steps), 3) and _members(kind, curve)
     end = _outcome(integrate_geodesic_cartesian, kind, g)
     if end is not None:
-        assert end.shape == (3,) and np.isfinite(end).all()
+        assert end.shape == (3,) and _members(kind, end)
 
 
 #: number arguments as a shell passes them
@@ -185,9 +207,10 @@ def _exit_code(argv) -> int:
 
 @settings(SEEDED, max_examples=60)
 @given(KINDS, NUMBER_TEXT, NUMBER_TEXT,
-       st.one_of(st.integers(-3, 40).map(str), st.text(alphabet="0123456789.e+-_", max_size=4)))
+       st.one_of(st.integers(-3, 40).map(str), st.text(alphabet="0123456789.e+-_", max_size=4),
+                 st.integers(2**63, 10**400).map(str)))
 def test_cli_sweep(kind, t_min, t_max, samples):
-    """Sample counts stay below 10**4, for the reason ``COUNTS`` gives."""
+    """Sample counts stay below 10**4 or beyond an index, for the reason ``COUNTS`` gives."""
     a2, ray, _, _ = SWEEP_FAMILIES[kind]
     argv = ["sweep", "--geometry", kind.value, "--a2", ",".join(map(repr, a2)),
             "--ray", ",".join(map(repr, ray)), f"--t-min={t_min}", f"--t-max={t_max}",
