@@ -30,14 +30,12 @@ import json
 import os
 import sys
 
-from . import reference
+from . import reference, sweep, verification
 from .core import _BASE, Geometry, _point
 from .exceptions import DegenerateError, DomainError, GeometryError
 from .geodesics import GeodesicParams, geodesic_params, sample_curve
-from .sweep import SweepSpec, evaluate
 from .tolerances import DEFAULT
 from .triangles import angle_sum, classify, coplanar_with_center, geodesic_triangle
-from .verification import run_all
 
 SCHEMA = "v1"
 _ANGLES = ("w1", "w2", "w3", "sum")
@@ -146,9 +144,9 @@ def cmd_tables(args) -> int:
 def cmd_sweep(args) -> int:
     prec = _precision(args)
     kind = Geometry.from_name(args.geometry)
-    spec = SweepSpec(kind, _parse_point(args.a2), _parse_point(args.ray),
-                     t_min=args.t_min, t_max=args.t_max, samples=args.samples)
-    result = evaluate(spec)
+    spec = sweep.SweepSpec(kind, _parse_point(args.a2), _parse_point(args.ray),
+                           t_min=args.t_min, t_max=args.t_max, samples=args.samples)
+    result = sweep.evaluate(spec)
     extremum = result.extremum_kind.value
     _render(args, {
         "schema": SCHEMA,
@@ -193,7 +191,7 @@ def cmd_geodesic(args) -> int:
 
 def cmd_verify(args) -> int:
     kinds = list(Geometry) if args.geometry == "both" else [Geometry.from_name(args.geometry)]
-    reports = [r for kind in kinds for r in run_all(kind, args.trials, args.seed)]
+    reports = [r for kind in kinds for r in verification.run_all(kind, args.trials, args.seed)]
     all_ok = all(r.passed for r in reports)
     _render(args, {
         "schema": SCHEMA,

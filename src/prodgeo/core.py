@@ -193,9 +193,11 @@ def _real(value, what: str) -> float:
 
 
 def _count(value, least: int, what: str, error: type) -> int:
-    """Integer ``what`` in [least, sys.maxsize] by ``operator.index`` (not 2.5), else ``error``."""
+    """Integer ``what`` by ``operator.index`` (not 2.5), at least ``least`` and small enough
+    that numpy can address the widest array of that count, ``integrate_geodesic``'s
+    (6, count) float64 states (48 bytes a count); else ``error``."""
     with contextlib.suppress(TypeError):
-        if least <= (count := operator.index(value)) <= sys.maxsize:
+        if least <= (count := operator.index(value)) <= sys.maxsize // 48:
             return count
     raise error(f"need an integer number of {what} >= {least}, got {value!r}")
 
@@ -409,9 +411,15 @@ def to_model(kind: Geometry, t, c1, c2) -> np.ndarray:
     ``contains`` (``_guard_chart``): DomainError names the first intrinsic triple
     whose point overflows, underflows to the centre or rounds onto the cone.
     """
-    try:  # a number by _real, an array of real numbers as it is (float64 is not copied)
+    try:  # a number by _real, an array of real numbers as it is (float64 is not copied),
+        # and one numpy holds as objects (ints beyond int64) element by element by _real
         coords = [np.asarray(_real(c, "an intrinsic coordinate") if np.ndim(c) == 0 else c)
                   for c in (t, c1, c2)]
+        for i, c in enumerate(coords):
+            if c.dtype.kind == "O":  # text, None or complex among them fail the check below
+                with contextlib.suppress(DomainError):
+                    coords[i] = np.array([_real(x, "an intrinsic coordinate") for x in c.flat],
+                                         dtype=float).reshape(c.shape)
         if any(c.dtype.kind not in "biuf" for c in coords):
             raise ValueError
         t, c1, c2 = np.broadcast_arrays(*(c.astype(float, copy=False) for c in coords))

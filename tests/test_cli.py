@@ -279,14 +279,13 @@ class TestVerify:
         assert "--precision" in capsys.readouterr().err
 
     def test_failing_suite_prints_three_reproducers(self, capsys, monkeypatch):
-        from prodgeo import cli
-        from prodgeo.verification import SuiteResult
+        from prodgeo import verification
 
         def run_all(kind, trials, seed):
-            return [SuiteResult("trichotomy", kind, trials,
-                                [f"case {i}" for i in range(5)])]
+            return [verification.SuiteResult("trichotomy", kind, trials,
+                                             [f"case {i}" for i in range(5)])]
 
-        monkeypatch.setattr(cli, "run_all", run_all)
+        monkeypatch.setattr(verification, "run_all", run_all)
         code, out, _ = run(capsys, "verify", "--geometry", "s2r", "--trials", "5")
         assert code == 1
         assert [l.split()[-1] for l in out.splitlines() if "reproduce" in l] == [

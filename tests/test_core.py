@@ -447,6 +447,10 @@ class TestIntrinsicChart:
         ((np.zeros(2), np.zeros(3), 0.0), "of one broadcast shape"),
         ((np.array([1j]), 0.0, 0.0), "of one broadcast shape"),
         ((np.array(["1"]), 0.0, 0.0), "of one broadcast shape"),
+        (([2**70, None], 0.0, 0.0), "of one broadcast shape"),
+        (([2**70, 1j], 0.0, 0.0), "of one broadcast shape"),
+        (([2**70, "1"], 0.0, 0.0), "of one broadcast shape"),
+        (([2**70, 10**400], 0.0, 0.0), "of one broadcast shape"),
         (([[0.0, 1.0], [2.0]], 0.0, 0.0), "of one broadcast shape")])
     def test_coordinates_are_read_at_the_boundary(self, kind, coords, message):
         """A complex number was once mapped to a complex point, and text,
@@ -457,7 +461,8 @@ class TestIntrinsicChart:
     @BOTH
     def test_coordinates_broadcast_and_read_as_floats(self, kind):
         """A number beside arrays broadcasts (an H2xR number r once failed to
-        stack); ints and bools read as floats do, and 2**70 is a real number."""
+        stack); ints and bools read as floats do, and 2**70 is a real number, also
+        in an array, which numpy holds as objects (such an array was once rejected)."""
         alpha = np.array([0.0, 0.5, 1.0, 2.0])
         points = to_model(kind, 0.25, 0.5, alpha)
         assert points.shape == (4, 3)
@@ -465,6 +470,9 @@ class TestIntrinsicChart:
             assert np.array_equal(p, to_model(kind, 0.25, 0.5, float(a)))
         assert np.array_equal(to_model(kind, True, np.int8(1), [0]), to_model(kind, 1.0, 1.0, [0.0]))
         assert to_model(kind, 0.0, 0.5, 2**70).dtype == np.float64
+        for column in ([2**70], [1, 2**70], np.array([[2**70], [3]], dtype=object)):
+            assert np.array_equal(to_model(kind, 0.0, 0.5, column),
+                                  to_model(kind, 0.0, 0.5, np.array(column, dtype=float)))
 
     def test_float_arrays_are_not_copied(self, monkeypatch):
         """``integrate_geodesic`` passes its float64 state rows: they are read as they are."""
@@ -555,6 +563,64 @@ print(before, type(base) is numpy.ndarray, base.tolist(), base is core.BASE_POIN
       vars(prodgeo)["BASE_POINT"] is vars(core)["BASE_POINT"] is base)
 """)
         assert out == "False True [1.0, 0.0, 0.0] True True"
+
+
+class TestModulesOnFirstUse:
+    """``isometries``, ``oracle``, ``sweep`` and ``verification`` are registered
+    lazily by the package; a module whose import has run is a plain module, and
+    reading its type (unlike any attribute access or ``isinstance``) runs nothing."""
+
+    LAZY = ("isometries", "oracle", "sweep", "verification")
+
+    def test_triangle_and_tables_run_none_of_them(self):
+        out = _fresh(f"""
+import contextlib, io, sys, types
+from prodgeo.cli import main
+runs = [["triangle", "--geometry", "s2r", "--a2", "3,-2,1", "--a3", "2,1,0"],
+        ["triangle", "--geometry", "h2r", "--a1", "2,2,0,0", "--a2", "2,1.5,1", "--a3", "3,-1,0"],
+        ["tables", "--format", "json"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, [m for m in {self.LAZY} if type(sys.modules["prodgeo." + m]) is types.ModuleType],
+      "prodgeo._dop853" in sys.modules)
+""")
+        assert out == "[0, 0, 0] [] False"
+
+    @pytest.mark.parametrize("argv, needed", [
+        (["geodesic", "--geometry", "h2r", "--to", "2,1,0"], []),
+        (["sweep", "--geometry", "s2r", "--a2", "3,-2,1", "--ray", "2,1,0", "--samples", "8"],
+         ["sweep"]),
+        (["verify", "--trials", "2"], ["isometries", "oracle", "verification", "_dop853"])])
+    def test_a_command_runs_the_modules_it_needs(self, argv, needed):
+        out = _fresh(f"""
+import contextlib, io, sys, types
+from prodgeo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(code, [m for m in {(*self.LAZY, "_dop853")}
+             if type(sys.modules.get("prodgeo." + m)) is types.ModuleType])
+""")
+        assert out == f"0 {needed}"
+
+    def test_every_public_name_is_its_defining_module_object(self):
+        out = _fresh("""
+import importlib, prodgeo
+namespace = {}
+exec("from prodgeo import *", namespace)
+wrong = []
+for name in prodgeo.__all__:
+    value = getattr(prodgeo, name)
+    owner = importlib.import_module(
+        {"BASE_POINT": "prodgeo.core", "DEFAULT": "prodgeo.tolerances"}.get(name) or value.__module__)
+    if not (getattr(owner, name) is value is namespace[name] is vars(prodgeo)[name]):
+        wrong.append(name)
+print(wrong, set(prodgeo.__all__) <= set(dir(prodgeo)))
+""")
+        assert out == "[] True"
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'to_orgin'"):
+            prodgeo.to_orgin
 
 
 class TestNoDataclassesAtStartUp:

@@ -334,10 +334,11 @@ class TestSampleCurve:
         with pytest.raises(PrecondError):
             sample_curve(Geometry.S2R, (0, 0, 1), 1)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None, 2**63, 10**400])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None, 2**62, 2**63, 10**400])
     def test_count_that_is_not_an_integer(self, n):
         """2.5 would give 3 samples ending past tau; "3" would fail on <; a count
-        beyond the largest index gave a (0, 3) array (2**63) or numpy's ValueError."""
+        beyond the largest index gave a (0, 3) array (2**63) or numpy's ValueError,
+        as did one too big for numpy to hold (2**62)."""
         with pytest.raises(PrecondError, match="integer number of samples"):
             sample_curve(Geometry.S2R, (0, 0, 1), n)
 

@@ -156,7 +156,7 @@ class TestIntrinsicIntegration:
         with pytest.raises(PrecondError):
             integrate_geodesic(Geometry.S2R, (0, 0, 1), steps=10)
 
-    @pytest.mark.parametrize("steps", [150.5, 150.0, "150", 2**63, 10**400])
+    @pytest.mark.parametrize("steps", [150.5, 150.0, "150", 2**62, 2**63, 10**400])
     def test_step_count_that_is_not_an_integer(self, steps):
         with pytest.raises(PrecondError, match="integer number of steps"):
             integrate_geodesic(Geometry.S2R, (0, 0, 1), steps=steps)

@@ -78,7 +78,7 @@ class TestSpecValidation:
         assert (spec.t_min, spec.t_max) == (0.5, 2.0)
         assert type(spec.t_min) is float and type(spec.t_max) is float
 
-    @pytest.mark.parametrize("samples", [8.5, 512.0, "512", None, 2**63, 10**400])
+    @pytest.mark.parametrize("samples", [8.5, 512.0, "512", None, 2**62, 2**63, 10**400])
     def test_non_integer_samples_rejected(self, samples):
         with pytest.raises(DomainError, match="integer number of samples"):
             SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), samples=samples)

@@ -58,12 +58,12 @@ NUMBERS = st.one_of(
     st.lists(st.floats(-4.0, 4.0), max_size=3).map(np.array),
 )
 
-#: what a caller might pass for a count.  Integers stay below 1000 or beyond
-#: the largest index, sys.maxsize, which ``core._count`` rejects: a count is a
-#: job size, and one that is an index but too big to hold (2**62 samples)
-#: ends in numpy's ValueError, not a GeometryError.
+#: what a caller might pass for a count.  Integers stay below 1000 or from
+#: 2**62 up, too big for numpy to hold as an array, which ``core._count``
+#: rejects: a count between the two is a job size, and asks for its memory.
 COUNTS = st.one_of(
     st.integers(8, 999),
+    st.integers(2**62, 2**63 - 1),
     st.integers(2**63, 10**400),
     st.integers(-3, 999).map(np.int64),
     st.integers(-3, 7),
@@ -208,9 +208,9 @@ def _exit_code(argv) -> int:
 @settings(SEEDED, max_examples=60)
 @given(KINDS, NUMBER_TEXT, NUMBER_TEXT,
        st.one_of(st.integers(-3, 40).map(str), st.text(alphabet="0123456789.e+-_", max_size=4),
-                 st.integers(2**63, 10**400).map(str)))
+                 st.integers(2**62, 2**63 - 1).map(str), st.integers(2**63, 10**400).map(str)))
 def test_cli_sweep(kind, t_min, t_max, samples):
-    """Sample counts stay below 10**4 or beyond an index, for the reason ``COUNTS`` gives."""
+    """Sample counts stay below 10**4 or from 2**62 up, for the reason ``COUNTS`` gives."""
     a2, ray, _, _ = SWEEP_FAMILIES[kind]
     argv = ["sweep", "--geometry", kind.value, "--a2", ",".join(map(repr, a2)),
             "--ray", ",".join(map(repr, ray)), f"--t-min={t_min}", f"--t-max={t_max}",
