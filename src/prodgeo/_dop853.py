@@ -10,8 +10,8 @@ both take the same steps up to rounding: safety 0.9, factors clipped to
 
 The coefficient tables are Hairer's, as transcribed in SciPy's
 ``integrate/_ivp/dop853_coefficients.py`` (BSD-3-Clause, Copyright (c)
-2001-2002 Enthought, Inc. and 2003 SciPy Developers), kept as Python numbers
-until the first ``solve`` builds their arrays, so an import loads no numpy.
+2001-2002 Enthought, Inc. and 2003 SciPy Developers), built into arrays at
+import: only ``oracle`` imports this module, and every run of it uses numpy.
 """
 
 from __future__ import annotations
@@ -27,22 +27,21 @@ __all__ = ["solve"]
 def _table(shape, rows):
     out = np.zeros(shape)
     for i, row in rows.items():
-        for j, value in row.items():
-            out[i, j] = value
+        out[i, list(row)] = list(row.values())
     return out
 
 
 #: nodes of the 12 stages of a step, then of the 3 extra dense-output stages
 #: (index 12 is the endpoint derivative, which the next step reuses)
-_C = [
+C = np.array([
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
     0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
     0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
-    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778]
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778])
 
 #: stage couplings A[s, j], row s for stage s; row 12 holds the weights B
-_A = {
+A = _table((16, 16), {
     1: {0: 5.26001519587677318785587544488e-2},
     2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
     3: {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
@@ -87,17 +86,22 @@ _A = {
          6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
          8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
          13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
-}
+})
+B = A[12, :12]
+#: 3rd-order error estimator over the 12 stages: the weights less Hairer's BHH
+E3 = B.copy()
+E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                   0.220588235294117647058823529412e-1]
 
 #: 5th-order error estimator over the 12 stages
-_E5 = [
+E5 = np.array([
     0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
     -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
     -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1])
 
 #: the four highest dense-output coefficients over all 16 stages
-_D = {
+D = _table((4, 16), {
     0: {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
         6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
         8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
@@ -122,18 +126,7 @@ _D = {
         10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
         12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
         14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
-}
-C = A = B = E3 = E5 = D = None
-
-
-def _build_tables() -> None:
-    """Bind the arrays; B: 8th-order weights, E3, E5: error estimators."""
-    global C, A, B, E3, E5, D
-    C, A, E5, D = np.array(_C), _table((16, 16), _A), np.array(_E5), _table((4, 16), _D)
-    B = A[12, :12]
-    E3 = B.copy()
-    E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
-                       0.220588235294117647058823529412e-1]
+})
 
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 #: the step factor is (error norm) ** (-1/8): the estimator is of 7th order
@@ -191,8 +184,6 @@ def solve(fun, y0, times, rtol: float, atol: float) -> np.ndarray:
     end is that step's state.  Raises SingularityError when the step size
     falls below ten ulps of t, as it does where the solution blows up.
     """
-    if A is None:
-        _build_tables()
     times = np.asarray(times, dtype=float)
     t, t_end = float(times[0]), float(times[-1])
     y = np.array(y0, dtype=float)

@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", default="both", choices=["s2r", "h2r", "both"])
     p.add_argument("--format", default="table", choices=["table", "json"])
     p.add_argument("--trials", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

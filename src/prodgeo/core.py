@@ -167,7 +167,7 @@ def _point(coords) -> tuple[float, float, float]:
             return _point([float(c) for c in values])
         # numbers of other types, or another count; a complex part is not dropped
         a = np.asarray(coords)  # nor is text, which astype would read, a number
-        if a.dtype.kind == "c" or any(isinstance(c, (str, bytes)) for c in a.ravel().tolist()):
+        if any(isinstance(c, (str, bytes, complex, np.complexfloating)) for c in a.flat):
             raise TypeError
         a = a.astype(float)
     except (TypeError, ValueError):

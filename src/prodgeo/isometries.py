@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 
-from .core import (_BASE, Geometry, _fibre_norm, fibre_norm_sq, model_point, np,
+from .core import (_BASE, Geometry, _fibre_norm, _point, fibre_norm_sq, model_point, np,
                    require_member)
 from .exceptions import ConsistencyError, DegenerateError, DomainError, PrecondError
 from .geodesics import _geodesic_params, tangent_of
@@ -143,7 +143,8 @@ def _to_origin(kind: Geometry, a: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         move = (_embed(np.eye(3) / norm) @ rot_x
                 @ _rotation_z(kind, a[0] / norm, math.hypot(a[1], a[2]) / norm) @ rot_x.T)
-        miss = float(np.abs(apply_isometry(move, a) - _BASE).max())
+        row = np.concatenate(([1.0], a)) @ move  # unchecked: a missed image is the error
+        miss = float(np.abs(row[1:] / row[0] - _BASE).max())
     if not miss <= DEFAULT.isometry:
         raise DomainError(f"the {kind.value} normaliser of {tuple(a.tolist())} is not "
                           f"representable in double precision ({miss:.1e} off the base point)")
@@ -151,12 +152,17 @@ def _to_origin(kind: Geometry, a: np.ndarray) -> np.ndarray:
 
 
 def apply_isometry(m: np.ndarray, p) -> np.ndarray:
-    """Apply a homogeneous transform to a point and renormalise to x0 = 1."""
-    p = np.asarray(p, dtype=float)
-    row = np.concatenate(([1.0], p)) @ m
+    """Apply a homogeneous transform to a point (``core._point``), renormalised to x0 = 1;
+    DegenerateError for a weight not above 0, DomainError for an image beyond double range."""
+    point = _point(p)
+    with np.errstate(all="ignore"):
+        row = np.array((1.0, *point)) @ m
+        image = row[1:] / row[0]
     if row[0] <= 0.0:
         raise DegenerateError(f"image has non-positive homogeneous weight {row[0]}")
-    return row[1:] / row[0]
+    if not np.isfinite(image).all():
+        raise DomainError(f"the image of {point} is not representable in double precision")
+    return image
 
 
 def _paper_vertices(tri: GeodesicTriangle) -> tuple:

@@ -284,18 +284,28 @@ def arc_length_quadrature(kind: Geometry, curve) -> float:
     """Composite midpoint-rule arc length of a polyline of model points,
     given as any iterable of Cartesian 3-vectors (an (n, 3) array too).
 
-    Second-order accurate in the number of samples.  Raises DomainError if
-    any segment midpoint leaves the model or the points do not have three
-    coordinates.
+    Second-order accurate in the number of samples.  The metrics are
+    homogeneous of degree -2, so the rule runs on the curve scaled exactly
+    by a power of two to coordinates below 1, where nothing overflows.
+    Raises DomainError for points not of three real numbers, a segment
+    midpoint outside the model, or a metric there beyond double range.
     """
-    pts = (curve.astype(float, copy=False) if isinstance(curve, np.ndarray)
-           else np.array([np.asarray(p, dtype=float) for p in curve]))
+    try:
+        pts = curve if isinstance(curve, np.ndarray) else np.array(list(curve))
+    except (TypeError, ValueError):  # not iterable, or ragged
+        raise DomainError("need an iterable of points of 3 coordinates") from None
+    if pts.dtype.kind not in "biuf" or pts.ndim != 2 or pts.shape[1] != 3:
+        raise DomainError(f"expected points of 3 coordinates, real numbers, got {pts.dtype} "
+                          f"values of shape {pts.shape}")
     if len(pts) < 2:
         raise DomainError("need at least two points")
-    if pts.shape[1:] != (3,):
-        raise DomainError(f"expected points of 3 coordinates, got shape {pts.shape[1:]}")
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    delta = pts[1:] - pts[:-1]
-    _guard_member(kind, mids)
-    g = _metric(kind, *mids.T)
-    return float(np.sqrt(np.einsum("ni,nij,nj->n", delta, g, delta)).sum())
+    scale = math.frexp(float(np.abs(pts).max()))[1]  # 0 for an infinity or a NaN
+    with np.errstate(all="ignore"):  # non-finite values go to the guard or the check below
+        pts = np.ldexp(pts, -scale, dtype=float)
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        delta = pts[1:] - pts[:-1]
+        _guard_member(kind, np.ldexp(mids, scale))  # named at the curve's own scale
+        lengths = np.sqrt(np.einsum("ni,nij,nj->n", delta, _metric(kind, *mids.T), delta))
+    if not np.isfinite(lengths).all():
+        raise DomainError(f"the {kind.value} metric at a midpoint is beyond double range")
+    return float(lengths.sum())

@@ -1,8 +1,9 @@
 """Seeded property suites: the machine-checkable invariants of the engine.
 
 Each suite draws deterministic random configurations, checks one family of
-invariants, and reports the failures with a minimal reproducing input, so
-a run can be replayed from the printed seed alone.
+invariants, and yields one message per failure with a minimal reproducing
+input, which ``run_suite`` collects into a ``SuiteResult``; a run replays
+from the printed seed alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from .core import _BASE, Geometry, _Record, metric_at, np
 from .exceptions import DegenerateError
 from .geodesics import GeodesicParams, _endpoints, distance, geodesic_params
 from .isometries import _frame_angles, apply_isometry, tangent_endpoints, to_origin
-from .oracle import integrate_geodesic
+from .oracle import integrate_geodesic, integrate_geodesic_cartesian
 from .triangles import angle_sum, coplanar_with_center, geodesic_triangle
 from .tolerances import DEFAULT
 
@@ -31,7 +32,7 @@ _ODE_TRIAL_CAP = 100  #: trials of the ODE suite in ``run_all``; integration is 
 
 class SuiteResult:
     """One suite's run, equal to another field by field; its ``failures``,
-    a new list unless given, are appended to as the suite runs."""
+    a new list unless given, are the messages the suite yielded, in order."""
 
     _fields = ("name", "kind", "trials", "failures")
     __repr__ = _Record.__repr__
@@ -54,11 +55,9 @@ def _random_params(kind: Geometry, rng, tau_max: float) -> GeodesicParams:
         v = rng.uniform(-math.pi / 2, math.pi / 2)
         tau = rng.uniform(1e-3, tau_max)
         w = tau * math.cos(v)
-        if kind is Geometry.S2R and w >= math.pi - _S2R_WRAP_MARGIN:
-            continue
-        if kind is Geometry.H2R and w > _H2R_COND_BOUND:
-            continue
-        return GeodesicParams(u, v, tau)
+        if not (kind is Geometry.S2R and w >= math.pi - _S2R_WRAP_MARGIN
+                or kind is Geometry.H2R and w > _H2R_COND_BOUND):
+            return GeodesicParams(u, v, tau)
 
 
 def _random_points(kind: Geometry, rng, n: int, tau_max: float = 3.0) -> np.ndarray:
@@ -84,30 +83,29 @@ def _random_coplanar_vertices(kind: Geometry, rng):
     return draw(), draw()
 
 
-def _coplanar_triangle(kind: Geometry, rng, result: SuiteResult):
-    """A triangle of ``_random_coplanar_vertices``, or None: for a draw whose
-    vertices coincide, skipped, and for any other error, a failure of
-    ``result`` with its vertices."""
-    a2, a3 = _random_coplanar_vertices(kind, rng)
-    try:
-        return geodesic_triangle(kind, _BASE, a2, a3)
-    except DegenerateError:  # the draw's vertices are members, so they coincide
-        return None
-    except Exception as exc:
-        result.failures.append(f"vertices {tuple(a2)}, {tuple(a3)}: {exc}")
-        return None
-
-
-def _random_triangle(kind: Geometry, rng):
-    while True:
+def _triangle_failures(kind: Geometry, trials: int, rng, check):
+    """The failures ``check(tri, coplanar)`` yields on ``trials`` random
+    triangles, then on ``max(trials // 2, 1)`` coplanar draws, skipping one
+    whose vertices coincide; another error building one is a failure."""
+    for _ in range(trials):
         a2, a3 = _random_points(kind, rng, 2)
-        if np.linalg.norm(a2 - a3) > 1e-2:
-            return geodesic_triangle(kind, _BASE, a2, a3)
+        while not np.linalg.norm(a2 - a3) > 1e-2:
+            a2, a3 = _random_points(kind, rng, 2)
+        yield from check(geodesic_triangle(kind, _BASE, a2, a3), False)
+    for _ in range(max(trials // 2, 1)):
+        a2, a3 = _random_coplanar_vertices(kind, rng)
+        try:
+            tri = geodesic_triangle(kind, _BASE, a2, a3)
+        except DegenerateError:  # the draw's vertices are members, so they coincide
+            continue
+        except Exception as exc:
+            yield f"vertices {tuple(a2)}, {tuple(a3)}: {exc}"
+            continue
+        yield from check(tri, True)
 
 
-def roundtrip_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
+def roundtrip_suite(kind: Geometry, trials: int, rng):
     """geodesic_params inverts geodesic_point to 1e-9 per component."""
-    result = SuiteResult("roundtrip", kind, trials)
     tau_max = 4.0 if kind is Geometry.S2R else 10.0
     params = [_random_params(kind, rng, tau_max) for _ in range(trials)]
     for g, p in zip(params, _endpoints(kind, params)):
@@ -115,107 +113,80 @@ def roundtrip_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
         du = abs(math.remainder(g.u - h.u, 2.0 * math.pi))
         err = max(du, abs(g.v - h.v), abs(g.tau - h.tau))
         if err > DEFAULT.roundtrip:
-            result.failures.append(f"params {tuple(g)} -> {tuple(h)} (err {err:.2e})")
-    return result
+            yield f"params {tuple(g)} -> {tuple(h)} (err {err:.2e})"
 
 
-def isometry_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
+def isometry_suite(kind: Geometry, trials: int, rng):
     """to_origin maps its anchor to the base point, preserves the metric
     form, and leaves pairwise distances unchanged."""
-    result = SuiteResult("isometry-invariance", kind, trials)
     for _ in range(trials):
         a, p, q = _random_points(kind, rng, 3)
         move = to_origin(kind, a)
         if np.abs(apply_isometry(move, a) - _BASE).max() > 1e-10:
-            result.failures.append(f"normaliser of {tuple(a)} misses the base point")
+            yield f"normaliser of {tuple(a)} misses the base point"
             continue
         h = rng.normal(size=3)
         form = h @ metric_at(kind, p) @ h
         h_img = h @ move[1:, 1:]
         form_img = h_img @ metric_at(kind, apply_isometry(move, p)) @ h_img
         if abs(form - form_img) > DEFAULT.isometry * max(abs(form), 1.0):
-            result.failures.append(f"metric form broken at a={tuple(a)} p={tuple(p)}")
+            yield f"metric form broken at a={tuple(a)} p={tuple(p)}"
             continue
         if np.linalg.norm(p - q) < 1e-3:
             continue
         d0 = distance(kind, p, q)
         d1 = distance(kind, apply_isometry(move, p), apply_isometry(move, q))
         if abs(d0 - d1) > DEFAULT.isometry:
-            result.failures.append(
-                f"distance broken: a={tuple(a)} p={tuple(p)} q={tuple(q)} ({d0} vs {d1})"
-            )
-    return result
+            yield f"distance broken: a={tuple(a)} p={tuple(p)} q={tuple(q)} ({d0} vs {d1})"
 
 
-def ode_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
-    """ODE-integrated geodesic endpoints match the closed form to 1e-6."""
-    result = SuiteResult("ode-equivalence", kind, trials)
+def ode_suite(kind: Geometry, trials: int, rng):
+    """ODE-integrated endpoints match the closed form to 1e-6: intrinsic on
+    S2xR, Cartesian on H2xR, whose intrinsic geodesics are straight lines."""
     params = [_random_params(kind, rng, tau_max=2.0) for _ in range(trials)]
     for g, closed in zip(params, _endpoints(kind, params)):
-        endpoint = integrate_geodesic(kind, g, steps=100)[-1]
+        endpoint = (integrate_geodesic(kind, g, steps=100)[-1] if kind is Geometry.S2R
+                    else integrate_geodesic_cartesian(kind, g))
         if np.abs(endpoint - closed).max() > 1e-6:
-            result.failures.append(f"endpoint mismatch at params {tuple(g)}")
-    return result
+            yield f"endpoint mismatch at params {tuple(g)}"
 
 
-def trichotomy_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
+def trichotomy_suite(kind: Geometry, trials: int, rng):
     """Angle sums lie on the curvature's side of pi; coplanar families
     (not enclosing the centre) give exactly pi."""
-    result = SuiteResult("trichotomy", kind, trials)
-    for _ in range(trials):
-        tri = _random_triangle(kind, rng)
-        total = angle_sum(tri).total
-        if kind.curvature * (total - math.pi) < -DEFAULT.suite_side:
-            result.failures.append(f"sum {total} on the wrong side of pi at {tri.vertices}")
-    for _ in range(max(trials // 2, 1)):
-        tri = _coplanar_triangle(kind, rng, result)
-        if tri is None:
-            continue
-        _, a2, a3 = tri.vertices
-        if not coplanar_with_center(tri):
-            result.failures.append(f"coplanar construction failed for {tuple(a2)}, {tuple(a3)}")
-            continue
-        total = angle_sum(tri).total
-        if abs(total - math.pi) > DEFAULT.suite_pair:
-            result.failures.append(
-                f"coplanar sum {total} != pi for vertices {tuple(a2)}, {tuple(a3)}"
-            )
-    return result
+    def check(tri, coplanar):
+        if not coplanar:
+            total = angle_sum(tri).total
+            if kind.curvature * (total - math.pi) < -DEFAULT.suite_side:
+                yield f"sum {total} on the wrong side of pi at {tri.vertices}"
+        elif not coplanar_with_center(tri):
+            yield f"coplanar construction failed for {tri.a2}, {tri.a3}"
+        elif abs((total := angle_sum(tri).total) - math.pi) > DEFAULT.suite_pair:
+            yield f"coplanar sum {total} != pi for vertices {tri.a2}, {tri.a3}"
+
+    return _triangle_failures(kind, trials, rng, check)
 
 
-def antipodality_suite(kind: Geometry, trials: int, rng) -> SuiteResult:
+def antipodality_suite(kind: Geometry, trials: int, rng):
     """The outgoing tangent toward a vertex and the tangent toward the image
     of the base point under that vertex's normaliser are antipodal; for
     coplanar triangles the two images of the opposite side are antipodal
     as well.  The angles read off this frame (the paper's method) agree
     with the product-split angles of ``angle_sum``."""
-    result = SuiteResult("antipodality", kind, trials)
-    for _ in range(trials):
-        tri = _random_triangle(kind, rng)
+    def check(tri, coplanar):
         try:
             frame = tangent_endpoints(tri)  # raises on pair residuals above DEFAULT.isometry
         except Exception as exc:
-            result.failures.append(f"vertices {tri.vertices}: {exc}")
-            continue
-        gap = max(abs(a - b) for a, b in zip(_frame_angles(frame), angle_sum(tri)))
-        if gap > DEFAULT.suite_pair:
-            result.failures.append(
-                f"frame and product angles differ by {gap:.2e} at vertices {tri.vertices}"
-            )
-    for _ in range(max(trials // 2, 1)):
-        tri = _coplanar_triangle(kind, rng, result)
-        if tri is None:
-            continue
-        try:
-            frame = tangent_endpoints(tri)
-        except Exception as exc:
-            result.failures.append(f"vertices {tri.vertices}: {exc}")
-            continue
-        if np.abs(frame[(3, 2)] + frame[(2, 3)]).max() > DEFAULT.suite_pair:
-            result.failures.append(
-                f"coplanar pair (3,2)/(2,3) at vertices {tuple(tri.a2)}, {tuple(tri.a3)}"
-            )
-    return result
+            yield f"vertices {tri.vertices}: {exc}"
+            return
+        if not coplanar:
+            gap = max(abs(a - b) for a, b in zip(_frame_angles(frame), angle_sum(tri)))
+            if gap > DEFAULT.suite_pair:
+                yield f"frame and product angles differ by {gap:.2e} at vertices {tri.vertices}"
+        elif np.abs(frame[(3, 2)] + frame[(2, 3)]).max() > DEFAULT.suite_pair:
+            yield f"coplanar pair (3,2)/(2,3) at vertices {tri.a2}, {tri.a3}"
+
+    return _triangle_failures(kind, trials, rng, check)
 
 
 SUITES = {
@@ -228,8 +199,9 @@ SUITES = {
 
 
 def run_suite(name: str, kind: Geometry, trials: int, seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    return SUITES[name](kind, trials, rng)
+    """Suite ``name``'s failures from a generator seeded with ``seed``."""
+    failures = list(SUITES[name](kind, trials, np.random.default_rng(seed)))
+    return SuiteResult(name, kind, trials, failures)
 
 
 def run_all(kind: Geometry, trials: int, seed: int) -> list[SuiteResult]:

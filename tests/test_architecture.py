@@ -281,8 +281,11 @@ def test_numpy_loads_on_first_use():
     """``core.np`` is the one numpy handle, which imports numpy on its first
     attribute access; an ``import numpy`` elsewhere (which reads the
     module's ``__spec__`` on 3.11) or a module-level ``np.`` would load it
-    on import."""
-    sources = {path.name: _tree(path.name) for path in SOURCES.glob("*.py")}
+    on import.  ``_dop853`` builds its tables at import: only ``oracle``
+    imports it, and every run of ``oracle`` uses numpy."""
+    assert _modules_naming("_dop853") == {"oracle.py"}
+    sources = {path.name: _tree(path.name) for path in SOURCES.glob("*.py")
+               if path.name != "_dop853.py"}
     assert {name for name, tree in sources.items()
             if any(map(_imports_numpy, ast.walk(tree)))} <= {"core.py"}
     for name, tree in sources.items():
@@ -318,3 +321,24 @@ def test_one_product_chart():
         assert name in _body_names("core.py", "to_model"), name
     for name in ("cosh", "sinh", "exp"):
         assert "geodesics.py" not in _modules_naming(name), name
+
+
+def test_only_run_suite_builds_a_suite_result():
+    """The verification suites yield their failure messages, and
+    ``run_suite`` alone collects them into a ``SuiteResult``: no suite
+    takes or returns one."""
+    builders = {(path.name, function.name) for path in SOURCES.glob("*.py")
+                for function in ast.walk(_tree(path.name))
+                if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "SuiteResult"}
+    assert builders == {("verification.py", "run_suite")}
+    tree = _tree("verification.py")
+    table = next(stmt.value for stmt in tree.body
+                 if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "SUITES")
+    names = {ast.unparse(value) for value in table.values}
+    suites = [stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef) and stmt.name in names]
+    assert len(suites) == len(names) == 5
+    for suite in suites:
+        annotations = [arg.annotation for arg in suite.args.args] + [suite.returns]
+        assert not any("SuiteResult" in ast.unparse(a) for a in annotations if a), suite.name

@@ -76,6 +76,11 @@ class TestTriangle:
         assert code == 2
         assert "DomainError" in err
 
+    def test_unparsable_point_exit_2(self, capsys):
+        code, out, err = run(capsys, "triangle", "--geometry", "s2r",
+                             "--a2=1,x,0", "--a3", "2,1,0")
+        assert (code, out, err) == (2, "", "DomainError: cannot parse point '1,x,0'\n")
+
     def test_degenerate_exit_3(self, capsys):
         code, _, err = run(capsys, "triangle", "--geometry", "s2r",
                            "--a2", "2,1,0", "--a3", "2,1,0")
@@ -271,6 +276,12 @@ class TestVerify:
             main(["verify", "--trials", trials, "--format", "json"])
         assert exc.value.code == 2
         assert "--trials" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", "1", "--seed", "-5"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be at least 0, got -5" in capsys.readouterr().err
 
     def test_precision_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,8 +2,9 @@
 invariants, or a GeometryError.
 
 Seeded (``derandomize=True``) properties over the entry points that read
-numbers through ``core._real`` and ``core._count``, over ``to_model``, and
-over ``cli.main`` on fuzzed ``sweep`` and ``geodesic`` arguments.  Every
+numbers through ``core._real`` and ``core._count``, over ``to_model``, over
+``apply_isometry`` and ``arc_length_quadrature`` on fuzzed points and curves,
+and over ``cli.main`` on fuzzed ``sweep`` and ``geodesic`` arguments.  Every
 point returned is a member (``contains``).  Any other exception, numpy's
 RuntimeWarning included (an error in this suite), fails a property.
 """
@@ -13,7 +14,8 @@ import io
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodgeo import (
@@ -23,6 +25,8 @@ from prodgeo import (
     GeometryError,
     SweepSpec,
     angle_sum_at,
+    apply_isometry,
+    arc_length_quadrature,
     contains,
     geodesic_point,
     integrate_geodesic,
@@ -31,6 +35,7 @@ from prodgeo import (
     sample_curve,
     tangent_of,
     to_model,
+    to_origin,
 )
 from prodgeo.cli import main
 from prodgeo.reference import SWEEP_FAMILIES
@@ -122,6 +127,8 @@ def test_geodesic_point(kind, g):
 
 @SEEDED
 @given(KINDS, PARAMS, COUNTS)
+@example(Geometry.S2R, (0.3, 0.2, 1.5), 2**62)  # valid parameters meet counts numpy cannot hold
+@example(Geometry.H2R, (0.0, 0.0, 0.0), 2**63 - 1)
 def test_sample_curve(kind, g, n):
     curve = _outcome(sample_curve, kind, g, n)
     if curve is not None:
@@ -184,6 +191,66 @@ def test_integrations(kind, g, steps):
     end = _outcome(integrate_geodesic_cartesian, kind, g)
     if end is not None:
         assert end.shape == (3,) and _members(kind, end)
+
+
+@SEEDED
+@given(KINDS, st.one_of(TRIPLES, st.lists(NUMBERS, max_size=5), NUMBERS))
+def test_apply_isometry(kind, p):
+    """A point is read as every point argument is; its image is finite."""
+    image = _outcome(apply_isometry, to_origin(kind, (2.0, 1.0, 0.5)), p)
+    if image is not None:
+        assert image.shape == (3,) and image.dtype == np.float64 and np.isfinite(image).all()
+
+
+@SEEDED
+@given(KINDS, st.one_of(st.integers(-1000, 1000).map(lambda e: 2.0 ** e),
+                        st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+                        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])))
+def test_arc_length_quadrature_of_a_scaled_curve(kind, scale):
+    """Both metrics are homogeneous of degree -2, so a curve scaled anywhere
+    in double range keeps its unit-scale length, to the bit for a power of
+    two.  A negative scale keeps S2xR curves (p -> -p is an isometry there)
+    and leaves the H2xR model; a zero or non-finite one leaves both."""
+    curve = sample_curve(kind, (0.3, 0.2, 1.5), 50)
+    with np.errstate(all="ignore"):  # inf * 0
+        scaled = curve * scale
+    length = _outcome(arc_length_quadrature, kind, scaled)
+    if not 0.0 < abs(scale) < math.inf or (scale < 0.0 and kind is Geometry.H2R):
+        assert length is None
+    elif math.frexp(scale)[0] == 0.5:
+        assert length == arc_length_quadrature(kind, curve)
+    else:
+        assert length == pytest.approx(arc_length_quadrature(kind, curve), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(Geometry), ids=lambda k: k.value)
+@pytest.mark.parametrize("scale, end", [(1e-200, 2.0), (1e200, 2.0), (1e308, 1.7)])
+def test_arc_length_quadrature_far_from_unit_scale(kind, scale, end):
+    """The segment (1, 0, 0) -> (end, 0, 0) scaled to the ends of the double
+    range; at 1e308 the sum of its ends overflows."""
+    unit = arc_length_quadrature(kind, [(1.0, 0.0, 0.0), (end, 0.0, 0.0)])
+    assert arc_length_quadrature(kind, [(scale, 0.0, 0.0), (end * scale, 0.0, 0.0)]) == \
+        pytest.approx(unit, rel=1e-15)
+
+
+#: what a caller might pass for a curve: points of any numbers or of other
+#: lengths, rows of other lengths, an array of any dtype, or no points
+CURVES = st.one_of(
+    st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), max_size=4),
+    st.lists(st.lists(st.floats(), max_size=4), max_size=4),
+    st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=2, max_size=4).map(np.array),
+    st.lists(st.tuples(st.complex_numbers(max_magnitude=4.0), st.floats(-4.0, 4.0),
+                       st.floats(-4.0, 4.0)), min_size=2, max_size=4).map(np.array),
+    NUMBERS,
+)
+
+
+@SEEDED
+@given(KINDS, CURVES)
+def test_arc_length_quadrature(kind, curve):
+    length = _outcome(arc_length_quadrature, kind, curve)
+    if length is not None:
+        assert type(length) is float and 0.0 <= length < math.inf
 
 
 #: number arguments as a shell passes them

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,12 @@ class TestSuites:
         rng = np.random.default_rng(11)
         singles = [geodesic_point(kind, _random_params(kind, rng, 3.0)) for _ in range(25)]
         assert np.array_equal(batch, singles)
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_a_suite_yields_the_failures_run_suite_collects(self, name):
+        failures = SUITES[name](Geometry.H2R, 3, np.random.default_rng(4))
+        assert isinstance(failures, types.GeneratorType)
+        assert list(failures) == run_suite(name, Geometry.H2R, 3, seed=4).failures
 
     def test_suite_names(self):
         assert set(SUITES) == {"roundtrip", "isometry-invariance", "ode-equivalence",
