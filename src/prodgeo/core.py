@@ -3,8 +3,8 @@
 Both geometries are realised inside the affine chart of projective space:
 a point carries homogeneous coordinates (x0 : x1 : x2 : x3) with x0 > 0,
 normalised to x0 = 1, so that (x, y, z) = (x1, x2, x3) are ordinary
-Cartesian coordinates.  A point is read once, into a tuple of three
-Python floats (x, y, z) (``_point``, or ``model_point`` as an array).
+Cartesian coordinates.  A point is read once, into a tuple of three Python
+floats (x, y, z) (``_point``), which every module below the boundary passes on.
 
 Model sets
 ----------
@@ -28,7 +28,7 @@ and ``metric_at`` returns the corresponding symmetric 3x3 matrix.
 on float triples alone (``prodgeo triangle``, ``tables``) never loads it.
 
 A point splits into a fibre height log sqrt(Q) and a surface point
-p / sqrt(Q).  ``_guard_member`` (one point or an (N, 3) array) and
+p / sqrt(Q).  ``_guard_member`` (a float triple or an (N, 3) array) and
 ``_fibre_norm`` (sqrt(Q) of one point, in floats, from hypot-scaled norms,
 or from exact squares near the H2xR cone) carry that split for the whole
 package; neither squares a coordinate in floats.  One chart (``_product_points``)
@@ -192,6 +192,15 @@ def _real(value, what: str) -> float:
         raise DomainError(f"{what} must be within double range") from None
 
 
+def _real_array(a: np.ndarray) -> np.ndarray:
+    """``a``, or where numpy holds it as objects (ints beyond int64) its elements by
+    ``_real`` as floats; text, None, complex or an int beyond double range stay objects."""
+    if a.dtype.kind == "O":
+        with contextlib.suppress(DomainError):
+            return np.array([_real(c, "a number") for c in a.flat], dtype=float).reshape(a.shape)
+    return a
+
+
 def _count(value, least: int, what: str, error: type) -> int:
     """Integer ``what`` by ``operator.index`` (not 2.5), at least ``least`` and small enough
     that numpy can address the widest array of that count, ``integrate_geodesic``'s
@@ -223,12 +232,11 @@ def _not_member(kind: Geometry, p) -> DomainError:
 
 def _guard_member(kind: Geometry, p):
     """Raise DomainError naming the first of the normalised points ``p``, a
-    triple, (3,) or (N, 3), that is not a member; return their ``_scaled_norm``."""
+    float triple or (N, 3), that is not a member; return their ``_scaled_norm``."""
     norm, inside = _scaled_norm(kind, p)
-    if type(inside) is bool:  # one point
-        if not inside:
-            raise _not_member(kind, p)
-    elif not inside.all():
+    if type(p) is tuple and not inside:
+        raise _not_member(kind, p)
+    if type(p) is not tuple and not inside.all():
         raise _not_member(kind, p[np.argmin(inside)])
     return norm
 
@@ -252,17 +260,16 @@ def _hypot(a: float, b: float) -> float:
 
 
 def _scaled_norm(kind: Geometry, p):
-    """The membership rule on points p, a triple, (3,) or (..., 3): the S2xR
+    """The membership rule on points p, a float triple or (..., 3): the S2xR
     norm |p| = hypot(hypot(x, y), z), or the H2xR spread r = hypot(y, z), and
     the mask 0 < |p| < inf, or r < x < inf.  No coordinate is squared, so
     nothing underflows, a norm beyond double range is inf, and a NaN fails
-    every comparison.  One point is read as floats, by ``_hypot``: numpy's
-    per-call cost on a (3,) array, and the ``np.errstate`` its overflow
-    warning needs, would be most of a guard.  Arrays are decided by numpy
-    with the same hypot, under ``np.errstate``, paid once per array."""
+    every comparison.  A triple is decided in floats by ``_hypot`` (numpy's
+    per-call cost and the ``np.errstate`` of its overflow warning would be most
+    of a guard), an array by numpy's same hypot under one ``np.errstate``."""
     _require_geometry(kind)
-    if type(p) is tuple or p.ndim == 1:
-        x, y, z = p if type(p) is tuple else p.tolist()
+    if type(p) is tuple:
+        x, y, z = p
         if kind is Geometry.S2R:
             norm = _hypot(_hypot(x, y), z)
             return norm, 0.0 < norm < math.inf
@@ -277,7 +284,7 @@ def _scaled_norm(kind: Geometry, p):
 
 
 def _fibre_norm(kind: Geometry, p) -> float:
-    """sqrt(Q) of one point ``p`` (a triple or (3,)) after ``_guard_member``,
+    """sqrt(Q) of one point ``p``, a float triple, after ``_guard_member``,
     as a float, whose log is the fibre height: the S2xR nested hypot; on
     H2xR sqrt(x - r) sqrt(x + r), with x + r beyond 2^1022 in exact quarters
     (the bits of sqrt(x + r) wherever it is finite), and within 2^-20 of the
@@ -287,11 +294,11 @@ def _fibre_norm(kind: Geometry, p) -> float:
     norm = _guard_member(kind, p)
     if kind is Geometry.S2R:
         return norm
-    x = float(p[0])
+    x = p[0]
     if x - norm < 2.0 ** -20 * x:
         e, parts = math.frexp(x)[1], []
         for c, w in zip(p, (1.0, -1.0, -1.0)):
-            c = math.ldexp(float(c), -e)
+            c = math.ldexp(c, -e)
             hi = c * 134217729.0 - (c * 134217729.0 - c)
             parts += [w * hi * hi, w * 2.0 * hi * (c - hi), w * (c - hi) * (c - hi)]
         return math.ldexp(math.sqrt(math.fsum(parts)), e)
@@ -412,14 +419,9 @@ def to_model(kind: Geometry, t, c1, c2) -> np.ndarray:
     whose point overflows, underflows to the centre or rounds onto the cone.
     """
     try:  # a number by _real, an array of real numbers as it is (float64 is not copied),
-        # and one numpy holds as objects (ints beyond int64) element by element by _real
-        coords = [np.asarray(_real(c, "an intrinsic coordinate") if np.ndim(c) == 0 else c)
-                  for c in (t, c1, c2)]
-        for i, c in enumerate(coords):
-            if c.dtype.kind == "O":  # text, None or complex among them fail the check below
-                with contextlib.suppress(DomainError):
-                    coords[i] = np.array([_real(x, "an intrinsic coordinate") for x in c.flat],
-                                         dtype=float).reshape(c.shape)
+        # and one numpy holds as objects (ints beyond int64) by _real_array
+        coords = [_real_array(np.asarray(_real(c, "an intrinsic coordinate") if np.ndim(c) == 0
+                                         else c)) for c in (t, c1, c2)]
         if any(c.dtype.kind not in "biuf" for c in coords):
             raise ValueError
         t, c1, c2 = np.broadcast_arrays(*(c.astype(float, copy=False) for c in coords))

@@ -13,15 +13,12 @@ with u in (-pi, pi], v in [-pi/2, pi/2] and tau >= 0.  The curve is the
 product of a constant-speed circle (respectively hyperbolic line) in the
 surface factor with a constant-speed fibre translation.
 
-The inverse problem, point -> (u, v, tau), splits the fibre part
-L = log sqrt(Q) (Q the fibre quadratic form, sqrt(Q) from ``core._fibre_norm``)
-from the surface arc
-
-    S2xR :  w = atan2(sqrt(y^2 + z^2), x)      (principal arc, w in [0, pi])
-    H2xR :  w = asinh(sqrt(y^2 + z^2) / sqrt(Q))
-
-after which v = atan2(L, w), tau = hypot(L, w) and u = atan2(z, y); on the
-fibre axis (w = 0) this is v = +-pi/2, tau = |L|, with u = 0.
+The inverse problem, point -> (u, v, tau), is the product split ``core._split``
+(fibre height L = log sqrt(Q), Q the fibre quadratic form, surface point
+s = p / sqrt(Q)) and the surface arc w from (1, 0, 0) to s (``triangles._arc``,
+as in ``distance``; on S2xR the principal arc, w in [0, pi]): v = atan2(L, w),
+tau = hypot(L, w) and u = atan2(z, y); on the fibre axis (w = 0) this is
+v = +-pi/2, tau = |L|, with u = 0.
 For S2xR the principal arc makes the returned geodesic the shortest one;
 geodesics that wind further around the sphere factor reach the same point
 with larger tau.
@@ -32,8 +29,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import (Geometry, _count, _fibre_norm, _guard_chart, _point, _product_points, _real,
-                   _split, model_point, np)
+from .core import _BASE, Geometry, _count, _guard_chart, _point, _product_points, _real, _split, np
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
 from .triangles import _arc
@@ -121,23 +117,20 @@ def geodesic_params(kind: Geometry, p) -> GeodesicParams:
     Raises DomainError for non-members and for the base point itself, where
     the direction is undefined.
     """
-    return _geodesic_params(kind, model_point(p))
+    return _geodesic_params(kind, _point(p))
 
 
-def _geodesic_params(kind: Geometry, p: np.ndarray) -> GeodesicParams:
-    """``geodesic_params`` of a normalised point, membership included: the
-    point may be an image under a normaliser that rounding left outside."""
-    norm = _fibre_norm(kind, p)
-    x, y, z = p
-    spread = math.hypot(y, z)
-    length = math.log(norm)
-    w = math.atan2(spread, x) if kind is Geometry.S2R else math.asinh(spread / norm)
+def _geodesic_params(kind: Geometry, p: tuple) -> GeodesicParams:
+    """``geodesic_params`` of a float triple, membership included (a normaliser's image may
+    round outside): the split and ``_arc`` from the base surface point, as in ``distance``."""
+    length, s = _split(kind, p)
+    w = _arc(kind, _BASE, s)[0]
     if w == 0.0 and length == 0.0:
         raise DomainError("the base point has no defined geodesic direction")
     # u degenerates on the fibre axis (w = 0: v = +-pi/2, tau = |L|) and on
     # the S2xR antipodal axis (y = z = 0, x < 0); any value parametrises a
     # geodesic through such a point, take 0
-    u = math.atan2(z, y) if spread > 0.0 and w > 0.0 else 0.0
+    u = math.atan2(p[2], p[1]) if (p[1] != 0.0 or p[2] != 0.0) and w > 0.0 else 0.0
     return GeodesicParams(u, math.atan2(length, w), math.hypot(length, w))
 
 
@@ -177,7 +170,7 @@ def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:
     """``n`` points of the geodesic at equal arc-length steps in [0, tau],
     as an (n, 3) array computed in one batch.
 
-    Raises PrecondError unless ``n`` is an integer in [2, sys.maxsize], and
+    Raises PrecondError unless ``n`` is an integer in [2, sys.maxsize // 48], and
     DomainError, as ``geodesic_point`` does, naming the first bad sample.
     """
     n = _count(n, 2, "samples", PrecondError)

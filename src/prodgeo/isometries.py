@@ -30,19 +30,16 @@ the reproduced method and cross-check: triangles, angles and distances are
 computed without it.
 ``tangent_endpoints`` and ``vertex_angle`` move a triangle so a1 is the
 base point, then each vertex there by its own normaliser, and read the
-tangents off the inverse problem, where the ambient metric is the identity.
-Closed-form images of the three triangle vertices under such a normaliser
-are provided as independent cross-checks of the matrix pipeline
-(``reference_image_*``); they are hand-derived from the factorisation and
-agree with the composed matrices to machine precision.
+tangents off the inverse problem, where the ambient metric is the identity;
+moved points are float triples.  Hand-derived closed-form images
+(``reference_image_*``, below) cross-check the composed matrices.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import (_BASE, Geometry, _fibre_norm, _point, fibre_norm_sq, model_point, np,
-                   require_member)
+from .core import _BASE, Geometry, _fibre_norm, _point, fibre_norm_sq, np, require_member
 from .exceptions import ConsistencyError, DegenerateError, DomainError, PrecondError
 from .geodesics import _geodesic_params, tangent_of
 from .tolerances import DEFAULT
@@ -73,10 +70,10 @@ def fibre_translation(kind: Geometry, a) -> np.ndarray:
     """Fibre translation taking ``a`` to its zero-fibre representative;
     DomainError where ``_fibre_norm`` finds a non-member or 1/sqrt(Q)
     overflows (S2xR members below about 5.6e-309)."""
-    a = model_point(a)
+    a = _point(a)
     scale = 1.0 / _fibre_norm(kind, a)
     if not scale < math.inf:
-        raise DomainError(f"the {kind.value} fibre translation of {tuple(a.tolist())} "
+        raise DomainError(f"the {kind.value} fibre translation of {a} "
                           "is not representable in double precision")
     return _embed(np.eye(3) * scale)
 
@@ -91,7 +88,7 @@ def rotation_x(kind: Geometry, p) -> np.ndarray:
     return _rotation_x(require_member(kind, p))
 
 
-def _rotation_x(p: np.ndarray) -> np.ndarray:
+def _rotation_x(p: tuple) -> np.ndarray:
     _, y, z = p
     spread = math.hypot(y, z)
     if spread == 0.0:
@@ -132,29 +129,35 @@ def _rotation_z(kind: Geometry, c1: float, c2: float) -> np.ndarray:
 def to_origin(kind: Geometry, a) -> np.ndarray:
     """The normalising isometry T . R_x . R_z . R_x^-1 mapping ``a`` to the
     base point (identity when ``a`` already is the base point)."""
-    return _to_origin(kind, model_point(a))
+    return _to_origin(kind, _point(a))
 
 
-def _to_origin(kind: Geometry, a: np.ndarray) -> np.ndarray:
-    """``to_origin`` of ``a``: R_z from (x, hypot(y, z)) / sqrt(Q), the image
+def _to_origin(kind: Geometry, a: tuple) -> np.ndarray:
+    """``to_origin`` of the float triple ``a``: R_z from (x, hypot(y, z)) / sqrt(Q), the image
     of ``a`` under T and R_x; DomainError where the result misses."""
     norm = _fibre_norm(kind, a)
     rot_x = _rotation_x(a)
     with np.errstate(all="ignore"):
         move = (_embed(np.eye(3) / norm) @ rot_x
                 @ _rotation_z(kind, a[0] / norm, math.hypot(a[1], a[2]) / norm) @ rot_x.T)
-        row = np.concatenate(([1.0], a)) @ move  # unchecked: a missed image is the error
+        row = np.array((1.0, *a)) @ move  # unchecked: a missed image is the error
         miss = float(np.abs(row[1:] / row[0] - _BASE).max())
     if not miss <= DEFAULT.isometry:
-        raise DomainError(f"the {kind.value} normaliser of {tuple(a.tolist())} is not "
+        raise DomainError(f"the {kind.value} normaliser of {a} is not "
                           f"representable in double precision ({miss:.1e} off the base point)")
     return move
 
 
 def apply_isometry(m: np.ndarray, p) -> np.ndarray:
-    """Apply a homogeneous transform to a point (``core._point``), renormalised to x0 = 1;
-    DegenerateError for a weight not above 0, DomainError for an image beyond double range."""
+    """Apply a homogeneous transform, a 4x4 array of real numbers (a bool, int or float
+    dtype), to a point (``core._point``), renormalised to x0 = 1; DomainError for any
+    other matrix or an image beyond double range, DegenerateError for a weight not above 0."""
     point = _point(p)
+    try:  # numpy's ValueError names a ragged list; None, text, complex or objects fail the dtype
+        if (m := np.asarray(m)).shape != (4, 4) or m.dtype.kind not in "biuf":
+            raise ValueError(f"{m.dtype} values of shape {m.shape}")
+    except ValueError as exc:
+        raise DomainError(f"need a 4×4 matrix of real numbers, got {exc}") from None
     with np.errstate(all="ignore"):
         row = np.array((1.0, *point)) @ m
         image = row[1:] / row[0]
@@ -167,9 +170,9 @@ def apply_isometry(m: np.ndarray, p) -> np.ndarray:
 
 def _paper_vertices(tri: GeodesicTriangle) -> tuple:
     """The vertices moved by the normaliser of a1, so a1 is the base point
-    (the paper's position; the identity, bit for bit, when it is there)."""
-    move = _to_origin(tri.kind, np.array(tri.a1))
-    return np.array(_BASE), apply_isometry(move, tri.a2), apply_isometry(move, tri.a3)
+    (the paper's position; the identity, bit for bit, when it is there), as float triples."""
+    move = _to_origin(tri.kind, tri.a1)
+    return _BASE, _point(apply_isometry(move, tri.a2)), _point(apply_isometry(move, tri.a3))
 
 
 def tangent_endpoints(tri: GeodesicTriangle) -> dict[tuple[int, int], np.ndarray]:
@@ -201,7 +204,7 @@ def _vertex_tangents(kind: Geometry, vertices, i: int) -> dict[tuple[int, int], 
     if i == 1:
         return {(n, 0): tangent_of(_geodesic_params(kind, p)) for n, p in others}
     move = _to_origin(kind, vertices[i - 1])
-    return {(n, i): tangent_of(_geodesic_params(kind, apply_isometry(move, p)))
+    return {(n, i): tangent_of(_geodesic_params(kind, _point(apply_isometry(move, p))))
             for n, p in others}
 
 

@@ -86,7 +86,7 @@ from __future__ import annotations
 import math
 
 from . import _dop853
-from .core import (_BASE, Geometry, _count, _guard_member, _metric, _metric_entries,
+from .core import (_BASE, Geometry, _count, _guard_member, _metric, _metric_entries, _real_array,
                    _require_geometry, np, to_model)
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams, _triple, tangent_of
@@ -199,7 +199,7 @@ def _not_positive_definite(kind: Geometry, point) -> SingularityError:
 
 def _acceleration(kind: Geometry, p, dp) -> list:
     """Geodesic acceleration -Gamma(dp, dp) in the Cartesian chart at the
-    trusted point ``p``, in floats: (3,) arrays in, a list of three out.
+    trusted point ``p``, in floats: two float triples in, a list of three out.
 
     No Gamma tensor is formed.  Three ``core._metric_entries`` calls at
     p + ih e_k, in Python complex, give h d_k g = Im g, and Re g = g(p) to
@@ -211,8 +211,7 @@ def _acceleration(kind: Geometry, p, dp) -> list:
     denominator or an acceleration that is not finite raises
     SingularityError.
     """
-    x, y, z = p.tolist()
-    u, v, w = dp.tolist()
+    (x, y, z), (u, v, w) = p, dp
     step = 1j * _COMPLEX_STEP
     try:
         g = _metric_entries(kind, x + step, y, z)
@@ -272,9 +271,9 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
                            f"<= {_H2R_SURFACE_ARC}, got {tau * abs(math.cos(v))}")
 
     def rhs(_tau, state):
-        p, dp = state[:3], state[3:]
-        _guard_member(kind, p)
-        return [*dp.tolist(), *_acceleration(kind, p, dp)]
+        x, y, z, u, v, w = state.tolist()
+        _guard_member(kind, (x, y, z))
+        return [u, v, w, *_acceleration(kind, (x, y, z), (u, v, w))]
 
     state0 = np.concatenate((_BASE, tangent_of(params)))
     return _dop853.solve(rhs, state0, (0.0, tau), DEFAULT.ode_rtol, DEFAULT.ode_atol)[:3, -1]
@@ -282,7 +281,8 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
 
 def arc_length_quadrature(kind: Geometry, curve) -> float:
     """Composite midpoint-rule arc length of a polyline of model points,
-    given as any iterable of Cartesian 3-vectors (an (n, 3) array too).
+    given as any iterable of Cartesian 3-vectors (an (n, 3) array too, ints beyond int64 in it
+    read as ``to_model`` reads them).
 
     Second-order accurate in the number of samples.  The metrics are
     homogeneous of degree -2, so the rule runs on the curve scaled exactly
@@ -291,7 +291,7 @@ def arc_length_quadrature(kind: Geometry, curve) -> float:
     midpoint outside the model, or a metric there beyond double range.
     """
     try:
-        pts = curve if isinstance(curve, np.ndarray) else np.array(list(curve))
+        pts = _real_array(curve if isinstance(curve, np.ndarray) else np.array(list(curve)))
     except (TypeError, ValueError):  # not iterable, or ragged
         raise DomainError("need an iterable of points of 3 coordinates") from None
     if pts.dtype.kind not in "biuf" or pts.ndim != 2 or pts.shape[1] != 3:

@@ -28,6 +28,9 @@ def _modules_naming(name: str) -> set[str]:
     # the squared form remains only in the hand-derived reference_image_*
     # closed forms; the paper's matrices take sqrt(Q) from core._fibre_norm
     ("fibre_norm_sq", {"core.py", "isometries.py"}),
+    # a point is read into a float triple at the boundary; the array form is
+    # for callers, and no module below the boundary builds it
+    ("model_point", {"core.py", "__init__.py"}),
 ])
 def test_name_used_only_by(name, owners):
     assert _modules_naming(name) == owners
@@ -186,10 +189,21 @@ def test_one_distinctness_rule():
     assert _defining("_max_abs") == set()
 
 
-@pytest.mark.parametrize("name", ["_split", "_fibre_norm"])
+@pytest.mark.parametrize("name", ["_split", "_fibre_norm", "_scaled_norm", "_guard_member"])
 def test_the_split_takes_one_point(name):
-    """The product split has no array branch: one point, in floats."""
-    assert "ndim" not in _body_names("core.py", name)
+    """The product split and the membership rule take one point as a float
+    triple, in floats (the rule an (N, 3) batch too): no (3,)-array branch,
+    which would test ``ndim`` and read the point again by ``tolist``."""
+    assert not _body_names("core.py", name) & {"ndim", "tolist"}
+
+
+def test_the_inverse_problem_is_the_split_and_the_surface_arc():
+    """``_geodesic_params`` takes the fibre height from ``_split`` and the
+    surface arc from ``_arc``, as ``distance`` does: no norm or arc formula
+    of its own."""
+    names = _body_names("geodesics.py", "_geodesic_params")
+    assert {"_split", "_arc"} <= names
+    assert not names & {"_fibre_norm", "asinh"}
 
 
 def test_sweeps_refine_without_a_zoom():

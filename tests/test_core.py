@@ -242,7 +242,7 @@ class TestMembershipScale:
         points[1::7, 1], points[2::11, 2] = np.nan, np.inf
         norms, inside = _scaled_norm(kind, points)
         for p, norm, member in zip(points, norms, inside):
-            one_norm, one_inside = _scaled_norm(kind, p)
+            one_norm, one_inside = _scaled_norm(kind, tuple(p.tolist()))
             assert one_norm == norm or (math.isnan(one_norm) and math.isnan(norm))
             assert one_inside == member
 
@@ -281,7 +281,7 @@ class TestFibreNorm:
         finite = np.isfinite(plain)
         assert 0 < (~finite).sum() and finite.sum() > 3000
         for p, plain_norm, plain_finite in zip(points, plain.tolist(), finite):
-            norm = _fibre_norm(Geometry.H2R, p)
+            norm = _fibre_norm(Geometry.H2R, tuple(p.tolist()))
             assert 0.0 < norm < math.inf
             if plain_finite:
                 assert norm == plain_norm
@@ -322,7 +322,7 @@ class TestFibreNorm:
     def test_h2r_member_near_the_largest_double(self):
         """x + r = 2.5e308 overflows; Q = 1.25e616 has the finite root
         1.118e308, fibre height 709.3 (50 digits: tau 709.308236899768)."""
-        norm = _fibre_norm(Geometry.H2R, np.array([1.5e308, 1e308, 0.0]))
+        norm = _fibre_norm(Geometry.H2R, (1.5e308, 1e308, 0.0))
         assert norm == pytest.approx(math.sqrt(1.25) * 1e308, rel=1e-15)
 
 

@@ -20,6 +20,7 @@ from prodgeo import (
 )
 from prodgeo.geodesics import _points
 from prodgeo.oracle import arc_length_quadrature
+from prodgeo.verification import _random_points
 from conftest import BOTH, random_params, random_point
 from mp_oracle import closed_form_point, inverse, param_error
 
@@ -300,6 +301,14 @@ class TestDistance:
         is taken by hypot, whose square would underflow to 0."""
         p = (1.0, offset, 0.0)
         assert distance(kind, BASE_POINT, p) == geodesic_params(kind, p).tau == offset
+
+    @BOTH
+    def test_distance_from_the_base_point_is_tau_bit_for_bit(self, kind, rng):
+        """The inverse problem is the product split and ``triangles._arc`` from
+        the base surface point, as ``distance`` is: on 3,000 seeded endpoints
+        its tau is the distance from the base point to the bit."""
+        for p in _random_points(kind, rng, 3000, 3.0):
+            assert distance(kind, BASE_POINT, p) == geodesic_params(kind, p).tau, p
 
     @BOTH
     def test_symmetry(self, kind, rng):

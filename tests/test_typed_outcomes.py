@@ -3,7 +3,9 @@ invariants, or a GeometryError.
 
 Seeded (``derandomize=True``) properties over the entry points that read
 numbers through ``core._real`` and ``core._count``, over ``to_model``, over
-``apply_isometry`` and ``arc_length_quadrature`` on fuzzed points and curves,
+the entry points that read a point by ``core._point`` (``geodesic_params``,
+``distance``, ``to_origin``, ``fibre_translation`` and ``apply_isometry``,
+on fuzzed matrices too), over ``arc_length_quadrature`` on fuzzed curves,
 and over ``cli.main`` on fuzzed ``sweep`` and ``geodesic`` arguments.  Every
 point returned is a member (``contains``).  Any other exception, numpy's
 RuntimeWarning included (an error in this suite), fails a property.
@@ -19,7 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodgeo import (
+    BASE_POINT,
     DEFAULT,
+    DomainError,
     GeodesicParams,
     Geometry,
     GeometryError,
@@ -28,6 +32,9 @@ from prodgeo import (
     apply_isometry,
     arc_length_quadrature,
     contains,
+    distance,
+    fibre_translation,
+    geodesic_params,
     geodesic_point,
     integrate_geodesic,
     integrate_geodesic_cartesian,
@@ -193,13 +200,94 @@ def test_integrations(kind, g, steps):
         assert end.shape == (3,) and _members(kind, end)
 
 
+#: a point of both models, half the time within 2^-k (relative) of the H2xR cone
+MEMBERS = st.tuples(
+    st.floats(1e-3, 1e3), st.floats(-math.pi, math.pi),
+    st.one_of(st.floats(0.0, 0.99), st.integers(1, 60).map(lambda k: 1.0 - 2.0**-k)),
+).map(lambda t: (t[0], t[0] * t[2] * math.cos(t[1]), t[0] * t[2] * math.sin(t[1])))
+
+#: a point argument: a member, three numbers, another count of numbers, or one number
+POINTS = st.one_of(MEMBERS, TRIPLES, st.lists(NUMBERS, max_size=5), NUMBERS)
+
+#: what is not a 4x4 matrix of real numbers: complex, another shape, None, text,
+#: ints beyond int64 (which numpy holds as objects), a ragged list
+NOT_MATRICES = {"complex": np.eye(4) * (1.0 + 0.5j), "3x3": np.eye(3), "none": None,
+                "text": np.full((4, 4), "1"), "objects": np.full((4, 4), 2**70, dtype=object),
+                "ragged": [[1.0, 0.0], [0.0]]}
+
+#: a matrix argument: a normaliser, a 4x4 array of any floats, or not a matrix
+MATRICES = st.one_of(
+    st.sampled_from([(2.0, 1.0, 0.5), (1.0, 0.0, 0.0)]).map(
+        lambda a: to_origin(Geometry.H2R, a)),
+    st.lists(st.floats(), min_size=16, max_size=16).map(lambda m: np.reshape(m, (4, 4))),
+    st.sampled_from(list(NOT_MATRICES.values())),
+    NUMBERS,
+)
+
+
 @SEEDED
-@given(KINDS, st.one_of(TRIPLES, st.lists(NUMBERS, max_size=5), NUMBERS))
-def test_apply_isometry(kind, p):
-    """A point is read as every point argument is; its image is finite."""
-    image = _outcome(apply_isometry, to_origin(kind, (2.0, 1.0, 0.5)), p)
-    if image is not None:
-        assert image.shape == (3,) and image.dtype == np.float64 and np.isfinite(image).all()
+@given(KINDS, POINTS, MATRICES)
+def test_apply_isometry(kind, p, m):
+    """A point is read as every point argument is, a matrix as a 4x4 array of
+    real numbers; the image is finite."""
+    for move in (to_origin(kind, (2.0, 1.0, 0.5)), m):
+        image = _outcome(apply_isometry, move, p)
+        if image is not None:
+            assert image.shape == (3,) and image.dtype == np.float64 and np.isfinite(image).all()
+
+
+@pytest.mark.parametrize("m", list(NOT_MATRICES.values()), ids=list(NOT_MATRICES))
+def test_apply_isometry_needs_a_real_4x4_matrix(m):
+    with pytest.raises(DomainError, match="need a 4×4 matrix of real numbers"):
+        apply_isometry(m, (2.0, 1.0, 0.5))
+
+
+@SEEDED
+@given(KINDS, POINTS)
+def test_geodesic_params(kind, p):
+    """The parameters are normalised, and the closed form at them is a member
+    (or, where it is not representable, a GeometryError)."""
+    g = _outcome(geodesic_params, kind, p)
+    if g is not None:
+        assert all(type(c) is float and math.isfinite(c) for c in g)
+        assert -math.pi < g.u <= math.pi and abs(g.v) <= math.pi / 2 and g.tau > 0.0
+        end = _outcome(geodesic_point, kind, g)
+        if end is not None:
+            assert _members(kind, end)
+
+
+@SEEDED
+@given(KINDS, POINTS, st.one_of(st.just(BASE_POINT), POINTS))
+def test_distance(kind, p, q):
+    d = _outcome(distance, kind, p, q)
+    if d is not None:
+        assert type(d) is float and 0.0 <= d < math.inf
+
+
+@SEEDED
+@given(KINDS, POINTS)
+def test_to_origin(kind, p):
+    """The normaliser's image of its point is within ``DEFAULT.isometry`` of the base point."""
+    m = _outcome(to_origin, kind, p)
+    if m is not None:
+        assert m.shape == (4, 4) and np.isfinite(m).all()
+        assert np.abs(apply_isometry(m, p) - BASE_POINT).max() <= DEFAULT.isometry
+
+
+@SEEDED
+@given(KINDS, POINTS)
+def test_fibre_translation(kind, p):
+    """A positive finite scaling, whose image of its point is on the zero-fibre
+    leaf: the unit sphere to rounding on S2xR, x >= 1 to rounding on H2xR."""
+    m = _outcome(fibre_translation, kind, p)
+    if m is not None:
+        scale = m[1, 1]
+        assert 0.0 < scale < math.inf and np.array_equal(m, np.diag([1.0, scale, scale, scale]))
+        x, y, z = apply_isometry(m, p)
+        if kind is Geometry.S2R:
+            assert abs(math.hypot(x, y, z) - 1.0) <= 4e-16
+        else:
+            assert x >= 1.0 - 4e-16
 
 
 @SEEDED
@@ -243,6 +331,14 @@ CURVES = st.one_of(
                        st.floats(-4.0, 4.0)), min_size=2, max_size=4).map(np.array),
     NUMBERS,
 )
+
+
+@pytest.mark.parametrize("kind", list(Geometry), ids=lambda k: k.value)
+def test_arc_length_quadrature_of_ints_beyond_int64(kind):
+    """Ints beyond int64, which numpy holds as objects, are read as ``to_model``
+    reads them: the length of the float curve."""
+    assert (arc_length_quadrature(kind, [[1, 0, 0], [2**70, 0, 0]])
+            == arc_length_quadrature(kind, [[1.0, 0.0, 0.0], [2.0**70, 0.0, 0.0]]))
 
 
 @SEEDED
