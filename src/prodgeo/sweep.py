@@ -10,9 +10,9 @@ Along the ray only the third vertex's fibre height u + f3(ray), u = log t,
 moves: its surface point ray / sqrt(Q(ray)) is fixed, as Q is homogeneous
 of degree two.  So the surface arcs and angles are constants of the
 family: its ray part, the triangles' closed form (``triangles._closed_form``)
-of (base point, a2, ray), built with the ``SweepSpec``.  S at one t and
-dS/du are ``triangles._angles_at`` at u, the grid ``triangles._sums_at``,
-and the extremum the root of dS/du.  As both model sets are cones, t * ray
+of (base point, a2, ray), built with the ``SweepSpec``.  S at one t and on the
+grid is ``triangles._angles_at`` at u and over the grid's u, and the extremum
+the root of dS/du, ``triangles._slope_at``.  As both model sets are cones, t * ray
 is a member wherever it is representable: it is checked from the ray, in
 floats, for its range and for a1 and a2 (``_check_third_vertices``).
 """
@@ -28,7 +28,7 @@ import sys
 from .core import _BASE, Geometry, _count, _guard_in_range, _point, _real, _Record, _split, np
 from .exceptions import ConsistencyError, DegenerateError, DomainError
 from .tolerances import DEFAULT
-from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _sums_at
+from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _slope_at
 
 __all__ = [
     "ExtremumKind",
@@ -125,7 +125,7 @@ def angle_sum_at(spec: SweepSpec, t: float) -> float:
     if not 0.0 < t < math.inf:
         raise DomainError(f"need a finite parameter t > 0, got {t}")
     _check_third_vertices(spec, t)
-    return _angles_at(spec._ray, math.log(t))[0].total
+    return _angles_at(spec._ray, math.log(t)).total
 
 
 def _bracket(ts: np.ndarray, sums: np.ndarray, sign: float) -> tuple[float, float]:
@@ -140,14 +140,14 @@ def _turning_point(spec: SweepSpec, lo: float, hi: float, sign: float):
     part = spec._ray
 
     def slope(u):
-        return sign * _angles_at(part, u)[1]
+        return sign * _slope_at(part, u)
 
     a, b = math.log(lo), math.log(hi)
     fa, fb = slope(a), slope(b)
     if not fa > 0.0 > fb:
         return None
     u = _zero(slope, a, fa, b, fb)
-    return math.exp(u), _angles_at(part, u)[0].total
+    return math.exp(u), _angles_at(part, u).total
 
 
 def _zero(f, a: float, fa: float, b: float, fb: float) -> float:
@@ -195,15 +195,15 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     The grid is logarithmic because the extremum of interest sits at small
     t.  Its vertices t*ray are checked (``_check_third_vertices``) at both
     ends and near a1 and a2 (``_near_a1_a2``), where alone a check can fail,
-    and at every t once one fails.  The grid sums are the closed form over
-    u = log t (``triangles._sums_at``), with no triangle built.  A family is
-    flat when its ray is coplanar with the base point, a2 and the centre and
-    every grid sum lies within ``flat_band`` of pi; a family off that plane
-    has a strict extremum however close to pi it stays.  Otherwise the
-    extremum is refined on the same closed form (``triangles._angles_at``):
-    it is interior when dS/du changes sign across the grid cells around the
-    best sample, and then the root of dS/du there (``_zero``) and S at it;
-    otherwise the result is the better end of the range and S there.
+    and at every t once one fails.  The grid sums are the closed form over the
+    array u = log t (``triangles._angles_at``), with no triangle built.  A family
+    is flat, with t0 the geometric mean of the range ends, when its ray is
+    coplanar with the base point, a2 and the centre and every grid sum lies within
+    ``flat_band`` of pi; a family off that plane has a strict extremum however
+    close to pi it stays.  Otherwise the extremum is refined on the same closed
+    form: it is interior when dS/du (``triangles._slope_at``) changes sign across
+    the grid cells around the best sample, and then the root of dS/du there
+    (``_zero``) and S at it; otherwise the better end of the range and S there.
     """
     grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
     ts = grid.tolist()
@@ -215,11 +215,11 @@ def evaluate(spec: SweepSpec) -> SweepResult:
             with contextlib.suppress(DegenerateError):
                 _check_third_vertices(spec, t)
         raise
-    sums = _sums_at(spec._ray, np.log(grid))
+    sums = _angles_at(spec._ray, np.log(grid)).total
     series = np.column_stack([grid, sums])
 
     if _coplanar(*spec._triples) and np.abs(sums - math.pi).max() <= DEFAULT.flat_band:
-        t0 = math.sqrt(spec.t_min * spec.t_max)
+        t0 = math.sqrt(spec.t_min) * math.sqrt(spec.t_max)  # t_min * t_max can leave range
         return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, False, spec)
 
     sign = spec.kind.curvature

@@ -15,11 +15,12 @@ closed form in the fibre angles of its two sides and the surface angle
 between them, 2 atan2(h, k) with h and k half the lengths of the
 difference and the sum of the unit tangents, which keeps full precision
 near 0 and pi where acos loses sqrt(eps) (Kahan, "Miscalculating Area and
-Angles of a Needle-like Triangle").  It runs in Python floats
-(``_closed_form``, ``_angle``), with no isometry and no inverse problem:
-angles are isometry-invariant, so no vertex is moved (the paper's method,
-which moves them, is ``isometries``).  ``_angles_at`` evaluates it with
-vertex 3 moved u along its fibre: triangles at u = 0, sweeps at log t.
+Angles of a Needle-like Triangle").  Its constants are Python floats
+(``_closed_form``), with no isometry and no inverse problem: angles are
+isometry-invariant, so no vertex is moved (the paper's method, which moves
+them, is ``isometries``).  ``_angles_at`` evaluates it with vertex 3 moved
+u along its fibre (triangles at u = 0, sweeps at log t), in ``math`` for a
+float u and numpy for an array of u; ``_slope_at`` is dS/du, in floats.
 
 Angle sums obey a strict trichotomy: sum - pi has the sign of the surface
 curvature, ``Geometry.curvature`` (S2xR sums are >= pi, H2xR sums <= pi),
@@ -82,7 +83,7 @@ class GeodesicTriangle(_Record):
     def _angles(self) -> TriangleAngles:
         """The closed form with vertex 3 where it is: ``_angles_at`` at u = 0."""
         splits = (_split(self.kind, a) for a in self.vertices)
-        return _angles_at(_closed_form(self.kind, *splits), 0.0)[0]
+        return _angles_at(_closed_form(self.kind, *splits), 0.0)
 
     @cached_property
     def _is_coplanar(self) -> bool:
@@ -139,7 +140,7 @@ def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) ->
     arcs d13 and d23, the fibre angles of side 1-2 at a1 and at a2, and at
     each vertex sin^2 and cos^2 of half the surface angle between its two
     sides.  Vertex 3 may move along its fibre: that changes the two rises
-    only (``_angles_at``, ``_sums_at``, the only readers of this tuple).
+    only (``_angles_at`` and ``_slope_at``, the only readers of this tuple).
 
     Raises DegenerateError where two S2xR surface points are antipodal to
     within ``DEFAULT.cut_locus``: that side is not unique.
@@ -199,57 +200,59 @@ def _half_angle(kind: Geometry, s: list, one: list, two: list) -> tuple[float, f
             0.25 * _tangent_sq(kind, s, [a + b for a, b in zip(one, two)]))
 
 
-def _angle(a: float, b: float, half_sin: float, half_cos: float) -> tuple[float, float, float]:
+def _chords(xp, a, b, cross, half: tuple) -> tuple:
+    """h = |u - v| / 2 and k = |u + v| / 2 of the unit tangents of ``_angle``,
+    over ``xp`` (``math`` or numpy), from sums of terms >= 0, with ``cross`` =
+    sin a sin b and ``half`` = (sin^2(g/2), cos^2(g/2)): h^2 = sin^2((a - b)/2)
+    + cross sin^2(g/2) and k^2 = cos^2((a + b)/2) + cross cos^2(g/2)."""
+    half_sin, half_cos = half
+    return (xp.sqrt(xp.sin(0.5 * (a - b)) ** 2 + cross * half_sin),
+            xp.sqrt(xp.cos(0.5 * (a + b)) ** 2 + cross * half_cos))
+
+
+def _angle(xp, a, b, cross, half: tuple):
     """The angle between unit tangents with fibre angles a and b whose
-    surface parts meet at an angle g, with sin^2(g/2) and cos^2(g/2) given,
-    and its partial derivatives in a and b.
+    surface parts meet at an angle g: 2 atan2(h, k) (``_chords``)."""
+    return 2.0 * xp.atan2(*_chords(xp, a, b, cross, half))
 
-    It is w = 2 atan2(h, k), with h = |u - v| / 2 and k = |u + v| / 2 of
-    the unit tangents u, v, from sums of terms >= 0:
-    h^2 = sin^2((a - b) / 2) + sin a sin b sin^2(g / 2) and
-    k^2 = cos^2((a + b) / 2) + sin a sin b cos^2(g / 2).  From
-    cos w = cos a cos b + sin a sin b cos g, its derivative in b is
+
+def _partial(a: float, b: float, half: tuple) -> float:
+    """The partial derivative of ``_angle`` w in b, in floats: from
+    cos w = cos a cos b + sin a sin b cos g, it is
     (sin(b - a) + 2 sin a cos b sin^2(g / 2)) / sin w, sin w = 2 h k."""
-    sin_a, sin_b = math.sin(a), math.sin(b)
-    cross = sin_a * sin_b
-    h = math.sqrt(math.sin(0.5 * (a - b)) ** 2 + cross * half_sin)
-    k = math.sqrt(math.cos(0.5 * (a + b)) ** 2 + cross * half_cos)
+    sin_a = math.sin(a)
+    h, k = _chords(math, a, b, sin_a * math.sin(b), half)
     by_sin = 0.5 / (h * k + _TINY)  # 1 / sin w, as h^2 + k^2 = 1; no 0 / 0
-    return (2.0 * math.atan2(h, k),
-            (math.sin(a - b) + 2.0 * sin_b * math.cos(a) * half_sin) * by_sin,
-            (math.sin(b - a) + 2.0 * sin_a * math.cos(b) * half_sin) * by_sin)
+    return (math.sin(b - a) + 2.0 * sin_a * math.cos(b) * half[0]) * by_sin
 
 
-def _angles_at(part: tuple, u: float) -> tuple[TriangleAngles, float]:
-    """The angles and dS/du of the closed form ``part`` with vertex 3 moved
-    u along its fibre.  The sides toward a3 leave a1 and a2 at the fibre
-    angles b = atan2(d, r) of their rises r = u + f3 - f1 and u + f3 - f2,
-    db/du = -d / (r^2 + d^2), and reach a3 at the supplements pi - b13 and
-    pi - b23, which meet at the angle between b13 and b23."""
-    off13, off23, d13, d23, at1, at2, (sin1, cos1), (sin2, cos2), (sin3, cos3) = part
+def _angles_at(part: tuple, u) -> TriangleAngles:
+    """The angles of the closed form ``part`` with vertex 3 moved u along its
+    fibre, in ``math`` for a float u and in numpy, as arrays, for an array of u.
+    The sides toward a3 leave a1 and a2 at the fibre angles b = atan2(d, r) of
+    their rises r = u + f3 - f1 and u + f3 - f2, and reach a3 at the supplements
+    pi - b13 and pi - b23, which meet at the angle between b13 and b23."""
+    xp = math if type(u) is float else np
+    off13, off23, d13, d23, at1, at2, half1, half2, half3 = part
+    b13, b23 = xp.atan2(d13, u + off13), xp.atan2(d23, u + off23)
+    s13, s23 = xp.sin(b13), xp.sin(b23)
+    w1 = _angle(xp, at1, b13, math.sin(at1) * s13, half1)
+    w2 = _angle(xp, at2, b23, math.sin(at2) * s23, half2)
+    w3 = _angle(xp, b13, b23, s13 * s23, half3)
+    return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
+
+
+def _slope_at(part: tuple, u: float) -> float:
+    """dS/du of ``_angles_at`` at a float u, by the chain rule through the
+    fibre angles b = atan2(d, r), db/du = -d / (r^2 + d^2)."""
+    off13, off23, d13, d23, at1, at2, half1, half2, half3 = part
     r13, r23 = u + off13, u + off23
     b13, b23 = math.atan2(d13, r13), math.atan2(d23, r23)
-    w1, _, w1_b13 = _angle(at1, b13, sin1, cos1)
-    w2, _, w2_b23 = _angle(at2, b23, sin2, cos2)
-    w3, w3_b13, w3_b23 = _angle(b13, b23, sin3, cos3)
-    slope = (-(w1_b13 + w3_b13) * d13 / (r13 * r13 + d13 * d13)
-             - (w2_b23 + w3_b23) * d23 / (r23 * r23 + d23 * d23))
-    return TriangleAngles(w1, w2, w3, w1 + w2 + w3), slope
-
-
-def _sums_at(part: tuple, u: np.ndarray) -> np.ndarray:
-    """The sums of ``_angles_at`` at an array ``u``, in numpy, with each
-    ``_angle`` as 2 atan2(h, k) and the angles summed in the same order."""
-    off13, off23, d13, d23, at1, at2, half1, half2, half3 = part
-    b13, b23 = np.arctan2(d13, u + off13), np.arctan2(d23, u + off23)
-    sin13, sin23 = np.sin(b13), np.sin(b23)
-    w1, w2, w3 = (2.0 * np.arctan2(np.sqrt(np.sin(0.5 * (a - b)) ** 2 + cross * half_sin),
-                                   np.sqrt(np.cos(0.5 * (a + b)) ** 2 + cross * half_cos))
-                  for a, b, cross, (half_sin, half_cos) in (
-                      (at1, b13, math.sin(at1) * sin13, half1),
-                      (at2, b23, math.sin(at2) * sin23, half2),
-                      (b13, b23, sin13 * sin23, half3)))
-    return w1 + w2 + w3
+    w1_b13, w2_b23 = _partial(at1, b13, half1), _partial(at2, b23, half2)
+    w3_b13 = _partial(b23, b13, half3)  # w3 is symmetric in b13 and b23
+    w3_b23 = _partial(b13, b23, half3)
+    return (-(w1_b13 + w3_b13) * d13 / (r13 * r13 + d13 * d13)
+            - (w2_b23 + w3_b23) * d23 / (r23 * r23 + d23 * d23))
 
 
 def coplanar_with_center(tri: GeodesicTriangle) -> bool:

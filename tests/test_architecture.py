@@ -151,21 +151,24 @@ def test_a_sweep_spec_validates_itself():
 
 
 def test_one_closed_form_evaluation():
-    """Triangles and sweeps evaluate the closed form by ``triangles._angles_at``
-    (floats) and ``_sums_at`` (an array of u), the only code that unpacks
-    its tuple; ``sweep`` keeps no copy of either."""
-    for name in ("_angles_at", "_sums_at"):
+    """Triangles and sweeps evaluate the closed form by ``triangles._angles_at``,
+    for a float u or an array of u, and Brent's dS/du by ``_slope_at``: the
+    only code that unpacks its tuple.  ``sweep`` keeps no copy of either, no
+    numpy twin of the angles is left, and the angles form no derivative."""
+    for name in ("_angles_at", "_slope_at"):
         assert _defining(name) == {"triangles.py"}, name
     for name in ("_sum_and_slope", "_sums_along", "_angles"):
         assert not _defining(name) & {"sweep.py"}, name
+    assert _defining("_sums_at") == set()
     assert "_angles_at" in _body_names("triangles.py", "_angles")
+    assert not _body_names("triangles.py", "_angles_at") & {"_partial", "_slope_at", "slope"}
     unpacking = {(path.name, function.name) for path in SOURCES.glob("*.py")
                  for function in ast.walk(_tree(path.name))
                  if isinstance(function, ast.FunctionDef)
                  for node in ast.walk(function)
                  if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
                  and len(node.targets[0].elts) == 9}
-    assert unpacking == {("triangles.py", "_angles_at"), ("triangles.py", "_sums_at")}
+    assert unpacking == {("triangles.py", "_angles_at"), ("triangles.py", "_slope_at")}
 
 
 def test_one_third_vertex_check():

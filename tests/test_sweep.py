@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -502,6 +503,45 @@ class TestExtremum:
         assert np.abs(result.series[:, 1] - PI).max() < 1e-9
         assert result.s_extremum == PI
 
+    @pytest.mark.parametrize("t_min, t_max", [(1e200, 1e250), (1e-200, 1e-150)])
+    def test_flat_extremum_stays_in_a_far_range(self, t_min, t_max):
+        """A flat family's t0 is the geometric mean of the range ends, whose
+        product leaves double range here: it overflowed to inf and
+        underflowed to 0."""
+        spec = SweepSpec(Geometry.S2R, (3, -2, 1), (3, -2, 1), t_min, t_max, samples=8)
+        result = evaluate(spec)
+        assert result.extremum_kind is ExtremumKind.FLAT
+        assert t_min <= result.t_extremum <= t_max
+        assert result.t_extremum == pytest.approx(math.sqrt(t_min) * math.sqrt(t_max), rel=1e-15)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the surface arc between equal S2xR surface points is rounding noise "
+        "(2.5e-16), which a rise of 3e-10 turns into a fibre angle; near the "
+        "H2xR cone the Minkowski products of the surface arcs keep about 8 "
+        "digits. Either puts a coplanar family's sums off pi by more than "
+        "flat_band, on the wrong side (CHANGES.md, FOUND)"))
+    @pytest.mark.parametrize("kind, a2, ray, t_min", [
+        (Geometry.S2R, (1.1875, 0.556640625, 0.0), (1.1875, 0.556640625, 0.0),
+         1.0000000003217997),
+        (Geometry.H2R, (1.0625, 1.0624999841675162, 0.0),
+         (513.6606546368425, 513.6606469827024, 0.0), 1.0),
+    ], ids=["s2r-short-rise", "h2r-near-cone"])
+    def test_coplanar_family_is_flat(self, kind, a2, ray, t_min):
+        result = evaluate(SweepSpec(kind, a2, ray, t_min, 10.0, samples=8))
+        assert result.extremum_kind is ExtremumKind.FLAT
+
+    def test_flat_extremum_of_a_far_range_is_strict_json(self, capsys):
+        """The CLI prints that t0 as a number: no Infinity that strict JSON
+        parsers reject."""
+        code = main(["sweep", "--geometry", "s2r", "--a2", "3,-2,1", "--ray", "3,-2,1",
+                     "--t-min", "1e200", "--t-max", "1e250", "--samples", "8", "--format", "json"])
+
+        def reject(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        assert code == 0
+        assert json.loads(capsys.readouterr().out, parse_constant=reject)["t0"] == 1e225
+
     def test_near_axis_flat_family(self):
         # a2 and the ray lie within 7e-7 of the fibre axis, in one plane
         # with it: every triangle of the family is coplanar with the centre
@@ -592,7 +632,7 @@ class TestClosedForm:
 
     @staticmethod
     def _sum(spec, u):
-        return triangles._angles_at(spec._ray, u)[0].total
+        return triangles._angles_at(spec._ray, u).total
 
     @BOTH
     def test_sum_matches_the_kernel_on_the_grid(self, kind, rng):
@@ -643,9 +683,28 @@ class TestClosedForm:
             for u in np.linspace(math.log(spec.t_min), math.log(spec.t_max), 33).tolist():
                 near = [self._sum(spec, u + k * step) for k in (-2, -1, 1, 2)]
                 central = (near[0] - 8.0 * near[1] + 8.0 * near[2] - near[3]) / (12.0 * step)
-                slope = triangles._angles_at(spec._ray, u)[1]
+                slope = triangles._slope_at(spec._ray, u)
                 worst = max(worst, abs(central - slope) / max(abs(slope), 1e-3))
         assert worst <= 3e-8
+
+    def test_only_the_refinement_forms_a_slope(self, monkeypatch):
+        """Triangles, S at one t and the grid of a flat family form no dS/du:
+        the angles' partial derivatives are ``_slope_at``'s alone, which only
+        Brent's refinement calls."""
+
+        def partial(*args):
+            raise AssertionError("a partial derivative was formed")
+
+        monkeypatch.setattr(triangles, "_partial", partial)
+        for kind in Geometry:
+            tri = geodesic_triangle(kind, BASE_POINT, (2.0, 1.5, 1.0), (3.0, -1.0, 0.0))
+            assert kind.curvature * (angle_sum(tri).total - PI) > 0.0
+            assert triangles.classify(tri) is not triangles.TriangleClass.SUM_EQUALS_PI
+            assert kind.curvature * (angle_sum_at(family_spec(kind, samples=8), 0.5) - PI) > 0.0
+        flat = evaluate(SweepSpec(Geometry.S2R, (2, 1, 0), (5, -1, 0), samples=16))
+        assert flat.extremum_kind is ExtremumKind.FLAT
+        with pytest.raises(AssertionError, match="partial derivative"):
+            evaluate(family_spec(Geometry.S2R, samples=16))
 
     @BOTH
     def test_reference_extremum_against_fifty_digits(self, kind):

@@ -5,10 +5,11 @@ Seeded (``derandomize=True``) properties over the entry points that read
 numbers through ``core._real`` and ``core._count``, over ``to_model``, over
 the entry points that read a point by ``core._point`` (``geodesic_params``,
 ``distance``, ``to_origin``, ``fibre_translation`` and ``apply_isometry``,
-on fuzzed matrices too), over ``arc_length_quadrature`` on fuzzed curves,
-and over ``cli.main`` on fuzzed ``sweep`` and ``geodesic`` arguments.  Every
-point returned is a member (``contains``).  Any other exception, numpy's
-RuntimeWarning included (an error in this suite), fails a property.
+on fuzzed matrices too), over ``evaluate`` on random families and ranges,
+over ``arc_length_quadrature`` on fuzzed curves, and over ``cli.main`` on
+fuzzed ``sweep`` and ``geodesic`` arguments.  Every point returned is a
+member (``contains``).  Any other exception, numpy's RuntimeWarning
+included (an error in this suite), fails a property.
 """
 
 import contextlib
@@ -24,15 +25,18 @@ from prodgeo import (
     BASE_POINT,
     DEFAULT,
     DomainError,
+    ExtremumKind,
     GeodesicParams,
     Geometry,
     GeometryError,
+    SweepResult,
     SweepSpec,
     angle_sum_at,
     apply_isometry,
     arc_length_quadrature,
     contains,
     distance,
+    evaluate,
     fibre_translation,
     geodesic_params,
     geodesic_point,
@@ -288,6 +292,36 @@ def test_fibre_translation(kind, p):
             assert abs(math.hypot(x, y, z) - 1.0) <= 4e-16
         else:
             assert x >= 1.0 - 4e-16
+
+
+#: a sweep range anywhere in double range
+T_RANGES = st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                    min_size=2, max_size=2).map(sorted)
+
+
+@SEEDED
+@given(KINDS, MEMBERS, MEMBERS, T_RANGES, st.integers(8, 64))
+# the product of the range ends overflowed: a flat family's t0 was inf
+@example(Geometry.H2R, (835.9357373682981, 835.9357373682977, -1.9155754515390503e-139),
+         (835.9357373682981, 835.9357373682977, -1.9155754515390503e-139),
+         [4.79e246, 1.97e299], 8)
+def test_evaluate(kind, a2, ray, t_range, samples):
+    """A family has finite grid sums in (0, 3 pi) on the theorem side of pi,
+    and its extremum inside the range and no worse than the best grid sum,
+    to that sum's rounding: where every sum is pi to an ulp, the better end
+    of the range can be an ulp below."""
+    spec = _outcome(SweepSpec, kind, a2, ray, *t_range, samples)
+    result = None if spec is None else _outcome(evaluate, spec)
+    if result is not None:
+        assert isinstance(result, SweepResult)
+        sign, sums = kind.curvature, result.series[:, 1]
+        assert np.all((0.0 < sums) & (sums < 3.0 * math.pi))
+        assert np.all(sign * (sums - math.pi) >= -DEFAULT.flat_band)
+        assert spec.t_min <= result.t_extremum <= spec.t_max
+        if result.extremum_kind is ExtremumKind.FLAT:
+            assert result.s_extremum == math.pi
+        else:
+            assert sign * result.s_extremum >= (sign * sums).max() - 2.0 * math.ulp(math.pi)
 
 
 @SEEDED
