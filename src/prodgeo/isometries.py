@@ -79,17 +79,16 @@ def fibre_translation(kind: Geometry, a) -> np.ndarray:
 
 
 def rotation_x(kind: Geometry, p) -> np.ndarray:
-    """Rotation about the x axis taking ``p`` into the [x, y] half-plane y >= 0.
-
-    Identity when ``p`` already lies on the x axis.  The same Euclidean
-    rotation is an isometry of both geometries (it fixes the fibre axis of
-    S2xR and the cone axis of H2xR).
-    """
+    """Rotation about the x axis taking ``p`` into the [x, y] half-plane y >= 0,
+    the identity on the x axis: a Euclidean rotation that is an isometry of
+    both geometries (it fixes the fibre axis of S2xR and the cone axis of H2xR)."""
     return _rotation_x(require_member(kind, p))
 
 
 def _rotation_x(p: tuple) -> np.ndarray:
     _, y, z = p
+    k = -math.frexp(max(abs(y), abs(z)))[1]  # 2^k y and 2^k z are exact: subnormals keep their ratio
+    y, z = math.ldexp(y, k), math.ldexp(z, k)
     spread = math.hypot(y, z)
     if spread == 0.0:
         return np.eye(4)

@@ -9,18 +9,18 @@ surface factor,
     H2xR :  f = log sqrt(Q), s = p / sqrt(Q),  Q = (x - r)(x + r), r = hypot(y, z),
 
 and the side from A to B leaves A at the fibre angle atan2(d_AB, f_B - f_A),
-d_AB the surface distance, along the unit surface tangent at s_A toward
-s_B (Euclidean, respectively Minkowski, form).  Each interior angle is a
-closed form in the fibre angles of its two sides and the surface angle
-between them, 2 atan2(h, k) with h and k half the lengths of the
-difference and the sum of the unit tangents, which keeps full precision
-near 0 and pi where acos loses sqrt(eps) (Kahan, "Miscalculating Area and
-Angles of a Needle-like Triangle").  Its constants are Python floats
-(``_closed_form``), with no isometry and no inverse problem: angles are
-isometry-invariant, so no vertex is moved (the paper's method, which moves
-them, is ``isometries``).  ``_angles_at`` evaluates it with vertex 3 moved
-u along its fibre (triangles at u = 0, sweeps at log t), in ``math`` for a
-float u and numpy for an array of u; ``_slope_at`` is dS/du, in floats.
+d_AB the surface distance, along its unit normal s_A x s_B (Lorentz on H2)
+turned a right angle; the far end reads the same normal, so the two ends of a
+side cannot disagree.  Each interior angle is a closed form in the fibre angles
+of its two sides and the surface angle between them, 2 atan2(h, k) with h and
+k half the lengths of the difference and the sum of the unit tangents, which
+keeps full precision near 0 and pi where acos loses sqrt(eps) (Kahan,
+"Miscalculating Area and Angles of a Needle-like Triangle").  Its constants are
+Python floats (``_closed_form``), with no isometry and no inverse problem:
+angles are isometry-invariant, so no vertex is moved (the paper's method,
+which moves them, is ``isometries``).  ``_angles_at`` evaluates it with vertex
+3 moved u along its fibre (triangles at u = 0, sweeps at log t), in ``math``
+for a float u and numpy for an array of u; ``_slope_at`` is dS/du, in floats.
 
 Angle sums obey a strict trichotomy: sum - pi has the sign of the surface
 curvature, ``Geometry.curvature`` (S2xR sums are >= pi, H2xR sums <= pi),
@@ -138,38 +138,38 @@ def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) ->
     (fibre height, surface point) of its vertices: the fibre offsets
     f3 - f1 and f3 - f2 of the rises of sides 1-3 and 2-3, their surface
     arcs d13 and d23, the fibre angles of side 1-2 at a1 and at a2, and at
-    each vertex sin^2 and cos^2 of half the surface angle between its two
-    sides.  Vertex 3 may move along its fibre: that changes the two rises
-    only (``_angles_at`` and ``_slope_at``, the only readers of this tuple).
+    each vertex sin^2 and cos^2 of half the angle between its sides'
+    normals (``_arc``; -n12 at a2).  Moving vertex 3 along its fibre changes
+    the two rises only (``_angles_at`` and ``_slope_at`` read this tuple).
 
     Raises DegenerateError where two S2xR surface points are antipodal to
     within ``DEFAULT.cut_locus``: that side is not unique.
     """
     (f1, s1), (f2, s2), (f3, s3) = split1, split2, split3
-    d13, at1_3, at3_1 = _arc(kind, s1, s3)
-    d23, at2_3, at3_2 = _arc(kind, s2, s3)
-    d12, at1_2, at2_1 = _arc(kind, s1, s2)
+    d13, n13 = _arc(kind, s1, s3)
+    d23, n23 = _arc(kind, s2, s3)
+    d12, n12 = _arc(kind, s1, s2)
     if kind is Geometry.S2R and max(d12, d13, d23) >= math.pi - DEFAULT.cut_locus:
         raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
     halves = [_half_angle(kind, *ends)
-              for ends in ((s1, at1_2, at1_3), (s2, at2_1, at2_3), (s3, at3_1, at3_2))]
+              for ends in ((s1, n12, n13), (s2, [-c for c in n12], n23), (s3, n13, n23))]
     return (f3 - f1, f3 - f2, d13, d23,
             math.atan2(d12, f2 - f1), math.atan2(d12, f1 - f2), *halves)
 
 
-def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list, list]:
-    """The surface arc between two surface points as float lists: its
-    length and the unit surface directions at p toward q and at q toward p
-    (zero where the points coincide).  With cos (cosh) = <p, q>, <, > the
-    Euclidean (Minkowski x^2 - y^2 - z^2) form, the direction at p is
-    q - cos p over its length sin (sinh); S2xR points antipodal to
-    rounding have length pi."""
-    cos = p[0] * q[0] + kind.curvature * (p[1] * q[1] + p[2] * q[2])
-    at_p = [b - cos * a for a, b in zip(p, q)]
-    at_q = [a - cos * b for a, b in zip(p, q)]
-    sin_p, sin_q = _tangent_len(kind, p, at_p), _tangent_len(kind, q, at_q)
-    dist = math.atan2(sin_p, cos) if kind is Geometry.S2R else math.asinh(sin_p)
-    return dist, [c / (sin_p + _TINY) for c in at_p], [c / (sin_q + _TINY) for c in at_q]
+def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list]:
+    """The surface arc between two surface points as float lists: its length
+    and the unit normal both ends read, p x q over its length sin (sinh), on
+    H2xR the Lorentz cross J (p x q), J = diag(1, -1, -1): orthogonal to p and
+    q in the Minkowski form; 0 and a zero normal for equal points.  The length
+    is asinh(sin) on H2xR and atan2(sin, p . q) on S2xR, pi for points
+    antipodal to rounding."""
+    normal = [p[1] * q[2] - p[2] * q[1], kind.curvature * (p[2] * q[0] - p[0] * q[2]),
+              kind.curvature * (p[0] * q[1] - p[1] * q[0])]
+    sin = _tangent_len(kind, p, normal)
+    dist = (math.atan2(sin, p[0] * q[0] + (p[1] * q[1] + p[2] * q[2])) if kind is Geometry.S2R
+            else math.asinh(sin))
+    return dist, [c / (sin + _TINY) for c in normal]
 
 
 def _tangent_sq(kind: Geometry, s: list, v: list) -> float:

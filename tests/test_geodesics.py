@@ -18,6 +18,7 @@ from prodgeo import (
     sample_curve,
     tangent_of,
 )
+from prodgeo import triangles
 from prodgeo.geodesics import _points
 from prodgeo.oracle import arc_length_quadrature
 from prodgeo.verification import _random_points
@@ -309,6 +310,22 @@ class TestDistance:
         its tau is the distance from the base point to the bit."""
         for p in _random_points(kind, rng, 3000, 3.0):
             assert distance(kind, BASE_POINT, p) == geodesic_params(kind, p).tau, p
+
+    @BOTH
+    def test_the_inverse_problem_measures_one_tangent(self, kind, monkeypatch):
+        """The surface arc forms one normal and takes one length: a
+        ``geodesic_params`` call makes one ``_tangent_len`` call, where a unit
+        tangent at each end of the arc made two."""
+        lengths = []
+
+        def counted(*args):
+            lengths.append(args)
+            return true_len(*args)
+
+        true_len = triangles._tangent_len
+        monkeypatch.setattr(triangles, "_tangent_len", counted)
+        geodesic_params(kind, (2.0, 1.0, 0.3))
+        assert len(lengths) == 1
 
     @BOTH
     def test_symmetry(self, kind, rng):

@@ -13,9 +13,11 @@ from prodgeo import (
     Geometry,
     GeometryError,
     PrecondError,
+    angle_sum,
     apply_isometry,
     distance,
     fibre_translation,
+    geodesic_triangle,
     metric_at,
     reference_image_base,
     reference_image_third,
@@ -24,6 +26,7 @@ from prodgeo import (
     rotation_z,
     to_model,
     to_origin,
+    vertex_angle,
 )
 from prodgeo.isometries import transcribed_normalizer_s2r
 from prodgeo.tolerances import DEFAULT
@@ -75,6 +78,19 @@ class TestRotationX:
         p = np.array([3, -2, 1]) / S14
         img = apply_isometry(rotation_x(Geometry.S2R, p), p)
         assert np.allclose(img, [3 / S14, math.sqrt(5) / S14, 0])
+
+    @BOTH
+    def test_subnormal_spread_is_a_rotation(self, kind):
+        """y and z one and two steps of the subnormal grid: the block is
+        orthogonal, with cos and sin in the ratio 1 : 2.  hypot rounded their
+        spread to 1e-323, and the block (0.5, 1) scaled every other point, so
+        ``vertex_angle`` at such an a2 was 2.3666 where ``angle_sum`` gives
+        2.4106 (base point, (2, 5e-324, 1e-323), (3, 1.5, 0))."""
+        block = rotation_x(kind, (2.0, 5e-324, 1e-323))[2:, 2:]
+        assert np.abs(block.T @ block - np.eye(2)).max() <= 2.3e-16
+        assert block[1, 0] == pytest.approx(2.0 * block[0, 0], rel=1e-15)
+        tri = geodesic_triangle(kind, BASE_POINT, (2.0, 5e-324, 1e-323), (3.0, 1.5, 0.0))
+        assert vertex_angle(tri, 2) == pytest.approx(angle_sum(tri).w2, abs=1e-12)
 
 
 class TestRotationZ:

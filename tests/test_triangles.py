@@ -294,6 +294,16 @@ class TestAngleSum:
         assert classify(tri) is TriangleClass.SUM_EQUALS_PI
         assert abs(angle_sum(tri).total - PI) <= 4.5e-16
 
+    @BOTH
+    def test_equal_surface_points_have_no_arc(self, kind, rng):
+        """The arc between a split surface point and itself is exactly 0,
+        with a zero normal: the cross product of equal floats cancels
+        exactly, where q - <p, q> p left rounding noise (2.5e-16 for the
+        split of (1.1875, 0.556640625, 0))."""
+        for p in [(1.1875, 0.556640625, 0.0)] + [random_point(kind, rng) for _ in range(200)]:
+            s = core._split(kind, p)[1]
+            assert triangles._arc(kind, s, s) == (0.0, [0.0, 0.0, 0.0]), p
+
     def test_coplanar_gives_pi(self):
         tri = tri_s2r((2, 1, 0), (1, -3, 0))
         assert angle_sum(tri).total == pytest.approx(PI, abs=1e-10)
@@ -385,6 +395,27 @@ class TestClassify:
         tri = tri_s2r((-1, 1, 0), (-1, -1, 0))
         assert classify(tri) is TriangleClass.SUM_ABOVE_PI
         assert angle_sum(tri).total > PI + 0.1
+
+    def test_short_vertical_side_is_equal(self):
+        """a3 is a2 moved 1e-11 up its fibre: the side 2-3 has no surface
+        arc, and the coplanar triangle's sum is pi.  Its surface arc of
+        2.5e-16 made that side's fibre angle 2.5e-5, the sum pi - 2.6e-7,
+        and ``classify`` raised ConsistencyError."""
+        a2 = (1.1875, 0.556640625, 0.0)
+        tri = tri_s2r(a2, tuple(1.00000000001 * c for c in a2))
+        assert classify(tri) is TriangleClass.SUM_EQUALS_PI
+        assert abs(angle_sum(tri).total - PI) <= 4.5e-16
+
+    def test_coplanar_side_near_the_cut_locus_is_equal(self):
+        """Side 1-3 joins surface points 1.7e-12 rad from antipodal: the
+        sum is pi + 4.6e-9 (50-digit: pi + 6.1e-8), where it was
+        pi + 1.06e-6 and ``classify`` raised ConsistencyError.  Near the cut
+        locus the error still grows as eps over the sine of the side."""
+        tri = geodesic_triangle(Geometry.S2R,
+                                (-0.8549055335823857, -0.031294058191028706, -1.097121708181615),
+                                (-0.22873578004225215, -0.7907952797449083, -0.7573236999428055),
+                                (0.31891717930515695, 0.011674053301234178, 0.4092744131168768))
+        assert classify(tri) is TriangleClass.SUM_EQUALS_PI
 
     def test_consistency_guard_fires_on_broken_sums(self, monkeypatch):
         """A pipeline returning wrong-side sums must raise, not classify."""
@@ -510,6 +541,23 @@ class TestAgainstFiftyDigits:
             total = angle_sum(geodesic_triangle(kind, *vertices)).total
             worst = max(worst, abs(total - mp_oracle.angle_sum(kind, *vertices)))
         assert worst <= gate
+
+    @pytest.mark.parametrize("kind", [Geometry.S2R, Geometry.H2R], ids=["s2r", "h2r"])
+    def test_needle_triangles(self, kind):
+        """300 seeded needles: a2 is a1 moved 1e-8 to 1e-5 of its size, a3
+        drawn as ``verify`` draws.  Both ends of the short side read one
+        normal, so their rounding cancels in the sum: measured 8.9e-16 on
+        each geometry, where a tangent at each end gave 2.5e-9 (s2r) and
+        9.0e-9 (h2r)."""
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(300):
+            a1 = random_point(kind, rng)
+            a2 = a1 + 10.0 ** rng.uniform(-8, -5) * float(np.abs(a1).max()) * rng.normal(size=3)
+            vertices = (a1, a2, random_point(kind, rng))
+            total = angle_sum(geodesic_triangle(kind, *vertices)).total
+            worst = max(worst, abs(total - mp_oracle.angle_sum(kind, *vertices)))
+        assert worst <= 1e-14
 
     def test_h2r_first_vertex_near_the_cone(self):
         """400 seeded triangles whose a1 is 1e-12 to 1e-11 (relative) inside

@@ -5,7 +5,9 @@ Seeded (``derandomize=True``) properties over the entry points that read
 numbers through ``core._real`` and ``core._count``, over ``to_model``, over
 the entry points that read a point by ``core._point`` (``geodesic_params``,
 ``distance``, ``to_origin``, ``fibre_translation`` and ``apply_isometry``,
-on fuzzed matrices too), over ``evaluate`` on random families and ranges,
+on fuzzed matrices too), over the triangle entry points (``geodesic_triangle``,
+``angle_sum``, ``classify``, ``tangent_endpoints`` and ``vertex_angle``, where
+a ConsistencyError fails), over ``evaluate`` on random families and ranges,
 over ``arc_length_quadrature`` on fuzzed curves, and over ``cli.main`` on
 fuzzed ``sweep`` and ``geodesic`` arguments.  Every point returned is a
 member (``contains``).  Any other exception, numpy's RuntimeWarning
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from prodgeo import (
     BASE_POINT,
+    ConsistencyError,
     DEFAULT,
     DomainError,
     ExtremumKind,
@@ -31,22 +34,28 @@ from prodgeo import (
     GeometryError,
     SweepResult,
     SweepSpec,
+    TriangleClass,
+    angle_sum,
     angle_sum_at,
     apply_isometry,
     arc_length_quadrature,
+    classify,
     contains,
     distance,
     evaluate,
     fibre_translation,
     geodesic_params,
     geodesic_point,
+    geodesic_triangle,
     integrate_geodesic,
     integrate_geodesic_cartesian,
     limits_check,
     sample_curve,
+    tangent_endpoints,
     tangent_of,
     to_model,
     to_origin,
+    vertex_angle,
 )
 from prodgeo.cli import main
 from prodgeo.reference import SWEEP_FAMILIES
@@ -294,6 +303,65 @@ def test_fibre_translation(kind, p):
             assert x >= 1.0 - 4e-16
 
 
+def _typed(call, *args):
+    """``_outcome``, except that a ConsistencyError, which the triangle entry
+    points reserve for an implementation bug, fails the property."""
+    try:
+        return call(*args)
+    except ConsistencyError:
+        raise
+    except GeometryError:
+        return None
+
+
+def _on_the_theorem_side(kind: Geometry, angles) -> bool:
+    """Angles in [0, pi] whose sum is on the curvature's side of pi within
+    ``DEFAULT.angle_sum``."""
+    return (all(0.0 <= w <= math.pi for w in angles)
+            and kind.curvature * (sum(angles) - math.pi) >= -DEFAULT.angle_sum)
+
+
+#: three vertices: half the time members of both models, a1 often the base point
+TRIANGLES = st.one_of(
+    st.tuples(st.one_of(st.just(BASE_POINT), MEMBERS), MEMBERS, MEMBERS),
+    st.tuples(POINTS, POINTS, POINTS),
+)
+
+
+@SEEDED
+@given(KINDS, TRIANGLES)
+# a coplanar H2xR triangle whose float arcs put the sum 2.2e-5 below pi
+@example(Geometry.H2R, ((1.0, 0.0, 0.0), (1.0, 0.5403023058602773, 0.8414709847956515),
+                        (0.5, 0.27015115293013864, 0.42073549239782576)))
+def test_triangle(kind, vertices):
+    """``geodesic_triangle``, ``angle_sum`` and ``classify``: a triangle whose
+    sum is computed is classified, with no ConsistencyError."""
+    tri = _typed(geodesic_triangle, kind, *vertices)
+    angles = None if tri is None else _typed(angle_sum, tri)
+    if angles is not None:
+        assert all(type(w) is float for w in angles)
+        assert _on_the_theorem_side(kind, angles[:3])
+        assert isinstance(classify(tri), TriangleClass)
+
+
+@settings(SEEDED, max_examples=60)
+@given(KINDS, TRIANGLES)
+# y and z on the subnormal grid: hypot rounded their spread, and R_x was no rotation
+@example(Geometry.S2R, (BASE_POINT, (2.0, 5e-324, 1e-323), (3.0, 1.5, 0.0)))
+def test_paper_frame(kind, vertices):
+    """``tangent_endpoints`` and ``vertex_angle``, the paper's method: unit
+    tangents in an antipodal frame, and angles on the theorem side."""
+    tri = _outcome(geodesic_triangle, kind, *vertices)
+    if tri is None:
+        return
+    frame = _typed(tangent_endpoints, tri)
+    if frame is not None:
+        assert all(abs(math.hypot(*t) - 1.0) <= 1e-12 for t in frame.values())
+    angles = [_typed(vertex_angle, tri, i) for i in (1, 2, 3)]
+    if None not in angles:
+        assert _on_the_theorem_side(kind, angles)
+
+
 #: a sweep range anywhere in double range
 T_RANGES = st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
                     min_size=2, max_size=2).map(sorted)
@@ -305,6 +373,9 @@ T_RANGES = st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
 @example(Geometry.H2R, (835.9357373682981, 835.9357373682977, -1.9155754515390503e-139),
          (835.9357373682981, 835.9357373682977, -1.9155754515390503e-139),
          [4.79e246, 1.97e299], 8)
+# a flat family near the H2xR cone whose float arcs put its sums 1.3e-8 above pi
+@example(Geometry.H2R, (1.0, 0.9999999962747097, 0.0), (1.0, 0.9999999962747097, 0.0),
+         [10.0, 100.0], 8)
 def test_evaluate(kind, a2, ray, t_range, samples):
     """A family has finite grid sums in (0, 3 pi) on the theorem side of pi,
     and its extremum inside the range and no worse than the best grid sum,
