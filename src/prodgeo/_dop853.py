@@ -12,11 +12,16 @@ The coefficient tables are Hairer's, as transcribed in SciPy's
 ``integrate/_ivp/dop853_coefficients.py`` (BSD-3-Clause, Copyright (c)
 2001-2002 Enthought, Inc. and 2003 SciPy Developers), built into arrays at
 import: only ``oracle`` imports this module, and every run of it uses numpy.
+
+A stage is SciPy's stage update y + h (A[s, :s] . K[:s]), computed as one
+``dot`` on views built once: the rows A[s, :s] at import, the stage views
+K[:s] once a solve.  ``bisect`` places each step's end in the sample times.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 from .core import np
 from .exceptions import SingularityError
@@ -32,16 +37,16 @@ def _table(shape, rows):
 
 
 #: nodes of the 12 stages of a step, then of the 3 extra dense-output stages
-#: (index 12 is the endpoint derivative, which the next step reuses)
-C = np.array([
+#: (index 12 is the endpoint derivative, which the next step reuses), as floats
+C = [
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
     0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
     0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
-    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778])
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778]
 
-#: stage couplings A[s, j], row s for stage s; row 12 holds the weights B
-A = _table((16, 16), {
+#: stage couplings: A[s] is stage s's row A[s, :s], a view; A[12] holds the weights B
+A = [row[:s] for s, row in enumerate(_table((16, 16), {
     1: {0: 5.26001519587677318785587544488e-2},
     2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
     3: {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
@@ -86,8 +91,8 @@ A = _table((16, 16), {
          6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
          8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
          13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
-})
-B = A[12, :12]
+}))]
+B = A[12]
 #: 3rd-order error estimator over the 12 stages: the weights less Hairer's BHH
 E3 = B.copy()
 E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
@@ -151,28 +156,28 @@ def _initial_step(fun, t, y, f, span, rtol, atol) -> float:
     return min(100.0 * h0, h1, span)
 
 
-def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
+def _error_norm(K12: np.ndarray, h: float, scale: np.ndarray) -> float:
     """RMS norm of the local error, the 5th-order estimate damped by the
-    3rd-order one (Hairer, section II.10)."""
-    err5, err3 = (E5 @ K[:12]) / scale, (E3 @ K[:12]) / scale
+    3rd-order one (Hairer, section II.10), from the 12 stages ``K12``."""
+    err5, err3 = E5.dot(K12) / scale, E3.dot(K12) / scale
     e5, e3 = float(err5 @ err5), float(err3 @ err3)
     if e5 == 0.0 and e3 == 0.0:
         return 0.0
     return h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
 
 
-def _dense(fun, t, y, h, y_new, K, times) -> np.ndarray:
-    """The 7th-order interpolant of the step (t, y) -> (t + h, y_new) at
-    ``times``, shape (n, len(times)); evaluates the three extra stages."""
+def _dense(fun, t, y, h, y_new, K, Ks, times) -> np.ndarray:
+    """The 7th-order interpolant of the step (t, y) -> (t + h, y_new) at ``times``,
+    shape (n, len(times)); evaluates the three extra stages (``Ks[s]`` is K[:s])."""
     for s in (13, 14, 15):
-        K[s] = fun(t + C[s] * h, y + h * (A[s, :s] @ K[:s]))
+        K[s] = fun(t + C[s] * h, y + h * A[s].dot(Ks[s]))
     dy = y_new - y
     coeffs = [dy, h * K[0] - dy, 2.0 * dy - h * (K[12] + K[0]), *(h * (D @ K))]
     x = ((times - t) / h)[:, None]
-    out = np.zeros((len(times), len(y)))
+    out, factors = np.zeros((len(times), len(y))), (x, 1.0 - x)
     for i, c in enumerate(reversed(coeffs)):
         out += c
-        out *= x if i % 2 == 0 else 1.0 - x
+        out *= factors[i % 2]
     return (out + y).T
 
 
@@ -180,17 +185,20 @@ def solve(fun, y0, times, rtol: float, atol: float) -> np.ndarray:
     """Integrate y' = fun(t, y) with y(times[0]) = y0 up to times[-1] and
     return the states at the non-decreasing ``times``, shape (n, len(times)).
 
-    A time inside a step is read from the dense output; a time at a step's
-    end is that step's state.  Raises SingularityError when the step size
-    falls below ten ulps of t, as it does where the solution blows up.
+    Each stage is one ``dot`` of its prebuilt row with its prebuilt view of
+    the stages K.  A time inside a step is read from the dense output; a time
+    at a step's end is that step's state.  Raises SingularityError when the
+    step size falls below ten ulps of t, as it does where the solution blows up.
     """
     times = np.asarray(times, dtype=float)
-    t, t_end = float(times[0]), float(times[-1])
+    grid = memoryview(times)  # floats for bisect, with no copy
+    t, t_end = grid[0], grid[-1]
     y = np.array(y0, dtype=float)
     K = np.empty((16, y.size))
+    Ks = [K[:s] for s in range(16)]
     K[0] = fun(t, y)
     out = np.empty((y.size, times.size))
-    done = int(np.searchsorted(times, t, side="right"))
+    done = bisect_right(grid, t)
     out[:, :done] = y[:, None]
     h = _initial_step(fun, t, y, K[0], t_end - t, rtol, atol) if t < t_end else 0.0
     while t < t_end:
@@ -202,10 +210,10 @@ def solve(fun, y0, times, rtol: float, atol: float) -> np.ndarray:
             t_new = min(t + h, t_end)
             h = t_new - t
             for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + h * (A[s, :s] @ K[:s]))
-            y_new = y + h * (B @ K[:12])
+                K[s] = fun(t + C[s] * h, y + h * A[s].dot(Ks[s]))
+            y_new = y + h * B.dot(Ks[12])
             K[12] = fun(t_new, y_new)
-            norm = _error_norm(K, h, atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+            norm = _error_norm(Ks[12], h, atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
             if norm < 1.0:
                 factor = MAX_FACTOR if norm == 0.0 else min(MAX_FACTOR, SAFETY * norm ** _EXPONENT)
                 h *= min(1.0, factor) if rejected else factor
@@ -213,10 +221,10 @@ def solve(fun, y0, times, rtol: float, atol: float) -> np.ndarray:
             # a NaN norm fails the test above and shrinks the step by MIN_FACTOR
             h *= max(MIN_FACTOR, SAFETY * norm ** _EXPONENT)
             rejected = True
-        inner = int(np.searchsorted(times, t_new, side="left"))
+        inner = bisect_left(grid, t_new)
         if inner > done:
-            out[:, done:inner] = _dense(fun, t, y, t_new - t, y_new, K, times[done:inner])
-        done = int(np.searchsorted(times, t_new, side="right"))
+            out[:, done:inner] = _dense(fun, t, y, t_new - t, y_new, K, Ks, times[done:inner])
+        done = bisect_right(grid, t_new)
         out[:, inner:done] = y_new[:, None]
         t, y, K[0] = t_new, y_new, K[12]
     return out

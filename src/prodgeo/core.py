@@ -211,6 +211,14 @@ def _count(value, least: int, what: str, error: type) -> int:
     raise error(f"need an integer number of {what} >= {least}, got {value!r}")
 
 
+def _allocate(what: str, error: type, make, *args) -> np.ndarray:
+    """``make(*args)``, an array of ``args[-1]`` ``what``; ``error`` where it exceeds memory."""
+    try:
+        return make(*args)
+    except MemoryError:
+        raise error(f"not enough memory for {args[-1]} {what}") from None
+
+
 def contains(kind: Geometry, coords) -> bool:
     """Membership predicate of the model set of ``kind``.
 

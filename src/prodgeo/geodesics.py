@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import _BASE, Geometry, _count, _guard_chart, _point, _product_points, _real, _split, np
+from .core import (_BASE, Geometry, _allocate, _count, _guard_chart, _point, _product_points,
+                   _real, _split, np)
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
 from .triangles import _arc
@@ -170,10 +171,10 @@ def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:
     """``n`` points of the geodesic at equal arc-length steps in [0, tau],
     as an (n, 3) array computed in one batch.
 
-    Raises PrecondError unless ``n`` is an integer in [2, sys.maxsize // 48], and
+    Raises PrecondError unless ``n`` is an integer in [2, sys.maxsize // 48] within memory, and
     DomainError, as ``geodesic_point`` does, naming the first bad sample.
     """
     n = _count(n, 2, "samples", PrecondError)
     u, v, tau = GeodesicParams.normalized(*_triple(g))
-    return _points(kind, u, v, tau * np.arange(n) / (n - 1))
+    return _points(kind, u, v, tau * _allocate("samples", PrecondError, np.arange, n) / (n - 1))
 

@@ -223,10 +223,10 @@ def _frame_angles(frame) -> TriangleAngles:
 
 
 def vertex_angle(tri: GeodesicTriangle, i: int) -> float:
-    """Interior angle at vertex ``i`` (1, 2 or 3, else PrecondError), in (0, pi),
-    by the paper's method: the vertex is moved to the base point by its normaliser."""
-    if isinstance(i, bool) or i not in (1, 2, 3):
-        raise PrecondError(f"vertex index must be 1, 2 or 3, got {i}")
+    """Interior angle at vertex ``i`` (the number 1, 2 or 3, not a bool or an array, else
+    PrecondError), in (0, pi), by the paper's method: its normaliser moves it to the base point."""
+    if not isinstance(i, (int, float, np.integer, np.floating)) or i is True or i not in (1, 2, 3):
+        raise PrecondError(f"vertex index must be 1, 2 or 3, got {i!r}")
     return _between(*_vertex_tangents(tri.kind, _paper_vertices(tri), int(i)).values())
 
 

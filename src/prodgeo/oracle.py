@@ -86,8 +86,8 @@ from __future__ import annotations
 import math
 
 from . import _dop853
-from .core import (_BASE, Geometry, _count, _guard_member, _metric, _metric_entries, _real_array,
-                   _require_geometry, np, to_model)
+from .core import (_BASE, Geometry, _allocate, _count, _guard_member, _metric, _metric_entries,
+                   _real_array, _require_geometry, np, to_model)
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams, _triple, tangent_of
 from .tolerances import DEFAULT
@@ -154,7 +154,7 @@ def _checked_params(g) -> GeodesicParams:
 def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     """Integrate the intrinsic geodesic ODE system and return ``steps``
     model points at equal parameter spacing on [0, tau], a (steps, 3) array;
-    tau above 10, or steps not an integer >= 100, raises PrecondError.
+    tau above 10, or steps not an integer >= 100 or beyond memory, raises PrecondError.
 
     Drift of the unit-speed first integral beyond tolerance triggers one
     retry at tighter settings; persistent drift raises ConsistencyError.
@@ -166,7 +166,7 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     _require_geometry(kind)
     rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
     state0 = _initial_state(kind, params)
-    grid = np.linspace(0.0, params.tau, steps)
+    grid = _allocate("steps", PrecondError, np.linspace, 0.0, params.tau, steps)
     rtol, atol = DEFAULT.ode_rtol, DEFAULT.ode_atol
     for _attempt in range(2):
         states = _dop853.solve(rhs, state0, grid, rtol, atol)

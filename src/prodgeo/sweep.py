@@ -25,7 +25,8 @@ import enum
 import math
 import sys
 
-from .core import _BASE, Geometry, _count, _guard_in_range, _point, _real, _Record, _split, np
+from .core import (_BASE, Geometry, _allocate, _count, _guard_in_range, _point, _real, _Record,
+                   _split, np)
 from .exceptions import ConsistencyError, DegenerateError, DomainError
 from .tolerances import DEFAULT
 from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _slope_at
@@ -190,7 +191,7 @@ def _zero(f, a: float, fa: float, b: float, fb: float) -> float:
 
 
 def evaluate(spec: SweepSpec) -> SweepResult:
-    """Sample S(t) on a log-spaced grid and refine the interior extremum.
+    """Sample S(t) on a log-spaced grid (DomainError beyond memory) and refine the extremum.
 
     The grid is logarithmic because the extremum of interest sits at small
     t.  Its vertices t*ray are checked (``_check_third_vertices``) at both
@@ -205,7 +206,7 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     the grid cells around the best sample, and then the root of dS/du there
     (``_zero``) and S at it; otherwise the better end of the range and S there.
     """
-    grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
+    grid = _allocate("samples", DomainError, np.geomspace, spec.t_min, spec.t_max, spec.samples)
     ts = grid.tolist()
     try:  # |t * ray| grows with t: if both ends are in double range, all t are
         for t in (ts[0], ts[-1], *_near_a1_a2(spec, ts)):

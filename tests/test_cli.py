@@ -201,6 +201,13 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith("DomainError: need an integer number of samples >= 8")
 
+    def test_sample_count_beyond_memory_exit_2(self, capsys):
+        """10**17 samples: numpy's MemoryError printed a traceback."""
+        code, out, err = run(capsys, "sweep", "--geometry", "s2r", "--a2", "3,-2,1",
+                             "--ray", "2,1,0", "--samples", str(10**17))
+        assert (code, out) == (2, "")
+        assert err == f"DomainError: not enough memory for {10**17} samples\n"
+
     def test_ray_leaving_model_exit_2(self, capsys):
         code, out, err = run(capsys, "sweep", "--geometry", "h2r", "--a2", "2,1.5,1",
                              "--ray", "1,5,0", "--samples", "16")
@@ -248,6 +255,13 @@ class TestGeodesic:
         assert (code, out) == (2, "")
         assert err == ("DomainError: the h2r model point at geodesic parameters "
                        "(0.0, 0.0, 19.047619047619047) is not representable in double precision\n")
+
+    def test_sample_count_beyond_memory_exit_2(self, capsys):
+        """10**17 samples: numpy's MemoryError printed a traceback."""
+        code, out, err = run(capsys, "geodesic", "--geometry", "s2r", "--params", "0,0.5,1",
+                             "--samples", str(10**17))
+        assert (code, out) == (2, "")
+        assert err == f"PrecondError: not enough memory for {10**17} samples\n"
 
     def test_domain_failure_exit_2(self, capsys):
         code, _, _ = run(capsys, "geodesic", "--geometry", "h2r", "--to", "1,4,0")

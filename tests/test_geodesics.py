@@ -368,6 +368,13 @@ class TestSampleCurve:
         with pytest.raises(PrecondError, match="integer number of samples"):
             sample_curve(Geometry.S2R, (0, 0, 1), n)
 
+    @pytest.mark.parametrize("n", [10**15, 10**17])
+    def test_count_beyond_memory(self, n):
+        """A count whose samples no address space holds: numpy's MemoryError was raw.
+        Only counts whose allocation cannot succeed are tried."""
+        with pytest.raises(PrecondError, match=f"not enough memory for {n} samples"):
+            sample_curve(Geometry.S2R, (0, 0, 1), n)
+
     def test_integer_like_count(self):
         pts = sample_curve(Geometry.S2R, (0, 0, 1), np.int64(3))
         assert np.allclose(pts[-1], [math.cos(1.0), math.sin(1.0), 0.0], rtol=0, atol=1e-15)

@@ -161,6 +161,13 @@ class TestIntrinsicIntegration:
         with pytest.raises(PrecondError, match="integer number of steps"):
             integrate_geodesic(Geometry.S2R, (0, 0, 1), steps=steps)
 
+    @pytest.mark.parametrize("steps", [10**15, 10**17])
+    def test_step_count_beyond_memory(self, steps):
+        """A count whose grid no address space holds: numpy's MemoryError was raw.
+        Only counts whose allocation cannot succeed are tried."""
+        with pytest.raises(PrecondError, match=f"not enough memory for {steps} steps"):
+            integrate_geodesic(Geometry.S2R, (0, 0, 1), steps=steps)
+
     @pytest.mark.parametrize("g", [(0.0, 0.5, 10**400), (0.0, "a", 1.0), (0.0, 0.5), None])
     def test_params_that_are_not_three_doubles(self, g):
         """A raw OverflowError, TypeError or ValueError once escaped both routes."""
@@ -467,6 +474,36 @@ class TestDop853:
                             rtol=oracle.DEFAULT.ode_rtol, atol=oracle.DEFAULT.ode_atol)
             assert np.abs(end - ref.y[:3, -1]).max() <= 1e-10, g
             assert abs(len(calls) - ref.nfev) <= 12, g
+
+    @pytest.mark.parametrize("kind, g, intrinsic, cartesian", [
+        (Geometry.S2R, (-1.4844638820273632, -0.7598524616203689, 0.011270059458203186), 17, 14),
+        # the costliest draw of the oracle workload (seed 21): near the pole of
+        # the geographic chart, where the median draw takes 62
+        (Geometry.S2R, (1.4524836882590835, -0.04859611564938726, 1.871041643484289), 797, 98),
+        # a rejected step, after which the next may not grow
+        (Geometry.S2R, (2.701962839584681, -0.3182069571970343, 1.992926865228162), 164, 110),
+        (Geometry.H2R, (-0.7289150785145293, 1.499295042387366, 0.003967720277008627), 17, 14),
+        (Geometry.H2R, (0.562233730072752, -1.4931203823774568, 1.3438056606498268), 62, 86),
+        (Geometry.H2R, (2.4649672202857387, -0.9713436030300396, 1.9044829531057947), 62, 134),
+    ], ids=["s2r-short", "s2r-pole", "s2r-rejection", "h2r-short", "h2r-steep", "h2r-long"])
+    def test_the_same_steps(self, kind, g, intrinsic, cartesian, monkeypatch):
+        """The exact rhs call counts of fixed draws on both routes: the step
+        sequence of the starting step, the safety factor and the growth
+        limits.  No bits are pinned, as BLAS builds differ in the last ulp."""
+        solve, calls = _dop853.solve, []
+
+        def counted(fun, *args):
+            def rhs(t, y):
+                calls.append(t)
+                return fun(t, y)
+            return solve(rhs, *args)
+
+        monkeypatch.setattr(_dop853, "solve", counted)
+        integrate_geodesic(kind, g)
+        on_the_chart = len(calls)
+        calls.clear()
+        integrate_geodesic_cartesian(kind, g)
+        assert (on_the_chart, len(calls)) == (intrinsic, cartesian)
 
     def test_dense_output_of_the_harmonic_oscillator(self):
         """y'' = -y over one period: samples strictly inside the steps come

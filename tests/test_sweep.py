@@ -84,6 +84,15 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="integer number of samples"):
             SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), samples=samples)
 
+    @pytest.mark.parametrize("samples", [10**15, 10**17])
+    def test_samples_beyond_memory(self, samples):
+        """The spec holds the count; the grid no address space holds is
+        ``evaluate``'s DomainError, where numpy's MemoryError was raw.  Only
+        counts whose allocation cannot succeed are tried."""
+        spec = SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), samples=samples)
+        with pytest.raises(DomainError, match=f"not enough memory for {samples} samples"):
+            evaluate(spec)
+
     @pytest.mark.parametrize("samples", [7, 0, -1, True])
     def test_too_few_samples_rejected(self, samples):
         with pytest.raises(DomainError, match="samples >= 8"):

@@ -65,10 +65,18 @@ class TestVertexAngles:
         assert vertex_angle(tri, 2) == pytest.approx(vertex_angle(tri, 3), abs=1e-12)
 
     def test_bad_vertex_index(self):
+        """A bool is not an index, though True == 1; an array raised numpy's
+        ValueError ([1.0, 2.0]) or a TypeError ([2])."""
         tri = tri_s2r((2, 1, 0), (3, -2, 1))
-        for index in (4, 0, True, False):  # a bool is not an index, though True == 1
+        for index in (4, 0, True, False, np.True_, np.array([1.0, 2.0]), np.array([2]),
+                      np.array(2), "2", None, 2.5, 2 + 0j):
             with pytest.raises(PrecondError, match="vertex index"):
                 vertex_angle(tri, index)
+
+    def test_vertex_index_of_any_number_type(self):
+        tri = tri_s2r((2, 1, 0), (3, -2, 1))
+        angle = vertex_angle(tri, 2)
+        assert [vertex_angle(tri, i) for i in (2.0, np.int64(2), np.float32(2.0))] == [angle] * 3
 
     @BOTH
     def test_angles_in_open_interval(self, kind, rng):

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from prodgeo import (
     BASE_POINT,
@@ -32,6 +33,7 @@ from prodgeo import (
     GeodesicParams,
     Geometry,
     GeometryError,
+    PrecondError,
     SweepResult,
     SweepSpec,
     TriangleClass,
@@ -84,10 +86,13 @@ NUMBERS = st.one_of(
 )
 
 #: what a caller might pass for a count.  Integers stay below 1000 or from
-#: 2**62 up, too big for numpy to hold as an array, which ``core._count``
-#: rejects: a count between the two is a job size, and asks for its memory.
+#: 10**15 up: a count between the two is a job size, and asks for its memory.
+#: From 10**15 (8 PB of float64, beyond any address space) the allocation
+#: fails before it touches memory, a typed error; from 2**62 numpy cannot
+#: hold the array and ``core._count`` rejects the count.
 COUNTS = st.one_of(
     st.integers(8, 999),
+    st.integers(10**15, 2**62 - 1),
     st.integers(2**62, 2**63 - 1),
     st.integers(2**63, 10**400),
     st.integers(-3, 999).map(np.int64),
@@ -149,6 +154,7 @@ def test_geodesic_point(kind, g):
 @given(KINDS, PARAMS, COUNTS)
 @example(Geometry.S2R, (0.3, 0.2, 1.5), 2**62)  # valid parameters meet counts numpy cannot hold
 @example(Geometry.H2R, (0.0, 0.0, 0.0), 2**63 - 1)
+@example(Geometry.S2R, (0.3, 0.2, 1.5), 10**17)  # numpy's MemoryError was raw
 def test_sample_curve(kind, g, n):
     curve = _outcome(sample_curve, kind, g, n)
     if curve is not None:
@@ -204,6 +210,7 @@ def test_angle_sum_at_and_limits_check(kind, t):
 
 @settings(SEEDED, max_examples=40)
 @given(KINDS, st.one_of(TRIPLES, PARAMS), st.one_of(st.integers(100, 300), COUNTS))
+@example(Geometry.S2R, (0.3, 0.2, 1.5), 10**17)  # numpy's MemoryError was raw
 def test_integrations(kind, g, steps):
     curve = _outcome(integrate_geodesic, kind, g, steps)
     if curve is not None:
@@ -344,13 +351,24 @@ def test_triangle(kind, vertices):
         assert isinstance(classify(tri), TriangleClass)
 
 
+#: a vertex index of another type: an array of any shape, even of 1, 2 or 3
+#: (numpy raised ValueError or TypeError on it), text, None or 2.5
+WRONG_INDICES = st.one_of(
+    arrays(st.sampled_from([np.float64, np.int64]), array_shapes(min_dims=0, min_side=0),
+           elements=st.integers(1, 3)),
+    st.text(max_size=2), st.none(), st.just(2.5))
+
+
 @settings(SEEDED, max_examples=60)
-@given(KINDS, TRIANGLES)
+@given(KINDS, TRIANGLES, WRONG_INDICES)
 # y and z on the subnormal grid: hypot rounded their spread, and R_x was no rotation
-@example(Geometry.S2R, (BASE_POINT, (2.0, 5e-324, 1e-323), (3.0, 1.5, 0.0)))
-def test_paper_frame(kind, vertices):
+@example(Geometry.S2R, (BASE_POINT, (2.0, 5e-324, 1e-323), (3.0, 1.5, 0.0)), None)
+@example(Geometry.S2R, (BASE_POINT, (2.0, 1.0, 0.0), (3.0, -2.0, 1.0)), np.array([1.0, 2.0]))
+@example(Geometry.S2R, (BASE_POINT, (2.0, 1.0, 0.0), (3.0, -2.0, 1.0)), np.array([2]))
+def test_paper_frame(kind, vertices, wrong_index):
     """``tangent_endpoints`` and ``vertex_angle``, the paper's method: unit
-    tangents in an antipodal frame, and angles on the theorem side."""
+    tangents in an antipodal frame, and angles on the theorem side; an index
+    of another type is a PrecondError."""
     tri = _outcome(geodesic_triangle, kind, *vertices)
     if tri is None:
         return
@@ -360,6 +378,8 @@ def test_paper_frame(kind, vertices):
     angles = [_typed(vertex_angle, tri, i) for i in (1, 2, 3)]
     if None not in angles:
         assert _on_the_theorem_side(kind, angles)
+    with pytest.raises(PrecondError, match="vertex index"):
+        vertex_angle(tri, wrong_index)
 
 
 #: a sweep range anywhere in double range
@@ -476,9 +496,9 @@ def _exit_code(argv) -> int:
 @settings(SEEDED, max_examples=60)
 @given(KINDS, NUMBER_TEXT, NUMBER_TEXT,
        st.one_of(st.integers(-3, 40).map(str), st.text(alphabet="0123456789.e+-_", max_size=4),
-                 st.integers(2**62, 2**63 - 1).map(str), st.integers(2**63, 10**400).map(str)))
+                 st.integers(10**15, 2**63 - 1).map(str), st.integers(2**63, 10**400).map(str)))
 def test_cli_sweep(kind, t_min, t_max, samples):
-    """Sample counts stay below 10**4 or from 2**62 up, for the reason ``COUNTS`` gives."""
+    """Sample counts stay below 10**4 or from 10**15 up, for the reason ``COUNTS`` gives."""
     a2, ray, _, _ = SWEEP_FAMILIES[kind]
     argv = ["sweep", "--geometry", kind.value, "--a2", ",".join(map(repr, a2)),
             "--ray", ",".join(map(repr, ray)), f"--t-min={t_min}", f"--t-max={t_max}",
