@@ -53,7 +53,6 @@ def __dir__():
 
 
 __all__ = [
-    "BASE_POINT",
     "Geometry",
     "contains",
     "metric_at",
@@ -71,34 +70,15 @@ __all__ = [
     "tangent_of",
     "distance",
     "sample_curve",
-    "fibre_translation",
-    "rotation_x",
-    "rotation_z",
-    "to_origin",
-    "apply_isometry",
-    "reference_image_base",
-    "reference_image_third",
-    "reference_images_plane_mover",
     "GeodesicTriangle",
     "TriangleAngles",
     "TriangleClass",
     "geodesic_triangle",
-    "tangent_endpoints",
-    "vertex_angle",
     "angle_sum",
     "coplanar_with_center",
     "encloses_center",
     "classify",
-    "ExtremumKind",
-    "SweepSpec",
-    "SweepResult",
-    "angle_sum_at",
-    "evaluate",
-    "limits_check",
-    "integrate_geodesic",
-    "integrate_geodesic_cartesian",
-    "unit_speed_drift",
-    "arc_length_quadrature",
     "Tolerances",
     "DEFAULT",
+    *_LAZY,
 ]

@@ -3,8 +3,10 @@
 Both geometries are realised inside the affine chart of projective space:
 a point carries homogeneous coordinates (x0 : x1 : x2 : x3) with x0 > 0,
 normalised to x0 = 1, so that (x, y, z) = (x1, x2, x3) are ordinary
-Cartesian coordinates.  A point is read once, into a tuple of three Python
-floats (x, y, z) (``_point``), which every module below the boundary passes on.
+Cartesian coordinates.  Caller data is read once, by one rule (``_reals`` for arrays,
+``_real`` for numbers, ``_point`` for points, into the float triple (x, y, z) passed on
+below): real numbers as ``np.asarray`` reads them, objects (ints beyond int64, fractions)
+each by ``float``; text, complex, None, ragged lists or beyond double range: DomainError.
 
 Model sets
 ----------
@@ -102,6 +104,12 @@ def _require_geometry(kind) -> None:
         raise DomainError(f"unknown geometry {kind!r}; expected Geometry.S2R or Geometry.H2R")
 
 
+def _require_record(value, record: type) -> None:
+    """DomainError unless ``value`` is a ``record``, whose attributes the caller reads."""
+    if not isinstance(value, record):
+        raise DomainError(f"need a {record.__name__}, got {value!r}")
+
+
 class _Record:
     """A read-only record, equal only to itself: ``__init__`` binds its attributes
     by ``vars(self)``, as a ``cached_property`` does; to assign or delete one is
@@ -143,11 +151,10 @@ def model_point(coords) -> np.ndarray:
 
 
 def _point(coords) -> tuple[float, float, float]:
-    """``model_point`` as a tuple of three Python floats: 3 or 4 floats or ints
-    in a tuple or list are read with no numpy (an int by ``float``, as numpy
-    reads it), a 1-D array by ``tolist``, other numbers as ``np.asarray`` reads
-    them.  DomainError for coordinates that are not real numbers or beyond
-    double range, another count and x0 not > 0, NaN included."""
+    """``model_point`` as a tuple of three Python floats: 3 or 4 floats or ints in a tuple
+    or list with no numpy (an int by ``_real``, as numpy reads it), a 1-D array by ``tolist``,
+    any other value by ``_reals``.  DomainError for coordinates that are not real numbers
+    or beyond double range, another count and x0 not > 0, NaN included."""
     if type(coords) is tuple or type(coords) is list:
         values = coords
     else:
@@ -162,43 +169,48 @@ def _point(coords) -> tuple[float, float, float]:
             if not x0 > 0.0:
                 raise DomainError(f"homogeneous coordinate x0 must be positive, got {x0}")
             return x1 / x0, x2 / x0, x3 / x0
-    try:
-        if len(values) in (3, 4) and all(type(c) is int or type(c) is float for c in values):
-            return _point([float(c) for c in values])
-        # numbers of other types, or another count; a complex part is not dropped
-        a = np.asarray(coords)  # nor is text, which astype would read, a number
-        if any(isinstance(c, (str, bytes, complex, np.complexfloating)) for c in a.flat):
-            raise TypeError
-        a = a.astype(float)
-    except (TypeError, ValueError):
-        raise DomainError(f"coordinates must be real numbers, got {coords!r}") from None
-    except OverflowError:  # an int or a fraction beyond the largest double
-        raise DomainError("coordinates must be within double range") from None
+    if len(values) in (3, 4) and all(type(c) is int or type(c) is float for c in values):
+        return _point([_real(c, "coordinates") for c in values])
+    a = _reals(coords, "coordinates")
     if a.shape not in ((3,), (4,)):
         raise DomainError(f"expected 3 or 4 coordinates, got shape {a.shape}")
     return _point(a.tolist())
 
 
-def _real(value, what: str) -> float:
-    """A number argument ``what`` as ``float`` reads it: an int (a bool too) or a float,
-    with no numpy call, or a numpy real scalar or 0-d array.  DomainError for any
-    other value, text and complex included, and for an int beyond double range."""
-    if not isinstance(value, (int, float)) and not (
-            getattr(value, "shape", None) == () and value.dtype.kind in "biuf"):
-        raise DomainError(f"need a number for {what}, got {value!r}")
+def _reals(value, what: str) -> np.ndarray:
+    """Caller data ``what`` as a float64 array, as ``np.asarray`` reads it (float64 is not
+    copied), objects (ints beyond int64, fractions) each by ``float``; DomainError for
+    text, bytes, complex, None, a ragged list and a number beyond double range."""
     try:
-        return float(value)
-    except OverflowError:  # an int beyond the largest double
+        a = np.asarray(value)
+        if a.dtype.kind == "O" and not any(  # float would read text, and drop a complex part
+                isinstance(c, (str, bytes, complex, np.complexfloating)) for c in a.flat):
+            a = np.array([float(c) for c in a.flat]).reshape(a.shape)
+        if a.dtype.kind not in "biuf":
+            raise TypeError
+        if a.dtype == np.float64:
+            return a
+        with np.errstate(over="raise"):  # a long double beyond double range
+            return a.astype(float)
+    except (TypeError, ValueError):  # not numbers, or a ragged list
+        raise DomainError(f"{what} must be real numbers, got {value!r}") from None
+    except (OverflowError, FloatingPointError):
         raise DomainError(f"{what} must be within double range") from None
 
 
-def _real_array(a: np.ndarray) -> np.ndarray:
-    """``a``, or where numpy holds it as objects (ints beyond int64) its elements by
-    ``_real`` as floats; text, None, complex or an int beyond double range stay objects."""
-    if a.dtype.kind == "O":
-        with contextlib.suppress(DomainError):
-            return np.array([_real(c, "a number") for c in a.flat], dtype=float).reshape(a.shape)
-    return a
+def _real(value, what: str) -> float:
+    """A number argument ``what`` as ``float`` reads it: an int (a bool too) or a float
+    with no numpy call, any other value as a 0-d ``_reals``.  DomainError otherwise,
+    text and complex included, and for an int beyond double range."""
+    if isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the largest double
+            raise DomainError(f"{what} must be within double range") from None
+    with contextlib.suppress(DomainError):
+        if (number := _reals(value, what)).shape == ():
+            return float(number)
+    raise DomainError(f"need a number for {what}, got {value!r}")
 
 
 def _count(value, least: int, what: str, error: type) -> int:
@@ -211,12 +223,13 @@ def _count(value, least: int, what: str, error: type) -> int:
     raise error(f"need an integer number of {what} >= {least}, got {value!r}")
 
 
-def _allocate(what: str, error: type, make, *args) -> np.ndarray:
-    """``make(*args)``, an array of ``args[-1]`` ``what``; ``error`` where it exceeds memory."""
+@contextlib.contextmanager
+def _memory_for(count: int, what: str, error: type):
+    """Run the work that ``count`` ``what`` size; ``error`` where it exceeds memory."""
     try:
-        return make(*args)
+        yield
     except MemoryError:
-        raise error(f"not enough memory for {args[-1]} {what}") from None
+        raise error(f"not enough memory for {count} {what}") from None
 
 
 def contains(kind: Geometry, coords) -> bool:
@@ -332,13 +345,16 @@ def require_member(kind: Geometry, p) -> tuple[float, float, float]:
 def fibre_norm_sq(kind: Geometry, p) -> float | np.ndarray:
     """The quadratic form whose square root carries the fibre coordinate.
 
-    S2xR: x^2 + y^2 + z^2.  H2xR: x^2 - y^2 - z^2.  Positive on members.
-    ``p`` is a point, or three arrays of coordinates (the columns of an
-    (N, 3) array of points), giving an array of values.
+    S2xR: x^2 + y^2 + z^2.  H2xR: x^2 - y^2 - z^2.  Positive on members.  ``p``
+    (``_reals``) is a point, or three arrays of coordinates (the columns of an
+    (N, 3) array of points), giving an array of values; DomainError otherwise.
     """
     _require_geometry(kind)
+    if (p := _reals(p, "coordinates")).ndim == 0 or len(p) != 3:
+        raise DomainError(f"need a point or three coordinate arrays, got shape {p.shape}")
     x, y, z = p
-    return x * x + kind.curvature * (y * y + z * z)
+    with np.errstate(all="ignore"):  # a form beyond double range is inf
+        return x * x + kind.curvature * (y * y + z * z)
 
 
 def metric_at(kind: Geometry, p) -> np.ndarray:
@@ -421,20 +437,15 @@ def to_model(kind: Geometry, t, c1, c2) -> np.ndarray:
 
         (x, y, z) = e^t (cosh r, sinh r cos alpha, sinh r sin alpha)
 
-    Real numbers give one (3,) point, real arrays of one broadcast shape (...)
-    points (..., 3), and other coordinates a DomainError.  Every image satisfies
+    Coordinates are read by ``_reals``: real numbers give one (3,) point, real
+    arrays of one broadcast shape (...) points (..., 3).  Every image satisfies
     ``contains`` (``_guard_chart``): DomainError names the first intrinsic triple
     whose point overflows, underflows to the centre or rounds onto the cone.
     """
-    try:  # a number by _real, an array of real numbers as it is (float64 is not copied),
-        # and one numpy holds as objects (ints beyond int64) by _real_array
-        coords = [_real_array(np.asarray(_real(c, "an intrinsic coordinate") if np.ndim(c) == 0
-                                         else c)) for c in (t, c1, c2)]
-        if any(c.dtype.kind not in "biuf" for c in coords):
-            raise ValueError
-        t, c1, c2 = np.broadcast_arrays(*(c.astype(float, copy=False) for c in coords))
-    except ValueError:  # text or objects in an array, a ragged list, shapes that do not broadcast
-        raise DomainError("intrinsic coordinates must be real numbers of one broadcast shape, "
+    try:
+        t, c1, c2 = np.broadcast_arrays(*(_reals(c, "intrinsic coordinates") for c in (t, c1, c2)))
+    except ValueError:
+        raise DomainError("intrinsic coordinates must be of one broadcast shape, "
                           f"got {t!r}, {c1!r}, {c2!r}") from None
     if kind is Geometry.S2R:  # c1, c2 = phi, theta
         with np.errstate(all="ignore"):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import (_BASE, Geometry, _allocate, _count, _guard_chart, _point, _product_points,
+from .core import (_BASE, Geometry, _count, _guard_chart, _memory_for, _point, _product_points,
                    _real, _split, np)
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
@@ -176,5 +176,7 @@ def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:
     """
     n = _count(n, 2, "samples", PrecondError)
     u, v, tau = GeodesicParams.normalized(*_triple(g))
-    return _points(kind, u, v, tau * _allocate("samples", PrecondError, np.arange, n) / (n - 1))
+    e = math.frexp(tau)[1]  # steps of tau 2^-e < 1 do not overflow before their division
+    with _memory_for(n, "samples", PrecondError):
+        return _points(kind, u, v, np.ldexp(math.ldexp(tau, -e) * np.arange(n) / (n - 1), e))
 

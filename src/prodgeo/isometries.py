@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import math
 
-from .core import _BASE, Geometry, _fibre_norm, _point, fibre_norm_sq, np, require_member
+from .core import (_BASE, Geometry, _fibre_norm, _point, _reals, _require_record, fibre_norm_sq,
+                   np, require_member)
 from .exceptions import ConsistencyError, DegenerateError, DomainError, PrecondError
 from .geodesics import _geodesic_params, tangent_of
 from .tolerances import DEFAULT
@@ -148,15 +149,12 @@ def _to_origin(kind: Geometry, a: tuple) -> np.ndarray:
 
 
 def apply_isometry(m: np.ndarray, p) -> np.ndarray:
-    """Apply a homogeneous transform, a 4x4 array of real numbers (a bool, int or float
-    dtype), to a point (``core._point``), renormalised to x0 = 1; DomainError for any
-    other matrix or an image beyond double range, DegenerateError for a weight not above 0."""
+    """Apply a homogeneous transform, a 4x4 array of real numbers (``core._reals``), to a
+    point (``core._point``), renormalised to x0 = 1; DomainError for any other matrix or an
+    image beyond double range, DegenerateError for a weight not above 0."""
     point = _point(p)
-    try:  # numpy's ValueError names a ragged list; None, text, complex or objects fail the dtype
-        if (m := np.asarray(m)).shape != (4, 4) or m.dtype.kind not in "biuf":
-            raise ValueError(f"{m.dtype} values of shape {m.shape}")
-    except ValueError as exc:
-        raise DomainError(f"need a 4×4 matrix of real numbers, got {exc}") from None
+    if (m := _reals(m, "matrix entries")).shape != (4, 4):
+        raise DomainError(f"need a 4×4 matrix of real numbers, got shape {m.shape}")
     with np.errstate(all="ignore"):
         row = np.array((1.0, *point)) @ m
         image = row[1:] / row[0]
@@ -170,6 +168,7 @@ def apply_isometry(m: np.ndarray, p) -> np.ndarray:
 def _paper_vertices(tri: GeodesicTriangle) -> tuple:
     """The vertices moved by the normaliser of a1, so a1 is the base point
     (the paper's position; the identity, bit for bit, when it is there), as float triples."""
+    _require_record(tri, GeodesicTriangle)
     move = _to_origin(tri.kind, tri.a1)
     return _BASE, _point(apply_isometry(move, tri.a2)), _point(apply_isometry(move, tri.a3))
 
@@ -227,7 +226,8 @@ def vertex_angle(tri: GeodesicTriangle, i: int) -> float:
     PrecondError), in (0, pi), by the paper's method: its normaliser moves it to the base point."""
     if not isinstance(i, (int, float, np.integer, np.floating)) or i is True or i not in (1, 2, 3):
         raise PrecondError(f"vertex index must be 1, 2 or 3, got {i!r}")
-    return _between(*_vertex_tangents(tri.kind, _paper_vertices(tri), int(i)).values())
+    vertices = _paper_vertices(tri)
+    return _between(*_vertex_tangents(tri.kind, vertices, int(i)).values())
 
 
 # --- closed-form vertex images -------------------------------------------
@@ -311,12 +311,13 @@ def reference_images_plane_mover(kind: Geometry, mover, other):
 
 
 def transcribed_normalizer_s2r(a2) -> np.ndarray:
-    """The hand-derived closed form of the S2xR normaliser of ``a2``,
-    transcribed entry by entry, kept verbatim with its (3, 2) sign slip."""
-    x, y, z = np.asarray(a2, dtype=float)
+    """The hand-derived closed form of the S2xR normaliser of the member ``a2``,
+    transcribed entry by entry, kept verbatim with its (3, 2) sign slip; off the x axis."""
+    x, y, z = a2 = require_member(Geometry.S2R, a2)  # floats: a form beyond range is inf
     q = x * x + y * y + z * z
     s = math.sqrt(q)
     w = y * y + z * z
+    _require_in_range(Geometry.S2R, np.array(a2), (q, w, q * w))  # then every entry is finite
     return np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, x / q, -y / q, -z / q],

@@ -83,11 +83,12 @@ all of them in one call.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 from . import _dop853
-from .core import (_BASE, Geometry, _allocate, _count, _guard_member, _metric, _metric_entries,
-                   _real_array, _require_geometry, np, to_model)
+from .core import (_BASE, Geometry, _count, _guard_member, _memory_for, _metric, _metric_entries,
+                   _reals, _require_geometry, np, to_model)
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams, _triple, tangent_of
 from .tolerances import DEFAULT
@@ -127,14 +128,17 @@ def _rhs_h2r(_tau, state):
 
 def unit_speed_drift(kind: Geometry, state) -> float | np.ndarray:
     """|squared intrinsic speed - 1| of an ODE state (6,), or of the columns
-    of states (6, n) as an (n,) array."""
+    of states (6, n) as an (n,) array, read by ``core._reals``; DomainError otherwise."""
     _require_geometry(kind)
+    if (state := _reals(state, "ODE states")).ndim not in (1, 2) or len(state) != 6:
+        raise DomainError(f"need an ODE state (6,) or states (6, n), got shape {state.shape}")
     _t, c1, c2, dt, dc1, dc2 = state
-    if kind is Geometry.S2R:
-        speed2 = dt * dt + np.cos(c2) ** 2 * dc1 * dc1 + dc2 * dc2
-    else:
-        speed2 = dt * dt + dc1 * dc1 + np.sinh(c1) ** 2 * dc2 * dc2
-    return np.abs(speed2 - 1.0)
+    with np.errstate(all="ignore"):  # a state that is not finite drifts by NaN or inf
+        if kind is Geometry.S2R:
+            speed2 = dt * dt + np.cos(c2) ** 2 * dc1 * dc1 + dc2 * dc2
+        else:
+            speed2 = dt * dt + dc1 * dc1 + np.sinh(c1) ** 2 * dc2 * dc2
+        return np.abs(speed2 - 1.0)
 
 
 def _initial_state(kind: Geometry, g: GeodesicParams):
@@ -166,17 +170,18 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
     _require_geometry(kind)
     rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
     state0 = _initial_state(kind, params)
-    grid = _allocate("steps", PrecondError, np.linspace, 0.0, params.tau, steps)
-    rtol, atol = DEFAULT.ode_rtol, DEFAULT.ode_atol
-    for _attempt in range(2):
-        states = _dop853.solve(rhs, state0, grid, rtol, atol)
-        drift = unit_speed_drift(kind, states).max()
-        if drift <= DEFAULT.unit_speed_drift:
-            break
-        rtol, atol = rtol * 1e-2, atol * 1e-2
-    else:
-        raise ConsistencyError(f"unit-speed drift {drift:.2e} persists after tightening")
-    return to_model(kind, *states[:3])
+    with _memory_for(steps, "steps", PrecondError):
+        grid = np.linspace(0.0, params.tau, steps)
+        rtol, atol = DEFAULT.ode_rtol, DEFAULT.ode_atol
+        for _attempt in range(2):
+            states = _dop853.solve(rhs, state0, grid, rtol, atol)
+            drift = unit_speed_drift(kind, states).max()
+            if drift <= DEFAULT.unit_speed_drift:
+                break
+            rtol, atol = rtol * 1e-2, atol * 1e-2
+        else:
+            raise ConsistencyError(f"unit-speed drift {drift:.2e} persists after tightening")
+        return to_model(kind, *states[:3])
 
 
 #: imaginary step of the complex-step derivative; nothing is subtracted, so
@@ -281,8 +286,7 @@ def integrate_geodesic_cartesian(kind: Geometry, g) -> np.ndarray:
 
 def arc_length_quadrature(kind: Geometry, curve) -> float:
     """Composite midpoint-rule arc length of a polyline of model points,
-    given as any iterable of Cartesian 3-vectors (an (n, 3) array too, ints beyond int64 in it
-    read as ``to_model`` reads them).
+    given as any iterable of Cartesian 3-vectors (an (n, 3) array too), read by ``core._reals``.
 
     Second-order accurate in the number of samples.  The metrics are
     homogeneous of degree -2, so the rule runs on the curve scaled exactly
@@ -290,18 +294,15 @@ def arc_length_quadrature(kind: Geometry, curve) -> float:
     Raises DomainError for points not of three real numbers, a segment
     midpoint outside the model, or a metric there beyond double range.
     """
-    try:
-        pts = _real_array(curve if isinstance(curve, np.ndarray) else np.array(list(curve)))
-    except (TypeError, ValueError):  # not iterable, or ragged
-        raise DomainError("need an iterable of points of 3 coordinates") from None
-    if pts.dtype.kind not in "biuf" or pts.ndim != 2 or pts.shape[1] != 3:
-        raise DomainError(f"expected points of 3 coordinates, real numbers, got {pts.dtype} "
-                          f"values of shape {pts.shape}")
+    with contextlib.suppress(TypeError):  # an iterable of points is read as their list
+        curve = curve if isinstance(curve, np.ndarray) else list(curve)
+    if (pts := _reals(curve, "curve points")).ndim != 2 or pts.shape[1] != 3:
+        raise DomainError(f"expected points of 3 coordinates, got shape {pts.shape}")
     if len(pts) < 2:
         raise DomainError("need at least two points")
     scale = math.frexp(float(np.abs(pts).max()))[1]  # 0 for an infinity or a NaN
     with np.errstate(all="ignore"):  # non-finite values go to the guard or the check below
-        pts = np.ldexp(pts, -scale, dtype=float)
+        pts = np.ldexp(pts, -scale)
         mids = 0.5 * (pts[:-1] + pts[1:])
         delta = pts[1:] - pts[:-1]
         _guard_member(kind, np.ldexp(mids, scale))  # named at the curve's own scale

@@ -25,8 +25,8 @@ import enum
 import math
 import sys
 
-from .core import (_BASE, Geometry, _allocate, _count, _guard_in_range, _point, _real, _Record,
-                   _split, np)
+from .core import (_BASE, Geometry, _count, _guard_in_range, _memory_for, _point, _real, _Record,
+                   _require_record, _split, np)
 from .exceptions import ConsistencyError, DegenerateError, DomainError
 from .tolerances import DEFAULT
 from .triangles import _angles_at, _closed_form, _coplanar, _require_distinct, _slope_at
@@ -122,6 +122,7 @@ def angle_sum_at(spec: SweepSpec, t: float) -> float:
     """S(t): the interior angle sum of the triangle with third vertex t*ray,
     for a finite t > 0 (DomainError otherwise): the closed form at u = log t.
     Only t*ray is checked (``_check_third_vertices``)."""
+    _require_record(spec, SweepSpec)
     t = _real(t, "t")
     if not 0.0 < t < math.inf:
         raise DomainError(f"need a finite parameter t > 0, got {t}")
@@ -206,30 +207,32 @@ def evaluate(spec: SweepSpec) -> SweepResult:
     the grid cells around the best sample, and then the root of dS/du there
     (``_zero``) and S at it; otherwise the better end of the range and S there.
     """
-    grid = _allocate("samples", DomainError, np.geomspace, spec.t_min, spec.t_max, spec.samples)
-    ts = grid.tolist()
-    try:  # |t * ray| grows with t: if both ends are in double range, all t are
-        for t in (ts[0], ts[-1], *_near_a1_a2(spec, ts)):
-            _check_third_vertices(spec, t)
-    except (DomainError, DegenerateError):
-        for t in ts:  # the first vertex out of range is named before any on a1 or a2
-            with contextlib.suppress(DegenerateError):
+    _require_record(spec, SweepSpec)
+    with _memory_for(spec.samples, "samples", DomainError):
+        grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
+        ts = grid.tolist()
+        try:  # |t * ray| grows with t: if both ends are in double range, all t are
+            for t in (ts[0], ts[-1], *_near_a1_a2(spec, ts)):
                 _check_third_vertices(spec, t)
-        raise
-    sums = _angles_at(spec._ray, np.log(grid)).total
-    series = np.column_stack([grid, sums])
+        except (DomainError, DegenerateError):
+            for t in ts:  # the first vertex out of range is named before any on a1 or a2
+                with contextlib.suppress(DegenerateError):
+                    _check_third_vertices(spec, t)
+            raise
+        sums = _angles_at(spec._ray, np.log(grid)).total
+        series = np.column_stack([grid, sums])
 
-    if _coplanar(*spec._triples) and np.abs(sums - math.pi).max() <= DEFAULT.flat_band:
-        t0 = math.sqrt(spec.t_min) * math.sqrt(spec.t_max)  # t_min * t_max can leave range
-        return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, False, spec)
+        if _coplanar(*spec._triples) and np.abs(sums - math.pi).max() <= DEFAULT.flat_band:
+            t0 = math.sqrt(spec.t_min) * math.sqrt(spec.t_max)  # t_min * t_max can leave range
+            return SweepResult(series, t0, math.pi, ExtremumKind.FLAT, False, spec)
 
-    sign = spec.kind.curvature
-    kind = ExtremumKind.MAXIMUM if sign > 0.0 else ExtremumKind.MINIMUM
-    turn = _turning_point(spec, *_bracket(grid, sums, sign), sign)
-    if turn is None:
-        end = -1 if (sums[-1] > sums[0]) == (sign > 0.0) else 0
-        return SweepResult(series, float(grid[end]), float(sums[end]), kind, False, spec)
-    return SweepResult(series, *turn, kind, True, spec)
+        sign = spec.kind.curvature
+        kind = ExtremumKind.MAXIMUM if sign > 0.0 else ExtremumKind.MINIMUM
+        turn = _turning_point(spec, *_bracket(grid, sums, sign), sign)
+        if turn is None:
+            end = -1 if (sums[-1] > sums[0]) == (sign > 0.0) else 0
+            return SweepResult(series, float(grid[end]), float(sums[end]), kind, False, spec)
+        return SweepResult(series, *turn, kind, True, spec)
 
 
 def limits_check(spec: SweepSpec, t_far: float = 1e3) -> tuple[float, float]:
@@ -239,6 +242,7 @@ def limits_check(spec: SweepSpec, t_far: float = 1e3) -> tuple[float, float]:
     <= pi for H2xR), else ConsistencyError; DomainError propagates if the
     far vertex leaves double range.
     """
+    _require_record(spec, SweepSpec)
     near = angle_sum_at(spec, spec.t_min)
     far = angle_sum_at(spec, t_far)
     for label, value in (("near", near), ("far", far)):

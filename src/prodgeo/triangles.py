@@ -43,7 +43,7 @@ import sys
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import Geometry, _Record, _split, np, require_member
+from .core import Geometry, _Record, _require_record, _split, np, require_member
 from .exceptions import ConsistencyError, DegenerateError
 from .tolerances import DEFAULT
 
@@ -126,6 +126,7 @@ def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:
 
     Raises DegenerateError for an S2xR side on the cut locus.
     """
+    _require_record(tri, GeodesicTriangle)
     return tri._angles
 
 
@@ -261,6 +262,7 @@ def coplanar_with_center(tri: GeodesicTriangle) -> bool:
     E0 is the Cartesian origin, so the test is the vanishing of the triple
     product of the vertex position vectors, relative to their norms.
     """
+    _require_record(tri, GeodesicTriangle)
     return tri._is_coplanar
 
 
@@ -288,7 +290,7 @@ def encloses_center(tri: GeodesicTriangle) -> bool:
     Only possible in S2xR: H2xR vertices all have x > 0 so their hull
     misses the origin.  A sign test in floats (``_encloses``), no solve.
     """
-    return tri._is_coplanar and _encloses(*map(_unit_row, tri.vertices))
+    return coplanar_with_center(tri) and _encloses(*map(_unit_row, tri.vertices))
 
 
 def _encloses(r1, r2, r3) -> bool:

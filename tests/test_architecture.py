@@ -320,6 +320,24 @@ def test_one_number_reader(name):
     assert _defining(name) == {"core.py"}
 
 
+def test_one_array_reader():
+    """Caller arrays are read by ``core._reals`` alone: no ``_real_array`` is kept beside
+    it, and only ``core`` (the reader and its chart guard) and ``_dop853`` (its own
+    float grid) name ``asarray``."""
+    assert _modules_naming("_real_array") == set()
+    assert _defining("_reals") == {"core.py"}
+    assert _modules_naming("asarray") == {"core.py", "_dop853.py"}
+
+
+def test_one_guard_for_the_memory_a_count_sizes():
+    """``integrate_geodesic``, ``sample_curve`` and ``evaluate`` run all the work their
+    count sizes inside ``core._memory_for``; no allocation wrapper is kept beside it."""
+    assert _defining("_allocate") == set()
+    for module, function in (("oracle.py", "integrate_geodesic"), ("geodesics.py", "sample_curve"),
+                             ("sweep.py", "evaluate")):
+        assert "_memory_for" in _body_names(module, function), function
+
+
 @pytest.mark.parametrize("module", ["sweep.py", "geodesics.py", "oracle.py"])
 def test_no_scalar_reader_of_their_own(module):
     """``numbers.Real`` and ``operator.index`` were the ad-hoc scalar readers."""

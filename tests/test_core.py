@@ -440,21 +440,25 @@ class TestIntrinsicChart:
 
     @BOTH
     @pytest.mark.parametrize("coords, message", [
-        ((1j, 0.0, 0.0), "need a number for an intrinsic coordinate, got 1j"),
-        ((0.0, "0.5", 0.0), "need a number for an intrinsic coordinate, got '0.5'"),
-        ((0.0, 0.5, None), "need a number for an intrinsic coordinate, got None"),
-        ((10**400, 0.0, 0.0), "an intrinsic coordinate must be within double range"),
+        ((1j, 0.0, 0.0), "intrinsic coordinates must be real numbers, got 1j"),
+        ((0.0, "0.5", 0.0), "intrinsic coordinates must be real numbers, got '0.5'"),
+        ((0.0, 0.5, None), "intrinsic coordinates must be real numbers, got None"),
+        ((10**400, 0.0, 0.0), "intrinsic coordinates must be within double range"),
         ((np.zeros(2), np.zeros(3), 0.0), "of one broadcast shape"),
-        ((np.array([1j]), 0.0, 0.0), "of one broadcast shape"),
-        ((np.array(["1"]), 0.0, 0.0), "of one broadcast shape"),
-        (([2**70, None], 0.0, 0.0), "of one broadcast shape"),
-        (([2**70, 1j], 0.0, 0.0), "of one broadcast shape"),
-        (([2**70, "1"], 0.0, 0.0), "of one broadcast shape"),
-        (([2**70, 10**400], 0.0, 0.0), "of one broadcast shape"),
-        (([[0.0, 1.0], [2.0]], 0.0, 0.0), "of one broadcast shape")])
+        ((np.array([1j]), 0.0, 0.0), "intrinsic coordinates must be real numbers, got array"),
+        ((np.array(["1"]), 0.0, 0.0), "intrinsic coordinates must be real numbers, got array"),
+        (([2**70, None], 0.0, 0.0),
+         "intrinsic coordinates must be real numbers, got [1180591620717411303424, None]"),
+        (([2**70, 1j], 0.0, 0.0),
+         "intrinsic coordinates must be real numbers, got [1180591620717411303424, 1j]"),
+        (([2**70, "1"], 0.0, 0.0),
+         "intrinsic coordinates must be real numbers, got [1180591620717411303424, '1']"),
+        (([2**70, 10**400], 0.0, 0.0), "intrinsic coordinates must be within double range"),
+        (([[0.0, 1.0], [2.0]], 0.0, 0.0), "intrinsic coordinates must be real numbers, got [[")])
     def test_coordinates_are_read_at_the_boundary(self, kind, coords, message):
         """A complex number was once mapped to a complex point, and text,
-        None, 10**400 and shapes that do not broadcast raised raw errors."""
+        None, 10**400 and shapes that do not broadcast raised raw errors.
+        Each coordinate is read by ``core._reals``, as every caller array is."""
         with pytest.raises(DomainError, match=re.escape(message)):
             to_model(kind, *coords)
 

@@ -8,15 +8,27 @@ the entry points that read a point by ``core._point`` (``geodesic_params``,
 on fuzzed matrices too), over the triangle entry points (``geodesic_triangle``,
 ``angle_sum``, ``classify``, ``tangent_endpoints`` and ``vertex_angle``, where
 a ConsistencyError fails), over ``evaluate`` on random families and ranges,
-over ``arc_length_quadrature`` on fuzzed curves, and over ``cli.main`` on
-fuzzed ``sweep`` and ``geodesic`` arguments.  Every point returned is a
-member (``contains``).  Any other exception, numpy's RuntimeWarning
+over ``arc_length_quadrature`` on fuzzed curves, over every other public
+name (``model_point``, ``metric_at``, ``fibre_norm_sq``, ``unit_speed_drift``,
+the factor matrices, the closed-form images and the transcribed normaliser,
+``coplanar_with_center`` and ``encloses_center``), over records of another
+type at every entry point that takes a triangle or a sweep spec, and over
+``cli.main`` on fuzzed ``sweep`` and ``geodesic`` arguments.  One value is a
+number to every entry point that reads caller numbers, or to none, and a count
+beyond memory is a typed error in all the work it sizes (in a child process
+under an address-space limit).  Every point returned is a member (``contains``).  Any other exception, numpy's RuntimeWarning
 included (an error in this suite), fails a property.
 """
 
 import contextlib
 import io
 import math
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +55,9 @@ from prodgeo import (
     arc_length_quadrature,
     classify,
     contains,
+    coplanar_with_center,
     distance,
+    encloses_center,
     evaluate,
     fibre_translation,
     geodesic_params,
@@ -52,15 +66,27 @@ from prodgeo import (
     integrate_geodesic,
     integrate_geodesic_cartesian,
     limits_check,
+    metric_at,
+    model_point,
+    reference_image_base,
+    reference_image_third,
+    reference_images_plane_mover,
+    rotation_x,
+    rotation_z,
     sample_curve,
     tangent_endpoints,
     tangent_of,
     to_model,
     to_origin,
+    unit_speed_drift,
     vertex_angle,
 )
 from prodgeo.cli import main
+from prodgeo.core import fibre_norm_sq
+from prodgeo.isometries import transcribed_normalizer_s2r
 from prodgeo.reference import SWEEP_FAMILIES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -155,6 +181,7 @@ def test_geodesic_point(kind, g):
 @example(Geometry.S2R, (0.3, 0.2, 1.5), 2**62)  # valid parameters meet counts numpy cannot hold
 @example(Geometry.H2R, (0.0, 0.0, 0.0), 2**63 - 1)
 @example(Geometry.S2R, (0.3, 0.2, 1.5), 10**17)  # numpy's MemoryError was raw
+@example(Geometry.S2R, (0.0, 0.0, 1e308), 8)  # tau * 7 overflowed before its division by 7
 def test_sample_curve(kind, g, n):
     curve = _outcome(sample_curve, kind, g, n)
     if curve is not None:
@@ -230,9 +257,9 @@ MEMBERS = st.tuples(
 POINTS = st.one_of(MEMBERS, TRIPLES, st.lists(NUMBERS, max_size=5), NUMBERS)
 
 #: what is not a 4x4 matrix of real numbers: complex, another shape, None, text,
-#: ints beyond int64 (which numpy holds as objects), a ragged list
+#: an int beyond double range (which numpy holds as objects), a ragged list
 NOT_MATRICES = {"complex": np.eye(4) * (1.0 + 0.5j), "3x3": np.eye(3), "none": None,
-                "text": np.full((4, 4), "1"), "objects": np.full((4, 4), 2**70, dtype=object),
+                "text": np.full((4, 4), "1"), "objects": np.full((4, 4), 10**400, dtype=object),
                 "ragged": [[1.0, 0.0], [0.0]]}
 
 #: a matrix argument: a normaliser, a 4x4 array of any floats, or not a matrix
@@ -256,10 +283,27 @@ def test_apply_isometry(kind, p, m):
             assert image.shape == (3,) and image.dtype == np.float64 and np.isfinite(image).all()
 
 
-@pytest.mark.parametrize("m", list(NOT_MATRICES.values()), ids=list(NOT_MATRICES))
-def test_apply_isometry_needs_a_real_4x4_matrix(m):
-    with pytest.raises(DomainError, match="need a 4×4 matrix of real numbers"):
-        apply_isometry(m, (2.0, 1.0, 0.5))
+#: the start of each message: the matrix is read by ``core._reals``, then its shape checked
+NOT_MATRIX_MESSAGES = {"complex": "matrix entries must be real numbers",
+                       "3x3": "need a 4×4 matrix of real numbers, got shape (3, 3)",
+                       "none": "matrix entries must be real numbers",
+                       "text": "matrix entries must be real numbers",
+                       "objects": "matrix entries must be within double range",
+                       "ragged": "matrix entries must be real numbers"}
+
+
+@pytest.mark.parametrize("name", list(NOT_MATRICES))
+def test_apply_isometry_needs_a_real_4x4_matrix(name):
+    with pytest.raises(DomainError, match=re.escape(NOT_MATRIX_MESSAGES[name])):
+        apply_isometry(NOT_MATRICES[name], (2.0, 1.0, 0.5))
+
+
+def test_apply_isometry_reads_ints_beyond_int64():
+    """A matrix of ints beyond int64, which numpy holds as objects, is read by
+    ``float`` (it was once rejected): the image of the float matrix."""
+    m = np.full((4, 4), 2**70, dtype=object)
+    assert np.array_equal(apply_isometry(m, (2.0, 1.0, 0.5)),
+                          apply_isometry(m.astype(float), (2.0, 1.0, 0.5)))
 
 
 @SEEDED
@@ -310,6 +354,61 @@ def test_fibre_translation(kind, p):
             assert x >= 1.0 - 4e-16
 
 
+@SEEDED
+@given(KINDS, POINTS)
+def test_model_point_and_metric_at(kind, p):
+    """A point is read as every point argument is; the fibre form takes a point
+    or three arrays of coordinates, a form for each; the metric of a member is a
+    finite symmetric 3x3 matrix with a positive diagonal."""
+    point = _outcome(model_point, p)
+    if point is not None:
+        assert point.shape == (3,) and point.dtype == np.float64
+    q = _outcome(fibre_norm_sq, kind, p)
+    if q is not None:
+        assert np.asarray(q).dtype == np.float64 and np.shape(q) == np.shape(p)[1:]
+    g = _outcome(metric_at, kind, p)
+    if g is not None:
+        assert g.shape == (3, 3) and np.isfinite(g).all() and np.array_equal(g, g.T)
+        assert (np.diagonal(g) > 0.0).all()
+
+
+@SEEDED
+@given(KINDS, POINTS, POINTS)
+def test_matrix_factors_and_closed_form_images(kind, p, q):
+    """The rotations and the transcribed S2xR normaliser are finite 4x4 matrices
+    (R_x a rotation), and the closed-form images finite points."""
+    m = _outcome(rotation_x, kind, p)
+    if m is not None:
+        assert m.shape == (4, 4) and np.abs(m[1:, 1:] @ m[1:, 1:].T - np.eye(3)).max() <= 1e-15
+    for matrix in (_outcome(rotation_z, kind, p), _outcome(transcribed_normalizer_s2r, p)):
+        if matrix is not None:
+            assert matrix.shape == (4, 4) and np.isfinite(matrix).all()
+    images = [_outcome(reference_image_base, kind, p), _outcome(reference_image_third, kind, p, q)]
+    both = _outcome(reference_images_plane_mover, kind, p, q)
+    for image in images + list(both or ()):
+        if image is not None:
+            assert image.shape == (3,) and np.isfinite(image).all()
+
+
+#: an ODE state argument: six numbers, states (6, n) of any floats, another count, one number
+STATES = st.one_of(
+    st.lists(st.one_of(st.floats(-4.0, 4.0), NUMBERS), min_size=6, max_size=6),
+    arrays(np.float64, st.tuples(st.just(6), st.integers(0, 3))),
+    st.lists(st.floats(-4.0, 4.0), max_size=7),
+    NUMBERS,
+)
+
+
+@SEEDED
+@given(KINDS, STATES)
+def test_unit_speed_drift(kind, state):
+    """A drift per state, not below 0 (NaN for a state that is not finite)."""
+    drift = _outcome(unit_speed_drift, kind, state)
+    if drift is not None:
+        assert np.shape(drift) == np.shape(state)[1:]
+        assert not (np.asarray(drift) < 0.0).any()
+
+
 def _typed(call, *args):
     """``_outcome``, except that a ConsistencyError, which the triangle entry
     points reserve for an implementation bug, fails the property."""
@@ -342,13 +441,18 @@ TRIANGLES = st.one_of(
                         (0.5, 0.27015115293013864, 0.42073549239782576)))
 def test_triangle(kind, vertices):
     """``geodesic_triangle``, ``angle_sum`` and ``classify``: a triangle whose
-    sum is computed is classified, with no ConsistencyError."""
+    sum is computed is classified, with no ConsistencyError; ``coplanar_with_center``
+    and ``encloses_center`` answer for every triangle, and only a coplanar one encloses."""
     tri = _typed(geodesic_triangle, kind, *vertices)
     angles = None if tri is None else _typed(angle_sum, tri)
     if angles is not None:
         assert all(type(w) is float for w in angles)
         assert _on_the_theorem_side(kind, angles[:3])
         assert isinstance(classify(tri), TriangleClass)
+    if tri is not None:
+        coplanar, encloses = coplanar_with_center(tri), encloses_center(tri)
+        assert type(coplanar) is bool and type(encloses) is bool
+        assert coplanar or not encloses
 
 
 #: a vertex index of another type: an array of any shape, even of 1, 2 or 3
@@ -415,6 +519,37 @@ def test_evaluate(kind, a2, ray, t_range, samples):
             assert sign * result.s_extremum >= (sign * sums).max() - 2.0 * math.ulp(math.pi)
 
 
+#: what is not the record an entry point takes: a number, a point, text, None,
+#: or the other record
+WRONG_RECORDS = st.one_of(NUMBERS, POINTS, st.sampled_from(["evaluate", _spec(Geometry.S2R)]),
+                          st.just(geodesic_triangle(Geometry.S2R, BASE_POINT, (2.0, 1.0, 0.0),
+                                                    (3.0, -1.0, 0.0))))
+
+#: every entry point that takes a triangle or a sweep spec, with the record it takes
+TAKES_A_RECORD = {
+    "angle_sum": ("GeodesicTriangle", angle_sum),
+    "classify": ("GeodesicTriangle", classify),
+    "coplanar_with_center": ("GeodesicTriangle", coplanar_with_center),
+    "encloses_center": ("GeodesicTriangle", encloses_center),
+    "tangent_endpoints": ("GeodesicTriangle", tangent_endpoints),
+    "vertex_angle": ("GeodesicTriangle", lambda tri: vertex_angle(tri, 2)),
+    "angle_sum_at": ("SweepSpec", lambda spec: angle_sum_at(spec, 1.0)),
+    "evaluate": ("SweepSpec", evaluate),
+    "limits_check": ("SweepSpec", limits_check),
+}
+
+
+@settings(SEEDED, max_examples=40)
+@pytest.mark.parametrize("entry", list(TAKES_A_RECORD))
+@given(value=WRONG_RECORDS)
+def test_a_record_of_another_type_is_domain_error(entry, value):
+    """A raw AttributeError ('str' object has no attribute '_angles') once escaped."""
+    record, call = TAKES_A_RECORD[entry]
+    if type(value).__name__ != record:
+        with pytest.raises(DomainError, match=f"^need a {record}, got "):
+            call(value)
+
+
 @SEEDED
 @given(KINDS, st.one_of(st.integers(-1000, 1000).map(lambda e: 2.0 ** e),
                         st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
@@ -474,6 +609,29 @@ def test_arc_length_quadrature(kind, curve):
         assert type(length) is float and 0.0 <= length < math.inf
 
 
+#: one caller number at each entry point that reads caller arrays or numbers, in
+#: a place where every real number within double range is valid
+READS_A_NUMBER = {
+    "model_point": lambda c: model_point([c, 1.0, 0.0]),
+    "to_model": lambda c: to_model(Geometry.S2R, 0.0, c, 0.0),
+    "SweepSpec": lambda c: SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), t_min=c, t_max=1e300),
+    "arc_length_quadrature": lambda c: arc_length_quadrature(
+        Geometry.S2R, [(1.0, 0.0, 0.0), (c, 1.0, 0.0)]),
+    "apply_isometry": lambda c: apply_isometry(
+        [[1, 0, 0, 0], [0, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], (2.0, 1.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("value, real", [
+    (Fraction(1, 2), True), (2**70, True), (10**400, False), ("1", False), (1j, False),
+    (None, False)], ids=["fraction", "beyond-int64", "beyond-double", "text", "complex", "none"])
+def test_a_value_is_a_number_to_every_entry_point_or_to_none(value, real):
+    """Every reader of caller numbers is ``core._reals`` or ``core._real``: a fraction
+    was once a number to ``model_point`` alone, and 2**70 not to ``apply_isometry``."""
+    outcomes = {name: _outcome(call, value) is not None for name, call in READS_A_NUMBER.items()}
+    assert outcomes == dict.fromkeys(READS_A_NUMBER, real)
+
+
 #: number arguments as a shell passes them
 NUMBER_TEXT = st.one_of(
     st.floats().map(repr),
@@ -513,3 +671,44 @@ def test_cli_geodesic(kind, params):
             "--format", "json"]
     assert _exit_code(argv) in (0, 1, 2, 3)
 
+
+
+#: a child that warms ``name`` up, then runs it on 5 * 10**6 under an address-space
+#: limit of its own size plus 150 MiB, and prints the GeometryError it raised
+_BOUNDED_CHILD = """
+import resource, sys
+import prodgeo as pg
+from prodgeo import Geometry
+call = {
+    "integrate_geodesic": lambda n: pg.integrate_geodesic(Geometry.S2R, (0.3, 0.2, 1.5), n),
+    "sample_curve": lambda n: pg.sample_curve(Geometry.S2R, (0.3, 0.2, 1.5), n),
+    "evaluate": lambda n: pg.evaluate(pg.SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0),
+                                                   samples=n)),
+}[sys.argv[1]]
+call(100)  # every module and numpy routine it uses is loaded before the limit
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + 150 * 2**20, hard))
+try:
+    call(5 * 10**6)
+except pg.GeometryError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("name, expected", [
+    ("integrate_geodesic", "PrecondError not enough memory for 5000000 steps"),
+    ("sample_curve", "PrecondError not enough memory for 5000000 samples"),
+    ("evaluate", "DomainError not enough memory for 5000000 samples")])
+def test_a_count_beyond_memory_is_typed_in_all_its_work(name, expected):
+    """A count whose grid fits but whose later arrays do not (the ODE states,
+    the curve's points, the grid's list of floats) once raised numpy's raw
+    MemoryError.  Only a child process, under its own address-space limit,
+    allocates such a count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _BOUNDED_CHILD, name], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout.strip()) == (0, expected), done.stderr[-2000:]
