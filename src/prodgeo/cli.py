@@ -7,17 +7,18 @@ Usage:
     prodgeo geodesic --geometry h2r --to 2,1,0 --samples 64
     prodgeo verify --geometry h2r --trials 500 --seed 42
 
-Points are entered as the spatial triple "x,y,z" (homogeneous weight 1
-implied; "--a2=-1,0,0" for a leading minus) or a 4-tuple "x0,x1,x2,x3" with
-x0 > 0, and are validated once, by the library's public entry points.
+The command line turns text into Python values; the library reads each one
+once, so every invalid value is the library's typed error.  Points are the
+spatial triple "x,y,z" (weight 1 implied; "--a2=-1,0,0" for a leading minus)
+or a 4-tuple "x0,x1,x2,x3" with x0 > 0, and --params "u,v,tau", all read by
+one comma reader; --geometry is s2r or h2r in any case (``Geometry.from_name``).
 
 Each command computes its result once, as a json payload (schema v1) and a
 display record: a grid of columns and rows plus named summary fields.
 --format json prints the payload; csv prints the grid on stdout and the
 summary on stderr as name=value lines; table (the default) prints the grid
 with aligned columns, its header marked "#", then the summary.  Float display
-precision defaults to 6 decimals, overridable with --precision or the
-THURSTON_PRECISION environment variable; verify takes no --precision.
+precision is --precision (default 6 decimals); verify takes no --precision.
 
 Exit codes: 0 success, 1 check failure (table regression or verify suite),
 2 domain or usage error, 3 degenerate configuration.
@@ -27,13 +28,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import reference, sweep, verification
-from .core import _BASE, Geometry, _point
+from .core import _BASE, Geometry
 from .exceptions import DegenerateError, DomainError, GeometryError
-from .geodesics import GeodesicParams, geodesic_params, sample_curve
+from .geodesics import GeodesicParams, _triple, geodesic_params, sample_curve
 from .tolerances import DEFAULT
 from .triangles import angle_sum, classify, coplanar_with_center, geodesic_triangle
 
@@ -41,31 +41,21 @@ SCHEMA = "v1"
 _ANGLES = ("w1", "w2", "w3", "sum")
 
 
-def _parse_point(text: str) -> tuple[float, float, float]:
+def _numbers(text: str, what: str = "point") -> list[float]:
+    """The comma-separated numbers of a point or of --params, for the library to read."""
     try:
-        values = [float(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError:
-        raise DomainError(f"cannot parse point {text!r}") from None
-    return _point(values)
+        raise DomainError(f"cannot parse {what} {text!r}") from None
 
 
 def _int_at_least(low: int):
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+        if (value := int(text)) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     parse.__name__ = "int"  # argparse reports unparsable text as "invalid int value"
     return parse
-
-
-def _precision(args) -> int:
-    if args.precision is not None:
-        return args.precision
-    try:
-        return _int_at_least(0)(os.environ.get("THURSTON_PRECISION", ""))
-    except (ValueError, argparse.ArgumentTypeError):
-        return 6
 
 
 def _fmt(x: float, prec: int) -> str:
@@ -104,12 +94,10 @@ def _angle_fields(angles, prec: int) -> tuple[dict, list[str]]:
 
 
 def cmd_triangle(args) -> int:
-    prec = _precision(args)
     kind = Geometry.from_name(args.geometry)
-    tri = geodesic_triangle(kind, _parse_point(args.a1), _parse_point(args.a2),
-                            _parse_point(args.a3))
+    tri = geodesic_triangle(kind, _numbers(args.a1), _numbers(args.a2), _numbers(args.a3))
     angles = angle_sum(tri)
-    fields, cells = _angle_fields(angles, prec)
+    fields, cells = _angle_fields(angles, args.precision)
     klass = classify(tri).value
     coplanar = coplanar_with_center(tri)
     _render(args, {"schema": SCHEMA, "kind": kind.value, **fields, "class": klass,
@@ -119,7 +107,6 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    prec = _precision(args)
     records, rows = [], []
     worst = 0.0
     for kind in (Geometry.S2R, Geometry.H2R):
@@ -128,7 +115,7 @@ def cmd_tables(args) -> int:
             angles = angle_sum(geodesic_triangle(kind, _BASE, a2, a3))
             delta = max(abs(got - ref) for got, ref in zip(angles, expected))
             worst = max(worst, delta)
-            fields, cells = _angle_fields(angles, prec)
+            fields, cells = _angle_fields(angles, args.precision)
             records.append({"table": kind.value, "row": index, **fields,
                             "ref_sum": expected[3], "delta": _round(delta, 12)})
             rows.append([kind.value, str(index), *cells, _fmt(expected[3], 5),
@@ -142,9 +129,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    prec = _precision(args)
+    prec = args.precision
     kind = Geometry.from_name(args.geometry)
-    spec = sweep.SweepSpec(kind, _parse_point(args.a2), _parse_point(args.ray),
+    spec = sweep.SweepSpec(kind, _numbers(args.a2), _numbers(args.ray),
                            t_min=args.t_min, t_max=args.t_max, samples=args.samples)
     result = sweep.evaluate(spec)
     extremum = result.extremum_kind.value
@@ -165,26 +152,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    prec = _precision(args)
     kind = Geometry.from_name(args.geometry)
-    if (args.to is None) == (args.params is None):
-        print("exactly one of --to or --params is required", file=sys.stderr)
-        return 2
-    if args.to is not None:
-        params = geodesic_params(kind, _parse_point(args.to))
-    else:
-        try:
-            u, v, tau = (float(part) for part in args.params.split(","))
-        except ValueError:
-            raise DomainError(f"cannot parse parameters {args.params!r}") from None
-        params = GeodesicParams.normalized(u, v, tau)
+    params = (geodesic_params(kind, _numbers(args.to)) if args.params is None
+              else GeodesicParams.normalized(*_triple(_numbers(args.params, "parameters"))))
     curve = sample_curve(kind, params, args.samples)
     _render(args, {
         "schema": SCHEMA,
         "kind": kind.value,
         **{name: _round(value, 12) for name, value in params._asdict().items()},
-        "points": [[_round(c, prec) for c in p] for p in curve],
-    }, ["x", "y", "z"], [[_fmt(c, prec) for c in p] for p in curve],
+        "points": [[_round(c, args.precision) for c in p] for p in curve],
+    }, ["x", "y", "z"], [[_fmt(c, args.precision) for c in p] for p in curve],
         [(name, f"{value:.12g}") for name, value in params._asdict().items()])
     return 0
 
@@ -196,11 +173,8 @@ def cmd_verify(args) -> int:
     _render(args, {
         "schema": SCHEMA,
         "seed": args.seed,
-        "suites": [
-            {"name": r.name, "kind": r.kind.value, "trials": r.trials,
-             "failures": len(r.failures), "passed": r.passed}
-            for r in reports
-        ],
+        "suites": [{"name": r.name, "kind": r.kind.value, "trials": r.trials,
+                    "failures": len(r.failures), "passed": r.passed} for r in reports],
         "ok": all_ok,
     }, ["kind", "suite", "trials", "status"],
         [[r.kind.value, r.name, str(r.trials), "pass" if r.passed else "FAIL"] for r in reports],
@@ -219,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, geometry=True):
         if geometry:
-            p.add_argument("--geometry", required=True, choices=["s2r", "h2r"])
+            p.add_argument("--geometry", required=True, metavar="{s2r,h2r}")
         p.add_argument("--format", default="table", choices=["table", "json", "csv"])
-        p.add_argument("--precision", type=_int_at_least(0), default=None,
-                       help="display decimals (default 6; env THURSTON_PRECISION)")
+        p.add_argument("--precision", type=_int_at_least(0), default=6,
+                       help="display decimals (default 6)")
 
     p = sub.add_parser("triangle", help="interior angles of one geodesic triangle")
     common(p)
@@ -246,16 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geodesic", help="sample a geodesic from the base point")
     common(p)
-    p.add_argument("--to", help="target point; parameters solved for")
-    p.add_argument("--params", help="explicit u,v,tau")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--to", help="target point; parameters solved for")
+    target.add_argument("--params", help="explicit u,v,tau")
     p.add_argument("--samples", type=int, default=64)
     p.set_defaults(func=cmd_geodesic)
 
     p = sub.add_parser("verify", help="run the seeded property suites")
-    p.add_argument("--geometry", default="both", choices=["s2r", "h2r", "both"])
+    p.add_argument("--geometry", default="both", metavar="{s2r,h2r,both}")
     p.add_argument("--format", default="table", choices=["table", "json"])
-    p.add_argument("--trials", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -182,34 +182,40 @@ def _reals(value, what: str) -> np.ndarray:
     copied), objects (ints beyond int64, fractions) each by ``float``; DomainError for
     text, bytes, complex, None, a ragged list and a number beyond double range."""
     try:
-        a = np.asarray(value)
-        if a.dtype.kind == "O" and not any(  # float would read text, and drop a complex part
-                isinstance(c, (str, bytes, complex, np.complexfloating)) for c in a.flat):
-            a = np.array([float(c) for c in a.flat]).reshape(a.shape)
-        if a.dtype.kind not in "biuf":
-            raise TypeError
-        if a.dtype == np.float64:
-            return a
-        with np.errstate(over="raise"):  # a long double beyond double range
-            return a.astype(float)
+        return _floats(value)
     except (TypeError, ValueError):  # not numbers, or a ragged list
         raise DomainError(f"{what} must be real numbers, got {value!r}") from None
     except (OverflowError, FloatingPointError):
         raise DomainError(f"{what} must be within double range") from None
 
 
+def _floats(value) -> np.ndarray:
+    """``_reals`` with the raw errors that it and ``_real`` name."""
+    a = np.asarray(value)
+    if a.dtype.kind == "O" and not any(  # float would read text, and drop a complex part
+            isinstance(c, (str, bytes, complex, np.complexfloating)) for c in a.flat):
+        a = np.array([float(c) for c in a.flat]).reshape(a.shape)
+    if a.dtype.kind not in "biuf":
+        raise TypeError
+    if a.dtype == np.float64:
+        return a
+    with np.errstate(over="raise"):  # a long double beyond double range
+        return a.astype(float)
+
+
 def _real(value, what: str) -> float:
     """A number argument ``what`` as ``float`` reads it: an int (a bool too) or a float
-    with no numpy call, any other value as a 0-d ``_reals``.  DomainError otherwise,
-    text and complex included, and for an int beyond double range."""
-    if isinstance(value, (int, float)):
-        try:
+    with no numpy call, any other value as a 0-d ``_reals``.  DomainError otherwise, a
+    range error for any number beyond double range (an int, a fraction, a long double)."""
+    try:
+        if isinstance(value, (int, float)):
             return float(value)
-        except OverflowError:  # an int beyond the largest double
-            raise DomainError(f"{what} must be within double range") from None
-    with contextlib.suppress(DomainError):
-        if (number := _reals(value, what)).shape == ():
+        if (number := _floats(value)).shape == ():
             return float(number)
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"{what} must be within double range") from None
+    except (TypeError, ValueError):
+        pass
     raise DomainError(f"need a number for {what}, got {value!r}")
 
 
@@ -345,9 +351,11 @@ def require_member(kind: Geometry, p) -> tuple[float, float, float]:
 def fibre_norm_sq(kind: Geometry, p) -> float | np.ndarray:
     """The quadratic form whose square root carries the fibre coordinate.
 
-    S2xR: x^2 + y^2 + z^2.  H2xR: x^2 - y^2 - z^2.  Positive on members.  ``p``
-    (``_reals``) is a point, or three arrays of coordinates (the columns of an
-    (N, 3) array of points), giving an array of values; DomainError otherwise.
+    S2xR: x^2 + y^2 + z^2.  H2xR: x^2 - y^2 - z^2.  Squared in floats: Q is 0 or inf, with
+    no warning, for members below about 1e-154 or above 1e154, so the split takes sqrt(Q)
+    from ``_fibre_norm``, which squares nothing; ``isometries._require_in_range`` checks
+    the forms of ``reference_image_*``.  ``p`` (``_reals``) is a point, or three arrays of
+    coordinates (columns of (N, 3) points), giving an array; DomainError otherwise.
     """
     _require_geometry(kind)
     if (p := _reals(p, "coordinates")).ndim == 0 or len(p) != 3:

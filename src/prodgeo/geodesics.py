@@ -15,10 +15,10 @@ surface factor with a constant-speed fibre translation.
 
 The inverse problem, point -> (u, v, tau), is the product split ``core._split``
 (fibre height L = log sqrt(Q), Q the fibre quadratic form, surface point
-s = p / sqrt(Q)) and the surface arc w from (1, 0, 0) to s (``triangles._arc``,
-as in ``distance``; on S2xR the principal arc, w in [0, pi]): v = atan2(L, w),
-tau = hypot(L, w) and u = atan2(z, y); on the fibre axis (w = 0) this is
-v = +-pi/2, tau = |L|, with u = 0.
+s = p / sqrt(Q)) and the surface arc w from (1, 0, 0) to s (``_arc``, also
+read by ``distance`` and triangles; on S2xR the principal arc, w in [0, pi]):
+v = atan2(L, w), tau = hypot(L, w) and u = atan2(z, y); on the fibre axis
+(w = 0) this is v = +-pi/2, tau = |L|, with u = 0.
 For S2xR the principal arc makes the returned geodesic the shortest one;
 geodesics that wind further around the sphere factor reach the same point
 with larger tau.
@@ -27,13 +27,13 @@ with larger tau.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .core import (_BASE, Geometry, _count, _guard_chart, _memory_for, _point, _product_points,
                    _real, _split, np)
 from .exceptions import DomainError, PrecondError
 from .tolerances import DEFAULT
-from .triangles import _arc
 
 __all__ = [
     "GeodesicParams",
@@ -156,7 +156,7 @@ def tangent_of(g) -> np.ndarray:
 def distance(kind: Geometry, p1, p2) -> float:
     """Arc length of the shortest geodesic between two model points:
     hypot(f2 - f1, d), with f the fibre heights and d the surface distance
-    (``triangles._arc``); d = pi between antipodal S2xR surface points.
+    (``_arc``); d = pi between antipodal S2xR surface points.
     Each split checks its point, p1's before p2 is read."""
     p1 = _point(p1)
     f1, s1 = _split(kind, p1)
@@ -165,6 +165,46 @@ def distance(kind: Geometry, p1, p2) -> float:
         return 0.0
     f2, s2 = _split(kind, p2)
     return math.hypot(f2 - f1, _arc(kind, s1, s2)[0])
+
+
+#: smallest positive normal double: the divisor floor of a zero surface arc or angle
+_TINY = sys.float_info.min
+
+
+def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list]:
+    """The surface arc between two surface points as float lists: its length
+    and the unit normal both ends read, p x q over its length sin (sinh), on
+    H2xR the Lorentz cross J (p x q), J = diag(1, -1, -1): orthogonal to p and
+    q in the Minkowski form; 0 and a zero normal for equal points.  The length
+    is asinh(sin) on H2xR and atan2(sin, p . q) on S2xR, pi for points
+    antipodal to rounding."""
+    normal = [p[1] * q[2] - p[2] * q[1], kind.curvature * (p[2] * q[0] - p[0] * q[2]),
+              kind.curvature * (p[0] * q[1] - p[1] * q[0])]
+    sin = _tangent_len(kind, p, normal)
+    dist = (math.atan2(sin, p[0] * q[0] + (p[1] * q[1] + p[2] * q[2])) if kind is Geometry.S2R
+            else math.asinh(sin))
+    return dist, [c / (sin + _TINY) for c in normal]
+
+
+def _tangent_sq(kind: Geometry, s: list, v: list) -> float:
+    """Squared length of the surface tangent ``v`` at ``s``, both float lists.
+
+    On the hyperboloid the Minkowski length of v, orthogonal to s, is
+    (vy^2 + vz^2 + (sy vz - sz vy)^2) / sx^2: a sum of squares, so it cannot
+    cancel to a negative value.
+    """
+    if kind is Geometry.S2R:
+        return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    twist = s[1] * v[2] - s[2] * v[1]
+    return (v[1] * v[1] + v[2] * v[2] + twist * twist) / (s[0] * s[0])
+
+
+def _tangent_len(kind: Geometry, s: list, v: list) -> float:
+    """The root of ``_tangent_sq`` by hypot, which squares nothing: a
+    tangent below about 1e-162 keeps its length, not 0."""
+    if kind is Geometry.S2R:
+        return math.hypot(v[0], v[1], v[2])
+    return math.hypot(v[1], v[2], s[1] * v[2] - s[2] * v[1]) / abs(s[0])
 
 
 def sample_curve(kind: Geometry, g, n: int) -> np.ndarray:

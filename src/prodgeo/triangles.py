@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from functools import cached_property
 from typing import NamedTuple
 
 from .core import Geometry, _Record, _require_record, _split, np, require_member
 from .exceptions import ConsistencyError, DegenerateError
+from .geodesics import _TINY, _arc, _tangent_sq
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -130,10 +130,6 @@ def angle_sum(tri: GeodesicTriangle) -> TriangleAngles:
     return tri._angles
 
 
-#: smallest positive normal double: the divisor floor of a zero surface arc or angle
-_TINY = sys.float_info.min
-
-
 def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) -> tuple:
     """The constants of a triangle's angles, in floats, from the splits
     (fibre height, surface point) of its vertices: the fibre offsets
@@ -156,42 +152,6 @@ def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) ->
               for ends in ((s1, n12, n13), (s2, [-c for c in n12], n23), (s3, n13, n23))]
     return (f3 - f1, f3 - f2, d13, d23,
             math.atan2(d12, f2 - f1), math.atan2(d12, f1 - f2), *halves)
-
-
-def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list]:
-    """The surface arc between two surface points as float lists: its length
-    and the unit normal both ends read, p x q over its length sin (sinh), on
-    H2xR the Lorentz cross J (p x q), J = diag(1, -1, -1): orthogonal to p and
-    q in the Minkowski form; 0 and a zero normal for equal points.  The length
-    is asinh(sin) on H2xR and atan2(sin, p . q) on S2xR, pi for points
-    antipodal to rounding."""
-    normal = [p[1] * q[2] - p[2] * q[1], kind.curvature * (p[2] * q[0] - p[0] * q[2]),
-              kind.curvature * (p[0] * q[1] - p[1] * q[0])]
-    sin = _tangent_len(kind, p, normal)
-    dist = (math.atan2(sin, p[0] * q[0] + (p[1] * q[1] + p[2] * q[2])) if kind is Geometry.S2R
-            else math.asinh(sin))
-    return dist, [c / (sin + _TINY) for c in normal]
-
-
-def _tangent_sq(kind: Geometry, s: list, v: list) -> float:
-    """Squared length of the surface tangent ``v`` at ``s``, both float lists.
-
-    On the hyperboloid the Minkowski length of v, orthogonal to s, is
-    (vy^2 + vz^2 + (sy vz - sz vy)^2) / sx^2: a sum of squares, so it cannot
-    cancel to a negative value.
-    """
-    if kind is Geometry.S2R:
-        return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    twist = s[1] * v[2] - s[2] * v[1]
-    return (v[1] * v[1] + v[2] * v[2] + twist * twist) / (s[0] * s[0])
-
-
-def _tangent_len(kind: Geometry, s: list, v: list) -> float:
-    """The root of ``_tangent_sq`` by hypot, which squares nothing: a
-    tangent below about 1e-162 keeps its length, not 0."""
-    if kind is Geometry.S2R:
-        return math.hypot(v[0], v[1], v[2])
-    return math.hypot(v[1], v[2], s[1] * v[2] - s[2] * v[1]) / abs(s[0])
 
 
 def _half_angle(kind: Geometry, s: list, one: list, two: list) -> tuple[float, float]:

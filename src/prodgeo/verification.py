@@ -8,10 +8,12 @@ from the printed seed alone.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 
-from .core import _BASE, Geometry, _Record, metric_at, np
-from .exceptions import DegenerateError
+from .core import _BASE, Geometry, _count, _Record, _require_geometry, metric_at, np
+from .exceptions import DegenerateError, DomainError
 from .geodesics import GeodesicParams, _endpoints, distance, geodesic_params
 from .isometries import _frame_angles, apply_isometry, tangent_endpoints, to_origin
 from .oracle import integrate_geodesic, integrate_geodesic_cartesian
@@ -99,7 +101,7 @@ def _triangle_failures(kind: Geometry, trials: int, rng, check):
         except DegenerateError:  # the draw's vertices are members, so they coincide
             continue
         except Exception as exc:
-            yield f"vertices {tuple(a2)}, {tuple(a3)}: {exc}"
+            yield f"vertices {a2.tolist()}, {a3.tolist()}: {exc}"
             continue
         yield from check(tri, True)
 
@@ -123,21 +125,21 @@ def isometry_suite(kind: Geometry, trials: int, rng):
         a, p, q = _random_points(kind, rng, 3)
         move = to_origin(kind, a)
         if np.abs(apply_isometry(move, a) - _BASE).max() > 1e-10:
-            yield f"normaliser of {tuple(a)} misses the base point"
+            yield f"normaliser of {a.tolist()} misses the base point"
             continue
         h = rng.normal(size=3)
         form = h @ metric_at(kind, p) @ h
         h_img = h @ move[1:, 1:]
         form_img = h_img @ metric_at(kind, apply_isometry(move, p)) @ h_img
         if abs(form - form_img) > DEFAULT.isometry * max(abs(form), 1.0):
-            yield f"metric form broken at a={tuple(a)} p={tuple(p)}"
+            yield f"metric form broken at a={a.tolist()} p={p.tolist()}"
             continue
         if np.linalg.norm(p - q) < 1e-3:
             continue
         d0 = distance(kind, p, q)
         d1 = distance(kind, apply_isometry(move, p), apply_isometry(move, q))
         if abs(d0 - d1) > DEFAULT.isometry:
-            yield f"distance broken: a={tuple(a)} p={tuple(p)} q={tuple(q)} ({d0} vs {d1})"
+            yield f"distance broken: a={a.tolist()} p={p.tolist()} q={q.tolist()} ({d0} vs {d1})"
 
 
 def ode_suite(kind: Geometry, trials: int, rng):
@@ -198,14 +200,30 @@ SUITES = {
 }
 
 
+def _read(kind: Geometry, trials: int, seed: int) -> tuple[int, int]:
+    """The trial count (``core._count``, at least 1) and the seed (a non-negative integer
+    of any size, by ``operator.index``) of a run in ``kind``; DomainError otherwise."""
+    _require_geometry(kind)
+    trials = _count(trials, 1, "trials", DomainError)
+    with contextlib.suppress(TypeError):
+        if (index := operator.index(seed)) >= 0:
+            return trials, index
+    raise DomainError(f"need a non-negative integer seed, got {seed!r}")
+
+
 def run_suite(name: str, kind: Geometry, trials: int, seed: int) -> SuiteResult:
-    """Suite ``name``'s failures from a generator seeded with ``seed``."""
+    """Suite ``name``'s failures from a generator seeded with ``seed``; every argument
+    is read before the first draw (``_read``), DomainError for a name not in ``SUITES``."""
+    if not (isinstance(name, str) and name in SUITES):
+        raise DomainError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    trials, seed = _read(kind, trials, seed)
     failures = list(SUITES[name](kind, trials, np.random.default_rng(seed)))
     return SuiteResult(name, kind, trials, failures)
 
 
 def run_all(kind: Geometry, trials: int, seed: int) -> list[SuiteResult]:
-    """Run every suite with per-suite derived seeds; deterministic in seed."""
+    """Run every suite, its arguments read first (``_read``), with per-suite derived seeds."""
+    trials, seed = _read(kind, trials, seed)
     return [
         run_suite(name, kind, min(trials, _ODE_TRIAL_CAP) if name == "ode-equivalence"
                   else trials, seed + i)

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,15 @@ def random_point(kind, rng, tau_max=3.0):
 
 
 BOTH = pytest.mark.parametrize("kind", [Geometry.S2R, Geometry.H2R], ids=["s2r", "h2r"])
+
+_WIDE_LONG_DOUBLE = np.finfo(np.longdouble).maxexp > 1024
+#: numbers beyond double range that are not ints: a fraction, and a long double
+#: where the platform's is wider than a double (x86-64's 80-bit format)
+BEYOND_DOUBLE = [
+    pytest.param(Fraction(10**400), id="huge-fraction"),
+    pytest.param(np.longdouble("1e400") if _WIDE_LONG_DOUBLE else None, id="huge-longdouble",
+                 marks=pytest.mark.skipif(not _WIDE_LONG_DOUBLE, reason="long double is a double")),
+]
 
 
 @pytest.fixture

@@ -115,10 +115,13 @@ def test_every_sign_of_the_geometry_is_its_curvature():
 
 
 def test_one_angle_formula():
-    """One surface arc and one angle formula, in ``triangles``, which
-    triangles, sweeps and ``distance`` share: no module keeps the numpy
-    tangent kernel or a fixed and moving part of it split off for sweeps."""
-    for name in ("_arc", "_half_angle", "_angle"):
+    """One surface arc, in ``geodesics`` beside ``distance`` and the inverse
+    problem, and one angle formula, in ``triangles``, which triangles and
+    sweeps share: no module keeps the numpy tangent kernel or a fixed and
+    moving part of it split off for sweeps."""
+    for name in ("_arc", "_tangent_len", "_tangent_sq"):
+        assert _defining(name) == {"geodesics.py"}, name
+    for name in ("_half_angle", "_angle"):
         assert _defining(name) == {"triangles.py"}, name
     for name in ("_angle_sums", "_side_tangents", "_tangent_angle", "_surface_arc",
                  "_fixed_side", "_third_vertex"):
@@ -377,3 +380,52 @@ def test_only_run_suite_builds_a_suite_result():
     for suite in suites:
         annotations = [arg.annotation for arg in suite.args.args] + [suite.returns]
         assert not any("SuiteResult" in ast.unparse(a) for a in annotations if a), suite.name
+
+
+#: the package's layers, lowest first: a module imports only from earlier layers
+LAYERS = [{"exceptions.py", "tolerances.py"}, {"core.py"}, {"reference.py", "_dop853.py"},
+          {"geodesics.py"}, {"triangles.py"}, {"sweep.py", "isometries.py"}, {"oracle.py"},
+          {"verification.py"}, {"cli.py"}]
+
+
+def test_every_relative_import_points_down_the_layers():
+    """Each module's relative imports, at module level or inside a function, name
+    modules of earlier layers only: no import points up (``geodesics`` once read the
+    surface arc from ``triangles``) or sideways.  Only the package ``__init__`` is out."""
+    layer = {module: rank for rank, modules in enumerate(LAYERS) for module in modules}
+    assert set(layer) == {path.name for path in SOURCES.glob("*.py")} - {"__init__.py"}
+    for module, rank in layer.items():
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                for name in names:
+                    assert layer[f"{name}.py"] < rank, (module, name)
+
+
+def _cli_options() -> dict[str, list[ast.Call]]:
+    """The ``add_argument`` calls of the CLI, by the option each adds."""
+    options = {}
+    for node in ast.walk(_tree("cli.py")):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            options.setdefault(ast.literal_eval(node.args[0]), []).append(node)
+    return options
+
+
+def test_the_cli_reads_no_value_the_library_reads():
+    """The CLI turns text into Python values and the library decides: display
+    precision is ``--precision`` alone (no environment variable), ``--geometry``
+    is read by ``Geometry.from_name`` (no ``choices``), and only ``--precision``
+    keeps a rule of the CLI's own (``_int_at_least``)."""
+    tree = _tree("cli.py")
+    assert "THURSTON_PRECISION" not in (SOURCES / "cli.py").read_text()
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "environ"
+                   for node in ast.walk(tree))
+    assert not any(_imported(node) & {"os"} for node in ast.walk(tree))
+    options = _cli_options()
+    assert len(options["--geometry"]) == 2  # the geometry commands' and verify's
+    assert not any(keyword.arg == "choices" for call in options["--geometry"]
+                   for keyword in call.keywords)
+    assert {option for option, calls in options.items() for call in calls
+            if "_int_at_least" in ast.unparse(call)} == {"--precision"}
+    assert _modules_naming("_int_at_least") == {"cli.py"}

@@ -229,11 +229,23 @@ class TestGeodesic:
         assert "2.718282" in out
 
     def test_exactly_one_input_required(self, capsys):
-        code, _, err = run(capsys, "geodesic", "--geometry", "s2r")
-        assert code == 2
-        code, _, _ = run(capsys, "geodesic", "--geometry", "s2r",
-                         "--to", "2,1,0", "--params", "0,0,1")
-        assert code == 2
+        """argparse's required mutually exclusive group: a usage error, exit 2."""
+        for argv, message in [((), "one of the arguments --to --params is required"),
+                              (("--to", "2,1,0", "--params", "0,0,1"),
+                               "argument --params: not allowed with argument --to")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["geodesic", "--geometry", "s2r", *argv])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_params_are_read_by_the_library(self, capsys):
+        """--params goes through the point's comma reader, then the library's
+        reading of (u, v, tau): two numbers are its typed error."""
+        code, out, err = run(capsys, "geodesic", "--geometry", "s2r", "--params", "1,2")
+        assert (code, out) == (2, "")
+        assert err == "DomainError: need geodesic parameters (u, v, tau), got [1.0, 2.0]\n"
+        code, out, err = run(capsys, "geodesic", "--geometry", "s2r", "--params", "1,x,2")
+        assert (code, out, err) == (2, "", "DomainError: cannot parse parameters '1,x,2'\n")
 
     def test_curve_points_are_members_json(self, capsys):
         from prodgeo import Geometry, contains
@@ -285,23 +297,41 @@ class TestVerify:
             assert name in out
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_trials_below_one_is_usage_error(self, capsys, trials):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--trials", trials, "--format", "json"])
-        assert exc.value.code == 2
-        assert "--trials" in capsys.readouterr().err
+    def test_trials_below_one_exit_2(self, capsys, trials):
+        """The library reads the trial count (``verification.run_all``)."""
+        code, out, err = run(capsys, "verify", "--trials", trials, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == f"DomainError: need an integer number of trials >= 1, got {trials}\n"
 
-    def test_negative_seed_is_usage_error(self, capsys):
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--trials", "1", "--seed", "-5")
+        assert (code, out) == (2, "")
+        assert err == "DomainError: need a non-negative integer seed, got -5\n"
+
+    @pytest.mark.parametrize("option", ["--trials", "--seed"])
+    def test_unparsable_count_is_usage_error(self, capsys, option):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--trials", "1", "--seed", "-5"])
+            main(["verify", option, "2.5"])
         assert exc.value.code == 2
-        assert "argument --seed: must be at least 0, got -5" in capsys.readouterr().err
+        assert f"argument {option}: invalid int value: '2.5'" in capsys.readouterr().err
 
     def test_precision_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--trials", "1", "--precision", "1"])
         assert exc.value.code == 2
         assert "--precision" in capsys.readouterr().err
+
+    def test_failing_suites_print_plain_reproducers(self, capsys, monkeypatch):
+        """A real failure: with the isometry tolerance below zero every draw
+        fails, verify exits 1, and each reproducer prints plain floats."""
+        from prodgeo import DEFAULT, verification
+        monkeypatch.setattr(verification, "DEFAULT", DEFAULT._replace(isometry=-1.0))
+        code, out, _ = run(capsys, "verify", "--geometry", "h2r", "--trials", "4")
+        assert code == 1
+        lines = [l for l in out.splitlines() if l.startswith("reproduce h2r isometry-invariance")]
+        assert len(lines) == 3
+        assert all("metric form broken at a=[" in l and "np." not in l for l in lines)
+        assert "verification FAILED" in out
 
     def test_failing_suite_prints_three_reproducers(self, capsys, monkeypatch):
         from prodgeo import verification
@@ -349,28 +379,28 @@ class TestOutputContracts:
         assert exc.value.code == 2
         assert "--precision" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["-3", "abc"])
-    def test_bad_precision_env_falls_back_to_six(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("THURSTON_PRECISION", value)
-        code, out, _ = run(capsys, "triangle", "--geometry", "s2r",
-                           "--a2", "3,-2,1", "--a3", "2,1,0")
-        assert code == 0
-        assert "3.151352" in out
-        assert "3.1513520" not in out
-
     def test_leading_minus_joined_to_flag(self, capsys):
         code, out, _ = run(capsys, "triangle", "--geometry", "s2r",
                            "--a2=-1,0.5,0", "--a3", "2,1,0")
         assert code == 0
         assert "equal" in out
 
-    def test_precision_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("THURSTON_PRECISION", "2")
-        code, out, _ = run(capsys, "triangle", "--geometry", "s2r",
-                           "--a2", "3,-2,1", "--a3", "2,1,0")
+    @pytest.mark.parametrize("argv", [
+        ["triangle", "--a2", "3,-2,1", "--a3", "2,1,0"],
+        ["sweep", "--a2", "3,-2,1", "--ray", "2,1,0", "--samples", "16"],
+        ["geodesic", "--to", "2,1,0", "--samples", "8"],
+        ["verify", "--trials", "1"]])
+    def test_geometry_read_by_the_library(self, capsys, argv):
+        """--geometry is ``Geometry.from_name``'s: any case reads as s2r, with
+        the same output, and an unknown name is its typed error."""
+        command, *rest = argv
+        _, lower, _ = run(capsys, command, "--geometry", "s2r", *rest, "--format", "json")
+        code, upper, _ = run(capsys, command, "--geometry", "S2R", *rest, "--format", "json")
         assert code == 0
-        assert "3.15" in out
-        assert "3.151" not in out
+        assert upper == lower
+        code, out, err = run(capsys, command, "--geometry", "xyz", *rest)
+        assert (code, out) == (2, "")
+        assert err == "DomainError: unknown geometry 'xyz'; expected 's2r' or 'h2r'\n"
 
 
 

@@ -287,6 +287,16 @@ class TestFibreNorm:
                 assert norm == plain_norm
 
     @BOTH
+    @pytest.mark.filterwarnings("error")
+    def test_fibre_norm_sq_leaves_double_range_on_members(self, kind):
+        """Q is squared in floats: at |p| = 1e-200 it is 0 and at 1e200 inf, with no
+        warning, where the split's sqrt(Q) (``_fibre_norm``) keeps the point's size."""
+        for x, q in ((1e-200, 0.0), (1e200, math.inf)):
+            assert contains(kind, (x, 0.0, 0.0))
+            assert fibre_norm_sq(kind, (x, 0.0, 0.0)) == q
+            assert _fibre_norm(kind, (x, 0.0, 0.0)) == x
+
+    @BOTH
     def test_split_is_one_point_in_floats(self, kind):
         """(f, [sx, sy, sz]) of a float triple: the fibre height log sqrt(Q)
         and p / sqrt(Q), from sqrt(Q) as a float."""

@@ -18,11 +18,11 @@ from prodgeo import (
     sample_curve,
     tangent_of,
 )
-from prodgeo import triangles
+from prodgeo import geodesics
 from prodgeo.geodesics import _points
 from prodgeo.oracle import arc_length_quadrature
 from prodgeo.verification import _random_points
-from conftest import BOTH, random_params, random_point
+from conftest import BEYOND_DOUBLE, BOTH, random_params, random_point
 from mp_oracle import closed_form_point, inverse, param_error
 
 E = math.e
@@ -102,6 +102,19 @@ class TestClosedForm:
         if isinstance(g, tuple) and len(g) == 3:
             with pytest.raises(DomainError, match=message):
                 GeodesicParams.normalized(*g)
+
+    @pytest.mark.parametrize("value", BEYOND_DOUBLE)
+    def test_other_numbers_beyond_double_range(self, value):
+        """A fraction or long double beyond double range is a number out of range,
+        as an int is, not "need a number"."""
+        for name, g in (("u", (value, 0.5, 1.0)), ("v", (0.0, value, 1.0)),
+                        ("tau", (0.0, 0.5, value))):
+            with pytest.raises(DomainError, match=f"^{name} must be within double range$"):
+                GeodesicParams.normalized(*g)
+
+    def test_u_of_minus_pi_wraps_to_pi(self):
+        """u lies in (-pi, pi]: -pi, which ``math.remainder`` keeps, is read as pi."""
+        assert GeodesicParams.normalized(-math.pi, 0, 1) == (math.pi, 0.0, 1.0)
 
     @pytest.mark.parametrize("g", [(0.0, "a", 1.0), (None, 0.0, 1.0), (0.0, 0.5),
                                    (math.inf, 0.0, 1.0), (0.0, -math.inf, 1.0),
@@ -305,7 +318,7 @@ class TestDistance:
 
     @BOTH
     def test_distance_from_the_base_point_is_tau_bit_for_bit(self, kind, rng):
-        """The inverse problem is the product split and ``triangles._arc`` from
+        """The inverse problem is the product split and ``geodesics._arc`` from
         the base surface point, as ``distance`` is: on 3,000 seeded endpoints
         its tau is the distance from the base point to the bit."""
         for p in _random_points(kind, rng, 3000, 3.0):
@@ -322,8 +335,8 @@ class TestDistance:
             lengths.append(args)
             return true_len(*args)
 
-        true_len = triangles._tangent_len
-        monkeypatch.setattr(triangles, "_tangent_len", counted)
+        true_len = geodesics._tangent_len
+        monkeypatch.setattr(geodesics, "_tangent_len", counted)
         geodesic_params(kind, (2.0, 1.0, 0.3))
         assert len(lengths) == 1
 

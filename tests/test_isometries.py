@@ -304,6 +304,14 @@ class TestApply:
         m = np.diag([2.0, 1.0, 1.0, 1.0])
         assert np.allclose(apply_isometry(m, (4, 2, 0)), [2, 1, 0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_image_beyond_double_range_raises(self):
+        m = np.eye(4)
+        m[1, 1] = 1e300
+        with pytest.raises(DomainError, match=r"^the image of \(10000000000\.0, 0\.0, 0\.0\) "
+                           "is not representable in double precision$"):
+            apply_isometry(m, (1e10, 0, 0))
+
     def test_nonpositive_weight_raises(self):
         m = np.diag([-1.0, 1.0, 1.0, 1.0])
         with pytest.raises(DegenerateError):

@@ -556,6 +556,14 @@ class TestQuadrature:
         assert errors[0] / errors[1] >= 3.5
         assert errors[1] / errors[2] >= 3.5
 
+    @pytest.mark.filterwarnings("error")
+    def test_metric_beyond_double_range_at_a_midpoint(self):
+        """The midpoint (1e-300, 5e-301, 0) is a member whose S2xR metric, 1/|p|^2,
+        overflows: a typed error, not an inf length."""
+        with pytest.raises(DomainError,
+                           match="^the s2r metric at a midpoint is beyond double range$"):
+            arc_length_quadrature(Geometry.S2R, [(1e-300, 0, 0), (1e-300, 1e-300, 0), (1, 0, 0)])
+
     def test_rejects_short_input(self):
         with pytest.raises(DomainError):
             arc_length_quadrature(Geometry.S2R, [np.array([1.0, 0, 0])])

@@ -23,7 +23,7 @@ from prodgeo import triangles
 from prodgeo.cli import main
 from prodgeo.triangles import angle_sum, geodesic_triangle
 import mp_oracle
-from conftest import BOTH, random_point
+from conftest import BEYOND_DOUBLE, BOTH, random_point
 
 PI = math.pi
 
@@ -73,6 +73,13 @@ class TestSpecValidation:
         """float() of such an int raised a raw OverflowError."""
         with pytest.raises(DomainError, match="t_m.. must be within double range"):
             SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), **bounds)
+
+    @pytest.mark.parametrize("bound", ["t_min", "t_max"])
+    @pytest.mark.parametrize("value", BEYOND_DOUBLE)
+    def test_range_of_other_numbers_beyond_double_range_rejected(self, bound, value):
+        """A fraction or long double beyond double range is a number, not "need a number"."""
+        with pytest.raises(DomainError, match=f"^{bound} must be within double range$"):
+            SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), **{bound: value})
 
     def test_range_is_read_as_float(self):
         spec = SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), t_min=np.float32(0.5), t_max=2)
@@ -142,6 +149,12 @@ class TestParameter:
             angle_sum_at(spec, t)
         with pytest.raises(DomainError, match=message):
             limits_check(spec, t)
+
+    @BOTH
+    @pytest.mark.parametrize("t", BEYOND_DOUBLE)
+    def test_other_numbers_beyond_double_range_are_domain_errors(self, kind, t):
+        with pytest.raises(DomainError, match="^t must be within double range$"):
+            angle_sum_at(family_spec(kind, samples=8), t)
 
     @pytest.mark.parametrize("t", [np.float32(0.5), np.array(0.5), np.int64(2), True],
                              ids=["float32", "0-d", "int64", "bool"])

@@ -1,9 +1,11 @@
+import itertools
 import types
 
 import numpy as np
 import pytest
 
-from prodgeo import Geometry, geodesic_point
+import prodgeo.verification as verification
+from prodgeo import DEFAULT, DomainError, Geometry, geodesic_point
 from prodgeo.verification import SUITES, _random_params, _random_points, run_all, run_suite
 
 
@@ -93,3 +95,112 @@ class TestFailureDetection:
                             lambda kind, rng: (np.array([2.0, 0.5, 0.0]),) * 2)
         for name in ("trichotomy", "antipodality"):
             assert run_suite(name, Geometry.S2R, 10, seed=1).passed
+
+
+class TestArguments:
+    """``run_suite`` and ``run_all`` read every argument before the first draw."""
+
+    @pytest.mark.parametrize("trials, seed, message", [
+        (0, 0, "need an integer number of trials >= 1, got 0"),
+        (-3, 0, "need an integer number of trials >= 1, got -3"),
+        (2.5, 0, "need an integer number of trials >= 1, got 2.5"),
+        (1, -1, "need a non-negative integer seed, got -1"),
+        (1, None, "need a non-negative integer seed, got None"),
+        (1, "x", "need a non-negative integer seed, got 'x'"),
+        (1, 1.0, "need a non-negative integer seed, got 1.0")])
+    @pytest.mark.parametrize("kind", list(Geometry), ids=lambda k: k.value)
+    def test_counts_and_seeds_are_typed_errors(self, kind, trials, seed, message, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # no draw is made
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            run_all(kind, trials, seed)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            run_suite("roundtrip", kind, trials, seed)
+
+    @pytest.mark.parametrize("name", ["nope", None, ["roundtrip"]])
+    def test_unknown_suite_names_the_five(self, name):
+        with pytest.raises(DomainError, match="^unknown suite .*; expected one of roundtrip, "
+                           "isometry-invariance, ode-equivalence, trichotomy, antipodality$"):
+            run_suite(name, Geometry.S2R, 1, 0)
+
+    def test_geometry_is_a_geometry(self):
+        for call in (lambda: run_all("s2r", 1, 0), lambda: run_suite("roundtrip", "s2r", 1, 0)):
+            with pytest.raises(DomainError, match="^unknown geometry 's2r'"):
+                call()
+
+    def test_integers_of_any_kind_and_size(self):
+        """numpy integers read as the ints they hold, and a seed of any size is a seed."""
+        assert (run_suite("trichotomy", Geometry.S2R, np.int64(4), np.uint8(5))
+                == run_suite("trichotomy", Geometry.S2R, 4, 5))
+        result = run_suite("roundtrip", Geometry.H2R, 3, 10**30)
+        assert (type(result.trials), result.passed) == (int, True)
+
+
+def _forced(name: str, kind: Geometry, trials: int) -> list[str]:
+    """The failures of suite ``name`` under the caller's breakage: each names plain
+    floats, as its reproducer is printed, with no numpy scalar repr."""
+    failures = run_suite(name, kind, trials, seed=3).failures
+    assert not [f for f in failures if "np." in f]
+    return failures
+
+
+class TestEveryFailureMessage:
+    """Each suite's failure messages, forced one per draw."""
+
+    @pytest.mark.parametrize("kind", list(Geometry), ids=lambda k: k.value)
+    def test_roundtrip(self, kind, monkeypatch):
+        monkeypatch.setattr(verification, "DEFAULT", DEFAULT._replace(roundtrip=-1.0))
+        failures = _forced("roundtrip", kind, 6)
+        assert len(failures) == 6
+        assert all(f.startswith("params (") and " -> (" in f for f in failures)
+
+    @pytest.mark.parametrize("part, prefix", [
+        ("tolerance", "metric form broken at a=["),
+        ("normaliser", "normaliser of ["),
+        ("distance", "distance broken: a=[")])
+    @pytest.mark.parametrize("kind", list(Geometry), ids=lambda k: k.value)
+    def test_isometry_invariance(self, kind, part, prefix, monkeypatch):
+        if part == "tolerance":
+            monkeypatch.setattr(verification, "DEFAULT", DEFAULT._replace(isometry=-1.0))
+        elif part == "normaliser":
+            monkeypatch.setattr(verification, "to_origin", lambda kind, a: np.eye(4))
+        else:
+            counter = itertools.count()
+            monkeypatch.setattr(verification, "distance", lambda kind, p, q: float(next(counter)))
+        failures = _forced("isometry-invariance", kind, 6)
+        assert len(failures) == 6
+        assert all(f.startswith(prefix) for f in failures)
+
+    @pytest.mark.parametrize("kind", list(Geometry), ids=lambda k: k.value)
+    def test_ode_equivalence(self, kind, monkeypatch):
+        """An integrator whose endpoint is shifted by 1e-5 off the closed form."""
+        shifted = lambda kind, g, steps=None: (geodesic_point(kind, g) + 1e-5)[None]
+        monkeypatch.setattr(verification, "integrate_geodesic", shifted)
+        monkeypatch.setattr(verification, "integrate_geodesic_cartesian",
+                            lambda kind, g: shifted(kind, g)[0])
+        failures = _forced("ode-equivalence", kind, 5)
+        assert len(failures) == 5
+        assert all(f.startswith("endpoint mismatch at params (") for f in failures)
+
+    @pytest.mark.parametrize("name, broken, messages", [
+        ("trichotomy", {"suite_side": -10.0, "suite_pair": -1.0},
+         ("sum ", "coplanar sum ")),
+        ("antipodality", {"suite_pair": -1.0},
+         ("frame and product angles differ by ", "coplanar pair (3,2)/(2,3) at vertices "))])
+    @pytest.mark.parametrize("kind", list(Geometry), ids=lambda k: k.value)
+    def test_triangle_suites(self, kind, name, broken, messages, monkeypatch):
+        """Every random triangle, then every coplanar one, fails its side test."""
+        monkeypatch.setattr(verification, "DEFAULT", DEFAULT._replace(**broken))
+        failures = _forced(name, kind, 6)
+        assert len(failures) == 6 + 3
+        assert all(f.startswith(messages[0]) for f in failures[:6])
+        assert all(f.startswith(messages[1]) for f in failures[6:])
+
+    @pytest.mark.parametrize("name", ["trichotomy", "antipodality"])
+    def test_coplanar_construction_error(self, name, monkeypatch):
+        """A coplanar draw that is no triangle (here a vertex outside the H2xR
+        cone) is a failure naming both vertices as plain floats."""
+        vertices = np.array([1.0, 2.0, 0.0]), np.array([2.0, 0.5, 0.0])
+        monkeypatch.setattr(verification, "_random_coplanar_vertices", lambda kind, rng: vertices)
+        failures = _forced(name, Geometry.H2R, 6)
+        assert failures == ["vertices [1.0, 2.0, 0.0], [2.0, 0.5, 0.0]: "
+                            "point (1.0, 2.0, 0.0) is not in the h2r model"] * 3
