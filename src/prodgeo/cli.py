@@ -11,7 +11,8 @@ The command line turns text into Python values; the library reads each one
 once, so every invalid value is the library's typed error.  Points are the
 spatial triple "x,y,z" (weight 1 implied; "--a2=-1,0,0" for a leading minus)
 or a 4-tuple "x0,x1,x2,x3" with x0 > 0, and --params "u,v,tau", all read by
-one comma reader; --geometry is s2r or h2r in any case (``Geometry.from_name``).
+one comma reader; --geometry is s2r or h2r in any case (``Geometry.from_name``),
+and for verify also both, in any case.
 
 Each command computes its result once, as a json payload (schema v1) and a
 display record: a grid of columns and rows plus named summary fields.
@@ -167,7 +168,14 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kinds = list(Geometry) if args.geometry == "both" else [Geometry.from_name(args.geometry)]
+    if args.geometry.lower() == "both":
+        kinds = list(Geometry)
+    else:
+        try:
+            kinds = [Geometry.from_name(args.geometry)]
+        except DomainError:
+            raise DomainError(f"unknown geometry {args.geometry!r}; "
+                              "expected 's2r', 'h2r' or 'both'") from None
     reports = [r for kind in kinds for r in verification.run_all(kind, args.trials, args.seed)]
     all_ok = all(r.passed for r in reports)
     _render(args, {

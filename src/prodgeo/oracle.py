@@ -75,7 +75,9 @@ Runge-Kutta method of order 8 of Dormand and Prince with its 5th- and
 J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
 sections II.4, II.5 and II.10), at ``DEFAULT.ode_rtol`` and ``ode_atol``.
 Its step control is SciPy's, which the tests keep as the independent
-reference; the package itself needs numpy only.
+reference; the package itself needs numpy only.  Every right-hand side
+reads its state array by ``tolist`` and computes in Python floats, where
+arithmetic on numpy scalars cost three times as much.
 
 The quadrature checks every segment midpoint and evaluates the metric at
 all of them in one call.
@@ -107,7 +109,7 @@ _TAU_LIMIT = 10.0
 
 
 def _rhs_s2r(_tau, state):
-    _t, _phi, theta, dt, dphi, dtheta = state
+    _t, _phi, theta, dt, dphi, dtheta = state.tolist()
     c = math.cos(theta)
     if abs(c) < _POLE_GUARD and dphi != 0.0:
         raise SingularityError("geodesic passed through a coordinate pole of the sphere chart")
@@ -116,7 +118,7 @@ def _rhs_s2r(_tau, state):
 
 
 def _rhs_h2r(_tau, state):
-    _t, r, _alpha, dt, dr, dalpha = state
+    _t, r, _alpha, dt, dr, dalpha = state.tolist()
     if dalpha == 0.0:
         dd_alpha = 0.0
     elif r == 0.0:
@@ -220,13 +222,18 @@ def _acceleration(kind: Geometry, p, dp) -> list:
     step = 1j * _COMPLEX_STEP
     try:
         g = _metric_entries(kind, x + step, y, z)
-        rows = (g, _metric_entries(kind, x, y + step, z), _metric_entries(kind, x, y, z + step))
+        gy, gz = _metric_entries(kind, x, y + step, z), _metric_entries(kind, x, y, z + step)
     except ZeroDivisionError:  # Python complex raises where numpy gave inf
         raise SingularityError(f"the {kind.value} metric is singular at {(x, y, z)}") from None
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = [
-        (e0.imag * u + e1.imag * v + e2.imag * w, e3.imag * u + e4.imag * v + e5.imag * w,
-         e6.imag * u + e7.imag * v + e8.imag * w)
-        for e0, e1, e2, e3, e4, e5, e6, e7, e8 in rows]
+    a00 = g[0].imag * u + g[1].imag * v + g[2].imag * w
+    a01 = g[3].imag * u + g[4].imag * v + g[5].imag * w
+    a02 = g[6].imag * u + g[7].imag * v + g[8].imag * w
+    a10 = gy[0].imag * u + gy[1].imag * v + gy[2].imag * w
+    a11 = gy[3].imag * u + gy[4].imag * v + gy[5].imag * w
+    a12 = gy[6].imag * u + gy[7].imag * v + gy[8].imag * w
+    a20 = gz[0].imag * u + gz[1].imag * v + gz[2].imag * w
+    a21 = gz[3].imag * u + gz[4].imag * v + gz[5].imag * w
+    a22 = gz[6].imag * u + gz[7].imag * v + gz[8].imag * w
     b0 = u * a00 + v * a10 + w * a20 - 0.5 * (a00 * u + a01 * v + a02 * w)
     b1 = u * a01 + v * a11 + w * a21 - 0.5 * (a10 * u + a11 * v + a12 * w)
     b2 = u * a02 + v * a12 + w * a22 - 0.5 * (a20 * u + a21 * v + a22 * w)

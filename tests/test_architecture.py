@@ -317,6 +317,28 @@ def test_numpy_loads_on_first_use():
         assert reads == [], name
 
 
+def test_one_interpolation_pass_per_solve():
+    """``_dop853.solve`` evaluates the dense output once, after its stage loop:
+    inside the loop a step that holds samples only builds its Horner rows
+    (``_horner_rows``), and ``_interpolate`` evaluates every sample at the end.
+    No per-step interpolant (``_dense``) is kept beside it."""
+    solve = next(node for node in ast.walk(_tree("_dop853.py"))
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    in_loop = {node.func.id for loop in ast.walk(solve) if isinstance(loop, (ast.For, ast.While))
+               for node in ast.walk(loop)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_horner_rows" in in_loop and "_interpolate" not in in_loop
+    assert "_interpolate" in _body_names("_dop853.py", "solve")
+    assert _defining("_dense") == set()
+
+
+@pytest.mark.parametrize("name", ["_rhs_s2r", "_rhs_h2r", "rhs"])
+def test_every_right_hand_side_computes_in_floats(name):
+    """Each right-hand side of ``oracle`` reads its state array by ``tolist``:
+    its math runs on Python floats, not on numpy scalars."""
+    assert "tolist" in _body_names("oracle.py", name)
+
+
 @pytest.mark.parametrize("name", ["_real", "_count"])
 def test_one_number_reader(name):
     """A number or count argument is read by ``core._real`` or ``core._count``."""

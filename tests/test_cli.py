@@ -356,6 +356,13 @@ class TestVerify:
         assert payload["ok"] is True
         assert len(payload["suites"]) == 5
 
+    @pytest.mark.parametrize("name", ["BOTH", "Both"])
+    def test_both_in_any_case(self, capsys, name):
+        code, out, _ = run(capsys, "verify", "--geometry", name, "--trials", "1",
+                           "--format", "json")
+        assert code == 0
+        assert [s["kind"] for s in json.loads(out)["suites"]] == ["s2r"] * 5 + ["h2r"] * 5
+
 
 class TestOutputContracts:
     def test_json_deterministic(self, capsys):
@@ -392,7 +399,8 @@ class TestOutputContracts:
         ["verify", "--trials", "1"]])
     def test_geometry_read_by_the_library(self, capsys, argv):
         """--geometry is ``Geometry.from_name``'s: any case reads as s2r, with
-        the same output, and an unknown name is its typed error."""
+        the same output, and an unknown name is its typed error, which for
+        ``verify`` names its ``both`` too."""
         command, *rest = argv
         _, lower, _ = run(capsys, command, "--geometry", "s2r", *rest, "--format", "json")
         code, upper, _ = run(capsys, command, "--geometry", "S2R", *rest, "--format", "json")
@@ -400,7 +408,8 @@ class TestOutputContracts:
         assert upper == lower
         code, out, err = run(capsys, command, "--geometry", "xyz", *rest)
         assert (code, out) == (2, "")
-        assert err == "DomainError: unknown geometry 'xyz'; expected 's2r' or 'h2r'\n"
+        expected = "'s2r', 'h2r' or 'both'" if command == "verify" else "'s2r' or 'h2r'"
+        assert err == f"DomainError: unknown geometry 'xyz'; expected {expected}\n"
 
 
 

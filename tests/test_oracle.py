@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import mpmath
@@ -168,6 +170,23 @@ class TestIntrinsicIntegration:
         with pytest.raises(PrecondError, match=f"not enough memory for {steps} steps"):
             integrate_geodesic(Geometry.S2R, (0, 0, 1), steps=steps)
 
+    @pytest.mark.parametrize("kind, multiple", [(Geometry.S2R, 5.01), (Geometry.H2R, 5.34)],
+                             ids=["s2r", "h2r"])
+    def test_peak_memory_of_a_large_step_count(self, kind, multiple):
+        """The tracemalloc peak of 2e5 steps stays within the multiple of the
+        output's nbytes measured when each step evaluated its own samples:
+        5.001 on S2xR and 5.334 on H2xR (4.8 MB of output, numpy 2.4).  The
+        interpolation pass works in blocks of samples: in one block, with the
+        coefficient rows of all samples gathered at once, it measured 21.7."""
+        integrate_geodesic(kind, (0.3, 0.2, 1.5))
+        tracemalloc.start()
+        try:
+            samples = integrate_geodesic(kind, (0.3, 0.2, 1.5), steps=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= multiple * samples.nbytes, peak / samples.nbytes
+
     @pytest.mark.parametrize("g", [(0.0, 0.5, 10**400), (0.0, "a", 1.0), (0.0, 0.5), None])
     def test_params_that_are_not_three_doubles(self, g):
         """A raw OverflowError, TypeError or ValueError once escaped both routes."""
@@ -191,7 +210,7 @@ class TestH2rCoth:
         2 ulps of 1/r + r/3 up to r = 1e-6 (the next term, r^3/45, is below
         an ulp there), of cosh/sinh above, and of the 50-digit coth.
         Measured: 1 ulp at most against each."""
-        coth = -_rhs_h2r(0.0, [0.0, r, 0.0, 0.3, 1.0, 0.5])[5]
+        coth = -_rhs_h2r(0.0, np.array([0.0, r, 0.0, 0.3, 1.0, 0.5]))[5]
         ref = 1.0 / r + r / 3.0 if r <= 1e-6 else math.cosh(r) / math.sinh(r)
         assert abs(coth - ref) <= 2.0 * math.ulp(ref)
         with mpmath.workdps(50):
@@ -200,8 +219,8 @@ class TestH2rCoth:
 
     def test_r_zero_with_angular_speed_raises(self):
         with pytest.raises(SingularityError, match="r = 0"):
-            _rhs_h2r(0.0, [0.0, 0.0, 0.0, 0.3, 1.0, 0.5])
-        assert _rhs_h2r(0.0, [0.0, 0.0, 0.0, 0.3, 1.0, 0.0])[5] == 0.0
+            _rhs_h2r(0.0, np.array([0.0, 0.0, 0.0, 0.3, 1.0, 0.5]))
+        assert _rhs_h2r(0.0, np.array([0.0, 0.0, 0.0, 0.3, 1.0, 0.0]))[5] == 0.0
 
     def test_base_point_geodesics_keep_alpha_prime_zero(self, rng, monkeypatch):
         """alpha' is 0.0 at every right-hand side call of seeded runs, so
@@ -425,9 +444,94 @@ class TestCartesianIntegration:
             integrate_geodesic_cartesian(Geometry.H2R, (0.0, 0.0, 2.0))
 
 
+def _stepwise_solve(fun, y0, times, rtol, atol):
+    """``_dop853.solve`` as it was before its interpolation pass, the reference
+    of that pass: each step that holds samples evaluates its interpolant at
+    once, by ``_dense``.  Returns the states and the accepted steps' ends (t, y)."""
+    A, B, C, D = _dop853.A, _dop853.B, _dop853.C, _dop853.D
+
+    def _dense(t, y, h, y_new, K, Ks, times):
+        for s in (13, 14, 15):
+            K[s] = fun(t + C[s] * h, y + h * A[s].dot(Ks[s]))
+        dy = y_new - y
+        coeffs = [dy, h * K[0] - dy, 2.0 * dy - h * (K[12] + K[0]), *(h * (D @ K))]
+        x = ((times - t) / h)[:, None]
+        out, factors = np.zeros((len(times), len(y))), (x, 1.0 - x)
+        for i, c in enumerate(reversed(coeffs)):
+            out += c
+            out *= factors[i % 2]
+        return (out + y).T
+
+    times = np.asarray(times, dtype=float)
+    grid = memoryview(times)
+    t, t_end = grid[0], grid[-1]
+    y = np.array(y0, dtype=float)
+    K = np.empty((16, y.size))
+    Ks = [K[:s] for s in range(16)]
+    K[0] = fun(t, y)
+    out, ends = np.empty((y.size, times.size)), []
+    done = bisect_right(grid, t)
+    out[:, :done] = y[:, None]
+    h = _dop853._initial_step(fun, t, y, K[0], t_end - t, rtol, atol) if t < t_end else 0.0
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h, rejected = max(h, min_step), False
+        while True:
+            if h < min_step:
+                raise SingularityError(f"integration failed: step size underflow at t = {t}")
+            t_new = min(t + h, t_end)
+            h = t_new - t
+            for s in range(1, 12):
+                K[s] = fun(t + C[s] * h, y + h * A[s].dot(Ks[s]))
+            y_new = y + h * B.dot(Ks[12])
+            K[12] = fun(t_new, y_new)
+            norm = _dop853._error_norm(
+                Ks[12], h, atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+            if norm < 1.0:
+                factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** (-1 / 8))
+                h *= min(1.0, factor) if rejected else factor
+                break
+            h *= max(0.2, 0.9 * norm ** (-1 / 8))
+            rejected = True
+        inner = bisect_left(grid, t_new)
+        if inner > done:
+            out[:, done:inner] = _dense(t, y, t_new - t, y_new, K, Ks, times[done:inner])
+        done = bisect_right(grid, t_new)
+        out[:, inner:done] = y_new[:, None]
+        ends.append((t_new, y_new))
+        t, y, K[0] = t_new, y_new, K[12]
+    return out, ends
+
+
 class TestDop853:
     """The in-repo DOP853 against scipy's, which stays the independent
     reference: the same coefficients and step control, so the same steps."""
+
+    @staticmethod
+    def _same_as_stepwise(fun, y0, times):
+        """The interpolation pass gives the bits of the stepwise interpolant, also
+        on a grid that holds every step's end, where each sample is that step's state."""
+        rtol, atol = oracle.DEFAULT.ode_rtol, oracle.DEFAULT.ode_atol
+        ref, ends = _stepwise_solve(fun, y0, times, rtol, atol)
+        assert _dop853.solve(fun, y0, times, rtol, atol).tobytes() == ref.tobytes()
+        with_ends = np.union1d(times, [t for t, _ in ends])
+        states = _dop853.solve(fun, y0, with_ends, rtol, atol)
+        assert states.tobytes() == _stepwise_solve(fun, y0, with_ends, rtol, atol)[0].tobytes()
+        at_ends = states[:, np.searchsorted(with_ends, [t for t, _ in ends])]
+        assert at_ends.tobytes() == np.array([y for _, y in ends]).T.tobytes()
+        return len(ends)
+
+    def test_interpolation_pass_on_the_harmonic_oscillator(self):
+        steps = self._same_as_stepwise(lambda _t, y: np.array([y[1], -y[0]]), [0.0, 1.0],
+                                       np.linspace(0.0, 2.0 * PI, 1001))
+        assert steps > 10  # many steps, each holding many samples
+
+    @BOTH
+    def test_interpolation_pass_on_draws(self, kind, rng):
+        rhs = _rhs_s2r if kind is Geometry.S2R else _rhs_h2r
+        for _ in range(50):
+            g = random_params(kind, rng, tau_max=2.0)
+            self._same_as_stepwise(rhs, _initial_state(kind, g), np.linspace(0.0, g.tau, 200))
 
     @BOTH
     def test_intrinsic_samples_match_scipy(self, kind, rng):
