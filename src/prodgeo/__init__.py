@@ -29,9 +29,8 @@ isometries, oracle, sweep, verification = (
 
 _LAZY = {name: module for module, names in [
     (core, ["BASE_POINT"]),
-    (isometries, ["apply_isometry", "fibre_translation", "reference_image_base",
-                  "reference_image_third", "reference_images_plane_mover", "rotation_x",
-                  "rotation_z", "tangent_endpoints", "to_origin", "vertex_angle"]),
+    (isometries, ["apply_isometry", "fibre_translation", "rotation_x", "rotation_z",
+                  "tangent_endpoints", "to_origin", "vertex_angle"]),
     (oracle, ["arc_length_quadrature", "integrate_geodesic", "integrate_geodesic_cartesian",
               "unit_speed_drift"]),
     (sweep, ["ExtremumKind", "SweepResult", "SweepSpec", "angle_sum_at", "evaluate",

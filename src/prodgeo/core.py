@@ -53,7 +53,6 @@ __all__ = [
     "BASE_POINT",
     "model_point",
     "contains",
-    "fibre_norm_sq",
     "metric_at",
     "to_model",
 ]
@@ -346,23 +345,6 @@ def require_member(kind: Geometry, p) -> tuple[float, float, float]:
     if not contains(kind, p):
         raise _not_member(kind, p)
     return p
-
-
-def fibre_norm_sq(kind: Geometry, p) -> float | np.ndarray:
-    """The quadratic form whose square root carries the fibre coordinate.
-
-    S2xR: x^2 + y^2 + z^2.  H2xR: x^2 - y^2 - z^2.  Squared in floats: Q is 0 or inf, with
-    no warning, for members below about 1e-154 or above 1e154, so the split takes sqrt(Q)
-    from ``_fibre_norm``, which squares nothing; ``isometries._require_in_range`` checks
-    the forms of ``reference_image_*``.  ``p`` (``_reals``) is a point, or three arrays of
-    coordinates (columns of (N, 3) points), giving an array; DomainError otherwise.
-    """
-    _require_geometry(kind)
-    if (p := _reals(p, "coordinates")).ndim == 0 or len(p) != 3:
-        raise DomainError(f"need a point or three coordinate arrays, got shape {p.shape}")
-    x, y, z = p
-    with np.errstate(all="ignore"):  # a form beyond double range is inf
-        return x * x + kind.curvature * (y * y + z * z)
 
 
 def metric_at(kind: Geometry, p) -> np.ndarray:

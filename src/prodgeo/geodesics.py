@@ -146,11 +146,13 @@ def tangent_of(g) -> np.ndarray:
     u, v = _real(u, "u"), _real(v, "v")
     if not (math.isfinite(u) and math.isfinite(v)):
         raise DomainError(f"direction angles must be finite, got ({u}, {v})")
-    return np.array([
-        math.sin(v),
-        math.cos(v) * math.cos(u),
-        math.cos(v) * math.sin(u),
-    ])
+    return np.array(_tangent((u, v)))
+
+
+def _tangent(g) -> tuple[float, float, float]:
+    """``tangent_of`` of trusted angles (u, v, ...), finite floats, as a float triple."""
+    u, v = g[0], g[1]
+    return math.sin(v), math.cos(v) * math.cos(u), math.cos(v) * math.sin(u)
 
 
 def distance(kind: Geometry, p1, p2) -> float:

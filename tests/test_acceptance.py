@@ -29,15 +29,13 @@ from prodgeo import (
     geodesic_point,
     geodesic_triangle,
     integrate_geodesic,
-    reference_image_base,
-    reference_image_third,
-    reference_images_plane_mover,
     to_origin,
 )
-from prodgeo.isometries import transcribed_normalizer_s2r
 from prodgeo.oracle import _initial_state, _rhs_h2r, _rhs_s2r, unit_speed_drift
 from prodgeo.reference import SWEEP_FAMILIES, TABLE_ROWS
 from conftest import random_params, random_point
+from paper_forms import (reference_image_base, reference_image_third,
+                         reference_images_plane_mover, transcribed_normalizer_s2r)
 
 PI = math.pi
 EPS = np.finfo(float).eps

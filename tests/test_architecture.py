@@ -25,9 +25,9 @@ def _modules_naming(name: str) -> set[str]:
 @pytest.mark.parametrize("name, owners", [
     # the membership rule and the fibre norm live in core alone
     ("_scaled_norm", {"core.py"}),
-    # the squared form remains only in the hand-derived reference_image_*
-    # closed forms; the paper's matrices take sqrt(Q) from core._fibre_norm
-    ("fibre_norm_sq", {"core.py", "isometries.py"}),
+    # no module squares the fibre form: the package takes sqrt(Q) from
+    # core._fibre_norm, and the paper's closed forms are test oracles
+    ("fibre_norm_sq", set()),
     # a point is read into a float triple at the boundary; the array form is
     # for callers, and no module below the boundary builds it
     ("model_point", {"core.py", "__init__.py"}),
@@ -65,13 +65,45 @@ def _builds_identity_4(node: ast.AST) -> bool:
 
 
 def test_only_isometries_builds_4x4_matrices():
-    """The paper's matrices are built in ``isometries`` alone: its factors
-    (``_embed`` of a 3x3 block into ``np.eye(4)``) and the transcribed
-    normaliser; ``reference`` holds frozen data only."""
+    """The paper's matrices are built in ``isometries`` alone, by ``_embed`` of a
+    3x3 block into ``np.eye(4)``; ``reference`` holds frozen data only."""
     assert _modules_naming("_embed") == {"isometries.py"}
-    assert _modules_naming("transcribed_normalizer_s2r") == {"isometries.py"}
     assert {path.name for path in SOURCES.glob("*.py")
             if any(map(_builds_identity_4, ast.walk(_tree(path.name))))} == {"isometries.py"}
+
+
+def _callers(module: str, name: str) -> set[str]:
+    """The functions of ``module`` whose body calls ``name``."""
+    return {function.name for function in ast.walk(_tree(module))
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == name}
+
+
+def test_only_the_public_builders_embed_a_block():
+    """A 4x4 matrix is built at the boundary, by the four public builders; the
+    normaliser is its 3x3 block (``_to_origin``) inside the package."""
+    assert _callers("isometries.py", "_embed") == {"fibre_translation", "rotation_x",
+                                                   "rotation_z", "to_origin"}
+
+
+def test_the_paper_frame_moves_float_triples():
+    """The frame moves its points by ``_move`` on the normaliser's block, in
+    ``math``: no public ``apply_isometry``, which reads its matrix and point
+    again, and no numpy in the frame, its angle or the move."""
+    for name in ("_paper_vertices", "_vertex_tangents", "_between", "vertex_angle", "_move"):
+        assert not _body_names("isometries.py", name) & {"apply_isometry", "np"}, name
+    assert _callers("isometries.py", "_move") == {"_to_origin", "_paper_vertices",
+                                                  "_vertex_tangents"}
+
+
+@pytest.mark.parametrize("name", ["reference_image_base", "reference_image_third",
+                                  "reference_images_plane_mover", "transcribed_normalizer_s2r",
+                                  "_require_in_range"])
+def test_the_paper_forms_are_test_oracles(name):
+    """The paper's hand-derived closed forms and their guard are
+    ``tests/paper_forms.py``'s: no module of the package names them."""
+    assert _modules_naming(name) == set()
 
 
 @pytest.mark.parametrize("name", ["tangent_endpoints", "vertex_angle"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from prodgeo import (
     BASE_POINT,
     DEFAULT,
+    ConsistencyError,
     DegenerateError,
     DomainError,
     GeodesicTriangle,
@@ -424,6 +425,20 @@ class TestClassify:
                                 (-0.22873578004225215, -0.7907952797449083, -0.7573236999428055),
                                 (0.31891717930515695, 0.011674053301234178, 0.4092744131168768))
         assert classify(tri) is TriangleClass.SUM_EQUALS_PI
+
+    @pytest.mark.xfail(strict=True, raises=ConsistencyError,
+                       reason="the band FOUND (ROADMAP item 2): the coplanar band is not "
+                              "scaled by the sides' conditioning, so classify raises here")
+    def test_coplanar_band_near_the_cut_locus_is_above(self):
+        """The band FOUND's reproducer: side 1-3 is 1.6e-8 rad from antipodal, the
+        relative triple product 8.9e-11 is under ``DEFAULT.coplanar``, and the sum
+        is pi + 1.349e-7, as 50 digits give it; the triangle is not coplanar."""
+        tri = geodesic_triangle(Geometry.S2R, (1e150, 1e300, 1.0),
+                                (0.00551470459085822, 1e-310, 3.0672010186411834e-05),
+                                (3.0, -187994479.09157458, -2.7966830139723293e-07))
+        assert angle_sum(tri).total == pytest.approx(
+            mp_oracle.angle_sum(Geometry.S2R, *tri.vertices), abs=1e-12)
+        assert classify(tri) is TriangleClass.SUM_ABOVE_PI
 
     def test_consistency_guard_fires_on_broken_sums(self, monkeypatch):
         """A pipeline returning wrong-side sums must raise, not classify."""

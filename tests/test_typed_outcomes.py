@@ -9,10 +9,11 @@ on fuzzed matrices too), over the triangle entry points (``geodesic_triangle``,
 ``angle_sum``, ``classify``, ``tangent_endpoints`` and ``vertex_angle``, where
 a ConsistencyError fails), over ``evaluate`` on random families and ranges,
 over ``arc_length_quadrature`` on fuzzed curves, over every other public
-name (``model_point``, ``metric_at``, ``fibre_norm_sq``, ``unit_speed_drift``,
-the factor matrices, the closed-form images and the transcribed normaliser,
-``coplanar_with_center`` and ``encloses_center``), over records of another
-type at every entry point that takes a triangle or a sweep spec, and over
+name (``model_point``, ``metric_at``, ``unit_speed_drift``, the factor matrices,
+``coplanar_with_center`` and ``encloses_center``), over the test oracles of
+``paper_forms`` (the closed-form images and the transcribed normaliser), over
+records of another type at every entry point that takes a triangle or a sweep
+spec, and over
 ``cli.main`` on fuzzed ``sweep`` and ``geodesic`` arguments.  One value is a
 number to every entry point that reads caller numbers, or to none, and a count
 beyond memory is a typed error in all the work it sizes (in a child process
@@ -40,6 +41,7 @@ from prodgeo import (
     BASE_POINT,
     ConsistencyError,
     DEFAULT,
+    DegenerateError,
     DomainError,
     ExtremumKind,
     GeodesicParams,
@@ -68,9 +70,6 @@ from prodgeo import (
     limits_check,
     metric_at,
     model_point,
-    reference_image_base,
-    reference_image_third,
-    reference_images_plane_mover,
     rotation_x,
     rotation_z,
     sample_curve,
@@ -82,9 +81,9 @@ from prodgeo import (
     vertex_angle,
 )
 from prodgeo.cli import main
-from prodgeo.core import fibre_norm_sq
-from prodgeo.isometries import transcribed_normalizer_s2r
 from prodgeo.reference import SWEEP_FAMILIES
+from paper_forms import (reference_image_base, reference_image_third,
+                         reference_images_plane_mover, transcribed_normalizer_s2r)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -298,6 +297,19 @@ def test_apply_isometry_needs_a_real_4x4_matrix(name):
         apply_isometry(NOT_MATRICES[name], (2.0, 1.0, 0.5))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, p, error, message", [
+    (np.diag([math.nan, 1.0, 1.0, 1.0]), (2.0, 1.0, 0.5), DomainError, "not representable"),
+    (np.diag([1.0, 1e300, 1.0, 1.0]), (1e10, 0.0, 0.0), DomainError, "not representable"),
+    (np.diag([0.0, 1.0, 1.0, 1.0]), (2.0, 1.0, 0.5), DegenerateError, "non-positive"),
+], ids=["nan-weight", "overflowing-image", "zero-weight"])
+def test_apply_isometry_of_a_weight_or_image_out_of_range(m, p, error, message):
+    """A NaN weight is no weight above 0 that numbers an image: DomainError, as an
+    image beyond double range is; a zero weight is DegenerateError; no RuntimeWarning."""
+    with pytest.raises(error, match=message):
+        apply_isometry(m, p)
+
+
 def test_apply_isometry_reads_ints_beyond_int64():
     """A matrix of ints beyond int64, which numpy holds as objects, is read by
     ``float`` (it was once rejected): the image of the float matrix."""
@@ -357,15 +369,11 @@ def test_fibre_translation(kind, p):
 @SEEDED
 @given(KINDS, POINTS)
 def test_model_point_and_metric_at(kind, p):
-    """A point is read as every point argument is; the fibre form takes a point
-    or three arrays of coordinates, a form for each; the metric of a member is a
+    """A point is read as every point argument is; the metric of a member is a
     finite symmetric 3x3 matrix with a positive diagonal."""
     point = _outcome(model_point, p)
     if point is not None:
         assert point.shape == (3,) and point.dtype == np.float64
-    q = _outcome(fibre_norm_sq, kind, p)
-    if q is not None:
-        assert np.asarray(q).dtype == np.float64 and np.shape(q) == np.shape(p)[1:]
     g = _outcome(metric_at, kind, p)
     if g is not None:
         assert g.shape == (3, 3) and np.isfinite(g).all() and np.array_equal(g, g.T)
