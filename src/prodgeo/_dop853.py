@@ -13,22 +13,16 @@ The coefficient tables are Hairer's, as transcribed in SciPy's
 2001-2002 Enthought, Inc. and 2003 SciPy Developers), built into arrays at
 import: only ``oracle`` imports this module, and every run of it uses numpy.
 
-A stage is SciPy's stage update y + h (A[s, :s] . K[:s]), computed as one
-``dot`` on views built once: the rows A[s, :s] at import, the stage views
-K[:s] once a solve.  ``bisect`` places each step's end in the sample times.
+Each stage is one ``dot``: y and the stages K are the rows of one array, and
+row s of a buffer refilled each step attempt is (1, h A[s, :s]), whose dot
+with (y, K[:s]) is SciPy's stage y + h (A[s, :s] . K[:s]) summed in another
+order, so to a few ulps; so are y_new and K13-K15.  ``bisect`` places each
+step's end in the sample times.
 
-The dense output is evaluated once a solve, after the last step.  A step
-that holds samples evaluates its three extra stages K13-K15 and keeps its
-seven Horner coefficients and y (``_horner_rows``); one pass then evaluates
-every sample inside a step, vectorised over the samples in blocks of
-``_BLOCK`` (``_interpolate``).  Each element has the arithmetic it had when
-each step evaluated its own samples: x = (time - t) / h, the factors x and
-1 - x alternating, and + y last, so the bits are the same.  A sample at a
-step's end is that step's state.  On H2xR (0.3, 0.2, 1.5), 4 steps, a
-solve with 200 samples took 323 us against 171 us for the endpoint alone
-when each step evaluated its own samples, and takes 225 us against 142 us
-(the right-hand side now computing in floats too; 2-core x86-64, Python
-3.11, numpy 2.4).
+The dense output is evaluated once a solve, after the last step: each step
+that holds samples keeps its Horner rows (``_horner_rows``), and one pass
+evaluates every sample inside a step (``_interpolate``).  A sample at a
+step's end is that step's state.
 """
 
 from __future__ import annotations
@@ -58,8 +52,8 @@ C = [
     0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
     1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778]
 
-#: stage couplings: A[s] is stage s's row A[s, :s], a view; A[12] holds the weights B
-A = [row[:s] for s, row in enumerate(_table((16, 16), {
+#: stage couplings: row s holds stage s's coefficients A[s, :s]; row 12 holds the weights B
+A = _table((16, 16), {
     1: {0: 5.26001519587677318785587544488e-2},
     2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
     3: {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
@@ -104,10 +98,11 @@ A = [row[:s] for s, row in enumerate(_table((16, 16), {
          6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
          8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
          13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
-}))]
-B = A[12]
-#: 3rd-order error estimator over the 12 stages: the weights less Hairer's BHH
-E3 = B.copy()
+})
+#: A after a zero column: times h, column 0 then set to 1, row s is (1, h A[s, :s])
+_ROWS = np.concatenate((np.zeros((16, 1)), A), axis=1)
+#: 3rd-order error estimator over the 12 stages: the weights B less Hairer's BHH
+E3 = A[12, :12].copy()
 E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
                    0.220588235294117647058823529412e-1]
 
@@ -153,17 +148,22 @@ _EXPONENT = -1.0 / 8.0
 _BLOCK = 4096
 
 
-def _rms(x: np.ndarray) -> float:
-    return math.sqrt(x @ x) / math.sqrt(x.size)
+def _rms(x, scale) -> float:
+    """RMS of the float lists x / scale, summed in order (3.12's ``sum`` compensates)."""
+    acc = 0.0
+    for a, b in zip(x, scale):
+        acc += (a / b) * (a / b)
+    return math.sqrt(acc) / math.sqrt(len(x))
 
 
 def _initial_step(fun, t, y, f, span, rtol, atol) -> float:
-    """Hairer's starting step (section II.4): one trial Euler step measures
-    the second derivative."""
-    scale = atol + rtol * np.abs(y)
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    """Hairer's starting step (section II.4) in floats: from the lists y and f = fun(t, y), one
+    trial Euler step measures the second derivative."""
+    scale = [atol + rtol * abs(a) for a in y]
+    d0, d1 = _rms(y, scale), _rms(f, scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    f1 = fun(t + h0, np.array([a + h0 * b for a, b in zip(y, f)]))
+    d2 = _rms([b - a for a, b in zip(f, f1)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -181,19 +181,23 @@ def _error_norm(K12: np.ndarray, h: float, scale: np.ndarray) -> float:
     return h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
 
 
-def _horner_rows(fun, t, y, h, y_new, K, Ks) -> np.ndarray:
-    """The 7th-order interpolant of the step (t, y) -> (t + h, y_new) as its
-    Horner rows, highest coefficient first and y last, shape (8, n); evaluates
-    the three extra stages (``Ks[s]`` is K[:s])."""
-    for s in (13, 14, 15):
-        K[s] = fun(t + C[s] * h, y + h * A[s].dot(Ks[s]))
+def _stages(fun, t, h, K, rows, blocks, stages) -> None:
+    """``stages`` into K: fun at t + C[s] h of one ``dot``, row (1, h A[s, :s]) . (y, K[:s])."""
+    for s in stages:
+        K[s] = fun(t + C[s] * h, rows[s].dot(blocks[s]))
+
+
+def _horner_rows(fun, t, h, y, y_new, K, rows, blocks) -> np.ndarray:
+    """The interpolant of the step (t, y) -> (t + h, y_new) as its (8, n) Horner rows, highest
+    coefficient first and y last; evaluates K13-K15 into K by the rows folded for h."""
+    _stages(fun, t, h, K, rows, blocks, (13, 14, 15))
     dy = y_new - y
-    rows = np.empty((8, y.size))
-    rows[3::-1] = h * (D @ K)
-    rows[4] = 2.0 * dy - h * (K[12] + K[0])
-    rows[5] = h * K[0] - dy
-    rows[6], rows[7] = dy, y
-    return rows
+    out = np.empty((8, y.size))
+    out[3::-1] = h * (D @ K)
+    out[4] = 2.0 * dy - h * (K[12] + K[0])
+    out[5] = h * K[0] - dy
+    out[6], out[7] = dy, y
+    return out
 
 
 def _interpolate(out, times, spans, rows) -> None:
@@ -226,25 +230,25 @@ def solve(fun, y0, times, rtol: float, atol: float) -> np.ndarray:
     return the states at the non-decreasing ``times``, shape (n, len(times));
     ``fun`` gets every state as a float array of shape (n,).
 
-    Each stage is one ``dot`` of its prebuilt row with its prebuilt view of
-    the stages K.  A time at a step's end is that step's state.  A time
-    inside a step is read from the step's dense output: the stage loop keeps
-    the Horner rows of each step that holds samples, and one pass after the
-    loop evaluates them at every such time.  Raises SingularityError when the
-    step size falls below ten ulps of t, as it does where the solution blows up.
+    y and the stages K are the rows of ``YK``, and each stage and y_new is one
+    ``dot`` with a row (1, h A[s, :s]) of ``H`` (``_stages``).  A time inside a
+    step is read from the dense output after the loop.  Raises SingularityError
+    when the step size falls below ten ulps of t, as where the solution blows up.
     """
     times = np.asarray(times, dtype=float)
     grid = memoryview(times)  # floats for bisect, with no copy
     t, t_end = grid[0], grid[-1]
     y = np.array(y0, dtype=float)
-    K = np.empty((16, y.size))
-    Ks = [K[:s] for s in range(16)]
-    K[0] = fun(t, y)
+    YK, H = np.empty((17, y.size)), np.empty((16, 17))
+    YK[0], YK[1] = y, fun(t, y)
+    K, K12 = YK[1:], YK[1:13]
+    rows, blocks = [H[s, :s + 1] for s in range(16)], [YK[:s + 1] for s in range(16)]
     out = np.empty((y.size, times.size))
-    spans, rows = [], []  # of the steps that hold samples, for the interpolation pass
+    spans, horner = [], []  # of the steps that hold samples, for the interpolation pass
     done = bisect_right(grid, t)
     out[:, :done] = y[:, None]
-    h = _initial_step(fun, t, y, K[0], t_end - t, rtol, atol) if t < t_end else 0.0
+    h = _initial_step(fun, t, *YK[:2].tolist(), t_end - t, rtol, atol) if t < t_end else 0.0
+    abs_y = np.abs(y)
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h, rejected = max(h, min_step), False
@@ -253,11 +257,12 @@ def solve(fun, y0, times, rtol: float, atol: float) -> np.ndarray:
                 raise SingularityError(f"integration failed: step size underflow at t = {t}")
             t_new = min(t + h, t_end)
             h = t_new - t
-            for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + h * A[s].dot(Ks[s]))
-            y_new = y + h * B.dot(Ks[12])
+            np.multiply(h, _ROWS, out=H)
+            H[:, 0] = 1.0
+            _stages(fun, t, h, K, rows, blocks, range(1, 12))
+            y_new = rows[12].dot(blocks[12])
             K[12] = fun(t_new, y_new)
-            norm = _error_norm(Ks[12], h, atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+            norm = _error_norm(K12, h, atol + rtol * np.maximum(abs_y, abs_new := np.abs(y_new)))
             if norm < 1.0:
                 factor = MAX_FACTOR if norm == 0.0 else min(MAX_FACTOR, SAFETY * norm ** _EXPONENT)
                 h *= min(1.0, factor) if rejected else factor
@@ -268,10 +273,10 @@ def solve(fun, y0, times, rtol: float, atol: float) -> np.ndarray:
         inner = bisect_left(grid, t_new)
         if inner > done:
             spans.append((done, inner, t, t_new - t))
-            rows.append(_horner_rows(fun, t, y, t_new - t, y_new, K, Ks))
+            horner.append(_horner_rows(fun, t, t_new - t, YK[0], y_new, K, rows, blocks))
         done = bisect_right(grid, t_new)
         out[:, inner:done] = y_new[:, None]
-        t, y, K[0] = t_new, y_new, K[12]
+        t, YK[0], K[0], abs_y = t_new, y_new, K[12], abs_new
     if spans:
-        _interpolate(out, times, spans, rows)
+        _interpolate(out, times, spans, horner)
     return out

@@ -437,6 +437,11 @@ def to_model(kind: Geometry, t, c1, c2) -> np.ndarray:
     except ValueError:
         raise DomainError("intrinsic coordinates must be of one broadcast shape, "
                           f"got {t!r}, {c1!r}, {c2!r}") from None
+    return _chart_points(kind, t, c1, c2)
+
+
+def _chart_points(kind: Geometry, t, c1, c2) -> np.ndarray:
+    """``to_model`` of trusted float arrays of one shape, guarded by ``_guard_chart``."""
     if kind is Geometry.S2R:  # c1, c2 = phi, theta
         with np.errstate(all="ignore"):
             s, cos_theta = np.exp(t), np.cos(c2)

@@ -69,15 +69,12 @@ coordinate, hence only + - * / in ``core._metric_entries``.  On H2xR the
 metric's conditioning grows as e^(2w) with the surface arc w, so the
 Cartesian route is limited to w <= 3.5.
 
-Both routes integrate with ``_dop853``, the in-package explicit
-Runge-Kutta method of order 8 of Dormand and Prince with its 5th- and
-3rd-order error estimators and 7th-order dense output (Dormand & Prince,
-J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I,
-sections II.4, II.5 and II.10), at ``DEFAULT.ode_rtol`` and ``ode_atol``.
-Its step control is SciPy's, which the tests keep as the independent
-reference; the package itself needs numpy only.  Every right-hand side
-reads its state array by ``tolist`` and computes in Python floats, where
-arithmetic on numpy scalars cost three times as much.
+Both routes integrate with ``_dop853``, the in-package DOP853 of Dormand
+and Prince, at ``DEFAULT.ode_rtol`` and ``ode_atol``.  Its step control is
+SciPy's, which the tests keep as the independent reference; the package
+itself needs numpy only.  Every right-hand side reads its state array by
+``tolist`` and computes in Python floats, where arithmetic on numpy
+scalars cost three times as much.
 
 The quadrature checks every segment midpoint and evaluates the metric at
 all of them in one call.
@@ -89,8 +86,8 @@ import contextlib
 import math
 
 from . import _dop853
-from .core import (_BASE, Geometry, _count, _guard_member, _memory_for, _metric, _metric_entries,
-                   _reals, _require_geometry, np, to_model)
+from .core import (_BASE, Geometry, _chart_points, _count, _guard_member, _memory_for, _metric,
+                   _metric_entries, _reals, _require_geometry, np)
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams, _triple, tangent_of
 from .tolerances import DEFAULT
@@ -134,6 +131,11 @@ def unit_speed_drift(kind: Geometry, state) -> float | np.ndarray:
     _require_geometry(kind)
     if (state := _reals(state, "ODE states")).ndim not in (1, 2) or len(state) != 6:
         raise DomainError(f"need an ODE state (6,) or states (6, n), got shape {state.shape}")
+    return _drift(kind, state)
+
+
+def _drift(kind: Geometry, state) -> float | np.ndarray:
+    """``unit_speed_drift`` of trusted float states (6,) or (6, n)."""
     _t, c1, c2, dt, dc1, dc2 = state
     with np.errstate(all="ignore"):  # a state that is not finite drifts by NaN or inf
         if kind is Geometry.S2R:
@@ -177,13 +179,13 @@ def integrate_geodesic(kind: Geometry, g, steps: int = 200) -> np.ndarray:
         rtol, atol = DEFAULT.ode_rtol, DEFAULT.ode_atol
         for _attempt in range(2):
             states = _dop853.solve(rhs, state0, grid, rtol, atol)
-            drift = unit_speed_drift(kind, states).max()
+            drift = _drift(kind, states).max()
             if drift <= DEFAULT.unit_speed_drift:
                 break
             rtol, atol = rtol * 1e-2, atol * 1e-2
         else:
             raise ConsistencyError(f"unit-speed drift {drift:.2e} persists after tightening")
-        return to_model(kind, *states[:3])
+        return _chart_points(kind, *states[:3])
 
 
 #: imaginary step of the complex-step derivative; nothing is subtracted, so

@@ -40,6 +40,10 @@ class Tolerances(NamedTuple):
     ode_atol: float = 1e-12
     #: unit-speed drift allowed along an integrated geodesic
     unit_speed_drift: float = 1e-9
+    #: isometry suite: a normaliser's image of its anchor is the base point to this; it tests
+    #: accuracy, so it is below ``isometry`` (what ``to_origin`` accepts); images measured <= 5e-14
+    suite_anchor: float = 1e-10
+    suite_ode: float = 1e-6  #: ODE suite: integrated endpoints equal the closed form to this
 
 
 DEFAULT = Tolerances()

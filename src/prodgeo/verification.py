@@ -124,7 +124,7 @@ def isometry_suite(kind: Geometry, trials: int, rng):
     for _ in range(trials):
         a, p, q = _random_points(kind, rng, 3)
         move = to_origin(kind, a)
-        if np.abs(apply_isometry(move, a) - _BASE).max() > 1e-10:
+        if np.abs(apply_isometry(move, a) - _BASE).max() > DEFAULT.suite_anchor:
             yield f"normaliser of {a.tolist()} misses the base point"
             continue
         h = rng.normal(size=3)
@@ -143,13 +143,13 @@ def isometry_suite(kind: Geometry, trials: int, rng):
 
 
 def ode_suite(kind: Geometry, trials: int, rng):
-    """ODE-integrated endpoints match the closed form to 1e-6: intrinsic on
-    S2xR, Cartesian on H2xR, whose intrinsic geodesics are straight lines."""
+    """ODE-integrated endpoints match the closed form to ``DEFAULT.suite_ode``:
+    intrinsic on S2xR, Cartesian on H2xR, whose intrinsic geodesics are straight lines."""
     params = [_random_params(kind, rng, tau_max=2.0) for _ in range(trials)]
     for g, closed in zip(params, _endpoints(kind, params)):
         endpoint = (integrate_geodesic(kind, g, steps=100)[-1] if kind is Geometry.S2R
                     else integrate_geodesic_cartesian(kind, g))
-        if np.abs(endpoint - closed).max() > 1e-6:
+        if np.abs(endpoint - closed).max() > DEFAULT.suite_ode:
             yield f"endpoint mismatch at params {tuple(g)}"
 
 

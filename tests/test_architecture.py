@@ -364,6 +364,31 @@ def test_one_interpolation_pass_per_solve():
     assert _defining("_dense") == set()
 
 
+def test_one_dot_per_stage():
+    """Each DOP853 stage is one ``dot`` of its folded row (1, h A[s, :s]) with
+    (y, K[:s]): the stage loop (``_stages``, which ``solve`` and ``_horner_rows``
+    call) makes one ``.dot`` call, ``solve`` one more for y_new, and no stage
+    function forms an update y + h * (...)."""
+    functions = {node.name: node for node in ast.walk(_tree("_dop853.py"))
+                 if isinstance(node, ast.FunctionDef)}
+
+    def dots(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute) and n.func.attr == "dot"]
+
+    (loop,) = [n for n in ast.walk(functions["_stages"]) if isinstance(n, ast.For)]
+    assert len(dots(loop)) == len(dots(functions["_stages"])) == 1
+    assert len(dots(functions["solve"])) == 1
+    for name in ("solve", "_horner_rows"):
+        assert "_stages" in _body_names("_dop853.py", name), name
+    for name in ("solve", "_stages", "_horner_rows"):
+        updates = [ast.unparse(n) for n in ast.walk(functions[name])
+                   if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+                   and isinstance(n.right, ast.BinOp) and isinstance(n.right.op, ast.Mult)
+                   and ast.unparse(n.right.left) == "h"]
+        assert updates == [], name
+
+
 @pytest.mark.parametrize("name", ["_rhs_s2r", "_rhs_h2r", "rhs"])
 def test_every_right_hand_side_computes_in_floats(name):
     """Each right-hand side of ``oracle`` reads its state array by ``tolist``:
@@ -405,12 +430,25 @@ def test_no_scalar_reader_of_their_own(module):
 
 def test_one_product_chart():
     """Closed-form points come from one chart and pass one guard, both in
-    ``core``: ``geodesics._points`` and ``to_model`` call them, and
-    ``geodesics`` evaluates no exponential or hyperbolic function itself."""
+    ``core``: ``geodesics._points`` and ``to_model``'s chart ``_chart_points`` call
+    them, and ``geodesics`` evaluates no exponential or hyperbolic function itself."""
     for name in ("_product_points", "_guard_chart"):
         assert _defining(name) == {"core.py"}, name
         assert name in _body_names("geodesics.py", "_points"), name
-        assert name in _body_names("core.py", "to_model"), name
+        assert name in _body_names("core.py", "_chart_points"), name
+    assert "_chart_points" in _body_names("core.py", "to_model")
+
+
+def test_the_intrinsic_route_reads_its_states_once():
+    """``integrate_geodesic`` checks its own solver output by the trusted kernels
+    that ``unit_speed_drift`` and ``to_model`` share (``oracle._drift``,
+    ``core._chart_points``), not by re-reading it through those two."""
+    route = next(node for node in ast.walk(_tree("oracle.py"))
+                 if isinstance(node, ast.FunctionDef) and node.name == "integrate_geodesic")
+    calls = {ast.unparse(node.func) for node in ast.walk(route) if isinstance(node, ast.Call)}
+    assert {"_drift", "_chart_points"} <= calls
+    assert not calls & {"unit_speed_drift", "to_model", "_reals", "np.broadcast_arrays"}
+    assert "_drift" in _body_names("oracle.py", "unit_speed_drift")
     for name in ("cosh", "sinh", "exp"):
         assert "geodesics.py" not in _modules_naming(name), name
 

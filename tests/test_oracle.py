@@ -29,8 +29,9 @@ from prodgeo import (
     to_model,
 )
 from prodgeo import _dop853
-from prodgeo.core import _metric, _metric_entries
-from prodgeo.oracle import _acceleration, _initial_state, _rhs_h2r, _rhs_s2r, unit_speed_drift
+from prodgeo.core import _chart_points, _metric, _metric_entries
+from prodgeo.oracle import (_acceleration, _drift, _initial_state, _rhs_h2r, _rhs_s2r,
+                            unit_speed_drift)
 from conftest import BOTH, random_params, random_point
 from mp_oracle import acceleration as mp_acceleration
 from mp_oracle import closed_form_point
@@ -107,18 +108,19 @@ class TestIntrinsicIntegration:
 
     @BOTH
     def test_samples_are_an_array_of_the_mapped_states(self, kind, monkeypatch):
-        """The (steps, 3) result is ``to_model`` of every sampled state,
-        as per-sample scalar calls would give it."""
+        """The (steps, 3) result is ``to_model``'s chart (``core._chart_points``)
+        of every sampled state, as per-sample scalar calls would give it."""
         states = []
 
         def recorded(*args):
             states.append(args[1:])
-            return to_model(*args)
+            return _chart_points(*args)
 
-        monkeypatch.setattr(oracle, "to_model", recorded)
+        monkeypatch.setattr(oracle, "_chart_points", recorded)
         pts = integrate_geodesic(kind, (0.4, 0.3, 1.5), steps=120)
         assert isinstance(pts, np.ndarray) and pts.shape == (120, 3)
         assert len(states) == 1
+        assert pts.tobytes() == to_model(kind, *states[0]).tobytes()
         for p, coords in zip(pts, zip(*states[0])):
             single = to_model(kind, *coords)
             assert np.abs(p - single).max() <= 1e-15 * np.abs(single).max()
@@ -129,10 +131,10 @@ class TestIntrinsicIntegration:
         drifts = []
 
         def recorded(kind, state):
-            drifts.append(unit_speed_drift(kind, state).max())
-            return unit_speed_drift(kind, state)
+            drifts.append(_drift(kind, state).max())
+            return _drift(kind, state)
 
-        monkeypatch.setattr(oracle, "unit_speed_drift", recorded)
+        monkeypatch.setattr(oracle, "_drift", recorded)
         monkeypatch.setattr(oracle, "DEFAULT", oracle.DEFAULT._replace(
             ode_rtol=1e-4, ode_atol=1e-6, unit_speed_drift=1e-6))
         g = GeodesicParams(0.4, 0.3, 2.0)
@@ -444,15 +446,64 @@ class TestCartesianIntegration:
             integrate_geodesic_cartesian(Geometry.H2R, (0.0, 0.0, 2.0))
 
 
+#: fixed draws and their exact rhs call counts on the intrinsic and Cartesian
+#: routes, which SciPy's step control gives
+SAME_STEPS = [
+    (Geometry.S2R, (-1.4844638820273632, -0.7598524616203689, 0.011270059458203186), 17, 14),
+    # the costliest draw of the oracle workload (seed 21): near the pole of
+    # the geographic chart, where the median draw takes 62
+    (Geometry.S2R, (1.4524836882590835, -0.04859611564938726, 1.871041643484289), 797, 98),
+    # a rejected step, after which the next may not grow
+    (Geometry.S2R, (2.701962839584681, -0.3182069571970343, 1.992926865228162), 164, 110),
+    (Geometry.H2R, (-0.7289150785145293, 1.499295042387366, 0.003967720277008627), 17, 14),
+    (Geometry.H2R, (0.562233730072752, -1.4931203823774568, 1.3438056606498268), 62, 86),
+    (Geometry.H2R, (2.4649672202857387, -0.9713436030300396, 1.9044829531057947), 62, 134),
+]
+SAME_STEPS_IDS = ["s2r-short", "s2r-pole", "s2r-rejection", "h2r-short", "h2r-steep", "h2r-long"]
+
+
+def _numpy_initial_step(fun, t, y, f, span, rtol, atol):
+    """``_dop853._initial_step`` as it was computed on numpy arrays, the
+    reference of the float one: y / scale and its RMS by ``x @ x``, whose last
+    bit depends on the BLAS build (one with FMA rounds each product less)."""
+    def rms(x):
+        return math.sqrt(x @ x) / math.sqrt(x.size)
+
+    y, f = np.array(y, dtype=float), np.array(f, dtype=float)
+    scale = atol + rtol * np.abs(y)
+    d0, d1 = rms(y / scale), rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, span)
+
+
+def _cartesian_rhs(kind):
+    def rhs(_t, state):
+        p, dp = state[:3], state[3:]
+        return np.concatenate([dp, _acceleration(kind, p.tolist(), dp.tolist())])
+    return rhs
+
+
+def _routes(kind, g):
+    """The right-hand side and the initial state of each route."""
+    return [(_rhs_s2r if kind is Geometry.S2R else _rhs_h2r, _initial_state(kind, g)),
+            (_cartesian_rhs(kind), [1.0, 0.0, 0.0, *tangent_of(g).tolist()])]
+
+
 def _stepwise_solve(fun, y0, times, rtol, atol):
     """``_dop853.solve`` as it was before its interpolation pass, the reference
     of that pass: each step that holds samples evaluates its interpolant at
-    once, by ``_dense``.  Returns the states and the accepted steps' ends (t, y)."""
-    A, B, C, D = _dop853.A, _dop853.B, _dop853.C, _dop853.D
+    once, by ``_dense``.  Its stages are ``solve``'s, by the same folded rows
+    (1, h A[s, :s]) and ``_stages``, so only the interpolation differs.
+    Returns the states and the accepted steps' ends (t, y)."""
+    D = _dop853.D
 
-    def _dense(t, y, h, y_new, K, Ks, times):
-        for s in (13, 14, 15):
-            K[s] = fun(t + C[s] * h, y + h * A[s].dot(Ks[s]))
+    def _dense(t, y, h, y_new, K, times):
+        _dop853._stages(fun, t, h, K, rows, blocks, (13, 14, 15))
         dy = y_new - y
         coeffs = [dy, h * K[0] - dy, 2.0 * dy - h * (K[12] + K[0]), *(h * (D @ K))]
         x = ((times - t) / h)[:, None]
@@ -466,13 +517,15 @@ def _stepwise_solve(fun, y0, times, rtol, atol):
     grid = memoryview(times)
     t, t_end = grid[0], grid[-1]
     y = np.array(y0, dtype=float)
-    K = np.empty((16, y.size))
-    Ks = [K[:s] for s in range(16)]
-    K[0] = fun(t, y)
+    YK, H = np.empty((17, y.size)), np.empty((16, 17))
+    YK[0], YK[1] = y, fun(t, y)
+    K = YK[1:]
+    rows, blocks = [H[s, :s + 1] for s in range(16)], [YK[:s + 1] for s in range(16)]
     out, ends = np.empty((y.size, times.size)), []
     done = bisect_right(grid, t)
     out[:, :done] = y[:, None]
-    h = _dop853._initial_step(fun, t, y, K[0], t_end - t, rtol, atol) if t < t_end else 0.0
+    h = (_dop853._initial_step(fun, t, y.tolist(), K[0].tolist(), t_end - t, rtol, atol)
+         if t < t_end else 0.0)
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h, rejected = max(h, min_step), False
@@ -481,12 +534,13 @@ def _stepwise_solve(fun, y0, times, rtol, atol):
                 raise SingularityError(f"integration failed: step size underflow at t = {t}")
             t_new = min(t + h, t_end)
             h = t_new - t
-            for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + h * A[s].dot(Ks[s]))
-            y_new = y + h * B.dot(Ks[12])
+            np.multiply(h, _dop853._ROWS, out=H)
+            H[:, 0] = 1.0
+            _dop853._stages(fun, t, h, K, rows, blocks, range(1, 12))
+            y_new = rows[12].dot(blocks[12])
             K[12] = fun(t_new, y_new)
             norm = _dop853._error_norm(
-                Ks[12], h, atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+                K[:12], h, atol + rtol * np.maximum(np.abs(YK[0]), np.abs(y_new)))
             if norm < 1.0:
                 factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** (-1 / 8))
                 h *= min(1.0, factor) if rejected else factor
@@ -495,11 +549,11 @@ def _stepwise_solve(fun, y0, times, rtol, atol):
             rejected = True
         inner = bisect_left(grid, t_new)
         if inner > done:
-            out[:, done:inner] = _dense(t, y, t_new - t, y_new, K, Ks, times[done:inner])
+            out[:, done:inner] = _dense(t, YK[0], t_new - t, y_new, K, times[done:inner])
         done = bisect_right(grid, t_new)
         out[:, inner:done] = y_new[:, None]
         ends.append((t_new, y_new))
-        t, y, K[0] = t_new, y_new, K[12]
+        t, YK[0], K[0] = t_new, y_new, K[12]
     return out, ends
 
 
@@ -557,12 +611,7 @@ class TestDop853:
     @BOTH
     def test_cartesian_endpoints_match_scipy(self, kind, rng, monkeypatch):
         from scipy.integrate import solve_ivp
-
-        def rhs(_t, state):
-            p, dp = state[:3], state[3:]
-            return np.concatenate([dp, _acceleration(kind, p.tolist(), dp.tolist())])
-
-        calls = []
+        rhs, calls = _cartesian_rhs(kind), []
 
         def counted(*args):
             calls.append(1)
@@ -579,17 +628,7 @@ class TestDop853:
             assert np.abs(end - ref.y[:3, -1]).max() <= 1e-10, g
             assert abs(len(calls) - ref.nfev) <= 12, g
 
-    @pytest.mark.parametrize("kind, g, intrinsic, cartesian", [
-        (Geometry.S2R, (-1.4844638820273632, -0.7598524616203689, 0.011270059458203186), 17, 14),
-        # the costliest draw of the oracle workload (seed 21): near the pole of
-        # the geographic chart, where the median draw takes 62
-        (Geometry.S2R, (1.4524836882590835, -0.04859611564938726, 1.871041643484289), 797, 98),
-        # a rejected step, after which the next may not grow
-        (Geometry.S2R, (2.701962839584681, -0.3182069571970343, 1.992926865228162), 164, 110),
-        (Geometry.H2R, (-0.7289150785145293, 1.499295042387366, 0.003967720277008627), 17, 14),
-        (Geometry.H2R, (0.562233730072752, -1.4931203823774568, 1.3438056606498268), 62, 86),
-        (Geometry.H2R, (2.4649672202857387, -0.9713436030300396, 1.9044829531057947), 62, 134),
-    ], ids=["s2r-short", "s2r-pole", "s2r-rejection", "h2r-short", "h2r-steep", "h2r-long"])
+    @pytest.mark.parametrize("kind, g, intrinsic, cartesian", SAME_STEPS, ids=SAME_STEPS_IDS)
     def test_the_same_steps(self, kind, g, intrinsic, cartesian, monkeypatch):
         """The exact rhs call counts of fixed draws on both routes: the step
         sequence of the starting step, the safety factor and the growth
@@ -608,6 +647,53 @@ class TestDop853:
         calls.clear()
         integrate_geodesic_cartesian(kind, g)
         assert (on_the_chart, len(calls)) == (intrinsic, cartesian)
+
+    def test_folded_rows_reproduce_the_stage_update(self):
+        """Row s of the buffer ``solve`` folds for a step of size h, (1, h A[s, :s]),
+        dotted with (y, K[:s]) is SciPy's update y + h (A[s, :s] . K[:s]) to a few
+        ulps of its terms' magnitude |y| + h |A[s, :s]| . |K[:s]|: every stage, y_new
+        (row 12, the weights B) and K13-K15, on seeded random K, y and h."""
+        rng, A = np.random.default_rng(853), _dop853.A
+        H, worst = np.empty((16, 17)), 0.0
+        for _ in range(300):
+            n, h = int(rng.integers(1, 7)), 10.0 ** rng.uniform(-8.0, 0.5)
+            YK = rng.normal(size=(17, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(17, 1))
+            np.multiply(h, _dop853._ROWS, out=H)
+            H[:, 0] = 1.0
+            for s in range(1, 16):
+                ref = YK[0] + h * A[s, :s].dot(YK[1:s + 1])
+                size = np.abs(YK[0]) + h * np.abs(A[s, :s]).dot(np.abs(YK[1:s + 1]))
+                worst = max(worst, float((np.abs(H[s, :s + 1].dot(YK[:s + 1]) - ref) / size).max()))
+        assert worst <= 4.0 * np.finfo(float).eps
+
+    @BOTH
+    def test_float_starting_step_is_the_numpy_formula(self, kind, rng):
+        """``_initial_step`` in floats is the numpy formula to rounding, on both
+        routes' right-hand sides over seeded draws: its sums run in order where
+        BLAS may fuse each product into the sum."""
+        rtol, atol = oracle.DEFAULT.ode_rtol, oracle.DEFAULT.ode_atol
+        worst = 0.0
+        for _ in range(200):
+            g = random_params(kind, rng, tau_max=2.0)
+            for rhs, y in _routes(kind, g):
+                f = np.array(rhs(0.0, np.array(y)), dtype=float).tolist()
+                ref = _numpy_initial_step(rhs, 0.0, y, f, g.tau, rtol, atol)
+                h = _dop853._initial_step(rhs, 0.0, [float(a) for a in y], f, g.tau, rtol, atol)
+                worst = max(worst, abs(h - ref) / ref)
+        # each side's sum of six squares is within 5 u of the exact sum, and
+        # h0 = 0.01 d0 / d1 takes the square roots of two of them: 8 eps is rounding
+        assert worst <= 8.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("kind, g", [draw[:2] for draw in SAME_STEPS], ids=SAME_STEPS_IDS)
+    def test_float_starting_step_on_the_same_steps_draws(self, kind, g):
+        """On the draws of ``test_the_same_steps`` the float starting step is the
+        numpy formula's to the bit, on both routes."""
+        g = GeodesicParams.normalized(*g)
+        rtol, atol = oracle.DEFAULT.ode_rtol, oracle.DEFAULT.ode_atol
+        for rhs, y in _routes(kind, g):
+            f = np.array(rhs(0.0, np.array(y)), dtype=float).tolist()
+            h = _dop853._initial_step(rhs, 0.0, [float(a) for a in y], f, g.tau, rtol, atol)
+            assert h == _numpy_initial_step(rhs, 0.0, y, f, g.tau, rtol, atol)
 
     def test_dense_output_of_the_harmonic_oscillator(self):
         """y'' = -y over one period: samples strictly inside the steps come

@@ -15,6 +15,19 @@ class TestSuites:
         for result in run_all(kind, trials=50, seed=42):
             assert result.passed, f"{result.name}: {result.failures[:3]}"
 
+    @pytest.mark.parametrize("name, bound, message", [
+        ("isometry-invariance", "suite_anchor", "misses the base point"),
+        ("ode-equivalence", "suite_ode", "endpoint mismatch"),
+    ])
+    def test_suite_bounds_are_named_tolerances(self, name, bound, message, monkeypatch):
+        """The anchor-image and ODE-endpoint bounds are ``DEFAULT.suite_anchor``
+        (1e-10) and ``DEFAULT.suite_ode`` (1e-6), which the suites read: a
+        negative bound fails every trial."""
+        assert (DEFAULT.suite_anchor, DEFAULT.suite_ode) == (1e-10, 1e-6)
+        monkeypatch.setattr(verification, "DEFAULT", DEFAULT._replace(**{bound: -1.0}))
+        failures = run_suite(name, Geometry.S2R, 3, seed=8).failures
+        assert len(failures) == 3 and all(message in f for f in failures)
+
     def test_deterministic_in_seed(self):
         a = run_suite("trichotomy", Geometry.S2R, 20, seed=5)
         b = run_suite("trichotomy", Geometry.S2R, 20, seed=5)
