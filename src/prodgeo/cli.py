@@ -67,6 +67,10 @@ def _round(x: float, prec: int) -> float:
     return round(float(x), prec)
 
 
+def _twelve_digits(x: float) -> float:
+    return float(f"{x:.12g}")
+
+
 def _render(args, payload: dict, columns, rows, summary=()) -> None:
     """Print one result in ``args.format``: json prints ``payload``; csv and
     table print the display record, string ``rows`` under ``columns`` and
@@ -139,10 +143,10 @@ def cmd_sweep(args) -> int:
     _render(args, {
         "schema": SCHEMA,
         "kind": kind.value,
-        "a2": [_round(c, 12) for c in spec.a2],
-        "ray": [_round(c, 12) for c in spec.ray],
-        "series": [[_round(t, 12), _round(s, prec)] for t, s in result.series],
-        "t0": _round(result.t_extremum, 12),
+        "a2": [_twelve_digits(c) for c in spec.a2],
+        "ray": [_twelve_digits(c) for c in spec.ray],
+        "series": [[_twelve_digits(t), _round(s, prec)] for t, s in result.series],
+        "t0": _twelve_digits(result.t_extremum),
         "s0": _round(result.s_extremum, prec),
         "extremum_kind": extremum,
         "interior": result.interior,
@@ -160,7 +164,7 @@ def cmd_geodesic(args) -> int:
     _render(args, {
         "schema": SCHEMA,
         "kind": kind.value,
-        **{name: _round(value, 12) for name, value in params._asdict().items()},
+        **{name: _twelve_digits(value) for name, value in params._asdict().items()},
         "points": [[_round(c, args.precision) for c in p] for p in curve],
     }, ["x", "y", "z"], [[_fmt(c, args.precision) for c in p] for p in curve],
         [(name, f"{value:.12g}") for name, value in params._asdict().items()])

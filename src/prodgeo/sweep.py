@@ -19,7 +19,6 @@ floats, for its range and for a1 and a2 (``_check_third_vertices``).
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import enum
 import math
@@ -43,6 +42,9 @@ __all__ = [
 #: the spacing of doubles at 1; ``_zero`` resolves u = log t to twice it,
 #: relative to |u| above 1
 _EPS = sys.float_info.epsilon
+
+#: ``evaluate`` sums its grid in blocks of this many samples, which bounds the kernel's buffers
+_BLOCK = 4096
 
 
 class ExtremumKind(enum.Enum):
@@ -106,16 +108,17 @@ def _check_third_vertices(spec: SweepSpec, t: float) -> None:
     _require_distinct((a1, a2, a3))
 
 
-def _near_a1_a2(spec: SweepSpec, ts: list):
-    """Yield the grid t (``ts``, increasing) where t * ray can be on p = a1 or
-    a2: within 4 ``vertex_gap`` (relative; a coincidence is within about 1) of
-    p_k / ray_k, k the index of the ray's largest |coordinate|, and subnormal rounding."""
+def _near_a1_a2(spec: SweepSpec, grid: np.ndarray):
+    """Yield the t of the increasing ``grid``, bisected by its ``searchsorted``, where t * ray
+    can be on p = a1 or a2: within 4 ``vertex_gap`` (relative; a coincidence is within about
+    1) of p_k / ray_k, k the index of the ray's largest |coordinate|, and subnormal rounding."""
     a1, a2, ray = spec._triples
     k = max(range(3), key=lambda i: abs(ray[i]))
     for p in (a1, a2):
         rho = min(p[k] / ray[k], math.nextafter(math.inf, 0.0))  # an inf quotient: t near the top
         width = 4.0 * DEFAULT.vertex_gap * abs(rho) + 2.0 ** -1070 + 2.0 ** -1070 / abs(ray[k])
-        yield from ts[bisect.bisect_left(ts, rho - width):bisect.bisect_right(ts, rho + width)]
+        low, high = grid.searchsorted(rho - width), grid.searchsorted(rho + width, "right")
+        yield from grid[low:high].tolist()
 
 
 def angle_sum_at(spec: SweepSpec, t: float) -> float:
@@ -194,32 +197,34 @@ def _zero(f, a: float, fa: float, b: float, fb: float) -> float:
 def evaluate(spec: SweepSpec) -> SweepResult:
     """Sample S(t) on a log-spaced grid (DomainError beyond memory) and refine the extremum.
 
-    The grid is logarithmic because the extremum of interest sits at small
-    t.  Its vertices t*ray are checked (``_check_third_vertices``) at both
-    ends and near a1 and a2 (``_near_a1_a2``), where alone a check can fail,
-    and at every t once one fails.  The grid sums are the closed form over the
-    array u = log t (``triangles._angles_at``), with no triangle built.  A family
-    is flat, with t0 the geometric mean of the range ends, when its ray is
-    coplanar with the base point, a2 and the centre and every grid sum lies within
-    ``flat_band`` of pi; a family off that plane has a strict extremum however
-    close to pi it stays.  Otherwise the extremum is refined on the same closed
-    form: it is interior when dS/du (``triangles._slope_at``) changes sign across
-    the grid cells around the best sample, and then the root of dS/du there
-    (``_zero``) and S at it; otherwise the better end of the range and S there.
+    The grid is logarithmic, as the extremum of interest sits at small t: ``np.geomspace``'s
+    grid to the bit, without its argument handling.  Its vertices t*ray are checked
+    (``_check_third_vertices``) at both ends and near a1 and a2 (``_near_a1_a2``), where alone
+    a check can fail, and at every t once one fails.  The grid sums are the closed form over
+    u = log t (``triangles._angles_at``), ``_BLOCK`` samples a pass, with no triangle built.
+    A family is flat, with t0 the geometric mean of the range ends, when its ray is coplanar
+    with the base point, a2 and the centre and every grid sum lies within ``flat_band`` of
+    pi; a family off that plane has a strict extremum however close to pi it stays.
+    Otherwise the extremum is refined on the same closed form: it is interior when dS/du
+    (``triangles._slope_at``) changes sign across the grid cells around the best sample, and
+    then the root of dS/du there (``_zero``) and S at it; else the better range end and S there.
     """
     _require_record(spec, SweepSpec)
     with _memory_for(spec.samples, "samples", DomainError):
-        grid = np.geomspace(spec.t_min, spec.t_max, spec.samples)
-        ts = grid.tolist()
+        lo, hi = np.log10([spec.t_min, spec.t_max]).tolist()  # np.geomspace, to the bit
+        grid = np.arange(spec.samples, dtype=float) * ((hi - lo) / (spec.samples - 1)) + lo
+        np.power(10.0, grid, out=grid)
+        grid[0], grid[-1] = spec.t_min, spec.t_max
         try:  # |t * ray| grows with t: if both ends are in double range, all t are
-            for t in (ts[0], ts[-1], *_near_a1_a2(spec, ts)):
+            for t in (spec.t_min, spec.t_max, *_near_a1_a2(spec, grid)):
                 _check_third_vertices(spec, t)
         except (DomainError, DegenerateError):
-            for t in ts:  # the first vertex out of range is named before any on a1 or a2
+            for t in grid.tolist():  # the first vertex out of range is named before any on a1 or a2
                 with contextlib.suppress(DegenerateError):
                     _check_third_vertices(spec, t)
             raise
-        sums = _angles_at(spec._ray, np.log(grid)).total
+        sums = np.concatenate([_angles_at(spec._ray, np.log(grid[i:i + _BLOCK])).total
+                               for i in range(0, spec.samples, _BLOCK)])
         series = np.column_stack([grid, sums])
 
         if _coplanar(*spec._triples) and np.abs(sums - math.pi).max() <= DEFAULT.flat_band:

@@ -177,14 +177,12 @@ def _angle(xp, a, b, cross, half: tuple):
     return 2.0 * xp.atan2(*_chords(xp, a, b, cross, half))
 
 
-def _partial(a: float, b: float, half: tuple) -> float:
-    """The partial derivative of ``_angle`` w in b, in floats: from
-    cos w = cos a cos b + sin a sin b cos g, it is
+def _partial(a: float, b: float, sin_a: float, cos_b: float, chords: tuple, half: tuple) -> float:
+    """The partial derivative of ``_angle`` w in b, in floats, from sin a, cos b and
+    w's ``_chords`` h and k: from cos w = cos a cos b + sin a sin b cos g, it is
     (sin(b - a) + 2 sin a cos b sin^2(g / 2)) / sin w, sin w = 2 h k."""
-    sin_a = math.sin(a)
-    h, k = _chords(math, a, b, sin_a * math.sin(b), half)
-    by_sin = 0.5 / (h * k + _TINY)  # 1 / sin w, as h^2 + k^2 = 1; no 0 / 0
-    return (math.sin(b - a) + 2.0 * sin_a * math.cos(b) * half[0]) * by_sin
+    by_sin = 0.5 / (chords[0] * chords[1] + _TINY)  # 1 / sin w, as h^2 + k^2 = 1; no 0 / 0
+    return (math.sin(b - a) + 2.0 * sin_a * cos_b * half[0]) * by_sin
 
 
 def _angles_at(part: tuple, u) -> TriangleAngles:
@@ -192,26 +190,41 @@ def _angles_at(part: tuple, u) -> TriangleAngles:
     fibre, in ``math`` for a float u and in numpy, as arrays, for an array of u.
     The sides toward a3 leave a1 and a2 at the fibre angles b = atan2(d, r) of
     their rises r = u + f3 - f1 and u + f3 - f2, and reach a3 at the supplements
-    pi - b13 and pi - b23, which meet at the angle between b13 and b23."""
-    xp = math if type(u) is float else np
+    pi - b13 and pi - b23, which meet at the angle between b13 and b23: ``_angle``
+    of the rows a = (at1, at2, b13), b = (b13, b23, b23), one call a row in ``math``
+    and one over them all, as (3, n) arrays with a and b overlapping, in numpy."""
     off13, off23, d13, d23, at1, at2, half1, half2, half3 = part
-    b13, b23 = xp.atan2(d13, u + off13), xp.atan2(d23, u + off23)
-    s13, s23 = xp.sin(b13), xp.sin(b23)
-    w1 = _angle(xp, at1, b13, math.sin(at1) * s13, half1)
-    w2 = _angle(xp, at2, b23, math.sin(at2) * s23, half2)
-    w3 = _angle(xp, b13, b23, s13 * s23, half3)
+    if type(u) is float:
+        b13, b23 = math.atan2(d13, u + off13), math.atan2(d23, u + off23)
+        s13, s23 = math.sin(b13), math.sin(b23)
+        w1 = _angle(math, at1, b13, math.sin(at1) * s13, half1)
+        w2 = _angle(math, at2, b23, math.sin(at2) * s23, half2)
+        w3 = _angle(math, b13, b23, s13 * s23, half3)
+        return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
+    rows, cross = np.empty((5, len(u))), np.empty((3, len(u)))  # rows at1, at2, b13, b23, b23
+    rows[0], rows[1] = at1, at2
+    np.arctan2([[d13], [d23]], np.add.outer((off13, off23), u, out=rows[2:4]), out=rows[2:4])
+    rows[4] = rows[3]
+    np.sin(rows[2:4], out=cross[:2])
+    np.multiply(cross[0], cross[1], out=cross[2])
+    cross[:2] *= [[math.sin(at1)], [math.sin(at2)]]
+    w1, w2, w3 = _angle(np, rows[:3], rows[2:], cross, np.array((half1, half2, half3)).T[..., None])
     return TriangleAngles(w1, w2, w3, w1 + w2 + w3)
 
 
 def _slope_at(part: tuple, u: float) -> float:
     """dS/du of ``_angles_at`` at a float u, by the chain rule through the
-    fibre angles b = atan2(d, r), db/du = -d / (r^2 + d^2)."""
+    fibre angles b = atan2(d, r), db/du = -d / (r^2 + d^2), with sin b and cos b formed once."""
     off13, off23, d13, d23, at1, at2, half1, half2, half3 = part
     r13, r23 = u + off13, u + off23
     b13, b23 = math.atan2(d13, r13), math.atan2(d23, r23)
-    w1_b13, w2_b23 = _partial(at1, b13, half1), _partial(at2, b23, half2)
-    w3_b13 = _partial(b23, b13, half3)  # w3 is symmetric in b13 and b23
-    w3_b23 = _partial(b13, b23, half3)
+    s13, s23, c13, c23 = math.sin(b13), math.sin(b23), math.cos(b13), math.cos(b23)
+    sin1, sin2 = math.sin(at1), math.sin(at2)
+    w1_b13 = _partial(at1, b13, sin1, c13, _chords(math, at1, b13, sin1 * s13, half1), half1)
+    w2_b23 = _partial(at2, b23, sin2, c23, _chords(math, at2, b23, sin2 * s23, half2), half2)
+    chords3 = _chords(math, b13, b23, s13 * s23, half3)  # w3's, symmetric in b13, b23 to the bit
+    w3_b13 = _partial(b23, b13, s23, c13, chords3, half3)
+    w3_b23 = _partial(b13, b23, s13, c23, chords3, half3)
     return (-(w1_b13 + w3_b13) * d13 / (r13 * r13 + d13 * d13)
             - (w2_b23 + w3_b23) * d23 / (r23 * r23 + d23 * d23))
 

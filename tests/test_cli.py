@@ -208,6 +208,30 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"DomainError: not enough memory for {10**17} samples\n"
 
+    @pytest.mark.parametrize("t_min, t_max", [("1e-20", "1e-10"), ("1e-320", "1e-300")])
+    def test_small_parameters_keep_their_digits_in_json(self, capsys, t_min, t_max):
+        """JSON t and t0 are the table's 12 significant digits: rounding to 12
+        decimals read six series t of 1e-20 to 1e-10 as 0.0, and t0 of a range
+        ending at 1e-300 as 0.0.  The series t are > 0, increase strictly and
+        equal the csv cells."""
+        argv = ["sweep", "--geometry", "s2r", "--a2", "3,-2,1", "--ray", "2,1,0",
+                "--t-min", t_min, "--t-max", t_max, "--samples", "8"]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        ts = [t for t, _ in payload["series"]]
+        assert ts[0] > 0.0 and all(a < b for a, b in zip(ts, ts[1:]))
+        assert payload["t0"] == float(t_max)
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert ts == [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert f"t0={payload['t0']:.12g}" in err.splitlines()
+
+    def test_small_points_keep_their_digits_in_json(self, capsys):
+        """A valid S2xR a2 of size 1e-170 read [0.0, 0.0, 0.0]."""
+        _, out, _ = run(capsys, "sweep", "--geometry", "s2r", "--a2", "1e-170,2e-170,0",
+                        "--ray", "2,1,0", "--samples", "8", "--format", "json")
+        assert json.loads(out)["a2"] == [1e-170, 2e-170, 0.0]
+
     def test_ray_leaving_model_exit_2(self, capsys):
         code, out, err = run(capsys, "sweep", "--geometry", "h2r", "--a2", "2,1.5,1",
                              "--ray", "1,5,0", "--samples", "16")
@@ -255,6 +279,17 @@ class TestGeodesic:
         assert code == 0
         for point in payload["points"]:
             assert contains(Geometry.H2R, point)
+
+    def test_small_params_keep_their_digits_in_json(self, capsys):
+        """u, v and tau are the table's 12 significant digits, where 12
+        decimals read them as 0.0."""
+        argv = ["geodesic", "--geometry", "s2r", "--params", "1e-20,-3e-30,1e-40",
+                "--samples", "8"]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert [payload[name] for name in ("u", "v", "tau")] == [1e-20, -3e-30, 1e-40]
+        _, _, err = run(capsys, *argv, "--format", "csv")
+        assert {"u=1e-20", "v=-3e-30", "tau=1e-40"} <= set(err.splitlines())
 
     def test_overflowing_params_exit_2(self, capsys):
         code, out, err = run(capsys, "geodesic", "--geometry", "s2r", "--params", "0,1,1000")
@@ -434,7 +469,7 @@ def _cell_matches(cell: str, value, prec: int) -> bool:
     """The csv cell shows the json value at display precision ``prec``."""
     if isinstance(value, (bool, str)):
         return cell == str(value).lower()
-    # json rounds values that are not display floats to 12 decimals
+    # json rounds parameters to the 12 significant digits shown, deltas to 12 decimals
     return abs(float(cell) - value) <= 0.5 * 10.0 ** -prec + 1e-12
 
 

@@ -1,5 +1,8 @@
+import bisect
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -760,6 +763,218 @@ class TestClosedForm:
         t_exact, s_exact = mp_oracle.sweep_extremum(kind, a2, ray, result.t_extremum)
         assert abs(result.t_extremum - t_exact) <= 1e-8 * t_exact
         assert abs(result.s_extremum - s_exact) <= 1e-15
+
+
+def _reference_chords(xp, a, b, cross, half):
+    """``triangles._chords``, kept here with the references below."""
+    half_sin, half_cos = half
+    return (xp.sqrt(xp.sin(0.5 * (a - b)) ** 2 + cross * half_sin),
+            xp.sqrt(xp.cos(0.5 * (a + b)) ** 2 + cross * half_cos))
+
+
+def _reference_angles(part, u):
+    """The numpy evaluation that the row pass of ``triangles._angles_at``
+    replaced: b13, b23 and their sines, then the three angles one after
+    another, each over (n,) arrays, and (w1 + w2) + w3."""
+    off13, off23, d13, d23, at1, at2, half1, half2, half3 = part
+    b13, b23 = np.arctan2(d13, u + off13), np.arctan2(d23, u + off23)
+    s13, s23 = np.sin(b13), np.sin(b23)
+    w1, w2, w3 = (2.0 * np.arctan2(*_reference_chords(np, a, b, cross, half))
+                  for a, b, cross, half in ((at1, b13, math.sin(at1) * s13, half1),
+                                            (at2, b23, math.sin(at2) * s23, half2),
+                                            (b13, b23, s13 * s23, half3)))
+    return w1, w2, w3, w1 + w2 + w3
+
+
+def _reference_partial(a, b, half):
+    """The partial derivative of an angle w in b as it was formed alone, with
+    its own sines, cosine and chords."""
+    sin_a = math.sin(a)
+    h, k = _reference_chords(math, a, b, sin_a * math.sin(b), half)
+    by_sin = 0.5 / (h * k + sys.float_info.min)
+    return (math.sin(b - a) + 2.0 * sin_a * math.cos(b) * half[0]) * by_sin
+
+
+def _reference_slope(part, u):
+    """dS/du by four ``_reference_partial`` calls: what ``triangles._slope_at``,
+    which shares the sines, cosines and w3's chords, replaced."""
+    off13, off23, d13, d23, at1, at2, half1, half2, half3 = part
+    r13, r23 = u + off13, u + off23
+    b13, b23 = math.atan2(d13, r13), math.atan2(d23, r23)
+    w1_b13, w2_b23 = _reference_partial(at1, b13, half1), _reference_partial(at2, b23, half2)
+    w3_b13, w3_b23 = _reference_partial(b23, b13, half3), _reference_partial(b13, b23, half3)
+    return (-(w1_b13 + w3_b13) * d13 / (r13 * r13 + d13 * d13)
+            - (w2_b23 + w3_b23) * d23 / (r23 * r23 + d23 * d23))
+
+
+def _flat_ray(a2, rng):
+    """A ray in the cone of the base point and a2: coplanar with them and the centre."""
+    a2 = np.asarray(a2, dtype=float)
+    return rng.uniform(0.2, 1.0) * BASE_POINT + rng.uniform(0.2, 1.0) * a2 / np.linalg.norm(a2)
+
+
+def _near_cone_ray(rng):
+    """An H2xR ray 1 to 5 ulps inside the cone, as ``TestNearTheCone`` draws them."""
+    phi, spread = rng.uniform(-PI, PI), rng.uniform(0.1, 2.0)
+    y, z = spread * math.cos(phi), spread * math.sin(phi)
+    x = core._hypot(y, z)
+    for _ in range(int(rng.integers(1, 6))):
+        x = math.nextafter(x, math.inf)
+    return x, y, z
+
+
+class TestKernelBits:
+    """The grid's row pass (``triangles._angles_at`` over an array of u) and
+    the refinement's dS/du (``triangles._slope_at``, with shared sines and
+    chords) give the bits of the evaluations they replaced
+    (``_reference_angles``, ``_reference_slope``): seeded families of both
+    geometries, flat ones, H2xR rays a few ulps inside the cone, over the
+    ranges [1e-3, 5], [1e200, 1e250] and [1e-320, 1e-300] at 8 and 4,096
+    samples."""
+
+    RANGES = ((1e-3, 5.0), (1e200, 1e250), (1e-320, 1e-300))
+
+    @staticmethod
+    def _families(kind, group, rng, count=8):
+        for _ in range(count):
+            if group == "near-cone":
+                yield SweepSpec(kind, (2.0, 1.5, 1.0), _near_cone_ray(rng))
+                continue
+            a2 = random_point(kind, rng)
+            yield SweepSpec(kind, a2, random_point(kind, rng) if group == "random"
+                            else _flat_ray(a2, rng))
+
+    @pytest.mark.parametrize("kind, group", [
+        (Geometry.S2R, "random"), (Geometry.S2R, "flat"), (Geometry.H2R, "random"),
+        (Geometry.H2R, "flat"), (Geometry.H2R, "near-cone")],
+        ids=lambda v: getattr(v, "value", v))
+    def test_the_bits_of_the_replaced_evaluations(self, kind, group):
+        rng = np.random.default_rng([31, list(Geometry).index(kind), len(group)])
+        slopes = 0
+        for spec in self._families(kind, group, rng):
+            part = spec._ray
+            for t_min, t_max in self.RANGES:
+                for samples in (8, 4096):
+                    u = np.log(np.geomspace(t_min, t_max, samples))
+                    angles = triangles._angles_at(part, u)
+                    for got, expected in zip(angles, _reference_angles(part, u)):
+                        assert got.tobytes() == expected.tobytes()
+                for x in u[::64].tolist():
+                    got, expected = triangles._slope_at(part, x), _reference_slope(part, x)
+                    assert got.hex() == expected.hex(), (x, got, expected)
+                    slopes += 1
+        assert slopes == 8 * 3 * 64
+
+
+def _windows(spec):
+    """The windows (rho - width, rho + width) of ``sweep._near_a1_a2`` around
+    p_k / ray_k, p = a1 and a2."""
+    a1, a2, ray = spec._triples
+    k = max(range(3), key=lambda i: abs(ray[i]))
+    for p in (a1, a2):
+        rho = min(p[k] / ray[k], math.nextafter(math.inf, 0.0))
+        width = 4.0 * DEFAULT.vertex_gap * abs(rho) + 2.0 ** -1070 + 2.0 ** -1070 / abs(ray[k])
+        yield rho - width, rho + width
+
+
+def _bisect_near(spec, ts):
+    """``sweep._near_a1_a2`` as it bisected the grid's list ``ts``."""
+    for lo, hi in _windows(spec):
+        yield from ts[bisect.bisect_left(ts, lo):bisect.bisect_right(ts, hi)]
+
+
+class TestGrid:
+    """``evaluate`` builds ``np.geomspace``'s grid without its argument
+    handling, to the bit, and finds the grid t near a1 and a2 as the
+    bisection of the grid's list found them."""
+
+    @staticmethod
+    def _ranges(rng):
+        """(t_min, t_max, samples), 8 to 4,096 samples: seeded ranges within
+        1e-300 to 1e300, fine ranges (t_max / t_min - 1 at most 3 ``vertex_gap``),
+        ranges from the smallest subnormal, the widest range, and a grid of
+        three ``sweep._BLOCK`` blocks."""
+        def samples():
+            return int(rng.integers(8, 4097))
+        for _ in range(40):
+            lo = rng.uniform(-300.0, 300.0)
+            yield 10.0 ** lo, 10.0 ** rng.uniform(lo + 1e-3, 300.0), samples()
+        for _ in range(40):
+            t_min = 10.0 ** rng.uniform(-300.0, 300.0)
+            yield t_min, t_min * (1.0 + DEFAULT.vertex_gap * rng.uniform(0.01, 3.0)), samples()
+        for _ in range(10):
+            yield 5e-324, 10.0 ** rng.uniform(-320.0, 0.0), samples()
+        yield 1e-300, 1e300, 4096
+        yield 5e-324, 1e300, 8
+        yield 1e-3, 5.0, 2 * sweep_mod._BLOCK + 1808
+
+    def test_grid_is_geomspace_to_the_bit(self):
+        """The series' t column is ``np.geomspace`` bytewise, and its sums are
+        the replaced per-angle pass over its log (``_reference_angles``)."""
+        rng = np.random.default_rng(37)
+        for t_min, t_max, samples in self._ranges(rng):
+            spec = SweepSpec(Geometry.S2R, (3, -2, 1), (2, 1, 0), t_min=t_min, t_max=t_max,
+                             samples=samples)
+            series = evaluate(spec).series
+            grid = np.geomspace(t_min, t_max, samples)
+            assert series[:, 0].tobytes() == grid.tobytes(), (t_min, t_max, samples)
+            sums = _reference_angles(spec._ray, np.log(grid))[3]
+            assert series[:, 1].tobytes() == sums.tobytes(), (t_min, t_max, samples)
+
+    @pytest.mark.parametrize("kind, group", [(kind, group) for kind in Geometry
+                                             for group in ("a1", "a2", "fine")],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_near_a1_a2_as_bisection(self, kind, group):
+        """300 families of ``TestThirdVertexCheck``, whose rays are a1 or a2
+        over a grid t: the same t, in order, as ``_bisect_near``."""
+        rng = np.random.default_rng([41, list(Geometry).index(kind), len(group)])
+        found = 0
+        for _ in range(300):
+            spec, grid = TestThirdVertexCheck._family(kind, group, rng)
+            near = list(sweep_mod._near_a1_a2(spec, grid))
+            assert near == list(_bisect_near(spec, grid.tolist()))
+            found += len(near)
+            # a grid t on a window's end is in the window
+            ends = {e for window in _windows(spec) for t in window if 0.0 < t < math.inf
+                    for e in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf))}
+            ends = sorted(ends)
+            near = list(sweep_mod._near_a1_a2(spec, np.array(ends)))
+            assert near == list(_bisect_near(spec, ends))
+        assert found >= 300
+
+
+class TestRefinementWork:
+    @pytest.mark.parametrize("spec, calls", [
+        (lambda: family_spec(Geometry.S2R), 9), (lambda: family_spec(Geometry.H2R), 7),
+        (lambda: SweepSpec(Geometry.S2R, (2, 1, 0), (5, -1, 0)), 0)],
+        ids=["s2r", "h2r", "flat"])
+    def test_slopes_per_evaluate(self, spec, calls, monkeypatch):
+        """Brent's method forms dS/du 9 times on the S2xR reference family and
+        7 times on the H2xR one; a flat family is not refined."""
+        counted, true_slope = [], sweep_mod._slope_at
+
+        def slope(*args):
+            counted.append(1)
+            return true_slope(*args)
+
+        monkeypatch.setattr(sweep_mod, "_slope_at", slope)
+        evaluate(spec())
+        assert len(counted) == calls
+
+    def test_peak_memory_of_a_large_grid(self):
+        """The tracemalloc peak of ``evaluate`` at 2e5 S2xR samples, over the
+        series' nbytes, measured 2.50: the grid, its sums, the series and the
+        bracket's signed sums, with the kernel's buffers bounded by
+        ``sweep._BLOCK`` samples.  The per-angle pass with the grid's list
+        measured 8.0, and one row pass over the whole grid 9.5."""
+        spec = family_spec(Geometry.S2R, samples=200_000)
+        tracemalloc.start()
+        try:
+            series = evaluate(spec).series
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * series.nbytes, peak / series.nbytes
 
 
 class TestUnimodality:
