@@ -76,8 +76,8 @@ itself needs numpy only.  Every right-hand side reads its state array by
 ``tolist`` and computes in Python floats, where arithmetic on numpy
 scalars cost three times as much.
 
-The quadrature checks every segment midpoint and evaluates the metric at
-all of them in one call.
+The quadrature checks every segment midpoint and evaluates the metric entries
+at all of them in one call, with no (n, 3, 3) tensor formed.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ import contextlib
 import math
 
 from . import _dop853
-from .core import (_BASE, Geometry, _chart_points, _count, _guard_member, _memory_for, _metric,
+from .core import (_BASE, Geometry, _chart_points, _count, _guard_member, _memory_for,
                    _metric_entries, _reals, _require_geometry, np)
 from .exceptions import ConsistencyError, DomainError, PrecondError, SingularityError
 from .geodesics import GeodesicParams, _triple, tangent_of
@@ -299,7 +299,9 @@ def arc_length_quadrature(kind: Geometry, curve) -> float:
 
     Second-order accurate in the number of samples.  The metrics are
     homogeneous of degree -2, so the rule runs on the curve scaled exactly
-    by a power of two to coordinates below 1, where nothing overflows.
+    by a power of two to coordinates below 1, where nothing overflows.  Each
+    d^T g d is expanded in the six distinct ``_metric_entries``, whose terms
+    reach cosh^2(2w) times it on H2xR: 3.4e-13 rounding at surface arc 3.5.
     Raises DomainError for points not of three real numbers, a segment
     midpoint outside the model, or a metric there beyond double range.
     """
@@ -315,7 +317,9 @@ def arc_length_quadrature(kind: Geometry, curve) -> float:
         mids = 0.5 * (pts[:-1] + pts[1:])
         delta = pts[1:] - pts[:-1]
         _guard_member(kind, np.ldexp(mids, scale))  # named at the curve's own scale
-        lengths = np.sqrt(np.einsum("ni,nij,nj->n", delta, _metric(kind, *mids.T), delta))
+        g, (dx, dy, dz) = _metric_entries(kind, *mids.T), delta.T
+        lengths = np.sqrt(g[0] * dx * dx + g[4] * dy * dy + g[8] * dz * dz
+                          + 2.0 * (g[1] * dx * dy + g[2] * dx * dz + g[5] * dy * dz))
     if not np.isfinite(lengths).all():
         raise DomainError(f"the {kind.value} metric at a midpoint is beyond double range")
     return float(lengths.sum())

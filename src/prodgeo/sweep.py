@@ -134,8 +134,8 @@ def angle_sum_at(spec: SweepSpec, t: float) -> float:
 
 
 def _bracket(ts: np.ndarray, sums: np.ndarray, sign: float) -> tuple[float, float]:
-    """The two cells of the sampled ``ts`` around the largest of ``sign * sums``."""
-    best = int(np.argmax(sign * sums))
+    """The two cells of the sampled ``ts`` around the first largest of ``sign * sums``."""
+    best = int(sums.argmax() if sign > 0.0 else sums.argmin())
     return ts[max(best - 1, 0)], ts[min(best + 1, len(ts) - 1)]
 
 

@@ -7,7 +7,8 @@ point.  ``inverse`` solves the inverse problem of a double point in 50
 digits, so the difference between it and ``geodesic_params`` is the
 algorithm's own error on that point, apart from its representation.
 ``acceleration`` is the geodesic acceleration of the Cartesian chart at a
-double point, from the metric's derivatives written out by hand.
+double point, from the metric's derivatives written out by hand, and
+``midpoint_length`` the arc-length quadrature of a double polyline.
 ``angle_sum`` is the product-split angle sum of three double vertices, and
 ``sweep_extremum`` the turning point of that sum along a ray.
 ``normaliser`` is the paper's 4x4 normalising isometry of a double point.
@@ -80,6 +81,19 @@ def _metric_and_derivatives(kind, p):
             + 2 * ((eta[i] if i == k else 0) * m[j] + m[i] * (eta[j] if j == k else 0)) / q ** 2
             - 8 * m[i] * m[j] * m[k] / q ** 3 for j in r3] for i in r3] for k in r3]
     return g, dg
+
+
+def midpoint_length(kind, points):
+    """The composite midpoint-rule length of the double polyline ``points``, in 50
+    digits and rounded to a double: each segment's midpoint and difference exact."""
+    with mpmath.workdps(DIGITS):
+        total = mpmath.mpf(0)
+        for a, b in zip(points[:-1], points[1:]):
+            a, b = [mpmath.mpf(float(c)) for c in a], [mpmath.mpf(float(c)) for c in b]
+            g, _ = _metric_and_derivatives(kind, [(x + y) / 2 for x, y in zip(a, b)])
+            d = [y - x for x, y in zip(a, b)]
+            total += mpmath.sqrt(sum(g[i][j] * d[i] * d[j] for i in range(3) for j in range(3)))
+        return float(total)
 
 
 def acceleration(kind, p, dp):
