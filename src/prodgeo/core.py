@@ -336,7 +336,7 @@ def _split(kind: Geometry, p: tuple) -> tuple[float, list]:
     """Fibre height and surface point of one model point, a float triple,
     from ``_fibre_norm``: (f, [sx, sy, sz])."""
     norm = _fibre_norm(kind, p)
-    return math.log(norm), [c / norm for c in p]
+    return math.log(norm), [p[0] / norm, p[1] / norm, p[2] / norm]
 
 
 def require_member(kind: Geometry, p) -> tuple[float, float, float]:

@@ -180,12 +180,14 @@ def _arc(kind: Geometry, p: list, q: list) -> tuple[float, list]:
     q in the Minkowski form; 0 and a zero normal for equal points.  The length
     is asinh(sin) on H2xR and atan2(sin, p . q) on S2xR, pi for points
     antipodal to rounding."""
-    normal = [p[1] * q[2] - p[2] * q[1], kind.curvature * (p[2] * q[0] - p[0] * q[2]),
-              kind.curvature * (p[0] * q[1] - p[1] * q[0])]
-    sin = _tangent_len(kind, p, normal)
-    dist = (math.atan2(sin, p[0] * q[0] + (p[1] * q[1] + p[2] * q[2])) if kind is Geometry.S2R
+    (px, py, pz), (qx, qy, qz) = p, q
+    nx, ny, nz = (py * qz - pz * qy, kind.curvature * (pz * qx - px * qz),
+                  kind.curvature * (px * qy - py * qx))
+    sin = _tangent_len(kind, p, [nx, ny, nz])
+    dist = (math.atan2(sin, px * qx + (py * qy + pz * qz)) if kind is Geometry.S2R
             else math.asinh(sin))
-    return dist, [c / (sin + _TINY) for c in normal]
+    by = sin + _TINY
+    return dist, [nx / by, ny / by, nz / by]
 
 
 def _tangent_sq(kind: Geometry, s: list, v: list) -> float:

@@ -113,7 +113,8 @@ def _near_a1_a2(spec: SweepSpec, grid: np.ndarray):
     can be on p = a1 or a2: within 4 ``vertex_gap`` (relative; a coincidence is within about
     1) of p_k / ray_k, k the index of the ray's largest |coordinate|, and subnormal rounding."""
     a1, a2, ray = spec._triples
-    k = max(range(3), key=lambda i: abs(ray[i]))
+    k = 1 if abs(ray[1]) > abs(ray[0]) else 0  # the first largest on ties
+    k = 2 if abs(ray[2]) > abs(ray[k]) else k
     for p in (a1, a2):
         rho = min(p[k] / ray[k], math.nextafter(math.inf, 0.0))  # an inf quotient: t near the top
         width = 4.0 * DEFAULT.vertex_gap * abs(rho) + 2.0 ** -1070 + 2.0 ** -1070 / abs(ray[k])

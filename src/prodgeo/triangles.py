@@ -22,6 +22,10 @@ which moves them, is ``isometries``).  ``_angles_at`` evaluates it with vertex
 3 moved u along its fibre (triangles at u = 0, sweeps at log t), in ``math``
 for a float u and numpy for an array of u; ``_slope_at`` is dS/du, in floats.
 
+The per-triangle kernels run on float components, with no comprehension, generator,
+lambda, ``zip`` or ``map``: under Python 3.11 each runs as a frame of its own (PEP 709
+inlines list comprehensions from 3.12 only), once about 40% of a triangle's angles.
+
 Angle sums obey a strict trichotomy: sum - pi has the sign of the surface
 curvature, ``Geometry.curvature`` (S2xR sums are >= pi, H2xR sums <= pi),
 and is zero exactly when the vertices are Euclid-coplanar with the model
@@ -71,7 +75,7 @@ class GeodesicTriangle(_Record):
     _fields = ("kind", "a1", "a2", "a3")
 
     def __init__(self, kind: Geometry, a1, a2, a3):
-        a1, a2, a3 = (require_member(kind, a) for a in (a1, a2, a3))
+        a1, a2, a3 = require_member(kind, a1), require_member(kind, a2), require_member(kind, a3)
         _require_distinct((a1, a2, a3))
         vars(self).update(kind=kind, a1=a1, a2=a2, a3=a3)
 
@@ -82,8 +86,9 @@ class GeodesicTriangle(_Record):
     @cached_property
     def _angles(self) -> TriangleAngles:
         """The closed form with vertex 3 where it is: ``_angles_at`` at u = 0."""
-        splits = (_split(self.kind, a) for a in self.vertices)
-        return _angles_at(_closed_form(self.kind, *splits), 0.0)
+        kind = self.kind
+        return _angles_at(_closed_form(kind, _split(kind, self.a1), _split(kind, self.a2),
+                                       _split(kind, self.a3)), 0.0)
 
     @cached_property
     def _is_coplanar(self) -> bool:
@@ -113,7 +118,8 @@ def _require_distinct(vertices) -> None:
     """Raise DegenerateError where two ``vertices``, float triples, differ
     by at most ``vertex_gap`` max(|p|, |q|) in each coordinate (the pair's
     own max norms: scale-invariant); a gap that overflows is inf, and apart."""
-    for j, (u, v, w) in enumerate(vertices):
+    for j in range(1, len(vertices)):
+        u, v, w = vertices[j]
         for x, y, z in vertices[:j]:
             if (max(abs(x - u), abs(y - v), abs(z - w))
                     <= DEFAULT.vertex_gap * max(abs(x), abs(y), abs(z), abs(u), abs(v), abs(w))):
@@ -148,17 +154,18 @@ def _closed_form(kind: Geometry, split1: tuple, split2: tuple, split3: tuple) ->
     d12, n12 = _arc(kind, s1, s2)
     if kind is Geometry.S2R and max(d12, d13, d23) >= math.pi - DEFAULT.cut_locus:
         raise DegenerateError("two vertices have antipodal S2 points: the side is not unique")
-    halves = [_half_angle(kind, *ends)
-              for ends in ((s1, n12, n13), (s2, [-c for c in n12], n23), (s3, n13, n23))]
-    return (f3 - f1, f3 - f2, d13, d23,
-            math.atan2(d12, f2 - f1), math.atan2(d12, f1 - f2), *halves)
+    return (f3 - f1, f3 - f2, d13, d23, math.atan2(d12, f2 - f1), math.atan2(d12, f1 - f2),
+            _half_angle(kind, s1, n12, n13),
+            _half_angle(kind, s2, [-n12[0], -n12[1], -n12[2]], n23),
+            _half_angle(kind, s3, n13, n23))
 
 
 def _half_angle(kind: Geometry, s: list, one: list, two: list) -> tuple[float, float]:
     """sin^2 and cos^2 of half the angle between unit surface directions at
     ``s``: a quarter of the squared lengths of their difference and sum."""
-    return (0.25 * _tangent_sq(kind, s, [a - b for a, b in zip(one, two)]),
-            0.25 * _tangent_sq(kind, s, [a + b for a, b in zip(one, two)]))
+    (x1, y1, z1), (x2, y2, z2) = one, two
+    return (0.25 * _tangent_sq(kind, s, [x1 - x2, y1 - y2, z1 - z2]),
+            0.25 * _tangent_sq(kind, s, [x1 + x2, y1 + y2, z1 + z2]))
 
 
 def _chords(xp, a, b, cross, half: tuple) -> tuple:
@@ -243,7 +250,7 @@ def _coplanar(a1, a2, a3) -> bool:
     """``coplanar_with_center`` of three points (scale-invariant in each): the
     triple product of the points over their largest |coordinate|, in floats,
     against the product of those rows' norms."""
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = map(_unit_row, (a1, a2, a3))
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = _unit_row(a1), _unit_row(a2), _unit_row(a3)
     det = x1 * (y2 * z3 - z2 * y3) - y1 * (x2 * z3 - z2 * x3) + z1 * (x2 * y3 - y2 * x3)
     norms = math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2) * math.hypot(x3, y3, z3)
     return abs(det) <= DEFAULT.coplanar * norms
@@ -263,20 +270,26 @@ def encloses_center(tri: GeodesicTriangle) -> bool:
     Only possible in S2xR: H2xR vertices all have x > 0 so their hull
     misses the origin.  A sign test in floats (``_encloses``), no solve.
     """
-    return coplanar_with_center(tri) and _encloses(*map(_unit_row, tri.vertices))
+    return coplanar_with_center(tri) and _encloses(*tri.vertices)
 
 
-def _encloses(r1, r2, r3) -> bool:
-    """Whether E0 lies in the triangle of the coplanar unit rows: with c_i
-    the cross product of the rows other than row i and n the largest c_i
-    (their sum cancels where the rows lie on one line), the barycentric
-    weights of E0 are the c_i . n over their sum."""
-    crosses = [(p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
-               for p, q in ((r2, r3), (r3, r1), (r1, r2))]
-    nx, ny, nz = max(crosses, key=lambda c: c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-    weights = [cx * nx + cy * ny + cz * nz for cx, cy, cz in crosses]
-    total = weights[0] + weights[1] + weights[2]
-    return total > 0.0 and min(weights) >= -DEFAULT.enclosure_weight * total
+def _encloses(a1, a2, a3) -> bool:
+    """Whether E0 lies in the triangle of coplanar points: with c_i the cross
+    product of the unit rows (``_unit_row``) other than row i and n the first
+    largest c_i (their sum cancels where the rows lie on one line), the
+    barycentric weights of E0 are the c_i . n over their sum."""
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = _unit_row(a1), _unit_row(a2), _unit_row(a3)
+    c1 = (y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3)
+    c2 = (y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1)
+    c3 = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    nx, ny, nz = c1
+    for c in (c2, c3):
+        if c[0] * c[0] + c[1] * c[1] + c[2] * c[2] > nx * nx + ny * ny + nz * nz:
+            nx, ny, nz = c
+    w1, w2, w3 = (c1[0] * nx + c1[1] * ny + c1[2] * nz, c2[0] * nx + c2[1] * ny + c2[2] * nz,
+                  c3[0] * nx + c3[1] * ny + c3[2] * nz)
+    total = w1 + w2 + w3
+    return total > 0.0 and min(w1, w2, w3) >= -DEFAULT.enclosure_weight * total
 
 
 def classify(tri: GeodesicTriangle) -> TriangleClass:

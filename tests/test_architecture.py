@@ -227,6 +227,28 @@ def test_one_distinctness_rule():
     assert _defining("_max_abs") == set()
 
 
+@pytest.mark.parametrize("module, name", [
+    ("core.py", "_split"), ("geodesics.py", "_arc"), ("triangles.py", "_half_angle"),
+    ("triangles.py", "_closed_form"), ("triangles.py", "__init__"), ("triangles.py", "_angles"),
+    ("triangles.py", "_require_distinct"), ("triangles.py", "_coplanar"),
+    ("triangles.py", "encloses_center"), ("triangles.py", "_encloses"),
+    ("sweep.py", "_near_a1_a2"),
+])
+def test_the_triangle_kernel_runs_on_float_components(module, name):
+    """The per-triangle float kernels spell out their three components: under
+    Python 3.11 each comprehension, generator expression and lambda runs as a
+    frame of its own (PEP 709 inlines list comprehensions from 3.12 only), so
+    none of them, and no ``zip``, ``map`` or ``enumerate``, runs per triangle."""
+    function = next(node for node in ast.walk(_tree(module))
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+    frames = [ast.unparse(node) for node in ast.walk(function)
+              if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                                   ast.Lambda))
+              or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in {"zip", "map", "enumerate"})]
+    assert frames == []
+
+
 @pytest.mark.parametrize("name", ["_split", "_fibre_norm", "_scaled_norm", "_guard_member"])
 def test_the_split_takes_one_point(name):
     """The product split and the membership rule take one point as a float
